@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 precondition failure, 3 convergence failure, 4 I/O.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -97,6 +98,14 @@ def _grading_from(cfg, d, l):
                    K_phi=int(t.get("K_phi", 16)), D=int(t.get("D", 4)))
 
 
+def _config_sha256(cfg):
+    """Digest of what the reduction reads: the problem and the truncation."""
+    canon = json.dumps({"problem": cfg["problem"],
+                        "truncation": cfg.get("truncation", {})},
+                       sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode()).hexdigest()
+
+
 def cmd_reduce(cfg, out_path=None):
     prob = cfg["problem"]
     m = int(prob["m"])
@@ -138,6 +147,7 @@ def cmd_reduce(cfg, out_path=None):
         "f0": fts.to_json_dict(fts.FTSeries(grading, r0, s0, f0.terms,
                                             f0.trunc_loss, _raw=True)),
         "report": _jsonable(report),
+        "config_sha256": _config_sha256(cfg),
     }
     path = out_path or cfg.get("outputs", {}).get("reduced_path", "reduced.json")
     _write_json(path, reduced)
@@ -169,7 +179,10 @@ def _jsonable(obj):
 
 
 def _load_reduced(path):
-    data = _read_json(path)
+    return _problem_from(_read_json(path))
+
+
+def _problem_from(data):
     gd = data["grading"]
     grading = Grading(gd["d"], gd["l"], gd["K_q"], gd["K_phi"], gd["D"])
     r0, s0 = data["radii"]
@@ -211,12 +224,15 @@ def _write_zeta_csv(path, rows, l):
         raise IOFailure("cannot write %s: %s" % (path, exc)) from exc
 
 
-def _pipeline(cfg, want_artifacts=True):
-    outputs = cfg.get("outputs", {})
-    reduced_path = outputs.get("reduced_path", "reduced.json")
-    if not os.path.exists(reduced_path):
+def _solve(cfg):
+    """Reduce (unless reduced.json was written from this very problem and
+    truncation), iterate and compute zeta."""
+    reduced_path = cfg.get("outputs", {}).get("reduced_path", "reduced.json")
+    data = _read_json(reduced_path) if os.path.exists(reduced_path) else None
+    if data is None or data.get("config_sha256") != _config_sha256(cfg):
         cmd_reduce(cfg, reduced_path)
-    prob = _load_reduced(reduced_path)
+        data = _read_json(reduced_path)
+    prob = _problem_from(data)
     grading = prob["grading"]
     sched_cfg = cfg.get("schedule", {})
     target_tol = float(sched_cfg.get("target_tol", 1e-12))
@@ -230,6 +246,13 @@ def _pipeline(cfg, want_artifacts=True):
     state, history = iterate(N0, prob["f0"], it_cfg)
     H0 = assemble_hamiltonian(N0) + prob["f0"]
     zeta = compute_zeta(state, H0)
+    return prob, H0, state, history, zeta, target_tol
+
+
+def _pipeline(cfg):
+    prob, H0, state, history, zeta, target_tol = _solve(cfg)
+    grading = prob["grading"]
+    outputs = cfg.get("outputs", {})
     phi0, info = find_vanishing_point(zeta, state.alpha, state.N.beta)
     torus = extract_torus(state, phi0)
     Hbar = freeze_phi(H0, phi0)
@@ -242,34 +265,33 @@ def _pipeline(cfg, want_artifacts=True):
     torus.nu_max_at_phi0 = info.get("nu_max_at_phi0")
     torus.grad_norm = info["grad_norm"]
     artifacts = {}
-    if want_artifacts:
-        hist_path = outputs.get("history_path", "history.json")
-        hist_out = [{k: _jsonable(v) for k, v in row.items()
-                     if k in ("n", "r", "s", "eps_measured", "alpha_norm",
-                              "f_norm", "conjugacy_residual")}
-                    for row in history["steps"]]
-        _write_json(hist_path, hist_out)
-        artifacts["history"] = hist_path
-        csv_path = outputs.get("zeta_csv_path", "zeta.csv")
-        _write_zeta_csv(csv_path, _zeta_rows(zeta, state.alpha, state.N.beta,
-                                             grading), grading.l)
-        artifacts["zeta_csv"] = csv_path
-        torus_path = outputs.get("torus_path", "torus.json")
-        emb = {k: [fts.to_json_dict(u) for u in us]
-               for k, us in torus.embedding.items()}
-        _write_json(torus_path, {
-            "phi0": [_fmt(v) for v in phi0],
-            "omega": [_fmt(v) for v in prob["omega"]],
-            "tau": prob["tau"],
-            "embedding": emb,
-            "residual": _fmt(residual),
-            "alpha_at_phi0": [_fmt(v) for v in torus.alpha_at_phi0],
-            "nu_max_at_phi0": _fmt(torus.nu_max_at_phi0),
-            "distance_to_trivial": _fmt(torus.distance_to_trivial),
-            "grad_norm": _fmt(torus.grad_norm),
-            "hamiltonian": fts.to_json_dict(Hbar),
-        })
-        artifacts["torus"] = torus_path
+    hist_path = outputs.get("history_path", "history.json")
+    hist_out = [{k: _jsonable(v) for k, v in row.items()
+                 if k in ("n", "r", "s", "eps_measured", "alpha_norm",
+                          "f_norm", "conjugacy_residual")}
+                for row in history["steps"]]
+    _write_json(hist_path, hist_out)
+    artifacts["history"] = hist_path
+    csv_path = outputs.get("zeta_csv_path", "zeta.csv")
+    _write_zeta_csv(csv_path, _zeta_rows(zeta, state.alpha, state.N.beta,
+                                         grading), grading.l)
+    artifacts["zeta_csv"] = csv_path
+    torus_path = outputs.get("torus_path", "torus.json")
+    emb = {k: [fts.to_json_dict(u) for u in us]
+           for k, us in torus.embedding.items()}
+    _write_json(torus_path, {
+        "phi0": [_fmt(v) for v in phi0],
+        "omega": [_fmt(v) for v in prob["omega"]],
+        "tau": prob["tau"],
+        "embedding": emb,
+        "residual": _fmt(residual),
+        "alpha_at_phi0": [_fmt(v) for v in torus.alpha_at_phi0],
+        "nu_max_at_phi0": _fmt(torus.nu_max_at_phi0),
+        "distance_to_trivial": _fmt(torus.distance_to_trivial),
+        "grad_norm": _fmt(torus.grad_norm),
+        "hamiltonian": fts.to_json_dict(Hbar),
+    })
+    artifacts["torus"] = torus_path
     return state, history, torus, residual, target_tol, artifacts
 
 
@@ -320,15 +342,8 @@ def cmd_verify(torus_path, problem_path, grid_n):
 
 
 def cmd_zeta(cfg, out):
-    state, history, torus, residual, target_tol, _ = _pipeline(
-        cfg, want_artifacts=False)
-    prob = _load_reduced(cfg.get("outputs", {}).get("reduced_path",
-                                                    "reduced.json"))
+    prob, _H0, state, _history, zeta, _tol = _solve(cfg)
     grading = prob["grading"]
-    H0 = assemble_hamiltonian(initial_tuple(
-        grading, prob["r0"], prob["s0"], prob["omega"], prob["M0"],
-        h=prob["h0"])) + prob["f0"]
-    zeta = compute_zeta(state, H0)
     _write_zeta_csv(out, _zeta_rows(zeta, state.alpha, state.N.beta, grading),
                     grading.l)
     print("wrote zeta profile: %s" % out)

@@ -1,7 +1,8 @@
 """One rung of the quadratic scheme and the iteration loop around it.
 
 A step: truncate the error term in the angle modes, solve the linearized
-conjugacy (cohom module), flow by the resulting generator, and assemble the
+conjugacy (cohom module), flow by the resulting generator, carry the
+cumulative map through that flow by Lie transport, and assemble the
 corrected tuple and the new error term from the time-integral remainders
 
     f+ = int_0^1 { (1-t) Nbar + t (f - <alpha, phi_x>), F + v.q } o Psi^t dt.
@@ -20,9 +21,10 @@ from ..normalform import (NormalFormTuple, assemble_hamiltonian, mat_add,
 from ..series import (FTSeries, average_q, ck_norm_estimate, differentiate,
                       majorant_norm, multiply, truncate_fourier)
 from ..smalldiv import effective_diophantine_constant
-from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
-                          compose_maps, identity_map, lie_tail_integral,
-                          lie_transform, map_from_generator, series_compose)
+from ..symplectic import (GeneratingFunction, GeneratorTooLargeError,
+                          SymplecticMapSeries, compose_maps, identity_map,
+                          lie_tail_integral, lie_transform, map_from_generator,
+                          series_compose)
 from .cohom import coordinate, restrict_z0, solve_cohomological
 from .schedule import build_schedule
 
@@ -200,7 +202,12 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
 
     g_new = state.N.g + sol.Nbar.g
     if not state.N.g.is_zero():
-        g_new = g_new + (series_compose(state.N.g, Psi) - state.N.g)
+        try:
+            g_moved = lie_transform(state.N.g, gen)[0]
+        except GeneratorTooLargeError as exc:
+            raise StepFailure("normal-form transport failed: %s" % exc,
+                              measures) from exc
+        g_new = g_new + (g_moved - state.N.g)
     N_plus = NormalFormTuple(
         w=state.N.w.copy(), c=state.N.c + sol.Nbar.c,
         beta=mat_add(state.N.beta, sol.Nbar.beta),
@@ -213,18 +220,23 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     N_plus = _retag_tuple(N_plus, r_plus, s_plus)
     f_plus = _retag(f_plus, r_plus, s_plus)
     Psi_out = Psi.with_radii(r_plus, s_plus)
+    try:
+        Phi_plus = compose_maps(state.Phi.with_radii(r_plus, s_plus), Psi_out)
+    except GeneratorTooLargeError as exc:
+        raise StepFailure("map composition failed: %s" % exc,
+                          measures) from exc
 
     fp_norm = c2_norm(f_plus)
     target = eps ** 1.5
     measures["f_plus_c2"] = fp_norm
     measures["f_plus_target"] = target
-    try:
-        phix_next = [lie_transform(px, gen)[0] for px in phi_x]
-    except Exception as exc:
-        raise StepFailure("tracker transport failed: %s" % exc,
-                          measures) from exc
-    measures["tracker_next_mean_c2"] = tracker_mean_norm(
-        [_retag(px, r_plus, s_plus) for px in phix_next], gr)
+    alpha_new = [_retag(state.alpha[i], r_plus, s_plus)
+                 + _retag(sol.alpha[i], r_plus, s_plus) for i in range(gr.l)]
+    new_state = IterationState(
+        n=state.n + 1, N=N_plus, alpha=alpha_new,
+        f=f_plus, Phi=Phi_plus, r=r_plus, s=s_plus,
+        norms={"f_c2": fp_norm, "alpha_c2": phi_c2_norm(alpha_new)})
+    measures["tracker_next_mean_c2"] = tracker_mean_norm(new_state.phi_x(), gr)
     measures["alpha_step_c2"] = phi_c2_norm(sol.alpha)
     measures["v_c2"] = phi_c2_norm(sol.v) if gr.d else 0.0
     measures["nbar_norm"] = normal_form_norm(sol.Nbar)
@@ -234,12 +246,6 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
                and measures["cohom_residual_ok"])
     measures["post_ok"] = bool(post_ok)
 
-    alpha_new = [_retag(state.alpha[i], r_plus, s_plus)
-                 + _retag(sol.alpha[i], r_plus, s_plus) for i in range(gr.l)]
-    new_state = IterationState(
-        n=state.n + 1, N=N_plus, alpha=alpha_new,
-        f=f_plus, Phi=state.Phi, r=r_plus, s=s_plus,
-        norms={"f_c2": fp_norm, "alpha_c2": phi_c2_norm(alpha_new)})
     result = StepResult(alpha_step=sol.alpha, v=sol.v, F=sol.F, Psi=Psi_out,
                         Nbar=sol.Nbar, measures=measures, ok=post_ok)
     return new_state, result
@@ -346,11 +352,16 @@ def iterate(N0, f0, config=None):
             history["failure"] = {"n": state.n, "reason": exc.reason,
                                   "measures": exc.measures}
             return state, history
-        state_next.Phi = compose_maps(
-            state.Phi.with_radii(state_next.r, state_next.s), res.Psi)
         conj = None
         if cfg.check_conjugacy:
-            conj = conjugacy_residual(N0, f0, state_next)
+            try:
+                conj = conjugacy_residual(N0, f0, state_next)
+            except GeneratorTooLargeError as exc:
+                history["failure"] = {
+                    "n": state_next.n,
+                    "reason": "conjugacy check failed: %s" % exc,
+                    "measures": res.measures}
+                return state, history
         state = state_next
         state.norms["conjugacy_residual"] = conj
         hist_row = _history_row(state, res)

@@ -1,7 +1,7 @@
 """Poisson brackets, Hamiltonian vector fields (with the affine <v,q> term),
-Lie-series time-1 flows, near-identity map composition with C^2 tracking, and
-the integer/shear coordinate reductions that bring a resonant problem to the
-parametrized model form."""
+Lie-series time-1 flows, near-identity map composition by Lie transport with
+C^2 tracking, and the integer/shear coordinate reductions that bring a
+resonant problem to the parametrized model form."""
 
 import math
 from dataclasses import dataclass, field
@@ -89,6 +89,11 @@ class GeneratingFunction:
             m += sum(majorant_norm(vi) for vi in self.v)
         return m
 
+    def with_radii(self, r, s):
+        return GeneratingFunction(
+            _retag(self.F, r, s),
+            None if self.v is None else [_retag(vi, r, s) for vi in self.v])
+
 
 def lie_transform(g, gen, order_cap=DEFAULT_ORDER_CAP, tol=None, first_term=None):
     """g composed with the time-1 flow of the generator, as an iterated-bracket sum.
@@ -154,12 +159,21 @@ def lie_tail_integral(u, gen, weight, order_cap=DEFAULT_ORDER_CAP, tol=1e-300):
 # -- symplectic maps ---------------------------------------------------------------
 
 
+def _retag(u, r, s):
+    """The same coefficients read on radii (r, s), which may only shrink."""
+    if r > u.r * (1 + 1e-12) or s > u.s * (1 + 1e-12):
+        raise ValueError("cannot grow radii by relabeling")
+    return FTSeries(u.grading, r, s, u.terms, u.trunc_loss, _raw=True)
+
+
 @dataclass
 class SymplecticMapSeries:
     """Near-identity map stored as the displacement of each coordinate.
 
     Full image: Phi(phi, q, x, p, y) = (q + Uq, x + Ux, p + Up, y + Uy); the
-    parameter phi is never moved."""
+    parameter phi is never moved.  A map built as the time-1 flow of a
+    generating function keeps it in `generator`; composition needs it on the
+    inner map.  `c2_bound_ok` records the C^2 product bound of a composition."""
 
     Uq: list
     Ux: list
@@ -167,6 +181,8 @@ class SymplecticMapSeries:
     Uy: list
     remainder: float = 0.0
     symp_residual: float = None
+    generator: GeneratingFunction = None
+    c2_bound_ok: bool = None
 
     @property
     def grading(self):
@@ -190,15 +206,12 @@ class SymplecticMapSeries:
                    for u in self.components())
 
     def with_radii(self, r, s):
-        def retag(u):
-            if r > u.r * (1 + 1e-12) or s > u.s * (1 + 1e-12):
-                raise ValueError("cannot grow radii by relabeling")
-            return FTSeries(u.grading, r, s, u.terms, u.trunc_loss, _raw=True)
-        return SymplecticMapSeries([retag(u) for u in self.Uq],
-                                   [retag(u) for u in self.Ux],
-                                   [retag(u) for u in self.Up],
-                                   [retag(u) for u in self.Uy],
-                                   self.remainder, self.symp_residual)
+        retag = lambda us: [_retag(u, r, s) for u in us]
+        gen = None if self.generator is None else self.generator.with_radii(r, s)
+        return SymplecticMapSeries(retag(self.Uq), retag(self.Ux),
+                                   retag(self.Up), retag(self.Uy),
+                                   self.remainder, self.symp_residual, gen,
+                                   self.c2_bound_ok)
 
     def evaluate(self, phi, q, x=None, p=None, y=None):
         """Image point (q', x', p', y') at a real argument."""
@@ -281,7 +294,7 @@ def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None,
         [flow_disp("x", i) for i in range(gr.l)],
         [flow_disp("p", i) for i in range(gr.d)],
         [flow_disp("y", i) for i in range(gr.l)],
-        remainder=rem)
+        remainder=rem, generator=gen)
     if check:
         resid = symplecticity_residual(Phi)
         Phi.symp_residual = resid
@@ -292,6 +305,9 @@ def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None,
 
 
 # -- composition by substitution ----------------------------------------------------
+#
+# Kept for the checks that must not share the composition rule they check:
+# the conjugacy residual and the zeta profile substitute the cumulative map.
 
 
 def _exp_of(u, cap=60, tol=1e-18):
@@ -402,19 +418,33 @@ def series_compose(f, Psi, tol=1e-18):
     return _Substituter(Psi, tol).apply(f)
 
 
-def compose_maps(Phi, Psi, tol=1e-18, check_bound=True):
-    """Functional composition Phi o Psi of two near-identity maps."""
+def compose_maps(Phi, Psi, check_bound=True):
+    """Functional composition Phi o Psi of two near-identity maps.
+
+    Psi must carry its generator: each displacement u of Phi is transported
+    as u o Psi = exp(L_gen) u (Deprit 1969), so no Taylor substitution is
+    made."""
     if Psi.is_identity():
         return Phi
     if Phi.is_identity():
         return Psi
-    sub = _Substituter(Psi, tol)
+    if Psi.generator is None:
+        raise TypeError("compose_maps needs the generator of the inner map")
+    gen = Psi.generator.with_radii(*Psi.radii)
+    rem = Phi.remainder + Psi.remainder
+
+    def transport(psi_u, phi_u):
+        nonlocal rem
+        moved, bound = lie_transform(phi_u, gen)
+        rem += bound
+        return psi_u + moved
+
     new = SymplecticMapSeries(
-        [Psi.Uq[i] + sub.apply(Phi.Uq[i]) for i in range(Phi.grading.d)],
-        [Psi.Ux[i] + sub.apply(Phi.Ux[i]) for i in range(Phi.grading.l)],
-        [Psi.Up[i] + sub.apply(Phi.Up[i]) for i in range(Phi.grading.d)],
-        [Psi.Uy[i] + sub.apply(Phi.Uy[i]) for i in range(Phi.grading.l)],
-        remainder=Phi.remainder + Psi.remainder)
+        [transport(a, b) for a, b in zip(Psi.Uq, Phi.Uq)],
+        [transport(a, b) for a, b in zip(Psi.Ux, Phi.Ux)],
+        [transport(a, b) for a, b in zip(Psi.Up, Phi.Up)],
+        [transport(a, b) for a, b in zip(Psi.Uy, Phi.Uy)],
+        remainder=rem)
     if check_bound:
         lhs = 1.0 + new.displacement_c2()
         rhs = (1.0 + Phi.displacement_c2()) * (1.0 + Psi.displacement_c2())

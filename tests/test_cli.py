@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+import kamtori.cli as cli
+import kamtori.engine.driver as driver
 from kamtori.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          EXIT_PRECONDITION, main)
+from kamtori.symplectic import GeneratorTooLargeError
 from conftest import GOLDEN
 
 
@@ -128,6 +131,53 @@ class TestRun:
         for name, blob in first.items():
             assert (tmp_path / name).read_bytes() == blob
 
+    def test_conjugacy_check_error_exits_3(self, tmp_path, monkeypatch,
+                                           capsys):
+        def too_large(*args):
+            raise GeneratorTooLargeError("angle displacement too large")
+        monkeypatch.setattr(driver, "conjugacy_residual", too_large)
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_CONVERGENCE
+        assert "conjugacy check failed" in capsys.readouterr().out
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestReducedCache:
+    def test_unchanged_config_reuses_reduced(self, tmp_path, monkeypatch):
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        blob = (tmp_path / "reduced.json").read_bytes()
+        reduces = _count_calls(monkeypatch, cli, "cmd_reduce")
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert reduces == []
+        assert (tmp_path / "reduced.json").read_bytes() == blob
+        # a file without the digest cannot be matched to a config
+        stale = json.loads(blob)
+        del stale["config_sha256"]
+        (tmp_path / "reduced.json").write_text(json.dumps(stale))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert len(reduces) == 1
+        assert (tmp_path / "reduced.json").read_bytes() == blob
+
+    def test_changed_amplitude_reduces_again(self, tmp_path):
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        first = (tmp_path / "torus.json").read_bytes()
+        cfg["problem"]["f_terms"][0]["re"] *= 2.0
+        path.write_text(json.dumps(cfg, indent=1))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        assert (tmp_path / "torus.json").read_bytes() != first
+
 
 class TestVerify:
     def test_round_trip_matches_run(self, tmp_path, capsys):
@@ -164,6 +214,14 @@ class TestZetaCommand:
                          for ln in lines[1:]])
         # zeta is the averaged perturbation profile eps*cos(phi)
         assert np.max(np.abs(rows[:, 1] - 1e-4 * np.cos(rows[:, 0]))) < 1e-12
+
+    def test_zeta_computed_once_without_torus(self, tmp_path, monkeypatch):
+        zetas = _count_calls(monkeypatch, cli, "compute_zeta")
+        tori = _count_calls(monkeypatch, cli, "extract_torus")
+        path, cfg = flagship_config(tmp_path)
+        out = tmp_path / "profile.csv"
+        assert main(["zeta", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert len(zetas) == 1 and tori == []
 
 
 class TestThreadCap:

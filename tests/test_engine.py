@@ -7,6 +7,7 @@ from kamtori.engine import (build_schedule, check_alpha_gradient,
                             check_beta_relation, compute_zeta, extract_torus,
                             find_vanishing_point, iterate, kam_step,
                             solve_cohomological, verify_invariance)
+import kamtori.engine.driver as driver
 from kamtori.engine.cohom import coordinate, freeze_phi, restrict_z0
 from kamtori.engine.driver import (IterateConfig, IterationState,
                                    StepFailure, c2_norm, conjugacy_residual)
@@ -15,7 +16,8 @@ from kamtori.normalform import (assemble_hamiltonian, eval_phi_series,
 from kamtori.series import (FTSeries, Grading, average_q, differentiate,
                             evaluate, majorant_norm, multiply, taylor_split)
 from kamtori.smalldiv import effective_diophantine_constant
-from kamtori.symplectic import (identity_map, poisson_bracket,
+from kamtori.symplectic import (GeneratorTooLargeError, identity_map,
+                                poisson_bracket, series_compose,
                                 shifted_parametrization, sigma_cos)
 from conftest import GOLDEN
 
@@ -298,6 +300,24 @@ class TestIterate:
         with pytest.raises(StepFailure, match="averaged-derivative"):
             iterate(N0, bad, IterateConfig())
 
+    def test_conjugacy_check_error_recorded_as_failure(self, monkeypatch):
+        def too_large(*args):
+            raise GeneratorTooLargeError("angle displacement too large")
+        monkeypatch.setattr(driver, "conjugacy_residual", too_large)
+        gr, N0, f0 = flagship_problem(K=8)
+        state, hist = iterate(N0, f0, IterateConfig())
+        assert hist["failure"]["n"] == 1
+        assert "conjugacy check failed" in hist["failure"]["reason"]
+        assert state.n == 0
+
+    def test_conjugacy_check_bug_propagates(self, monkeypatch):
+        def broken(*args):
+            raise KeyError("not a numerical failure")
+        monkeypatch.setattr(driver, "conjugacy_residual", broken)
+        gr, N0, f0 = flagship_problem(K=8)
+        with pytest.raises(KeyError):
+            iterate(N0, f0, IterateConfig())
+
     def test_coupled_run_converges(self, coupled_run):
         gr, N0, f0, state, hist = coupled_run
         assert hist["failure"] is None
@@ -327,6 +347,31 @@ class TestIterate:
         for row in hist["steps"]:
             m = row["measures"]
             assert m["alpha_step_c2"] <= m["sqrt_eps"]
+
+
+class TestComposeByLieTransport:
+    def test_rung_two_matches_substitution(self):
+        # rung 2 of the q-coupled run is its first composition of two maps
+        # that are not the identity; the oracle is the Taylor substitution
+        # Psi.U + U o Psi of the same two maps
+        gr, N0, f0 = q_coupled_problem()
+        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+        cfg = IterateConfig()
+        sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
+                               cfg.n_max, cfg.lambda_cfg)
+        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
+                             f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+        st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
+        st2, res2 = kam_step(st1, sched.rows[1], wit, N0=N0)
+        Phi1 = st1.Phi.with_radii(st2.r, st2.s)
+        Psi2 = res2.Psi
+        assert not Phi1.is_identity() and not Psi2.is_identity()
+        for got, u, psi_u in zip(st2.Phi.components(), Phi1.components(),
+                                 Psi2.components()):
+            want = psi_u + series_compose(u, Psi2)
+            assert not want.is_zero()
+            dev = (got - want).max_abs_coeff() / want.max_abs_coeff()
+            assert dev <= 1e-14
 
 
 class TestZeta:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from kamtori.symplectic import (GeneratingFunction, GeneratorTooLargeError,
                                 ReductionError, compose_maps, identity_map,
                                 lie_transform, map_from_generator,
                                 poisson_bracket, reduce_coordinates,
+                                series_compose,
                                 shifted_parametrization, sigma_cos,
                                 unimodular_completion, vector_field)
 from kamtori.engine.driver import equal_derivative_defect
@@ -203,6 +205,47 @@ class TestCompose:
         Phi = map_from_generator(GeneratingFunction(F), tol=1e-20)
         drift = series_compose(F, Phi) - F
         assert majorant_norm(drift) <= 1e-12 * max(majorant_norm(F), 1e-30)
+
+
+class TestComposeByTransport:
+    def test_coefficients_match_substitution(self, g11, rng):
+        # generators large enough that every Lie order up to the cut-off
+        # shows: a first-order transport misses by 1e-9 to 1e-5 here
+        for scale, max_k in [(1e-3, 1), (1e-4, 2), (1e-4, 2)]:
+            P1, P2 = [map_from_generator(GeneratingFunction(
+                random_real_series(g11, 1, 1, rng, n_modes=3, max_k=max_k,
+                                   max_phi=1, max_deg=2, scale=scale)),
+                tol=1e-20) for _ in range(2)]
+            C = compose_maps(P1, P2)
+            for got, u, psi_u in zip(C.components(), P1.components(),
+                                     P2.components()):
+                want = psi_u + series_compose(u, P2)
+                if want.is_zero():
+                    assert got.is_zero()
+                    continue
+                dev = (got - want).max_abs_coeff() / want.max_abs_coeff()
+                assert dev <= 1e-14
+
+    def test_inner_map_without_generator_rejected(self, g11, rng):
+        F = random_real_series(g11, 1, 1, rng, n_modes=3, max_k=1, max_phi=1,
+                               max_deg=2, scale=1e-3)
+        P = map_from_generator(GeneratingFunction(F))
+        bare = dataclasses.replace(P, generator=None)
+        with pytest.raises(TypeError, match="generator"):
+            compose_maps(P, bare)
+
+    def test_with_radii_keeps_generator(self, g11, rng):
+        F = random_real_series(g11, 1, 1, rng, n_modes=3, max_k=1, max_phi=1,
+                               max_deg=2, scale=1e-3)
+        v = [FTSeries.constant(g11, 1, 1, 0.1)]
+        P = map_from_generator(GeneratingFunction(F, v))
+        Q = P.with_radii(0.8, 0.9)
+        gen = Q.generator
+        assert Q.radii == (0.8, 0.9)
+        assert (gen.F.r, gen.F.s) == (0.8, 0.9)
+        assert [(vi.r, vi.s) for vi in gen.v] == [(0.8, 0.9)]
+        assert gen.F.terms == F.terms and gen.v[0].terms == v[0].terms
+        assert P.generator.F.r == 1.0
 
 
 class TestUnimodular:
