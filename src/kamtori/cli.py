@@ -25,7 +25,7 @@ from .engine.driver import IterateConfig, StepFailure
 from .normalform import (assemble_hamiltonian, eval_phi_series,
                          initial_tuple, nu_max_profile, phi_grid,
                          phi_grid_size)
-from .series import FTSeries, Grading
+from .series import Grading
 from .smalldiv import effective_diophantine_constant
 from .symplectic import (ReductionError, SigmaTerm, reduce_coordinates,
                          unimodular_completion)
@@ -142,10 +142,8 @@ def cmd_reduce(cfg, out_path=None):
         "tau": tau, "radii": [_fmt(r0), _fmt(s0)],
         "grading": {"d": d, "l": l, "K_q": grading.K_q,
                     "K_phi": grading.K_phi, "D": grading.D},
-        "h0": fts.to_json_dict(fts.FTSeries(grading, r0, s0, h0.terms,
-                                            h0.trunc_loss, _raw=True)),
-        "f0": fts.to_json_dict(fts.FTSeries(grading, r0, s0, f0.terms,
-                                            f0.trunc_loss, _raw=True)),
+        "h0": fts.to_json_dict(h0.with_radii(r0, s0)),
+        "f0": fts.to_json_dict(f0.with_radii(r0, s0)),
         "report": _jsonable(report),
         "config_sha256": _config_sha256(cfg),
     }
@@ -194,8 +192,8 @@ def _problem_from(data):
         "M0": np.asarray(data["M0"], dtype=float),
         "frame": np.asarray(data["frame"], dtype=float),
         "tau": data["tau"],
-        "h0": FTSeries(grading, r0, s0, h0.terms, h0.trunc_loss, _raw=True),
-        "f0": FTSeries(grading, r0, s0, f0.terms, f0.trunc_loss, _raw=True),
+        "h0": h0.with_radii(r0, s0),
+        "f0": f0.with_radii(r0, s0),
     }
 
 
@@ -342,11 +340,14 @@ def cmd_verify(torus_path, problem_path, grid_n):
 
 
 def cmd_zeta(cfg, out):
-    prob, _H0, state, _history, zeta, _tol = _solve(cfg)
+    prob, _H0, state, history, zeta, _tol = _solve(cfg)
     grading = prob["grading"]
     _write_zeta_csv(out, _zeta_rows(zeta, state.alpha, state.N.beta, grading),
                     grading.l)
     print("wrote zeta profile: %s" % out)
+    if history.get("failure"):
+        print("iteration stopped early: %s" % history["failure"]["reason"])
+        return EXIT_CONVERGENCE
     return EXIT_OK
 
 

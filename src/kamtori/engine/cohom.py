@@ -7,12 +7,17 @@ function F and a correction tuple Nbar (with w = 0, Q = 0) such that
     f - <alpha, phi_x> + {N - g(N), F + v.q} = T(Nbar)
 
 holds on the sublevel region of beta, glued to the whole parameter torus by a
-bump factor.  The construction runs independently at every parameter
-collocation point (the equation carries no parameter derivatives), in the
-order: A by the plain cohomological solve, (B_x, B_y) by the coupled pair
-solve, B_p, then the block linear system for (alpha, v, mean of B_y), then the
-quadratic blocks, each stage reading its right-hand side off the exact series
-residual so far.
+bump factor.  The equation carries no parameter derivatives, so every
+parameter collocation point is an independent problem of the same
+structure; the construction runs once for all of them, on series frozen at
+the grid points whose coefficients carry one entry per point (batched
+series, see kamtori.series), with batched linear solves for the per-point
+matrices (de la Llave, Gonzalez, Jorba & Villanueva, Nonlinearity 18,
+2005).  The order: A by the plain cohomological solve, (B_x, B_y) by the
+coupled pair solve, B_p, then the block linear system for (alpha, v, mean of
+B_y), then the quadratic blocks, each stage reading its right-hand side off
+the exact series residual so far.  One FFT over the grid axes projects the
+per-point results back onto parameter modes.
 
 The quadratic xx/yy/xy stage solves the symmetrized per-mode system
 
@@ -31,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..normalform import (NormalFormTuple, assemble_hamiltonian, bump_psi,
-                          const_matrix, eval_phi_series, majorant_at_phi,
-                          mat_eval_phi, nu_max_profile, phi_grid,
-                          phi_grid_size, project_phi_values, series_matrix)
+from ..normalform import (BumpProjectionError, NormalFormTuple,
+                          assemble_hamiltonian, bump_psi, const_matrix,
+                          eval_phi_series, freeze_groups, majorant_on_grid,
+                          mat_eval_grid, nu_max_profile, phi_grid,
+                          phi_grid_size, project_phi_rows, series_matrix)
 from ..series import (FTSeries, TaylorSplit, average_q, differentiate,
                       majorant_norm, multiply, taylor_split)
 from ..smalldiv import (SolverPreconditionError, _divisor, solve_L1,
@@ -68,15 +74,22 @@ class CohomSolution:
     glued: bool = False
 
 
-def _mean0(f):
-    gr = f.grading
-    return f.terms.get(gr.zero_key(), 0.0 + 0.0j)
+def _at_point(pts, bad):
+    """' (at parameter grid point ...)' for the first True entry of bad."""
+    return " (at parameter grid point %s)" % (pts[int(np.argmax(bad))],)
 
 
-def _real_mean(f, what):
-    c = _mean0(f)
-    if abs(c.imag) > 1e-9 * max(1.0, abs(c)):
-        raise CohomologyError("%s mean came out complex: %s" % (what, c))
+def _mean0(f, nb):
+    """Constant coefficient of a batched series, one entry per point."""
+    return np.zeros(nb, dtype=complex) + f.terms.get(f.grading.zero_key(), 0.0)
+
+
+def _real_mean(f, what, pts):
+    c = _mean0(f, len(pts))
+    bad = np.abs(c.imag) > 1e-9 * np.maximum(1.0, np.abs(c))
+    if bad.any():
+        raise CohomologyError("%s mean came out complex: %s%s"
+                              % (what, c[np.argmax(bad)], _at_point(pts, bad)))
     return c.real
 
 
@@ -97,16 +110,17 @@ def coordinate(gr, r, s, kind, i):
 
 
 def freeze_phi(f, phi):
-    """Collapse the parameter modes at a numeric phi (result carries j = 0)."""
-    gr = f.grading
-    new = FTSeries.zero(gr, f.r, f.s)
-    zj = (0,) * gr.l
+    """Collapse the parameter modes at a numeric phi (result carries j = 0).
+
+    With a (B, l) array of parameter values the result is batched: every
+    coefficient holds its value at each of the B points."""
+    zj = (0,) * f.grading.l
     phi = np.asarray(phi, dtype=float)
-    for (j, k, a), c in f.terms.items():
-        w = c * np.exp(1j * float(np.dot(j, phi)))
-        key = (zj, k, a)
-        cur = new.terms.get(key)
-        new.terms[key] = w if cur is None else cur + w
+    groups = freeze_groups(f, phi)
+    if phi.ndim == 1:
+        groups = {key: complex(c[0]) for key, c in groups.items()}
+    new = FTSeries(f.grading, f.r, f.s,
+                   {(zj, k, a): c for (k, a), c in groups.items()}, _raw=True)
     new._prune()
     return new
 
@@ -131,29 +145,40 @@ def _series_from_blocks(gr, r, s, a=None, b_x=None, b_p=None, b_y=None,
     return sp.reassemble()
 
 
-def _reduced_hamiltonian_at(N, phi, beta, Gamma, M):
-    """N - g frozen at one parameter value (the constant c is irrelevant)."""
+def _const_blocks(gr, r, s, stack):
+    """Matrix of batched constant series from a (B, rows, cols) stack."""
+    return [[FTSeries.constant(gr, r, s, stack[:, i, j])
+             for j in range(stack.shape[2])] for i in range(stack.shape[1])]
+
+
+def _reduced_hamiltonian(N, h_frozen, beta, Gamma, M):
+    """N - g frozen on the grid (the constant c is irrelevant)."""
     gr = N.grading
     r, s = N.radii
-    h_phi = freeze_phi(N.h, phi)
     quad = _series_from_blocks(
         gr, r, s,
-        d_xx=const_matrix(gr, r, s, beta),
-        d_pp=const_matrix(gr, r, s, M),
+        d_xx=_const_blocks(gr, r, s, beta),
+        d_pp=_const_blocks(gr, r, s, M),
         d_yy=const_matrix(gr, r, s, np.eye(gr.l)),
-        d_px=const_matrix(gr, r, s, Gamma.T))
+        d_px=_const_blocks(gr, r, s, np.swapaxes(Gamma, 1, 2)))
     lin = FTSeries.zero(gr, r, s)
     for i in range(gr.d):
         if N.w[i] != 0.0:
             lin = lin + coordinate(gr, r, s, "p", i).scale(N.w[i])
-    return lin + quad + h_phi
+    return lin + quad + h_frozen
 
 
-def _quad_stage_xxyyxy(sp_u, beta, witness, K_eff, gr, r, s):
-    """Solve the symmetrized (D_xx, D_yy, D_xy) stage; returns series matrices,
-    the zero-mode obstruction and the input-symmetry defect."""
+def _peak(x):
+    return float(np.max(x))
+
+
+def _quad_stage_xxyyxy(sp_u, beta, witness, gr, r, s):
+    """Solve the symmetrized (D_xx, D_yy, D_xy) stage at every point; returns
+    series matrices and the zero-mode obstruction."""
     l = gr.l
+    nb = len(beta)
     sym_idx = [(i, j) for i in range(l) for j in range(i, l)]
+    si, sj = np.array(sym_idx).T
     nsym = len(sym_idx)
     nunk = 2 * nsym + l * l
     zero_k = (0,) * gr.d
@@ -163,94 +188,93 @@ def _quad_stage_xxyyxy(sp_u, beta, witness, K_eff, gr, r, s):
         for i in range(l):
             for j in range(l):
                 for (jj, k, a), c in mat[i][j].terms.items():
-                    out.setdefault(k, np.zeros((l, l), dtype=complex))[i, j] += c
+                    out.setdefault(k, np.zeros((nb, l, l), dtype=complex))[
+                        :, i, j] += c
         return out
 
     Uxx, Uyy, Uxy = gather(sp_u.d_xx), gather(sp_u.d_yy), gather(sp_u.d_xy)
     modes = sorted(set(Uxx) | set(Uyy) | set(Uxy))
-    zmat = lambda: np.zeros((l, l), dtype=complex)
+    zmat = lambda: np.zeros((nb, l, l), dtype=complex)
     fresh = lambda: [[FTSeries.zero(gr, r, s) for _ in range(l)] for _ in range(l)]
     Dxx, Dyy, Dxy = fresh(), fresh(), fresh()
     obstruction = 0.0
-    sym_defect = 0.0
 
     def store(mat, vals, k):
         for i in range(l):
             for j in range(l):
-                if vals[i, j] != 0.0:
-                    mat[i][j].terms[((0,) * gr.l, k, (0,) * gr.nz)] = vals[i, j]
+                if vals[:, i, j].any():
+                    mat[i][j].terms[((0,) * gr.l, k, (0,) * gr.nz)] = \
+                        vals[:, i, j]
+
+    # per-mode matrix lam I + C(beta): the columns are the unit unknowns
+    C = np.zeros((nb, nunk, nunk), dtype=complex)
+    for col in range(nunk):
+        X, Y, Z = np.zeros((l, l)), np.zeros((l, l)), np.zeros((l, l))
+        if col < nsym:
+            i, j = sym_idx[col]
+            X[i, j] = X[j, i] = 1.0
+        elif col < 2 * nsym:
+            i, j = sym_idx[col - nsym]
+            Y[i, j] = Y[j, i] = 1.0
+        else:
+            i, j = divmod(col - 2 * nsym, l)
+            Z[i, j] = 1.0
+        E1 = -(beta @ Z.T + Z @ beta)
+        E2 = np.broadcast_to(Z + Z.T, (nb, l, l))
+        E3 = -(beta @ Y) + X
+        C[:, :, col] = np.concatenate([E1[:, si, sj], E2[:, si, sj],
+                                       E3.reshape(nb, -1)], axis=1)
+    eye = np.eye(nunk)
 
     for k in modes:
         uxx = Uxx.get(k, zmat())
         uyy = Uyy.get(k, zmat())
         uxy = Uxy.get(k, zmat())
-        sym_defect = max(sym_defect, float(np.max(np.abs(uxx - uxx.T))),
-                         float(np.max(np.abs(uyy - uyy.T))))
-        uxx = 0.5 * (uxx + uxx.T)
-        uyy = 0.5 * (uyy + uyy.T)
+        uxx = 0.5 * (uxx + np.swapaxes(uxx, 1, 2))
+        uyy = 0.5 * (uyy + np.swapaxes(uyy, 1, 2))
         if k == zero_k:
             Z0 = 0.5 * uyy
-            anti = 0.5 * (uxy - uxy.T)
+            anti = 0.5 * (uxy - np.swapaxes(uxy, 1, 2))
             w, V = np.linalg.eigh(beta)
-            At = V.T @ anti @ V
-            Yt = np.zeros((l, l), dtype=complex)
-            scale = max(1.0, float(np.max(np.abs(w))))
-            for i in range(l):
-                for j in range(l):
-                    if i == j:
-                        continue
-                    dw = w[i] - w[j]
-                    if abs(dw) > 1e-10 * scale:
-                        Yt[i, j] = -2.0 * At[i, j] / dw
-                    else:
-                        obstruction = max(obstruction, abs(At[i, j]))
-            Y0 = V @ Yt @ V.T
-            X0 = 0.5 * ((uxy + beta @ Y0) + (uxy + beta @ Y0).T)
+            VT = np.swapaxes(V, 1, 2)
+            At = VT @ anti @ V
+            scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None, None]
+            dw = w[:, :, None] - w[:, None, :]
+            off = ~np.eye(l, dtype=bool)
+            split = off & (np.abs(dw) > 1e-10 * scale)
+            Yt = np.where(split, -2.0 * At / np.where(split, dw, 1.0), 0.0)
+            obstruction = float(np.abs(At)[off & ~split].max(initial=0.0))
+            Y0 = V @ Yt @ VT
+            X0 = uxy + beta @ Y0
+            X0 = 0.5 * (X0 + np.swapaxes(X0, 1, 2))
             store(Dxx, X0, k)
             store(Dyy, Y0, k)
             store(Dxy, Z0, k)
             continue
         lam = 1j * _divisor(witness, k)
-        A = np.zeros((nunk, nunk), dtype=complex)
-        for col in range(nunk):
-            X, Y, Z = zmat(), zmat(), zmat()
-            if col < nsym:
-                i, j = sym_idx[col]
-                X[i, j] = X[j, i] = 1.0
-            elif col < 2 * nsym:
-                i, j = sym_idx[col - nsym]
-                Y[i, j] = Y[j, i] = 1.0
-            else:
-                i, j = divmod(col - 2 * nsym, l)
-                Z[i, j] = 1.0
-            E1 = lam * X - (beta @ Z.T + Z @ beta)
-            E2 = lam * Y + (Z + Z.T)
-            E3 = lam * Z - beta @ Y + X
-            A[:, col] = np.concatenate([
-                np.array([E1[i, j] for (i, j) in sym_idx]),
-                np.array([E2[i, j] for (i, j) in sym_idx]),
-                E3.reshape(-1)])
-        rhs = np.concatenate([np.array([uxx[i, j] for (i, j) in sym_idx]),
-                              np.array([uyy[i, j] for (i, j) in sym_idx]),
-                              uxy.reshape(-1)])
-        sol = np.linalg.solve(A, rhs)
+        rhs = np.concatenate([uxx[:, si, sj], uyy[:, si, sj],
+                              uxy.reshape(nb, -1)], axis=1)
+        sol = np.linalg.solve(C + lam * eye, rhs[..., None])[..., 0]
         X = zmat()
         Y = zmat()
-        for t, (i, j) in enumerate(sym_idx):
-            X[i, j] = X[j, i] = sol[t]
-            Y[i, j] = Y[j, i] = sol[nsym + t]
-        Z = sol[2 * nsym:].reshape(l, l)
+        X[:, si, sj] = X[:, sj, si] = sol[:, :nsym]
+        Y[:, si, sj] = Y[:, sj, si] = sol[:, nsym:2 * nsym]
+        Z = sol[:, 2 * nsym:].reshape(nb, l, l)
         store(Dxx, X, k)
         store(Dyy, Y, k)
         store(Dxy, Z, k)
-    return Dxx, Dyy, Dxy, obstruction, sym_defect
+    return Dxx, Dyy, Dxy, obstruction
 
 
-def _point_solve(gr, r, s, omega, beta, Gamma, M, Nred, f_phi, phix_phi,
-                 witness, K_eff):
-    """Run the full ordered construction at one frozen parameter value."""
+def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
+                K_eff):
+    """Run the full ordered construction at every point of pts at once.
+
+    The series arguments are frozen on pts (batched) and beta, Gamma, M are
+    (B, ., .) stacks of their values there."""
     l, d = gr.l, gr.d
-    channels = [f_phi] + [phix_phi[i].scale(-1.0) for i in range(l)]
+    nb = len(pts)
+    channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(l)]
     A_c, Bx_c, By_c, Bp_c = [], [], [], []
     mx_c, mp_c = [], []
     for ch in channels:
@@ -270,21 +294,21 @@ def _point_solve(gr, r, s, omega, beta, Gamma, M, Nred, f_phi, phix_phi,
         Bx_c.append(Bx)
         By_c.append(By)
         Bp_c.append(Bp)
-        mx_c.append(np.array([_mean0(sp1.b_x[i]) for i in range(l)]))
-        mp_c.append(np.array([_mean0(sp2.b_p[i]) for i in range(d)]))
+        mx_c.append(np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1))
+        mp_c.append(np.stack([_mean0(sp2.b_p[i], nb) for i in range(d)], 1))
 
     # parameter-tracker condition row: means of phix + {phix, F + v.q} at z = 0
-    dq_phix = [[restrict_z0(differentiate(phix_phi[i], ("q", j)))
+    dq_phix = [[restrict_z0(differentiate(phix_B[i], ("q", j)))
                 for j in range(d)] for i in range(l)]
-    dp_phix = [[restrict_z0(differentiate(phix_phi[i], ("p", j)))
+    dp_phix = [[restrict_z0(differentiate(phix_B[i], ("p", j)))
                 for j in range(d)] for i in range(l)]
-    dx_phix = [[restrict_z0(differentiate(phix_phi[i], ("x", j)))
+    dx_phix = [[restrict_z0(differentiate(phix_B[i], ("x", j)))
                 for j in range(l)] for i in range(l)]
-    dy_phix = [[restrict_z0(differentiate(phix_phi[i], ("y", j)))
+    dy_phix = [[restrict_z0(differentiate(phix_B[i], ("y", j)))
                 for j in range(l)] for i in range(l)]
 
     def tracker_mean(c):
-        out = np.zeros(l, dtype=complex)
+        out = np.zeros((nb, l), dtype=complex)
         dqA = [restrict_z0(differentiate(A_c[c], ("q", j))) for j in range(d)]
         Bp0 = [restrict_z0(Bp_c[c][j]) for j in range(d)]
         Bx0 = [restrict_z0(Bx_c[c][i2]) for i2 in range(l)]
@@ -297,39 +321,46 @@ def _point_solve(gr, r, s, omega, beta, Gamma, M, Nred, f_phi, phix_phi,
             for j in range(l):
                 acc = acc + multiply(dx_phix[i][j], By0[j])
                 acc = acc - multiply(dy_phix[i][j], Bx0[j])
-            out[i] = _mean0(acc)
+            out[:, i] = _mean0(acc, nb)
         return out
 
-    a_phi = np.array([_mean0(restrict_z0(phix_phi[i])) for i in range(l)])
+    a_phi = np.stack([_mean0(restrict_z0(phix_B[i]), nb) for i in range(l)], 1)
     t0 = tracker_mean(0)
-    T = np.zeros((l, l), dtype=complex)
-    for c in range(1, l + 1):
-        T[:, c - 1] = tracker_mean(c)
-    P_p = np.array([[_mean0(dp_phix[i][j]) for j in range(d)] for i in range(l)])
-    P_x = np.array([[_mean0(dx_phix[i][j]) for j in range(l)] for i in range(l)])
+    T = np.stack([tracker_mean(c) for c in range(1, l + 1)], axis=2)
+    P_p = np.stack([np.stack([_mean0(dp_phix[i][j], nb) for j in range(d)], 1)
+                    for i in range(l)], axis=1)
+    P_x = np.stack([np.stack([_mean0(dx_phix[i][j], nb) for j in range(l)], 1)
+                    for i in range(l)], axis=1)
 
-    MX = np.stack([mx_c[c] for c in range(1, l + 1)], axis=1)
-    MP = np.stack([mp_c[c] for c in range(1, l + 1)], axis=1)
-    Sys = np.block([[MX, -Gamma.astype(complex), beta.astype(complex)],
-                    [MP, -M.astype(complex), Gamma.T.astype(complex)],
-                    [T, -P_p, P_x]])
-    rhs = -np.concatenate([mx_c[0], mp_c[0], a_phi + t0])
-    if np.max(np.abs(Sys.imag)) > 1e-9 * max(1.0, np.max(np.abs(Sys))):
-        raise CohomologyError("counter-term system has complex entries")
+    MX = np.stack(mx_c[1:], axis=2)
+    MP = np.stack(mp_c[1:], axis=2)
+    Sys = np.concatenate([
+        np.concatenate([MX, -Gamma.astype(complex), beta.astype(complex)], 2),
+        np.concatenate([MP, -M.astype(complex),
+                        np.swapaxes(Gamma, 1, 2).astype(complex)], 2),
+        np.concatenate([T, -P_p, P_x], 2)], axis=1)
+    rhs = -np.concatenate([mx_c[0], mp_c[0], a_phi + t0], axis=1)
+    bad = np.abs(Sys.imag).max(axis=(1, 2)) > \
+        1e-9 * np.maximum(1.0, np.abs(Sys).max(axis=(1, 2)))
+    if bad.any():
+        raise CohomologyError("counter-term system has complex entries%s"
+                              % _at_point(pts, bad))
     Sys = Sys.real
     rhs = rhs.real
-    cond = float(np.linalg.cond(Sys))
-    if cond > COND_CAP:
+    cond = np.linalg.cond(Sys)
+    bad = cond > COND_CAP
+    if bad.any():
         raise CohomologyError("counter-term linear system ill-conditioned "
-                              "(cond %.3g)" % cond)
-    sol = np.linalg.solve(Sys, rhs)
-    alpha_pt, v_pt, mqby = sol[:l], sol[l:l + d], sol[l + d:]
+                              "(cond %.3g)%s" % (cond[np.argmax(bad)],
+                                                 _at_point(pts, bad)))
+    sol = np.linalg.solve(Sys, rhs[..., None])[..., 0]
+    alpha_pt, v_pt, mqby = sol[:, :l], sol[:, l:l + d], sol[:, l + d:]
 
     def combine(parts):
         out = parts[0]
         for i in range(l):
-            if alpha_pt[i] != 0.0:
-                out = out + parts[1 + i].scale(alpha_pt[i])
+            if alpha_pt[:, i].any():
+                out = out + parts[1 + i].scale(alpha_pt[:, i])
         return out
 
     A = combine(A_c)
@@ -337,8 +368,8 @@ def _point_solve(gr, r, s, omega, beta, Gamma, M, Nred, f_phi, phix_phi,
     By = [combine([By_c[c][i] for c in range(l + 1)]) for i in range(l)]
     Bp = [combine([Bp_c[c][i] for c in range(l + 1)]) for i in range(d)]
     for i in range(l):
-        if mqby[i] != 0.0:
-            By[i] = By[i] + mqby[i]
+        if mqby[:, i].any():
+            By[i] = By[i] + mqby[:, i]
     F_lin = A
     for i in range(l):
         F_lin = F_lin + multiply(Bx[i], coordinate(gr, r, s, "x", i))
@@ -347,26 +378,24 @@ def _point_solve(gr, r, s, omega, beta, Gamma, M, Nred, f_phi, phix_phi,
         F_lin = F_lin + multiply(Bp[i], coordinate(gr, r, s, "p", i))
 
     combo = combine(channels)
-    v_series = [FTSeries.constant(gr, r, s, v_pt[i]) for i in range(d)]
+    v_series = [FTSeries.constant(gr, r, s, v_pt[:, i]) for i in range(d)]
     gen_lin = GeneratingFunction(F_lin, v_series)
     u = combo + gen_lin.bracket_with(Nred)
     sp_u = taylor_split(u)
-    lin_defect = max(
-        max((majorant_norm(sp_u.b_x[i]) for i in range(l)), default=0.0),
-        max((majorant_norm(sp_u.b_y[i]) for i in range(l)), default=0.0),
-        max((majorant_norm(sp_u.b_p[i]) for i in range(d)), default=0.0))
+    lin_defect = max(_peak(majorant_norm(b))
+                     for b in sp_u.b_x + sp_u.b_y + sp_u.b_p)
 
-    Dxx, Dyy, Dxy, obstruction, sym_defect = _quad_stage_xxyyxy(
-        sp_u, beta, witness, K_eff, gr, r, s)
+    Dxx, Dyy, Dxy, obstruction = _quad_stage_xxyyxy(sp_u, beta, witness,
+                                                    gr, r, s)
 
     def mat_comb(rows, cols, entry):
         return [[entry(i, j) for j in range(cols)] for i in range(rows)]
 
     R1 = mat_comb(d, l, lambda i, j: sp_u.d_px[i][j] + sum(
-        (Dxy[j][k2].scale(Gamma[k2, i]) for k2 in range(l)),
+        (Dxy[j][k2].scale(Gamma[:, k2, i]) for k2 in range(l)),
         FTSeries.zero(gr, r, s)))
     R2 = mat_comb(d, l, lambda i, j: sp_u.d_py[i][j] + sum(
-        (Dyy[k2][j].scale(Gamma[k2, i]) for k2 in range(l)),
+        (Dyy[k2][j].scale(Gamma[:, k2, i]) for k2 in range(l)),
         FTSeries.zero(gr, r, s)))
     Dpx = [[None] * l for _ in range(d)]
     Dpy = [[None] * l for _ in range(d)]
@@ -376,9 +405,9 @@ def _point_solve(gr, r, s, omega, beta, Gamma, M, Nred, f_phi, phix_phi,
             Dpx[i][j] = u_row[j]
             Dpy[i][j] = w_row[j]
     R3 = mat_comb(d, d, lambda i, j: sp_u.d_pp[i][j]
-                  + sum((Dpy[j][k2].scale(Gamma[k2, i]) for k2 in range(l)),
+                  + sum((Dpy[j][k2].scale(Gamma[:, k2, i]) for k2 in range(l)),
                         FTSeries.zero(gr, r, s))
-                  + sum((Dpy[i][k2].scale(Gamma[k2, j]) for k2 in range(l)),
+                  + sum((Dpy[i][k2].scale(Gamma[:, k2, j]) for k2 in range(l)),
                         FTSeries.zero(gr, r, s)))
     Dpp = [[None] * d for _ in range(d)]
     for i in range(d):
@@ -393,59 +422,73 @@ def _point_solve(gr, r, s, omega, beta, Gamma, M, Nred, f_phi, phix_phi,
     gen = GeneratingFunction(F_full, v_series)
     R = combo + gen.bracket_with(Nred)
     spR = taylor_split(R)
-    cbar = _real_mean(spR.a, "cbar")
-    bbar = np.array([[_real_mean(spR.d_xx[i][j], "beta-bar")
-                      for j in range(l)] for i in range(l)])
-    Gbar = np.array([[_real_mean(spR.d_px[j][i], "Gamma-bar")
-                      for j in range(d)] for i in range(l)])
-    Mbar = np.array([[_real_mean(spR.d_pp[i][j], "M-bar")
-                      for j in range(d)] for i in range(d)])
-    hbar = spR.remainder
-    model = _series_from_blocks(
-        gr, r, s, a=FTSeries.constant(gr, r, s, cbar),
-        d_xx=const_matrix(gr, r, s, bbar), d_pp=const_matrix(gr, r, s, Mbar),
-        d_px=const_matrix(gr, r, s, Gbar.T), remainder=hbar)
-    resid_pt = majorant_norm(R - model)
-    return {"alpha": alpha_pt, "v": v_pt, "F": F_full, "cbar": cbar,
-            "bbar": bbar, "Gbar": Gbar, "Mbar": Mbar, "hbar": hbar,
-            "resid": resid_pt, "lin_defect": lin_defect, "cond": cond,
-            "obstruction": obstruction, "sym_defect": sym_defect}
+
+    def real(rows, cols, get, what):
+        """(B, rows, cols) real means of the blocks get(i, j)."""
+        return np.stack([np.stack([_real_mean(get(i, j), what, pts)
+                                   for j in range(cols)], axis=1)
+                         for i in range(rows)], axis=1)
+    return {"alpha": alpha_pt, "v": v_pt, "F": F_full,
+            "cbar": _real_mean(spR.a, "cbar", pts),
+            "bbar": real(l, l, lambda i, j: spR.d_xx[i][j], "beta-bar"),
+            "Gbar": real(l, d, lambda i, j: spR.d_px[j][i], "Gamma-bar"),
+            "Mbar": real(d, d, lambda i, j: spR.d_pp[i][j], "M-bar"),
+            "hbar": spR.remainder, "lin_defect": lin_defect,
+            "cond": _peak(cond), "obstruction": obstruction}
 
 
-def _project_series_pointwise(per_point, weights, l, size, gr, r, s):
-    """Coefficient-wise parameter projection of per-point (q, z)-series."""
-    keys = set()
-    scale = 0.0
-    for f in per_point:
-        if f is None:
-            continue
-        scale = max(scale, f.max_abs_coeff())
-        for (j, k, a) in f.terms:
-            keys.add((k, a))
-    floor = 1e-16 * scale
-    out = FTSeries.zero(gr, r, s)
-    defect = 0.0
+def _project(res, active, weights, l, size, gr, r, s):
+    """Weight the per-point results and project them onto parameter modes,
+    with one FFT over the grid axes for every coefficient at once.
+
+    Returns ({name: phi-only series or matrix of them} for the numeric
+    results, {name: series} for F and hbar, the largest projection defect).
+    """
     npts = size ** l
-    zj = (0,) * gr.l
-    for (k, a) in sorted(keys):
-        vals = np.zeros(npts, dtype=complex)
-        for idx, f in enumerate(per_point):
-            if f is None:
-                continue
-            vals[idx] = f.terms.get((zj, k, a), 0.0) * weights[idx]
-        proj, dfct = project_phi_values(vals, l, size, gr, r, s,
-                                        coeff_floor=floor)
-        defect = max(defect, dfct)
-        for (j, _k, _a), c in proj.terms.items():
-            out.terms[(j, k, a)] = c
-    out._prune()
-    return out, defect
+    w_act = weights[active]
+    rows, floors, slots = [], [], []
 
+    def add_row(vals, slot, floor=None):
+        row = np.zeros(npts, dtype=complex)
+        row[active] = vals * w_act
+        rows.append(row)
+        floors.append(1e-16 * np.abs(row).max() if floor is None else floor)
+        slots.append(slot)
 
-def _project_scalar_pointwise(vals, weights, l, size, gr, r, s):
-    v = np.asarray(vals, dtype=complex) * weights
-    floor = 1e-16 * float(np.max(np.abs(v)), ) if len(v) else 0.0
-    return project_phi_values(v, l, size, gr, r, s, coeff_floor=floor)
+    # a number gets its own coefficient floor; a series one for all its keys
+    for name in ("alpha", "v", "cbar", "bbar", "Gbar", "Mbar"):
+        vals = res[name].reshape(len(w_act), -1)
+        for col in range(vals.shape[1]):
+            add_row(vals[:, col], (name, col))
+    for name in ("F", "hbar"):
+        f = res[name]
+        floor = 1e-16 * _peak(f.max_abs_coeff()) if f.terms else 0.0
+        for (_j, k, a), c in sorted(f.terms.items()):
+            add_row(c, (name, (k, a)), floor)
+    coeffs, defects = project_phi_rows(np.array(rows), l, size, gr.K_phi,
+                                       floors)
+    zk, za = (0,) * gr.d, (0,) * gr.nz
+    scalars = {}
+    series = {"F": FTSeries.zero(gr, r, s), "hbar": FTSeries.zero(gr, r, s)}
+    for (name, slot), cs in zip(slots, coeffs):
+        if name in series:
+            k, a = slot
+            for j, c in cs.items():
+                series[name].terms[(j, k, a)] = c
+        else:
+            new = FTSeries.zero(gr, r, s)
+            for j, c in cs.items():
+                new.terms[(j, zk, za)] = c
+            scalars.setdefault(name, []).append(new)
+    for f in series.values():
+        f._prune()
+    shape = lambda items, rows, cols: [items[i * cols:(i + 1) * cols]
+                                       for i in range(rows)]
+    scalars["bbar"] = shape(scalars["bbar"], gr.l, gr.l)
+    scalars["Gbar"] = shape(scalars["Gbar"], gr.l, gr.d)
+    scalars["Mbar"] = shape(scalars["Mbar"], gr.d, gr.d)
+    scalars["cbar"] = scalars["cbar"][0]
+    return scalars, series, _peak(defects)
 
 
 def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
@@ -471,7 +514,10 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
                 raise CohomologyError("tuple must have Q = I before the solve")
     size = grid_size or phi_grid_size(gr.K_phi)
     grid = phi_grid(l, size)
-    nu = nu_max_profile(N.beta, grid)
+    try:
+        nu = nu_max_profile(N.beta, grid)
+    except ValueError as exc:
+        raise CohomologyError(str(exc)) from exc
     t1, t2 = 2.0 * delta_plus, 3.0 * delta_plus
     a_scale = (t2 - t1) / 4.0
     glued = False
@@ -487,65 +533,48 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
         need = int(math.ceil(2 * math.pi / (a_scale / 4.0)))
         fine_size = min(bump_grid_cap, max(size, need))
         fine = phi_grid(l, fine_size) if fine_size != size else grid
-        nu_fine = nu_max_profile(N.beta, fine) if fine_size != size else nu
-        psi, _vals = bump_psi(fine, nu_fine, t1, t2, gr, r, s)
+        try:
+            nu_fine = nu_max_profile(N.beta, fine) if fine_size != size \
+                else nu
+        except ValueError as exc:
+            raise CohomologyError(str(exc)) from exc
+        try:
+            psi, _vals = bump_psi(fine, nu_fine, t1, t2, gr, r, s)
+        except BumpProjectionError:
+            raise
+        except ValueError as exc:
+            raise BumpProjectionError(str(exc)) from exc
         psi_back = eval_phi_series(psi, grid).real
     plateau = nu < t1
 
-    per_point = []
-    max_cond = 0.0
-    lin_defect = 0.0
-    obstruction = 0.0
-    tracker_resid = 0.0
-    for idx, phi in enumerate(grid):
-        if psi_back[idx] <= PSI_SOLVE_FLOOR:
-            per_point.append(None)
-            continue
-        beta = mat_eval_phi(N.beta, phi, symmetric_tol=1e-8)
-        Gamma = mat_eval_phi(N.Gamma, phi)
-        M = mat_eval_phi(N.M, phi, symmetric_tol=1e-8)
-        Nred = _reduced_hamiltonian_at(N, phi, beta, Gamma, M)
-        f_phi = freeze_phi(f, phi)
-        phix_phi = [freeze_phi(phi_x[i], phi) for i in range(l)]
-        try:
-            res = _point_solve(gr, r, s, N.w, beta, Gamma, M, Nred, f_phi,
-                               phix_phi, witness, K_eff)
-        except SolverPreconditionError as exc:
-            raise SolverPreconditionError(
-                "%s (at parameter grid point %s)" % (exc, phi)) from exc
-        per_point.append(res)
-        max_cond = max(max_cond, res["cond"])
-        lin_defect = max(lin_defect, res["lin_defect"])
-        obstruction = max(obstruction, res["obstruction"])
-
     weights = psi_back.copy()
     weights[weights <= PSI_SOLVE_FLOOR] = 0.0
-    proj_defect = 0.0
+    active = np.flatnonzero(weights)
+    if not len(active):
+        raise CohomologyError("the bump vanishes on every grid point")
+    pts = grid[active]
+    try:
+        beta = mat_eval_grid(N.beta, pts, symmetric_tol=1e-8)
+        Gamma = mat_eval_grid(N.Gamma, pts)
+        M = mat_eval_grid(N.M, pts, symmetric_tol=1e-8)
+    except ValueError as exc:
+        raise CohomologyError(str(exc)) from exc
+    Nred = _reduced_hamiltonian(N, freeze_phi(N.h, pts), beta, Gamma, M)
+    f_B = freeze_phi(f, pts)
+    phix_B = [freeze_phi(phi_x[i], pts) for i in range(l)]
+    try:
+        res = _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B,
+                          witness, K_eff)
+    except SolverPreconditionError as exc:
+        if exc.entry is None:
+            raise
+        raise SolverPreconditionError(
+            "%s (at parameter grid point %s)" % (exc, pts[exc.entry])) from exc
 
-    def scal(getter):
-        nonlocal proj_defect
-        vals = [0.0 if p is None else getter(p) for p in per_point]
-        ser, dfc = _project_scalar_pointwise(vals, weights, l, size, gr, r, s)
-        proj_defect = max(proj_defect, dfc)
-        return ser
-
-    alpha_g = [scal(lambda p, i=i: p["alpha"][i]) for i in range(l)]
-    v_g = [scal(lambda p, i=i: p["v"][i]) for i in range(d)]
-    cbar_g = scal(lambda p: p["cbar"])
-    beta_g = [[scal(lambda p, i=i, j=j: p["bbar"][i, j]) for j in range(l)]
-              for i in range(l)]
-    Gamma_g = [[scal(lambda p, i=i, j=j: p["Gbar"][i, j]) for j in range(d)]
-               for i in range(l)]
-    M_g = [[scal(lambda p, i=i, j=j: p["Mbar"][i, j]) for j in range(d)]
-           for i in range(d)]
-    F_g, dfc = _project_series_pointwise(
-        [None if p is None else p["F"] for p in per_point], weights, l, size,
-        gr, r, s)
-    proj_defect = max(proj_defect, dfc)
-    hbar_g, dfc = _project_series_pointwise(
-        [None if p is None else p["hbar"] for p in per_point], weights, l,
-        size, gr, r, s)
-    proj_defect = max(proj_defect, dfc)
+    scal, ser, proj_defect = _project(res, active, weights, l, size, gr, r, s)
+    alpha_g, v_g, cbar_g = scal["alpha"], scal["v"], scal["cbar"]
+    beta_g, Gamma_g, M_g = scal["bbar"], scal["Gbar"], scal["Mbar"]
+    F_g, hbar_g = ser["F"], ser["hbar"]
 
     # global defect slot: everything the glued representatives fail to match
     Nred_glob = assemble_hamiltonian(N) - N.g - N.c
@@ -564,22 +593,20 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
         w=np.zeros(d), c=cbar_g, beta=beta_g, Gamma=Gamma_g, M=M_g,
         Q=series_matrix(gr, r, s, l, l), g=gbar, h=hbar_g)
 
-    resid_plateau = 0.0
-    for idx, phi in enumerate(grid):
-        if plateau[idx]:
-            resid_plateau = max(resid_plateau, majorant_at_phi(gbar, phi))
-
+    on_plateau = grid[plateau]
+    resid_plateau = _peak(majorant_on_grid(gbar, on_plateau)) \
+        if len(on_plateau) else 0.0
     # tracker condition residual on the plateau
+    tracker_resid = 0.0
     for i in range(l):
         cond_ser = average_q(restrict_z0(phi_x[i] + gen_g.bracket_with(phi_x[i])))
-        for idx, phi in enumerate(grid):
-            if plateau[idx]:
-                tracker_resid = max(tracker_resid,
-                                    majorant_at_phi(cond_ser, phi))
+        if len(on_plateau):
+            tracker_resid = max(tracker_resid,
+                                _peak(majorant_on_grid(cond_ser, on_plateau)))
 
     return CohomSolution(
         alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, psi=psi, psi_grid=psi_back,
         plateau_mask=plateau, grid=grid, residual_plateau=resid_plateau,
-        residual_tracker=tracker_resid, linear_defect=lin_defect,
-        zero_mode_obstruction=obstruction, max_condition=max_cond,
+        residual_tracker=tracker_resid, linear_defect=res["lin_defect"],
+        zero_mode_obstruction=res["obstruction"], max_condition=res["cond"],
         projection_defect=proj_defect, glued=glued)

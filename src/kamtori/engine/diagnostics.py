@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..normalform import eval_phi_series, mat_eval_phi, phi_grid, phi_grid_size
-from ..series import (FTSeries, average_q, differentiate, multiply,
-                      partial_omega)
+from ..series import average_q, differentiate, multiply, partial_omega
 from ..symplectic import _Substituter
 from .cohom import coordinate, restrict_z0
 
@@ -28,7 +27,7 @@ def compute_zeta(state, H0_series):
     gr = state.grading
     omega = state.N.w
     r, s = state.r, state.s
-    F = FTSeries(gr, r, s, H0_series.terms, H0_series.trunc_loss, _raw=True)
+    F = H0_series.with_radii(r, s)
     for i in range(gr.d):
         if omega[i] != 0.0:
             F = F - coordinate(gr, r, s, "p", i).scale(omega[i])

@@ -16,17 +16,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..normalform import (NormalFormTuple, assemble_hamiltonian, mat_add,
-                          normal_form_distance, normal_form_norm)
+from ..normalform import (BumpProjectionError, NormalFormTuple,
+                          assemble_hamiltonian, mat_add, normal_form_distance,
+                          normal_form_norm)
 from ..series import (FTSeries, average_q, ck_norm_estimate, differentiate,
                       majorant_norm, multiply, truncate_fourier)
-from ..smalldiv import effective_diophantine_constant
+from ..smalldiv import (ResonanceError, SolverPreconditionError,
+                        effective_diophantine_constant)
 from ..symplectic import (GeneratingFunction, GeneratorTooLargeError,
-                          SymplecticMapSeries, compose_maps, identity_map,
-                          lie_tail_integral, lie_transform, map_from_generator,
-                          series_compose)
-from .cohom import coordinate, restrict_z0, solve_cohomological
+                          SymplecticityError, SymplecticMapSeries,
+                          compose_maps, identity_map, lie_tail_integral,
+                          lie_transform, map_from_generator, series_compose)
+from .cohom import (CohomologyError, coordinate, restrict_z0,
+                    solve_cohomological)
 from .schedule import build_schedule
+
+# numerical failures of the linearized solve that end the run with a
+# reason; anything else is a bug and raises
+COHOM_FAILURES = (CohomologyError, SolverPreconditionError, ResonanceError,
+                  BumpProjectionError, np.linalg.LinAlgError)
 
 
 class StepFailure(RuntimeError):
@@ -69,19 +77,15 @@ class StepResult:
     ok: bool
 
 
-def _retag(f, r, s):
-    return FTSeries(f.grading, r, s, f.terms, f.trunc_loss, _raw=True)
-
-
 def _retag_mat(mat, r, s):
-    return [[_retag(e, r, s) for e in row] for row in mat]
+    return [[e.with_radii(r, s) for e in row] for row in mat]
 
 
 def _retag_tuple(N, r, s):
-    return NormalFormTuple(N.w, _retag(N.c, r, s), _retag_mat(N.beta, r, s),
+    return NormalFormTuple(N.w, N.c.with_radii(r, s), _retag_mat(N.beta, r, s),
                            _retag_mat(N.Gamma, r, s), _retag_mat(N.M, r, s),
-                           _retag_mat(N.Q, r, s), _retag(N.g, r, s),
-                           _retag(N.h, r, s))
+                           _retag_mat(N.Q, r, s), N.g.with_radii(r, s),
+                           N.h.with_radii(r, s))
 
 
 def c2_norm(f, r=None, s=None):
@@ -159,7 +163,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     try:
         sol = solve_cohomological(state.N, f_t, phi_x, witness, sigma,
                                   row.delta, row.delta_plus, K_eff=K_eff)
-    except Exception as exc:
+    except COHOM_FAILURES as exc:
         raise StepFailure("linearized conjugacy solve failed: %s" % exc,
                           measures) from exc
     measures["cohom_residual_plateau"] = sol.residual_plateau
@@ -173,7 +177,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     gen = GeneratingFunction(sol.F, sol.v)
     try:
         Psi = map_from_generator(gen)
-    except Exception as exc:
+    except (GeneratorTooLargeError, SymplecticityError) as exc:
         raise StepFailure("generator flow failed: %s" % exc, measures) from exc
     measures["psi_displacement"] = Psi.displacement_majorant()
     measures["symp_residual"] = Psi.symp_residual
@@ -195,7 +199,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
             t2, rem2 = lie_tail_integral(u2, gen, lambda n: 1.0 / (n + 2))
             f_plus = t1 + t2
             rem = rem1 + rem2
-    except Exception as exc:
+    except GeneratorTooLargeError as exc:
         raise StepFailure("error-term transport failed: %s" % exc,
                           measures) from exc
     measures["lie_remainder"] = rem
@@ -218,7 +222,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
 
     r_plus, s_plus = r - 10 * sigma, s - sigma
     N_plus = _retag_tuple(N_plus, r_plus, s_plus)
-    f_plus = _retag(f_plus, r_plus, s_plus)
+    f_plus = f_plus.with_radii(r_plus, s_plus)
     Psi_out = Psi.with_radii(r_plus, s_plus)
     try:
         Phi_plus = compose_maps(state.Phi.with_radii(r_plus, s_plus), Psi_out)
@@ -230,8 +234,8 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     target = eps ** 1.5
     measures["f_plus_c2"] = fp_norm
     measures["f_plus_target"] = target
-    alpha_new = [_retag(state.alpha[i], r_plus, s_plus)
-                 + _retag(sol.alpha[i], r_plus, s_plus) for i in range(gr.l)]
+    alpha_new = [state.alpha[i].with_radii(r_plus, s_plus)
+                 + sol.alpha[i].with_radii(r_plus, s_plus) for i in range(gr.l)]
     new_state = IterationState(
         n=state.n + 1, N=N_plus, alpha=alpha_new,
         f=f_plus, Phi=Phi_plus, r=r_plus, s=s_plus,
@@ -291,13 +295,13 @@ class IterateConfig:
 def conjugacy_residual(N0, f0, state):
     """Majorant of (N0 + f0 - <alpha_n, x>) o Phi^n - (N_n + f_n)."""
     gr = state.grading
-    H0 = assemble_hamiltonian(N0) + f0
-    A = FTSeries.zero(gr, f0.r, f0.s)
+    r, s = state.r, state.s
+    H0 = (assemble_hamiltonian(N0) + f0).with_radii(r, s)
+    A = FTSeries.zero(gr, r, s)
     for i in range(gr.l):
         if not state.alpha[i].is_zero():
-            A = A + multiply(_retag(state.alpha[i], f0.r, f0.s),
-                             coordinate(gr, f0.r, f0.s, "x", i))
-    lhs = series_compose(_retag(H0 - A, state.r, state.s), state.Phi)
+            A = A + multiply(state.alpha[i], coordinate(gr, r, s, "x", i))
+    lhs = series_compose(H0 - A, state.Phi)
     rhs = assemble_hamiltonian(state.N) + state.f
     return majorant_norm(lhs - rhs)
 

@@ -33,18 +33,77 @@ def eval_phi_series(f, grid):
     return vals
 
 
-def majorant_at_phi(f, phi, r=None, s=None):
-    """Majorant of the (q, z)-series obtained by freezing the parameter."""
-    r = f.r if r is None else r
-    s = f.s if s is None else s
-    phi = np.asarray(phi, dtype=float)
+def _phases(grid):
+    """j -> exp(i j.phi) at every grid point, computed once per mode."""
+    cache = {}
+
+    def phase(j):
+        got = cache.get(j)
+        if got is None:
+            got = cache[j] = np.exp(1j * (grid @ np.asarray(j, dtype=float)))
+        return got
+    return phase
+
+
+def freeze_groups(f, grid):
+    """Sum the parameter modes of f at every grid point: dict (k, a) ->
+    complex array over the grid (no pruning)."""
+    grid = np.asarray(grid, dtype=float).reshape(-1, f.grading.l)
+    phase = _phases(grid)
     groups = {}
     for (j, k, a), c in sorted(f.terms.items()):
-        groups[(k, a)] = groups.get((k, a), 0.0) + c * np.exp(1j * float(np.dot(j, phi)))
-    total = 0.0
-    for (k, a), c in sorted(groups.items()):
-        total += abs(c) * math.exp(_l1(k) * r) * s ** _l1(a)
+        w = c * phase(j)
+        cur = groups.get((k, a))
+        groups[(k, a)] = w if cur is None else cur + w
+    return groups
+
+
+def majorant_on_grid(f, grid, r=None, s=None):
+    """Majorant of the (q, z)-series obtained by freezing the parameter, at
+    every grid point (array)."""
+    r = f.r if r is None else r
+    s = f.s if s is None else s
+    total = np.zeros(len(grid))
+    for (k, a), c in sorted(freeze_groups(f, grid).items()):
+        total += np.abs(c) * (math.exp(_l1(k) * r) * s ** _l1(a))
     return total
+
+
+def majorant_at_phi(f, phi, r=None, s=None):
+    """Majorant of the (q, z)-series obtained by freezing the parameter."""
+    return float(majorant_on_grid(f, [phi], r, s)[0])
+
+
+def _phi_modes(l, size, K_phi):
+    """Signed parameter modes of the FFT grid in the row-major order of
+    phi_grid, and the mask of those kept (|j|_1 <= K_phi)."""
+    half = size // 2
+    modes = [tuple(m if m <= half else m - size for m in idx)
+             for idx in np.ndindex(*([size] * l))]
+    keep = np.array([_l1(j) <= K_phi for j in modes], dtype=bool)
+    return modes, keep
+
+
+def project_phi_rows(rows, l, size, K_phi, floors):
+    """Project many grid-sampled functions onto <= K_phi parameter modes with
+    one FFT over the grid axes.
+
+    rows: complex array (n, size^l); floors: per-row coefficient floor.
+    Returns (list of {j: c} with |c| > floor, per-row defect = total
+    magnitude of the dropped high modes)."""
+    rows = np.asarray(rows, dtype=complex)
+    n = len(rows)
+    hat = np.fft.fftn(rows.reshape((n,) + (size,) * l),
+                      axes=tuple(range(1, l + 1))).reshape(n, -1) / size ** l
+    modes, keep = _phi_modes(l, size, K_phi)
+    mag = np.abs(hat)
+    defect = mag[:, ~keep].sum(axis=1)
+    kept = keep[None, :] & (mag > np.asarray(floors, dtype=float)[:, None])
+    out = []
+    for row in range(n):
+        out.append({modes[i]: complex(hat[row, i])
+                    for i in np.flatnonzero(kept[row])})
+    return out, defect
 
 
 def project_phi_values(values, l, size, grading, r, s, coeff_floor=1e-300):
@@ -54,22 +113,15 @@ def project_phi_values(values, l, size, grading, r, s, coeff_floor=1e-300):
     Returns (FTSeries with only phi modes, defect = total magnitude of the
     dropped high modes, which bounds the grid error of the representative).
     """
-    arr = np.asarray(values, dtype=complex).reshape((size,) * l)
-    hat = np.fft.fftn(arr) / size ** l
+    (coeffs,), defect = project_phi_rows(
+        np.asarray(values, dtype=complex).reshape(1, -1), l, size,
+        grading.K_phi, [coeff_floor])
     new = FTSeries.zero(grading, r, s)
     zk = (0,) * grading.d
     za = (0,) * grading.nz
-    half = size // 2
-    defect = 0.0
-    for idx in np.ndindex(*([size] * l)):
-        j = tuple(m if m <= half else m - size for m in idx)
-        c = hat[idx]
-        if _l1(j) > grading.K_phi:
-            defect += abs(c)
-            continue
-        if abs(c) > coeff_floor:
-            new.terms[(j, zk, za)] = complex(c)
-    return new, float(defect)
+    for j, c in coeffs.items():
+        new.terms[(j, zk, za)] = c
+    return new, float(defect[0])
 
 
 # -- tuple space --------------------------------------------------------------------
@@ -89,24 +141,37 @@ def const_matrix(grading, r, s, M):
     return out
 
 
-def mat_eval_phi(mat, phi, symmetric_tol=None):
-    """Evaluate a matrix of phi-only series at one parameter value."""
+def mat_eval_grid(mat, grid, symmetric_tol=None):
+    """Evaluate a matrix of phi-only series at every grid point: a real
+    (B, rows, cols) array.  Raises ValueError naming the first grid point
+    where the value is not real (or not symmetric within symmetric_tol)."""
     rows, cols = len(mat), len(mat[0])
-    out = np.zeros((rows, cols), dtype=complex)
+    grid = np.asarray(grid, dtype=float).reshape(-1, mat[0][0].grading.l)
+    out = np.zeros((len(grid), rows, cols), dtype=complex)
+    phase = _phases(grid)
     for i in range(rows):
         for j in range(cols):
-            f = mat[i][j]
-            acc = 0.0 + 0.0j
-            for (jj, k, a), c in sorted(f.terms.items()):
-                acc += c * np.exp(1j * float(np.dot(jj, phi)))
-            out[i, j] = acc
-    if np.max(np.abs(out.imag)) > 1e-10 * max(1.0, np.max(np.abs(out))):
-        raise ValueError("matrix series evaluated to a non-real matrix")
+            for (jj, k, a), c in sorted(mat[i][j].terms.items()):
+                out[:, i, j] += c * phase(jj)
+    scale = np.maximum(1.0, np.abs(out).max(axis=(1, 2), initial=0.0))
+    bad = np.abs(out.imag).max(axis=(1, 2), initial=0.0) > 1e-10 * scale
+    if bad.any():
+        raise ValueError("matrix series evaluated to a non-real matrix at "
+                         "phi=%s" % grid[np.argmax(bad)])
     res = out.real
-    if symmetric_tol is not None and np.max(np.abs(res - res.T)) > symmetric_tol:
-        raise ValueError("matrix series evaluation is not symmetric within %g"
-                         % symmetric_tol)
+    if symmetric_tol is not None:
+        bad = np.abs(res - np.swapaxes(res, 1, 2)).max(
+            axis=(1, 2), initial=0.0) > symmetric_tol
+        if bad.any():
+            raise ValueError("matrix series evaluation is not symmetric "
+                             "within %g at phi=%s"
+                             % (symmetric_tol, grid[np.argmax(bad)]))
     return res
+
+
+def mat_eval_phi(mat, phi, symmetric_tol=None):
+    """Evaluate a matrix of phi-only series at one parameter value."""
+    return mat_eval_grid(mat, [phi], symmetric_tol)[0]
 
 
 def mat_add(A, B, scale=1.0):
@@ -205,13 +270,12 @@ def assemble_hamiltonian(N):
 
 def nu_max_profile(beta, grid):
     """Largest eigenvalue of the symmetrized evaluation of beta at each point."""
-    out = np.zeros(len(grid))
-    for idx, phi in enumerate(grid):
-        B = mat_eval_phi(beta, phi)
-        if np.max(np.abs(B - B.T)) > 1e-8:
-            raise ValueError("beta evaluation asymmetric beyond 1e-8 at phi=%s" % phi)
-        out[idx] = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
-    return out
+    B = mat_eval_grid(beta, grid)
+    bad = np.abs(B - np.swapaxes(B, 1, 2)).max(axis=(1, 2)) > 1e-8
+    if bad.any():
+        raise ValueError("beta evaluation asymmetric beyond 1e-8 at phi=%s"
+                         % grid[np.argmax(bad)])
+    return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]
 
 
 def is_normal_form(N, v, delta, tol, grid=None):
@@ -222,16 +286,17 @@ def is_normal_form(N, v, delta, tol, grid=None):
     report = {"w_matches": bool(np.array_equal(np.asarray(v, dtype=float), N.w)),
               "violations": [], "max_g": 0.0, "max_dg": 0.0}
     nu = nu_max_profile(N.beta, grid)
-    dgs = [differentiate(N.g, ("phi", i)) for i in range(gr.l)]
-    for idx, phi in enumerate(grid):
-        if nu[idx] > delta:
-            continue
-        mg = majorant_at_phi(N.g, phi)
-        mdg = max((majorant_at_phi(df, phi) for df in dgs), default=0.0)
-        report["max_g"] = max(report["max_g"], mg)
-        report["max_dg"] = max(report["max_dg"], mdg)
-        if mg > tol or mdg > tol:
-            report["violations"].append((tuple(phi), mg, mdg))
+    inside = grid[nu <= delta]
+    mg = majorant_on_grid(N.g, inside)
+    mdg = np.zeros(len(inside))
+    for i in range(gr.l):
+        mdg = np.maximum(mdg, majorant_on_grid(
+            differentiate(N.g, ("phi", i)), inside))
+    report["max_g"] = float(mg.max(initial=0.0))
+    report["max_dg"] = float(mdg.max(initial=0.0))
+    for idx in np.flatnonzero((mg > tol) | (mdg > tol)):
+        report["violations"].append((tuple(inside[idx]), float(mg[idx]),
+                                     float(mdg[idx])))
     ok = report["w_matches"] and not report["violations"]
     return ok, report
 

@@ -13,6 +13,12 @@ functions keep the reality symmetry c[-j,-k,a] = conj(c[j,k,a]).
 Series are immutable by convention: all operations return new instances.
 Terms that fall outside the grading bounds (or below the pruning floor) are
 dropped and their majorant mass is accumulated in ``trunc_loss``.
+
+A coefficient may also be a length-B complex array: the series then stands
+for B series with one shared key set (one per parameter grid point in the
+glued cohomological solve).  The coefficient-wise operations carry arrays as
+they are; the reductions (pruning, ``max_abs_coeff``, ``majorant_norm``) act
+per entry, and ``trunc_loss`` bounds the loss of every entry.
 """
 
 import json
@@ -61,6 +67,24 @@ def _l1(t):
     return sum(abs(v) for v in t)
 
 
+def _is_batched(f):
+    """True when some coefficient of f is an array (one entry per series)."""
+    return np.ndarray in map(type, f.terms.values())
+
+
+def _coef_matrix(values):
+    """Coefficients of a batched series as an (n, B) array (scalars broadcast)."""
+    values = list(values)
+    try:
+        return np.stack(values).astype(complex, copy=False)
+    except ValueError:
+        width = next(len(c) for c in values if type(c) is np.ndarray)
+        out = np.empty((len(values), width), dtype=complex)
+        for i, c in enumerate(values):
+            out[i] = c
+        return out
+
+
 class GradingError(ValueError):
     pass
 
@@ -100,7 +124,10 @@ class FTSeries:
     @classmethod
     def constant(cls, grading, r, s, value):
         new = cls.zero(grading, r, s)
-        if value != 0:
+        if isinstance(value, np.ndarray):
+            if value.any():
+                new.terms[grading.zero_key()] = value.astype(complex)
+        elif value != 0:
             new.terms[grading.zero_key()] = complex(value)
         return new
 
@@ -136,6 +163,13 @@ class FTSeries:
         return FTSeries(self.grading, self.r, self.s, dict(self.terms),
                         self.trunc_loss, _raw=True)
 
+    def with_radii(self, r, s):
+        """The same coefficients read on radii (r, s), which may only shrink."""
+        if r > self.r * (1 + 1e-12) or s > self.s * (1 + 1e-12):
+            raise ValueError("cannot grow radii by relabeling")
+        return FTSeries(self.grading, r, s, self.terms, self.trunc_loss,
+                        _raw=True)
+
     # -- internal accumulation with bound checks -------------------------------
 
     def _weight(self, key):
@@ -146,20 +180,51 @@ class FTSeries:
         g = self.grading
         j, k, a = key
         if _l1(j) > g.K_phi or _l1(k) > g.K_q or _l1(a) > g.D:
-            self.trunc_loss += abs(c) * self._weight(key)
+            mag = abs(c)
+            if isinstance(mag, np.ndarray):
+                mag = float(mag.max())
+            self.trunc_loss += mag * self._weight(key)
             return
         cur = self.terms.get(key)
         self.terms[key] = c if cur is None else cur + c
 
     def _prune(self, floor=PRUNE_FLOOR, rel=REL_PRUNE):
+        if _is_batched(self):
+            self._prune_entries(floor, rel)
+            return
         if rel:
-            floor = max(floor, rel * self.max_abs_coeff())
+            floor = max(floor, rel * max((abs(c) for c in self.terms.values()),
+                                         default=0.0))
         if not self.terms:
             return
         dead = [key for key, c in self.terms.items() if abs(c) <= floor]
         for key in dead:
             self.trunc_loss += abs(self.terms[key]) * self._weight(key)
             del self.terms[key]
+
+    def _prune_entries(self, floor, rel):
+        """_prune of a batched series: each entry against its own floor; a
+        key goes once all its entries are zero."""
+        keys = list(self.terms)
+        coef = _coef_matrix(self.terms.values())
+        mag = np.abs(coef)
+        if rel:
+            floor = np.maximum(floor, rel * mag.max(axis=0))
+        dead = mag <= floor
+        drop = dead.all(axis=1)
+        rows = np.flatnonzero(drop | (dead & (mag > 0.0)).any(axis=1))
+        if not len(rows):
+            return
+        weight = np.array([self._weight(keys[i]) for i in rows])
+        loss = (np.where(dead[rows], mag[rows], 0.0) * weight[:, None]).sum(axis=0)
+        self.trunc_loss += float(loss.max())
+        coef[dead] = 0.0
+        for i in rows:
+            if drop[i]:
+                del self.terms[keys[i]]
+            else:
+                # a copy, so the surviving rows do not keep all of coef alive
+                self.terms[keys[i]] = coef[i].copy()
 
     def _check_compat(self, other):
         if self.grading != other.grading:
@@ -171,7 +236,7 @@ class FTSeries:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, (int, float, complex, np.ndarray)):
             other = FTSeries.constant(self.grading, self.r, self.s, other)
         self._check_compat(other)
         new = self.copy()
@@ -198,12 +263,14 @@ class FTSeries:
         return (-self) + other
 
     def scale(self, c):
+        """Multiply by a number, or entry-wise by a length-B array."""
         new = self.copy()
-        if c == 0:
+        mag = float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
+        if mag == 0:
             new.terms = {}
             return new
         new.terms = {key: v * c for key, v in new.terms.items()}
-        new.trunc_loss *= abs(c)
+        new.trunc_loss *= mag
         return new
 
     def __mul__(self, other):
@@ -222,6 +289,9 @@ class FTSeries:
         return not self.terms
 
     def max_abs_coeff(self):
+        """Largest coefficient modulus (per entry for a batched series)."""
+        if _is_batched(self):
+            return np.abs(_coef_matrix(self.terms.values())).max(axis=0)
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def coeff(self, j, k, alpha):
@@ -244,6 +314,9 @@ class FTSeries:
 
 
 _VECTOR_THRESHOLD = 4096
+# array coefficients make every pair of the plain loop cost numpy calls, so
+# batched products switch to the vectorized path much earlier
+_BATCH_VECTOR_THRESHOLD = 64
 
 
 def _keys_to_arrays(f):
@@ -254,12 +327,15 @@ def _keys_to_arrays(f):
     n = len(f.terms)
     width = gr.l + gr.d + gr.nz
     keys = np.empty((n, width), dtype=np.int64)
-    coef = np.empty(n, dtype=complex)
+    batched = _is_batched(f)
+    coef = _coef_matrix(f.terms.values()) if batched \
+        else np.empty(n, dtype=complex)
     for i, ((j, k, a), c) in enumerate(f.terms.items()):
         keys[i, :gr.l] = j
         keys[i, gr.l:gr.l + gr.d] = k
         keys[i, gr.l + gr.d:] = a
-        coef[i] = c
+        if not batched:
+            coef[i] = c
     f._kcache = (n, keys, coef)
     return keys, coef
 
@@ -270,7 +346,13 @@ def _multiply_vectorized(f, g):
     A, ca = _keys_to_arrays(f)
     B, cb = _keys_to_arrays(g)
     keys = (A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1])
-    coef = (ca[:, None] * cb[None, :]).reshape(-1)
+    batched = ca.ndim == 2 or cb.ndim == 2
+    if batched:
+        ca = ca.reshape(len(ca), -1)
+        cb = cb.reshape(len(cb), -1)
+        coef = (ca[:, None, :] * cb[None, :, :]).reshape(len(keys), -1)
+    else:
+        coef = (ca[:, None] * cb[None, :]).reshape(-1)
     absj = np.abs(keys[:, :l]).sum(axis=1)
     absk = np.abs(keys[:, l:l + d]).sum(axis=1)
     absa = keys[:, l + d:].sum(axis=1)
@@ -278,9 +360,10 @@ def _multiply_vectorized(f, g):
     loss = 0.0
     if not ok.all():
         bad = ~ok
-        loss = float(np.sum(np.abs(coef[bad])
-                            * np.exp((absj[bad] + absk[bad]) * f.r)
-                            * f.s ** absa[bad].astype(float)))
+        # per entry for batched coefficients (pairs along the last axis)
+        loss = float(np.max((np.abs(coef[bad]).T
+                             * np.exp((absj[bad] + absk[bad]) * f.r)
+                             * f.s ** absa[bad].astype(float)).sum(axis=-1)))
     keys, coef = keys[ok], coef[ok]
     # pack each in-bounds key into one integer for a fast 1-d unique
     # (balanced mixed radix; injective since every slot covers its range)
@@ -300,16 +383,16 @@ def _multiply_vectorized(f, g):
         packed = keys @ mults
         uniq, first, inv = np.unique(packed, return_index=True,
                                      return_inverse=True)
-    acc = np.zeros(len(uniq), dtype=complex)
-    np.add.at(acc, inv, coef)
+    acc = np.zeros((len(uniq),) + coef.shape[1:], dtype=complex)
+    np.add.at(acc, inv.reshape(-1), coef)
     new = FTSeries.zero(gr, f.r, f.s)
     new.trunc_loss = loss
+    nonzero = acc.any(axis=1) if batched else acc != 0.0
     rows = keys[first].tolist()
     for i, row in enumerate(rows):
-        c = acc[i]
-        if c != 0.0:
+        if nonzero[i]:
             new.terms[(tuple(row[:l]), tuple(row[l:l + d]),
-                       tuple(row[l + d:]))] = c
+                       tuple(row[l + d:]))] = acc[i]
     return new
 
 
@@ -320,7 +403,8 @@ def multiply(f, g):
     n, m = len(f.terms), len(g.terms)
     if n == 0 or m == 0:
         return FTSeries.zero(gr, f.r, f.s)
-    if n * m > _VECTOR_THRESHOLD:
+    batched = _is_batched(f) or _is_batched(g)
+    if n * m > (_BATCH_VECTOR_THRESHOLD if batched else _VECTOR_THRESHOLD):
         new = _multiply_vectorized(f, g)
     else:
         new = FTSeries.zero(gr, f.r, f.s)
@@ -336,9 +420,9 @@ def multiply(f, g):
                 new._accumulate((j, k, a), c1 * c2)
     # propagate the operands' own accumulated loss through the product scale
     if f.trunc_loss or g.trunc_loss:
-        new.trunc_loss += (f.trunc_loss * g.majorant_norm()
-                           + g.trunc_loss * f.majorant_norm()
-                           + f.trunc_loss * g.trunc_loss)
+        new.trunc_loss += float(np.max(f.trunc_loss * g.majorant_norm()
+                                       + g.trunc_loss * f.majorant_norm()
+                                       + f.trunc_loss * g.trunc_loss))
     new._prune()
     return new
 
@@ -440,7 +524,9 @@ def truncate_fourier(f, K, sigma):
 
 
 def majorant_norm(f, r=None, s=None):
-    """sum |c| e^{(|j|+|k|) r} s^{|a|}; dominates sup |f| on the (r, s) strip."""
+    """sum |c| e^{(|j|+|k|) r} s^{|a|}; dominates sup |f| on the (r, s) strip.
+
+    Per entry (an array) for a batched series."""
     r = f.r if r is None else r
     s = f.s if s is None else s
     if r > f.r * (1 + 1e-12) or s > f.s * (1 + 1e-12):
@@ -450,7 +536,10 @@ def majorant_norm(f, r=None, s=None):
         keys, coef = _keys_to_arrays(f)
         ang = np.abs(keys[:, :gr.l + gr.d]).sum(axis=1)
         deg = keys[:, gr.l + gr.d:].sum(axis=1).astype(float)
-        return float(np.sum(np.abs(coef) * np.exp(ang * r) * s ** deg))
+        weight = np.exp(ang * r) * s ** deg
+        if coef.ndim == 2:
+            return (np.abs(coef) * weight[:, None]).sum(axis=0)
+        return float(np.sum(np.abs(coef) * weight))
     total = 0.0
     for (j, k, a), c in f.terms.items():
         total += abs(c) * math.exp((_l1(j) + _l1(k)) * r) * s ** _l1(a)

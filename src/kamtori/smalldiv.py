@@ -31,7 +31,12 @@ class ResonanceError(ValueError):
 
 
 class SolverPreconditionError(ValueError):
-    pass
+    """A solver precondition failed; for a stacked (batched) solve, `entry`
+    is the index of the first failing matrix of the stack."""
+
+    def __init__(self, message, entry=None):
+        super().__init__(message)
+        self.entry = entry
 
 
 @dataclass
@@ -103,10 +108,11 @@ def effective_diophantine_constant(omega, tau, K):
     return DiophantineWitness(omega, gamma, tau, K, resonant=resonant, worst_k=worst)
 
 
-def _group_slices(series_list):
+def _group_slices(series_list, batch=()):
     """Group coefficients of several series by (j, alpha), then by angle mode k.
 
-    Returns dict (j, a) -> dict k -> complex vector over the series list.
+    Returns dict (j, a) -> dict k -> complex vector over the series list
+    (shape batch + (len(series_list),) for batched coefficients).
     """
     out = {}
     n = len(series_list)
@@ -115,9 +121,9 @@ def _group_slices(series_list):
             slot = out.setdefault((j, a), {})
             vec = slot.get(k)
             if vec is None:
-                vec = np.zeros(n, dtype=complex)
+                vec = np.zeros(batch + (n,), dtype=complex)
                 slot[k] = vec
-            vec[idx] += c
+            vec[..., idx] += c
     return out
 
 
@@ -144,20 +150,36 @@ def solve_L1(v, witness):
 
 
 def _check_beta(beta, witness, K, factor, who):
+    """beta is one l x l matrix or a (B, l, l) stack; each is checked, and an
+    error names the first failing entry of a stack."""
     beta = np.asarray(beta, dtype=float)
-    if beta.shape[0] != beta.shape[1] or not np.allclose(beta, beta.T, atol=1e-12):
+    stack = beta.reshape((-1,) + beta.shape[-2:])
+
+    def fail(bad, msg):
+        if beta.ndim == 2:
+            raise SolverPreconditionError("%s: %s" % (who, msg))
+        entry = int(np.argmax(bad))
+        raise SolverPreconditionError("%s: %s (stack entry %d)"
+                                      % (who, msg, entry), entry)
+
+    if beta.shape[-2] != beta.shape[-1]:
         raise SolverPreconditionError("%s: beta must be symmetric" % who)
-    if np.linalg.norm(beta, 2) > 1.0 + 1e-12:
-        raise SolverPreconditionError("%s: need ||beta|| <= 1" % who)
-    nu = float(np.linalg.eigvalsh(beta)[-1])
+    asym = ~np.all(np.isclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-5,
+                              atol=1e-12), axis=(-2, -1))
+    if asym.any():
+        fail(asym, "beta must be symmetric")
+    big = np.linalg.norm(stack, 2, axis=(-2, -1)) > 1.0 + 1e-12
+    if big.any():
+        fail(big, "need ||beta|| <= 1")
+    nu = np.linalg.eigvalsh(stack)[:, -1]
     lim = factor * witness.min_divisor_sq(K)
-    if nu > lim + 1e-15:
+    over = nu > lim + 1e-15
+    if over.any():
         # name the offending mode for the error message
         worst = min(_modes_up_to(witness.d, K),
                     key=lambda k: abs(float(np.dot(witness.omega, k))))
-        raise SolverPreconditionError(
-            "%s: nu_max(beta)=%.3g exceeds %.3g*min<omega,k>^2=%.3g (worst k=%s)"
-            % (who, nu, factor, lim, worst))
+        fail(over, "nu_max(beta)=%.3g exceeds %.3g*min<omega,k>^2=%.3g "
+             "(worst k=%s)" % (float(nu[over][0]), factor, lim, worst))
     return beta
 
 
@@ -165,36 +187,46 @@ def solve_L2(b_x, b_y, beta, witness, K):
     """Coupled pair solve; beta is a fixed symmetric l x l matrix at this slice.
 
     b_x, b_y are length-l lists of series (may carry phi modes and Taylor
-    factors; every (j, alpha) slice is solved independently).
+    factors; every (j, alpha) slice is solved independently).  With a
+    (B, l, l) stack of matrices the series are batched, entry b solved with
+    beta[b].
     """
     l = len(b_x)
     g = b_x[0].grading
     beta = _check_beta(beta, witness, K, 0.5, "L2")
+    batch = beta.shape[:-2]
     zero_k = (0,) * g.d
     Bx = [FTSeries.zero(g, f.r, f.s) for f in b_x]
     By = [FTSeries.zero(g, f.r, f.s) for f in b_x]
-    slic = _group_slices(list(b_x) + list(b_y))
-    eye = np.eye(l)
+    slic = _group_slices(list(b_x) + list(b_y), batch)
+    eye = np.broadcast_to(np.eye(l), beta.shape)
+    nonzero = (lambda c: c.any()) if batch else (lambda c: c != 0.0)
     for (j, a), modes in sorted(slic.items()):
         for k, vec in sorted(modes.items()):
-            bx_hat, by_hat = vec[:l], vec[l:]
             if k == zero_k:
+                # rows of the transpose: a number, or one entry per matrix
+                by_hat = vec.T[l:]
                 for i in range(l):
-                    if by_hat[i] != 0.0:
+                    if nonzero(by_hat[i]):
                         Bx[i].terms[(j, k, a)] = by_hat[i]
                 continue
             lam = 1j * _divisor(witness, k)
             M = np.block([[lam * eye, -beta], [eye, lam * eye]])
-            det = np.linalg.det(M)
+            det = np.abs(np.linalg.det(M))
             dot = float(np.dot(witness.omega, k))
-            if abs(det) < (1 - 1e-9) * (2.0 ** -l) * abs(dot) ** (2 * l):
+            low = det < (1 - 1e-9) * (2.0 ** -l) * abs(dot) ** (2 * l)
+            if np.any(low):
+                msg = "L2: determinant bound violated at k=%s" % (k,)
+                if not batch:
+                    raise SolverPreconditionError(msg)
+                entry = int(np.argmax(low))
                 raise SolverPreconditionError(
-                    "L2: determinant bound violated at k=%s" % (k,))
-            sol = np.linalg.solve(M, np.concatenate([bx_hat, by_hat]))
+                    "%s (stack entry %d)" % (msg, entry), entry)
+            sol = np.linalg.solve(M, vec[..., None])[..., 0].T
             for i in range(l):
-                if sol[i] != 0.0:
+                if nonzero(sol[i]):
                     Bx[i].terms[(j, k, a)] = sol[i]
-                if sol[l + i] != 0.0:
+                if nonzero(sol[l + i]):
                     By[i].terms[(j, k, a)] = sol[l + i]
     return Bx, By
 

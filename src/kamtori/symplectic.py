@@ -91,8 +91,8 @@ class GeneratingFunction:
 
     def with_radii(self, r, s):
         return GeneratingFunction(
-            _retag(self.F, r, s),
-            None if self.v is None else [_retag(vi, r, s) for vi in self.v])
+            self.F.with_radii(r, s),
+            None if self.v is None else [vi.with_radii(r, s) for vi in self.v])
 
 
 def lie_transform(g, gen, order_cap=DEFAULT_ORDER_CAP, tol=None, first_term=None):
@@ -159,13 +159,6 @@ def lie_tail_integral(u, gen, weight, order_cap=DEFAULT_ORDER_CAP, tol=1e-300):
 # -- symplectic maps ---------------------------------------------------------------
 
 
-def _retag(u, r, s):
-    """The same coefficients read on radii (r, s), which may only shrink."""
-    if r > u.r * (1 + 1e-12) or s > u.s * (1 + 1e-12):
-        raise ValueError("cannot grow radii by relabeling")
-    return FTSeries(u.grading, r, s, u.terms, u.trunc_loss, _raw=True)
-
-
 @dataclass
 class SymplecticMapSeries:
     """Near-identity map stored as the displacement of each coordinate.
@@ -206,7 +199,7 @@ class SymplecticMapSeries:
                    for u in self.components())
 
     def with_radii(self, r, s):
-        retag = lambda us: [_retag(u, r, s) for u in us]
+        retag = lambda us: [u.with_radii(r, s) for u in us]
         gen = None if self.generator is None else self.generator.with_radii(r, s)
         return SymplecticMapSeries(retag(self.Uq), retag(self.Ux),
                                    retag(self.Up), retag(self.Uy),

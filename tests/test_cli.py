@@ -215,6 +215,23 @@ class TestZetaCommand:
         # zeta is the averaged perturbation profile eps*cos(phi)
         assert np.max(np.abs(rows[:, 1] - 1e-4 * np.cos(rows[:, 0]))) < 1e-12
 
+    def test_early_stop_writes_profile_and_exits_3(self, tmp_path,
+                                                   monkeypatch, capsys):
+        real = cli.iterate
+
+        def stopped(N0, f0, config=None):
+            state, history = real(N0, f0, config)
+            history["failure"] = {"n": state.n, "reason": "tuple drift",
+                                  "measures": {}}
+            return state, history
+        monkeypatch.setattr(cli, "iterate", stopped)
+        path, cfg = flagship_config(tmp_path)
+        out = tmp_path / "profile.csv"
+        assert main(["zeta", "--config", str(path), "--out", str(out)]) \
+            == EXIT_CONVERGENCE
+        assert out.read_text().startswith("phi1,zeta,alpha_norm,nu_max_beta")
+        assert "iteration stopped early: tuple drift" in capsys.readouterr().out
+
     def test_zeta_computed_once_without_torus(self, tmp_path, monkeypatch):
         zetas = _count_calls(monkeypatch, cli, "compute_zeta")
         tori = _count_calls(monkeypatch, cli, "extract_torus")

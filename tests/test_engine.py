@@ -1,4 +1,7 @@
+import gzip
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,20 +11,23 @@ from kamtori.engine import (build_schedule, check_alpha_gradient,
                             find_vanishing_point, iterate, kam_step,
                             solve_cohomological, verify_invariance)
 import kamtori.engine.driver as driver
-from kamtori.engine.cohom import coordinate, freeze_phi, restrict_z0
+from kamtori.engine.cohom import (CohomologyError, coordinate, freeze_phi,
+                                  restrict_z0)
 from kamtori.engine.driver import (IterateConfig, IterationState,
                                    StepFailure, c2_norm, conjugacy_residual)
-from kamtori.normalform import (assemble_hamiltonian, eval_phi_series,
-                                initial_tuple)
+from kamtori.normalform import (assemble_hamiltonian, const_matrix,
+                                eval_phi_series, initial_tuple, tuple_to_json)
 from kamtori.series import (FTSeries, Grading, average_q, differentiate,
-                            evaluate, majorant_norm, multiply, taylor_split)
+                            evaluate, from_json_dict, majorant_norm, multiply,
+                            taylor_split)
 from kamtori.smalldiv import effective_diophantine_constant
-from kamtori.symplectic import (GeneratorTooLargeError, identity_map,
-                                poisson_bracket, series_compose,
+from kamtori.symplectic import (GeneratorTooLargeError, SymplecticityError,
+                                identity_map, poisson_bracket, series_compose,
                                 shifted_parametrization, sigma_cos)
 from conftest import GOLDEN
 
 EPS = 1e-4
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def small_grading():
@@ -372,6 +378,181 @@ class TestComposeByLieTransport:
             assert not want.is_zero()
             dev = (got - want).max_abs_coeff() / want.max_abs_coeff()
             assert dev <= 1e-14
+
+
+class _Captured(Exception):
+    pass
+
+
+def l2_nonzero_beta_problem():
+    """The l = 2 problem with a constant symmetric beta of distinct
+    eigenvalues inside the solvable sublevel region."""
+    gr = Grading(d=1, l=2, K_q=4, K_phi=4, D=4)
+    N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
+    N.beta = const_matrix(gr, 1.0, 1.0,
+                          np.array([[0.02, 0.01], [0.01, -0.03]]))
+    wit = effective_diophantine_constant([GOLDEN], 0.1, 4)
+    phix = [coordinate(gr, 1.0, 1.0, "x", i) for i in range(2)]
+    terms = (sigma_cos((0, 1, 0), EPS) + sigma_cos((1, 0, 1), EPS)
+             + sigma_cos((2, 1, -1), 0.3 * EPS, powers=(1, 0, 0)))
+    f = shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
+    return N, f, phix, wit
+
+
+def l2_varying_tuple_problem():
+    """l = 2 with a parameter-dependent beta, Gamma and M, a cubic h and a
+    tracker that is not the bare coordinate: every block of the solve sees
+    data of order one in the parameter."""
+    gr = Grading(d=1, l=2, K_q=3, K_phi=2, D=3)
+    cos = lambda j, k, amp: FTSeries.cos_angle(gr, 1.0, 1.0, j, k, amp)
+    const = lambda v: FTSeries.constant(gr, 1.0, 1.0, v)
+
+    def mono(*pos):
+        alpha = [0] * gr.nz
+        for p in pos:
+            alpha[p] += 1
+        return FTSeries.term(gr, 1.0, 1.0, (0, 0), (0,), tuple(alpha), 1.0)
+    x0, x1, p0, y0, y1 = range(5)
+    h = (multiply(cos((1, 0), (1,), 0.02), mono(x0, p0, y1))
+         + mono(p0, p0, p0).scale(0.05))
+    N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]], h=h)
+    b01 = const(0.01) + cos((1, 1), (0,), 0.005)
+    N.beta = [[const(0.02) + cos((1, 0), (0,), 0.01), b01],
+              [b01.copy(), const(-0.03) + cos((0, 1), (0,), 0.01)]]
+    N.Gamma = [[cos((1, 0), (0,), 0.02)],
+               [const(0.01) + cos((0, 1), (0,), 0.01)]]
+    N.M = [[const(-1.0) + cos((1, -1), (0,), 0.05)]]
+    wit = effective_diophantine_constant([GOLDEN], 0.1, 3)
+    phix = [coordinate(gr, 1.0, 1.0, "x", 0) + cos((1, 0), (1,), 1e-3)
+            + multiply(cos((0, 0), (1,), 2e-3), mono(y0)),
+            coordinate(gr, 1.0, 1.0, "x", 1) + cos((0, 1), (2,), 1e-3)
+            + multiply(cos((1, 0), (1,), 1e-3), mono(x0))]
+    terms = (sigma_cos((0, 1, 0), EPS) + sigma_cos((1, 0, 1), EPS)
+             + sigma_cos((1, 1, 1), 0.5 * EPS, powers=(0, 1, 0)))
+    f = shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
+    return N, f, phix, wit
+
+
+class TestGridSolveMatchesPointwise:
+    """The glued solve against the outputs of the construction run one grid
+    point at a time, as it stood at commit 9373ffe: tests/data/cohom_case_*
+    hold alpha, v and F (to_json_dict), Nbar (tuple_to_json) and the
+    diagnostics, gzipped.  Series must agree to 1e-14 of their largest
+    coefficient, the diagnostics to 1e-12."""
+
+    def check(self, sol, f, name):
+        with gzip.open(DATA / name, "rt") as fh:
+            want = json.load(fh)
+        f_scale = f.max_abs_coeff()
+
+        def close(got, ref, scale=None):
+            ref = from_json_dict(ref)
+            if scale is None:
+                scale = ref.max_abs_coeff() if ref.terms else 0.0
+            gap = got - ref
+            assert (gap.max_abs_coeff() if gap.terms else 0.0) \
+                <= 1e-14 * scale
+
+        for key in ("alpha", "v"):
+            for got, ref in zip(getattr(sol, key), want[key]):
+                close(got, ref)
+        close(sol.F, want["F"])
+        nbar = tuple_to_json(sol.Nbar)
+        for key in ("c", "h"):
+            close(getattr(sol.Nbar, key), want["Nbar"][key])
+        # the defect slot is what is left of an exact cancellation (its
+        # largest coefficient is at the rounding level of f), so its scale is
+        # the equation's: the largest coefficient of f
+        close(sol.Nbar.g, want["Nbar"]["g"], f_scale)
+        for key in ("beta", "Gamma", "M", "Q"):
+            for row, ref_row in zip(getattr(sol.Nbar, key), want["Nbar"][key]):
+                for got, ref in zip(row, ref_row):
+                    close(got, ref)
+        assert nbar["w"] == want["Nbar"]["w"]
+        diag = want["diagnostics"]
+        assert sol.max_condition == pytest.approx(diag["max_condition"],
+                                                  rel=1e-12)
+        # the other diagnostics are rounding-level sizes of an equation
+        # whose scale is f
+        for key in ("zero_mode_obstruction", "projection_defect",
+                    "linear_defect", "residual_plateau", "residual_tracker"):
+            assert abs(getattr(sol, key) - diag[key]) \
+                <= 1e-12 * max(abs(diag[key]), f_scale)
+
+    def test_rung_two_of_coupled_run(self, monkeypatch):
+        # the second rung's solve of the eps = 1e-4 q-coupled problem, with
+        # the inputs kam_step passes it after rung 1
+        gr, N0, f0 = q_coupled_problem()
+        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+        cfg = IterateConfig()
+        sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
+                               cfg.n_max, cfg.lambda_cfg)
+        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
+                             f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+        st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
+
+        def capture(*args, **kwargs):
+            raise _Captured(args, kwargs)
+        monkeypatch.setattr(driver, "solve_cohomological", capture)
+        with pytest.raises(_Captured) as got:
+            kam_step(st1, sched.rows[1], wit, N0=N0)
+        args, kwargs = got.value.args
+        sol = solve_cohomological(*args, **kwargs)
+        self.check(sol, args[1], "cohom_case_a.json.gz")
+
+    def test_l2_nonzero_beta(self):
+        N, f, phix, wit = l2_nonzero_beta_problem()
+        sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                  delta_plus=0.03, grid_size=16)
+        self.check(sol, f, "cohom_case_b.json.gz")
+
+    def test_l2_varying_tuple(self):
+        N, f, phix, wit = l2_varying_tuple_problem()
+        sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                  delta_plus=0.03, grid_size=16)
+        self.check(sol, f, "cohom_case_c.json.gz")
+
+    def test_asymmetric_beta_names_grid_point(self):
+        N, f, phix, wit = l2_nonzero_beta_problem()
+        gr = f.grading
+        N.beta[0][1] = N.beta[0][1] + FTSeries.cos_angle(
+            gr, 1.0, 1.0, (1, 0), (0,), 1e-6)
+        with pytest.raises(CohomologyError, match="phi="):
+            solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                delta_plus=0.03, grid_size=16)
+
+
+class TestRungFailureWrappers:
+    """A numerical failure inside a rung ends the run with a reason; any
+    other exception is a bug and propagates out of iterate."""
+
+    @pytest.mark.parametrize("target, numerical, reason", [
+        ("solve_cohomological", CohomologyError("ill-conditioned"),
+         "linearized conjugacy solve failed"),
+        ("map_from_generator", SymplecticityError("bracket residual"),
+         "generator flow failed"),
+        ("lie_tail_integral", GeneratorTooLargeError("not converged"),
+         "error-term transport failed")])
+    def test_numerical_failure_recorded(self, monkeypatch, target, numerical,
+                                        reason):
+        def fails(*args, **kwargs):
+            raise numerical
+        monkeypatch.setattr(driver, target, fails)
+        gr, N0, f0 = flagship_problem(K=8)
+        state, hist = iterate(N0, f0, IterateConfig())
+        assert hist["failure"]["n"] == 0
+        assert reason in hist["failure"]["reason"]
+
+    @pytest.mark.parametrize("target", ["solve_cohomological",
+                                        "map_from_generator",
+                                        "lie_tail_integral"])
+    def test_bug_propagates(self, monkeypatch, target):
+        def broken(*args, **kwargs):
+            raise TypeError("not a numerical failure")
+        monkeypatch.setattr(driver, target, broken)
+        gr, N0, f0 = flagship_problem(K=8)
+        with pytest.raises(TypeError):
+            iterate(N0, f0, IterateConfig())
 
 
 class TestZeta:

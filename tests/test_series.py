@@ -235,6 +235,23 @@ class TestMajorant:
         assert majorant_norm(prod) <= majorant_norm(f) * majorant_norm(g) + 1e-12
 
 
+class TestWithRadii:
+    def test_relabels_without_copying_coefficients(self, g11, rng):
+        f = random_real_series(g11, 1, 1, rng)
+        g = f.with_radii(0.8, 0.9)
+        assert (g.r, g.s) == (0.8, 0.9)
+        assert g.terms == f.terms
+        assert majorant_norm(g) == pytest.approx(majorant_norm(f, 0.8, 0.9))
+
+    def test_radii_may_only_shrink(self, g11):
+        f = FTSeries.constant(g11, 0.8, 0.9, 1.0)
+        assert f.with_radii(0.8, 0.9).r == 0.8
+        with pytest.raises(ValueError, match="cannot grow"):
+            f.with_radii(1.0, 0.9)
+        with pytest.raises(ValueError, match="cannot grow"):
+            f.with_radii(0.8, 1.0)
+
+
 class TestCkNorm:
     def test_constant(self, g11):
         f = FTSeries.constant(g11, 1, 1, 2.0)

@@ -200,6 +200,17 @@ class TestL2:
             solve_L2([FTSeries.zero(g11, 1, 1)], [FTSeries.zero(g11, 1, 1)],
                      beta, fake, 8)
 
+    def test_stacked_violation_names_entry(self, g11):
+        # a stack of per-point matrices: only the entry that breaks the
+        # precondition is named
+        fake = DiophantineWitness(np.array([0.3]), 0.1, 0.5, 8)
+        beta = np.array([[[-0.5]], [[0.0]], [[0.9]], [[0.9]]])
+        with pytest.raises(SolverPreconditionError,
+                           match="stack entry 2") as err:
+            solve_L2([FTSeries.zero(g11, 1, 1)], [FTSeries.zero(g11, 1, 1)],
+                     beta, fake, 8)
+        assert err.value.entry == 2
+
 
 class TestL3:
     def test_zero_maps_to_zero(self, g11):
