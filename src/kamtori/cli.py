@@ -264,9 +264,12 @@ def _pipeline(cfg):
     torus.grad_norm = info["grad_norm"]
     artifacts = {}
     hist_path = outputs.get("history_path", "history.json")
-    hist_out = [{k: _jsonable(v) for k, v in row.items()
+    # the rung's norms, and what the truncated ring dropped and kept
+    hist_out = [{k: _jsonable(v) for k, v in {**row.get("measures", {}),
+                                               **row}.items()
                  if k in ("n", "r", "s", "eps_measured", "alpha_norm",
-                          "f_norm", "conjugacy_residual")}
+                          "f_norm", "conjugacy_residual", "f_plus_trunc_loss",
+                          "phi_trunc_loss", "f_plus_terms", "phi_terms")}
                 for row in history["steps"]]
     _write_json(hist_path, hist_out)
     artifacts["history"] = hist_path

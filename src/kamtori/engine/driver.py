@@ -233,6 +233,11 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     fp_norm = c2_norm(f_plus)
     target = eps ** 1.5
     measures["f_plus_c2"] = fp_norm
+    # what the truncated ring dropped on the way, and how large it grew
+    measures["f_plus_trunc_loss"] = f_plus.trunc_loss
+    measures["phi_trunc_loss"] = max(u.trunc_loss for u in Phi_plus.components())
+    measures["f_plus_terms"] = len(f_plus.terms)
+    measures["phi_terms"] = sum(len(u.terms) for u in Phi_plus.components())
     measures["f_plus_target"] = target
     alpha_new = [state.alpha[i].with_radii(r_plus, s_plus)
                  + sol.alpha[i].with_radii(r_plus, s_plus) for i in range(gr.l)]
@@ -388,7 +393,8 @@ def _history_row(state, res):
            "conjugacy_residual": state.norms.get("conjugacy_residual")}
     if res is not None:
         row["measures"] = {k: (bool(v) if isinstance(v, (bool, np.bool_))
-                               else float(v) if isinstance(v, (int, float, np.floating))
+                               else int(v) if isinstance(v, (int, np.integer))
+                               else float(v) if isinstance(v, (float, np.floating))
                                else v)
                            for k, v in res.measures.items()}
         row["step_ok"] = res.ok

@@ -97,12 +97,15 @@ def extract_torus(state, phi0):
             if defect > 1e-9 * max(1.0, u.max_abs_coeff()):
                 raise ValueError("embedding component lost reality symmetry "
                                  "(defect %.3g)" % defect)
-    dist = 0.0
-    gr = state.grading
-    for q0 in _qgrid(gr.d, 32):
-        vec = [evaluate(u, q=q0) for comps in emb.values() for u in comps]
-        dist = max(dist, float(np.linalg.norm(vec)))
+    qs = _qgrid(state.grading.d, 32)
+    vec = _evaluate_all([u for comps in emb.values() for u in comps], q=qs)
+    dist = float(np.linalg.norm(vec, axis=1).max())
     return TorusResult(phi0=phi0, embedding=emb, distance_to_trivial=dist)
+
+
+def _evaluate_all(series, **points):
+    """(points, series) array of every series evaluated on the same points."""
+    return np.stack([evaluate(u, **points) for u in series], axis=-1)
 
 
 def _qgrid(d, n):
@@ -125,17 +128,12 @@ def verify_invariance(H, embedding, omega, grid_n=64):
                       embedding["uy"])
     comps = uq + ux + up + uy
     # D emb . omega: identity part contributes omega on the q-rows
-    derivs = [[differentiate(u, ("q", j)) for j in range(d)] for u in comps]
-    worst = 0.0
-    for q0 in _qgrid(d, grid_n):
-        qv = q0 + np.array([evaluate(u, q=q0) for u in uq])
-        xv = np.array([evaluate(u, q=q0) for u in ux])
-        pv = np.array([evaluate(u, q=q0) for u in up])
-        yv = np.array([evaluate(u, q=q0) for u in uy])
-        X = np.array([evaluate(f, q=qv, x=xv, p=pv, y=yv) for f in fields])
-        D = np.array([[evaluate(derivs[i][j], q=q0) for j in range(d)]
-                      for i in range(len(comps))])
-        flow = D @ omega
-        flow[:d] += omega
-        worst = max(worst, float(np.linalg.norm(X - flow)))
-    return worst
+    derivs = [differentiate(u, ("q", j)) for u in comps for j in range(d)]
+    qs = _qgrid(d, grid_n)
+    qv = qs + _evaluate_all(uq, q=qs)
+    X = _evaluate_all(fields, q=qv, x=_evaluate_all(ux, q=qs),
+                      p=_evaluate_all(up, q=qs), y=_evaluate_all(uy, q=qs))
+    D = _evaluate_all(derivs, q=qs).reshape(len(qs), len(comps), d)
+    flow = D @ omega
+    flow[:, :d] += omega
+    return float(np.linalg.norm(X - flow, axis=1).max())

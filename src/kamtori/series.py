@@ -12,7 +12,8 @@ functions keep the reality symmetry c[-j,-k,a] = conj(c[j,k,a]).
 
 Series are immutable by convention: all operations return new instances.
 Terms that fall outside the grading bounds (or below the pruning floor) are
-dropped and their majorant mass is accumulated in ``trunc_loss``.
+dropped and their majorant mass is accumulated in ``trunc_loss``.  Products
+run through per-grading index-pair tables (``_Plan``) on per-dict ``_arrays``.
 
 A coefficient may also be a length-B complex array: the series then stands
 for B series with one shared key set (one per parameter grid point in the
@@ -21,6 +22,8 @@ they are; the reductions (pruning, ``max_abs_coeff``, ``majorant_norm``) act
 per entry, and ``trunc_loss`` bounds the loss of every entry.
 """
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -64,7 +67,65 @@ class Grading:
 
 
 def _l1(t):
-    return sum(abs(v) for v in t)
+    return sum(map(abs, t))
+
+
+class _Ball:
+    """The integer vectors of |v|_1 <= K (Taylor exponents: v >= 0) in
+    lexicographic order, with their norms."""
+
+    def __init__(self, dim, K, signed):
+        self.K, self.lo = K, -K if signed else 0
+        pts = np.indices((K - self.lo + 1,) * dim).reshape(dim, -1).T + self.lo
+        self.pts = pts = pts[np.abs(pts).sum(axis=1) <= K]
+        self.keys = [tuple(v) for v in pts.tolist()]
+        self.index = {v: i for i, v in enumerate(self.keys)}
+        self.norm = np.abs(pts).sum(axis=1)
+
+    @functools.cached_property
+    def sums(self):
+        """Tables of pairwise sums, built on first use: the index of v_a + v_b
+        (-1 outside the ball) and its norm, for every (a, b)."""
+        pts, lo = self.pts, self.lo
+        sums = pts[:, None, :] + pts[None, :, :]
+        # mixed-radix codes of sums (digits v - 2 lo in [0, 2 (K - lo)]),
+        # increasing in the lexicographic order of pts
+        radix = (2 * (self.K - lo) + 1) ** np.arange(pts.shape[1] - 1, -1, -1)
+        codes = (pts - 2 * lo) @ radix
+        sum_codes = (sums - 2 * lo) @ radix
+        at = np.searchsorted(codes, sum_codes).clip(max=len(codes) - 1)
+        return np.where(codes[at] == sum_codes, at, -1), np.abs(sums).sum(axis=2)
+
+
+class _Plan:
+    """The product plan of a grading: its phi-mode, q-mode and Taylor balls
+    J, K, T; lower[p][t], the index of a - e_p for the Taylor exponent a of
+    t; and the output slots, slot = (j NK + k) NT + t for ball indices j, k,
+    t."""
+
+    def __init__(self, gr):
+        J, K, T = self.J, self.K, self.T = (_Ball(gr.l, gr.K_phi, True),
+                                            _Ball(gr.d, gr.K_q, True),
+                                            _Ball(gr.nz, gr.D, False))
+        self.NK, self.NT = len(K.keys), len(T.keys)
+        self.lower = [np.array([T.index.get(a[:p] + (a[p] - 1,) + a[p + 1:], -1)
+                                for a in T.keys]) for p in range(gr.nz)]
+
+    @functools.cached_property
+    def slots(self):
+        """The balls' sum tables scaled to output slots; a sum outside a ball
+        gets a sentinel that keeps the slot of any pair involving it negative."""
+        out = -len(self.J.keys) * self.NK * self.NT
+        return [np.where(b.sums[0] >= 0, b.sums[0] * scale, out) for b, scale
+                in ((self.J, self.NK * self.NT), (self.K, self.NT), (self.T, 1))]
+
+    def weight(self, ij, ik, it, r, s):
+        """Majorant weights e^{(|j|+|k|) r} s^|a| of terms."""
+        return np.exp((self.J.norm[ij] + self.K.norm[ik]) * r) \
+            * s ** self.T.norm[it].astype(float)
+
+
+_plan = functools.lru_cache(maxsize=None)(_Plan)
 
 
 def _is_batched(f):
@@ -77,12 +138,33 @@ def _coef_matrix(values):
     values = list(values)
     try:
         return np.stack(values).astype(complex, copy=False)
-    except ValueError:
+    except ValueError:  # plain numbers among the rows
         width = next(len(c) for c in values if type(c) is np.ndarray)
-        out = np.empty((len(values), width), dtype=complex)
-        for i, c in enumerate(values):
-            out[i] = c
-        return out
+        return np.stack([np.broadcast_to(c, width) for c in values]).astype(complex)
+
+
+class _Terms(dict):
+    """A series' coefficient dict; ``arrays`` holds its index arrays (see
+    ``_arrays``) once built, and every write drops them, so they cannot be
+    read stale."""
+
+    arrays = None
+
+    def _dropping(write):
+        def method(self, *args, **kwargs):
+            self.arrays = None
+            return write(self, *args, **kwargs)
+        return method
+
+    __setitem__ = _dropping(dict.__setitem__)
+    __delitem__ = _dropping(dict.__delitem__)
+    __ior__ = _dropping(dict.__ior__)
+    clear = _dropping(dict.clear)
+    pop = _dropping(dict.pop)
+    popitem = _dropping(dict.popitem)
+    setdefault = _dropping(dict.setdefault)
+    update = _dropping(dict.update)
+    del _dropping
 
 
 class GradingError(ValueError):
@@ -96,7 +178,7 @@ class RealityError(ValueError):
 class FTSeries:
     """One truncated Fourier-Taylor series with its domain radii."""
 
-    __slots__ = ("grading", "r", "s", "terms", "trunc_loss", "_kcache")
+    __slots__ = ("grading", "r", "s", "_terms", "trunc_loss")
 
     def __init__(self, grading, r, s, terms=None, trunc_loss=0.0, _raw=False):
         if not (r > 0 and s > 0):
@@ -105,15 +187,20 @@ class FTSeries:
         self.r = float(r)
         self.s = float(s)
         self.trunc_loss = float(trunc_loss)
-        self._kcache = None
         if _raw:
-            self.terms = terms if terms is not None else {}
+            # a _Terms is shared (with_radii), a plain dict wrapped once
+            self._terms = terms if type(terms) is _Terms else _Terms(terms or ())
             return
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                self._accumulate(key, c)
+        self._terms = {}
+        for key, c in (terms or {}).items():
+            self._accumulate(key, c)
+        self._terms = _Terms(self._terms)
         self._prune()
+
+    @property
+    def terms(self):
+        """The coefficient dict {(j, k, a): c}."""
+        return self._terms
 
     # -- construction helpers -------------------------------------------------
 
@@ -123,13 +210,12 @@ class FTSeries:
 
     @classmethod
     def constant(cls, grading, r, s, value):
-        new = cls.zero(grading, r, s)
         if isinstance(value, np.ndarray):
-            if value.any():
-                new.terms[grading.zero_key()] = value.astype(complex)
-        elif value != 0:
-            new.terms[grading.zero_key()] = complex(value)
-        return new
+            terms = {grading.zero_key(): value.astype(complex)} \
+                if value.any() else {}
+        else:
+            terms = {grading.zero_key(): complex(value)} if value != 0 else {}
+        return cls(grading, r, s, terms, _raw=True)
 
     @classmethod
     def term(cls, grading, r, s, j, k, alpha, coeff):
@@ -138,29 +224,24 @@ class FTSeries:
     @classmethod
     def cos_angle(cls, grading, r, s, j, k, amplitude=1.0):
         """amplitude * cos(j.phi + k.q) as the conjugate mode pair."""
-        j, k = tuple(j), tuple(k)
-        a = (0,) * grading.nz
-        jm = tuple(-v for v in j)
-        km = tuple(-v for v in k)
-        half = 0.5 * amplitude
-        new = cls.zero(grading, r, s)
-        new._accumulate((j, k, a), half)
-        new._accumulate((jm, km, a), half)
-        return new
+        return cls._mode_pair(grading, r, s, j, k, 0.5 * amplitude,
+                              0.5 * amplitude)
 
     @classmethod
     def sin_angle(cls, grading, r, s, j, k, amplitude=1.0):
-        j, k = tuple(j), tuple(k)
+        return cls._mode_pair(grading, r, s, j, k, -0.5j * amplitude,
+                              0.5j * amplitude)
+
+    @classmethod
+    def _mode_pair(cls, grading, r, s, j, k, c, c_minus):
         a = (0,) * grading.nz
-        jm = tuple(-v for v in j)
-        km = tuple(-v for v in k)
         new = cls.zero(grading, r, s)
-        new._accumulate((j, k, a), -0.5j * amplitude)
-        new._accumulate((jm, km, a), 0.5j * amplitude)
+        new._accumulate((tuple(j), tuple(k), a), c)
+        new._accumulate((tuple(-v for v in j), tuple(-v for v in k), a), c_minus)
         return new
 
     def copy(self):
-        return FTSeries(self.grading, self.r, self.s, dict(self.terms),
+        return FTSeries(self.grading, self.r, self.s, _Terms(self.terms),
                         self.trunc_loss, _raw=True)
 
     def with_radii(self, r, s):
@@ -172,59 +253,32 @@ class FTSeries:
 
     # -- internal accumulation with bound checks -------------------------------
 
-    def _weight(self, key):
-        j, k, a = key
-        return math.exp((_l1(j) + _l1(k)) * self.r) * self.s ** _l1(a)
-
     def _accumulate(self, key, c):
         g = self.grading
         j, k, a = key
         if _l1(j) > g.K_phi or _l1(k) > g.K_q or _l1(a) > g.D:
-            mag = abs(c)
-            if isinstance(mag, np.ndarray):
-                mag = float(mag.max())
-            self.trunc_loss += mag * self._weight(key)
+            self.trunc_loss += float(np.max(np.abs(c))) * math.exp(
+                (_l1(j) + _l1(k)) * self.r) * self.s ** _l1(a)
             return
         cur = self.terms.get(key)
         self.terms[key] = c if cur is None else cur + c
 
     def _prune(self, floor=PRUNE_FLOOR, rel=REL_PRUNE):
-        if _is_batched(self):
-            self._prune_entries(floor, rel)
+        terms = self.terms
+        if not terms:
             return
-        if rel:
-            floor = max(floor, rel * max((abs(c) for c in self.terms.values()),
-                                         default=0.0))
-        if not self.terms:
+        ij, ik, it, coef = _arrays(self)
+        keep, kept, loss = _prune_arrays(_plan(self.grading), ij, ik, it, coef,
+                                         self.r, self.s, floor, rel)
+        self.trunc_loss += loss
+        if kept is coef and keep.all():
             return
-        dead = [key for key, c in self.terms.items() if abs(c) <= floor]
-        for key in dead:
-            self.trunc_loss += abs(self.terms[key]) * self._weight(key)
-            del self.terms[key]
-
-    def _prune_entries(self, floor, rel):
-        """_prune of a batched series: each entry against its own floor; a
-        key goes once all its entries are zero."""
-        keys = list(self.terms)
-        coef = _coef_matrix(self.terms.values())
-        mag = np.abs(coef)
-        if rel:
-            floor = np.maximum(floor, rel * mag.max(axis=0))
-        dead = mag <= floor
-        drop = dead.all(axis=1)
-        rows = np.flatnonzero(drop | (dead & (mag > 0.0)).any(axis=1))
-        if not len(rows):
-            return
-        weight = np.array([self._weight(keys[i]) for i in rows])
-        loss = (np.where(dead[rows], mag[rows], 0.0) * weight[:, None]).sum(axis=0)
-        self.trunc_loss += float(loss.max())
-        coef[dead] = 0.0
-        for i in rows:
-            if drop[i]:
-                del self.terms[keys[i]]
-            else:
-                # a copy, so the surviving rows do not keep all of coef alive
-                self.terms[keys[i]] = coef[i].copy()
+        keys = list(terms)
+        pruned = _from_arrays(self, [keys[i] for i in np.flatnonzero(keep)],
+                              (ij[keep], ik[keep], it[keep], kept[keep]), 0.0)
+        dict.clear(terms)
+        dict.update(terms, pruned.terms)
+        terms.arrays = pruned.terms.arrays
 
     def _check_compat(self, other):
         if self.grading != other.grading:
@@ -239,20 +293,21 @@ class FTSeries:
         if isinstance(other, (int, float, complex, np.ndarray)):
             other = FTSeries.constant(self.grading, self.r, self.s, other)
         self._check_compat(other)
-        new = self.copy()
-        new.trunc_loss += other.trunc_loss
+        terms = dict(self.terms)
         for key, c in other.terms.items():
-            cur = new.terms.get(key)
-            new.terms[key] = c if cur is None else cur + c
+            cur = terms.get(key)
+            terms[key] = c if cur is None else cur + c
+        new = FTSeries(self.grading, self.r, self.s, terms,
+                       self.trunc_loss + other.trunc_loss, _raw=True)
         new._prune()
         return new
 
     __radd__ = __add__
 
     def __neg__(self):
-        new = self.copy()
-        new.terms = {key: -c for key, c in new.terms.items()}
-        return new
+        return FTSeries(self.grading, self.r, self.s,
+                        {key: -c for key, c in self.terms.items()},
+                        self.trunc_loss, _raw=True)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -264,14 +319,11 @@ class FTSeries:
 
     def scale(self, c):
         """Multiply by a number, or entry-wise by a length-B array."""
-        new = self.copy()
         mag = float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
-        if mag == 0:
-            new.terms = {}
-            return new
-        new.terms = {key: v * c for key, v in new.terms.items()}
-        new.trunc_loss *= mag
-        return new
+        terms = {key: v * c for key, v in self.terms.items()} if mag else {}
+        # the loss of a series scaled to zero is kept, not scaled
+        return FTSeries(self.grading, self.r, self.s, terms,
+                        self.trunc_loss * (mag or 1.0), _raw=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -313,126 +365,127 @@ class FTSeries:
 # -- operations ------------------------------------------------------------------
 
 
-_VECTOR_THRESHOLD = 4096
-# array coefficients make every pair of the plain loop cost numpy calls, so
-# batched products switch to the vectorized path much earlier
-_BATCH_VECTOR_THRESHOLD = 64
+def _arrays(f):
+    """(phi-mode, q-mode and Taylor indices, coefficients) of f's terms in
+    the order of f.terms: the operands of the product kernel.  Built once
+    per coefficient dict (_Terms drops them on any write)."""
+    terms = f.terms
+    if terms.arrays is None:
+        plan = _plan(f.grading)
+        try:
+            idx = [np.fromiter(map(ball.index.__getitem__, part), np.intp,
+                               len(terms)) for ball, part in
+                   zip((plan.J, plan.K, plan.T), list(zip(*terms)) or [()] * 3)]
+        except KeyError as exc:
+            raise GradingError("term outside the grading: %s" % (exc,)) from None
+        coef = _coef_matrix(terms.values()) if _is_batched(f) \
+            else np.fromiter(terms.values(), complex, len(terms))
+        if coef.ndim == 2:  # the stacked rows become the values: held once
+            dict.update(terms, zip(list(terms), coef))
+        terms.arrays = (*idx, coef)
+    return terms.arrays
 
 
-def _keys_to_arrays(f):
-    # cached per instance: series are immutable once they enter arithmetic
-    if f._kcache is not None and f._kcache[0] == len(f.terms):
-        return f._kcache[1], f._kcache[2]
-    gr = f.grading
-    n = len(f.terms)
-    width = gr.l + gr.d + gr.nz
-    keys = np.empty((n, width), dtype=np.int64)
-    batched = _is_batched(f)
-    coef = _coef_matrix(f.terms.values()) if batched \
-        else np.empty(n, dtype=complex)
-    for i, ((j, k, a), c) in enumerate(f.terms.items()):
-        keys[i, :gr.l] = j
-        keys[i, gr.l:gr.l + gr.d] = k
-        keys[i, gr.l + gr.d:] = a
-        if not batched:
-            coef[i] = c
-    f._kcache = (n, keys, coef)
-    return keys, coef
-
-
-def _multiply_vectorized(f, g):
-    gr = f.grading
-    l, d = gr.l, gr.d
-    A, ca = _keys_to_arrays(f)
-    B, cb = _keys_to_arrays(g)
-    keys = (A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1])
-    batched = ca.ndim == 2 or cb.ndim == 2
-    if batched:
-        ca = ca.reshape(len(ca), -1)
-        cb = cb.reshape(len(cb), -1)
-        coef = (ca[:, None, :] * cb[None, :, :]).reshape(len(keys), -1)
-    else:
-        coef = (ca[:, None] * cb[None, :]).reshape(-1)
-    absj = np.abs(keys[:, :l]).sum(axis=1)
-    absk = np.abs(keys[:, l:l + d]).sum(axis=1)
-    absa = keys[:, l + d:].sum(axis=1)
-    ok = (absj <= gr.K_phi) & (absk <= gr.K_q) & (absa <= gr.D)
-    loss = 0.0
-    if not ok.all():
-        bad = ~ok
-        # per entry for batched coefficients (pairs along the last axis)
-        loss = float(np.max((np.abs(coef[bad]).T
-                             * np.exp((absj[bad] + absk[bad]) * f.r)
-                             * f.s ** absa[bad].astype(float)).sum(axis=-1)))
-    keys, coef = keys[ok], coef[ok]
-    # pack each in-bounds key into one integer for a fast 1-d unique
-    # (balanced mixed radix; injective since every slot covers its range)
-    mults = np.empty(A.shape[1], dtype=np.int64)
-    m = 1
-    for col in range(A.shape[1] - 1, -1, -1):
-        mults[col] = m
-        rng = (2 * gr.K_phi + 1) if col < l else \
-              (2 * gr.K_q + 1) if col < l + d else (gr.D + 1)
-        m *= rng
-        if m > 2 ** 62:
-            break
-    if m > 2 ** 62:
-        uniq, first, inv = np.unique(keys, axis=0, return_index=True,
-                                     return_inverse=True)
-    else:
-        packed = keys @ mults
-        uniq, first, inv = np.unique(packed, return_index=True,
-                                     return_inverse=True)
-    acc = np.zeros((len(uniq),) + coef.shape[1:], dtype=complex)
-    np.add.at(acc, inv.reshape(-1), coef)
-    new = FTSeries.zero(gr, f.r, f.s)
-    new.trunc_loss = loss
-    nonzero = acc.any(axis=1) if batched else acc != 0.0
-    rows = keys[first].tolist()
-    for i, row in enumerate(rows):
-        if nonzero[i]:
-            new.terms[(tuple(row[:l]), tuple(row[l:l + d]),
-                       tuple(row[l + d:]))] = acc[i]
+def _from_arrays(f, keys, arrays, trunc_loss):
+    """A series on f's grading and radii with these keys and arrays."""
+    values = list(arrays[3]) if arrays[3].ndim == 2 else arrays[3].tolist()
+    new = FTSeries(f.grading, f.r, f.s, zip(keys, values), trunc_loss, _raw=True)
+    new.terms.arrays = arrays
     return new
+
+
+def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
+                  rel=REL_PRUNE):
+    """The prune floors on a series' arrays: an entry at or below
+    max(floor, rel x its largest) is dropped and its majorant added to the
+    loss (each entry of a batched series against its own floor, zeroed in a
+    row that keeps others).  Returns (rows kept, coefficients, loss); the
+    coefficients are coef itself when no entry was zeroed."""
+    mag = np.abs(coef)
+    dead = mag <= np.maximum(floor, rel * mag.max(axis=0, initial=0.0))
+    if not dead.any():
+        return ~dead if coef.ndim == 1 else ~dead[:, 0], coef, 0.0
+    lost = dead & (mag > 0.0)
+    rows = np.flatnonzero(lost.any(axis=1) if coef.ndim == 2 else lost)
+    loss = 0.0
+    if len(rows):
+        w = plan.weight(ij[rows], ik[rows], it[rows], r, s)
+        pruned = np.where(dead[rows], mag[rows], 0.0)
+        loss = float(np.max((pruned.T * w).sum(axis=-1)))
+        if coef.ndim == 2:
+            coef = np.where(dead, 0.0, coef)
+    return ~(dead.all(axis=1) if coef.ndim == 2 else dead), coef, loss
 
 
 def multiply(f, g):
-    """Coefficient-level product; out-of-grading terms are dropped into trunc_loss."""
+    """Coefficient-level product; out-of-grading terms are dropped into trunc_loss.
+
+    Every pair of terms finds its output slot in the grading's sum tables;
+    pairs outside the grading add their majorant to trunc_loss, the rest
+    accumulate per slot, and the prune floors act on the accumulated array
+    before the product's dict is built."""
     f._check_compat(g)
-    gr = f.grading
-    n, m = len(f.terms), len(g.terms)
-    if n == 0 or m == 0:
-        return FTSeries.zero(gr, f.r, f.s)
-    batched = _is_batched(f) or _is_batched(g)
-    if n * m > (_BATCH_VECTOR_THRESHOLD if batched else _VECTOR_THRESHOLD):
-        new = _multiply_vectorized(f, g)
-    else:
-        new = FTSeries.zero(gr, f.r, f.s)
-        fitems = sorted(f.terms.items())
-        gitems = sorted(g.terms.items())
-        if len(fitems) > len(gitems):
-            fitems, gitems = gitems, fitems
-        for (j1, k1, a1), c1 in fitems:
-            for (j2, k2, a2), c2 in gitems:
-                j = tuple(u + v for u, v in zip(j1, j2))
-                k = tuple(u + v for u, v in zip(k1, k2))
-                a = tuple(u + v for u, v in zip(a1, a2))
-                new._accumulate((j, k, a), c1 * c2)
+    loss = 0.0
     # propagate the operands' own accumulated loss through the product scale
     if f.trunc_loss or g.trunc_loss:
-        new.trunc_loss += float(np.max(f.trunc_loss * g.majorant_norm()
-                                       + g.trunc_loss * f.majorant_norm()
-                                       + f.trunc_loss * g.trunc_loss))
-    new._prune()
-    return new
+        loss = float(np.max(f.trunc_loss * g.majorant_norm()
+                            + g.trunc_loss * f.majorant_norm()
+                            + f.trunc_loss * g.trunc_loss))
+    if not f.terms or not g.terms:
+        return FTSeries(f.grading, f.r, f.s, {}, loss, _raw=True)
+    plan = _plan(f.grading)
+    J, K, T = plan.J, plan.K, plan.T
+    fj, fk, ft, fc = _arrays(f)
+    gj, gk, gt, gc = _arrays(g)
+    js, ks, ts = plan.slots
+    slot = js[fj].take(gj, axis=1)
+    slot += ks[fk].take(gk, axis=1)
+    slot += ts[ft].take(gt, axis=1)
+    out = slot < 0
+    if out.any():
+        # sum over out-of-grading pairs of |c_a| |c_b| e^{(|j|+|k|) r} s^deg
+        w = np.exp(J.sums[1] * f.r)[fj].take(gj, axis=1)
+        w *= np.exp(K.sums[1] * f.r)[fk].take(gk, axis=1)
+        w *= out
+        mf = np.abs(fc).reshape(len(fc), -1) * f.s ** T.norm[ft, None].astype(float)
+        mg = np.abs(gc).reshape(len(gc), -1) * f.s ** T.norm[gt, None].astype(float)
+        loss += float(np.max((mf * (w @ mg)).sum(axis=0)))  # per entry if batched
+    batched = fc.ndim == 2 or gc.ndim == 2
+    if batched:
+        # the in-grading pairs in slot order; pairs sharing a slot are summed
+        pairs = np.flatnonzero(~out.ravel())
+        pairs = pairs[np.argsort(slot.ravel()[pairs], kind="stable")]
+        slot = slot.ravel()[pairs]
+        pf, pg = np.divmod(pairs, len(gc))
+        coef = fc.reshape(len(fc), -1)[pf] * gc.reshape(len(gc), -1)[pg]
+        first = np.flatnonzero(np.diff(slot, prepend=-1))
+        acc = coef if len(first) == len(slot) \
+            else np.add.reduceat(coef, first, axis=0)
+        slot = slot[first]
+    else:
+        # out-of-grading pairs land in bin 0; only the hit slots go on
+        coef = (fc[:, None] * gc).ravel()
+        pos = slot.reshape(-1)
+        np.maximum(pos, -1, out=pos)
+        pos += 1
+        re, im = np.bincount(pos, coef.real), np.bincount(pos, coef.imag)
+        re[0] = im[0] = 0.0
+        hit = np.flatnonzero((re != 0.0) | (im != 0.0))
+        acc, slot = re[hit] + 1j * im[hit], hit - 1
+    NK, NT = plan.NK, plan.NT
+    ij, ik, it = slot // (NK * NT), slot // NT % NK, slot % NT
+    keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s)
+    arrays = (ij, ik, it, acc) if keep.all() else \
+        (ij[keep], ik[keep], it[keep], acc[keep])
+    keys = [(J.keys[a], K.keys[b], T.keys[c])
+            for a, b, c in zip(*(v.tolist() for v in arrays[:3]))]
+    return _from_arrays(f, keys, arrays, loss + pruned)
 
 
 def ft_sum(grading, r, s, parts, scales=None):
     """Sum many series into one pass (avoids quadratic re-copying)."""
-    acc = {}
-    loss = 0.0
-    for idx, p in enumerate(parts):
-        w = 1.0 if scales is None else scales[idx]
+    acc, loss = {}, 0.0
+    for p, w in zip(parts, itertools.repeat(1.0) if scales is None else scales):
         if w == 0.0:
             continue
         loss += p.trunc_loss * abs(w)
@@ -449,57 +502,44 @@ def differentiate(f, var):
     """Exact term-wise derivative.  var is ('phi'|'q'|'x'|'p'|'y', index)."""
     name, i = var
     g = f.grading
-    new = FTSeries.zero(g, f.r, f.s)
-    new.trunc_loss = f.trunc_loss
-    if name in ("phi", "q"):
-        if name == "phi":
-            if not 0 <= i < g.l:
-                raise IndexError("phi index out of range")
-        else:
-            if not 0 <= i < g.d:
-                raise IndexError("q index out of range")
-        for (j, k, a), c in f.terms.items():
-            n = j[i] if name == "phi" else k[i]
-            if n:
-                new.terms[(j, k, a)] = c * 1j * n
-        return new
-    off = {"x": 0, "p": g.l, "y": g.l + g.d}[name]
-    dim = {"x": g.l, "p": g.d, "y": g.l}[name]
-    if not 0 <= i < dim:
+    if not 0 <= i < {"phi": g.l, "q": g.d, "x": g.l, "p": g.d, "y": g.l}[name]:
         raise IndexError("%s index out of range" % name)
-    pos = off + i
-    for (j, k, a), c in f.terms.items():
-        n = a[pos]
-        if n:
-            a2 = a[:pos] + (n - 1,) + a[pos + 1:]
-            key = (j, k, a2)
-            cur = new.terms.get(key)
-            val = c * n
-            new.terms[key] = val if cur is None else cur + val
-    return new
+    plan = _plan(g)
+    ij, ik, it, coef = _arrays(f)
+    if name in ("phi", "q"):
+        n = plan.J.pts[ij, i] if name == "phi" else plan.K.pts[ik, i]
+        factor = 1j * n
+    else:
+        pos = {"x": 0, "p": g.l, "y": g.l + g.d}[name] + i
+        n = factor = plan.T.pts[it, pos]
+        it = plan.lower[pos][it]
+    live = n != 0
+    keys = itertools.compress(f.terms, live.tolist())
+    ij, ik, it, factor = ij[live], ik[live], it[live], factor[live]
+    if name not in ("phi", "q"):
+        keys = [(j, k, plan.T.keys[t]) for (j, k, _), t in zip(keys, it.tolist())]
+    coef = coef[live]
+    coef *= factor[:, None] if coef.ndim == 2 else factor
+    return _from_arrays(f, keys, (ij, ik, it, coef), f.trunc_loss)
 
 
 def average_q(f):
     """Retain the k = 0 angle modes (the q-average M_q f)."""
     zero_k = (0,) * f.grading.d
-    new = FTSeries.zero(f.grading, f.r, f.s)
-    new.trunc_loss = f.trunc_loss
-    for (j, k, a), c in f.terms.items():
-        if k == zero_k:
-            new.terms[(j, k, a)] = c
-    return new
+    return FTSeries(f.grading, f.r, f.s,
+                    {key: c for key, c in f.terms.items() if key[1] == zero_k},
+                    f.trunc_loss, _raw=True)
 
 
 def partial_omega(f, omega):
     """Directional angle derivative <omega, d_q f>: each mode gains i<omega,k>."""
     omega = np.asarray(omega, dtype=float)
-    new = FTSeries.zero(f.grading, f.r, f.s)
-    new.trunc_loss = f.trunc_loss
+    terms = {}
     for (j, k, a), c in f.terms.items():
         dot = float(np.dot(omega, k))
         if dot != 0.0:
-            new.terms[(j, k, a)] = c * 1j * dot
-    return new
+            terms[(j, k, a)] = c * 1j * dot
+    return FTSeries(f.grading, f.r, f.s, terms, f.trunc_loss, _raw=True)
 
 
 def truncate_fourier(f, K, sigma):
@@ -511,16 +551,15 @@ def truncate_fourier(f, K, sigma):
     """
     if not 0 < sigma < f.r:
         raise ValueError("need 0 < sigma < r")
-    new = FTSeries.zero(f.grading, f.r, f.s)
-    new.trunc_loss = f.trunc_loss
+    terms = {}
     tail = 0.0
     rs = f.r - sigma
     for (j, k, a), c in sorted(f.terms.items()):
         if _l1(k) > K:
             tail += abs(c) * math.exp((_l1(j) + _l1(k)) * rs) * f.s ** _l1(a)
         else:
-            new.terms[(j, k, a)] = c
-    return new, tail
+            terms[(j, k, a)] = c
+    return FTSeries(f.grading, f.r, f.s, terms, f.trunc_loss, _raw=True), tail
 
 
 def majorant_norm(f, r=None, s=None):
@@ -531,29 +570,14 @@ def majorant_norm(f, r=None, s=None):
     s = f.s if s is None else s
     if r > f.r * (1 + 1e-12) or s > f.s * (1 + 1e-12):
         raise ValueError("majorant radii exceed stored domain")
-    if len(f.terms) > 256:
-        gr = f.grading
-        keys, coef = _keys_to_arrays(f)
-        ang = np.abs(keys[:, :gr.l + gr.d]).sum(axis=1)
-        deg = keys[:, gr.l + gr.d:].sum(axis=1).astype(float)
-        weight = np.exp(ang * r) * s ** deg
-        if coef.ndim == 2:
-            return (np.abs(coef) * weight[:, None]).sum(axis=0)
-        return float(np.sum(np.abs(coef) * weight))
-    total = 0.0
-    for (j, k, a), c in f.terms.items():
-        total += abs(c) * math.exp((_l1(j) + _l1(k)) * r) * s ** _l1(a)
-    return total
+    ij, ik, it, coef = _arrays(f)
+    weight = _plan(f.grading).weight(ij, ik, it, r, s)
+    if coef.ndim == 2:
+        return (np.abs(coef) * weight[:, None]).sum(axis=0)
+    return float(np.sum(np.abs(coef) * weight))
 
 
 FTSeries.majorant_norm = majorant_norm
-
-
-def _phi_multi_indices(l, kmax):
-    out = [()]
-    for _ in range(l):
-        out = [t + (n,) for t in out for n in range(kmax + 1)]
-    return [t for t in out if sum(t) <= kmax]
 
 
 def ck_norm_estimate(f, k1, k2, r=None, s=None):
@@ -564,58 +588,58 @@ def ck_norm_estimate(f, k1, k2, r=None, s=None):
     if k1 < 0 or k2 < 0:
         raise ValueError("derivative orders must be >= 0")
     g = f.grading
-    total = 0.0
-    # enumerate phi-derivatives first, then (q,x,p,y)-derivatives of each
     phi_vars = [("phi", i) for i in range(g.l)]
     zvars = ([("q", i) for i in range(g.d)] + [("x", i) for i in range(g.l)]
              + [("p", i) for i in range(g.d)] + [("y", i) for i in range(g.l)])
 
-    def expand(series, vars_, depth, start, visit):
-        visit(series)
-        if depth == 0:
-            return
-        for idx in range(start, len(vars_)):
-            dv = differentiate(series, vars_[idx])
-            expand(dv, vars_, depth - 1, idx, visit)
+    def derivatives(series, vars_, depth, start=0):
+        # derivatives commute; non-decreasing variable sequences give each
+        # multi-index once
+        yield series
+        for idx in range(start, len(vars_)) if depth else ():
+            yield from derivatives(differentiate(series, vars_[idx]), vars_,
+                                   depth - 1, idx)
 
-    # derivatives commute; enumerate non-decreasing variable sequences so each
-    # multi-index appears once
-    sums = []
-
-    def visit_phi(sphi):
-        def visit_z(sz):
-            sums.append(majorant_norm(sz, r, s))
-        expand(sphi, zvars, k2, 0, visit_z)
-
-    expand(f, phi_vars, k1, 0, visit_phi)
-    for v in sums:
-        total += v
+    total = 0.0
+    for sphi in derivatives(f, phi_vars, k1):
+        for sz in derivatives(sphi, zvars, k2):
+            total += majorant_norm(sz, r, s)
     return total
 
 
 def evaluate(f, phi=None, q=None, x=None, p=None, y=None):
-    """Numerically evaluate the finite sum at a real point (defaults: zero)."""
+    """Numerically evaluate the finite sum at real points (defaults: zero).
+
+    Each argument's last axis holds its variables (a scalar is one variable);
+    leading axes index points and broadcast against each other.  One point
+    gives a float, several an array of the points' shape."""
     g = f.grading
-
-    def arr(v, n):
-        return np.zeros(n) if v is None else np.asarray(v, dtype=float).reshape(n)
-
-    phi, q = arr(phi, g.l), arr(q, g.d)
-    x, p, y = arr(x, g.l), arr(p, g.d), arr(y, g.l)
-    zvals = np.concatenate([x, p, y])
-    total = 0.0 + 0.0j
-    for (j, k, a), c in f.terms.items():
-        phase = np.dot(j, phi) + np.dot(k, q)
-        mono = 1.0
-        for base, expo in zip(zvals, a):
-            if expo:
-                mono *= base ** expo
-        total += c * np.exp(1j * phase) * mono
-    scale = majorant_norm(f)
-    if abs(total.imag) > 1e-12 * max(scale, 1e-300):
+    args = [np.zeros(n) if v is None else
+            np.asarray(v, dtype=float).reshape(np.shape(v)[:-1] + (n,))
+            for v, n in zip((phi, q, x, p, y), (g.l, g.d, g.l, g.d, g.l))]
+    shape = np.broadcast_shapes(*(v.shape[:-1] for v in args))
+    phi, q, x, p, y = (np.broadcast_to(v, shape + v.shape[-1:])
+                       .reshape(-1, v.shape[-1]) for v in args)
+    total = np.zeros(len(phi), dtype=complex)
+    if f.terms:
+        # sum_{mode, monomial} e^{i mode} C[mode, monomial] z^monomial over
+        # the modes and monomials f uses
+        plan = _plan(g)
+        ij, ik, it, coef = _arrays(f)
+        modes, im = np.unique(ij * plan.NK + ik, return_inverse=True)
+        monos, it = np.unique(it, return_inverse=True)
+        C = np.zeros((len(modes), len(monos)), dtype=complex)
+        C[im, it] = coef
+        phase = phi @ plan.J.pts[modes // plan.NK].T \
+            + q @ plan.K.pts[modes % plan.NK].T
+        z = np.concatenate([x, p, y], axis=1)
+        zpow = np.prod(z[:, None, :] ** plan.T.pts[monos], axis=2)
+        total = ((np.exp(1j * phase) @ C) * zpow).sum(axis=1)
+    residue = float(np.abs(total.imag).max())
+    if residue > 1e-12 * max(majorant_norm(f), 1e-300):
         raise RealityError("imaginary residue %.3g exceeds tolerance (series not real?)"
-                           % abs(total.imag))
-    return total.real
+                           % residue)
+    return total.real.reshape(shape) if shape else float(total.real[0])
 
 
 # -- degree split -----------------------------------------------------------------
@@ -644,110 +668,87 @@ class TaylorSplit:
     def reassemble(self):
         """Inverse of taylor_split: a + b.z + 1/2 <d z, z> + remainder, coefficient-exact."""
         g = self.a.grading
-        total = self.a.copy()
+        terms = dict(self.a.terms)
 
-        def pos_of(block, i):
-            return {"x": 0, "p": g.l, "y": g.l + g.d}[block] + i
+        def add(key, c):
+            cur = terms.get(key)
+            terms[key] = c if cur is None else cur + c
 
-        def addterm(key, c):
-            cur = total.terms.get(key)
-            total.terms[key] = c if cur is None else cur + c
-
-        def put(src, positions, factor):
-            for (j, k, _a), c in src.terms.items():
-                key = [0] * g.nz
-                for pos in positions:
-                    key[pos] += 1
-                addterm((j, k, tuple(key)), c * factor)
-
-        for blk, vecs, dim in (("x", self.b_x, g.l), ("p", self.b_p, g.d),
-                               ("y", self.b_y, g.l)):
-            for i in range(dim):
-                put(vecs[i], [pos_of(blk, i)], 1.0)
-        # diagonal blocks: 1/2 <d_xx x, x> = sum_i d_xx[i][i]/2 x_i^2
-        #                                    + sum_{i<j} d_xx[i][j] x_i x_j
-        for blk, mat, dim in (("x", self.d_xx, g.l), ("p", self.d_pp, g.d),
-                              ("y", self.d_yy, g.l)):
-            for i in range(dim):
-                put(mat[i][i], [pos_of(blk, i)] * 2, 0.5)
-                for jj in range(i + 1, dim):
-                    put(mat[i][jj], [pos_of(blk, i), pos_of(blk, jj)], 1.0)
-        # cross blocks carry the full monomial coefficient once
-        for i in range(g.l):
-            for jj in range(g.l):
-                put(self.d_xy[i][jj], [pos_of("x", i), pos_of("y", jj)], 1.0)
-        for i in range(g.d):
-            for jj in range(g.l):
-                put(self.d_px[i][jj], [pos_of("p", i), pos_of("x", jj)], 1.0)
-                put(self.d_py[i][jj], [pos_of("p", i), pos_of("y", jj)], 1.0)
+        for field, i, jj, alpha, factor in _split_plan(g)[0]:
+            entry = getattr(self, field)[i]
+            for (j, k, _a), c in (entry[jj] if field[0] == "d" else entry).terms.items():
+                add((j, k, alpha), c * (1.0 / factor))
         for key, c in self.remainder.terms.items():
-            addterm(key, c)
+            add(key, c)
+        total = FTSeries(g, self.a.r, self.a.s, terms, self.a.trunc_loss,
+                         _raw=True)
         total._prune(0.0)
         return total
 
 
+@functools.lru_cache(maxsize=None)
+def _split_plan(g):
+    """The TaylorSplit entries of degrees 1 and 2 in reassembly order, as
+    (field, i, j, exponent, factor): the entry holds factor x the
+    coefficient of that exponent; and for each exponent of degree <= 2 the
+    entries (field, i, j, factor) taylor_split fills from it."""
+    dims = {"x": g.l, "p": g.d, "y": g.l}
+    position = {v: p for p, v in enumerate(
+        (n, i) for n in "xpy" for i in range(dims[n]))}
+
+    def alpha(*variables):
+        a = [0] * g.nz
+        for v in variables:
+            a[position[v]] += 1
+        return tuple(a)
+
+    entries = [("b_" + n, i, 0, alpha((n, i)), 1.0)
+               for n in "xpy" for i in range(dims[n])]
+    # diagonal blocks: 1/2 <d_xx x, x> = sum_i d_xx[i][i]/2 x_i^2
+    #                                    + sum_{i<j} d_xx[i][j] x_i x_j
+    entries += [("d_" + 2 * n, i, jj, alpha((n, i), (n, jj)), 2.0 if i == jj else 1.0)
+                for n in "xpy" for i in range(dims[n]) for jj in range(i, dims[n])]
+    # cross blocks carry the full monomial coefficient once
+    entries += [("d_xy", i, jj, alpha(("x", i), ("y", jj)), 1.0)
+                for i in range(g.l) for jj in range(g.l)]
+    entries += [("d_p" + n, i, jj, alpha(("p", i), (n, jj)), 1.0)
+                for i in range(g.d) for jj in range(g.l) for n in "xy"]
+    fills = {(0,) * g.nz: [("a", 0, 0, 1.0)]}
+    for field, i, jj, a, factor in entries:
+        fills.setdefault(a, []).append((field, i, jj, factor))
+        if field in ("d_xx", "d_pp", "d_yy") and i != jj:
+            fills[a].append((field, jj, i, factor))
+    return entries, fills
+
+
 def taylor_split(f):
     g = f.grading
-    r, s = f.r, f.s
-
-    def grid(n, m):
-        return [[FTSeries.zero(g, r, s) for _ in range(m)] for _ in range(n)]
-
-    a = FTSeries.zero(g, r, s)
-    b_x = [FTSeries.zero(g, r, s) for _ in range(g.l)]
-    b_p = [FTSeries.zero(g, r, s) for _ in range(g.d)]
-    b_y = [FTSeries.zero(g, r, s) for _ in range(g.l)]
-    d_xx, d_pp, d_yy = grid(g.l, g.l), grid(g.d, g.d), grid(g.l, g.l)
-    d_xy, d_px, d_py = grid(g.l, g.l), grid(g.d, g.l), grid(g.d, g.l)
-    rem = FTSeries.zero(g, r, s)
+    fills = _split_plan(g)[1]
     zero_a = (0,) * g.nz
-
-    def var_of(pos):
-        if pos < g.l:
-            return ("x", pos)
-        if pos < g.l + g.d:
-            return ("p", pos - g.l)
-        return ("y", pos - g.l - g.d)
-
+    parts, rem = {}, {}   # parts[(field, i, j)]: the terms of one entry
     for (j, k, alpha), c in f.terms.items():
-        deg = _l1(alpha)
+        if alpha not in fills:
+            rem[(j, k, alpha)] = c
+            continue
         key0 = (j, k, zero_a)
-        if deg == 0:
-            a.terms[key0] = a.terms.get(key0, 0.0) + c
-        elif deg == 1:
-            pos = next(i for i, v in enumerate(alpha) if v)
-            name, i = var_of(pos)
-            tgt = {"x": b_x, "p": b_p, "y": b_y}[name][i]
-            tgt.terms[key0] = tgt.terms.get(key0, 0.0) + c
-        elif deg == 2:
-            nz = [i for i, v in enumerate(alpha) if v]
-            if len(nz) == 1:
-                pa = pb = nz[0]
-            else:
-                pa, pb = nz
-            na, ia = var_of(pa)
-            nb, ib = var_of(pb)
-            if (na, nb) in (("x", "x"), ("p", "p"), ("y", "y")):
-                mat = {"x": d_xx, "p": d_pp, "y": d_yy}[na]
-                if pa == pb:
-                    mat[ia][ia].terms[key0] = mat[ia][ia].terms.get(key0, 0.0) + 2 * c
-                else:
-                    mat[ia][ib].terms[key0] = mat[ia][ib].terms.get(key0, 0.0) + c
-                    mat[ib][ia].terms[key0] = mat[ib][ia].terms.get(key0, 0.0) + c
-            else:
-                pairs = {("x", "y"): (d_xy, False), ("p", "x"): (d_px, False),
-                         ("p", "y"): (d_py, False)}
-                if (na, nb) in pairs:
-                    mat, _ = pairs[(na, nb)]
-                    mat[ia][ib].terms[key0] = mat[ia][ib].terms.get(key0, 0.0) + c
-                else:
-                    mat, _ = pairs[(nb, na)]
-                    mat[ib][ia].terms[key0] = mat[ib][ia].terms.get(key0, 0.0) + c
-        else:
-            rem.terms[(j, k, alpha)] = c
-    for series in [a] + b_x + b_p + b_y + [rem]:
+        for field, i, jj, factor in fills[alpha]:
+            terms = parts.setdefault((field, i, jj), {})
+            terms[key0] = terms.get(key0, 0.0) + (c if factor == 1.0
+                                                  else factor * c)
+    new = lambda field, i=0, jj=0: FTSeries(g, f.r, f.s,
+                                            parts.get((field, i, jj)), _raw=True)
+    dims = {"x": g.l, "p": g.d, "y": g.l}
+    blocks = {"a": new("a"),
+              "remainder": FTSeries(g, f.r, f.s, rem, _raw=True)}
+    for n in "xpy":
+        blocks["b_" + n] = [new("b_" + n, i) for i in range(dims[n])]
+    for m, n in ("xx", "pp", "yy", "xy", "px", "py"):
+        blocks["d_" + m + n] = [[new("d_" + m + n, i, jj) for jj in range(dims[n])]
+                                for i in range(dims[m])]
+    for series in ([blocks["a"], blocks["remainder"]] + blocks["b_x"]
+                   + blocks["b_p"] + blocks["b_y"]):
         series._prune(0.0)
-    return TaylorSplit(a, b_x, b_p, b_y, d_xx, d_pp, d_yy, d_xy, d_px, d_py, rem)
+    return TaylorSplit(**blocks)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -770,10 +771,9 @@ def to_json_dict(f):
 def from_json_dict(data):
     gd = data["grading"]
     g = Grading(gd["d"], gd["l"], gd["K_q"], gd["K_phi"], gd["D"])
-    new = FTSeries.zero(g, data["radii"][0], data["radii"][1])
-    for t in data["terms"]:
-        new.terms[(tuple(t["j"]), tuple(t["k"]), tuple(t["alpha"]))] = complex(t["re"], t["im"])
-    return new
+    return FTSeries(g, data["radii"][0], data["radii"][1],
+                    {(tuple(t["j"]), tuple(t["k"]), tuple(t["alpha"])):
+                     complex(t["re"], t["im"]) for t in data["terms"]}, _raw=True)
 
 
 def dumps(f):

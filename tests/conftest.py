@@ -32,6 +32,8 @@ def random_real_series(grading, r, s, rng, n_modes=6, max_k=3, max_phi=2,
         for _ in range(deg):
             alpha[int(rng.integers(0, grading.nz))] += 1
         c = complex(rng.standard_normal(), rng.standard_normal()) * scale
+        if sum(map(abs, j)) > grading.K_phi or sum(map(abs, k)) > grading.K_q:
+            continue  # a mode outside the grading is no term of the ring
         key = (j, k, tuple(alpha))
         mirror = (tuple(-v for v in j), tuple(-v for v in k), tuple(alpha))
         f.terms[key] = f.terms.get(key, 0.0) + c

@@ -374,6 +374,7 @@ def test_criterion_8_bump_plateaus():
            % (dev1, dev2, ratio))
 
 
+@pytest.mark.slow
 def test_criterion_9_two_amplitude_embedding_scaling():
     # The claim is the one-sided bound |emb - trivial| = O(|f0|^(1/2)): the
     # constant dist / sqrt(|f0|) may not grow as the amplitude drops tenfold
@@ -403,6 +404,7 @@ def test_criterion_9_two_amplitude_embedding_scaling():
               "holds" if bound_ok else "fails"))
 
 
+@pytest.mark.slow
 def test_criterion_10_reduction_and_full_run():
     rng = np.random.default_rng(101)
     red = unimodular_completion([(1, 1, -1)])

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kamtori.series as series_mod
 from kamtori.series import (FTSeries, Grading, differentiate, majorant_norm,
                             multiply, taylor_split)
 from kamtori.smalldiv import effective_diophantine_constant, solve_L1, solve_L2
@@ -75,10 +74,14 @@ def assert_entries(got, want, rtol=0.0):
             assert gap <= rtol * scale, (b, key, mine.get(key), ref.get(key))
 
 
+# two size classes of products through the one kernel
+SMALL_PAIRS = 64
+
+
 @PROPS
 @given(batched(max_terms=6), batched(max_terms=6))
-def test_multiply_loop_path(f, g):
-    assert len(f.terms) * len(g.terms) <= series_mod._BATCH_VECTOR_THRESHOLD
+def test_multiply_small_products(f, g):
+    assert len(f.terms) * len(g.terms) <= SMALL_PAIRS
     assert_entries(multiply(f, g),
                    [multiply(entry(f, b), entry(g, b)) for b in range(NB)])
 
@@ -86,8 +89,8 @@ def test_multiply_loop_path(f, g):
 @PROPS
 @given(batched(min_terms=9, max_terms=20, scalar_share=0.2),
        batched(min_terms=9, max_terms=20))
-def test_multiply_vectorized_path(f, g):
-    assert len(f.terms) * len(g.terms) > series_mod._BATCH_VECTOR_THRESHOLD
+def test_multiply_large_products(f, g):
+    assert len(f.terms) * len(g.terms) > SMALL_PAIRS
     assert_entries(multiply(f, g),
                    [multiply(entry(f, b), entry(g, b)) for b in range(NB)])
 
@@ -193,7 +196,6 @@ def test_prune_per_entry(keys, data):
 @settings(max_examples=15, deadline=None)
 @given(batched(min_terms=1, max_terms=300, scalar_share=0.1))
 def test_max_abs_coeff_and_majorant_norm(f):
-    # more than 256 terms takes majorant_norm's vectorized path
     got_max = np.broadcast_to(f.max_abs_coeff(), (NB,))
     got_norm = np.broadcast_to(majorant_norm(f, 0.9, 0.8), (NB,))
     for b in range(NB):

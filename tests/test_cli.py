@@ -98,6 +98,12 @@ class TestRun:
         assert "invariance residual" in out
         hist = json.loads((tmp_path / "history.json").read_text())
         assert hist[0]["n"] == 1
+        # each rung reports what the truncated ring dropped and kept
+        for row in hist:
+            for key in ("f_plus_trunc_loss", "phi_trunc_loss"):
+                assert np.isfinite(row[key]) and row[key] >= 0.0
+            for key in ("f_plus_terms", "phi_terms"):
+                assert isinstance(row[key], int) and row[key] >= 0
         torus = json.loads((tmp_path / "torus.json").read_text())
         assert torus["residual"] <= 1e-8
         csv = (tmp_path / "zeta.csv").read_text().splitlines()

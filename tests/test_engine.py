@@ -17,14 +17,16 @@ from kamtori.engine.driver import (IterateConfig, IterationState,
                                    StepFailure, c2_norm, conjugacy_residual)
 from kamtori.normalform import (assemble_hamiltonian, const_matrix,
                                 eval_phi_series, initial_tuple, tuple_to_json)
-from kamtori.series import (FTSeries, Grading, average_q, differentiate,
-                            evaluate, from_json_dict, majorant_norm, multiply,
-                            taylor_split)
+from kamtori.engine.torus import _qgrid
+from kamtori.series import (FTSeries, Grading, RealityError, average_q,
+                            differentiate, evaluate, from_json_dict,
+                            majorant_norm, multiply, taylor_split)
 from kamtori.smalldiv import effective_diophantine_constant
 from kamtori.symplectic import (GeneratorTooLargeError, SymplecticityError,
                                 identity_map, poisson_bracket, series_compose,
-                                shifted_parametrization, sigma_cos)
-from conftest import GOLDEN
+                                shifted_parametrization, sigma_cos,
+                                vector_field)
+from conftest import GOLDEN, random_real_series
 
 EPS = 1e-4
 DATA = pathlib.Path(__file__).parent / "data"
@@ -60,6 +62,14 @@ def flagship_run():
 @pytest.fixture(scope="module")
 def coupled_run():
     gr, N0, f0 = q_coupled_problem()
+    state, hist = iterate(N0, f0, IterateConfig(target_tol=1e-13))
+    return gr, N0, f0, state, hist
+
+
+@pytest.fixture(scope="module")
+def coupled_run_small():
+    """The q-coupled problem at eps = 1e-5 (two rungs)."""
+    gr, N0, f0 = q_coupled_problem(eps=1e-5)
     state, hist = iterate(N0, f0, IterateConfig(target_tol=1e-13))
     return gr, N0, f0, state, hist
 
@@ -324,11 +334,13 @@ class TestIterate:
         with pytest.raises(KeyError):
             iterate(N0, f0, IterateConfig())
 
+    @pytest.mark.slow
     def test_coupled_run_converges(self, coupled_run):
         gr, N0, f0, state, hist = coupled_run
         assert hist["failure"] is None
         assert state.norms["f_c2"] <= 1e-13
 
+    @pytest.mark.slow
     def test_contraction_measured(self, coupled_run):
         gr, N0, f0, state, hist = coupled_run
         norms = [c2_norm(f0)] + [row["f_norm"] for row in hist["steps"]]
@@ -338,6 +350,7 @@ class TestIterate:
                 continue
             assert math.log(b) / math.log(a) >= 1.4
 
+    @pytest.mark.slow
     def test_conjugacy_identity_within_budget(self, coupled_run):
         gr, N0, f0, state, hist = coupled_run
         for row in hist["steps"]:
@@ -348,6 +361,7 @@ class TestIterate:
                       + m["cohom_residual_plateau"] + 1e-10 * c2_norm(f0))
             assert resid <= 10 * budget + 1e-12
 
+    @pytest.mark.slow
     def test_counter_term_telescoping(self, coupled_run):
         gr, N0, f0, state, hist = coupled_run
         for row in hist["steps"]:
@@ -356,6 +370,7 @@ class TestIterate:
 
 
 class TestComposeByLieTransport:
+    @pytest.mark.slow
     def test_rung_two_matches_substitution(self):
         # rung 2 of the q-coupled run is its first composition of two maps
         # that are not the identity; the oracle is the Taylor substitution
@@ -693,6 +708,7 @@ class TestCounterTermDiagnostics:
         assert diag.beta_relation_gap <= 1e-8
         assert diag.L_dev <= 1e-8 and diag.R_dev <= 1e-8
 
+    @pytest.mark.slow
     def test_beta_relation_after_coupled_run(self, coupled_run):
         gr, N0, f0, state, hist = coupled_run
         diag = check_beta_relation(state, N0.beta, 1.0)
@@ -701,6 +717,7 @@ class TestCounterTermDiagnostics:
         assert diag.L_dev <= 1e-2 and diag.R_dev <= 1e-2
 
 
+@pytest.mark.slow
 class TestToleranceMonotonicity:
     def test_residual_improves_with_tighter_target(self):
         gr, N0, f0 = q_coupled_problem(eps=1e-5)
@@ -807,3 +824,143 @@ class TestDiagnosticsShapesTwoAngles:
         d2 = check_beta_relation(st0, N0.beta, 1.0)
         assert d2.beta_relation_gap == 0.0
         assert d2.L_dev == 0.0 and d2.R_dev == 0.0
+
+
+@pytest.mark.slow
+class TestCoupledRunMatchesRecorded:
+    """The eps = 1e-5 q-coupled run against its outputs recorded at commit
+    7ba84e1, before products ran through the index-pair tables:
+    tests/data/coupled_run_eps1e-5.json.gz holds the final f, every Phi
+    component (to_json_dict) and the per-rung norms."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        with gzip.open(DATA / "coupled_run_eps1e-5.json.gz", "rt") as fh:
+            return json.load(fh)
+
+    def test_series(self, coupled_run_small, recorded):
+        gr, N0, f0, state, hist = coupled_run_small
+        assert hist["failure"] is None
+        pairs = [(state.f, recorded["f"])] + list(
+            zip(state.Phi.components(), recorded["Phi"]))
+        for got, ref in pairs:
+            ref = from_json_dict(ref)
+            assert set(got.terms) == set(ref.terms)
+            gap = got - ref
+            assert (gap.max_abs_coeff() if gap.terms else 0.0) \
+                <= 1e-14 * ref.max_abs_coeff()
+
+    def test_rung_norms(self, coupled_run_small, recorded):
+        steps = coupled_run_small[4]["steps"]
+        assert len(steps) == len(recorded["steps"])
+        for got, ref in zip(steps, recorded["steps"]):
+            assert got["n"] == ref["n"]
+            for key in ("f_norm", "alpha_norm"):
+                assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0.0)
+
+    def test_truncation_measures_reported(self, coupled_run_small):
+        for row in coupled_run_small[4]["steps"]:
+            m = row["measures"]
+            for key in ("f_plus_trunc_loss", "phi_trunc_loss"):
+                assert math.isfinite(m[key]) and m[key] >= 0.0
+            for key in ("f_plus_terms", "phi_terms"):
+                assert m[key] == int(m[key]) and m[key] > 0
+        # the map of the last rung holds every term of its four components
+        state = coupled_run_small[3]
+        last = coupled_run_small[4]["steps"][-1]["measures"]
+        assert last["phi_terms"] == sum(len(u.terms)
+                                        for u in state.Phi.components())
+        assert last["f_plus_terms"] == len(state.f.terms)
+
+
+def evaluate_terms(f, q, x=(0.0,), p=(0.0,), y=(0.0,)):
+    """A parameter-free series at one point, summed term by term."""
+    z = np.concatenate([np.broadcast_to(x, f.grading.l),
+                        np.broadcast_to(p, f.grading.d),
+                        np.broadcast_to(y, f.grading.l)])
+    total = sum(c * np.exp(1j * np.dot(k, q)) * np.prod(z ** np.array(a))
+                for (j, k, a), c in f.terms.items())
+    return complex(total).real
+
+
+def verify_pointwise(H, embedding, omega, grid_n):
+    """verify_invariance one grid point and one series at a time."""
+    d = H.grading.d
+    qd, xd, pd, yd = vector_field(H)
+    fields = qd + xd + pd + yd
+    uq, ux, up, uy = (embedding[key] for key in ("uq", "ux", "up", "uy"))
+    comps = uq + ux + up + uy
+    derivs = [[differentiate(u, ("q", j)) for j in range(d)] for u in comps]
+    worst, scale = 0.0, 0.0
+    for q0 in _qgrid(d, grid_n):
+        qv = q0 + np.array([evaluate_terms(u, q0) for u in uq])
+        xv = np.array([evaluate_terms(u, q0) for u in ux])
+        pv = np.array([evaluate_terms(u, q0) for u in up])
+        yv = np.array([evaluate_terms(u, q0) for u in uy])
+        X = np.array([evaluate_terms(f, qv, xv, pv, yv) for f in fields])
+        D = np.array([[evaluate_terms(derivs[i][j], q0) for j in range(d)]
+                      for i in range(len(comps))])
+        flow = D @ omega
+        flow[:d] += omega
+        worst = max(worst, float(np.linalg.norm(X - flow)))
+        scale = max(scale, float(np.linalg.norm(X)))
+    return worst, scale
+
+
+class TestGridEvaluation:
+    """Series are evaluated on the whole verification grid at once; the
+    result must be the point-by-point one."""
+
+    def check(self, H, emb, omega, grid_n):
+        omega = np.asarray(omega, dtype=float)
+        got = verify_invariance(H, emb, omega, grid_n)
+        want, scale = verify_pointwise(H, emb, omega, grid_n)
+        # relative to the residual, or to the field when the residual is the
+        # rounding left of a cancellation
+        assert abs(got - want) <= 1e-14 * max(want, scale)
+        return got
+
+    def test_flagship(self, flagship_run):
+        gr, N0, f0, state, hist = flagship_run
+        H0 = assemble_hamiltonian(N0) + f0
+        phi0, _ = find_vanishing_point(compute_zeta(state, H0), state.alpha,
+                                       state.N.beta)
+        tor = extract_torus(state, phi0)
+        self.check(freeze_phi(H0, phi0), tor.embedding, [GOLDEN], 64)
+
+    @pytest.mark.slow
+    def test_coupled(self, coupled_run_small):
+        gr, N0, f0, state, hist = coupled_run_small
+        H0 = assemble_hamiltonian(N0) + f0
+        phi0, _ = find_vanishing_point(compute_zeta(state, H0), state.alpha,
+                                       state.N.beta)
+        tor = extract_torus(state, phi0)
+        assert self.check(freeze_phi(H0, phi0), tor.embedding, [GOLDEN],
+                          64) > 0.0
+        comps = [u for us in tor.embedding.values() for u in us]
+        dist = max(float(np.linalg.norm([evaluate_terms(u, q0) for u in comps]))
+                   for q0 in _qgrid(gr.d, 32))
+        assert tor.distance_to_trivial == pytest.approx(dist, rel=1e-14,
+                                                        abs=0.0)
+
+    def test_two_angles(self, rng):
+        gr = Grading(d=2, l=1, K_q=4, K_phi=0, D=4)
+        real = lambda **kw: random_real_series(gr, 1, 1, rng, max_k=2,
+                                               max_phi=0, **kw)
+        H = real(n_modes=12, max_deg=3)
+        emb = {key: [real(max_deg=0, scale=0.1) for _ in range(n)]
+               for key, n in (("uq", 2), ("ux", 1), ("up", 2), ("uy", 1))}
+        assert self.check(H, emb, [GOLDEN, 1.0], 16) > 1.0
+
+    def test_shapes_and_reality_check(self, rng):
+        gr = Grading(d=2, l=1, K_q=4, K_phi=0, D=4)
+        f = random_real_series(gr, 1, 1, rng, max_k=2, max_phi=0)
+        qs = _qgrid(2, 5).reshape(5, 5, 2)
+        grid = evaluate(f, q=qs, x=[0.1])
+        assert grid.shape == (5, 5)
+        assert grid[2, 3] == pytest.approx(evaluate_terms(f, qs[2, 3], 0.1),
+                                           rel=1e-14, abs=1e-14)
+        assert isinstance(evaluate(f, q=qs[0, 0]), float)
+        f.terms[((0,), (1, 0), (0, 0, 0, 0))] = 1.0j
+        with pytest.raises(RealityError):
+            evaluate(f, q=qs)

@@ -1,0 +1,304 @@
+"""The product kernel against a dict oracle, and the ring identities.
+
+The oracle is the pair loop ``multiply`` ran before the index-pair tables:
+every pair of terms in sorted order, the out-of-grading pairs' majorant added
+to the loss (per entry for batched coefficients), then the dict prune that
+ran with it (per entry for batched coefficients).
+Coefficients are Gaussian integers scaled by powers of two, so products and
+sums are exact in any order and the key sets must agree exactly.
+"""
+
+import functools
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kamtori.series import (PRUNE_FLOOR, REL_PRUNE, FTSeries, Grading, _l1,
+                            ft_sum, majorant_norm, multiply)
+from kamtori.symplectic import poisson_bracket
+
+PROPS = settings(max_examples=40, deadline=None)
+NB = 3
+
+gradings = st.builds(Grading, d=st.integers(1, 2), l=st.integers(1, 2),
+                     K_q=st.integers(1, 3), K_phi=st.integers(0, 2),
+                     D=st.integers(3, 4))
+gauss = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8))
+
+
+@functools.lru_cache(maxsize=None)
+def ball_keys(gr, max_mode=None, max_deg=None):
+    """Every key of the grading (modes and degree optionally capped)."""
+    K_phi = gr.K_phi if max_mode is None else min(gr.K_phi, max_mode)
+    K_q = gr.K_q if max_mode is None else min(gr.K_q, max_mode)
+    D = gr.D if max_deg is None else max_deg
+    ball = lambda dim, K: [v for v in itertools.product(range(-K, K + 1),
+                                                         repeat=dim)
+                           if _l1(v) <= K]
+    taylor = [a for a in itertools.product(range(D + 1), repeat=gr.nz)
+              if sum(a) <= D]
+    return [(j, k, a) for j in ball(gr.l, K_phi) for k in ball(gr.d, K_q)
+            for a in taylor]
+
+
+@st.composite
+def series(draw, gr, radii, batched=False, max_terms=12, exponents=(0, 19),
+           losses=(0.0,), keys=None, min_terms=0):
+    """A series of the grading; a coefficient is a Gaussian integer times
+    2^-e (an NB-array of them when batched, with some plain numbers mixed
+    in).  With exponents of at most 19 every product of two series and its
+    sums stay exact; with exponent 0 alone, every product of three."""
+    keys = draw(st.lists(st.sampled_from(keys or ball_keys(gr)),
+                         min_size=min_terms, max_size=max_terms, unique=True))
+
+    def coef():
+        return draw(gauss) * 2.0 ** -draw(st.sampled_from(exponents))
+    terms = {}
+    for key in keys:
+        if batched and draw(st.floats(0, 1)) < 0.8:
+            terms[key] = np.array([coef() for _ in range(NB)])
+        else:
+            terms[key] = coef()
+    return FTSeries(gr, *radii, terms, draw(st.sampled_from(losses)),
+                    _raw=True)
+
+
+@st.composite
+def group(draw, n, grading=gradings, **kw):
+    """n series of one grading and one pair of radii."""
+    gr = draw(grading)
+    radii = draw(st.sampled_from([(1.0, 1.0), (0.7, 0.9), (0.5, 0.6)]))
+    if "keys" in kw:
+        kw["keys"] = ball_keys(gr, *kw["keys"])
+    return [draw(series(gr, radii, **kw)) for _ in range(n)]
+
+
+def weight(key, r, s):
+    j, k, a = key
+    return math.exp((_l1(j) + _l1(k)) * r) * s ** sum(a)
+
+
+def oracle_majorant(f):
+    total = 0.0
+    for key, c in f.terms.items():
+        total = total + np.abs(c) * weight(key, f.r, f.s)
+    return total
+
+
+def oracle_prune(terms, r, s):
+    """Drop what is at or below max(PRUNE_FLOOR, REL_PRUNE x the largest),
+    each entry of a batched coefficient against its own floor; returns the
+    kept terms and the largest entry's pruned majorant."""
+    if not terms:
+        return {}, 0.0
+    width = max(np.size(c) for c in terms.values())
+    mags = {key: np.broadcast_to(np.abs(c), (width,)) for key, c in terms.items()}
+    floor = np.maximum(PRUNE_FLOOR, REL_PRUNE * np.max(list(mags.values()), axis=0))
+    kept, loss = {}, np.zeros(width)
+    for key, c in terms.items():
+        dead = mags[key] <= floor
+        loss += np.where(dead, mags[key], 0.0) * weight(key, r, s)
+        if not dead.all():
+            kept[key] = c if not dead.any() else np.where(dead, 0.0, c)
+    return kept, float(loss.max())
+
+
+def oracle_multiply(f, g):
+    gr = f.grading
+    # an operand's own loss carries through the product, an empty one too
+    carried = 0.0
+    if f.trunc_loss or g.trunc_loss:
+        carried = float(np.max(
+            f.trunc_loss * oracle_majorant(g) + g.trunc_loss * oracle_majorant(f)
+            + f.trunc_loss * g.trunc_loss))
+    add = lambda u, v: tuple(x + y for x, y in zip(u, v))
+    terms, loss = {}, 0.0
+    for (j1, k1, a1), c1 in sorted(f.terms.items(), key=lambda t: t[0]):
+        for (j2, k2, a2), c2 in sorted(g.terms.items(), key=lambda t: t[0]):
+            j, k, a = add(j1, j2), add(k1, k2), add(a1, a2)
+            if _l1(j) > gr.K_phi or _l1(k) > gr.K_q or sum(a) > gr.D:
+                loss = loss + np.abs(c1 * c2) * weight((j, k, a), f.r, f.s)
+                continue
+            cur = terms.get((j, k, a))
+            terms[(j, k, a)] = c1 * c2 if cur is None else cur + c1 * c2
+    terms, pruned = oracle_prune(terms, f.r, f.s)
+    return FTSeries(gr, f.r, f.s, terms, carried + float(np.max(loss)) + pruned,
+                    _raw=True)
+
+
+def largest(f):
+    return max((float(np.max(np.abs(c))) for c in f.terms.values()),
+               default=0.0)
+
+
+def assert_same(got, want):
+    assert set(got.terms) == set(want.terms)
+    scale = largest(want)
+    for key, c in want.terms.items():
+        assert np.max(np.abs(got.terms[key] - c)) <= 1e-15 * scale, key
+    assert got.trunc_loss == pytest.approx(want.trunc_loss, rel=1e-12, abs=0.0)
+
+
+@PROPS
+@given(group(2, losses=(0.0, 1e-12, 3e-9)))
+def test_multiply_matches_oracle(fg):
+    f, g = fg
+    assert_same(multiply(f, g), oracle_multiply(f, g))
+
+
+@PROPS
+@given(group(2, batched=True, losses=(0.0, 1e-12, 3e-9)))
+def test_multiply_matches_oracle_batched(fg):
+    f, g = fg
+    assert_same(multiply(f, g), oracle_multiply(f, g))
+
+
+@PROPS
+@given(group(1, max_terms=30, exponents=(0,) + tuple(range(44, 58)) + (110,)),
+       st.data(), st.sampled_from([0, 100]), st.booleans())
+def test_prune_floors_match_oracle(f, data, shift, batched):
+    # g is one term, so each output slot gets one exact product: the relative
+    # floor (2e-16 of the largest) and the absolute one (1e-30) decide alone;
+    # exponents 44 to 57 put products on both sides of the relative floor,
+    # and a series shifted by 2^-100 lies near the absolute one
+    f, = f
+    g = data.draw(series(f.grading, (f.r, f.s), min_terms=1, max_terms=1,
+                         exponents=(0, 60)))
+    spread = [1.0, 2.0, 2.0 ** -70] if batched else [1.0]
+    f = FTSeries(f.grading, f.r, f.s,
+                 {key: np.array([c * v * 2.0 ** -shift for v in spread])
+                  if batched else c * 2.0 ** -shift
+                  for key, c in f.terms.items()}, _raw=True)
+    assert_same(multiply(f, g), oracle_multiply(f, g))
+    assert_same(multiply(g, f), oracle_multiply(g, f))
+
+
+def test_prune_floors_at_their_edges():
+    gr = Grading(d=1, l=1, K_q=2, K_phi=2, D=3)
+    one = FTSeries.constant(gr, 1.0, 1.0, 1.0)
+    k0, k1, k2 = ball_keys(gr)[:3]
+    # relative floor 2e-16 of the largest (1.0): 1.5e-16 goes, 3e-16 stays
+    f = FTSeries(gr, 1.0, 1.0, {k0: 1.0, k1: 1.5e-16, k2: 3e-16}, _raw=True)
+    p = multiply(f, one)
+    assert set(p.terms) == {k0, k2}
+    assert p.trunc_loss == pytest.approx(1.5e-16 * weight(k1, 1.0, 1.0),
+                                         rel=1e-15, abs=0.0)
+    # absolute floor 1e-30, above the relative one of a tiny series
+    f = FTSeries(gr, 1.0, 1.0, {k0: 1e-29, k1: 0.9e-30, k2: 1.1e-30},
+                 _raw=True)
+    assert set(multiply(f, one).terms) == {k0, k2}
+
+
+@PROPS
+@given(group(2))
+def test_commutative(fg):
+    f, g = fg
+    assert_same(multiply(f, g), multiply(g, f))
+
+
+@PROPS
+@given(group(3))
+def test_associative_within_recorded_loss(fgh):
+    f, g, h = fgh
+    lhs = multiply(multiply(f, g), h)
+    rhs = multiply(f, multiply(g, h))
+    gap = FTSeries(f.grading, f.r, f.s, {
+        key: lhs.terms.get(key, 0.0) - rhs.terms.get(key, 0.0)
+        for key in set(lhs.terms) | set(rhs.terms)}, _raw=True)
+    slack = 1e-13 * oracle_majorant(f) * oracle_majorant(g) * oracle_majorant(h)
+    assert oracle_majorant(gap) <= lhs.trunc_loss + rhs.trunc_loss + slack
+
+
+# modes |j|, |k| <= 1 and degree <= 2 in a grading with room for every
+# product and bracket below, and integer coefficients: nothing is truncated
+# or rounded, so the identities are exact
+BRACKET_GRADINGS = st.builds(Grading, d=st.integers(1, 2), l=st.integers(1, 2),
+                             K_q=st.just(3), K_phi=st.just(3), D=st.just(5))
+
+
+bracket_triples = group(3, BRACKET_GRADINGS, max_terms=6, keys=(1, 2),
+                        exponents=(0,))
+
+
+def assert_zero(total):
+    assert total.trunc_loss == 0.0
+    assert largest(total) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(bracket_triples)
+def test_poisson_leibniz(fgh):
+    f, g, h = fgh
+    lhs = poisson_bracket(f, multiply(g, h))
+    rhs = ft_sum(f.grading, f.r, f.s, [multiply(poisson_bracket(f, g), h),
+                                       multiply(g, poisson_bracket(f, h))])
+    assert_zero(lhs - rhs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bracket_triples)
+def test_poisson_jacobi(fgh):
+    f, g, h = fgh
+    total = ft_sum(f.grading, f.r, f.s, [
+        poisson_bracket(f, poisson_bracket(g, h)),
+        poisson_bracket(g, poisson_bracket(h, f)),
+        poisson_bracket(h, poisson_bracket(f, g))])
+    assert_zero(total)
+
+
+class TestNoStaleArrays:
+    """A series' index arrays belong to its coefficient dict: writing the
+    dict in place must change what majorant_norm and multiply read."""
+
+    def make(self):
+        gr = Grading(d=1, l=1, K_q=8, K_phi=8, D=4)
+        rng = np.random.default_rng(7)
+        keys = ball_keys(gr)
+        pick = rng.choice(len(keys), 340, replace=False)
+        return FTSeries(gr, 1.0, 1.0, {keys[i]: complex(*rng.standard_normal(2))
+                                       for i in pick}, _raw=True)
+
+    def fresh(self, f):
+        return FTSeries(f.grading, f.r, f.s, dict(f.terms), _raw=True)
+
+    @pytest.mark.parametrize("write", [
+        lambda t, key: t.__setitem__(key, 5.0),
+        lambda t, key: t.__delitem__(key),
+        lambda t, key: t.pop(key),
+        lambda t, key: t.update({key: -3.0}),
+        lambda t, key: t.clear(),
+        lambda t, key: t.popitem(),
+        lambda t, key: t.__ior__({key: 7.0}),
+        lambda t, key: t.setdefault(
+            ((8,), (0,), (0, 0, 0)), 2.0)])
+    def test_in_place_write_is_seen(self, write):
+        f = self.make()
+        g = self.fresh(f)
+        before = majorant_norm(f)
+        prod_before = multiply(f, g)
+        write(f.terms, next(iter(f.terms)))
+        want = majorant_norm(self.fresh(f))
+        assert want != before
+        assert majorant_norm(f) == want
+        assert_same(multiply(f, g), multiply(self.fresh(f), g))
+        assert set(multiply(f, g).terms) != set(prod_before.terms) \
+            or largest(multiply(f, g) - prod_before) > 0
+
+    def test_shared_dict_after_with_radii(self):
+        f = self.make()
+        h = f.with_radii(0.9, 0.9)
+        majorant_norm(h)
+        f.terms[next(iter(f.terms))] = 5.0
+        assert majorant_norm(h) == majorant_norm(self.fresh(f), 0.9, 0.9)
+
+    def test_product_arrays_follow_writes(self):
+        # a product carries the kernel's arrays from birth
+        f = self.make()
+        p = multiply(f, f)
+        key = next(iter(p.terms))
+        p.terms[key] = p.terms[key] + 100.0
+        assert majorant_norm(p) == majorant_norm(self.fresh(p))

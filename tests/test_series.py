@@ -65,7 +65,7 @@ class TestMultiply:
         g = Grading(1, 1, 10, 10, 4)
         f = random_real_series(g, 1, 1, rng, n_modes=60, max_k=5, max_phi=3)
         h = random_real_series(g, 1, 1, rng, n_modes=60, max_k=5, max_phi=3)
-        big = multiply(f, h)           # vectorized path
+        big = multiply(f, h)           # against a sum of one-term products
         acc = FTSeries.zero(g, 1, 1)
         for key, c in f.terms.items():
             piece = FTSeries(g, 1, 1, {key: c}, _raw=True)
