@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 precondition failure, 3 convergence failure, 4 I/O.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -22,12 +23,13 @@ from .engine import (compute_zeta, extract_torus, find_vanishing_point,
                      iterate, verify_invariance)
 from .engine.cohom import freeze_phi
 from .engine.driver import IterateConfig, StepFailure
+from .errors import KamtoriError
 from .normalform import (assemble_hamiltonian, eval_phi_series,
                          initial_tuple, nu_max_profile, phi_grid,
                          phi_grid_size)
 from .series import Grading
 from .smalldiv import effective_diophantine_constant
-from .symplectic import (ReductionError, SigmaTerm, reduce_coordinates,
+from .symplectic import (SigmaTerm, reduce_coordinates,
                          unimodular_completion)
 
 EXIT_OK = 0
@@ -65,13 +67,27 @@ class PreconditionFailure(RuntimeError):
     pass
 
 
+@contextlib.contextmanager
+def _parsing(what):
+    """Turn a missing key, a wrong type or a bad value met while reading
+    `what` into a PreconditionFailure (the named failures pass as they are)."""
+    try:
+        yield
+    except KamtoriError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionFailure("bad %s: %s: %s"
+                                  % (what, type(exc).__name__, exc)) from exc
+
+
 def max_threads():
     """Parallelism cap from the environment (the solver itself is sequential,
     so any cap >= 1 is honored)."""
     raw = os.environ.get("KAM_THREADS")
     if raw is None:
         return None
-    n = int(raw)
+    with _parsing("KAM_THREADS"):
+        n = int(raw)
     if n < 1:
         raise PreconditionFailure("KAM_THREADS must be >= 1")
     return n
@@ -92,10 +108,10 @@ def _sigma_terms(entries, amplitude=1.0):
     return out
 
 
-def _grading_from(cfg, d, l):
+def _truncation(cfg):
     t = cfg.get("truncation", {})
-    return Grading(d=d, l=l, K_q=int(t.get("K_q", 16)),
-                   K_phi=int(t.get("K_phi", 16)), D=int(t.get("D", 4)))
+    return {"K_q": int(t.get("K_q", 16)), "K_phi": int(t.get("K_phi", 16)),
+            "D": int(t.get("D", 4))}
 
 
 def _config_sha256(cfg):
@@ -107,22 +123,30 @@ def _config_sha256(cfg):
 
 
 def cmd_reduce(cfg, out_path=None):
-    prob = cfg["problem"]
-    m = int(prob["m"])
-    resonances = prob["resonances"]
+    with _parsing("config"):
+        prob = cfg["problem"]
+        m = int(prob["m"])
+        resonances = [[float(v) for v in vec] for vec in prob["resonances"]]
+        omega0 = np.asarray(prob["omega0"], dtype=float)
+        hessian = np.asarray(prob["hessian"], dtype=float)
+        tau = float(prob.get("tau", 0.1))
+        r, s = (float(v) for v in prob.get("radii", [1.0, 1.0]))
+        truncation = _truncation(cfg)
+        amplitude = float(prob.get("amplitude", 1.0))
+        h_terms = _sigma_terms(prob.get("h_terms", []))
+        f_terms = _sigma_terms(prob.get("f_terms", []), amplitude)
+    if omega0.shape != (m,) or hessian.shape != (m, m) \
+            or any(len(vec) != m for vec in resonances) \
+            or any(len(t.mode) != m or len(t.powers) != m
+                   for t in h_terms + f_terms):
+        raise PreconditionFailure(
+            "bad config: omega0, hessian, each resonance and each term need "
+            "m = %d angles" % m)
     l = len(resonances)
-    d = m - l
-    omega0 = np.asarray(prob["omega0"], dtype=float)
-    hessian = np.asarray(prob["hessian"], dtype=float)
-    tau = float(prob.get("tau", 0.1))
-    r, s = prob.get("radii", [1.0, 1.0])
-    grading = _grading_from(cfg, d, l)
+    grading = Grading(d=m - l, l=l, **truncation)
     red = unimodular_completion(resonances)
     Karr = np.array(red.K, dtype=float)
     kap = min(np.linalg.norm(Karr, 2), 1.0 / np.linalg.norm(Karr, 2))
-    amplitude = float(prob.get("amplitude", 1.0))
-    h_terms = _sigma_terms(prob.get("h_terms", []))
-    f_terms = _sigma_terms(prob.get("f_terms", []), amplitude)
     # provisional radii; the shear norm below sharpens the shrink factor
     omega, M0, h0, f0, report = reduce_coordinates(
         hessian, omega0, red, h_terms, f_terms, grading, r, s)
@@ -136,11 +160,11 @@ def cmd_reduce(cfg, out_path=None):
             "(i) failed: reduced frequency resonant at k=%s"
             % (witness.worst_k,))
     reduced = {
-        "d": d, "l": l, "omega": [_fmt(v) for v in omega],
+        "d": grading.d, "l": l, "omega": [_fmt(v) for v in omega],
         "M0": [[_fmt(v) for v in row] for row in M0],
         "frame": report["normalization"],
         "tau": tau, "radii": [_fmt(r0), _fmt(s0)],
-        "grading": {"d": d, "l": l, "K_q": grading.K_q,
+        "grading": {"d": grading.d, "l": l, "K_q": grading.K_q,
                     "K_phi": grading.K_phi, "D": grading.D},
         "h0": fts.to_json_dict(h0.with_radii(r0, s0)),
         "f0": fts.to_json_dict(f0.with_radii(r0, s0)),
@@ -181,20 +205,21 @@ def _load_reduced(path):
 
 
 def _problem_from(data):
-    gd = data["grading"]
-    grading = Grading(gd["d"], gd["l"], gd["K_q"], gd["K_phi"], gd["D"])
-    r0, s0 = data["radii"]
-    h0 = fts.from_json_dict(data["h0"])
-    f0 = fts.from_json_dict(data["f0"])
-    return {
-        "grading": grading, "r0": r0, "s0": s0,
-        "omega": np.asarray(data["omega"], dtype=float),
-        "M0": np.asarray(data["M0"], dtype=float),
-        "frame": np.asarray(data["frame"], dtype=float),
-        "tau": data["tau"],
-        "h0": h0.with_radii(r0, s0),
-        "f0": f0.with_radii(r0, s0),
-    }
+    with _parsing("reduced problem"):
+        gd = data["grading"]
+        grading = Grading(gd["d"], gd["l"], gd["K_q"], gd["K_phi"], gd["D"])
+        r0, s0 = data["radii"]
+        h0 = fts.from_json_dict(data["h0"])
+        f0 = fts.from_json_dict(data["f0"])
+        return {
+            "grading": grading, "r0": r0, "s0": s0,
+            "omega": np.asarray(data["omega"], dtype=float),
+            "M0": np.asarray(data["M0"], dtype=float),
+            "frame": np.asarray(data["frame"], dtype=float),
+            "tau": data["tau"],
+            "h0": h0.with_radii(r0, s0),
+            "f0": f0.with_radii(r0, s0),
+        }
 
 
 def _zeta_rows(zeta, alpha, beta, grading):
@@ -232,13 +257,14 @@ def _solve(cfg):
         data = _read_json(reduced_path)
     prob = _problem_from(data)
     grading = prob["grading"]
-    sched_cfg = cfg.get("schedule", {})
-    target_tol = float(sched_cfg.get("target_tol", 1e-12))
-    it_cfg = IterateConfig(
-        tau=prob["tau"], n_max=int(sched_cfg.get("n_max", 8)),
-        target_tol=min(target_tol, 1e-12),
-        lambda_cfg=float(sched_cfg.get("lambda_cfg", 0.1)),
-        frame=prob["frame"])
+    with _parsing("schedule"):
+        sched_cfg = cfg.get("schedule", {})
+        target_tol = float(sched_cfg.get("target_tol", 1e-12))
+        it_cfg = IterateConfig(
+            tau=prob["tau"], n_max=int(sched_cfg.get("n_max", 8)),
+            target_tol=min(target_tol, 1e-12),
+            lambda_cfg=float(sched_cfg.get("lambda_cfg", 0.1)),
+            frame=prob["frame"])
     N0 = initial_tuple(grading, prob["r0"], prob["s0"], prob["omega"],
                        prob["M0"], h=prob["h0"])
     state, history = iterate(N0, prob["f0"], it_cfg)
@@ -255,9 +281,10 @@ def _pipeline(cfg):
     torus = extract_torus(state, phi0)
     Hbar = freeze_phi(H0, phi0)
     default_grid = 64 if grading.d == 1 else 24
-    residual = verify_invariance(
-        Hbar, torus.embedding, prob["omega"],
-        grid_n=int(outputs.get("verify_grid", default_grid)))
+    with _parsing("outputs"):
+        grid_n = int(outputs.get("verify_grid", default_grid))
+    residual = verify_invariance(Hbar, torus.embedding, prob["omega"],
+                                 grid_n=grid_n)
     torus.residual = residual
     torus.alpha_at_phi0 = info.get("alpha_at_phi0")
     torus.nu_max_at_phi0 = info.get("nu_max_at_phi0")
@@ -269,7 +296,8 @@ def _pipeline(cfg):
                                                **row}.items()
                  if k in ("n", "r", "s", "eps_measured", "alpha_norm",
                           "f_norm", "conjugacy_residual", "f_plus_trunc_loss",
-                          "phi_trunc_loss", "f_plus_terms", "phi_terms")}
+                          "phi_trunc_loss", "f_plus_terms", "phi_terms",
+                          "lie_orders", "contraction_exponent")}
                 for row in history["steps"]]
     _write_json(hist_path, hist_out)
     artifacts["history"] = hist_path
@@ -386,7 +414,7 @@ def main(argv=None):
     except IOFailure as exc:
         print("I/O error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except (PreconditionFailure, ReductionError, ValueError) as exc:
+    except (PreconditionFailure, KamtoriError) as exc:
         print("precondition failure: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
     except StepFailure as exc:

@@ -36,13 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import KamtoriError
 from ..normalform import (BumpProjectionError, NormalFormTuple,
                           assemble_hamiltonian, bump_psi, const_matrix,
                           eval_phi_series, freeze_groups, majorant_on_grid,
                           mat_eval_grid, nu_max_profile, phi_grid,
                           phi_grid_size, project_phi_rows, series_matrix)
-from ..series import (FTSeries, TaylorSplit, average_q, differentiate,
-                      majorant_norm, multiply, taylor_split)
+from ..series import (FTSeries, TaylorSplit, average_q, degrees,
+                      differentiate, majorant_norm, multiply, select,
+                      taylor_split)
 from ..smalldiv import (SolverPreconditionError, _divisor, solve_L1,
                         solve_L2)
 from ..symplectic import GeneratingFunction, poisson_bracket
@@ -51,7 +53,7 @@ PSI_SOLVE_FLOOR = 1e-12
 COND_CAP = 1e8
 
 
-class CohomologyError(ValueError):
+class CohomologyError(KamtoriError):
     pass
 
 
@@ -81,7 +83,7 @@ def _at_point(pts, bad):
 
 def _mean0(f, nb):
     """Constant coefficient of a batched series, one entry per point."""
-    return np.zeros(nb, dtype=complex) + f.terms.get(f.grading.zero_key(), 0.0)
+    return np.zeros(nb, dtype=complex) + f.coeff(*f.grading.zero_key())
 
 
 def _real_mean(f, what, pts):
@@ -94,12 +96,10 @@ def _real_mean(f, what, pts):
 
 
 def restrict_z0(f):
-    """Drop every term with a nonzero Taylor exponent (evaluation at z = 0)."""
-    new = FTSeries.zero(f.grading, f.r, f.s)
-    zero_a = (0,) * f.grading.nz
-    for (j, k, a), c in f.terms.items():
-        if a == zero_a:
-            new.terms[(j, k, a)] = c
+    """Drop every term with a nonzero Taylor exponent (evaluation at z = 0);
+    the result carries no truncation loss."""
+    new = select(f, degrees(f)[2] == 0)
+    new.trunc_loss = 0.0
     return new
 
 
@@ -195,7 +195,7 @@ def _quad_stage_xxyyxy(sp_u, beta, witness, gr, r, s):
     Uxx, Uyy, Uxy = gather(sp_u.d_xx), gather(sp_u.d_yy), gather(sp_u.d_xy)
     modes = sorted(set(Uxx) | set(Uyy) | set(Uxy))
     zmat = lambda: np.zeros((nb, l, l), dtype=complex)
-    fresh = lambda: [[FTSeries.zero(gr, r, s) for _ in range(l)] for _ in range(l)]
+    fresh = lambda: [[{} for _ in range(l)] for _ in range(l)]
     Dxx, Dyy, Dxy = fresh(), fresh(), fresh()
     obstruction = 0.0
 
@@ -203,8 +203,7 @@ def _quad_stage_xxyyxy(sp_u, beta, witness, gr, r, s):
         for i in range(l):
             for j in range(l):
                 if vals[:, i, j].any():
-                    mat[i][j].terms[((0,) * gr.l, k, (0,) * gr.nz)] = \
-                        vals[:, i, j]
+                    mat[i][j][((0,) * gr.l, k, (0,) * gr.nz)] = vals[:, i, j]
 
     # per-mode matrix lam I + C(beta): the columns are the unit unknowns
     C = np.zeros((nb, nunk, nunk), dtype=complex)
@@ -263,7 +262,9 @@ def _quad_stage_xxyyxy(sp_u, beta, witness, gr, r, s):
         store(Dxx, X, k)
         store(Dyy, Y, k)
         store(Dxy, Z, k)
-    return Dxx, Dyy, Dxy, obstruction
+    series = lambda mat: [[FTSeries(gr, r, s, t, _raw=True) for t in row]
+                          for row in mat]
+    return series(Dxx), series(Dyy), series(Dxy), obstruction
 
 
 def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
@@ -469,19 +470,16 @@ def _project(res, active, weights, l, size, gr, r, s):
                                        floors)
     zk, za = (0,) * gr.d, (0,) * gr.nz
     scalars = {}
-    series = {"F": FTSeries.zero(gr, r, s), "hbar": FTSeries.zero(gr, r, s)}
+    terms = {"F": {}, "hbar": {}}
     for (name, slot), cs in zip(slots, coeffs):
-        if name in series:
+        if name in terms:
             k, a = slot
-            for j, c in cs.items():
-                series[name].terms[(j, k, a)] = c
+            terms[name].update(((j, k, a), c) for j, c in cs.items())
         else:
-            new = FTSeries.zero(gr, r, s)
-            for j, c in cs.items():
-                new.terms[(j, zk, za)] = c
+            new = FTSeries(gr, r, s, {(j, zk, za): c for j, c in cs.items()},
+                           _raw=True)
             scalars.setdefault(name, []).append(new)
-    for f in series.values():
-        f._prune()
+    series = {name: FTSeries(gr, r, s, t) for name, t in terms.items()}
     shape = lambda items, rows, cols: [items[i * cols:(i + 1) * cols]
                                        for i in range(rows)]
     scalars["bbar"] = shape(scalars["bbar"], gr.l, gr.l)
@@ -530,20 +528,25 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
             % (float(np.min(nu)), t1 + a_scale))
     else:
         glued = True
+        # the grid the bump asks for, clipped to the cap on its total points;
+        # bump_psi needs a spacing of at most a/2, checked here before
+        # anything is allocated
         need = int(math.ceil(2 * math.pi / (a_scale / 4.0)))
-        fine_size = min(bump_grid_cap, max(size, need))
+        per_axis = int(round(bump_grid_cap ** (1.0 / l)))
+        per_axis -= per_axis ** l > bump_grid_cap
+        fine_size = max(size, min(need, per_axis))
+        if 2 * math.pi / fine_size > a_scale / 2:
+            raise BumpProjectionError(
+                "the bump needs a %d-point parameter grid per axis, %d points "
+                "in all, over the cap of %d points (scale a=%.3g)"
+                % (need, need ** l, bump_grid_cap, a_scale))
         fine = phi_grid(l, fine_size) if fine_size != size else grid
         try:
             nu_fine = nu_max_profile(N.beta, fine) if fine_size != size \
                 else nu
         except ValueError as exc:
             raise CohomologyError(str(exc)) from exc
-        try:
-            psi, _vals = bump_psi(fine, nu_fine, t1, t2, gr, r, s)
-        except BumpProjectionError:
-            raise
-        except ValueError as exc:
-            raise BumpProjectionError(str(exc)) from exc
+        psi, _vals = bump_psi(fine, nu_fine, t1, t2, gr, r, s)
         psi_back = eval_phi_series(psi, grid).real
     plateau = nu < t1
 

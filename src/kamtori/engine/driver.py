@@ -19,8 +19,9 @@ import numpy as np
 from ..normalform import (BumpProjectionError, NormalFormTuple,
                           assemble_hamiltonian, mat_add, normal_form_distance,
                           normal_form_norm)
-from ..series import (FTSeries, average_q, ck_norm_estimate, differentiate,
-                      majorant_norm, multiply, truncate_fourier)
+from ..series import (FTSeries, average_q, ck_norm_estimate, degrees,
+                      differentiate, majorant_norm, multiply, select,
+                      truncate_fourier)
 from ..smalldiv import (ResonanceError, SolverPreconditionError,
                         effective_diophantine_constant)
 from ..symplectic import (GeneratingFunction, GeneratorTooLargeError,
@@ -187,16 +188,20 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     for i in range(gr.l):
         G = G - multiply(sol.alpha[i], phi_x[i])
     rem = 0.0
+    # orders reached by the two tail integrals and the transport of g
+    # (0 for a sum not taken)
+    orders = [0, 0, 0]
     try:
         if Nbar_ham.is_zero() and gen.F.is_zero() \
                 and all(v.is_zero() for v in sol.v):
             f_plus = FTSeries.zero(gr, r, s)
         else:
             u1 = gen.bracket_with(Nbar_ham)
-            t1, rem1 = lie_tail_integral(u1, gen,
-                                         lambda n: 1.0 / ((n + 1) * (n + 2)))
+            t1, rem1, orders[0] = lie_tail_integral(
+                u1, gen, lambda n: 1.0 / ((n + 1) * (n + 2)))
             u2 = gen.bracket_with(G)
-            t2, rem2 = lie_tail_integral(u2, gen, lambda n: 1.0 / (n + 2))
+            t2, rem2, orders[1] = lie_tail_integral(u2, gen,
+                                                    lambda n: 1.0 / (n + 2))
             f_plus = t1 + t2
             rem = rem1 + rem2
     except GeneratorTooLargeError as exc:
@@ -207,7 +212,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     g_new = state.N.g + sol.Nbar.g
     if not state.N.g.is_zero():
         try:
-            g_moved = lie_transform(state.N.g, gen)[0]
+            g_moved, _, orders[2] = lie_transform(state.N.g, gen)
         except GeneratorTooLargeError as exc:
             raise StepFailure("normal-form transport failed: %s" % exc,
                               measures) from exc
@@ -239,6 +244,12 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     measures["f_plus_terms"] = len(f_plus.terms)
     measures["phi_terms"] = sum(len(u.terms) for u in Phi_plus.components())
     measures["f_plus_target"] = target
+    measures["lie_orders"] = orders
+    # log f_{n+1} / log f_n; None if the rung absorbed f exactly or
+    # |f_n| is not in (0, 1)
+    measures["contraction_exponent"] = \
+        math.log(fp_norm) / math.log(f_norm) \
+        if fp_norm > 0.0 and 0.0 < f_norm < 1.0 else None
     alpha_new = [state.alpha[i].with_radii(r_plus, s_plus)
                  + sol.alpha[i].with_radii(r_plus, s_plus) for i in range(gr.l)]
     new_state = IterationState(
@@ -276,10 +287,7 @@ def equal_derivative_defect(f0, frame=None):
             if frame[j, i] != 0.0:
                 lhs = lhs + differentiate(f0, ("x", j)).scale(frame[j, i])
         dev = average_q(lhs - differentiate(f0, ("phi", i)))
-        checkable = FTSeries.zero(gr, f0.r, f0.s)
-        for (j, k, a), c in dev.terms.items():
-            if sum(a) <= gr.D - 1:
-                checkable.terms[(j, k, a)] = c
+        checkable = select(dev, degrees(dev)[2] <= gr.D - 1)
         worst = max(worst, majorant_norm(checkable))
     return worst
 

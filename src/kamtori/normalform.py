@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import KamtoriError
 from .series import FTSeries, _l1, ck_norm_estimate, differentiate
 
 
@@ -116,11 +117,10 @@ def project_phi_values(values, l, size, grading, r, s, coeff_floor=1e-300):
     (coeffs,), defect = project_phi_rows(
         np.asarray(values, dtype=complex).reshape(1, -1), l, size,
         grading.K_phi, [coeff_floor])
-    new = FTSeries.zero(grading, r, s)
     zk = (0,) * grading.d
     za = (0,) * grading.nz
-    for j, c in coeffs.items():
-        new.terms[(j, zk, za)] = c
+    new = FTSeries(grading, r, s, {(j, zk, za): c for j, c in coeffs.items()},
+                   _raw=True)
     return new, float(defect[0])
 
 
@@ -304,6 +304,10 @@ def is_normal_form(N, v, delta, tol, grid=None):
 # -- bump function -----------------------------------------------------------------
 
 
+class BumpProjectionError(KamtoriError):
+    pass
+
+
 def _mollifier_kernel(l, size, a):
     """Compact-support kernel of scale a sampled on the torus grid, normalized
     so that discrete convolution of the all-ones field gives exactly 1."""
@@ -317,12 +321,9 @@ def _mollifier_kernel(l, size, a):
     ker[inside] = np.exp(-1.0 / (1.0 - rho2[inside]))
     total = ker.sum()
     if total == 0.0:
-        raise ValueError("bump grid too coarse: no kernel sample inside radius a")
+        raise BumpProjectionError("bump grid too coarse: no kernel sample "
+                                  "inside radius a")
     return ker / total
-
-
-class BumpProjectionError(ValueError):
-    pass
 
 
 def bump_psi(profile_grid, nu_values, t1, t2, grading, r, s, tol=1e-6):
@@ -334,7 +335,7 @@ def bump_psi(profile_grid, nu_values, t1, t2, grading, r, s, tol=1e-6):
     grid.
     """
     if not t2 > t1:
-        raise ValueError("need t2 > t1")
+        raise BumpProjectionError("need t2 > t1")
     l = grading.l
     size = round(len(profile_grid) ** (1.0 / l))
     if size ** l != len(profile_grid):
@@ -349,8 +350,9 @@ def bump_psi(profile_grid, nu_values, t1, t2, grading, r, s, tol=1e-6):
         return FTSeries.zero(grading, r, s), np.zeros(len(profile_grid))
     spacing = 2 * math.pi / size
     if spacing > a / 2:
-        raise ValueError("bump grid spacing %.3g too coarse for scale a=%.3g; "
-                         "refine the profile grid" % (spacing, a))
+        raise BumpProjectionError("bump grid spacing %.3g too coarse for scale "
+                                  "a=%.3g; refine the profile grid"
+                                  % (spacing, a))
     ker = _mollifier_kernel(l, size, a)
     vals = np.fft.ifftn(np.fft.fftn(indicator) * np.fft.fftn(ker)).real
     psi, defect = project_phi_values(vals.reshape(-1), l, size, grading, r, s)

@@ -21,16 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import FTSeries, _l1
+from .errors import KamtoriError
+from .series import FTSeries, _l1, divide_q_modes
 
 RESONANCE_RTOL = 1e-14
 
 
-class ResonanceError(ValueError):
+class ResonanceError(KamtoriError):
     pass
 
 
-class SolverPreconditionError(ValueError):
+class SolverPreconditionError(KamtoriError):
     """A solver precondition failed; for a stacked (batched) solve, `entry`
     is the index of the first failing matrix of the stack."""
 
@@ -136,17 +137,9 @@ def _divisor(witness, k):
 
 def solve_L1(v, witness):
     """Unique zero-q-mean u with <omega, d_q u> = v - M_q v, mode by mode."""
-    g = v.grading
-    if g.K_q > witness.K_checked:
-        raise ValueError("witness does not cover K_q=%d" % g.K_q)
-    zero_k = (0,) * g.d
-    new = FTSeries.zero(g, v.r, v.s)
-    new.trunc_loss = v.trunc_loss
-    for (j, k, a), c in v.terms.items():
-        if k == zero_k:
-            continue
-        new.terms[(j, k, a)] = c / (1j * _divisor(witness, k))
-    return new
+    if v.grading.K_q > witness.K_checked:
+        raise ValueError("witness does not cover K_q=%d" % v.grading.K_q)
+    return divide_q_modes(v, lambda k: _divisor(witness, k))
 
 
 def _check_beta(beta, witness, K, factor, who):
@@ -196,8 +189,7 @@ def solve_L2(b_x, b_y, beta, witness, K):
     beta = _check_beta(beta, witness, K, 0.5, "L2")
     batch = beta.shape[:-2]
     zero_k = (0,) * g.d
-    Bx = [FTSeries.zero(g, f.r, f.s) for f in b_x]
-    By = [FTSeries.zero(g, f.r, f.s) for f in b_x]
+    Bx, By = [{} for _ in b_x], [{} for _ in b_x]
     slic = _group_slices(list(b_x) + list(b_y), batch)
     eye = np.broadcast_to(np.eye(l), beta.shape)
     nonzero = (lambda c: c.any()) if batch else (lambda c: c != 0.0)
@@ -208,7 +200,7 @@ def solve_L2(b_x, b_y, beta, witness, K):
                 by_hat = vec.T[l:]
                 for i in range(l):
                     if nonzero(by_hat[i]):
-                        Bx[i].terms[(j, k, a)] = by_hat[i]
+                        Bx[i][(j, k, a)] = by_hat[i]
                 continue
             lam = 1j * _divisor(witness, k)
             M = np.block([[lam * eye, -beta], [eye, lam * eye]])
@@ -225,10 +217,12 @@ def solve_L2(b_x, b_y, beta, witness, K):
             sol = np.linalg.solve(M, vec[..., None])[..., 0].T
             for i in range(l):
                 if nonzero(sol[i]):
-                    Bx[i].terms[(j, k, a)] = sol[i]
+                    Bx[i][(j, k, a)] = sol[i]
                 if nonzero(sol[l + i]):
-                    By[i].terms[(j, k, a)] = sol[l + i]
-    return Bx, By
+                    By[i][(j, k, a)] = sol[l + i]
+    series = lambda terms: [FTSeries(g, f.r, f.s, t, _raw=True)
+                            for f, t in zip(b_x, terms)]
+    return series(Bx), series(By)
 
 
 def solve_L3(d_xx, d_yy, d_xy, beta, witness, K):
@@ -239,8 +233,7 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness, K):
     zero_k = (0,) * g.d
 
     def fresh():
-        return [[FTSeries.zero(g, d_xx[0][0].r, d_xx[0][0].s) for _ in range(l)]
-                for _ in range(l)]
+        return [[{} for _ in range(l)] for _ in range(l)]
 
     Dxx, Dyy, Dxy = fresh(), fresh(), fresh()
     flat = ([d_xx[i][jj] for i in range(l) for jj in range(l)]
@@ -258,9 +251,9 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness, K):
                 for i in range(l):
                     for jj in range(l):
                         if dxy_h[i, jj] != 0.0:
-                            Dxx[i][jj].terms[(j, k, a)] = dxy_h[i, jj]
+                            Dxx[i][jj][(j, k, a)] = dxy_h[i, jj]
                         if dyy_h[i, jj] != 0.0:
-                            Dxy[i][jj].terms[(j, k, a)] = dyy_h[i, jj]
+                            Dxy[i][jj][(j, k, a)] = dyy_h[i, jj]
                 continue
             lam = 1j * _divisor(witness, k)
             M = np.block([[lam * eye, zero, -beta],
@@ -276,9 +269,12 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness, K):
             for i in range(l):
                 for jj in range(l):
                     if sol[i, jj] != 0.0:
-                        Dxx[i][jj].terms[(j, k, a)] = sol[i, jj]
+                        Dxx[i][jj][(j, k, a)] = sol[i, jj]
                     if sol[l + i, jj] != 0.0:
-                        Dyy[i][jj].terms[(j, k, a)] = sol[l + i, jj]
+                        Dyy[i][jj][(j, k, a)] = sol[l + i, jj]
                     if sol[2 * l + i, jj] != 0.0:
-                        Dxy[i][jj].terms[(j, k, a)] = sol[2 * l + i, jj]
-    return Dxx, Dyy, Dxy
+                        Dxy[i][jj][(j, k, a)] = sol[2 * l + i, jj]
+    r, s = d_xx[0][0].r, d_xx[0][0].s
+    series = lambda mat: [[FTSeries(g, r, s, t, _raw=True) for t in row]
+                          for row in mat]
+    return series(Dxx), series(Dyy), series(Dxy)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import KamtoriError
 from .series import (FTSeries, _l1, ck_norm_estimate, differentiate,
                      ft_sum, majorant_norm, multiply)
 
@@ -15,11 +16,15 @@ DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
 
 
-class GeneratorTooLargeError(ValueError):
+class GeneratorTooLargeError(KamtoriError):
     pass
 
 
-class SymplecticityError(ValueError):
+class SymplecticityError(KamtoriError):
+    pass
+
+
+class ReductionError(KamtoriError):
     pass
 
 
@@ -100,7 +105,7 @@ def lie_transform(g, gen, order_cap=DEFAULT_ORDER_CAP, tol=None, first_term=None
 
     Stops at the first term whose majorant falls below tol (default
     1e-14 x majorant of g); enforces decay (each term below half the previous
-    one once n >= 2).  Returns (series, remainder_bound).
+    one once n >= 2).  Returns (series, remainder_bound, order reached).
     """
     scale = majorant_norm(g)
     if tol is None:
@@ -113,7 +118,7 @@ def lie_transform(g, gen, order_cap=DEFAULT_ORDER_CAP, tol=None, first_term=None
         m = majorant_norm(term)
         if m <= tol:
             total = total + term
-            return total, 2.0 * m
+            return total, 2.0 * m, n
         if n > order_cap:
             raise GeneratorTooLargeError(
                 "lie series not converged at order cap %d (last term %.3g)"
@@ -134,6 +139,7 @@ def lie_tail_integral(u, gen, weight, order_cap=DEFAULT_ORDER_CAP, tol=1e-300):
     weight(n) supplies w_n; used for the time-integral remainders of one step:
     int_0^1 (1-t) u o Psi^t dt has w_n = 1/((n+1)(n+2)) and
     int_0^1  t    u o Psi^t dt has w_n = 1/(n+2).
+    Returns (series, remainder_bound, order reached).
     """
     total = u.scale(weight(0))
     term = u
@@ -144,7 +150,7 @@ def lie_tail_integral(u, gen, weight, order_cap=DEFAULT_ORDER_CAP, tol=1e-300):
         term = gen.bracket_with(term).scale(1.0 / n)
         m = majorant_norm(term)
         if m <= tol or term.is_zero():
-            return total + term.scale(weight(n)), 2.0 * m * abs(weight(n))
+            return total + term.scale(weight(n)), 2.0 * m * abs(weight(n)), n
         if n > order_cap:
             raise GeneratorTooLargeError(
                 "lie tail integral not converged at order cap %d (term %.3g)"
@@ -278,7 +284,8 @@ def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None,
             first = first - gen.v[i]
         if first.is_zero():
             return zero.copy()
-        disp, bound = lie_transform(zero, gen, order_cap, tol, first_term=first)
+        disp, bound, _ = lie_transform(zero, gen, order_cap, tol,
+                                       first_term=first)
         rem += bound
         return disp
 
@@ -428,7 +435,7 @@ def compose_maps(Phi, Psi, check_bound=True):
 
     def transport(psi_u, phi_u):
         nonlocal rem
-        moved, bound = lie_transform(phi_u, gen)
+        moved, bound, _ = lie_transform(phi_u, gen)
         rem += bound
         return psi_u + moved
 
@@ -493,24 +500,28 @@ def unimodular_completion(resonances):
     the saturation of the resonance lattice (so K omega_0 ends in exact zeros
     whenever the input resonances are exact).
     """
+    if not resonances:
+        raise ReductionError("need at least one resonance")
     R = []
     for vec in resonances:
         row = []
         for v in vec:
             iv = int(round(v))
             if abs(v - iv) > 1e-9:
-                raise ValueError("resonance vector %s is not integer" % (vec,))
+                raise ReductionError("resonance vector %s is not integer" % (vec,))
             row.append(iv)
         if all(v == 0 for v in row):
-            raise ValueError("zero resonance vector")
+            raise ReductionError("zero resonance vector")
         g = 0
         for v in row:
             g = math.gcd(g, abs(v))
         R.append([v // g for v in row])
     l = len(R)
     m = len(R[0])
+    if any(len(row) != m for row in R):
+        raise ReductionError("resonance vectors differ in length")
     if l >= m:
-        raise ValueError("need fewer resonances than the total angle dimension")
+        raise ReductionError("need fewer resonances than the total angle dimension")
     A = [row[:] for row in R]
     W = [[1 if i == j else 0 for j in range(m)] for i in range(m)]  # U^{-1}
 
@@ -680,10 +691,6 @@ def shifted_parametrization(terms, d, l, grading, r, s):
 
 
 # -- reduction to the model form -----------------------------------------------------
-
-
-class ReductionError(ValueError):
-    pass
 
 
 def reduce_coordinates(N_hessian, omega0, red, h_terms, f_terms, grading, r, s,

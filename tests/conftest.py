@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kamtori.series import FTSeries, Grading
+
+# every run draws the same examples: no example database, no per-example
+# deadline (a first call may build a grading's tables)
+settings.register_profile("reproducible", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("reproducible")
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -21,7 +28,7 @@ def rng():
 def random_real_series(grading, r, s, rng, n_modes=6, max_k=3, max_phi=2,
                        max_deg=2, scale=1.0):
     """Random series with the reality symmetry, bounded mode content."""
-    f = FTSeries.zero(grading, r, s)
+    terms = {}
     for _ in range(n_modes):
         j = tuple(int(rng.integers(-max_phi, max_phi + 1))
                   for _ in range(grading.l))
@@ -36,7 +43,6 @@ def random_real_series(grading, r, s, rng, n_modes=6, max_k=3, max_phi=2,
             continue  # a mode outside the grading is no term of the ring
         key = (j, k, tuple(alpha))
         mirror = (tuple(-v for v in j), tuple(-v for v in k), tuple(alpha))
-        f.terms[key] = f.terms.get(key, 0.0) + c
-        f.terms[mirror] = f.terms.get(mirror, 0.0) + np.conj(c)
-    f._prune()
-    return f
+        terms[key] = terms.get(key, 0.0) + c
+        terms[mirror] = terms.get(mirror, 0.0) + np.conj(c)
+    return FTSeries(grading, r, s, terms)

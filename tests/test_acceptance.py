@@ -118,19 +118,18 @@ def _operator_matrix(apply_op, gradings_keys, g, r=1.0, s=1.0):
 
 
 def _random_trig(g, rng, K, scale=1.0):
-    f = FTSeries.zero(g, 1.0, 1.0)
+    terms = {}
     for _ in range(6):
         k = tuple(int(rng.integers(-K, K + 1)) for _ in range(g.d))
         if sum(abs(v) for v in k) == 0 or sum(abs(v) for v in k) > K:
             continue
         c = complex(rng.standard_normal(), rng.standard_normal()) * scale
-        f.terms[((0,) * g.l, k, (0,) * g.nz)] = \
-            f.terms.get(((0,) * g.l, k, (0,) * g.nz), 0.0) + c
+        terms[((0,) * g.l, k, (0,) * g.nz)] = \
+            terms.get(((0,) * g.l, k, (0,) * g.nz), 0.0) + c
         mk = tuple(-v for v in k)
-        f.terms[((0,) * g.l, mk, (0,) * g.nz)] = \
-            f.terms.get(((0,) * g.l, mk, (0,) * g.nz), 0.0) + np.conj(c)
-    f._prune()
-    return f
+        terms[((0,) * g.l, mk, (0,) * g.nz)] = \
+            terms.get(((0,) * g.l, mk, (0,) * g.nz), 0.0) + np.conj(c)
+    return FTSeries(g, 1.0, 1.0, terms)
 
 
 def _admissible_omega(rng, d):
@@ -277,7 +276,7 @@ def test_criterion_4_symplecticity():
     g = Grading(d=1, l=1, K_q=6, K_phi=4, D=4)
     worst = 0.0
     for _ in range(50):
-        F = FTSeries.zero(g, 1.0, 1.0)
+        terms = {}
         for _ in range(5):
             j = (int(rng.integers(-2, 3)),)
             k = (int(rng.integers(-2, 3)),)
@@ -285,10 +284,10 @@ def test_criterion_4_symplecticity():
             for _ in range(int(rng.integers(0, 3))):
                 alpha[int(rng.integers(0, 3))] += 1
             c = complex(rng.standard_normal(), rng.standard_normal()) * 2e-5
-            F.terms[(j, k, tuple(alpha))] = c
-            F.terms[(tuple(-v for v in j), tuple(-v for v in k),
-                     tuple(alpha))] = np.conj(c)
-        F._prune()
+            terms[(j, k, tuple(alpha))] = c
+            terms[(tuple(-v for v in j), tuple(-v for v in k),
+                   tuple(alpha))] = np.conj(c)
+        F = FTSeries(g, 1.0, 1.0, terms)
         v = [FTSeries.constant(g, 1, 1, float(rng.standard_normal()) * 2e-5)]
         Phi = map_from_generator(GeneratingFunction(F, v), tol=1e-20)
         worst = max(worst, Phi.symp_residual)
@@ -329,11 +328,12 @@ def test_criterion_7_truncation_certificate():
     for _ in range(20):
         rho = rng.uniform(1.15, 1.6)
         amp = rng.uniform(0.5, 2.0)
-        f = FTSeries.zero(g, 1.0, 1.0)
+        terms = {}
         for n in range(1, 21):
             c = amp * math.exp(-rho * n) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            f.terms[((0,), (n,), (0, 0, 0))] = c
-            f.terms[((0,), (-n,), (0, 0, 0))] = np.conj(c)
+            terms[((0,), (n,), (0, 0, 0))] = c
+            terms[((0,), (-n,), (0, 0, 0))] = np.conj(c)
+        f = FTSeries(g, 1.0, 1.0, terms, _raw=True)
         K = int(rng.integers(4, 11))
         sigma = rng.uniform(0.1, 0.4)
         out, bound = truncate_fourier(f, K, sigma)

@@ -104,6 +104,10 @@ class TestRun:
                 assert np.isfinite(row[key]) and row[key] >= 0.0
             for key in ("f_plus_terms", "phi_terms"):
                 assert isinstance(row[key], int) and row[key] >= 0
+            assert all(isinstance(o, int) and 0 <= o <= 13
+                       for o in row["lie_orders"])
+            assert row["contraction_exponent"] is None \
+                or np.isfinite(row["contraction_exponent"])
         torus = json.loads((tmp_path / "torus.json").read_text())
         assert torus["residual"] <= 1e-8
         csv = (tmp_path / "zeta.csv").read_text().splitlines()
@@ -247,7 +251,59 @@ class TestZetaCommand:
         assert len(zetas) == 1 and tori == []
 
 
+class TestFailureExitCodes:
+    def test_bug_propagates_as_a_traceback(self, tmp_path, monkeypatch):
+        # a numpy shape error is a ValueError, and no precondition failure
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+        monkeypatch.setattr(cli, "iterate", broken)
+        path, cfg = flagship_config(tmp_path)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["run", "--config", str(path)])
+
+    def test_named_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise GeneratorTooLargeError("generator too large")
+        monkeypatch.setattr(cli, "iterate", failing)
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
+        assert "generator too large" in capsys.readouterr().err
+
+    def test_bug_in_the_reduction_propagates(self, tmp_path, monkeypatch):
+        # only reading the config is a precondition check; a bare ValueError
+        # from the reduction it feeds is a bug
+        def broken(resonances):
+            raise ValueError("index out of range")
+        monkeypatch.setattr(cli, "unimodular_completion", broken)
+        path, cfg = flagship_config(tmp_path)
+        with pytest.raises(ValueError, match="index out of range"):
+            main(["reduce", "--config", str(path)])
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg["problem"].pop("m"),
+        lambda cfg: cfg["problem"].update(m="three"),
+        lambda cfg: cfg["problem"].update(resonances=[[0, 0]]),
+        lambda cfg: cfg["problem"].update(resonances=[[0, 1.5]]),
+        lambda cfg: cfg["problem"].update(resonances=[]),
+        lambda cfg: cfg["problem"].update(resonances=[[0, 1, 0]]),
+        lambda cfg: cfg["problem"].update(omega0=[GOLDEN]),
+        lambda cfg: cfg["problem"]["f_terms"][0].update(q_modes=[0, 1]),
+        lambda cfg: cfg.update(truncation={"K_q": 0}),
+        lambda cfg: cfg.update(schedule={"n_max": None})])
+    def test_bad_config_exits_2(self, tmp_path, capsys, edit):
+        path, cfg = flagship_config(tmp_path)
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
+        assert "precondition failure" in capsys.readouterr().err
+
+
 class TestThreadCap:
+    def test_non_integer_cap_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("KAM_THREADS", "two")
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
+
     def test_env_var_parsed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KAM_THREADS", "2")
         path, cfg = flagship_config(tmp_path)

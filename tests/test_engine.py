@@ -795,6 +795,66 @@ class TestTwoNormalDirections:
         assert sol.residual_plateau <= 1e-8 * majorant_norm(f)
 
 
+class TestBumpGridCap:
+    def test_glued_l2_solve_fails_before_allocating(self, monkeypatch):
+        # beta leaves the sublevel region on part of the l = 2 grid, so the
+        # bump needs 3352 points per axis at delta_plus = 0.03
+        import kamtori.engine.cohom as cohom
+        from kamtori.normalform import BumpProjectionError
+        N, f, phix, wit = l2_nonzero_beta_problem()
+        N.beta[0][0] = N.beta[0][0] + FTSeries.cos_angle(
+            f.grading, 1.0, 1.0, (1, 0), (0,), 0.06)
+        profiled = []
+        profile = cohom.nu_max_profile
+        monkeypatch.setattr(cohom, "nu_max_profile", lambda beta, grid: (
+            profiled.append(len(grid)), profile(beta, grid))[1])
+        with pytest.raises(BumpProjectionError,
+                           match="3352-point .* 11235904 points .* 4096"):
+            solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                delta_plus=0.03)
+        assert profiled == [64 ** 2]  # the parameter grid, never the fine one
+
+    @staticmethod
+    def l1_glued_problem():
+        gr = small_grading()
+        N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
+        N.beta[0][0] = N.beta[0][0] + FTSeries.cos_angle(
+            gr, 1.0, 1.0, (1,), (0,), 0.06)
+        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+        phix = [coordinate(gr, 1.0, 1.0, "x", 0)]
+        f = shifted_parametrization(sigma_cos((0, 1), EPS), 1, 1, gr, 1.0, 1.0)
+        return N, f, phix, wit
+
+    def test_glued_l1_solve_runs_on_the_clipped_grid(self, monkeypatch):
+        # at delta_plus = 0.02 the bump asks for 5027 points; the grid is
+        # clipped to the cap of 4096, whose spacing is still fine enough for
+        # the bump's scale a = 0.005, and the solve goes on (the bump itself
+        # is replaced by the constant one: at K_phi = 6 the real one misses
+        # its plateau tolerance)
+        import kamtori.engine.cohom as cohom
+        N, f, phix, wit = self.l1_glued_problem()
+        seen = []
+
+        def bump(grid, nu, t1, t2, gr, r, s):
+            seen.append(len(grid))
+            return FTSeries.constant(gr, r, s, 1.0), np.ones(len(grid))
+        monkeypatch.setattr(cohom, "bump_psi", bump)
+        sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                  delta_plus=0.02)
+        assert seen == [4096]
+        assert sol.residual_plateau <= 1e-8 * majorant_norm(f)
+
+    def test_glued_l1_solve_too_fine_for_the_cap(self):
+        # at delta_plus = 0.012 even 4096 points are too coarse for the
+        # bump's scale a = 0.003: the same bound bump_psi applies
+        from kamtori.normalform import BumpProjectionError
+        N, f, phix, wit = self.l1_glued_problem()
+        with pytest.raises(BumpProjectionError,
+                           match="8378-point .* 8378 points .* 4096"):
+            solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                delta_plus=0.012)
+
+
 class TestModerateAmplitudeFailureReporting:
     def test_drift_precondition_reported(self):
         # amplitude large enough that the tuple drifts past the configured
@@ -871,6 +931,22 @@ class TestCoupledRunMatchesRecorded:
         assert last["phi_terms"] == sum(len(u.terms)
                                         for u in state.Phi.components())
         assert last["f_plus_terms"] == len(state.f.terms)
+
+    def test_lie_orders_and_contraction_reported(self, coupled_run_small):
+        from kamtori.symplectic import DEFAULT_ORDER_CAP
+        rows = coupled_run_small[4]["steps"][1:]
+        assert rows
+        for prev, row in zip(coupled_run_small[4]["steps"], rows):
+            m = row["measures"]
+            assert len(m["lie_orders"]) == 3
+            # both tail integrals ran; g is transported once it is nonzero
+            assert all(type(o) is int and 0 <= o <= DEFAULT_ORDER_CAP + 1
+                       for o in m["lie_orders"])
+            assert min(m["lie_orders"][:2]) >= 1
+            f_n, f_next = prev["f_norm"], row["f_norm"]
+            assert math.isfinite(m["contraction_exponent"])
+            assert m["contraction_exponent"] == pytest.approx(
+                math.log(f_next) / math.log(f_n), rel=1e-12)
 
 
 def evaluate_terms(f, q, x=(0.0,), p=(0.0,), y=(0.0,)):
@@ -961,6 +1037,7 @@ class TestGridEvaluation:
         assert grid[2, 3] == pytest.approx(evaluate_terms(f, qs[2, 3], 0.1),
                                            rel=1e-14, abs=1e-14)
         assert isinstance(evaluate(f, q=qs[0, 0]), float)
-        f.terms[((0,), (1, 0), (0, 0, 0, 0))] = 1.0j
+        f = FTSeries(gr, 1, 1, {**f.terms, ((0,), (1, 0), (0, 0, 0, 0)): 1.0j},
+                     _raw=True)
         with pytest.raises(RealityError):
             evaluate(f, q=qs)

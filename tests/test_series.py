@@ -156,9 +156,8 @@ class TestTruncateFourier:
 
     def test_geometric_tail_exact_sum(self):
         g = Grading(1, 1, 20, 2, 3)
-        f = FTSeries.zero(g, 1.0, 1.0)
-        for n in range(1, 21):
-            f.terms[((0,), (n,), (0, 0, 0))] = math.exp(-n)
+        f = FTSeries(g, 1.0, 1.0, {((0,), (n,), (0, 0, 0)): math.exp(-n)
+                                   for n in range(1, 21)}, _raw=True)
         out, tail = truncate_fourier(f, 10, 0.1)
         expect = sum(math.exp(-n) * math.exp(n * 0.9) for n in range(11, 21))
         assert tail == pytest.approx(expect, rel=1e-14)

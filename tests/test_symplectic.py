@@ -73,7 +73,7 @@ class TestLieTransform:
         gen = GeneratingFunction(FTSeries.zero(g11, 1, 1),
                                  [FTSeries.constant(g11, 1, 1, v0)])
         f = mono(g11, (0, 2, 0)) + mono(g11, (0, 1, 0), 2.0)
-        out, rem = lie_transform(f, gen, order_cap=10, tol=1e-16)
+        out, rem, _ = lie_transform(f, gen, order_cap=10, tol=1e-16)
         # f(p - v0) = (p - v0)^2 + 2(p - v0)
         assert out.coeff((0,), (0,), (0, 2, 0)) == pytest.approx(1.0)
         assert out.coeff((0,), (0,), (0, 1, 0)) == pytest.approx(2 - 2 * v0)
@@ -83,7 +83,7 @@ class TestLieTransform:
         c = 0.4
         gen = GeneratingFunction(mono(g11, (0, 1, 0), c))
         e = FTSeries.term(g11, 1, 1, (0,), (3,), (0, 0, 0), 1.0)
-        out, _ = lie_transform(e, gen, order_cap=40, tol=1e-18)
+        out, _, _ = lie_transform(e, gen, order_cap=40, tol=1e-18)
         assert out.coeff((0,), (3,), (0, 0, 0)) == pytest.approx(
             np.exp(1j * 3 * c), rel=1e-12)
 
@@ -418,9 +418,9 @@ class TestPoissonMorphism:
         gen = GeneratingFunction(F)
         f = random_real_series(g11, 1, 1, rng, max_k=1, max_phi=1, max_deg=1)
         g = random_real_series(g11, 1, 1, rng, max_k=1, max_phi=1, max_deg=1)
-        tf, r1 = lie_transform(f, gen, tol=1e-18)
-        tg, r2 = lie_transform(g, gen, tol=1e-18)
-        tb, r3 = lie_transform(poisson_bracket(f, g), gen, tol=1e-18)
+        tf, r1, _ = lie_transform(f, gen, tol=1e-18)
+        tg, r2, _ = lie_transform(g, gen, tol=1e-18)
+        tb, r3, _ = lie_transform(poisson_bracket(f, g), gen, tol=1e-18)
         defect = poisson_bracket(tf, tg) - tb
         scale = majorant_norm(f) * majorant_norm(g)
         budget = (r1 * majorant_norm(g) + r2 * majorant_norm(f) + r3
