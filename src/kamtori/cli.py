@@ -6,7 +6,8 @@ Subcommands:
   verify --torus t.json --problem p.json --grid n
   zeta   --config c.json --out profile.csv
 
-Exit codes: 0 success, 2 precondition failure, 3 convergence failure, 4 I/O.
+Exit codes: 0 success, 2 precondition failure, 3 convergence failure, 4 I/O;
+each is the base class (kamtori.errors) of the failure that ended the run.
 """
 
 import argparse
@@ -22,8 +23,9 @@ from . import series as fts
 from .engine import (compute_zeta, extract_torus, find_vanishing_point,
                      iterate, verify_invariance)
 from .engine.cohom import freeze_phi
-from .engine.driver import IterateConfig, StepFailure
-from .errors import KamtoriError
+from .engine.driver import IterateConfig
+from .errors import (ArtifactIOError, ConvergenceError, KamtoriError,
+                     PreconditionError)
 from .normalform import (assemble_hamiltonian, eval_phi_series,
                          initial_tuple, nu_max_profile, phi_grid,
                          phi_grid_size)
@@ -47,7 +49,7 @@ def _read_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise IOFailure("cannot read %s: %s" % (path, exc)) from exc
+        raise ArtifactIOError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def _write_json(path, obj):
@@ -56,28 +58,20 @@ def _write_json(path, obj):
             json.dump(obj, fh, sort_keys=True, indent=1)
             fh.write("\n")
     except OSError as exc:
-        raise IOFailure("cannot write %s: %s" % (path, exc)) from exc
-
-
-class IOFailure(RuntimeError):
-    pass
-
-
-class PreconditionFailure(RuntimeError):
-    pass
+        raise ArtifactIOError("cannot write %s: %s" % (path, exc)) from exc
 
 
 @contextlib.contextmanager
 def _parsing(what):
     """Turn a missing key, a wrong type or a bad value met while reading
-    `what` into a PreconditionFailure (the named failures pass as they are)."""
+    `what` into a PreconditionError (the named failures pass as they are)."""
     try:
         yield
     except KamtoriError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionFailure("bad %s: %s: %s"
-                                  % (what, type(exc).__name__, exc)) from exc
+        raise PreconditionError("bad %s: %s: %s"
+                                % (what, type(exc).__name__, exc)) from exc
 
 
 def max_threads():
@@ -89,7 +83,7 @@ def max_threads():
     with _parsing("KAM_THREADS"):
         n = int(raw)
     if n < 1:
-        raise PreconditionFailure("KAM_THREADS must be >= 1")
+        raise PreconditionError("KAM_THREADS must be >= 1")
     return n
 
 
@@ -139,7 +133,7 @@ def cmd_reduce(cfg, out_path=None):
             or any(len(vec) != m for vec in resonances) \
             or any(len(t.mode) != m or len(t.powers) != m
                    for t in h_terms + f_terms):
-        raise PreconditionFailure(
+        raise PreconditionError(
             "bad config: omega0, hessian, each resonance and each term need "
             "m = %d angles" % m)
     l = len(resonances)
@@ -156,7 +150,7 @@ def cmd_reduce(cfg, out_path=None):
     report["gamma_eff"] = witness.gamma
     report["diophantine_ok"] = not witness.resonant
     if witness.resonant:
-        raise PreconditionFailure(
+        raise PreconditionError(
             "(i) failed: reduced frequency resonant at k=%s"
             % (witness.worst_k,))
     reduced = {
@@ -244,7 +238,7 @@ def _write_zeta_csv(path, rows, l):
             for row in rows:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
     except OSError as exc:
-        raise IOFailure("cannot write %s: %s" % (path, exc)) from exc
+        raise ArtifactIOError("cannot write %s: %s" % (path, exc)) from exc
 
 
 def _solve(cfg):
@@ -353,7 +347,8 @@ def cmd_verify(torus_path, problem_path, grid_n):
         omega = np.asarray(data["omega"], dtype=float)
         tau = float(data.get("tau", 0.1))
     except (KeyError, TypeError, ValueError) as exc:
-        raise IOFailure("torus file %s is malformed: %s" % (torus_path, exc))
+        raise ArtifactIOError("torus file %s is malformed: %s"
+                              % (torus_path, exc)) from exc
     if problem_path:
         prob = _load_reduced(problem_path)
         H0 = assemble_hamiltonian(initial_tuple(
@@ -411,15 +406,15 @@ def main(argv=None):
             return cmd_verify(args.torus, args.problem, args.grid)
         if args.command == "zeta":
             return cmd_zeta(_read_json(args.config), args.out)
-    except IOFailure as exc:
-        print("I/O error: %s" % exc, file=sys.stderr)
-        return EXIT_IO
-    except (PreconditionFailure, KamtoriError) as exc:
+    except PreconditionError as exc:
         print("precondition failure: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION
-    except StepFailure as exc:
+    except ConvergenceError as exc:
         print("convergence failure: %s" % exc, file=sys.stderr)
         return EXIT_CONVERGENCE
+    except ArtifactIOError as exc:
+        print("I/O error: %s" % exc, file=sys.stderr)
+        return EXIT_IO
     return EXIT_PRECONDITION
 
 

@@ -15,20 +15,11 @@ series, see kamtori.series), with batched linear solves for the per-point
 matrices (de la Llave, Gonzalez, Jorba & Villanueva, Nonlinearity 18,
 2005).  The order: A by the plain cohomological solve, (B_x, B_y) by the
 coupled pair solve, B_p, then the block linear system for (alpha, v, mean of
-B_y), then the quadratic blocks, each stage reading its right-hand side off
-the exact series residual so far.  One FFT over the grid axes projects the
-per-point results back onto parameter modes.
-
-The quadratic xx/yy/xy stage solves the symmetrized per-mode system
-
-    lam X - (beta Z^T + Z beta) = Uxx
-    lam Y + (Z + Z^T)           = Uyy
-    lam Z - beta Y + X          = Uxy
-
-(the coefficient-level form of the coupled-triple problem for a symmetric
-quadratic form 1/2 <D z, z>), with the zero modes chosen to kill the xy, yy
-and py averages; the leftover xx / px / pp averages become the beta / Gamma /
-M components of Nbar.
+B_y), then the quadratic blocks (the xx/yy/xy stage by kamtori.smalldiv's
+symmetrized coupled-triple solve; its leftover xx average, like the px / pp
+averages, becomes a component of Nbar), each stage reading its right-hand
+side off the exact series residual so far.  One FFT over the grid axes
+projects the per-point results back onto parameter modes.
 """
 
 import math
@@ -36,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import KamtoriError
+from ..errors import ConvergenceError
 from ..normalform import (BumpProjectionError, NormalFormTuple,
                           assemble_hamiltonian, bump_psi, const_matrix,
                           eval_phi_series, freeze_groups, majorant_on_grid,
@@ -45,15 +36,14 @@ from ..normalform import (BumpProjectionError, NormalFormTuple,
 from ..series import (FTSeries, TaylorSplit, average_q, degrees,
                       differentiate, majorant_norm, multiply, select,
                       taylor_split)
-from ..smalldiv import (SolverPreconditionError, _divisor, solve_L1,
-                        solve_L2)
+from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
 from ..symplectic import GeneratingFunction, poisson_bracket
 
 PSI_SOLVE_FLOOR = 1e-12
 COND_CAP = 1e8
 
 
-class CohomologyError(KamtoriError):
+class CohomologyError(ConvergenceError):
     pass
 
 
@@ -96,11 +86,8 @@ def _real_mean(f, what, pts):
 
 
 def restrict_z0(f):
-    """Drop every term with a nonzero Taylor exponent (evaluation at z = 0);
-    the result carries no truncation loss."""
-    new = select(f, degrees(f)[2] == 0)
-    new.trunc_loss = 0.0
-    return new
+    """Drop every term with a nonzero Taylor exponent (evaluation at z = 0)."""
+    return select(f, degrees(f)[2] == 0)
 
 
 def coordinate(gr, r, s, kind, i):
@@ -170,101 +157,6 @@ def _reduced_hamiltonian(N, h_frozen, beta, Gamma, M):
 
 def _peak(x):
     return float(np.max(x))
-
-
-def _quad_stage_xxyyxy(sp_u, beta, witness, gr, r, s):
-    """Solve the symmetrized (D_xx, D_yy, D_xy) stage at every point; returns
-    series matrices and the zero-mode obstruction."""
-    l = gr.l
-    nb = len(beta)
-    sym_idx = [(i, j) for i in range(l) for j in range(i, l)]
-    si, sj = np.array(sym_idx).T
-    nsym = len(sym_idx)
-    nunk = 2 * nsym + l * l
-    zero_k = (0,) * gr.d
-
-    def gather(mat):
-        out = {}
-        for i in range(l):
-            for j in range(l):
-                for (jj, k, a), c in mat[i][j].terms.items():
-                    out.setdefault(k, np.zeros((nb, l, l), dtype=complex))[
-                        :, i, j] += c
-        return out
-
-    Uxx, Uyy, Uxy = gather(sp_u.d_xx), gather(sp_u.d_yy), gather(sp_u.d_xy)
-    modes = sorted(set(Uxx) | set(Uyy) | set(Uxy))
-    zmat = lambda: np.zeros((nb, l, l), dtype=complex)
-    fresh = lambda: [[{} for _ in range(l)] for _ in range(l)]
-    Dxx, Dyy, Dxy = fresh(), fresh(), fresh()
-    obstruction = 0.0
-
-    def store(mat, vals, k):
-        for i in range(l):
-            for j in range(l):
-                if vals[:, i, j].any():
-                    mat[i][j][((0,) * gr.l, k, (0,) * gr.nz)] = vals[:, i, j]
-
-    # per-mode matrix lam I + C(beta): the columns are the unit unknowns
-    C = np.zeros((nb, nunk, nunk), dtype=complex)
-    for col in range(nunk):
-        X, Y, Z = np.zeros((l, l)), np.zeros((l, l)), np.zeros((l, l))
-        if col < nsym:
-            i, j = sym_idx[col]
-            X[i, j] = X[j, i] = 1.0
-        elif col < 2 * nsym:
-            i, j = sym_idx[col - nsym]
-            Y[i, j] = Y[j, i] = 1.0
-        else:
-            i, j = divmod(col - 2 * nsym, l)
-            Z[i, j] = 1.0
-        E1 = -(beta @ Z.T + Z @ beta)
-        E2 = np.broadcast_to(Z + Z.T, (nb, l, l))
-        E3 = -(beta @ Y) + X
-        C[:, :, col] = np.concatenate([E1[:, si, sj], E2[:, si, sj],
-                                       E3.reshape(nb, -1)], axis=1)
-    eye = np.eye(nunk)
-
-    for k in modes:
-        uxx = Uxx.get(k, zmat())
-        uyy = Uyy.get(k, zmat())
-        uxy = Uxy.get(k, zmat())
-        uxx = 0.5 * (uxx + np.swapaxes(uxx, 1, 2))
-        uyy = 0.5 * (uyy + np.swapaxes(uyy, 1, 2))
-        if k == zero_k:
-            Z0 = 0.5 * uyy
-            anti = 0.5 * (uxy - np.swapaxes(uxy, 1, 2))
-            w, V = np.linalg.eigh(beta)
-            VT = np.swapaxes(V, 1, 2)
-            At = VT @ anti @ V
-            scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None, None]
-            dw = w[:, :, None] - w[:, None, :]
-            off = ~np.eye(l, dtype=bool)
-            split = off & (np.abs(dw) > 1e-10 * scale)
-            Yt = np.where(split, -2.0 * At / np.where(split, dw, 1.0), 0.0)
-            obstruction = float(np.abs(At)[off & ~split].max(initial=0.0))
-            Y0 = V @ Yt @ VT
-            X0 = uxy + beta @ Y0
-            X0 = 0.5 * (X0 + np.swapaxes(X0, 1, 2))
-            store(Dxx, X0, k)
-            store(Dyy, Y0, k)
-            store(Dxy, Z0, k)
-            continue
-        lam = 1j * _divisor(witness, k)
-        rhs = np.concatenate([uxx[:, si, sj], uyy[:, si, sj],
-                              uxy.reshape(nb, -1)], axis=1)
-        sol = np.linalg.solve(C + lam * eye, rhs[..., None])[..., 0]
-        X = zmat()
-        Y = zmat()
-        X[:, si, sj] = X[:, sj, si] = sol[:, :nsym]
-        Y[:, si, sj] = Y[:, sj, si] = sol[:, nsym:2 * nsym]
-        Z = sol[:, 2 * nsym:].reshape(nb, l, l)
-        store(Dxx, X, k)
-        store(Dyy, Y, k)
-        store(Dxy, Z, k)
-    series = lambda mat: [[FTSeries(gr, r, s, t, _raw=True) for t in row]
-                          for row in mat]
-    return series(Dxx), series(Dyy), series(Dxy), obstruction
 
 
 def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
@@ -386,8 +278,8 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
     lin_defect = max(_peak(majorant_norm(b))
                      for b in sp_u.b_x + sp_u.b_y + sp_u.b_p)
 
-    Dxx, Dyy, Dxy, obstruction = _quad_stage_xxyyxy(sp_u, beta, witness,
-                                                    gr, r, s)
+    Dxx, Dyy, Dxy, obstruction = solve_L3(sp_u.d_xx, sp_u.d_yy, sp_u.d_xy,
+                                          beta, witness)
 
     def mat_comb(rows, cols, entry):
         return [[entry(i, j) for j in range(cols)] for i in range(rows)]

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..normalform import eval_phi_series, mat_eval_phi, phi_grid, phi_grid_size
 from ..series import average_q, differentiate, multiply, partial_omega
-from ..symplectic import _Substituter
+from ..symplectic import series_compose
 from .cohom import coordinate, restrict_z0
 
 
@@ -32,11 +32,7 @@ def compute_zeta(state, H0_series):
         if omega[i] != 0.0:
             F = F - coordinate(gr, r, s, "p", i).scale(omega[i])
     Phi0 = _z0_map(state.Phi)
-    if Phi0.is_identity():
-        comp = restrict_z0(F)
-    else:
-        comp = restrict_z0(_Substituter(Phi0, drop_z_identity=True).apply(F))
-    total = comp
+    total = restrict_z0(series_compose(F, Phi0, drop_z_identity=True))
     for i in range(gr.d):
         up = restrict_z0(Phi0.Up[i])
         duq = partial_omega(restrict_z0(Phi0.Uq[i]), omega)

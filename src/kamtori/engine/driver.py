@@ -16,32 +16,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..normalform import (BumpProjectionError, NormalFormTuple,
-                          assemble_hamiltonian, mat_add, normal_form_distance,
-                          normal_form_norm)
+from ..errors import ConvergenceError, PreconditionError
+from ..normalform import (NormalFormTuple, assemble_hamiltonian, mat_add,
+                          normal_form_distance, normal_form_norm)
 from ..series import (FTSeries, average_q, ck_norm_estimate, degrees,
                       differentiate, majorant_norm, multiply, select,
                       truncate_fourier)
-from ..smalldiv import (ResonanceError, SolverPreconditionError,
-                        effective_diophantine_constant)
-from ..symplectic import (GeneratingFunction, GeneratorTooLargeError,
-                          SymplecticityError, SymplecticMapSeries,
+from ..smalldiv import effective_diophantine_constant
+from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
                           compose_maps, identity_map, lie_tail_integral,
                           lie_transform, map_from_generator, series_compose)
-from .cohom import (CohomologyError, coordinate, restrict_z0,
-                    solve_cohomological)
+from .cohom import coordinate, restrict_z0, solve_cohomological
 from .schedule import build_schedule
 
-# numerical failures of the linearized solve that end the run with a
-# reason; anything else is a bug and raises
-COHOM_FAILURES = (CohomologyError, SolverPreconditionError, ResonanceError,
-                  BumpProjectionError, np.linalg.LinAlgError)
 
+class StepFailure(ConvergenceError):
+    """The scheme could not take a rung; `measures` holds what the rung had
+    measured before it failed."""
 
-class StepFailure(RuntimeError):
     def __init__(self, reason, measures=None):
         super().__init__(reason)
-        self.reason = reason
         self.measures = measures or {}
 
 
@@ -164,7 +158,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     try:
         sol = solve_cohomological(state.N, f_t, phi_x, witness, sigma,
                                   row.delta, row.delta_plus, K_eff=K_eff)
-    except COHOM_FAILURES as exc:
+    except (ConvergenceError, np.linalg.LinAlgError) as exc:
         raise StepFailure("linearized conjugacy solve failed: %s" % exc,
                           measures) from exc
     measures["cohom_residual_plateau"] = sol.residual_plateau
@@ -178,7 +172,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     gen = GeneratingFunction(sol.F, sol.v)
     try:
         Psi = map_from_generator(gen)
-    except (GeneratorTooLargeError, SymplecticityError) as exc:
+    except ConvergenceError as exc:
         raise StepFailure("generator flow failed: %s" % exc, measures) from exc
     measures["psi_displacement"] = Psi.displacement_majorant()
     measures["symp_residual"] = Psi.symp_residual
@@ -204,7 +198,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
                                                     lambda n: 1.0 / (n + 2))
             f_plus = t1 + t2
             rem = rem1 + rem2
-    except GeneratorTooLargeError as exc:
+    except ConvergenceError as exc:
         raise StepFailure("error-term transport failed: %s" % exc,
                           measures) from exc
     measures["lie_remainder"] = rem
@@ -213,7 +207,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     if not state.N.g.is_zero():
         try:
             g_moved, _, orders[2] = lie_transform(state.N.g, gen)
-        except GeneratorTooLargeError as exc:
+        except ConvergenceError as exc:
             raise StepFailure("normal-form transport failed: %s" % exc,
                               measures) from exc
         g_new = g_new + (g_moved - state.N.g)
@@ -231,7 +225,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     Psi_out = Psi.with_radii(r_plus, s_plus)
     try:
         Phi_plus = compose_maps(state.Phi.with_radii(r_plus, s_plus), Psi_out)
-    except GeneratorTooLargeError as exc:
+    except ConvergenceError as exc:
         raise StepFailure("map composition failed: %s" % exc,
                           measures) from exc
 
@@ -332,12 +326,12 @@ def iterate(N0, f0, config=None):
     defect = equal_derivative_defect(f0, cfg.frame)
     scale = max(majorant_norm(f0), 1.0)
     if defect > cfg.equal_deriv_tol * scale:
-        raise StepFailure("perturbation violates the averaged-derivative "
-                          "identity: defect %.3g" % defect)
+        raise PreconditionError("perturbation violates the averaged-"
+                                "derivative identity: defect %.3g" % defect)
     witness = effective_diophantine_constant(N0.w, cfg.tau, gr.K_q)
     if witness.resonant:
-        raise StepFailure("frequency vector is resonant at k=%s"
-                          % (witness.worst_k,))
+        raise PreconditionError("frequency vector is resonant at k=%s"
+                                % (witness.worst_k,))
     history = {"steps": [], "schedule": None, "failure": None,
                "equal_deriv_defect": defect, "gamma_eff": witness.gamma,
                "conventions": {
@@ -365,15 +359,15 @@ def iterate(N0, f0, config=None):
         try:
             state_next, res = kam_step(state, row, witness, cfg.lambda_cfg,
                                        N0=N0, resid_factor=cfg.resid_factor)
-        except StepFailure as exc:
-            history["failure"] = {"n": state.n, "reason": exc.reason,
-                                  "measures": exc.measures}
+        except ConvergenceError as exc:
+            history["failure"] = {"n": state.n, "reason": str(exc),
+                                  "measures": getattr(exc, "measures", {})}
             return state, history
         conj = None
         if cfg.check_conjugacy:
             try:
                 conj = conjugacy_residual(N0, f0, state_next)
-            except GeneratorTooLargeError as exc:
+            except ConvergenceError as exc:
                 history["failure"] = {
                     "n": state_next.n,
                     "reason": "conjugacy check failed: %s" % exc,

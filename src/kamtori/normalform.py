@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import KamtoriError
+from .errors import ConvergenceError
 from .series import FTSeries, _l1, ck_norm_estimate, differentiate
 
 
@@ -304,7 +304,7 @@ def is_normal_form(N, v, delta, tol, grid=None):
 # -- bump function -----------------------------------------------------------------
 
 
-class BumpProjectionError(KamtoriError):
+class BumpProjectionError(ConvergenceError):
     pass
 
 

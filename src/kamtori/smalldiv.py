@@ -9,10 +9,21 @@ particular solutions fixed by the scheme:
   L1:  u has zero q-mean, solves <omega, d_q u> = v - M_q v
   L2:  (B_x, B_y)(0) = (M_q b_y, 0),  solves  d_om B_x - beta B_y = b_x - M_q b_x
                                               d_om B_y + B_x     = b_y
-  L3:  (D_xx, D_yy, D_xy)(0) = (M_q d_xy, 0, M_q d_yy), solves
-         d_om D_xx - beta D_xy            = d_xx - M_q d_xx
-         d_om D_yy + D_xy                 = d_yy
-         d_om D_xy - beta D_yy + D_xx     = d_xy
+  L3:  the quadratic blocks of a symmetric form 1/2 <D z, z>: with
+       X = D_xx and Y = D_yy symmetric, Z = D_xy a full l x l matrix and
+       sym(u) = (u + u^T)/2, it solves the symmetrized system
+         d_om X - (beta Z^T + Z beta) = sym(d_xx) - M_q sym(d_xx)
+         d_om Y + (Z + Z^T)           = sym(d_yy)
+         d_om Z - beta Y + X          = d_xy
+       (the first two equations on their upper triangles, the third on
+       every entry).  The zero modes kill the yy and xy averages:
+       Z(0) = M_q sym(d_yy) / 2; Y(0) removes the antisymmetric part A of
+       M_q d_xy, Y_ij = -2 A_ij / (w_i - w_j) in the eigenbasis of beta
+       (eigenvalues w), wherever w_i and w_j are split; X(0) =
+       sym(M_q d_xy + beta Y(0)).  The part of A on unsplit eigenvalue pairs
+       cannot be removed and is returned as the zero-mode obstruction; the
+       xx average is left over (it becomes the beta block of the correction
+       tuple).
 """
 
 import itertools
@@ -21,17 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KamtoriError
+from .errors import ConvergenceError
 from .series import FTSeries, _l1, divide_q_modes
 
 RESONANCE_RTOL = 1e-14
 
 
-class ResonanceError(KamtoriError):
+class ResonanceError(ConvergenceError):
     pass
 
 
-class SolverPreconditionError(KamtoriError):
+class SolverPreconditionError(ConvergenceError):
     """A solver precondition failed; for a stacked (batched) solve, `entry`
     is the index of the first failing matrix of the stack."""
 
@@ -142,21 +153,21 @@ def solve_L1(v, witness):
     return divide_q_modes(v, lambda k: _divisor(witness, k))
 
 
-def _check_beta(beta, witness, K, factor, who):
-    """beta is one l x l matrix or a (B, l, l) stack; each is checked, and an
-    error names the first failing entry of a stack."""
+def _check_beta(beta, witness, K):
+    """L2's precondition: beta is one l x l matrix or a (B, l, l) stack; each
+    is checked, and an error names the first failing entry of a stack."""
     beta = np.asarray(beta, dtype=float)
     stack = beta.reshape((-1,) + beta.shape[-2:])
 
     def fail(bad, msg):
         if beta.ndim == 2:
-            raise SolverPreconditionError("%s: %s" % (who, msg))
+            raise SolverPreconditionError("L2: %s" % msg)
         entry = int(np.argmax(bad))
-        raise SolverPreconditionError("%s: %s (stack entry %d)"
-                                      % (who, msg, entry), entry)
+        raise SolverPreconditionError("L2: %s (stack entry %d)"
+                                      % (msg, entry), entry)
 
     if beta.shape[-2] != beta.shape[-1]:
-        raise SolverPreconditionError("%s: beta must be symmetric" % who)
+        raise SolverPreconditionError("L2: beta must be symmetric")
     asym = ~np.all(np.isclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-5,
                               atol=1e-12), axis=(-2, -1))
     if asym.any():
@@ -165,14 +176,14 @@ def _check_beta(beta, witness, K, factor, who):
     if big.any():
         fail(big, "need ||beta|| <= 1")
     nu = np.linalg.eigvalsh(stack)[:, -1]
-    lim = factor * witness.min_divisor_sq(K)
+    lim = 0.5 * witness.min_divisor_sq(K)
     over = nu > lim + 1e-15
     if over.any():
         # name the offending mode for the error message
         worst = min(_modes_up_to(witness.d, K),
                     key=lambda k: abs(float(np.dot(witness.omega, k))))
-        fail(over, "nu_max(beta)=%.3g exceeds %.3g*min<omega,k>^2=%.3g "
-             "(worst k=%s)" % (float(nu[over][0]), factor, lim, worst))
+        fail(over, "nu_max(beta)=%.3g exceeds 0.5*min<omega,k>^2=%.3g "
+             "(worst k=%s)" % (float(nu[over][0]), lim, worst))
     return beta
 
 
@@ -186,7 +197,7 @@ def solve_L2(b_x, b_y, beta, witness, K):
     """
     l = len(b_x)
     g = b_x[0].grading
-    beta = _check_beta(beta, witness, K, 0.5, "L2")
+    beta = _check_beta(beta, witness, K)
     batch = beta.shape[:-2]
     zero_k = (0,) * g.d
     Bx, By = [{} for _ in b_x], [{} for _ in b_x]
@@ -225,56 +236,93 @@ def solve_L2(b_x, b_y, beta, witness, K):
     return series(Bx), series(By)
 
 
-def solve_L3(d_xx, d_yy, d_xy, beta, witness, K):
-    """Coupled triple solve for l x l matrices of series (column-decoupled)."""
+def solve_L3(d_xx, d_yy, d_xy, beta, witness):
+    """The symmetrized coupled-triple solve (module docstring) at every entry
+    of a (B, l, l) beta stack; returns (Dxx, Dyy, Dxy, obstruction).
+
+    d_xx, d_yy, d_xy are l x l matrices of series whose coefficients hold one
+    entry per matrix of the stack (or one number for all of them)."""
     l = len(d_xx)
-    g = d_xx[0][0].grading
-    beta = _check_beta(beta, witness, K, 0.25, "L3")
-    zero_k = (0,) * g.d
-
-    def fresh():
-        return [[{} for _ in range(l)] for _ in range(l)]
-
+    f0 = d_xx[0][0]
+    gr, r, s = f0.grading, f0.r, f0.s
+    nb = len(beta)
+    sym_idx = [(i, j) for i in range(l) for j in range(i, l)]
+    si, sj = np.array(sym_idx).T
+    nsym = len(sym_idx)
+    nunk = 2 * nsym + l * l
+    zero_k = (0,) * gr.d
+    flat = [m[i][j] for m in (d_xx, d_yy, d_xy) for i in range(l)
+            for j in range(l)]
+    slic = _group_slices(flat, (nb,))
+    zmat = lambda: np.zeros((nb, l, l), dtype=complex)
+    fresh = lambda: [[{} for _ in range(l)] for _ in range(l)]
     Dxx, Dyy, Dxy = fresh(), fresh(), fresh()
-    flat = ([d_xx[i][jj] for i in range(l) for jj in range(l)]
-            + [d_yy[i][jj] for i in range(l) for jj in range(l)]
-            + [d_xy[i][jj] for i in range(l) for jj in range(l)])
-    slic = _group_slices(flat)
-    eye = np.eye(l)
-    zero = np.zeros((l, l))
-    for (j, a), modes in sorted(slic.items()):
+    obstruction = 0.0
+
+    def store(mat, vals, key):
+        for i in range(l):
+            for j in range(l):
+                if vals[:, i, j].any():
+                    mat[i][j][key] = vals[:, i, j]
+
+    # per-mode matrix lam I + C(beta): the columns are the unit unknowns
+    C = np.zeros((nb, nunk, nunk), dtype=complex)
+    for col in range(nunk):
+        X, Y, Z = np.zeros((l, l)), np.zeros((l, l)), np.zeros((l, l))
+        if col < nsym:
+            i, j = sym_idx[col]
+            X[i, j] = X[j, i] = 1.0
+        elif col < 2 * nsym:
+            i, j = sym_idx[col - nsym]
+            Y[i, j] = Y[j, i] = 1.0
+        else:
+            i, j = divmod(col - 2 * nsym, l)
+            Z[i, j] = 1.0
+        E1 = -(beta @ Z.T + Z @ beta)
+        E2 = np.broadcast_to(Z + Z.T, (nb, l, l))
+        E3 = -(beta @ Y) + X
+        C[:, :, col] = np.concatenate([E1[:, si, sj], E2[:, si, sj],
+                                       E3.reshape(nb, -1)], axis=1)
+    eye = np.eye(nunk)
+
+    for (jm, a), modes in sorted(slic.items()):
         for k, vec in sorted(modes.items()):
-            dxx_h = vec[:l * l].reshape(l, l)
-            dyy_h = vec[l * l:2 * l * l].reshape(l, l)
-            dxy_h = vec[2 * l * l:].reshape(l, l)
+            uxx, uyy, uxy = np.moveaxis(vec.reshape(nb, 3, l, l), 1, 0)
+            uxx = 0.5 * (uxx + np.swapaxes(uxx, 1, 2))
+            uyy = 0.5 * (uyy + np.swapaxes(uyy, 1, 2))
+            key = (jm, k, a)
             if k == zero_k:
-                for i in range(l):
-                    for jj in range(l):
-                        if dxy_h[i, jj] != 0.0:
-                            Dxx[i][jj][(j, k, a)] = dxy_h[i, jj]
-                        if dyy_h[i, jj] != 0.0:
-                            Dxy[i][jj][(j, k, a)] = dyy_h[i, jj]
+                Z0 = 0.5 * uyy
+                anti = 0.5 * (uxy - np.swapaxes(uxy, 1, 2))
+                w, V = np.linalg.eigh(beta)
+                VT = np.swapaxes(V, 1, 2)
+                At = VT @ anti @ V
+                scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None, None]
+                dw = w[:, :, None] - w[:, None, :]
+                off = ~np.eye(l, dtype=bool)
+                split = off & (np.abs(dw) > 1e-10 * scale)
+                Yt = np.where(split, -2.0 * At / np.where(split, dw, 1.0), 0.0)
+                obstruction = max(obstruction, float(
+                    np.abs(At)[off & ~split].max(initial=0.0)))
+                Y0 = V @ Yt @ VT
+                X0 = uxy + beta @ Y0
+                X0 = 0.5 * (X0 + np.swapaxes(X0, 1, 2))
+                store(Dxx, X0, key)
+                store(Dyy, Y0, key)
+                store(Dxy, Z0, key)
                 continue
             lam = 1j * _divisor(witness, k)
-            M = np.block([[lam * eye, zero, -beta],
-                          [zero, lam * eye, eye],
-                          [eye, -beta, lam * eye]])
-            det = np.linalg.det(M)
-            dot = abs(float(np.dot(witness.omega, k)))
-            if abs(det) < (1 - 1e-9) * (4.0 ** -l) * dot ** (3 * l):
-                raise SolverPreconditionError(
-                    "L3: determinant bound violated at k=%s" % (k,))
-            rhs = np.vstack([dxx_h, dyy_h, dxy_h])  # columns decouple
-            sol = np.linalg.solve(M, rhs)
-            for i in range(l):
-                for jj in range(l):
-                    if sol[i, jj] != 0.0:
-                        Dxx[i][jj][(j, k, a)] = sol[i, jj]
-                    if sol[l + i, jj] != 0.0:
-                        Dyy[i][jj][(j, k, a)] = sol[l + i, jj]
-                    if sol[2 * l + i, jj] != 0.0:
-                        Dxy[i][jj][(j, k, a)] = sol[2 * l + i, jj]
-    r, s = d_xx[0][0].r, d_xx[0][0].s
-    series = lambda mat: [[FTSeries(g, r, s, t, _raw=True) for t in row]
+            rhs = np.concatenate([uxx[:, si, sj], uyy[:, si, sj],
+                                  uxy.reshape(nb, -1)], axis=1)
+            sol = np.linalg.solve(C + lam * eye, rhs[..., None])[..., 0]
+            X = zmat()
+            Y = zmat()
+            X[:, si, sj] = X[:, sj, si] = sol[:, :nsym]
+            Y[:, si, sj] = Y[:, sj, si] = sol[:, nsym:2 * nsym]
+            Z = sol[:, 2 * nsym:].reshape(nb, l, l)
+            store(Dxx, X, key)
+            store(Dyy, Y, key)
+            store(Dxy, Z, key)
+    series = lambda mat: [[FTSeries(gr, r, s, t, _raw=True) for t in row]
                           for row in mat]
-    return series(Dxx), series(Dyy), series(Dxy)
+    return series(Dxx), series(Dyy), series(Dxy), obstruction

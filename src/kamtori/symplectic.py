@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import KamtoriError
+from .errors import ConvergenceError, PreconditionError
 from .series import (FTSeries, _l1, ck_norm_estimate, differentiate,
                      ft_sum, majorant_norm, multiply)
 
@@ -16,15 +16,15 @@ DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
 
 
-class GeneratorTooLargeError(KamtoriError):
+class GeneratorTooLargeError(ConvergenceError):
     pass
 
 
-class SymplecticityError(KamtoriError):
+class SymplecticityError(ConvergenceError):
     pass
 
 
-class ReductionError(KamtoriError):
+class ReductionError(PreconditionError):
     pass
 
 
@@ -411,11 +411,14 @@ class _Substituter:
         return out
 
 
-def series_compose(f, Psi, tol=1e-18):
-    """f o Psi by Taylor substitution (angle shifts via exponential expansion)."""
+def series_compose(f, Psi, tol=1e-18, drop_z_identity=False):
+    """f o Psi by Taylor substitution (angle shifts via exponential expansion).
+
+    With drop_z_identity the ball variables are replaced by Psi's
+    displacement alone (evaluation along z = 0)."""
     if Psi.is_identity():
         return f.copy()
-    return _Substituter(Psi, tol).apply(f)
+    return _Substituter(Psi, tol, drop_z_identity).apply(f)
 
 
 def compose_maps(Phi, Psi, check_bound=True):

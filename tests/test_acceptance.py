@@ -104,17 +104,18 @@ def test_criterion_2_contraction(flagship_pipeline):
 
 
 def _operator_matrix(apply_op, gradings_keys, g, r=1.0, s=1.0):
-    cols = []
-    for key in gradings_keys:
+    """Dense matrix of apply_op over the (component, key) unknowns; image
+    terms outside gradings_keys are dropped."""
+    row = {key: idx for idx, key in enumerate(gradings_keys)}
+    A = np.zeros((len(gradings_keys),) * 2, dtype=complex)
+    for col, key in enumerate(gradings_keys):
         basis = FTSeries(g, r, s, {key[1]: 1.0}, _raw=True)
-        image = apply_op(key[0], basis)
-        col = np.zeros(len(gradings_keys), dtype=complex)
-        for idx, other in enumerate(gradings_keys):
-            for comp_idx, series in enumerate(image):
-                if other[0] == comp_idx:
-                    col[idx] += series.terms.get(other[1], 0.0)
-        cols.append(col)
-    return np.stack(cols, axis=-1)
+        for comp_idx, series in enumerate(apply_op(key[0], basis)):
+            for other, c in series.terms.items():
+                idx = row.get((comp_idx, other))
+                if idx is not None:
+                    A[idx, col] += c
+    return A
 
 
 def _random_trig(g, rng, K, scale=1.0):
@@ -214,53 +215,63 @@ def test_criterion_3_solver_oracle_equivalence():
         worst["L2"] = max(worst["L2"],
                           float(np.max(np.abs(mine2 - dense2))) / scale2)
 
-        # L3 against the dense coupled-triple operator over nonzero modes
+        # L3 against the dense symmetrized coupled-triple operator over
+        # nonzero modes: the unknowns are the upper triangles of the
+        # symmetric X and Y and every entry of Z; the first two equations
+        # are read on their upper triangles, the third on every entry
         beta3 = _sym_beta(rng, l, 0.25 * wit.min_divisor_sq(K))
         mats = [[[_random_trig(g, rng, K) for _ in range(l)]
                  for _ in range(l)] for _ in range(3)]
         dxx, dyy, dxy = mats
-        nmat = l * l
-        keys3 = [(ci, mkey(k)) for ci in range(3 * nmat) for k in modes]
+        upper = [(i, j) for i in range(l) for j in range(i, l)]
+        full = [(i, j) for i in range(l) for j in range(l)]
+        slots3 = ([(0, ij) for ij in upper] + [(1, ij) for ij in upper]
+                  + [(2, ij) for ij in full])
+        keys3 = [(ci, mkey(k)) for ci in range(len(slots3)) for k in modes]
+        zero = FTSeries.zero(g, 1, 1)
+
+        def lin(*parts):
+            """Entrywise sum of c * m over the (c, series matrix) parts."""
+            return [[sum((m[i][j].scale(c) for c, m in parts
+                          if not m[i][j].is_zero()), zero)
+                     for j in range(l)] for i in range(l)]
+
+        def beta_times(m):
+            """beta3 @ m for a matrix of series."""
+            return [[sum((m[t][j].scale(beta3[i, t]) for t in range(l)
+                          if not m[t][j].is_zero()), zero)
+                     for j in range(l)] for i in range(l)]
+
+        transpose = lambda m: [list(col) for col in zip(*m)]
 
         def op3(ci, b):
-            out = [FTSeries.zero(g, 1, 1) for _ in range(3 * nmat)]
-            blk, ent = divmod(ci, nmat)
-            i, j = divmod(ent, l)
-            dom = partial_omega(b, omega)
-            if blk == 0:      # X entry: feeds eq1 (d_om X) and eq3 (+X)
-                out[ci] = dom
-                out[2 * nmat + ent] = out[2 * nmat + ent] + b
-            elif blk == 1:    # Y entry: eq2 (d_om Y), eq3 (-beta Y)
-                out[ci] = dom
-                for ii in range(l):
-                    if beta3[ii, i]:
-                        out[2 * nmat + ii * l + j] = \
-                            out[2 * nmat + ii * l + j] - b.scale(beta3[ii, i])
-            else:             # Z entry: eq3 (d_om Z), eq1 (-beta Z), eq2 (+Z)
-                out[ci] = dom
-                out[nmat + ent] = out[nmat + ent] + b
-                for ii in range(l):
-                    if beta3[ii, i]:
-                        out[ii * l + j] = out[ii * l + j] - b.scale(beta3[ii, i])
-            return out
+            blk, (i, j) = slots3[ci]
+            U = [[[zero] * l for _ in range(l)] for _ in range(3)]
+            U[blk][i][j] = b
+            if blk < 2:       # X and Y are symmetric
+                U[blk][j][i] = b
+            X, Y, Z = U
+            dom = lambda m: [[partial_omega(e, omega) for e in row]
+                             for row in m]
+            ZT = transpose(Z)
+            # Z beta = (beta Z^T)^T, beta being symmetric
+            bZT = beta_times(ZT)
+            e1 = lin((1.0, dom(X)), (-1.0, bZT), (-1.0, transpose(bZT)))
+            e2 = lin((1.0, dom(Y)), (1.0, Z), (1.0, ZT))
+            e3 = lin((1.0, dom(Z)), (-1.0, beta_times(Y)), (1.0, X))
+            return [[e1, e2, e3][bk][ii][jj] for bk, (ii, jj) in slots3]
 
         A3 = _operator_matrix(op3, keys3, g)
-        rhs3 = np.array(
-            [(dxx[i][j] - average_q(dxx[i][j])).terms.get(mkey(k), 0.0)
-             for i in range(l) for j in range(l) for k in modes]
-            + [dyy[i][j].terms.get(mkey(k), 0.0) for i in range(l)
-               for j in range(l) for k in modes]
-            + [dxy[i][j].terms.get(mkey(k), 0.0) for i in range(l)
-               for j in range(l) for k in modes])
+        sym = lambda m, i, j, k: 0.5 * (m[i][j].terms.get(mkey(k), 0.0)
+                                        + m[j][i].terms.get(mkey(k), 0.0))
+        rhs3 = np.array([sym([dxx, dyy][bk], i, j, k) if bk < 2
+                         else dxy[i][j].terms.get(mkey(k), 0.0)
+                         for bk, (i, j) in slots3 for k in modes])
         dense3 = np.linalg.solve(A3, rhs3)
-        Dxx, Dyy, Dxy = solve_L3(dxx, dyy, dxy, beta3, wit, K)
-        mine3 = np.array(
-            [Dxx[i][j].terms.get(mkey(k), 0.0) for i in range(l)
-             for j in range(l) for k in modes]
-            + [Dyy[i][j].terms.get(mkey(k), 0.0) for i in range(l)
-               for j in range(l) for k in modes]
-            + [Dxy[i][j].terms.get(mkey(k), 0.0) for i in range(l)
-               for j in range(l) for k in modes])
+        Dxx, Dyy, Dxy, _obs = solve_L3(dxx, dyy, dxy, beta3[None], wit)
+        got = lambda f, k: np.ravel(f.terms.get(mkey(k), 0.0))[0]
+        mine3 = np.array([got([Dxx, Dyy, Dxy][bk][i][j], k)
+                          for bk, (i, j) in slots3 for k in modes])
         scale3 = max(1.0, np.max(np.abs(dense3)))
         worst["L3"] = max(worst["L3"],
                           float(np.max(np.abs(mine3 - dense3))) / scale3)

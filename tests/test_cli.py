@@ -1,15 +1,32 @@
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
+import kamtori
 import kamtori.cli as cli
 import kamtori.engine.driver as driver
 from kamtori.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          EXIT_PRECONDITION, main)
-from kamtori.symplectic import GeneratorTooLargeError
+from kamtori.engine.cohom import CohomologyError
+from kamtori.errors import (ArtifactIOError, ConvergenceError, KamtoriError,
+                            PreconditionError)
+from kamtori.normalform import BumpProjectionError
+from kamtori.series import GradingError, RealityError
+from kamtori.smalldiv import ResonanceError, SolverPreconditionError
+from kamtori.symplectic import (GeneratorTooLargeError, ReductionError,
+                                SymplecticityError)
 from conftest import GOLDEN
+
+# the named failure classes, StepFailure, and the exit-4 base itself
+NAMED_FAILURES = [GradingError, RealityError, ReductionError, CohomologyError,
+                  SolverPreconditionError, ResonanceError, BumpProjectionError,
+                  GeneratorTooLargeError, SymplecticityError,
+                  driver.StepFailure, ArtifactIOError]
 
 
 def flagship_config(tmp_path, eps=1e-4, target_tol=1e-8, K=16, D=4,
@@ -261,13 +278,33 @@ class TestFailureExitCodes:
         with pytest.raises(ValueError, match="broadcast"):
             main(["run", "--config", str(path)])
 
-    def test_named_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("cls", NAMED_FAILURES, ids=lambda c: c.__name__)
+    def test_named_failure_exits_by_base(self, tmp_path, monkeypatch, capsys,
+                                         cls):
         def failing(*args, **kwargs):
-            raise GeneratorTooLargeError("generator too large")
+            raise cls("named failure raised by the iteration")
         monkeypatch.setattr(cli, "iterate", failing)
         path, cfg = flagship_config(tmp_path)
-        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
-        assert "generator too large" in capsys.readouterr().err
+        want = {PreconditionError: EXIT_PRECONDITION,
+                ConvergenceError: EXIT_CONVERGENCE,
+                ArtifactIOError: EXIT_IO}
+        base, = [b for b in want if issubclass(cls, b)]
+        assert main(["run", "--config", str(path)]) == want[base]
+        assert "named failure raised by the iteration" in \
+            capsys.readouterr().err
+
+    def test_every_failure_class_has_one_base(self):
+        bases = (PreconditionError, ConvergenceError, ArtifactIOError)
+        found = []
+        for info in pkgutil.walk_packages(kamtori.__path__, "kamtori."):
+            mod = importlib.import_module(info.name)
+            for _, cls in inspect.getmembers(mod, inspect.isclass):
+                if cls.__module__ == mod.__name__ \
+                        and issubclass(cls, BaseException) \
+                        and cls not in bases + (KamtoriError,):
+                    found.append(cls)
+                    assert sum(issubclass(cls, b) for b in bases) == 1, cls
+        assert set(NAMED_FAILURES) - set(bases) <= set(found)
 
     def test_bug_in_the_reduction_propagates(self, tmp_path, monkeypatch):
         # only reading the config is a precondition check; a bare ValueError

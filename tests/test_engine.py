@@ -13,11 +13,12 @@ from kamtori.engine import (build_schedule, check_alpha_gradient,
 import kamtori.engine.driver as driver
 from kamtori.engine.cohom import (CohomologyError, coordinate, freeze_phi,
                                   restrict_z0)
-from kamtori.engine.driver import (IterateConfig, IterationState,
-                                   StepFailure, c2_norm, conjugacy_residual)
+from kamtori.engine.driver import (IterateConfig, IterationState, c2_norm,
+                                   conjugacy_residual)
 from kamtori.normalform import (assemble_hamiltonian, const_matrix,
                                 eval_phi_series, initial_tuple, tuple_to_json)
 from kamtori.engine.torus import _qgrid
+from kamtori.errors import PreconditionError
 from kamtori.series import (FTSeries, Grading, RealityError, average_q,
                             differentiate, evaluate, from_json_dict,
                             majorant_norm, multiply, taylor_split)
@@ -313,7 +314,7 @@ class TestIterate:
         gr = small_grading()
         N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
         bad = FTSeries(gr, 1, 1, {((0,), (0,), (1, 0, 0)): EPS}, _raw=True)
-        with pytest.raises(StepFailure, match="averaged-derivative"):
+        with pytest.raises(PreconditionError, match="averaged-derivative"):
             iterate(N0, bad, IterateConfig())
 
     def test_conjugacy_check_error_recorded_as_failure(self, monkeypatch):
@@ -594,6 +595,17 @@ class TestZeta:
                              Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
         zeta = compute_zeta(st0, assemble_hamiltonian(N0))
         assert majorant_norm(zeta) < 1e-18
+
+
+class TestRestrictZ0:
+    def test_keeps_the_truncation_loss(self, rng):
+        gr = small_grading()
+        f = random_real_series(gr, 1, 1, rng, max_deg=2)
+        f.trunc_loss = 4.2e-14
+        z0 = restrict_z0(f)
+        assert z0.trunc_loss == f.trunc_loss
+        assert z0.terms == {key: c for key, c in f.terms.items()
+                            if not any(key[2])}
 
 
 class TestVanishingPoint:

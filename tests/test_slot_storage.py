@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import dict_ring as old
 import kamtori.series as new
+from kamtori.normalform import NormalFormTuple, tuple_from_json, tuple_to_json
 from kamtori.symplectic import GeneratingFunction, map_from_generator
 from conftest import random_real_series
 
@@ -264,6 +265,32 @@ def test_json_round_trip_is_bit_exact(fg):
     assert (back.grading, back.r, back.s) == (f.grading, f.r, f.s)
     assert list(back.terms) == list(f.terms)
     assert all(back.terms[key] == c for key, c in f.terms.items())
+
+
+def _tuple_slots(N):
+    return ([N.c] + [e for m in (N.beta, N.Gamma, N.M, N.Q) for row in m
+                     for e in row] + [N.g, N.h])
+
+
+@settings(max_examples=10)
+@given(shapes, st.integers(0, 2 ** 32 - 1))
+def test_tuple_json_round_trip_is_bit_exact(shape, seed):
+    gr = new.Grading(*shape)
+    l, d = gr.l, gr.d
+    rng = np.random.default_rng(seed)
+    ser = lambda: random_real_series(gr, 0.7, 0.9, rng, max_k=gr.K_q,
+                                     max_phi=gr.K_phi, max_deg=gr.D)
+    mat = lambda rows, cols: [[ser() for _ in range(cols)]
+                              for _ in range(rows)]
+    N = NormalFormTuple(rng.standard_normal(d), ser(), mat(l, l), mat(l, d),
+                        mat(d, d), mat(l, l), ser(), ser())
+    back = tuple_from_json(tuple_to_json(N))
+    assert back.w.tobytes() == N.w.tobytes()
+    bits = lambda f: np.array(list(f.terms.values()), dtype=complex).tobytes()
+    for f, g in zip(_tuple_slots(N), _tuple_slots(back), strict=True):
+        assert (g.grading, g.r, g.s) == (f.grading, f.r, f.s)
+        assert list(g.terms) == list(f.terms)
+        assert bits(g) == bits(f)
 
 
 @settings(max_examples=10)

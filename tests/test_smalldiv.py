@@ -212,16 +212,36 @@ class TestL2:
         assert err.value.entry == 2
 
 
+def entry(f, b=0):
+    """Entry b of a batched series, as an unbatched one."""
+    return FTSeries(f.grading, f.r, f.s,
+                    {key: complex(c[b]) for key, c in f.terms.items()},
+                    _raw=True)
+
+
+def batched(series):
+    """One batched series whose entry b is series[b]."""
+    keys = sorted(set().union(*(f.terms for f in series)))
+    return FTSeries(series[0].grading, series[0].r, series[0].s,
+                    {key: np.array([f.terms.get(key, 0.0) for f in series],
+                                   dtype=complex) for key in keys},
+                    _raw=True)
+
+
 class TestL3:
+    """The symmetrized coupled-triple solve (see kamtori.smalldiv).  At l = 1
+    X, Y and Z are numbers, Z + Z^T = 2Z and beta Z^T + Z beta = 2 beta Z."""
+
     def test_zero_maps_to_zero(self, g11):
         w = effective_diophantine_constant([GOLDEN], 0.5, 8)
         z = [[FTSeries.zero(g11, 1, 1)]]
-        Dxx, Dyy, Dxy = solve_L3(z, z, z, np.zeros((1, 1)), w, 8)
+        Dxx, Dyy, Dxy, obs = solve_L3(z, z, z, np.zeros((1, 1, 1)), w)
         assert Dxx[0][0].is_zero() and Dyy[0][0].is_zero() and Dxy[0][0].is_zero()
+        assert obs == 0.0
 
     def test_beta_zero_triangular_chain(self, rng):
-        # with beta = 0 the displayed system triangularizes by hand:
-        # lam X = uxx - mean, lam Y + Z = uyy, lam Z + X = uxy
+        # with beta = 0 the system triangularizes by hand:
+        # lam X = uxx, lam Z + X = uxy, lam Y + 2 Z = uyy
         g = Grading(d=1, l=1, K_q=4, K_phi=0, D=3)
         w = effective_diophantine_constant([GOLDEN], 0.5, 4)
         k = 2
@@ -231,14 +251,15 @@ class TestL3:
         mk = lambda c: [[FTSeries(g, 1, 1, {((0,), (k,), (0, 0, 0)): c,
                                             ((0,), (-k,), (0, 0, 0)): np.conj(c)},
                                   _raw=True)]]
-        Dxx, Dyy, Dxy = solve_L3(mk(cs[0]), mk(cs[1]), mk(cs[2]),
-                                 np.zeros((1, 1)), w, 4)
+        Dxx, Dyy, Dxy, _ = solve_L3(mk(cs[0]), mk(cs[1]), mk(cs[2]),
+                                    np.zeros((1, 1, 1)), w)
         X = cs[0] / lam
         Z = (cs[2] - X) / lam
-        Y = (cs[1] - Z) / lam
-        assert Dxx[0][0].coeff((0,), (k,), (0, 0, 0)) == pytest.approx(X)
-        assert Dyy[0][0].coeff((0,), (k,), (0, 0, 0)) == pytest.approx(Y)
-        assert Dxy[0][0].coeff((0,), (k,), (0, 0, 0)) == pytest.approx(Z)
+        Y = (cs[1] - 2 * Z) / lam
+        key = ((0,), (k,), (0, 0, 0))
+        assert entry(Dxx[0][0]).terms[key] == pytest.approx(X)
+        assert entry(Dyy[0][0]).terms[key] == pytest.approx(Y)
+        assert entry(Dxy[0][0]).terms[key] == pytest.approx(Z)
 
     def test_single_mode_matches_dense_3x3(self, rng):
         g = Grading(d=1, l=1, K_q=4, K_phi=0, D=3)
@@ -251,24 +272,75 @@ class TestL3:
         mk = lambda c: [[FTSeries(g, 1, 1, {((0,), (k,), (0, 0, 0)): c,
                                             ((0,), (-k,), (0, 0, 0)): np.conj(c)},
                                   _raw=True)]]
-        Dxx, Dyy, Dxy = solve_L3(mk(cs[0]), mk(cs[1]), mk(cs[2]), beta, w, 4)
+        Dxx, Dyy, Dxy, _ = solve_L3(mk(cs[0]), mk(cs[1]), mk(cs[2]),
+                                    beta[None], w)
         b = beta[0, 0]
-        M = np.array([[lam, 0, -b], [0, lam, 1.0], [1.0, -b, lam]])
+        M = np.array([[lam, 0, -2 * b], [0, lam, 2.0], [1.0, -b, lam]])
         dense = np.linalg.solve(M, cs)
-        got = [Dxx[0][0].coeff((0,), (k,), (0, 0, 0)),
-               Dyy[0][0].coeff((0,), (k,), (0, 0, 0)),
-               Dxy[0][0].coeff((0,), (k,), (0, 0, 0))]
+        key = ((0,), (k,), (0, 0, 0))
+        got = [entry(D[0][0]).terms[key] for D in (Dxx, Dyy, Dxy)]
         assert np.max(np.abs(np.array(got) - dense)) < 1e-12
 
-    def test_zero_mode_particular_solution(self, g11, rng):
+    def test_zero_mode_particular_solution(self, g11):
+        # at l = 1: Dxx0 = uxy, Dyy0 = 0, Dxy0 = uyy / 2, whatever beta
         w = effective_diophantine_constant([GOLDEN], 0.5, 8)
         cxy, cyy = 1.7, -0.4
         mk = lambda c: [[FTSeries.constant(g11, 1, 1, c)]]
-        Dxx, Dyy, Dxy = solve_L3(mk(0.3), mk(cyy), mk(cxy),
-                                 np.zeros((1, 1)), w, 8)
-        assert Dxx[0][0].coeff((0,), (0,), (0, 0, 0)) == pytest.approx(cxy)
+        Dxx, Dyy, Dxy, obs = solve_L3(mk(0.3), mk(cyy), mk(cxy),
+                                      np.full((1, 1, 1), 0.2), w)
+        zero = ((0,), (0,), (0, 0, 0))
+        assert entry(Dxx[0][0]).terms[zero] == pytest.approx(cxy)
         assert Dyy[0][0].is_zero()
-        assert Dxy[0][0].coeff((0,), (0,), (0, 0, 0)) == pytest.approx(cyy)
+        assert entry(Dxy[0][0]).terms[zero] == pytest.approx(cyy / 2)
+        assert obs == 0.0
+
+    def test_zero_mode_obstruction(self):
+        # l = 2: an antisymmetric xy average is removable only where beta's
+        # eigenvalues split; with beta = 0 all of it is the obstruction
+        g = Grading(d=1, l=2, K_q=4, K_phi=0, D=3)
+        w = effective_diophantine_constant([GOLDEN], 0.5, 4)
+        const = lambda c: FTSeries.constant(g, 1, 1, c)
+        zeros = [[const(0.0)] * 2 for _ in range(2)]
+        uxy = [[const(0.0), const(0.7)], [const(-0.7), const(0.0)]]
+        _, _, _, obs = solve_L3(zeros, zeros, uxy, np.zeros((1, 2, 2)), w)
+        assert obs == pytest.approx(0.7, rel=1e-15)
+        split = np.diag([0.1, -0.2])[None]
+        Dxx, Dyy, _, obs = solve_L3(zeros, zeros, uxy, split, w)
+        assert obs == 0.0
+        # the removed part: -beta Y0 + X0 = uxy on the xy average
+        zero = g.zero_key()
+        avg = lambda D: np.array([[entry(D[i][j]).coeff(*zero)
+                                   for j in range(2)] for i in range(2)])
+        X0, Y0 = avg(Dxx), avg(Dyy)
+        want = np.array([[0.0, 0.7], [-0.7, 0.0]])
+        assert np.max(np.abs(-split[0] @ Y0 + X0 - want)) < 1e-14
+        assert np.allclose(X0, X0.T) and np.allclose(Y0, Y0.T)
+
+    def test_stack_entries_match_single_solves(self, rng):
+        from conftest import random_real_series
+        g = Grading(d=1, l=2, K_q=4, K_phi=0, D=3)
+        w = effective_diophantine_constant([GOLDEN], 0.5, 4)
+        nb = 3
+        betas = np.stack([make_beta(rng, 2, 0.25 * w.min_divisor_sq(4))
+                          for _ in range(nb)])
+        # per entry b: three l x l matrices of series with zero modes
+        draws = [[[[random_real_series(g, 1, 1, rng, max_k=4, max_phi=0,
+                                       max_deg=0) for _ in range(2)]
+                   for _ in range(2)] for _ in range(3)] for _ in range(nb)]
+        stacked = [[[batched([draws[b][m][i][j] for b in range(nb)])
+                     for j in range(2)] for i in range(2)] for m in range(3)]
+        Ds = solve_L3(*stacked, betas, w)
+        obs = []
+        for b in range(nb):
+            one = solve_L3(*draws[b], betas[b][None], w)
+            obs.append(one[3])
+            for m in range(3):
+                for i in range(2):
+                    for j in range(2):
+                        got, want = entry(Ds[m][i][j], b), entry(one[m][i][j])
+                        diff = (got - want).max_abs_coeff()
+                        assert diff <= 1e-14 * max(1.0, want.max_abs_coeff())
+        assert Ds[3] == max(obs)
 
     def test_residual_of_displayed_system(self, g11, rng):
         from conftest import random_real_series
@@ -279,12 +351,12 @@ class TestL3:
             mats = [[[random_real_series(g11, 1, 1, rng, max_k=8, max_phi=0,
                                          max_deg=0)]] for _ in range(3)]
             dxx, dyy, dxy = mats
-            Dxx, Dyy, Dxy = solve_L3(dxx, dyy, dxy, beta, w, 8)
+            Dxx, Dyy, Dxy = (entry(D[0][0]) for D in
+                             solve_L3(dxx, dyy, dxy, beta[None], w)[:3])
             dom = lambda f: partial_omega(f, [GOLDEN])
-            r1 = dom(Dxx[0][0]) - Dxy[0][0].scale(b) \
-                - (dxx[0][0] - average_q(dxx[0][0]))
-            r2 = dom(Dyy[0][0]) + Dxy[0][0] - dyy[0][0]
-            r3 = dom(Dxy[0][0]) - Dyy[0][0].scale(b) + Dxx[0][0] - dxy[0][0]
+            r1 = dom(Dxx) - Dxy.scale(2 * b) - (dxx[0][0] - average_q(dxx[0][0]))
+            r2 = dom(Dyy) + Dxy.scale(2.0) - dyy[0][0]
+            r3 = dom(Dxy) - Dyy.scale(b) + Dxx - dxy[0][0]
             scale = sum(majorant_norm(m[0][0]) for m in mats)
             # the zero modes follow the scheme's particular choice, which
             # leaves the xx average free (it lands in the correction tuple)
