@@ -291,7 +291,8 @@ def _pipeline(cfg):
                  if k in ("n", "r", "s", "eps_measured", "alpha_norm",
                           "f_norm", "conjugacy_residual", "f_plus_trunc_loss",
                           "phi_trunc_loss", "f_plus_terms", "phi_terms",
-                          "lie_orders", "contraction_exponent")}
+                          "lie_orders", "contraction_exponent",
+                          "symp_residual")}
                 for row in history["steps"]]
     _write_json(hist_path, hist_out)
     artifacts["history"] = hist_path

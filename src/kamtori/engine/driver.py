@@ -27,16 +27,7 @@ from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
                           compose_maps, identity_map, lie_tail_integral,
                           lie_transform, map_from_generator, series_compose)
 from .cohom import coordinate, restrict_z0, solve_cohomological
-from .schedule import build_schedule
-
-
-class StepFailure(ConvergenceError):
-    """The scheme could not take a rung; `measures` holds what the rung had
-    measured before it failed."""
-
-    def __init__(self, reason, measures=None):
-        super().__init__(reason)
-        self.measures = measures or {}
+from .schedule import StepFailure, build_schedule
 
 
 @dataclass

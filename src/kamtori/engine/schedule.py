@@ -9,6 +9,17 @@ delta_plus_n = (1/8) (sigma_n / (4 |log eps_n|))^(2 tau).
 import math
 from dataclasses import dataclass
 
+from ..errors import ConvergenceError
+
+
+class StepFailure(ConvergenceError):
+    """The scheme could not take a rung; `measures` holds what the rung had
+    measured before it failed."""
+
+    def __init__(self, reason, measures=None):
+        super().__init__(reason)
+        self.measures = measures or {}
+
 
 @dataclass
 class ScheduleRow:
@@ -38,7 +49,8 @@ class Schedule:
 
 
 def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
-    """Emit rungs until n_max or until a consistency check fails.
+    """Emit rungs until n_max or until a consistency check fails (at rung
+    0 that raises StepFailure: no rung can be scheduled).
 
     Checks per rung: the glue level stays below the sublevel threshold
     (delta_plus < delta) and the threshold chain is gradual (delta_n <= 8
@@ -79,7 +91,8 @@ def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
         s -= sigma
         eps = eps ** 1.5
     if not rows:
-        raise ValueError("schedule empty at rung 0: %s" % reason)
+        raise StepFailure("perturbation too large to schedule: rung 0 fails "
+                          "its checks: %s" % reason)
     sched = Schedule(rows=rows, r0=r0, s0=s0, tau=tau, lambda_cfg=lambda_cfg,
                      truncated_at=truncated_at, truncation_reason=reason)
     assert rows[-1].r - 10 * rows[-1].sigma > r0 / 2 - 1e-12

@@ -148,6 +148,25 @@ class TestRun:
         out = capsys.readouterr()
         assert "stopped early" in out.out or "failure" in out.err
 
+    def test_history_reports_symp_residual(self, tmp_path):
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        hist = json.loads((tmp_path / "history.json").read_text())
+        assert hist
+        for row in hist:
+            assert np.isfinite(row["symp_residual"])
+            assert 0.0 <= row["symp_residual"] <= 1e-8
+
+    def test_unschedulable_perturbation_exits_3(self, tmp_path, capsys):
+        # at tau = 2 the glue level of rung 0 is not below its threshold
+        path, cfg = flagship_config(tmp_path)
+        cfg["problem"]["tau"] = 2.0
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert "perturbation too large to schedule" in err
+        assert "glue level delta_plus" in err
+
     def test_determinism_byte_identical(self, tmp_path):
         path, cfg = flagship_config(tmp_path)
         assert main(["run", "--config", str(path)]) == EXIT_OK

@@ -108,6 +108,11 @@ class TestSchedule:
         for row in sched.rows:
             assert row.delta_plus < row.delta
 
+    def test_unschedulable_rung_zero_is_a_step_failure(self):
+        with pytest.raises(driver.StepFailure,
+                           match="too large to schedule.*glue level"):
+            build_schedule(2.0, 2.0, 1e-4, 2.0, 1)
+
 
 class TestSolveCohomological:
     def setup_method(self, method):
@@ -959,6 +964,62 @@ class TestCoupledRunMatchesRecorded:
             assert math.isfinite(m["contraction_exponent"])
             assert m["contraction_exponent"] == pytest.approx(
                 math.log(f_next) / math.log(f_n), rel=1e-12)
+
+
+@pytest.mark.slow
+class TestCoupledPipelineMatchesRecorded:
+    """The eps = 1e-5 q-coupled run through zeta, phi0 and extraction against
+    its outputs recorded at commit e7e1c3f, where every product ran through
+    the pair kernel: tests/data/coupled_pipeline_eps1e-5.json.gz holds phi0,
+    the embedding (to_json_dict) and each rung's f_norm, contraction
+    exponent, conjugacy residual and symplecticity residual.  Values at the
+    rounding floor (the residuals) are bounded at their gates, not against
+    the recorded digits."""
+
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        with gzip.open(DATA / "coupled_pipeline_eps1e-5.json.gz", "rt") as fh:
+            return json.load(fh)
+
+    @pytest.fixture(scope="class")
+    def torus(self, coupled_run_small):
+        gr, N0, f0, state, hist = coupled_run_small
+        H0 = assemble_hamiltonian(N0) + f0
+        zeta = compute_zeta(state, H0)
+        phi0, _info = find_vanishing_point(zeta, state.alpha, state.N.beta)
+        return H0, phi0, extract_torus(state, phi0)
+
+    def test_embedding(self, torus, recorded):
+        H0, phi0, tor = torus
+        assert list(np.atleast_1d(phi0)) == recorded["phi0"]
+        for key, refs in recorded["embedding"].items():
+            assert len(tor.embedding[key]) == len(refs)
+            for got, ref in zip(tor.embedding[key], refs):
+                ref = from_json_dict(ref)
+                gap = got - ref
+                assert (gap.max_abs_coeff() if gap.terms else 0.0) \
+                    <= 1e-14 * ref.max_abs_coeff(), key
+        residual = verify_invariance(freeze_phi(H0, phi0), tor.embedding,
+                                     [GOLDEN], 64)
+        assert residual <= 1e-8   # criterion 1's invariance gate
+
+    def test_rungs(self, coupled_run_small, recorded):
+        from kamtori.symplectic import DEFAULT_SYMP_TOL
+        f0, hist = coupled_run_small[2], coupled_run_small[4]
+        assert len(hist["steps"]) == len(recorded["steps"])
+        for got, ref in zip(hist["steps"], recorded["steps"]):
+            m = got["measures"]
+            assert got["n"] == ref["n"]
+            assert got["f_norm"] == pytest.approx(ref["f_norm"], rel=1e-12,
+                                                  abs=0.0)
+            assert m["contraction_exponent"] == pytest.approx(
+                ref["contraction_exponent"], rel=1e-12, abs=0.0)
+            # the gates the run checks them against
+            budget = (m["lie_remainder"] + m["trig_tail"]
+                      + m["cohom_projection_defect"]
+                      + m["cohom_residual_plateau"] + 1e-10 * c2_norm(f0))
+            assert got["conjugacy_residual"] <= 10 * budget + 1e-12
+            assert 0.0 <= m["symp_residual"] <= DEFAULT_SYMP_TOL
 
 
 def evaluate_terms(f, q, x=(0.0,), p=(0.0,), y=(0.0,)):

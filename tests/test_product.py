@@ -1,11 +1,12 @@
-"""The product kernel against a dict oracle, and the ring identities.
+"""The product kernels against a dict oracle, and the ring identities.
 
 The oracle is the pair loop ``multiply`` ran before the index-pair tables:
 every pair of terms in sorted order, the out-of-grading pairs' majorant added
 to the loss (per entry for batched coefficients), then the dict prune that
 ran with it (per entry for batched coefficients).
 Coefficients are Gaussian integers scaled by powers of two, so products and
-sums are exact in any order and the key sets must agree exactly.
+sums are exact in any order and the key sets must agree exactly.  The block
+kernel is called directly, so that small products reach it too.
 """
 
 import functools
@@ -18,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kamtori.series import (PRUNE_FLOOR, REL_PRUNE, FTSeries, Grading, _l1,
+import kamtori.series as ring
+from kamtori.series import (BLOCK_MIN_PAIRS, PRUNE_FLOOR, REL_PRUNE, FTSeries,
+                            Grading, _block_layout, _l1, _plan, _product,
                             ft_sum, majorant_norm, multiply)
 from kamtori.symplectic import poisson_bracket
 
@@ -192,6 +195,165 @@ def test_prune_floors_at_their_edges():
     f = FTSeries(gr, 1.0, 1.0, {k0: 1e-29, k1: 0.9e-30, k2: 1.1e-30},
                  _raw=True)
     assert set(multiply(f, one).terms) == {k0, k2}
+
+
+def block_multiply(f, g):
+    """f g through the block kernel, whatever the sizes of f and g."""
+    return _product(f, g, _block_layout(_plan(f.grading), f, g))
+
+
+def assert_exact(got, want):
+    """The same keys and coefficients, and trunc_loss to 1e-14 relative."""
+    assert list(got.terms) == list(want.terms)
+    for key, c in want.terms.items():
+        assert got.terms[key] == c, key
+    assert got.trunc_loss == pytest.approx(want.trunc_loss, rel=1e-14, abs=0.0)
+
+
+@PROPS
+@given(group(2, min_terms=1, max_terms=30, losses=(0.0, 1e-12, 3e-9)))
+def test_block_kernel_matches_oracle(fg):
+    f, g = fg
+    assert_exact(block_multiply(f, g), oracle_multiply(f, g))
+    assert_exact(block_multiply(g, f), oracle_multiply(g, f))
+
+
+@PROPS
+@given(group(1, min_terms=1, max_terms=30,
+             exponents=(0,) + tuple(range(44, 58)) + (110,)),
+       st.data(), st.sampled_from([0, 100]))
+def test_block_kernel_prune_floors_match_oracle(f, data, shift):
+    # as test_prune_floors_match_oracle: one product per output slot, so
+    # the prune floors decide alone
+    f, = f
+    g = data.draw(series(f.grading, (f.r, f.s), min_terms=1, max_terms=1,
+                         exponents=(0, 60)))
+    f = f.scale(2.0 ** -shift)
+    assert_exact(block_multiply(f, g), oracle_multiply(f, g))
+    assert_exact(block_multiply(g, f), oracle_multiply(g, f))
+
+
+@st.composite
+def one_mode(draw, gr, radii):
+    """A series whose terms share one (j, k) mode."""
+    j, k, _ = draw(st.sampled_from(ball_keys(gr)))
+    return draw(series(gr, radii, min_terms=1, losses=(0.0, 1e-12),
+                       keys=[key for key in ball_keys(gr) if key[:2] == (j, k)]))
+
+
+@PROPS
+@given(gradings.flatmap(lambda gr: st.tuples(
+    one_mode(gr, (0.7, 0.9)),
+    series(gr, (0.7, 0.9), min_terms=8, max_terms=30))))
+def test_block_kernel_one_mode_against_many(fg):
+    one, many = fg
+    for f, g in ((one, many), (many, one)):
+        # the one-mode operand is the contracted one, in both orders
+        assert len(_block_layout(_plan(f.grading), f, g).c.ij) == 1
+        assert_exact(block_multiply(f, g), oracle_multiply(f, g))
+
+
+# modes and degrees that keep every pair of them inside, or push it out
+ROOMY = Grading(d=1, l=1, K_q=3, K_phi=3, D=4)
+EDGE = [key for key in ball_keys(ROOMY) if key[1] == (3,)]
+INWARD = [key for key in ball_keys(ROOMY) if key[1][0] > 0]
+LOW_MODES = ball_keys(ROOMY, 1)
+
+
+@PROPS
+@given(series(ROOMY, (0.7, 0.9), keys=EDGE, min_terms=1, losses=(0.0, 1e-12)),
+       series(ROOMY, (0.7, 0.9), keys=INWARD, min_terms=1))
+def test_block_kernel_every_pair_out_of_grading(f, g):
+    # k sums to 4 > K_q: an empty product that keeps the pairs' loss
+    p = block_multiply(f, g)
+    assert p.is_zero()
+    assert p.trunc_loss > 0.0 or not (largest(f) and largest(g))
+    assert_exact(p, oracle_multiply(f, g))
+
+
+@PROPS
+@given(series(ROOMY, (0.7, 0.9), keys=LOW_MODES, min_terms=1, max_terms=30),
+       series(ROOMY, (0.7, 0.9), keys=LOW_MODES, min_terms=1, max_terms=30))
+def test_block_kernel_only_degrees_overflow(f, g):
+    # |j|, |k| <= 1 sum inside K = 3: the loss is the pairs past degree D
+    assert _block_layout(_plan(ROOMY), f, g).inside.all()
+    assert_exact(block_multiply(f, g), oracle_multiply(f, g))
+
+
+class TestKernelSelection:
+    """multiply takes the block kernel only for unbatched operands with at
+    least BLOCK_MIN_PAIRS pairs whose gathered array holds no more entries
+    than those pairs; a spy counts the block kernel's calls."""
+
+    GR = Grading(d=1, l=1, K_q=8, K_phi=8, D=4)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, real = [], ring._block_product
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(ring, "_block_product", spy)
+        return calls
+
+    def make(self, keys, batched=False):
+        rng = np.random.default_rng(len(keys))
+        width = (len(keys), 2) if batched else (len(keys),)
+        coef = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+        return FTSeries(self.GR, 1.0, 1.0, dict(zip(keys, coef)), _raw=True)
+
+    def dense(self):
+        # 9 modes x the 20 exponents of degree <= 3: a full block
+        return ball_keys(self.GR, 1, 3)
+
+    def assert_pairs(self, p, f, g):
+        q = _product(f, g)   # the pair kernel
+        assert set(p.terms) == set(q.terms)
+        scale = largest(q)
+        for key, c in q.terms.items():
+            assert np.max(np.abs(p.terms[key] - c)) <= 1e-14 * scale
+        assert p.trunc_loss == pytest.approx(q.trunc_loss, rel=1e-12)
+
+    def test_large_unbatched_product_takes_it(self, calls):
+        keys = self.dense()
+        f = self.make(keys)
+        n = -(-BLOCK_MIN_PAIRS // len(keys))   # the fewest reaching the constant
+        g = self.make(keys[:n])
+        assert len(f.terms) * len(g.terms) >= BLOCK_MIN_PAIRS
+        self.assert_pairs(multiply(f, g), f, g)
+        assert len(calls) == 1
+
+    def test_product_below_the_constant_does_not(self, calls):
+        keys = self.dense()
+        f = self.make(keys)
+        g = self.make(keys[:(BLOCK_MIN_PAIRS - 1) // len(keys)])
+        assert len(f.terms) * len(g.terms) < BLOCK_MIN_PAIRS
+        multiply(f, g)
+        assert calls == []
+
+    def test_batched_product_does_not(self, calls):
+        keys = self.dense()
+        f, g = self.make(keys, batched=True), self.make(keys)
+        assert len(f.terms) * len(g.terms) >= BLOCK_MIN_PAIRS
+        multiply(f, g)
+        multiply(g, f)
+        multiply(f, f)
+        assert calls == []
+
+    def test_sparse_blocks_do_not(self, calls):
+        # one term per mode, its exponent cycling through the ball: each
+        # block is nearly empty, and gathering it would outgrow the pairs
+        keys = ball_keys(self.GR)
+        taylor = sorted({key[2] for key in keys})
+        modes = sorted({key[:2] for key in keys})
+        f = self.make([m + (taylor[i % len(taylor)],)
+                       for i, m in enumerate(modes)])
+        pairs = len(f.terms) ** 2
+        assert pairs >= BLOCK_MIN_PAIRS
+        assert _block_layout(_plan(self.GR), f, f).gathered > pairs
+        multiply(f, f)
+        assert calls == []
 
 
 @PROPS
