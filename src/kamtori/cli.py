@@ -22,14 +22,13 @@ import numpy as np
 from . import series as fts
 from .engine import (compute_zeta, extract_torus, find_vanishing_point,
                      iterate, verify_invariance)
-from .engine.cohom import freeze_phi
 from .engine.driver import IterateConfig
 from .errors import (ArtifactIOError, ConvergenceError, KamtoriError,
                      PreconditionError)
 from .normalform import (assemble_hamiltonian, eval_phi_series,
                          initial_tuple, nu_max_profile, phi_grid,
                          phi_grid_size)
-from .series import Grading
+from .series import Grading, freeze_phi
 from .smalldiv import effective_diophantine_constant
 from .symplectic import (SigmaTerm, reduce_coordinates,
                          unimodular_completion)

@@ -23,24 +23,25 @@ projects the per-point results back onto parameter modes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConvergenceError
 from ..normalform import (BumpProjectionError, NormalFormTuple,
                           assemble_hamiltonian, bump_psi, const_matrix,
-                          eval_phi_series, freeze_groups, majorant_on_grid,
-                          mat_eval_grid, nu_max_profile, phi_grid,
-                          phi_grid_size, project_phi_rows, series_matrix)
+                          eval_phi_series, majorant_on_grid, mat_eval_grid,
+                          nu_max_profile, phi_grid, phi_grid_size,
+                          project_phi_rows, series_matrix)
 from ..series import (FTSeries, TaylorSplit, average_q, degrees,
-                      differentiate, majorant_norm, multiply, select,
-                      taylor_split)
+                      differentiate, freeze_phi, majorant_norm, multiply,
+                      select, taylor_split)
 from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
 from ..symplectic import GeneratingFunction, poisson_bracket
 
 PSI_SOLVE_FLOOR = 1e-12
 COND_CAP = 1e8
+BUMP_GRID_CAP = 4096     # total points of the bump's parameter grid
 
 
 class CohomologyError(ConvergenceError):
@@ -94,22 +95,6 @@ def coordinate(gr, r, s, kind, i):
     pos = {"x": 0, "p": gr.l, "y": gr.l + gr.d}[kind] + i
     alpha = tuple(1 if t == pos else 0 for t in range(gr.nz))
     return FTSeries.term(gr, r, s, (0,) * gr.l, (0,) * gr.d, alpha, 1.0)
-
-
-def freeze_phi(f, phi):
-    """Collapse the parameter modes at a numeric phi (result carries j = 0).
-
-    With a (B, l) array of parameter values the result is batched: every
-    coefficient holds its value at each of the B points."""
-    zj = (0,) * f.grading.l
-    phi = np.asarray(phi, dtype=float)
-    groups = freeze_groups(f, phi)
-    if phi.ndim == 1:
-        groups = {key: complex(c[0]) for key, c in groups.items()}
-    new = FTSeries(f.grading, f.r, f.s,
-                   {(zj, k, a): c for (k, a), c in groups.items()}, _raw=True)
-    new._prune()
-    return new
 
 
 def _series_from_blocks(gr, r, s, a=None, b_x=None, b_p=None, b_y=None,
@@ -382,13 +367,12 @@ def _project(res, active, weights, l, size, gr, r, s):
 
 
 def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
-                        K_eff=None, resid_factor=1e-8, grid_size=None,
-                        bump_grid_cap=4096):
+                        K_eff=None, grid_size=None):
     """Full construction glued over the parameter torus.
 
     Returns a CohomSolution whose residual_plateau field is the majorant of
-    the defect g-slot of Nbar over the region where the bump equals one; it is
-    checked against resid_factor times the majorant of f by the caller.
+    the defect g-slot of Nbar over the region where the bump equals one; the
+    caller checks it against the majorant of f.
     """
     gr = f.grading
     l, d = gr.l, gr.d
@@ -424,14 +408,14 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
         # bump_psi needs a spacing of at most a/2, checked here before
         # anything is allocated
         need = int(math.ceil(2 * math.pi / (a_scale / 4.0)))
-        per_axis = int(round(bump_grid_cap ** (1.0 / l)))
-        per_axis -= per_axis ** l > bump_grid_cap
+        per_axis = int(round(BUMP_GRID_CAP ** (1.0 / l)))
+        per_axis -= per_axis ** l > BUMP_GRID_CAP
         fine_size = max(size, min(need, per_axis))
         if 2 * math.pi / fine_size > a_scale / 2:
             raise BumpProjectionError(
                 "the bump needs a %d-point parameter grid per axis, %d points "
                 "in all, over the cap of %d points (scale a=%.3g)"
-                % (need, need ** l, bump_grid_cap, a_scale))
+                % (need, need ** l, BUMP_GRID_CAP, a_scale))
         fine = phi_grid(l, fine_size) if fine_size != size else grid
         try:
             nu_fine = nu_max_profile(N.beta, fine) if fine_size != size \

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..normalform import eval_phi_series, mat_eval_phi, phi_grid, phi_grid_size
+from ..normalform import (eval_phi_series, mat_eval_grid, nu_max_profile,
+                          phi_grid, phi_grid_size)
 from ..series import average_q, differentiate, multiply, partial_omega
 from ..symplectic import series_compose
 from .cohom import coordinate, restrict_z0
@@ -56,22 +57,18 @@ class StepDiagnostics:
     admissible_points: int = 0
 
 
-def _grid_eval_vec(series_list, grid):
-    return np.stack([eval_phi_series(f, grid).real for f in series_list], axis=-1)
-
-
 def check_alpha_gradient(state, zeta, prev_beta, prev_delta, grid=None):
     """Max gaps |alpha - grad zeta| and |D alpha - Hess zeta| on the admissible set."""
     gr = state.grading
     if grid is None:
         grid = phi_grid(gr.l, phi_grid_size(gr.K_phi))
-    from ..normalform import nu_max_profile
     nu = nu_max_profile(prev_beta, grid)
     mask = nu <= prev_delta
     diag = StepDiagnostics(admissible_points=int(mask.sum()))
     if not mask.any():
         return diag
-    alpha_vals = _grid_eval_vec(state.alpha, grid)
+    alpha_vals = np.stack([eval_phi_series(a, grid).real for a in state.alpha],
+                          axis=-1)
     grad = np.stack([eval_phi_series(differentiate(zeta, ("phi", i)), grid).real
                      for i in range(gr.l)], axis=-1)
     diag.alpha_grad_gap = float(np.max(np.linalg.norm(
@@ -97,12 +94,12 @@ def check_beta_relation(state, prev_beta, prev_delta, grid=None):
     m = d + l
     if grid is None:
         grid = phi_grid(gr.l, phi_grid_size(gr.K_phi))
-    from ..normalform import nu_max_profile
     nu = nu_max_profile(prev_beta, grid)
     mask = nu <= prev_delta
     diag = StepDiagnostics(admissible_points=int(mask.sum()))
     if not mask.any():
         return diag
+    grid = grid[mask]
     npts = len(grid)
     Phi = state.Phi
     # W rows: (D_phi Phi_q; I + D_phi Phi_x; D_phi Phi_p; D_phi Phi_y) at z = 0
@@ -143,24 +140,14 @@ def check_beta_relation(state, prev_beta, prev_delta, grid=None):
         for j in range(l):
             dal[:, i, j] = eval_phi_series(
                 differentiate(state.alpha[i], ("phi", j)), grid).real
-    worst = 0.0
-    worstL = 0.0
-    worstR = 0.0
-    for idx in range(npts):
-        if not mask[idx]:
-            continue
-        phi = grid[idx]
-        beta = mat_eval_phi(state.N.beta, phi)
-        Gam = mat_eval_phi(state.N.Gamma, phi)
-        M = mat_eval_phi(state.N.M, phi)
-        Rm = DY[idx].T @ J @ W[idx]
-        R = np.linalg.inv(Rm)
-        L = DXX[idx].T - Gam @ np.linalg.solve(M, DPX[idx])
-        rel = beta - Gam @ np.linalg.solve(M, Gam.T) - L @ dal[idx] @ R
-        worst = max(worst, float(np.max(np.abs(rel))))
-        worstL = max(worstL, float(np.max(np.abs(L - np.eye(l)))))
-        worstR = max(worstR, float(np.max(np.abs(R.T - np.eye(l)))))
-    diag.beta_relation_gap = worst
-    diag.L_dev = worstL
-    diag.R_dev = worstR
+    beta = mat_eval_grid(state.N.beta, grid)
+    Gam = mat_eval_grid(state.N.Gamma, grid)
+    M = mat_eval_grid(state.N.M, grid)
+    T = lambda a: np.swapaxes(a, 1, 2)
+    R = np.linalg.inv(T(DY) @ J @ W)
+    L = T(DXX) - Gam @ np.linalg.solve(M, DPX)
+    rel = beta - Gam @ np.linalg.solve(M, T(Gam)) - L @ dal @ R
+    diag.beta_relation_gap = float(np.max(np.abs(rel)))
+    diag.L_dev = float(np.max(np.abs(L - np.eye(l))))
+    diag.R_dev = float(np.max(np.abs(T(R) - np.eye(l))))
     return diag

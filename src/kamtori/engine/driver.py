@@ -97,13 +97,13 @@ def tracker_mean_norm(phi_x, gr, r=None):
     return max(vals)
 
 
-def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
-             strict=True):
+def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     """Apply one rung; returns (next state, StepResult).
 
-    Preconditions and postcondition targets are measured; with strict=True a
-    missed precondition raises StepFailure, while missed contraction targets
-    only mark the result not ok (the caller decides whether to continue).
+    Preconditions and postcondition targets are measured; a missed
+    precondition raises StepFailure, while missed contraction targets only
+    mark the result not ok (the caller decides whether to continue).  The
+    solve's plateau residual must stay within 1e-8 times the majorant of f.
     """
     gr = state.grading
     r, s = row.r, row.s
@@ -134,7 +134,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     if N0 is not None and measures["tuple_drift"] > 2 * lambda_cfg:
         pre_fail.append("tuple drift %.3g exceeds 2 lambda = %.3g"
                         % (measures["tuple_drift"], 2 * lambda_cfg))
-    if pre_fail and strict:
+    if pre_fail:
         raise StepFailure("; ".join(pre_fail), measures)
 
     if f_norm == 0.0:
@@ -157,7 +157,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None, resid_factor=1e-8,
     measures["cohom_condition"] = sol.max_condition
     measures["cohom_obstruction"] = sol.zero_mode_obstruction
     measures["cohom_projection_defect"] = sol.projection_defect
-    resid_budget = resid_factor * max(majorant_norm(f), 1e-300)
+    resid_budget = 1e-8 * max(majorant_norm(f), 1e-300)
     measures["cohom_residual_ok"] = bool(sol.residual_plateau <= resid_budget)
 
     gen = GeneratingFunction(sol.F, sol.v)
@@ -283,10 +283,7 @@ class IterateConfig:
     n_max: int = 8
     target_tol: float = 1e-12
     lambda_cfg: float = 0.1
-    resid_factor: float = 1e-8
-    check_conjugacy: bool = True
     frame: np.ndarray = None
-    equal_deriv_tol: float = 1e-10
     stop_on_postcondition_miss: bool = True
 
 
@@ -316,7 +313,7 @@ def iterate(N0, f0, config=None):
     r0, s0 = f0.r, f0.s
     defect = equal_derivative_defect(f0, cfg.frame)
     scale = max(majorant_norm(f0), 1.0)
-    if defect > cfg.equal_deriv_tol * scale:
+    if defect > 1e-10 * scale:
         raise PreconditionError("perturbation violates the averaged-"
                                 "derivative identity: defect %.3g" % defect)
     witness = effective_diophantine_constant(N0.w, cfg.tau, gr.K_q)
@@ -349,21 +346,19 @@ def iterate(N0, f0, config=None):
     for row in sched.rows:
         try:
             state_next, res = kam_step(state, row, witness, cfg.lambda_cfg,
-                                       N0=N0, resid_factor=cfg.resid_factor)
+                                       N0=N0)
         except ConvergenceError as exc:
             history["failure"] = {"n": state.n, "reason": str(exc),
                                   "measures": getattr(exc, "measures", {})}
             return state, history
-        conj = None
-        if cfg.check_conjugacy:
-            try:
-                conj = conjugacy_residual(N0, f0, state_next)
-            except ConvergenceError as exc:
-                history["failure"] = {
-                    "n": state_next.n,
-                    "reason": "conjugacy check failed: %s" % exc,
-                    "measures": res.measures}
-                return state, history
+        try:
+            conj = conjugacy_residual(N0, f0, state_next)
+        except ConvergenceError as exc:
+            history["failure"] = {
+                "n": state_next.n,
+                "reason": "conjugacy check failed: %s" % exc,
+                "measures": res.measures}
+            return state, history
         state = state_next
         state.norms["conjugacy_residual"] = conj
         hist_row = _history_row(state, res)

@@ -1,14 +1,14 @@
 """Parameter selection, torus extraction and direct invariance verification."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..normalform import eval_phi_series, mat_eval_phi, phi_grid
-from ..series import differentiate, evaluate
+from ..normalform import eval_phi_series, mat_eval_grid, phi_grid
+from ..series import differentiate, evaluate, freeze_phi
 from ..symplectic import vector_field
-from .cohom import freeze_phi, restrict_z0
+from .cohom import restrict_z0
 
 
 @dataclass
@@ -23,17 +23,15 @@ class TorusResult:
     distance_to_trivial: float = None
 
 
-def find_vanishing_point(zeta, alpha, beta, tol=1e-12, grid=None,
-                         max_iter=200):
+def find_vanishing_point(zeta, alpha, beta):
     """Global maximization of zeta on a dense grid plus local ascent.
 
     Ties on the grid break toward the smallest row-major (lexicographic)
-    coordinate; the refinement runs Newton steps on the gradient with a
-    safeguarded step size down to gradient norm <= tol.
+    coordinate; the refinement runs at most 200 Newton steps on the gradient
+    with a safeguarded step size down to gradient norm <= 1e-12.
     """
     l = zeta.grading.l
-    if grid is None:
-        grid = phi_grid(l, max(64, 4 * zeta.grading.K_phi))
+    grid = phi_grid(l, max(64, 4 * zeta.grading.K_phi))
     vals = eval_phi_series(zeta, grid).real
     idx = int(np.argmax(vals))
     phi = grid[idx].copy()
@@ -50,9 +48,9 @@ def find_vanishing_point(zeta, alpha, beta, tol=1e-12, grid=None,
                           for j in range(l)] for i in range(l)])
 
     g = gradient(phi)
-    for _ in range(max_iter):
+    for _ in range(200):
         gn = float(np.linalg.norm(g))
-        if gn <= tol:
+        if gn <= 1e-12:
             break
         H = hessian(phi)
         try:
@@ -78,7 +76,7 @@ def find_vanishing_point(zeta, alpha, beta, tol=1e-12, grid=None,
         info["alpha_at_phi0"] = np.array(
             [eval_phi_series(a, phi[None, :])[0].real for a in alpha])
     if beta is not None:
-        B = mat_eval_phi(beta, phi)
+        B = mat_eval_grid(beta, phi)[0]
         info["nu_max_at_phi0"] = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
     return phi, info
 

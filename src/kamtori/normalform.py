@@ -2,19 +2,20 @@
 nu_max profiling and bump-function gluing over the parameter torus."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .series import FTSeries, _l1, ck_norm_estimate, differentiate
+from .series import (FTSeries, _l1, _phi_sums, _phi_values, _plan,
+                     ck_norm_estimate, differentiate)
 
 
 # -- parameter-grid helpers --------------------------------------------------------
 
 
-def phi_grid_size(K_phi, minimum=64):
-    return max(minimum, 4 * K_phi + 1)
+def phi_grid_size(K_phi):
+    return max(64, 4 * K_phi + 1)
 
 
 def phi_grid(l, size):
@@ -26,37 +27,8 @@ def phi_grid(l, size):
 
 def eval_phi_series(f, grid):
     """Evaluate a phi-only series at grid points; returns complex array."""
-    vals = np.zeros(len(grid), dtype=complex)
-    for (j, k, a), c in sorted(f.terms.items()):
-        if _l1(k) or _l1(a):
-            raise ValueError("series is not phi-only")
-        vals += c * np.exp(1j * grid @ np.asarray(j, dtype=float))
-    return vals
-
-
-def _phases(grid):
-    """j -> exp(i j.phi) at every grid point, computed once per mode."""
-    cache = {}
-
-    def phase(j):
-        got = cache.get(j)
-        if got is None:
-            got = cache[j] = np.exp(1j * (grid @ np.asarray(j, dtype=float)))
-        return got
-    return phase
-
-
-def freeze_groups(f, grid):
-    """Sum the parameter modes of f at every grid point: dict (k, a) ->
-    complex array over the grid (no pruning)."""
     grid = np.asarray(grid, dtype=float).reshape(-1, f.grading.l)
-    phase = _phases(grid)
-    groups = {}
-    for (j, k, a), c in sorted(f.terms.items()):
-        w = c * phase(j)
-        cur = groups.get((k, a))
-        groups[(k, a)] = w if cur is None else cur + w
-    return groups
+    return _phi_values([f], grid)[0]
 
 
 def majorant_on_grid(f, grid, r=None, s=None):
@@ -64,9 +36,14 @@ def majorant_on_grid(f, grid, r=None, s=None):
     every grid point (array)."""
     r = f.r if r is None else r
     s = f.s if s is None else s
+    grid = np.asarray(grid, dtype=float).reshape(-1, f.grading.l)
+    codes, sums = _phi_sums(f, grid)
+    plan = _plan(f.grading)
     total = np.zeros(len(grid))
-    for (k, a), c in sorted(freeze_groups(f, grid).items()):
-        total += np.abs(c) * (math.exp(_l1(k) * r) * s ** _l1(a))
+    for code, c in zip(codes.tolist(), sums):
+        k, t = divmod(code, plan.NT)
+        weight = math.exp(_l1(plan.K.keys[k]) * r) * s ** _l1(plan.T.keys[t])
+        total += np.abs(c) * weight
     return total
 
 
@@ -107,7 +84,7 @@ def project_phi_rows(rows, l, size, K_phi, floors):
     return out, defect
 
 
-def project_phi_values(values, l, size, grading, r, s, coeff_floor=1e-300):
+def project_phi_values(values, l, size, grading, r, s):
     """Project grid samples of a parameter-periodic function onto <= K_phi modes.
 
     values: complex array of length size^l in the row-major order of phi_grid.
@@ -116,7 +93,7 @@ def project_phi_values(values, l, size, grading, r, s, coeff_floor=1e-300):
     """
     (coeffs,), defect = project_phi_rows(
         np.asarray(values, dtype=complex).reshape(1, -1), l, size,
-        grading.K_phi, [coeff_floor])
+        grading.K_phi, [1e-300])
     zk = (0,) * grading.d
     za = (0,) * grading.nz
     new = FTSeries(grading, r, s, {(j, zk, za): c for j, c in coeffs.items()},
@@ -145,14 +122,10 @@ def mat_eval_grid(mat, grid, symmetric_tol=None):
     """Evaluate a matrix of phi-only series at every grid point: a real
     (B, rows, cols) array.  Raises ValueError naming the first grid point
     where the value is not real (or not symmetric within symmetric_tol)."""
-    rows, cols = len(mat), len(mat[0])
     grid = np.asarray(grid, dtype=float).reshape(-1, mat[0][0].grading.l)
-    out = np.zeros((len(grid), rows, cols), dtype=complex)
-    phase = _phases(grid)
-    for i in range(rows):
-        for j in range(cols):
-            for (jj, k, a), c in sorted(mat[i][j].terms.items()):
-                out[:, i, j] += c * phase(jj)
+    values = _phi_values([entry for row in mat for entry in row], grid)
+    out = np.ascontiguousarray(values.T).reshape(len(grid), len(mat),
+                                                 len(mat[0]))
     scale = np.maximum(1.0, np.abs(out).max(axis=(1, 2), initial=0.0))
     bad = np.abs(out.imag).max(axis=(1, 2), initial=0.0) > 1e-10 * scale
     if bad.any():
@@ -167,11 +140,6 @@ def mat_eval_grid(mat, grid, symmetric_tol=None):
                              "within %g at phi=%s"
                              % (symmetric_tol, grid[np.argmax(bad)]))
     return res
-
-
-def mat_eval_phi(mat, phi, symmetric_tol=None):
-    """Evaluate a matrix of phi-only series at one parameter value."""
-    return mat_eval_grid(mat, [phi], symmetric_tol)[0]
 
 
 def mat_add(A, B, scale=1.0):
@@ -202,14 +170,6 @@ class NormalFormTuple:
     @property
     def radii(self):
         return (self.c.r, self.c.s)
-
-    def validate(self):
-        gr = self.grading
-        if len(self.w) != gr.d:
-            raise ValueError("w has wrong dimension")
-        for (j, k, a), _ in self.h.terms.items():
-            if _l1(a) < 3:
-                raise ValueError("h carries a Taylor term of degree < 3")
 
     def copy(self):
         cp = lambda m: [[e.copy() for e in row] for row in m]

@@ -529,31 +529,34 @@ def _distinct(values, n):
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[values]
 
 
-@dataclass
 class _Block:
     """An unbatched series as a dense block: its distinct (j, k) modes in
     order x its distinct Taylor indices, plus one zero row; mag holds per
-    mode and degree the sum of |c| s^|a|."""
+    mode and degree the sum of |c| s^|a|.  The modes and Taylor indices are
+    found at once, the dense block and mag filled on first use."""
 
-    ij: np.ndarray
-    ik: np.ndarray
-    taylor: np.ndarray
-    dense: np.ndarray
-    mag: np.ndarray
+    def __init__(self, plan, f, s):
+        mode = f.ij * plan.NK + f.ik    # nondecreasing: the terms are in slot order
+        new = np.concatenate(([True], mode[1:] != mode[:-1]))
+        self.row = np.cumsum(new) - 1
+        self.ij, self.ik = f.ij[new], f.ik[new]
+        self.taylor, self.col = _distinct(f.it, plan.NT)
+        self._plan, self._f, self._s = plan, f, s
 
+    @functools.cached_property
+    def dense(self):
+        dense = np.zeros((len(self.ij) + 1, len(self.taylor)), dtype=complex)
+        dense[self.row, self.col] = self._f.coef
+        return dense
 
-def _block(plan, f, s):
-    mode = f.ij * plan.NK + f.ik    # nondecreasing: the terms are in slot order
-    new = np.concatenate(([True], mode[1:] != mode[:-1]))
-    row = np.cumsum(new) - 1
-    nm = row[-1] + 1
-    taylor, col = _distinct(f.it, plan.NT)
-    dense = np.zeros((nm + 1, len(taylor)), dtype=complex)
-    dense[row, col] = f.coef
-    deg, D = plan.T.norm[f.it], plan.T.K
-    mag = np.bincount(row * (D + 1) + deg, np.abs(f.coef) * s ** deg.astype(float),
-                      minlength=nm * (D + 1))
-    return _Block(f.ij[new], f.ik[new], taylor, dense, mag.reshape(nm, D + 1))
+    @functools.cached_property
+    def mag(self):
+        f, D = self._f, self._plan.T.K
+        deg = self._plan.T.norm[f.it]
+        mag = np.bincount(self.row * (D + 1) + deg,
+                          np.abs(f.coef) * self._s ** deg.astype(float),
+                          minlength=len(self.ij) * (D + 1))
+        return mag.reshape(len(self.ij), D + 1)
 
 
 @dataclass
@@ -578,8 +581,8 @@ class _BlockLayout:
 
 
 def _block_layout(plan, f, g):
-    """The _BlockLayout of nonempty unbatched f and g."""
-    a, b = _block(plan, f, f.s), _block(plan, g, f.s)
+    """The _BlockLayout of nonempty unbatched f and g (no block filled)."""
+    a, b = _Block(plan, f, f.s), _Block(plan, g, f.s)
     e, c = (a, b) if len(b.ij) <= len(a.ij) else (b, a)
     js = plan.J.sums[0][e.ij[:, None], c.ij]
     ks = plan.K.sums[0][e.ik[:, None], c.ik]
@@ -795,6 +798,66 @@ def evaluate(f, phi=None, q=None, x=None, p=None, y=None):
         raise RealityError("imaginary residue %.3g exceeds tolerance (series not real?)"
                            % residue)
     return total.real.reshape(shape) if shape else float(total.real[0])
+
+
+# -- parameter modes --------------------------------------------------------------
+
+
+def _mode_sums(plan, ij, row, coef, n, grid):
+    """The terms' c e^{i j.phi} summed into n rows at every point of grid, a
+    (B, l) array: an (n, B) complex array.  The terms come sorted by j, a row
+    at most once per j; the modes are taken one at a time in ascending
+    order."""
+    # -0 + x = x for every x, signed zeros too: a sum starts from its first term
+    sums = np.full((n, len(grid)), complex(-0.0, -0.0))
+    first = np.flatnonzero(np.diff(ij, prepend=-1)).tolist()
+    for lo, hi in zip(first, first[1:] + [len(ij)]):
+        phase = np.exp(1j * (grid @ plan.J.pts[ij[lo]].astype(float)))
+        # (n, 1) x (1, B): numpy multiplies each term as it multiplies a
+        # scalar and an array (a (1, 1) x (1,) product rounds otherwise)
+        sums[row[lo:hi]] += coef[lo:hi, None] * phase[None, :]
+    return sums
+
+
+def _phi_sums(f, grid):
+    """The parameter modes of an unbatched f summed at every point of grid:
+    (the (k, a) codes k NT + t of f's distinct slots in order, their (n, B)
+    sums)."""
+    plan = _plan(f.grading)
+    codes, row = _distinct(f.ik * plan.NT + f.it, plan.NK * plan.NT)
+    # the terms are in slot order: sorted by j
+    return codes, _mode_sums(plan, f.ij, row, f.coef, len(codes), grid)
+
+
+def _phi_values(fs, grid):
+    """The values of unbatched phi-only series at every point of grid: an
+    (len(fs), B) complex array; each phase e^{i j.phi} is computed once.
+    Raises ValueError if a series has a q-mode or a Taylor term."""
+    plan = _plan(fs[0].grading)
+    if any(plan.K.norm[f.ik].any() or plan.T.norm[f.it].any() for f in fs):
+        raise ValueError("series is not phi-only")
+    ij = np.concatenate([f.ij for f in fs])
+    which = np.repeat(np.arange(len(fs)), [len(f.ij) for f in fs])
+    order = np.argsort(ij, kind="stable")
+    sums = _mode_sums(plan, ij[order], which[order],
+                      np.concatenate([f.coef for f in fs])[order], len(fs), grid)
+    # 0 + the sum: an exact zero comes out +0, as from a sum started at zero
+    return sums + 0.0
+
+
+def freeze_phi(f, phi):
+    """Collapse the parameter modes at a numeric phi (result carries j = 0).
+
+    With a (B, l) array of parameter values the result is batched: every
+    coefficient holds its value at each of the B points."""
+    phi = np.asarray(phi, dtype=float)
+    codes, sums = _phi_sums(f, phi.reshape(-1, f.grading.l))
+    plan = _plan(f.grading)
+    ik, it = np.divmod(codes, plan.NT)
+    ij = np.full(len(codes), plan.J.index[(0,) * f.grading.l])
+    new = _like(f, ij, ik, it, sums[:, 0] if phi.ndim == 1 else sums, 0.0)
+    new._prune()
+    return new
 
 
 # -- degree split -----------------------------------------------------------------

@@ -267,9 +267,10 @@ def symplecticity_residual(Phi):
     return worst
 
 
-def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None,
-                       tol_symp=DEFAULT_SYMP_TOL, check=True):
-    """Time-1 flow of F + <v, q> as a displacement map (Lie series per coordinate)."""
+def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None):
+    """Time-1 flow of F + <v, q> as a displacement map (Lie series per
+    coordinate); raises SymplecticityError if its bracket residual exceeds
+    DEFAULT_SYMP_TOL."""
     gr = gen.grading
     r, s = gen.F.r, gen.F.s
     if tol is None:
@@ -295,12 +296,11 @@ def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None,
         [flow_disp("p", i) for i in range(gr.d)],
         [flow_disp("y", i) for i in range(gr.l)],
         remainder=rem, generator=gen)
-    if check:
-        resid = symplecticity_residual(Phi)
-        Phi.symp_residual = resid
-        if resid > tol_symp:
-            raise SymplecticityError("bracket residual %.3g exceeds %.3g"
-                                     % (resid, tol_symp))
+    resid = symplecticity_residual(Phi)
+    Phi.symp_residual = resid
+    if resid > DEFAULT_SYMP_TOL:
+        raise SymplecticityError("bracket residual %.3g exceeds %.3g"
+                                 % (resid, DEFAULT_SYMP_TOL))
     return Phi
 
 
@@ -421,7 +421,7 @@ def series_compose(f, Psi, tol=1e-18, drop_z_identity=False):
     return _Substituter(Psi, tol, drop_z_identity).apply(f)
 
 
-def compose_maps(Phi, Psi, check_bound=True):
+def compose_maps(Phi, Psi):
     """Functional composition Phi o Psi of two near-identity maps.
 
     Psi must carry its generator: each displacement u of Phi is transported
@@ -448,10 +448,9 @@ def compose_maps(Phi, Psi, check_bound=True):
         [transport(a, b) for a, b in zip(Psi.Up, Phi.Up)],
         [transport(a, b) for a, b in zip(Psi.Uy, Phi.Uy)],
         remainder=rem)
-    if check_bound:
-        lhs = 1.0 + new.displacement_c2()
-        rhs = (1.0 + Phi.displacement_c2()) * (1.0 + Psi.displacement_c2())
-        new.c2_bound_ok = bool(lhs <= rhs * (1.0 + 1e-9))
+    lhs = 1.0 + new.displacement_c2()
+    rhs = (1.0 + Phi.displacement_c2()) * (1.0 + Psi.displacement_c2())
+    new.c2_bound_ok = bool(lhs <= rhs * (1.0 + 1e-9))
     return new
 
 
@@ -696,8 +695,7 @@ def shifted_parametrization(terms, d, l, grading, r, s):
 # -- reduction to the model form -----------------------------------------------------
 
 
-def reduce_coordinates(N_hessian, omega0, red, h_terms, f_terms, grading, r, s,
-                       sing_tol=1e-10):
+def reduce_coordinates(N_hessian, omega0, red, h_terms, f_terms, grading, r, s):
     """Blocked reduction of an m-degree-of-freedom problem to the model form.
 
     Computes the blocks of K Hess K^T, checks the sign conditions (the p-block
@@ -725,9 +723,9 @@ def reduce_coordinates(N_hessian, omega0, red, h_terms, f_terms, grading, r, s,
     eigC = np.linalg.eigvalsh(0.5 * (C + C.T))
     report["hessian_eigs"] = [float(v) for v in eigH]
     report["C_eigs"] = [float(v) for v in eigC]
-    if np.min(np.abs(eigH)) <= sing_tol * np.max(np.abs(eigH)):
+    if np.min(np.abs(eigH)) <= 1e-10 * np.max(np.abs(eigH)):
         raise ReductionError("(ii) failed: full Hessian is singular: eigs %s" % eigH)
-    if np.min(np.abs(eigC)) <= sing_tol * max(np.max(np.abs(eigC)), 1e-300):
+    if np.min(np.abs(eigC)) <= 1e-10 * max(np.max(np.abs(eigC)), 1e-300):
         raise ReductionError("(ii) failed: C is singular: eigs %s" % eigC)
     M0 = A - B @ np.linalg.solve(C, B.T)
     Q0 = C
