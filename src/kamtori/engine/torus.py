@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..normalform import eval_phi_series, mat_eval_grid, phi_grid
-from ..series import differentiate, evaluate, freeze_phi
+from ..series import differentiate, evaluate_all, freeze_phi
 from ..symplectic import vector_field
 from .cohom import restrict_z0
 
@@ -96,14 +96,9 @@ def extract_torus(state, phi0):
                 raise ValueError("embedding component lost reality symmetry "
                                  "(defect %.3g)" % defect)
     qs = _qgrid(state.grading.d, 32)
-    vec = _evaluate_all([u for comps in emb.values() for u in comps], q=qs)
+    vec = evaluate_all([u for comps in emb.values() for u in comps], q=qs)
     dist = float(np.linalg.norm(vec, axis=1).max())
     return TorusResult(phi0=phi0, embedding=emb, distance_to_trivial=dist)
-
-
-def _evaluate_all(series, **points):
-    """(points, series) array of every series evaluated on the same points."""
-    return np.stack([evaluate(u, **points) for u in series], axis=-1)
 
 
 def _qgrid(d, n):
@@ -128,10 +123,12 @@ def verify_invariance(H, embedding, omega, grid_n=64):
     # D emb . omega: identity part contributes omega on the q-rows
     derivs = [differentiate(u, ("q", j)) for u in comps for j in range(d)]
     qs = _qgrid(d, grid_n)
-    qv = qs + _evaluate_all(uq, q=qs)
-    X = _evaluate_all(fields, q=qv, x=_evaluate_all(ux, q=qs),
-                      p=_evaluate_all(up, q=qs), y=_evaluate_all(uy, q=qs))
-    D = _evaluate_all(derivs, q=qs).reshape(len(qs), len(comps), d)
+    # the embedding and its q-derivatives on the grid, in one evaluation
+    on_grid = evaluate_all(comps + derivs, q=qs)
+    uqv, uxv, upv, uyv = np.split(on_grid[:, :len(comps)],
+                                  np.cumsum([d, l, d]), axis=1)
+    X = evaluate_all(fields, q=qs + uqv, x=uxv, p=upv, y=uyv)
+    D = on_grid[:, len(comps):].reshape(len(qs), len(comps), d)
     flow = D @ omega
     flow[:, :d] += omega
     return float(np.linalg.norm(X - flow, axis=1).max())

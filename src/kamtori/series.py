@@ -136,6 +136,20 @@ class _Plan:
         return [np.where(b.sums[0] >= 0, b.sums[0] * scale, out) for b, scale
                 in ((self.J, self.NK * self.NT), (self.K, self.NT), (self.T, 1))]
 
+    @functools.lru_cache(maxsize=None)
+    def taylor_sums(self, shift):
+        """The index of a + b less the unit vectors at the positions in shift
+        for every pair (a, b) of Taylor exponents (-1 outside the ball or
+        with a negative entry).  Each unit vector comes off a if a has the
+        entry, else off b: the table is read at the lowered pair, so a pair
+        of degree D + 1 may lower back into the ball."""
+        table = self.T.sums[0]
+        for p in shift:
+            low = self.lower[p]
+            table = np.where(low[:, None] >= 0, table[low],
+                             np.where(low >= 0, table[:, low], -1))
+        return table
+
     def code(self, ij, ik, it):
         return (ij * self.NK + ik) * self.NT + it
 
@@ -143,10 +157,29 @@ class _Plan:
         jk, it = np.divmod(slot, self.NT)
         return (*np.divmod(jk, self.NK), it)
 
+    @functools.lru_cache(maxsize=64)
+    def powers(self, r, s):
+        """The tables e^{n r} for the mode norms n <= 2 (K_phi + K_q) (a sum
+        of two modes) and s^n for the degrees n <= D."""
+        return (np.exp(np.arange(2 * (self.J.K + self.K.K) + 1) * r),
+                s ** np.arange(self.T.K + 1).astype(float))
+
+    @functools.lru_cache(maxsize=256)
+    def degree_weights(self, d, s):
+        """W[t, n] = |factor| s^n at n = |a| - |shift| for the derivative d
+        (a _Partial) of a term with Taylor index t and factor 1 on modes:
+        the majorant weight of d's term by Taylor index and degree."""
+        deg = np.maximum(self.T.norm - len(d.shift), 0)
+        W = np.zeros((self.NT, self.T.K + 1))
+        factor = d.taylor_factor(self, np.arange(self.NT))
+        W[np.arange(self.NT), deg] = s ** deg.astype(float) \
+            * (1 if factor is None else factor)
+        return W
+
     def weight(self, ij, ik, it, r, s):
         """Majorant weights e^{(|j|+|k|) r} s^|a| of terms."""
-        return np.exp((self.J.norm[ij] + self.K.norm[ik]) * r) \
-            * s ** self.T.norm[it].astype(float)
+        exp_r, pow_s = self.powers(r, s)
+        return exp_r[self.J.norm[ij] + self.K.norm[ik]] * pow_s[self.T.norm[it]]
 
 
 _plan = functools.lru_cache(maxsize=None)(_Plan)
@@ -290,10 +323,10 @@ class FTSeries:
         """Apply the prune floors in place (on a series being built)."""
         if not len(self.coef):
             return
-        keep, coef, loss = _prune_arrays(_plan(self.grading), self.ij, self.ik,
-                                         self.it, self.coef, self.r, self.s,
-                                         floor, rel)
-        self.trunc_loss += loss
+        keep, coef, (loss,) = _prune_arrays(_plan(self.grading), self.ij,
+                                            self.ik, self.it, self.coef,
+                                            self.r, self.s, floor, rel)
+        self.trunc_loss += float(loss)
         if coef is not self.coef or not keep.all():
             self._set(self.ij[keep], self.ik[keep], self.it[keep], coef[keep])
 
@@ -405,26 +438,91 @@ def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR):
 
 
 def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
-                  rel=REL_PRUNE):
+                  rel=REL_PRUNE, starts=(0,)):
     """The prune floors on a series' arrays: an entry at or below
     max(floor, rel x its largest) is dropped and its majorant added to the
     loss (each entry of a batched series against its own floor, zeroed in a
-    row that keeps others).  Returns (rows kept, coefficients, loss); the
-    coefficients are coef itself when no entry was zeroed."""
+    row that keeps others).  The rows may form consecutive groups, from the
+    positions in starts on, each judged against its own largest entries
+    and with its own loss.  Returns (rows kept, coefficients, loss per
+    group); the coefficients are coef itself when no entry was zeroed."""
     mag = np.abs(coef)
-    dead = mag <= np.maximum(floor, rel * mag.max(axis=0, initial=0.0))
+    top = mag.max(axis=0, initial=0.0) if len(starts) == 1 else np.repeat(
+        np.maximum.reduceat(mag, starts, axis=0),
+        np.diff(np.append(starts, len(mag))), axis=0)
+    dead = mag <= np.maximum(floor, rel * top)
+    loss = np.zeros(len(starts))
     if not dead.any():
-        return ~dead if coef.ndim == 1 else ~dead[:, 0], coef, 0.0
+        return ~dead if coef.ndim == 1 else ~dead[:, 0], coef, loss
     lost = dead & (mag > 0.0)
     rows = np.flatnonzero(lost.any(axis=1) if coef.ndim == 2 else lost)
-    loss = 0.0
     if len(rows):
         w = plan.weight(ij[rows], ik[rows], it[rows], r, s)
-        pruned = np.where(dead[rows], mag[rows], 0.0)
-        loss = float(np.max((pruned.T * w).sum(axis=-1)))
+        pruned = (np.where(dead[rows], mag[rows], 0.0).T * w).T
+        if len(starts) == 1:
+            loss[0] = np.max(pruned.sum(axis=0))
+        else:
+            group = np.searchsorted(starts, rows, side="right") - 1
+            sums = np.zeros((len(starts),) + mag.shape[1:])
+            np.add.at(sums, group, pruned)
+            loss = sums.max(axis=1) if coef.ndim == 2 else sums
         if coef.ndim == 2:
             coef = np.where(dead, 0.0, coef)
     return ~(dead.all(axis=1) if coef.ndim == 2 else dead), coef, loss
+
+
+class _Partial:
+    """A first partial derivative ('phi'|'q'|'x'|'p'|'y', index) on ball
+    indices, or the identity for var None.  d phi_i and d q_i are mode
+    derivatives: a term gains the factor i j_i or i k_i.  d x_i, d p_i and
+    d y_i are Taylor derivatives: a term gains its exponent a_pos at the
+    variable's position pos (its axis) and loses e_pos (shift)."""
+
+    def __init__(self, gr, var):
+        self.name, self.axis, self.shift = None, None, ()
+        if var is None:
+            return
+        name, i = var
+        if not 0 <= i < {"phi": gr.l, "q": gr.d, "x": gr.l, "p": gr.d,
+                         "y": gr.l}[name]:
+            raise IndexError("%s index out of range" % name)
+        self.name = name
+        self.axis = i if name in ("phi", "q") \
+            else {"x": 0, "p": gr.l, "y": gr.l + gr.d}[name] + i
+        if name not in ("phi", "q"):
+            self.shift = (self.axis,)
+
+    @property
+    def on_modes(self):
+        return self.name in ("phi", "q")
+
+    def mode_factor(self, plan, ij, ik):
+        """The factors of the modes (ij, ik), or None off the modes."""
+        if not self.on_modes:
+            return None
+        return 1j * (plan.J.pts[ij, self.axis] if self.name == "phi"
+                     else plan.K.pts[ik, self.axis])
+
+    def taylor_factor(self, plan, it):
+        """The factors of the Taylor indices it, or None off them."""
+        return plan.T.pts[it, self.axis] if self.shift else None
+
+    def factor(self, plan, ij, ik, it):
+        """The factors of terms, or None for the identity."""
+        return self.mode_factor(plan, ij, ik) if self.on_modes \
+            else self.taylor_factor(plan, it)
+
+    def magnitude(self, plan, ij, ik, it, s):
+        """|factor| s^-|shift| of terms (for a derivative): the majorant
+        weight e^{(|j|+|k|) r} s^|a| of a term times this is that of its
+        derivative."""
+        if self.on_modes:
+            return np.abs(self.mode_factor(plan, ij, ik))
+        return self.taylor_factor(plan, it) / s
+
+
+_partial = functools.lru_cache(maxsize=None)(_Partial)
+_shift = lambda a, b: tuple(sorted(a.shift + b.shift))
 
 
 def multiply(f, g):
@@ -448,77 +546,176 @@ def multiply(f, g):
     more entries than those pairs; small and batched products take the pair
     kernel.  Either way the prune floors act on the accumulated array."""
     f._check_compat(g)
+    return _product(f, g, _layout(f, g))
+
+
+def _layout(f, g):
+    """The _block_layout of f and g if multiply's rule picks the block
+    kernel for them, else None."""
     pairs = len(f.coef) * len(g.coef)
     if f.coef.ndim == g.coef.ndim == 1 and pairs >= BLOCK_MIN_PAIRS:
         layout = _block_layout(_plan(f.grading), f, g)
         if layout.gathered <= pairs:
-            return _product(f, g, layout)
-    return _product(f, g)
+            return layout
+    return None
+
+
+def derivative_products(f, g, halves):
+    """sum over halves (a, b, w) of w d_a f d_b g, for first partials a and
+    b (('phi'|'q'|'x'|'p'|'y', index), or None for no derivative) and
+    numbers w.
+
+    Each half is the product multiply would return for the two derivatives:
+    its out-of-grading majorant, the operands' trunc_loss carried through
+    its scale and both prune floors.  No derivative is built: the factors
+    scale the operands' arrays (pair kernel) or blocks (block kernel), and a
+    half finds its output exponents in the sum table shifted by its Taylor
+    derivatives.  All halves share one kernel call on one layout of f and g,
+    chosen by multiply's rule; the halves are then summed as ft_sum sums
+    them."""
+    f._check_compat(g)
+    gr = f.grading
+    parts = _products(f, g, [(_partial(gr, a), _partial(gr, b))
+                             for a, b, _ in halves], _layout(f, g))
+    return _merge(gr, f.r, f.s, [p[:3] + (p[3] * w if w != 1.0 else p[3],)
+                                 for p, (_, _, w) in zip(parts, halves)],
+                  sum(p[4] * abs(w) for p, (_, _, w) in zip(parts, halves)))
 
 
 def _product(f, g, layout=None):
     """f g by the block kernel on a _block_layout of f and g, or by the pair
     kernel without one."""
-    loss = 0.0
-    # propagate the operands' own accumulated loss through the product scale
-    if f.trunc_loss or g.trunc_loss:
-        loss = float(np.max(f.trunc_loss * g.majorant_norm()
-                            + g.trunc_loss * f.majorant_norm()
-                            + f.trunc_loss * g.trunc_loss))
-    if not len(f.coef) or not len(g.coef):
-        return _like(f, _NONE, _NONE, _NONE, _EMPTY, loss)
+    unit = _partial(f.grading, None)
+    (ij, ik, it, coef, loss), = _products(f, g, [(unit, unit)], layout)
+    return _like(f, ij, ik, it, coef, loss)
+
+
+def _majorants(plan, f, ds):
+    """The majorant norm of d f for each _Partial d in ds, in closed form
+    (per entry, an array, for a batched f)."""
+    w = plan.weight(f.ij, f.ik, f.it, f.r, f.s)
+    return [_weighted(f.coef, w if d.name is None
+                      else w * d.magnitude(plan, f.ij, f.ik, f.it, f.s))
+            for d in ds]
+
+
+def _products(f, g, halves, layout=None):
+    """The products d_a f d_b g for the pairs (a, b) of _Partials in halves,
+    each as (ij, ik, it, coef, trunc_loss) of a series pruned against its
+    own largest entries: by the block kernel on a _block_layout of f and g,
+    or by the pair kernel without one."""
     plan = _plan(f.grading)
-    slot, acc, dropped = _pair_product(plan, f, g) if layout is None \
-        else _block_product(plan, layout, f.r)
-    ij, ik, it = plan.split(slot)
-    keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s)
-    if not keep.all():
-        ij, ik, it, acc = ij[keep], ik[keep], it[keep], acc[keep]
-    return _like(f, ij, ik, it, acc, loss + dropped + pruned)
+    losses = [0.0] * len(halves)
+    if f.trunc_loss or g.trunc_loss:
+        # propagate the operands' own accumulated loss through each
+        # product's scale
+        mf = _majorants(plan, f, [a for a, _ in halves])
+        mg = _majorants(plan, g, [b for _, b in halves])
+        losses = [float(np.max(f.trunc_loss * y + g.trunc_loss * x
+                               + f.trunc_loss * g.trunc_loss))
+                  for x, y in zip(mf, mg)]
+    if not len(f.coef) or not len(g.coef):
+        return [(_NONE, _NONE, _NONE, _EMPTY, loss) for loss in losses]
+    parts = _pair_product(plan, f, g, halves) if layout is None \
+        else _block_product(plan, layout, halves, f.r, f.s)
+    out = [(_NONE, _NONE, _NONE, _EMPTY, loss + dropped)
+           for (_, _, dropped), loss in zip(parts, losses)]
+    # each half is pruned against its own floors: the unbatched ones in one
+    # call, a batched one (a large array) alone
+    full = [n for n, (slot, _, _) in enumerate(parts) if len(slot)]
+    batched = f.coef.ndim == 2 or g.coef.ndim == 2
+    for group in [[n] for n in full] if batched else [full] if full else []:
+        if len(group) == 1:
+            (slot, acc, _), bound = parts[group[0]], (0, len(parts[group[0]][0]))
+        else:
+            slot, acc = (np.concatenate([parts[n][i] for n in group]) for i in (0, 1))
+            bound = np.cumsum([0] + [len(parts[n][0]) for n in group])
+        ij, ik, it = plan.split(slot)
+        keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s,
+                                          starts=bound[:-1])
+        if not keep.all():
+            ij, ik, it, acc = ij[keep], ik[keep], it[keep], acc[keep]
+            bound = (0, len(ij)) if len(group) == 1 \
+                else np.concatenate(([0], np.cumsum(keep)))[bound]
+        for n, lo, hi, x in zip(group, bound[:-1], bound[1:], pruned):
+            out[n] = (ij[lo:hi], ik[lo:hi], it[lo:hi], acc[lo:hi],
+                      out[n][4] + float(x))
+    return out
 
 
-def _pair_product(plan, f, g):
-    """The product over every pair of terms: (output slots in order, their
+def _kept(plan, f, d):
+    """The terms of d f as arrays (ij, ik, it, coef): the terms of f that
+    the _Partial d keeps, times their factors, each exponent lowered by
+    d's shift (in slot order, as differentiate returns them)."""
+    factor = d.factor(plan, f.ij, f.ik, f.it)
+    if factor is None:
+        return f.ij, f.ik, f.it, f.coef
+    r = np.flatnonzero(factor)
+    coef = f.coef[r]
+    coef *= factor[r, None] if coef.ndim == 2 else factor[r]
+    # a -> a - e_pos keeps the slot order of the surviving terms
+    it = f.it[r] if not d.shift else plan.lower[d.axis][f.it[r]]
+    return f.ij[r], f.ik[r], it, coef
+
+
+def _pair_product(plan, f, g, halves):
+    """The products d_a f d_b g over every pair of terms of d_a f and d_b g
+    (``_kept``), for each (a, b) in halves: (output slots in order, their
     accumulated coefficients, majorant of the out-of-grading pairs)."""
     J, K, T = plan.J, plan.K, plan.T
-    fj, fk, ft, fc = f.ij, f.ik, f.it, f.coef
-    gj, gk, gt, gc = g.ij, g.ik, g.it, g.coef
     js, ks, ts = plan.slots
-    slot = js[fj].take(gj, axis=1)
-    slot += ks[fk].take(gk, axis=1)
-    slot += ts[ft].take(gt, axis=1)
-    out = slot < 0
-    loss = 0.0
-    if out.any():
-        # sum over out-of-grading pairs of |c_a| |c_b| e^{(|j|+|k|) r} s^deg
-        w = np.exp(J.sums[1] * f.r)[fj].take(gj, axis=1)
-        w *= np.exp(K.sums[1] * f.r)[fk].take(gk, axis=1)
-        w *= out
-        mf = np.abs(fc).reshape(len(fc), -1) * f.s ** T.norm[ft, None].astype(float)
-        mg = np.abs(gc).reshape(len(gc), -1) * f.s ** T.norm[gt, None].astype(float)
-        loss = float(np.max((mf * (w @ mg)).sum(axis=0)))  # per entry if batched
-    if fc.ndim == 2 or gc.ndim == 2:
-        # the in-grading pairs in slot order; pairs sharing a slot are summed
-        pairs = np.flatnonzero(~out.ravel())
-        pairs = pairs[np.argsort(slot.ravel()[pairs], kind="stable")]
-        slot = slot.ravel()[pairs]
-        pf, pg = np.divmod(pairs, len(gc))
-        coef = fc.reshape(len(fc), -1)[pf] * gc.reshape(len(gc), -1)[pg]
-        first = np.flatnonzero(np.diff(slot, prepend=-1))
-        acc = coef if len(first) == len(slot) \
-            else np.add.reduceat(coef, first, axis=0)
-        slot = slot[first]
-    else:
-        # out-of-grading pairs land in bin 0; only the hit slots go on
-        coef = (fc[:, None] * gc).ravel()
-        pos = slot.reshape(-1)
-        np.maximum(pos, -1, out=pos)
-        pos += 1
-        re, im = np.bincount(pos, coef.real), np.bincount(pos, coef.imag)
-        re[0] = im[0] = 0.0
-        hit = np.flatnonzero((re != 0.0) | (im != 0.0))
-        acc, slot = re[hit] + 1j * im[hit], hit - 1
-    return slot, acc, loss
+    out = []
+    for a, b in halves:
+        (fj, fk, ft, fc), (gj, gk, gt, gc) = (
+            _kept(plan, u, d) for u, d in ((f, a), (g, b)))
+        if not len(fc) or not len(gc):
+            out.append((_NONE, _EMPTY, 0.0))
+            continue
+        slot = js[fj].take(gj, axis=1)
+        slot += ks[fk].take(gk, axis=1)
+        slot += ts[ft].take(gt, axis=1)
+        outside = slot < 0
+        loss = 0.0
+        if outside.any():
+            # sum over out-of-grading pairs of |c_a| |c_b| e^{(|j|+|k|) r} s^deg
+            exp_r, pow_s = plan.powers(f.r, f.s)
+            w = exp_r[J.sums[1]][fj].take(gj, axis=1)
+            w *= exp_r[K.sums[1]][fk].take(gk, axis=1)
+            w *= outside
+            mf = np.abs(fc).reshape(len(fc), -1) * pow_s[T.norm[ft], None]
+            mg = np.abs(gc).reshape(len(gc), -1) * pow_s[T.norm[gt], None]
+            loss = float(np.max((mf * (w @ mg)).sum(axis=0)))  # per entry if batched
+        if fc.ndim == 2 or gc.ndim == 2:
+            # the in-grading pairs in slot order; pairs sharing a slot are summed
+            pairs = np.flatnonzero(~outside.ravel())
+            pairs = pairs[np.argsort(slot.ravel()[pairs], kind="stable")]
+            slot = slot.ravel()[pairs]
+            pf, pg = np.divmod(pairs, len(gc))
+            coef = fc.reshape(len(fc), -1)[pf] * gc.reshape(len(gc), -1)[pg]
+            first = _starts(slot)
+            acc = coef if len(first) == len(slot) \
+                else np.add.reduceat(coef, first, axis=0)
+            out.append((slot[first], acc, loss))
+        else:
+            # out-of-grading pairs land in bin 0; only the hit slots go on
+            coef = (fc[:, None] * gc).ravel()
+            pos = slot.reshape(-1)
+            np.maximum(pos, -1, out=pos)
+            pos += 1
+            re = np.bincount(pos, coef.real, minlength=1)
+            im = np.bincount(pos, coef.imag, minlength=1)
+            re[0] = im[0] = 0.0
+            hit = np.flatnonzero((re != 0.0) | (im != 0.0))
+            out.append((hit - 1, re[hit] + 1j * im[hit], loss))
+    return out
+
+
+def _starts(v):
+    """The positions where the runs of equal values of a sorted array start."""
+    new = np.empty(len(v), dtype=bool)
+    new[:1] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def _distinct(values, n):
@@ -531,9 +728,8 @@ def _distinct(values, n):
 
 class _Block:
     """An unbatched series as a dense block: its distinct (j, k) modes in
-    order x its distinct Taylor indices, plus one zero row; mag holds per
-    mode and degree the sum of |c| s^|a|.  The modes and Taylor indices are
-    found at once, the dense block and mag filled on first use."""
+    order x its distinct Taylor indices, plus one zero row.  The modes and
+    Taylor indices are found at once, the dense block filled on first use."""
 
     def __init__(self, plan, f, s):
         mode = f.ij * plan.NK + f.ik    # nondecreasing: the terms are in slot order
@@ -549,14 +745,19 @@ class _Block:
         dense[self.row, self.col] = self._f.coef
         return dense
 
-    @functools.cached_property
-    def mag(self):
-        f, D = self._f, self._plan.T.K
-        deg = self._plan.T.norm[f.it]
-        mag = np.bincount(self.row * (D + 1) + deg,
-                          np.abs(f.coef) * self._s ** deg.astype(float),
-                          minlength=len(self.ij) * (D + 1))
-        return mag.reshape(len(self.ij), D + 1)
+    def mags(self, ds):
+        """For each _Partial d in ds, the sums of |c| s^|a| over the terms of
+        d f (f this block's series) per mode and degree: an (len(ds), modes,
+        D + 1) array, from one matrix product of |block| with the weights
+        per Taylor index and degree."""
+        plan = self._plan
+        weights = np.stack([plan.degree_weights(d, self._s)[self.taylor]
+                            for d in ds])
+        out = np.abs(self.dense[:-1]) @ weights
+        for n, d in enumerate(ds):
+            if d.on_modes:
+                out[n] *= np.abs(d.mode_factor(plan, self.ij, self.ik))[:, None]
+        return out
 
 
 @dataclass
@@ -565,7 +766,8 @@ class _BlockLayout:
     is contracted over; for each output mode (oj, ok) and each mode of c,
     ``at`` names the row of the other operand (e) whose mode completes the
     sum (e's zero row if none does); ``inside`` marks the pairs of e's and
-    c's modes whose sum lies in the grading."""
+    c's modes whose sum lies in the grading; ``swap`` is set when e is the
+    second operand."""
 
     e: _Block
     c: _Block
@@ -573,6 +775,7 @@ class _BlockLayout:
     ok: np.ndarray
     at: np.ndarray
     inside: np.ndarray
+    swap: bool
 
     @property
     def gathered(self):
@@ -583,7 +786,8 @@ class _BlockLayout:
 def _block_layout(plan, f, g):
     """The _BlockLayout of nonempty unbatched f and g (no block filled)."""
     a, b = _Block(plan, f, f.s), _Block(plan, g, f.s)
-    e, c = (a, b) if len(b.ij) <= len(a.ij) else (b, a)
+    swap = len(b.ij) > len(a.ij)
+    e, c = (b, a) if swap else (a, b)
     js = plan.J.sums[0][e.ij[:, None], c.ij]
     ks = plan.K.sums[0][e.ik[:, None], c.ik]
     inside = (js >= 0) & (ks >= 0)
@@ -592,39 +796,79 @@ def _block_layout(plan, f, g):
     re, rc = np.nonzero(inside)
     at = np.full((len(modes), len(c.ij)), len(e.ij))
     at[o, rc] = re
-    return _BlockLayout(e, c, *np.divmod(modes, plan.NK), at, inside)
+    return _BlockLayout(e, c, *np.divmod(modes, plan.NK), at, inside, swap)
 
 
-def _block_product(plan, layout, r):
-    """The block kernel of multiply on a _block_layout: (output slots in
-    order, their coefficients, majorant of the out-of-grading pairs)."""
+def _block_product(plan, layout, halves, r, s):
+    """The block kernel on a _block_layout, for each (a, b) in halves:
+    (output slots in order, the coefficients of d_a f d_b g, some of them
+    zero, majorant of the out-of-grading pairs).  Halves whose mode
+    derivatives agree share one matrix product; Taylor factors scale its
+    entries as they are summed."""
     e, c, at, inside = layout.e, layout.c, layout.at, layout.inside
-    # Fourier convolution, one matrix product: P[q, o, p] = sum over c's
-    # modes m of c[m, q] e[at[o, m], p]
-    gathered = e.dense[at.T].reshape(len(c.ij), -1)
-    P = (c.dense[:-1].T @ gathered).reshape(len(c.taylor), len(at),
-                                             len(e.taylor))
-    # Taylor combination: the pairs (q, p) whose exponents sum inside the
-    # ball, summed per output exponent; the others are never read
-    ts = plan.T.sums[0][c.taylor[:, None], e.taylor]
-    q, p = np.nonzero(ts >= 0)
-    order = np.argsort(ts[q, p], kind="stable")
-    q, p = q[order], p[order]
-    t = ts[q, p]
-    first = np.flatnonzero(np.diff(t, prepend=-1))
-    acc = np.add.reduceat(P[q, :, p], first, axis=0).T.ravel()
-    slot = (plan.code(layout.oj, layout.ok, 0)[:, None] + t[first]).ravel()
-    hit = np.flatnonzero(acc)
-    # the out-of-grading majorant, from sums per mode and degree: pairs of
+    sides = [(b, a) if layout.swap else (a, b) for a, b in halves]  # (on e, on c)
+    products, combos = {}, {}
+    for n, (de, dc) in enumerate(sides):
+        products.setdefault((de if de.on_modes else None,
+                             dc if dc.on_modes else None), []).append(n)
+    o_slot = plan.code(layout.oj, layout.ok, 0)
+    out = [None] * len(halves)
+    gathered = None
+    # the products without a mode factor on e share one gathered array of
+    # e's rows; it is dropped before a factor on e scales e's rows into a
+    # gathered array of their own, so one is alive at a time
+    for (me, mc), members in sorted(products.items(),
+                                    key=lambda item: item[0][0] is not None):
+        if me is None:
+            gathered = e.dense[at.T] if gathered is None else gathered
+            ed = gathered
+        else:
+            gathered = None
+            factor = np.append(me.mode_factor(plan, e.ij, e.ik), 0.0)
+            ed = (e.dense * factor[:, None])[at.T]
+        cd = c.dense[:-1]
+        if mc is not None:
+            cd = cd * mc.mode_factor(plan, c.ij, c.ik)[:, None]
+        # Fourier convolution, one matrix product: P[q, o, p] = sum over c's
+        # modes m of c[m, q] e[at[o, m], p], each times its mode factor
+        P = (cd.T @ ed.reshape(len(c.ij), -1)).reshape(len(c.taylor), len(at),
+                                                       len(e.taylor))
+        del cd, ed
+        for n in members:
+            de, dc = sides[n]
+            # Taylor combination: the pairs (q, p) whose exponents sum inside
+            # the ball after the shift, in order of the output exponent t;
+            # the others are never read
+            shift = _shift(de, dc)
+            if shift not in combos:
+                ts = plan.taylor_sums(shift)[c.taylor[:, None], e.taylor]
+                q, p = np.nonzero(ts >= 0)
+                order = np.argsort(ts[q, p], kind="stable")
+                combos[shift] = q[order], p[order], ts[q[order], p[order]]
+            q, p, t = combos[shift]
+            tc, te = dc.taylor_factor(plan, c.taylor), de.taylor_factor(plan, e.taylor)
+            factor = (1 if tc is None else tc[q]) * (1 if te is None else te[p])
+            if np.ndim(factor):
+                live = factor != 0
+                q, p, t, factor = q[live], p[live], t[live], factor[live]
+            first = _starts(t)
+            terms = P[q, :, p]
+            if np.ndim(factor):
+                terms *= factor[:, None]
+            acc = np.add.reduceat(terms, first, axis=0).T.ravel()
+            out[n] = ((o_slot[:, None] + t[first]).ravel(), acc)
+        del P
+    # the out-of-grading majorants, from sums per mode and degree: pairs of
     # modes outside the ball, then pairs inside it whose degrees pass D
-    w = np.exp((plan.J.sums[1][e.ij[:, None], c.ij]
-                + plan.K.sums[1][e.ik[:, None], c.ik]) * r)
-    # past[m, d]: c's magnitude at mode m over degrees above D - d
-    past = np.cumsum(c.mag[:, :0:-1], axis=1)
-    past = np.concatenate((np.zeros((len(past), 1)), past), axis=1)
-    loss = e.mag.sum(axis=1) @ np.where(inside, 0.0, w) @ c.mag.sum(axis=1) \
-        + np.sum(e.mag * (np.where(inside, w, 0.0) @ past))
-    return slot[hit], acc[hit], float(loss)
+    em, cm = e.mags([de for de, _ in sides]), c.mags([dc for _, dc in sides])
+    w = plan.powers(r, s)[0][plan.J.sums[1][e.ij[:, None], c.ij]
+                             + plan.K.sums[1][e.ik[:, None], c.ik]]
+    # past[h, m, d]: c's magnitude at mode m over degrees above D - d
+    past = np.cumsum(cm[:, :, :0:-1], axis=2)
+    past = np.concatenate((np.zeros(past.shape[:2] + (1,)), past), axis=2)
+    loss = ((em.sum(axis=2) @ np.where(inside, 0.0, w)) * cm.sum(axis=2)).sum(axis=1) \
+        + (em * (np.where(inside, w, 0.0) @ past)).sum(axis=(1, 2))
+    return [o + (float(x),) for o, x in zip(out, loss)]
 
 
 def ft_sum(grading, r, s, parts, scales=None):
@@ -638,23 +882,8 @@ def ft_sum(grading, r, s, parts, scales=None):
 
 def differentiate(f, var):
     """Exact term-wise derivative.  var is ('phi'|'q'|'x'|'p'|'y', index)."""
-    name, i = var
-    g = f.grading
-    if not 0 <= i < {"phi": g.l, "q": g.d, "x": g.l, "p": g.d, "y": g.l}[name]:
-        raise IndexError("%s index out of range" % name)
-    plan, it = _plan(g), f.it
-    if name in ("phi", "q"):
-        n = plan.J.pts[f.ij, i] if name == "phi" else plan.K.pts[f.ik, i]
-        factor = 1j * n
-    else:
-        # a -> a - e_pos keeps the slot order of the surviving terms
-        pos = {"x": 0, "p": g.l, "y": g.l + g.d}[name] + i
-        n = factor = plan.T.pts[it, pos]
-        it = plan.lower[pos][it]
-    live = n != 0
-    coef = f.coef[live]
-    coef *= factor[live, None] if coef.ndim == 2 else factor[live]
-    return _like(f, f.ij[live], f.ik[live], it[live], coef, f.trunc_loss)
+    return _like(f, *_kept(_plan(f.grading), f, _partial(f.grading, tuple(var))),
+                 f.trunc_loss)
 
 
 def degrees(f):
@@ -772,32 +1001,48 @@ def evaluate(f, phi=None, q=None, x=None, p=None, y=None):
     Each argument's last axis holds its variables (a scalar is one variable);
     leading axes index points and broadcast against each other.  One point
     gives a float, several an array of the points' shape."""
-    g = f.grading
+    values = evaluate_all([f], phi, q, x, p, y)[..., 0]
+    return values if values.ndim else float(values)
+
+
+def evaluate_all(fs, phi=None, q=None, x=None, p=None, y=None):
+    """The series fs (one grading) evaluated as evaluate does, at the same
+    points: an array of the points' shape + (len(fs),).  The phases
+    e^{i (j.phi + k.q)} are computed once, over the union of the series'
+    modes, and the monomials once over the union of their exponents."""
+    g = fs[0].grading
     args = [np.zeros(n) if v is None else
             np.asarray(v, dtype=float).reshape(np.shape(v)[:-1] + (n,))
             for v, n in zip((phi, q, x, p, y), (g.l, g.d, g.l, g.d, g.l))]
     shape = np.broadcast_shapes(*(v.shape[:-1] for v in args))
     phi, q, x, p, y = (np.broadcast_to(v, shape + v.shape[-1:])
                        .reshape(-1, v.shape[-1]) for v in args)
-    total = np.zeros(len(phi), dtype=complex)
-    if len(f.coef):
-        # sum_{mode, monomial} e^{i mode} C[mode, monomial] z^monomial over
-        # the modes and monomials f uses
-        plan = _plan(g)
-        modes, im = np.unique(f.ij * plan.NK + f.ik, return_inverse=True)
-        monos, it = np.unique(f.it, return_inverse=True)
-        C = np.zeros((len(modes), len(monos)), dtype=complex)
+    totals = np.zeros((len(phi), len(fs)), dtype=complex)
+    plan = _plan(g)
+    # sum_{mode, monomial} e^{i mode} C[mode, monomial] z^monomial over the
+    # modes and monomials each series uses
+    modes, mode_at = np.unique(np.concatenate([f.ij * plan.NK + f.ik for f in fs]),
+                               return_inverse=True)
+    monos, mono_at = np.unique(np.concatenate([f.it for f in fs]),
+                               return_inverse=True)
+    phase = np.exp(1j * (phi @ plan.J.pts[modes // plan.NK].T
+                         + q @ plan.K.pts[modes % plan.NK].T))
+    z = np.concatenate([x, p, y], axis=1)
+    zpow = np.prod(z[:, None, :] ** plan.T.pts[monos], axis=2)
+    bound = np.concatenate(([0], np.cumsum([len(f.coef) for f in fs])))
+    for n, (f, lo, hi) in enumerate(zip(fs, bound[:-1], bound[1:])):
+        if not len(f.coef):
+            continue
+        fm, im = np.unique(mode_at[lo:hi], return_inverse=True)
+        ft, it = np.unique(mono_at[lo:hi], return_inverse=True)
+        C = np.zeros((len(fm), len(ft)), dtype=complex)
         C[im, it] = f.coef
-        phase = phi @ plan.J.pts[modes // plan.NK].T \
-            + q @ plan.K.pts[modes % plan.NK].T
-        z = np.concatenate([x, p, y], axis=1)
-        zpow = np.prod(z[:, None, :] ** plan.T.pts[monos], axis=2)
-        total = ((np.exp(1j * phase) @ C) * zpow).sum(axis=1)
-    residue = float(np.abs(total.imag).max())
-    if residue > 1e-12 * max(majorant_norm(f), 1e-300):
-        raise RealityError("imaginary residue %.3g exceeds tolerance (series not real?)"
-                           % residue)
-    return total.real.reshape(shape) if shape else float(total.real[0])
+        totals[:, n] = ((phase[:, fm] @ C) * zpow[:, ft]).sum(axis=1)
+        residue = float(np.abs(totals[:, n].imag).max())
+        if residue > 1e-12 * max(majorant_norm(f), 1e-300):
+            raise RealityError("imaginary residue %.3g exceeds tolerance "
+                               "(series not real?)" % residue)
+    return totals.real.reshape(shape + (len(fs),))
 
 
 # -- parameter modes --------------------------------------------------------------
