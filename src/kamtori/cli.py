@@ -349,6 +349,9 @@ def cmd_verify(torus_path, problem_path, grid_n):
     except (KeyError, TypeError, ValueError) as exc:
         raise ArtifactIOError("torus file %s is malformed: %s"
                               % (torus_path, exc)) from exc
+    if len({u.grading for us in emb.values() for u in us}) > 1:
+        raise ArtifactIOError("torus file %s is malformed: its embedding "
+                              "components have different gradings" % torus_path)
     if problem_path:
         prob = _load_reduced(problem_path)
         H0 = assemble_hamiltonian(initial_tuple(

@@ -111,7 +111,7 @@ def verify_invariance(H, embedding, omega, grid_n=64):
     """max over a q-grid of |X_H(emb(q)) - D emb(q) . omega|.
 
     H must already be parameter-free (frozen at the selected phi0); the
-    embedding holds q-only displacement series."""
+    embedding holds q-only displacement series of one grading."""
     gr = H.grading
     d, l = gr.d, gr.l
     omega = np.asarray(omega, dtype=float)

@@ -323,10 +323,10 @@ class FTSeries:
         """Apply the prune floors in place (on a series being built)."""
         if not len(self.coef):
             return
-        keep, coef, (loss,) = _prune_arrays(_plan(self.grading), self.ij,
-                                            self.ik, self.it, self.coef,
-                                            self.r, self.s, floor, rel)
-        self.trunc_loss += float(loss)
+        keep, coef, loss = _prune_arrays(_plan(self.grading), self.ij, self.ik,
+                                         self.it, self.coef, self.r, self.s,
+                                         floor, rel)
+        self.trunc_loss += loss
         if coef is not self.coef or not keep.all():
             self._set(self.ij[keep], self.ik[keep], self.it[keep], coef[keep])
 
@@ -438,34 +438,23 @@ def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR):
 
 
 def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
-                  rel=REL_PRUNE, starts=(0,)):
+                  rel=REL_PRUNE):
     """The prune floors on a series' arrays: an entry at or below
     max(floor, rel x its largest) is dropped and its majorant added to the
     loss (each entry of a batched series against its own floor, zeroed in a
-    row that keeps others).  The rows may form consecutive groups, from the
-    positions in starts on, each judged against its own largest entries
-    and with its own loss.  Returns (rows kept, coefficients, loss per
-    group); the coefficients are coef itself when no entry was zeroed."""
+    row that keeps others).  Returns (rows kept, coefficients, loss); the
+    coefficients are coef itself when no entry was zeroed."""
     mag = np.abs(coef)
-    top = mag.max(axis=0, initial=0.0) if len(starts) == 1 else np.repeat(
-        np.maximum.reduceat(mag, starts, axis=0),
-        np.diff(np.append(starts, len(mag))), axis=0)
-    dead = mag <= np.maximum(floor, rel * top)
-    loss = np.zeros(len(starts))
+    dead = mag <= np.maximum(floor, rel * mag.max(axis=0, initial=0.0))
     if not dead.any():
-        return ~dead if coef.ndim == 1 else ~dead[:, 0], coef, loss
+        return ~dead if coef.ndim == 1 else ~dead[:, 0], coef, 0.0
     lost = dead & (mag > 0.0)
     rows = np.flatnonzero(lost.any(axis=1) if coef.ndim == 2 else lost)
+    loss = 0.0
     if len(rows):
         w = plan.weight(ij[rows], ik[rows], it[rows], r, s)
-        pruned = (np.where(dead[rows], mag[rows], 0.0).T * w).T
-        if len(starts) == 1:
-            loss[0] = np.max(pruned.sum(axis=0))
-        else:
-            group = np.searchsorted(starts, rows, side="right") - 1
-            sums = np.zeros((len(starts),) + mag.shape[1:])
-            np.add.at(sums, group, pruned)
-            loss = sums.max(axis=1) if coef.ndim == 2 else sums
+        pruned = np.where(dead[rows], mag[rows], 0.0)
+        loss = float(np.max((pruned.T * w).sum(axis=-1)))
         if coef.ndim == 2:
             coef = np.where(dead, 0.0, coef)
     return ~(dead.all(axis=1) if coef.ndim == 2 else dead), coef, loss
@@ -522,7 +511,7 @@ class _Partial:
 
 
 _partial = functools.lru_cache(maxsize=None)(_Partial)
-_shift = lambda a, b: tuple(sorted(a.shift + b.shift))
+_UNIT = _Partial(None, None)
 
 
 def multiply(f, g):
@@ -560,33 +549,36 @@ def _layout(f, g):
     return None
 
 
-def derivative_products(f, g, halves):
-    """sum over halves (a, b, w) of w d_a f d_b g, for first partials a and
-    b (('phi'|'q'|'x'|'p'|'y', index), or None for no derivative) and
-    numbers w.
+def _bracket(f, g):
+    """The Poisson bracket {f, g}: the sum over i of d_qi f d_pi g -
+    d_pi f d_qi g and of d_xi f d_yi g - d_yi f d_xi g.
 
-    Each half is the product multiply would return for the two derivatives:
-    its out-of-grading majorant, the operands' trunc_loss carried through
-    its scale and both prune floors.  No derivative is built: the factors
-    scale the operands' arrays (pair kernel) or blocks (block kernel), and a
-    half finds its output exponents in the sum table shifted by its Taylor
-    derivatives.  All halves share one kernel call on one layout of f and g,
-    chosen by multiply's rule; the halves are then summed as ft_sum sums
-    them."""
+    Each half-product is the product multiply would return for its two
+    derivatives: its out-of-grading majorant, the operands' trunc_loss
+    carried through its scale and both prune floors.  No derivative is
+    built: the factors scale the operands' arrays (pair kernel) or blocks
+    (block kernel), and a half finds its output exponents in the sum table
+    shifted by its Taylor derivatives.  All halves share one kernel call on
+    one layout of f and g, chosen by multiply's rule; they are then summed
+    as ft_sum sums them."""
     f._check_compat(g)
     gr = f.grading
-    parts = _products(f, g, [(_partial(gr, a), _partial(gr, b))
-                             for a, b, _ in halves], _layout(f, g))
-    return _merge(gr, f.r, f.s, [p[:3] + (p[3] * w if w != 1.0 else p[3],)
-                                 for p, (_, _, w) in zip(parts, halves)],
-                  sum(p[4] * abs(w) for p, (_, _, w) in zip(parts, halves)))
+    halves = []
+    for n, m, count in (("q", "p", gr.d), ("x", "y", gr.l)):
+        for i in range(count):
+            a, b = _partial(gr, (n, i)), _partial(gr, (m, i))
+            halves += [(a, b), (b, a)]
+    parts = _products(f, g, halves, _layout(f, g))
+    # the halves alternate in sign, + first (scaled as ft_sum scales them)
+    return _merge(gr, f.r, f.s, [p[:3] + (p[3] * -1.0 if n % 2 else p[3],)
+                                 for n, p in enumerate(parts)],
+                  sum(p[4] for p in parts))
 
 
 def _product(f, g, layout=None):
     """f g by the block kernel on a _block_layout of f and g, or by the pair
     kernel without one."""
-    unit = _partial(f.grading, None)
-    (ij, ik, it, coef, loss), = _products(f, g, [(unit, unit)], layout)
+    (ij, ik, it, coef, loss), = _products(f, g, [(_UNIT, _UNIT)], layout)
     return _like(f, ij, ik, it, coef, loss)
 
 
@@ -618,28 +610,14 @@ def _products(f, g, halves, layout=None):
         return [(_NONE, _NONE, _NONE, _EMPTY, loss) for loss in losses]
     parts = _pair_product(plan, f, g, halves) if layout is None \
         else _block_product(plan, layout, halves, f.r, f.s)
-    out = [(_NONE, _NONE, _NONE, _EMPTY, loss + dropped)
-           for (_, _, dropped), loss in zip(parts, losses)]
-    # each half is pruned against its own floors: the unbatched ones in one
-    # call, a batched one (a large array) alone
-    full = [n for n, (slot, _, _) in enumerate(parts) if len(slot)]
-    batched = f.coef.ndim == 2 or g.coef.ndim == 2
-    for group in [[n] for n in full] if batched else [full] if full else []:
-        if len(group) == 1:
-            (slot, acc, _), bound = parts[group[0]], (0, len(parts[group[0]][0]))
-        else:
-            slot, acc = (np.concatenate([parts[n][i] for n in group]) for i in (0, 1))
-            bound = np.cumsum([0] + [len(parts[n][0]) for n in group])
+    out = []
+    for (slot, acc, dropped), loss in zip(parts, losses):
+        # each half is pruned against its own floors
         ij, ik, it = plan.split(slot)
-        keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s,
-                                          starts=bound[:-1])
+        keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s)
         if not keep.all():
             ij, ik, it, acc = ij[keep], ik[keep], it[keep], acc[keep]
-            bound = (0, len(ij)) if len(group) == 1 \
-                else np.concatenate(([0], np.cumsum(keep)))[bound]
-        for n, lo, hi, x in zip(group, bound[:-1], bound[1:], pruned):
-            out[n] = (ij[lo:hi], ik[lo:hi], it[lo:hi], acc[lo:hi],
-                      out[n][4] + float(x))
+        out.append((ij, ik, it, acc, loss + dropped + pruned))
     return out
 
 
@@ -839,7 +817,7 @@ def _block_product(plan, layout, halves, r, s):
             # Taylor combination: the pairs (q, p) whose exponents sum inside
             # the ball after the shift, in order of the output exponent t;
             # the others are never read
-            shift = _shift(de, dc)
+            shift = tuple(sorted(de.shift + dc.shift))
             if shift not in combos:
                 ts = plan.taylor_sums(shift)[c.taylor[:, None], e.taylor]
                 q, p = np.nonzero(ts >= 0)
@@ -1006,11 +984,13 @@ def evaluate(f, phi=None, q=None, x=None, p=None, y=None):
 
 
 def evaluate_all(fs, phi=None, q=None, x=None, p=None, y=None):
-    """The series fs (one grading) evaluated as evaluate does, at the same
-    points: an array of the points' shape + (len(fs),).  The phases
+    """The series fs, all of one grading, evaluated as evaluate does, at the
+    same points: an array of the points' shape + (len(fs),).  The phases
     e^{i (j.phi + k.q)} are computed once, over the union of the series'
     modes, and the monomials once over the union of their exponents."""
     g = fs[0].grading
+    if any(f.grading != g for f in fs):
+        raise GradingError("grading mismatch")
     args = [np.zeros(n) if v is None else
             np.asarray(v, dtype=float).reshape(np.shape(v)[:-1] + (n,))
             for v, n in zip((phi, q, x, p, y), (g.l, g.d, g.l, g.d, g.l))]

@@ -3,14 +3,13 @@ Lie-series time-1 flows, near-identity map composition by Lie transport with
 C^2 tracking, and the integer/shear coordinate reductions that bring a
 resonant problem to the parametrized model form."""
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .series import (FTSeries, _l1, ck_norm_estimate, derivative_products,
+from .series import (FTSeries, _bracket, _l1, ck_norm_estimate,
                      differentiate, ft_sum, majorant_norm, multiply)
 
 DEFAULT_ORDER_CAP = 12
@@ -35,17 +34,7 @@ class ReductionError(PreconditionError):
 def poisson_bracket(g, h):
     """{g, h} over both symplectic pairs (q, p) and (x, y), as one call of
     the series kernel over its 2 (d + l) derivative products."""
-    return derivative_products(g, h, _bracket_halves(g.grading))
-
-
-@functools.lru_cache(maxsize=None)
-def _bracket_halves(gr):
-    """The terms (a, b, w) of {g, h} = sum w d_a g d_b h."""
-    halves = []
-    for n, m, count in (("q", "p", gr.d), ("x", "y", gr.l)):
-        for i in range(count):
-            halves += [((n, i), (m, i), 1.0), ((m, i), (n, i), -1.0)]
-    return tuple(halves)
+    return _bracket(g, h)
 
 
 def vector_field(H, v=None):

@@ -261,6 +261,11 @@ def test_evaluate_all_matches_each_series():
     bad = FTSeries.term(gr, 1.0, 1.0, (0,), (1, 0), (0, 0, 0, 0), 1.0)
     with pytest.raises(ring.RealityError):
         evaluate_all(fs[:2] + [bad], q=q)
+    # so are series of different gradings, which one plan cannot index
+    wider = Grading(d=2, l=1, K_q=5, K_phi=2, D=4)
+    other = random_real_series(wider, 1.0, 1.0, rng, n_modes=9, max_k=5)
+    with pytest.raises(ring.GradingError):
+        evaluate_all(fs[:2] + [other], q=q)
 
 
 @pytest.mark.parametrize("path", ["pair", "block"])

@@ -243,6 +243,21 @@ class TestVerify:
         assert main(["verify", "--torus", str(tmp_path / "absent.json"),
                      "--grid", "8"]) == EXIT_IO
 
+    def test_mixed_grading_embedding_exits_4(self, tmp_path, capsys):
+        # one embedding component in a larger grading than the others: the
+        # file no longer describes one embedding, and verify refuses it
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        data = json.loads((tmp_path / "torus.json").read_text())
+        comps = [u for us in data["embedding"].values() for u in us]
+        assert len({json.dumps(u["grading"]) for u in comps}) == 1
+        comps[-1]["grading"]["K_q"] += 1
+        bad = tmp_path / "mixed_torus.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--torus", str(bad), "--grid", "8"]) == EXIT_IO
+        assert "different gradings" in capsys.readouterr().err
+
     def test_corrupted_embedding_exits_4(self, tmp_path):
         bad = tmp_path / "bad_torus.json"
         bad.write_text(json.dumps({"phi0": [0.0], "omega": [1.0]}))
