@@ -38,6 +38,16 @@ EXIT_PRECONDITION = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
+# the per-rung fields history.json keeps (rung rows and their measures)
+HISTORY_FIELDS = (
+    "n", "r", "s", "eps_measured", "alpha_norm", "f_norm",
+    "conjugacy_residual", "f_plus_trunc_loss", "phi_trunc_loss",
+    "f_plus_terms", "phi_terms", "lie_orders", "contraction_exponent",
+    "symp_residual", "K_eff", "cohom_condition", "cohom_obstruction",
+    "cohom_projection_defect", "cohom_residual_plateau",
+    "cohom_residual_budget", "tuple_drift", "step_ok",
+    "postcondition_misses")
+
 
 def _fmt(v):
     return float("%.17g" % float(v))
@@ -284,14 +294,11 @@ def _pipeline(cfg):
     torus.grad_norm = info["grad_norm"]
     artifacts = {}
     hist_path = outputs.get("history_path", "history.json")
-    # the rung's norms, and what the truncated ring dropped and kept
+    # the rung's norms, what the truncated ring dropped and kept, the
+    # solve's diagnostics and the postconditions it missed
     hist_out = [{k: _jsonable(v) for k, v in {**row.get("measures", {}),
                                                **row}.items()
-                 if k in ("n", "r", "s", "eps_measured", "alpha_norm",
-                          "f_norm", "conjugacy_residual", "f_plus_trunc_loss",
-                          "phi_trunc_loss", "f_plus_terms", "phi_terms",
-                          "lie_orders", "contraction_exponent",
-                          "symp_residual")}
+                 if k in HISTORY_FIELDS}
                 for row in history["steps"]]
     _write_json(hist_path, hist_out)
     artifacts["history"] = hist_path

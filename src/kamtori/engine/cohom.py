@@ -31,8 +31,8 @@ from ..errors import ConvergenceError
 from ..normalform import (BumpProjectionError, NormalFormTuple,
                           assemble_hamiltonian, bump_psi, const_matrix,
                           eval_phi_series, majorant_on_grid, mat_eval_grid,
-                          nu_max_profile, phi_grid, phi_grid_size,
-                          project_phi_rows, series_matrix)
+                          nu_max_profile, phi_grid, project_phi_rows,
+                          series_matrix)
 from ..series import (FTSeries, TaylorSplit, average_q, degrees,
                       differentiate, freeze_phi, majorant_norm, multiply,
                       select, taylor_split)
@@ -42,6 +42,17 @@ from ..symplectic import GeneratingFunction, poisson_bracket
 PSI_SOLVE_FLOOR = 1e-12
 COND_CAP = 1e8
 BUMP_GRID_CAP = 4096     # total points of the bump's parameter grid
+
+
+def collocation_size(gr):
+    """Points per axis of the parameter grid the solve collocates on.
+
+    At l = 1, 32 points reproduce the 64-point solve's projected coefficients
+    to rounding; at l >= 2 the per-point zero-mode solve divides by
+    eigenvalue gaps of beta, its solution is far from band-limited in phi,
+    and 32 points per axis move the generator, so the floor stays at 64.
+    """
+    return max(32 if gr.l == 1 else 64, 4 * gr.K_phi + 1)
 
 
 class CohomologyError(ConvergenceError):
@@ -372,7 +383,8 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
 
     Returns a CohomSolution whose residual_plateau field is the majorant of
     the defect g-slot of Nbar over the region where the bump equals one; the
-    caller checks it against the majorant of f.
+    caller checks it against the majorant of f.  The per-point construction
+    runs on grid_size points per axis, collocation_size(gr) by default.
     """
     gr = f.grading
     l, d = gr.l, gr.d
@@ -386,7 +398,7 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
                 else abs(target)
             if dev > 1e-10:
                 raise CohomologyError("tuple must have Q = I before the solve")
-    size = grid_size or phi_grid_size(gr.K_phi)
+    size = grid_size or collocation_size(gr)
     grid = phi_grid(l, size)
     try:
         nu = nu_max_profile(N.beta, grid)

@@ -158,6 +158,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     measures["cohom_obstruction"] = sol.zero_mode_obstruction
     measures["cohom_projection_defect"] = sol.projection_defect
     resid_budget = 1e-8 * max(majorant_norm(f), 1e-300)
+    measures["cohom_residual_budget"] = resid_budget
     measures["cohom_residual_ok"] = bool(sol.residual_plateau <= resid_budget)
 
     gen = GeneratingFunction(sol.F, sol.v)
@@ -246,14 +247,27 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     measures["v_c2"] = phi_c2_norm(sol.v) if gr.d else 0.0
     measures["nbar_norm"] = normal_form_norm(sol.Nbar)
     measures["sqrt_eps"] = math.sqrt(eps)
-    post_ok = (fp_norm <= target
-               and measures["tracker_next_mean_c2"] <= target
-               and measures["cohom_residual_ok"])
-    measures["post_ok"] = bool(post_ok)
+    misses = postcondition_misses(measures)
+    measures["postcondition_misses"] = misses
 
     result = StepResult(alpha_step=sol.alpha, v=sol.v, F=sol.F, Psi=Psi_out,
-                        Nbar=sol.Nbar, measures=measures, ok=post_ok)
+                        Nbar=sol.Nbar, measures=measures, ok=not misses)
     return new_state, result
+
+
+def postcondition_misses(m):
+    """Each postcondition a rung's measures m miss, named with its value and
+    its bound (an empty list when the rung met them all)."""
+    misses = []
+    target = m["f_plus_target"]
+    for key in ("f_plus_c2", "tracker_next_mean_c2"):
+        if not m[key] <= target:
+            misses.append("%s: %.3g > target %.3g" % (key, m[key], target))
+    if not m["cohom_residual_ok"]:
+        misses.append("cohom_residual_ok: plateau %.3g > budget %.3g"
+                      % (m["cohom_residual_plateau"],
+                         m["cohom_residual_budget"]))
+    return misses
 
 
 def equal_derivative_defect(f0, frame=None):
@@ -364,9 +378,11 @@ def iterate(N0, f0, config=None):
         hist_row = _history_row(state, res)
         history["steps"].append(hist_row)
         if not res.ok and cfg.stop_on_postcondition_miss:
-            history["failure"] = {"n": state.n,
-                                  "reason": "postcondition targets missed",
-                                  "measures": res.measures}
+            history["failure"] = {
+                "n": state.n,
+                "reason": "postcondition targets missed: %s"
+                          % "; ".join(res.measures["postcondition_misses"]),
+                "measures": res.measures}
             return state, history
         if state.norms["f_c2"] <= cfg.target_tol:
             break

@@ -157,6 +157,40 @@ class TestRun:
             assert np.isfinite(row["symp_residual"])
             assert 0.0 <= row["symp_residual"] <= 1e-8
 
+    def test_history_reports_solve_diagnostics(self, tmp_path):
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        hist = json.loads((tmp_path / "history.json").read_text())
+        assert hist
+        for row in hist:
+            for key in ("cohom_condition", "cohom_obstruction",
+                        "cohom_projection_defect", "cohom_residual_plateau",
+                        "cohom_residual_budget", "tuple_drift"):
+                assert np.isfinite(row[key]) and row[key] >= 0.0, key
+            assert isinstance(row["K_eff"], int) and row["K_eff"] >= 1
+            assert row["step_ok"] is True
+            assert row["postcondition_misses"] == []
+
+    def test_missed_postcondition_named(self, tmp_path, monkeypatch, capsys):
+        # a plateau residual over its budget: the printed reason and the
+        # rung's history row name the measure, its value and its bound
+        real = driver.solve_cohomological
+
+        def off_plateau(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            sol.residual_plateau = 0.125
+            return sol
+        monkeypatch.setattr(driver, "solve_cohomological", off_plateau)
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_CONVERGENCE
+        out = capsys.readouterr().out
+        row = json.loads((tmp_path / "history.json").read_text())[-1]
+        miss = ("cohom_residual_ok: plateau 0.125 > budget %.3g"
+                % row["cohom_residual_budget"])
+        assert "postcondition targets missed: " + miss in out
+        assert row["postcondition_misses"] == [miss]
+        assert row["step_ok"] is False and np.isfinite(row["f_norm"])
+
     def test_unschedulable_perturbation_exits_3(self, tmp_path, capsys):
         # at tau = 2 the glue level of rung 0 is not below its threshold
         path, cfg = flagship_config(tmp_path)

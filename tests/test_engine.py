@@ -302,6 +302,24 @@ class TestKamStep:
         assert absorbed.max_abs_coeff() < 1e-18
 
 
+class TestPostconditionMisses:
+    MET = {"f_plus_c2": 1e-9, "tracker_next_mean_c2": 2e-9,
+           "f_plus_target": 1e-6, "cohom_residual_ok": True,
+           "cohom_residual_plateau": 1e-20, "cohom_residual_budget": 1e-13}
+
+    def test_met(self):
+        assert driver.postcondition_misses(self.MET) == []
+
+    def test_each_miss_named_with_value_and_bound(self):
+        m = dict(self.MET, f_plus_c2=3e-6, tracker_next_mean_c2=float("nan"),
+                 cohom_residual_ok=False, cohom_residual_plateau=3.28e-14,
+                 cohom_residual_budget=1.63e-14)
+        assert driver.postcondition_misses(m) == [
+            "f_plus_c2: 3e-06 > target 1e-06",
+            "tracker_next_mean_c2: nan > target 1e-06",
+            "cohom_residual_ok: plateau 3.28e-14 > budget 1.63e-14"]
+
+
 class TestIterate:
     def test_zero_perturbation_stops_immediately(self):
         gr = small_grading()
@@ -405,6 +423,28 @@ class _Captured(Exception):
     pass
 
 
+@pytest.fixture(scope="module")
+def coupled_rung_two_inputs():
+    """The arguments kam_step passes solve_cohomological on the second rung
+    of the eps = 1e-4 q-coupled problem, after rung 1."""
+    gr, N0, f0 = q_coupled_problem()
+    wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+    cfg = IterateConfig()
+    sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
+                           cfg.n_max, cfg.lambda_cfg)
+    st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
+                         f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+    st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
+
+    def capture(*args, **kwargs):
+        raise _Captured(args, kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(driver, "solve_cohomological", capture)
+        with pytest.raises(_Captured) as got:
+            kam_step(st1, sched.rows[1], wit, N0=N0)
+    return got.value.args
+
+
 def l2_nonzero_beta_problem():
     """The l = 2 problem with a constant symmetric beta of distinct
     eigenvalues inside the solvable sublevel region."""
@@ -500,24 +540,9 @@ class TestGridSolveMatchesPointwise:
             assert abs(getattr(sol, key) - diag[key]) \
                 <= 1e-12 * max(abs(diag[key]), f_scale)
 
-    def test_rung_two_of_coupled_run(self, monkeypatch):
-        # the second rung's solve of the eps = 1e-4 q-coupled problem, with
-        # the inputs kam_step passes it after rung 1
-        gr, N0, f0 = q_coupled_problem()
-        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
-        cfg = IterateConfig()
-        sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
-                               cfg.n_max, cfg.lambda_cfg)
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
-        st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
-
-        def capture(*args, **kwargs):
-            raise _Captured(args, kwargs)
-        monkeypatch.setattr(driver, "solve_cohomological", capture)
-        with pytest.raises(_Captured) as got:
-            kam_step(st1, sched.rows[1], wit, N0=N0)
-        args, kwargs = got.value.args
+    def test_rung_two_of_coupled_run(self, coupled_rung_two_inputs):
+        # the second rung's solve of the eps = 1e-4 q-coupled problem
+        args, kwargs = coupled_rung_two_inputs
         sol = solve_cohomological(*args, **kwargs)
         self.check(sol, args[1], "cohom_case_a.json.gz")
 
@@ -812,6 +837,52 @@ class TestTwoNormalDirections:
         assert sol.residual_plateau <= 1e-8 * majorant_norm(f)
 
 
+@pytest.mark.slow
+class TestTwoResonanceRun:
+    """The l = 2 problem of test_cohomological_residual_l2 at eps = 1e-5
+    through iterate, zeta, phi0, extraction and verification.  Its rungs are
+    pinned to the values of the 64 x 64 collocation grid (a 32 x 32 grid
+    moves the second f_norm by 0.27%), and the torus is checked with the
+    benchmark's independent evaluator (bench/checks.py)."""
+
+    def test_run(self):
+        import importlib.util
+        spec = importlib.util.spec_from_file_location(
+            "bench_checks", pathlib.Path(__file__).parents[1] / "bench"
+            / "checks.py")
+        ck = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(ck)
+        eps = 1e-5
+        gr = Grading(d=1, l=2, K_q=4, K_phi=4, D=4)
+        N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
+        terms = (sigma_cos((0, 1, 0), eps) + sigma_cos((1, 0, 1), eps)
+                 + sigma_cos((1, 1, 1), 0.5 * eps))
+        f0 = shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
+        state, hist = iterate(N0, f0, IterateConfig(target_tol=1e-13))
+        assert hist["failure"] is None
+        assert [row["n"] for row in hist["steps"]] == [1, 2]
+        for row, want in zip(hist["steps"], (2.2865581447513403e-05,
+                                             1.2494723208158026e-15)):
+            assert row["step_ok"]
+            assert row["f_norm"] == pytest.approx(want, rel=1e-12, abs=0.0)
+        H0 = assemble_hamiltonian(N0) + f0
+        zeta = compute_zeta(state, H0)
+        phi0, _info = find_vanishing_point(zeta, state.alpha, state.N.beta)
+        assert list(phi0) == [0.0, 0.0]
+        tor = extract_torus(state, phi0)
+        residual = verify_invariance(freeze_phi(H0, phi0), tor.embedding,
+                                     [GOLDEN], 64)
+        assert residual <= ck.CRITERION_1_GATE
+        H = ck.model_hamiltonian(2, 1, [GOLDEN], [[-1.0]],
+                                 ck.Series.from_terms(2, 1, f0.terms))
+        emb = {key: [ck.Series.from_terms(2, 1, u.terms) for u in us]
+               for key, us in tor.embedding.items()}
+        points = ck.check_points(np.random.default_rng([101, 1]), 64, 1)
+        for check in ck.invariance_checks("torus", H, phi0, emb, [GOLDEN],
+                                          points, ck.CRITERION_1_GATE):
+            assert check.ok, check
+
+
 class TestBumpGridCap:
     def test_glued_l2_solve_fails_before_allocating(self, monkeypatch):
         # beta leaves the sublevel region on part of the l = 2 grid, so the
@@ -870,6 +941,68 @@ class TestBumpGridCap:
                            match="8378-point .* 8378 points .* 4096"):
             solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
                                 delta_plus=0.012)
+
+
+class TestCollocationGrid:
+    """The solve collocates on max(32, 4 K_phi + 1) points at l = 1 and on
+    max(64, 4 K_phi + 1) per axis at l >= 2; the grid the artifacts and the
+    phi0 search read stays at max(64, 4 K_phi + 1) per axis."""
+
+    def test_sizes(self):
+        from kamtori.engine.cohom import collocation_size
+        from kamtori.normalform import phi_grid_size
+        assert collocation_size(small_grading()) == 32
+        assert collocation_size(Grading(d=1, l=1, K_q=6, K_phi=16,
+                                        D=4)) == 65
+        assert collocation_size(Grading(d=1, l=2, K_q=4, K_phi=4,
+                                        D=4)) == 64
+        assert [phi_grid_size(K) for K in (3, 6, 15, 16)] == [64, 64, 64, 65]
+
+    def test_l1_solve_runs_on_32_points(self, monkeypatch):
+        import kamtori.engine.cohom as cohom
+        gr = small_grading()
+        N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
+        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+        phix = [coordinate(gr, 1.0, 1.0, "x", 0)]
+        f = shifted_parametrization(sigma_cos((1, 1), EPS), 1, 1, gr, 1.0, 1.0)
+        profiled = []
+        profile = cohom.nu_max_profile
+        monkeypatch.setattr(cohom, "nu_max_profile", lambda beta, grid: (
+            profiled.append(len(grid)), profile(beta, grid))[1])
+        sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                  delta_plus=0.03)
+        assert profiled == [32]
+        assert len(sol.grid) == 32
+
+    def test_l1_grid_matches_64_points(self, coupled_rung_two_inputs):
+        # the gate the l = 1 floor was lowered under: on the second rung's
+        # inputs of the coupled run, 32 points give the 64-point solve's
+        # projected series to rounding, with the same terms
+        args, kwargs = coupled_rung_two_inputs
+        got = solve_cohomological(*args, **kwargs)
+        ref = solve_cohomological(*args, **dict(kwargs, grid_size=64))
+        assert (len(got.grid), len(ref.grid)) == (32, 64)
+
+        def close(a, b):
+            scale = b.max_abs_coeff() if b.terms else 0.0
+            gap = a - b
+            assert (gap.max_abs_coeff() if gap.terms else 0.0) \
+                <= 1e-14 * scale
+
+        assert set(got.F.terms) == set(ref.F.terms)
+        close(got.F, ref.F)
+        for a, b in zip(got.alpha, ref.alpha):
+            assert set(a.terms) == set(b.terms)
+            close(a, b)
+        for a, b in zip(got.v, ref.v):
+            close(a, b)
+        for key in ("c", "h"):
+            close(getattr(got.Nbar, key), getattr(ref.Nbar, key))
+        for key in ("beta", "Gamma", "M"):
+            for row, ref_row in zip(getattr(got.Nbar, key),
+                                    getattr(ref.Nbar, key)):
+                for a, b in zip(row, ref_row):
+                    close(a, b)
 
 
 class TestModerateAmplitudeFailureReporting:
