@@ -33,7 +33,7 @@ from ..normalform import (BumpProjectionError, NormalFormTuple,
                           eval_phi_series, majorant_on_grid, mat_eval_grid,
                           nu_max_profile, phi_grid, project_phi_rows,
                           series_matrix)
-from ..series import (FTSeries, TaylorSplit, average_q, degrees,
+from ..series import (FTSeries, TaylorSplit, _plan, average_q, degrees,
                       differentiate, freeze_phi, majorant_norm, multiply,
                       select, taylor_split)
 from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
@@ -326,6 +326,9 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
             "cond": _peak(cond), "obstruction": obstruction}
 
 
+_NUMERIC = ("alpha", "v", "cbar", "bbar", "Gbar", "Mbar")
+
+
 def _project(res, active, weights, l, size, gr, r, s):
     """Weight the per-point results and project them onto parameter modes,
     with one FFT over the grid axes for every coefficient at once.
@@ -333,48 +336,52 @@ def _project(res, active, weights, l, size, gr, r, s):
     Returns ({name: phi-only series or matrix of them} for the numeric
     results, {name: series} for F and hbar, the largest projection defect).
     """
-    npts = size ** l
+    plan = _plan(gr)
     w_act = weights[active]
-    rows, floors, slots = [], [], []
-
-    def add_row(vals, slot, floor=None):
-        row = np.zeros(npts, dtype=complex)
-        row[active] = vals * w_act
-        rows.append(row)
-        floors.append(1e-16 * np.abs(row).max() if floor is None else floor)
-        slots.append(slot)
-
+    numeric = [res[name].reshape(len(w_act), -1).T for name in _NUMERIC]
+    series = [res["F"], res["hbar"]]
+    # one row per numeric column, then one per term of F and of hbar (each
+    # coefficient of a series is frozen: its terms all have j = 0)
+    bounds = np.cumsum([0] + [len(v) for v in numeric]
+                       + [len(f.coef) for f in series])
+    rows = np.zeros((bounds[-1], size ** l), dtype=complex)
+    floors = np.empty(len(rows))
     # a number gets its own coefficient floor; a series one for all its keys
-    for name in ("alpha", "v", "cbar", "bbar", "Gbar", "Mbar"):
-        vals = res[name].reshape(len(w_act), -1)
-        for col in range(vals.shape[1]):
-            add_row(vals[:, col], (name, col))
-    for name in ("F", "hbar"):
-        f = res[name]
-        floor = 1e-16 * _peak(f.max_abs_coeff()) if f.terms else 0.0
-        for (_j, k, a), c in sorted(f.terms.items()):
-            add_row(c, (name, (k, a)), floor)
-    coeffs, defects = project_phi_rows(np.array(rows), l, size, gr.K_phi,
-                                       floors)
-    zk, za = (0,) * gr.d, (0,) * gr.nz
+    peaks = [None] * len(numeric) + [_peak(f.max_abs_coeff()) for f in series]
+    for n, (vals, peak) in enumerate(zip(numeric + [f.coef for f in series],
+                                         peaks)):
+        block = rows[bounds[n]:bounds[n + 1]]
+        block[:, active] = (vals if vals.ndim == 2 else vals[:, None]) * w_act
+        floors[bounds[n]:bounds[n + 1]] = 1e-16 * (
+            np.abs(block).max(axis=1) if peak is None else peak)
+    modes, coeffs, kept, defects = project_phi_rows(rows, l, size, gr.K_phi,
+                                                    floors)
+    jidx = np.array([plan.J.index[j] for j in modes])
+    zk, za = plan.K.index[(0,) * gr.d], plan.T.index[(0,) * gr.nz]
     scalars = {}
-    terms = {"F": {}, "hbar": {}}
-    for (name, slot), cs in zip(slots, coeffs):
-        if name in terms:
-            k, a = slot
-            terms[name].update(((j, k, a), c) for j, c in cs.items())
-        else:
-            new = FTSeries(gr, r, s, {(j, zk, za): c for j, c in cs.items()},
-                           _raw=True)
+    for n, name in enumerate(_NUMERIC):
+        for row in range(bounds[n], bounds[n + 1]):
+            at = np.flatnonzero(kept[row])
+            new = FTSeries(gr, r, s)
+            new._set(jidx[at], np.full(len(at), zk), np.full(len(at), za),
+                     coeffs[row, at])
             scalars.setdefault(name, []).append(new)
-    series = {name: FTSeries(gr, r, s, t) for name, t in terms.items()}
+    out = {}
+    for n, (name, f) in enumerate(zip(("F", "hbar"), series)):
+        lo = bounds[len(numeric) + n]
+        # the modes outermost: f's terms are in slot order, so are these
+        col, row = np.nonzero(kept[lo:lo + len(f.coef)].T)
+        new = FTSeries(gr, r, s)
+        new._set(jidx[col], f.ik[row], f.it[row], coeffs[lo + row, col])
+        new._prune()
+        out[name] = new
     shape = lambda items, rows, cols: [items[i * cols:(i + 1) * cols]
                                        for i in range(rows)]
     scalars["bbar"] = shape(scalars["bbar"], gr.l, gr.l)
     scalars["Gbar"] = shape(scalars["Gbar"], gr.l, gr.d)
     scalars["Mbar"] = shape(scalars["Mbar"], gr.d, gr.d)
     scalars["cbar"] = scalars["cbar"][0]
-    return scalars, series, _peak(defects)
+    return scalars, out, _peak(defects)
 
 
 def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,

@@ -1,6 +1,7 @@
 """Normal-form tuples, their Hamiltonian assembly, sublevel-set predicates,
 nu_max profiling and bump-function gluing over the parameter torus."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,14 +53,20 @@ def majorant_at_phi(f, phi, r=None, s=None):
     return float(majorant_on_grid(f, [phi], r, s)[0])
 
 
+@functools.lru_cache(maxsize=None)
 def _phi_modes(l, size, K_phi):
-    """Signed parameter modes of the FFT grid in the row-major order of
-    phi_grid, and the mask of those kept (|j|_1 <= K_phi)."""
+    """The parameter modes |j|_1 <= K_phi of the FFT of a grid of phi_grid,
+    in lexicographic order; their columns in the FFT's row-major order; and
+    the mask of the other (dropped) columns."""
     half = size // 2
     modes = [tuple(m if m <= half else m - size for m in idx)
              for idx in np.ndindex(*([size] * l))]
-    keep = np.array([_l1(j) <= K_phi for j in modes], dtype=bool)
-    return modes, keep
+    cols = sorted((i for i, j in enumerate(modes) if _l1(j) <= K_phi),
+                  key=modes.__getitem__)
+    dropped = np.ones(len(modes), dtype=bool)
+    dropped[cols] = False
+    dropped.flags.writeable = False
+    return [modes[i] for i in cols], np.array(cols), dropped
 
 
 def project_phi_rows(rows, l, size, K_phi, floors):
@@ -67,21 +74,20 @@ def project_phi_rows(rows, l, size, K_phi, floors):
     one FFT over the grid axes.
 
     rows: complex array (n, size^l); floors: per-row coefficient floor.
-    Returns (list of {j: c} with |c| > floor, per-row defect = total
-    magnitude of the dropped high modes)."""
+    Returns (modes, coeffs, kept, defect): the kept modes in lexicographic
+    order, their (n, modes) coefficients, the mask of those with |c| >
+    floor, and the per-row defect = total magnitude of the dropped high
+    modes."""
     rows = np.asarray(rows, dtype=complex)
     n = len(rows)
     hat = np.fft.fftn(rows.reshape((n,) + (size,) * l),
-                      axes=tuple(range(1, l + 1))).reshape(n, -1) / size ** l
-    modes, keep = _phi_modes(l, size, K_phi)
+                      axes=tuple(range(1, l + 1))).reshape(n, -1)
+    hat /= size ** l
+    modes, cols, dropped = _phi_modes(l, size, K_phi)
     mag = np.abs(hat)
-    defect = mag[:, ~keep].sum(axis=1)
-    kept = keep[None, :] & (mag > np.asarray(floors, dtype=float)[:, None])
-    out = []
-    for row in range(n):
-        out.append({modes[i]: complex(hat[row, i])
-                    for i in np.flatnonzero(kept[row])})
-    return out, defect
+    defect = mag[:, dropped].sum(axis=1)
+    kept = mag[:, cols] > np.asarray(floors, dtype=float)[:, None]
+    return modes, hat[:, cols], kept, defect
 
 
 def project_phi_values(values, l, size, grading, r, s):
@@ -91,13 +97,13 @@ def project_phi_values(values, l, size, grading, r, s):
     Returns (FTSeries with only phi modes, defect = total magnitude of the
     dropped high modes, which bounds the grid error of the representative).
     """
-    (coeffs,), defect = project_phi_rows(
+    modes, (coeffs,), (kept,), defect = project_phi_rows(
         np.asarray(values, dtype=complex).reshape(1, -1), l, size,
         grading.K_phi, [1e-300])
     zk = (0,) * grading.d
     za = (0,) * grading.nz
-    new = FTSeries(grading, r, s, {(j, zk, za): c for j, c in coeffs.items()},
-                   _raw=True)
+    new = FTSeries(grading, r, s, {(modes[i], zk, za): coeffs[i]
+                                   for i in np.flatnonzero(kept)}, _raw=True)
     return new, float(defect[0])
 
 

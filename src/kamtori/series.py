@@ -549,6 +549,30 @@ def _layout(f, g):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _bracket_pairs(gr):
+    """The 2 (d + l) derivative pairs (a, b) of the halves d_a f d_b g of a
+    bracket {f, g}, in bracket order: (q_i, p_i), (p_i, q_i), then (x_i,
+    y_i), (y_i, x_i); the halves alternate in sign, + first."""
+    halves = []
+    for n, m, count in (("q", "p", gr.d), ("x", "y", gr.l)):
+        for i in range(count):
+            a, b = _partial(gr, (n, i)), _partial(gr, (m, i))
+            halves += [(a, b), (b, a)]
+    return tuple(halves)
+
+
+def _bracket_halves(f, g):
+    """The half-products of {f, g} as the kernel forms them, unpruned and
+    without the operands' trunc_loss: for each pair of _bracket_pairs,
+    (output slots, coefficients times the half's sign, majorant of the
+    out-of-grading pairs), from one kernel call on one layout of f and g,
+    chosen by multiply's rule."""
+    parts = _kernel(f, g, _bracket_pairs(f.grading), _layout(f, g))
+    return [(slot, -coef if n % 2 else coef, dropped)
+            for n, (slot, coef, dropped) in enumerate(parts)]
+
+
 def _bracket(f, g):
     """The Poisson bracket {f, g}: the sum over i of d_qi f d_pi g -
     d_pi f d_qi g and of d_xi f d_yi g - d_yi f d_xi g.
@@ -558,27 +582,21 @@ def _bracket(f, g):
     carried through its scale and both prune floors.  No derivative is
     built: the factors scale the operands' arrays (pair kernel) or blocks
     (block kernel), and a half finds its output exponents in the sum table
-    shifted by its Taylor derivatives.  All halves share one kernel call on
-    one layout of f and g, chosen by multiply's rule; they are then summed
-    as ft_sum sums them."""
+    shifted by its Taylor derivatives (``_bracket_halves``).  The pruned
+    halves are then summed as ft_sum sums them."""
     f._check_compat(g)
     gr = f.grading
-    halves = []
-    for n, m, count in (("q", "p", gr.d), ("x", "y", gr.l)):
-        for i in range(count):
-            a, b = _partial(gr, (n, i)), _partial(gr, (m, i))
-            halves += [(a, b), (b, a)]
-    parts = _products(f, g, halves, _layout(f, g))
-    # the halves alternate in sign, + first (scaled as ft_sum scales them)
-    return _merge(gr, f.r, f.s, [p[:3] + (p[3] * -1.0 if n % 2 else p[3],)
-                                 for n, p in enumerate(parts)],
+    parts = _products(f, g, _bracket_pairs(gr), _bracket_halves(f, g))
+    return _merge(gr, f.r, f.s, [p[:4] for p in parts],
                   sum(p[4] for p in parts))
 
 
 def _product(f, g, layout=None):
     """f g by the block kernel on a _block_layout of f and g, or by the pair
     kernel without one."""
-    (ij, ik, it, coef, loss), = _products(f, g, [(_UNIT, _UNIT)], layout)
+    halves = [(_UNIT, _UNIT)]
+    (ij, ik, it, coef, loss), = _products(f, g, halves,
+                                          _kernel(f, g, halves, layout))
     return _like(f, ij, ik, it, coef, loss)
 
 
@@ -591,11 +609,23 @@ def _majorants(plan, f, ds):
             for d in ds]
 
 
-def _products(f, g, halves, layout=None):
+def _kernel(f, g, halves, layout):
     """The products d_a f d_b g for the pairs (a, b) of _Partials in halves,
-    each as (ij, ik, it, coef, trunc_loss) of a series pruned against its
-    own largest entries: by the block kernel on a _block_layout of f and g,
-    or by the pair kernel without one."""
+    as the kernel forms them: (output slots, coefficients, majorant of the
+    out-of-grading pairs) each, by the block kernel on a _block_layout of f
+    and g, or by the pair kernel without one."""
+    if not len(f.coef) or not len(g.coef):
+        return [(_NONE, _EMPTY, 0.0)] * len(halves)
+    plan = _plan(f.grading)
+    return _pair_product(plan, f, g, halves) if layout is None \
+        else _block_product(plan, layout, halves, f.r, f.s)
+
+
+def _products(f, g, halves, parts):
+    """The kernel's parts of f and g for halves (``_kernel``), each as
+    (ij, ik, it, coef, trunc_loss) of a series pruned against its own
+    largest entries, with the operands' trunc_loss carried through its
+    scale."""
     plan = _plan(f.grading)
     losses = [0.0] * len(halves)
     if f.trunc_loss or g.trunc_loss:
@@ -606,12 +636,11 @@ def _products(f, g, halves, layout=None):
         losses = [float(np.max(f.trunc_loss * y + g.trunc_loss * x
                                + f.trunc_loss * g.trunc_loss))
                   for x, y in zip(mf, mg)]
-    if not len(f.coef) or not len(g.coef):
-        return [(_NONE, _NONE, _NONE, _EMPTY, loss) for loss in losses]
-    parts = _pair_product(plan, f, g, halves) if layout is None \
-        else _block_product(plan, layout, halves, f.r, f.s)
     out = []
     for (slot, acc, dropped), loss in zip(parts, losses):
+        if not len(acc):
+            out.append((_NONE, _NONE, _NONE, _EMPTY, loss + dropped))
+            continue
         # each half is pruned against its own floors
         ij, ik, it = plan.split(slot)
         keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s)

@@ -3,14 +3,16 @@ Lie-series time-1 flows, near-identity map composition by Lie transport with
 C^2 tracking, and the integer/shear coordinate reductions that bring a
 resonant problem to the parametrized model form."""
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .series import (FTSeries, _bracket, _l1, ck_norm_estimate,
-                     differentiate, ft_sum, majorant_norm, multiply)
+from .series import (FTSeries, _bracket, _bracket_halves, _kept, _l1,
+                     _partial, _plan, ck_norm_estimate, differentiate, ft_sum,
+                     majorant_norm, multiply)
 
 DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
@@ -200,21 +202,6 @@ class SymplecticMapSeries:
                                    self.remainder, self.symp_residual, gen,
                                    self.c2_bound_ok)
 
-    def evaluate(self, phi, q, x=None, p=None, y=None):
-        """Image point (q', x', p', y') at a real argument."""
-        from .series import evaluate as ev
-        gr = self.grading
-        x = np.zeros(gr.l) if x is None else np.asarray(x, dtype=float)
-        p = np.zeros(gr.d) if p is None else np.asarray(p, dtype=float)
-        y = np.zeros(gr.l) if y is None else np.asarray(y, dtype=float)
-        q = np.asarray(q, dtype=float)
-        args = dict(phi=phi, q=q, x=x, p=p, y=y)
-        dq = np.array([ev(u, **args) for u in self.Uq])
-        dx = np.array([ev(u, **args) for u in self.Ux])
-        dp = np.array([ev(u, **args) for u in self.Up])
-        dy = np.array([ev(u, **args) for u in self.Uy])
-        return q + dq, x + dx, p + dp, y + dy
-
 
 def identity_map(grading, r, s):
     z = lambda n: [FTSeries.zero(grading, r, s) for _ in range(n)]
@@ -222,37 +209,58 @@ def identity_map(grading, r, s):
                                z(grading.l), 0.0, 0.0)
 
 
+# {base coordinate, u} = sign d_var u: (sign, var) by the base's kind
+_CONJUGATE = {"q": (1.0, "p"), "x": (1.0, "y"), "p": (-1.0, "q"),
+              "y": (-1.0, "x")}
+
+
 def _base_bracket_with(kind, i, u):
     """{base coordinate, u} for base in {q_i, x_i, p_i, y_i}."""
-    if kind == "q":
-        return differentiate(u, ("p", i))
-    if kind == "x":
-        return differentiate(u, ("y", i))
-    if kind == "p":
-        return -differentiate(u, ("q", i))
-    return -differentiate(u, ("x", i))
+    sign, var = _CONJUGATE[kind]
+    d = differentiate(u, (var, i))
+    return d if sign > 0 else -d
+
+
+def _relation_defects(Phi):
+    """The majorant defect of each canonical bracket relation of the map, by
+    pair of components (a, b), a < b, in the order of
+    SymplecticMapSeries.components.
+
+    {base_a + U_a, base_b + U_b} = {base_a, base_b} + {base_a, U_b} - {base_b,
+    U_a} + {U_a, U_b}: the canonical constant comes from the bases alone, so
+    the defect is the majorant of the other three terms' sum.  Their terms
+    (the two derivatives of the displacements and the signed half-products
+    of {U_a, U_b} as the kernel forms them) are summed per slot over the
+    slots they touch, unpruned, and the sum's majorant taken on the map's
+    radii."""
+    gr = Phi.grading
+    plan = _plan(gr)
+    r, s = Phi.radii
+    comps = Phi.components()
+    bases = [(sign, _partial(gr, (var, i))) for kind, count in
+             (("q", gr.d), ("x", gr.l), ("p", gr.d), ("y", gr.l))
+             for sign, var in [_CONJUGATE[kind]] for i in range(count)]
+    out = {}
+    for a, b in itertools.combinations(range(len(comps)), 2):
+        (sa, da), (sb, db) = bases[a], bases[b]
+        parts = [(plan.code(*t[:3]), sign * t[3]) for sign, t in
+                 ((sa, _kept(plan, comps[b], da)),
+                  (-sb, _kept(plan, comps[a], db)))]
+        parts += [half[:2] for half in _bracket_halves(comps[a], comps[b])]
+        slots, at = np.unique(np.concatenate([p[0] for p in parts]),
+                              return_inverse=True)
+        coef = np.concatenate([p[1] for p in parts])
+        acc = np.abs(np.bincount(at, coef.real, len(slots))
+                     + 1j * np.bincount(at, coef.imag, len(slots)))
+        out[a, b] = float(acc @ plan.weight(*plan.split(slots), r, s))
+    return out
 
 
 def symplecticity_residual(Phi):
-    """Max majorant defect of the canonical bracket relations of the map."""
-    gr = Phi.grading
-    comps = ([("q", i, Phi.Uq[i]) for i in range(gr.d)]
-             + [("x", i, Phi.Ux[i]) for i in range(gr.l)]
-             + [("p", i, Phi.Up[i]) for i in range(gr.d)]
-             + [("y", i, Phi.Uy[i]) for i in range(gr.l)])
-
-    # {A, B} = {baseA, baseB} + residual; the canonical constant comes from the
-    # bases alone, so every excess over it is collected in the residual below
-    worst = 0.0
-    for ai in range(len(comps)):
-        for bi in range(ai + 1, len(comps)):
-            ka, ia, ua = comps[ai]
-            kb, ib, ub = comps[bi]
-            res = _base_bracket_with(ka, ia, ub) - _base_bracket_with(kb, ib, ua)
-            if not (ua.is_zero() or ub.is_zero()):
-                res = res + poisson_bracket(ua, ub)
-            worst = max(worst, majorant_norm(res))
-    return worst
+    """Max majorant defect of the canonical bracket relations of the map:
+    for each pair of components, the majorant of the unpruned sum of the
+    bracket halves and the base derivatives (``_relation_defects``)."""
+    return max(_relation_defects(Phi).values(), default=0.0)
 
 
 def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None):

@@ -23,11 +23,15 @@ from kamtori.series import (FTSeries, Grading, RealityError, average_q,
                             differentiate, evaluate, from_json_dict,
                             majorant_norm, multiply, taylor_split)
 from kamtori.smalldiv import effective_diophantine_constant
-from kamtori.symplectic import (GeneratorTooLargeError, SymplecticityError,
-                                identity_map, poisson_bracket, series_compose,
+from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
+                                GeneratorTooLargeError, SymplecticityError,
+                                identity_map, map_from_generator,
+                                poisson_bracket, series_compose,
                                 shifted_parametrization, sigma_cos,
                                 vector_field)
+import project_oracle
 from conftest import GOLDEN, random_real_series
+from test_symplectic import assert_defects_match_oracle
 
 EPS = 1e-4
 DATA = pathlib.Path(__file__).parent / "data"
@@ -1003,6 +1007,81 @@ class TestCollocationGrid:
                                     getattr(ref.Nbar, key)):
                 for a, b in zip(row, ref_row):
                     close(a, b)
+
+
+class TestProjection:
+    """cohom._project against tests/project_oracle.py, its dict walk with
+    one grid row per term: equal bit for bit."""
+
+    @staticmethod
+    def captured(monkeypatch, *args, **kwargs):
+        """The arguments solve_cohomological passes _project."""
+        import kamtori.engine.cohom as cohom
+        calls, real = [], cohom._project
+        monkeypatch.setattr(cohom, "_project",
+                            lambda *a: calls.append(a) or real(*a))
+        solve_cohomological(*args, **kwargs)
+        return calls[0]
+
+    @staticmethod
+    def assert_identical(got, want):
+        if isinstance(want, list):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                TestProjection.assert_identical(a, b)
+            return
+        for key in ("ij", "ik", "it", "coef"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+        assert (got.r, got.s, got.trunc_loss) == (want.r, want.s,
+                                                  want.trunc_loss)
+
+    def check(self, args):
+        import kamtori.engine.cohom as cohom
+        (scal, ser, defect) = cohom._project(*args)
+        (oscal, oser, odefect) = project_oracle.project(*args)
+        assert set(scal) == set(oscal) and set(ser) == set(oser)
+        for name in oscal:
+            self.assert_identical(scal[name], oscal[name])
+        for name in oser:
+            assert len(oser[name].coef)
+            self.assert_identical(ser[name], oser[name])
+        assert defect == odefect
+
+    def test_coupled_rung_two(self, monkeypatch, coupled_rung_two_inputs):
+        args, kwargs = coupled_rung_two_inputs
+        self.check(self.captured(monkeypatch, *args, **kwargs))
+
+    def test_l2(self, monkeypatch):
+        N, f, phix, wit = l2_nonzero_beta_problem()
+        self.check(self.captured(monkeypatch, N, f, phix, wit, sigma=0.025,
+                                 delta=0.1, delta_plus=0.03, grid_size=16))
+
+    def test_weighted_points(self, monkeypatch, coupled_rung_two_inputs):
+        # as under a bump: every other point active, with uneven weights
+        import kamtori.series as ring
+        args, kwargs = coupled_rung_two_inputs
+        res, active, weights, *rest = self.captured(monkeypatch, *args,
+                                                    **kwargs)
+        res = {key: (ring._like(u, u.ij, u.ik, u.it, u.coef[:, ::2],
+                                u.trunc_loss) if key in ("F", "hbar")
+                     else u[::2] if key in project_oracle.NUMERIC else u)
+               for key, u in res.items()}
+        weights = np.zeros_like(weights)
+        weights[active[::2]] = np.linspace(0.3, 1.0, len(active[::2]))
+        self.check((res, active[::2], weights, *rest))
+
+
+class TestSymplecticityOnCoupledMap:
+    def test_rung_two_map_matches_oracle(self, coupled_rung_two_inputs):
+        # the map kam_step flows on the second rung of the coupled run:
+        # its residual against tests/symp_oracle.py, and under the gate
+        args, kwargs = coupled_rung_two_inputs
+        sol = solve_cohomological(*args, **kwargs)
+        Psi = map_from_generator(GeneratingFunction(sol.F, sol.v))
+        assert all(not u.is_zero() for u in Psi.components())
+        assert_defects_match_oracle(Psi)
+        assert Psi.symp_residual <= DEFAULT_SYMP_TOL
 
 
 class TestModerateAmplitudeFailureReporting:

@@ -5,16 +5,37 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kamtori.series import FTSeries, Grading, evaluate, majorant_norm
-from kamtori.symplectic import (GeneratingFunction, GeneratorTooLargeError,
-                                ReductionError, compose_maps, identity_map,
+import bracket_oracle
+import kamtori.series as ring
+import kamtori.symplectic as symplectic
+import symp_oracle
+from kamtori.series import (FTSeries, Grading, differentiate, evaluate,
+                            majorant_norm)
+from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
+                                GeneratorTooLargeError, ReductionError,
+                                SymplecticityError, _base_bracket_with,
+                                _relation_defects, compose_maps, identity_map,
                                 lie_transform, map_from_generator,
                                 poisson_bracket, reduce_coordinates,
                                 series_compose,
                                 shifted_parametrization, sigma_cos,
+                                symplecticity_residual,
                                 unimodular_completion, vector_field)
 from kamtori.engine.driver import equal_derivative_defect
 from conftest import GOLDEN, random_real_series
+
+
+def image(Phi, phi, q, x=None, p=None, y=None):
+    """The image point (q', x', p', y') of the map Phi at a real argument."""
+    gr = Phi.grading
+    x = np.zeros(gr.l) if x is None else np.asarray(x, dtype=float)
+    p = np.zeros(gr.d) if p is None else np.asarray(p, dtype=float)
+    y = np.zeros(gr.l) if y is None else np.asarray(y, dtype=float)
+    q = np.asarray(q, dtype=float)
+    args = dict(phi=phi, q=q, x=x, p=p, y=y)
+    moved = [np.array([evaluate(u, **args) for u in us])
+             for us in (Phi.Uq, Phi.Ux, Phi.Up, Phi.Uy)]
+    return tuple(z + dz for z, dz in zip((q, x, p, y), moved))
 
 
 def mono(g, alpha, c=1.0, j=None, k=None):
@@ -112,8 +133,8 @@ class TestLieTransform:
             z0 = rng.uniform(-0.4, 0.4, 4)
             sol = solve_ivp(field, (0.0, 1.0), z0, rtol=1e-11, atol=1e-12)
             zt = sol.y[:, -1]
-            q1, x1, p1, y1 = Phi.evaluate([0.0], [z0[0]], [z0[1]], [z0[2]],
-                                          [z0[3]])
+            q1, x1, p1, y1 = image(Phi, [0.0], [z0[0]], [z0[1]], [z0[2]],
+                                   [z0[3]])
             got = np.array([q1[0], x1[0], p1[0], y1[0]])
             assert np.max(np.abs(got - zt)) < 1e-8
 
@@ -142,7 +163,7 @@ class TestMapFromGenerator:
             T = T @ A / n
             E = E + T
         z0 = np.array([0.3, 0.7, -0.2, 0.4])
-        q1, x1, p1, y1 = Phi.evaluate([0.1], [z0[0]], [z0[1]], [z0[2]], [z0[3]])
+        q1, x1, p1, y1 = image(Phi, [0.1], [z0[0]], [z0[1]], [z0[2]], [z0[3]])
         assert np.allclose([q1[0], x1[0], p1[0], y1[0]], E @ z0, atol=1e-12)
 
     def test_bracket_relations_for_random_generators(self, g11, rng):
@@ -151,6 +172,114 @@ class TestMapFromGenerator:
                                    max_phi=1, max_deg=2, scale=2e-5)
             Phi = map_from_generator(GeneratingFunction(F), tol=1e-20)
             assert Phi.symp_residual <= 1e-8
+
+
+def random_generator(d, l, seed, n_modes=4, scale=2e-5):
+    """A random real generator of degree <= 2."""
+    gr = Grading(d=d, l=l, K_q=6, K_phi=3, D=4)
+    rng = np.random.default_rng(seed)
+    return GeneratingFunction(random_real_series(
+        gr, 1, 1, rng, n_modes=n_modes, max_k=2, max_phi=1, max_deg=2,
+        scale=scale))
+
+
+def random_map(d, l, seed, n_modes=4):
+    """The time-1 map of random_generator(d, l, seed, n_modes)."""
+    return map_from_generator(random_generator(d, l, seed, n_modes), tol=1e-20)
+
+
+def assert_defects_match_oracle(Phi):
+    """Each relation's defect agrees with the oracle's within 1e-14 of the
+    largest majorant among the terms it sums: the half-products of {U_a,
+    U_b} and the two derivatives {base_a, U_b} and {base_b, U_a}.
+
+    The oracle prunes every series it builds at 2e-16 of its largest
+    coefficient and the residual prunes nothing, so the two part by that
+    pruned mass besides rounding: on maps of a few hundred terms per
+    component, as here and in the pipeline, it stays far below the bound."""
+    comps = Phi.components()
+    bases = ([("q", i) for i in range(Phi.grading.d)]
+             + [("x", i) for i in range(Phi.grading.l)]
+             + [("p", i) for i in range(Phi.grading.d)]
+             + [("y", i) for i in range(Phi.grading.l)])
+    got, want = _relation_defects(Phi), symp_oracle.relation_defects(Phi)
+    assert set(got) == set(want)
+    for (a, b), value in want.items():
+        parts, _ = bracket_oracle.halves(comps[a], comps[b])
+        parts += [_base_bracket_with(*bases[a], comps[b]),
+                  _base_bracket_with(*bases[b], comps[a])]
+        scale = max(majorant_norm(u) for u in parts)
+        assert abs(got[a, b] - value) <= 1e-14 * scale, (a, b)
+    assert symplecticity_residual(Phi) == max(got.values())
+
+
+class TestSymplecticityResidual:
+    """The residual sums each relation's terms straight from the product
+    kernels; tests/symp_oracle.py builds them as series, as it used to."""
+
+    @pytest.mark.parametrize("d, l", [(1, 1), (2, 1), (1, 2)])
+    def test_matches_oracle(self, d, l):
+        for seed in range(3):
+            Phi = random_map(d, l, 100 * d + 10 * l + seed)
+            assert sum(not u.is_zero() for u in Phi.components()) >= 2
+            assert_defects_match_oracle(Phi)
+
+    def test_moved_coefficient_shows_in_both(self):
+        # {q, U_p} = d_p U_p, {x, U_p} = d_y U_p and -{y, U_p} = d_x U_p:
+        # moving one coefficient of U_p by 1e-6 relative moves these
+        # relations by the majorant of those derivatives of the move, far
+        # above the map's own residual (the brackets with the other
+        # displacements move by that times their size only)
+        Phi = random_map(1, 1, 111)
+        u = Phi.Up[0]
+
+        def shown(key, c):
+            move = FTSeries.term(u.grading, u.r, u.s, *key, c * 1e-6)
+            return max(majorant_norm(differentiate(move, (var, 0)))
+                       for var in ("p", "y", "x"))
+        key, c = max(u.terms.items(), key=lambda item: shown(*item))
+        size = shown(key, c)
+        moved = FTSeries(u.grading, u.r, u.s, {**u.terms, key: c * (1 + 1e-6)},
+                         _raw=True)
+        bad = dataclasses.replace(Phi, Up=[moved])
+        for residual in (symplecticity_residual,
+                         symp_oracle.symplecticity_residual):
+            assert residual(Phi) <= 1e-3 * size
+            assert 0.5 * size <= residual(bad) <= 2 * size
+        assert_defects_match_oracle(bad)
+
+    def test_residual_over_tolerance_raises(self):
+        # the Lie series cut at 1e-4 leaves a map that is not symplectic to
+        # DEFAULT_SYMP_TOL; carried to 1e-14 of the generator it is
+        gen = random_generator(1, 1, 2, scale=1e-3)
+        assert map_from_generator(gen).symp_residual <= DEFAULT_SYMP_TOL
+        with pytest.raises(SymplecticityError):
+            map_from_generator(gen, tol=1e-4)
+
+    def test_no_series_built_one_kernel_call_per_pair(self, monkeypatch):
+        Phi = random_map(2, 1, 210, n_modes=8)
+        comps = Phi.components()
+        assert all(not u.is_zero() for u in comps)
+        calls = []
+        for module, name in ((symplectic, "poisson_bracket"),
+                             (symplectic, "_bracket"), (ring, "_bracket"),
+                             (ring, "_merge"), (ring, "_pair_product"),
+                             (ring, "_block_product")):
+            def spy(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(module, name, spy)
+        pairs = math.comb(len(comps), 2)
+        # multiply's rule puts these pairs on the pair kernel; forced onto
+        # the block kernel they give the same residual
+        residual = symplecticity_residual(Phi)
+        assert calls == ["_pair_product"] * pairs
+        calls.clear()
+        monkeypatch.setattr(ring, "_layout", lambda f, g: ring._block_layout(
+            ring._plan(f.grading), f, g))
+        assert symplecticity_residual(Phi) == pytest.approx(residual,
+                                                            rel=1e-12)
+        assert calls == ["_block_product"] * pairs
 
 
 class TestCompose:
@@ -182,9 +311,9 @@ class TestCompose:
                 phi = rng.uniform(0, 2 * math.pi, 1)
                 q = rng.uniform(0, 2 * math.pi, 1)
                 z = rng.uniform(-0.2, 0.2, 3)
-                mid = P2.evaluate(phi, q, [z[0]], [z[1]], [z[2]])
-                expect = P1.evaluate(phi, *mid)
-                got = C.evaluate(phi, q, [z[0]], [z[1]], [z[2]])
+                mid = image(P2, phi, q, [z[0]], [z[1]], [z[2]])
+                expect = image(P1, phi, *mid)
+                got = image(C, phi, q, [z[0]], [z[1]], [z[2]])
                 assert np.max(np.abs(np.concatenate(got)
                                      - np.concatenate(expect))) < 1e-7
 
