@@ -49,10 +49,6 @@ HISTORY_FIELDS = (
     "postcondition_misses")
 
 
-def _fmt(v):
-    return float("%.17g" % float(v))
-
-
 def _read_json(path):
     try:
         with open(path) as fh:
@@ -163,10 +159,10 @@ def cmd_reduce(cfg, out_path=None):
             "(i) failed: reduced frequency resonant at k=%s"
             % (witness.worst_k,))
     reduced = {
-        "d": grading.d, "l": l, "omega": [_fmt(v) for v in omega],
-        "M0": [[_fmt(v) for v in row] for row in M0],
+        "d": grading.d, "l": l, "omega": [float(v) for v in omega],
+        "M0": [[float(v) for v in row] for row in M0],
         "frame": report["normalization"],
-        "tau": tau, "radii": [_fmt(r0), _fmt(s0)],
+        "tau": tau, "radii": [float(r0), float(s0)],
         "grading": {"d": grading.d, "l": l, "K_q": grading.K_q,
                     "K_phi": grading.K_phi, "D": grading.D},
         "h0": fts.to_json_dict(h0.with_radii(r0, s0)),
@@ -193,7 +189,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        return _fmt(obj)
+        return float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -232,9 +228,9 @@ def _zeta_rows(zeta, alpha, beta, grading):
     nv = nu_max_profile(beta, grid)
     rows = []
     for i in range(len(grid)):
-        rows.append([_fmt(v) for v in grid[i]]
-                    + [_fmt(zv[i]), _fmt(float(np.linalg.norm(av[i]))),
-                       _fmt(nv[i])])
+        rows.append([float(v) for v in grid[i]]
+                    + [float(zv[i]), float(np.linalg.norm(av[i])),
+                       float(nv[i])])
     return rows
 
 
@@ -310,15 +306,15 @@ def _pipeline(cfg):
     emb = {k: [fts.to_json_dict(u) for u in us]
            for k, us in torus.embedding.items()}
     _write_json(torus_path, {
-        "phi0": [_fmt(v) for v in phi0],
-        "omega": [_fmt(v) for v in prob["omega"]],
+        "phi0": [float(v) for v in phi0],
+        "omega": [float(v) for v in prob["omega"]],
         "tau": prob["tau"],
         "embedding": emb,
-        "residual": _fmt(residual),
-        "alpha_at_phi0": [_fmt(v) for v in torus.alpha_at_phi0],
-        "nu_max_at_phi0": _fmt(torus.nu_max_at_phi0),
-        "distance_to_trivial": _fmt(torus.distance_to_trivial),
-        "grad_norm": _fmt(torus.grad_norm),
+        "residual": float(residual),
+        "alpha_at_phi0": [float(v) for v in torus.alpha_at_phi0],
+        "nu_max_at_phi0": float(torus.nu_max_at_phi0),
+        "distance_to_trivial": float(torus.distance_to_trivial),
+        "grad_norm": float(torus.grad_norm),
         "hamiltonian": fts.to_json_dict(Hbar),
     })
     artifacts["torus"] = torus_path

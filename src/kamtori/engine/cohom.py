@@ -33,9 +33,9 @@ from ..normalform import (BumpProjectionError, NormalFormTuple,
                           eval_phi_series, majorant_on_grid, mat_eval_grid,
                           nu_max_profile, phi_grid, project_phi_rows,
                           series_matrix)
-from ..series import (FTSeries, TaylorSplit, _plan, average_q, degrees,
-                      differentiate, freeze_phi, majorant_norm, multiply,
-                      select, taylor_split)
+from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinate,
+                      coordinates, degrees, differentiate, freeze_phi,
+                      majorant_norm, multiply, select, taylor_split)
 from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
 from ..symplectic import GeneratingFunction, poisson_bracket
 
@@ -65,9 +65,6 @@ class CohomSolution:
     v: list                  # d phi-only series
     F: FTSeries
     Nbar: NormalFormTuple    # w = 0, Q = 0
-    psi: FTSeries
-    psi_grid: np.ndarray
-    plateau_mask: np.ndarray
     grid: np.ndarray
     residual_plateau: float = 0.0
     residual_tracker: float = 0.0
@@ -75,7 +72,6 @@ class CohomSolution:
     zero_mode_obstruction: float = 0.0
     max_condition: float = 0.0
     projection_defect: float = 0.0
-    glued: bool = False
 
 
 def _at_point(pts, bad):
@@ -102,48 +98,15 @@ def restrict_z0(f):
     return select(f, degrees(f)[2] == 0)
 
 
-def coordinate(gr, r, s, kind, i):
-    pos = {"x": 0, "p": gr.l, "y": gr.l + gr.d}[kind] + i
-    alpha = tuple(1 if t == pos else 0 for t in range(gr.nz))
-    return FTSeries.term(gr, r, s, (0,) * gr.l, (0,) * gr.d, alpha, 1.0)
-
-
-def _series_from_blocks(gr, r, s, a=None, b_x=None, b_p=None, b_y=None,
-                        d_xx=None, d_pp=None, d_yy=None, d_xy=None,
-                        d_px=None, d_py=None, remainder=None):
-    zero = lambda: FTSeries.zero(gr, r, s)
-    zm = lambda n, m_: [[zero() for _ in range(m_)] for _ in range(n)]
-    sp = TaylorSplit(
-        a=a if a is not None else zero(),
-        b_x=b_x if b_x is not None else [zero() for _ in range(gr.l)],
-        b_p=b_p if b_p is not None else [zero() for _ in range(gr.d)],
-        b_y=b_y if b_y is not None else [zero() for _ in range(gr.l)],
-        d_xx=d_xx if d_xx is not None else zm(gr.l, gr.l),
-        d_pp=d_pp if d_pp is not None else zm(gr.d, gr.d),
-        d_yy=d_yy if d_yy is not None else zm(gr.l, gr.l),
-        d_xy=d_xy if d_xy is not None else zm(gr.l, gr.l),
-        d_px=d_px if d_px is not None else zm(gr.d, gr.l),
-        d_py=d_py if d_py is not None else zm(gr.d, gr.l),
-        remainder=remainder if remainder is not None else zero())
-    return sp.reassemble()
-
-
-def _const_blocks(gr, r, s, stack):
-    """Matrix of batched constant series from a (B, rows, cols) stack."""
-    return [[FTSeries.constant(gr, r, s, stack[:, i, j])
-             for j in range(stack.shape[2])] for i in range(stack.shape[1])]
-
-
 def _reduced_hamiltonian(N, h_frozen, beta, Gamma, M):
     """N - g frozen on the grid (the constant c is irrelevant)."""
     gr = N.grading
     r, s = N.radii
-    quad = _series_from_blocks(
-        gr, r, s,
-        d_xx=_const_blocks(gr, r, s, beta),
-        d_pp=_const_blocks(gr, r, s, M),
+    quad = TaylorSplit(
+        d_xx=const_matrix(gr, r, s, beta),
+        d_pp=const_matrix(gr, r, s, M),
         d_yy=const_matrix(gr, r, s, np.eye(gr.l)),
-        d_px=_const_blocks(gr, r, s, np.swapaxes(Gamma, 1, 2)))
+        d_px=const_matrix(gr, r, s, np.swapaxes(Gamma, 1, 2))).reassemble()
     lin = FTSeries.zero(gr, r, s)
     for i in range(gr.d):
         if N.w[i] != 0.0:
@@ -186,15 +149,10 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
         mx_c.append(np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1))
         mp_c.append(np.stack([_mean0(sp2.b_p[i], nb) for i in range(d)], 1))
 
-    # parameter-tracker condition row: means of phix + {phix, F + v.q} at z = 0
-    dq_phix = [[restrict_z0(differentiate(phix_B[i], ("q", j)))
-                for j in range(d)] for i in range(l)]
-    dp_phix = [[restrict_z0(differentiate(phix_B[i], ("p", j)))
-                for j in range(d)] for i in range(l)]
-    dx_phix = [[restrict_z0(differentiate(phix_B[i], ("x", j)))
-                for j in range(l)] for i in range(l)]
-    dy_phix = [[restrict_z0(differentiate(phix_B[i], ("y", j)))
-                for j in range(l)] for i in range(l)]
+    # parameter-tracker condition row: means of phix + {phix, F + v.q} at
+    # z = 0; dphix[var][i] is the derivative of tracker i by coordinate var
+    dphix = {var: [restrict_z0(differentiate(u, var)) for u in phix_B]
+             for var in coordinates(gr)}
 
     def tracker_mean(c):
         out = np.zeros((nb, l), dtype=complex)
@@ -205,20 +163,20 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
         for i in range(l):
             acc = FTSeries.zero(gr, r, s)
             for j in range(d):
-                acc = acc + multiply(dq_phix[i][j], Bp0[j])
-                acc = acc - multiply(dp_phix[i][j], dqA[j])
+                acc = acc + multiply(dphix["q", j][i], Bp0[j])
+                acc = acc - multiply(dphix["p", j][i], dqA[j])
             for j in range(l):
-                acc = acc + multiply(dx_phix[i][j], By0[j])
-                acc = acc - multiply(dy_phix[i][j], Bx0[j])
+                acc = acc + multiply(dphix["x", j][i], By0[j])
+                acc = acc - multiply(dphix["y", j][i], Bx0[j])
             out[:, i] = _mean0(acc, nb)
         return out
 
     a_phi = np.stack([_mean0(restrict_z0(phix_B[i]), nb) for i in range(l)], 1)
     t0 = tracker_mean(0)
     T = np.stack([tracker_mean(c) for c in range(1, l + 1)], axis=2)
-    P_p = np.stack([np.stack([_mean0(dp_phix[i][j], nb) for j in range(d)], 1)
+    P_p = np.stack([np.stack([_mean0(dphix["p", j][i], nb) for j in range(d)], 1)
                     for i in range(l)], axis=1)
-    P_x = np.stack([np.stack([_mean0(dx_phix[i][j], nb) for j in range(l)], 1)
+    P_x = np.stack([np.stack([_mean0(dphix["x", j][i], nb) for j in range(l)], 1)
                     for i in range(l)], axis=1)
 
     MX = np.stack(mx_c[1:], axis=2)
@@ -305,8 +263,8 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
             if j > i:
                 Dpp[j][i] = Dpp[i][j]
 
-    F_quad = _series_from_blocks(gr, r, s, d_xx=Dxx, d_yy=Dyy, d_xy=Dxy,
-                                 d_px=Dpx, d_py=Dpy, d_pp=Dpp)
+    F_quad = TaylorSplit(d_xx=Dxx, d_yy=Dyy, d_xy=Dxy, d_px=Dpx, d_py=Dpy,
+                         d_pp=Dpp).reassemble()
     F_full = F_lin + F_quad
     gen = GeneratingFunction(F_full, v_series)
     R = combo + gen.bracket_with(Nred)
@@ -413,16 +371,13 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
         raise CohomologyError(str(exc)) from exc
     t1, t2 = 2.0 * delta_plus, 3.0 * delta_plus
     a_scale = (t2 - t1) / 4.0
-    glued = False
     if np.all(nu < t1 + a_scale):
-        psi = FTSeries.constant(gr, r, s, 1.0)
         psi_back = np.ones(len(grid))
     elif np.all(nu >= t1 + a_scale):
         raise CohomologyError(
             "sublevel region empty: min nu_max(beta) = %.3g >= %.3g"
             % (float(np.min(nu)), t1 + a_scale))
     else:
-        glued = True
         # the grid the bump asks for, clipped to the cap on its total points;
         # bump_psi needs a spacing of at most a/2, checked here before
         # anything is allocated
@@ -481,11 +436,10 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     for i in range(l):
         lhs = lhs - multiply(alpha_g[i], phi_x[i])
     lhs = lhs + gen_g.bracket_with(Nred_glob)
-    model = _series_from_blocks(
-        gr, r, s, a=cbar_g,
-        d_xx=beta_g, d_pp=M_g,
+    model = TaylorSplit(
+        a=cbar_g, d_xx=beta_g, d_pp=M_g,
         d_px=[[Gamma_g[j][i] for j in range(l)] for i in range(d)],
-        remainder=hbar_g)
+        remainder=hbar_g).reassemble()
     gbar = lhs - model
     Nbar = NormalFormTuple(
         w=np.zeros(d), c=cbar_g, beta=beta_g, Gamma=Gamma_g, M=M_g,
@@ -503,8 +457,8 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
                                 _peak(majorant_on_grid(cond_ser, on_plateau)))
 
     return CohomSolution(
-        alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, psi=psi, psi_grid=psi_back,
-        plateau_mask=plateau, grid=grid, residual_plateau=resid_plateau,
-        residual_tracker=tracker_resid, linear_defect=res["lin_defect"],
+        alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, grid=grid,
+        residual_plateau=resid_plateau, residual_tracker=tracker_resid,
+        linear_defect=res["lin_defect"],
         zero_mode_obstruction=res["obstruction"], max_condition=res["cond"],
-        projection_defect=proj_defect, glued=glued)
+        projection_defect=proj_defect)

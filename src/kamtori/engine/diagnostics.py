@@ -8,17 +8,14 @@ import numpy as np
 
 from ..normalform import (eval_phi_series, mat_eval_grid, nu_max_profile,
                           phi_grid, phi_grid_size)
-from ..series import average_q, differentiate, multiply, partial_omega
-from ..symplectic import series_compose
-from .cohom import coordinate, restrict_z0
+from ..series import (average_q, coordinate, coordinates, differentiate,
+                      multiply, partial_omega)
+from ..symplectic import _CONJUGATE, SymplecticMapSeries, series_compose
+from .cohom import restrict_z0
 
 
 def _z0_map(Phi):
-    from ..symplectic import SymplecticMapSeries
-    return SymplecticMapSeries([restrict_z0(u) for u in Phi.Uq],
-                               [restrict_z0(u) for u in Phi.Ux],
-                               [restrict_z0(u) for u in Phi.Up],
-                               [restrict_z0(u) for u in Phi.Uy],
+    return SymplecticMapSeries([restrict_z0(u) for u in Phi.U],
                                Phi.remainder, Phi.symp_residual)
 
 
@@ -57,11 +54,10 @@ class StepDiagnostics:
     admissible_points: int = 0
 
 
-def check_alpha_gradient(state, zeta, prev_beta, prev_delta, grid=None):
+def check_alpha_gradient(state, zeta, prev_beta, prev_delta):
     """Max gaps |alpha - grad zeta| and |D alpha - Hess zeta| on the admissible set."""
     gr = state.grading
-    if grid is None:
-        grid = phi_grid(gr.l, phi_grid_size(gr.K_phi))
+    grid = phi_grid(gr.l, phi_grid_size(gr.K_phi))
     nu = nu_max_profile(prev_beta, grid)
     mask = nu <= prev_delta
     diag = StepDiagnostics(admissible_points=int(mask.sum()))
@@ -84,7 +80,7 @@ def check_alpha_gradient(state, zeta, prev_beta, prev_delta, grid=None):
     return diag
 
 
-def check_beta_relation(state, prev_beta, prev_delta, grid=None):
+def check_beta_relation(state, prev_beta, prev_delta):
     """Residual of beta - Gamma M^{-1} Gamma^T - L (D alpha) R on the admissible set.
 
     L and R are built from the parameter differential of the cumulative map;
@@ -92,8 +88,7 @@ def check_beta_relation(state, prev_beta, prev_delta, grid=None):
     gr = state.grading
     d, l = gr.d, gr.l
     m = d + l
-    if grid is None:
-        grid = phi_grid(gr.l, phi_grid_size(gr.K_phi))
+    grid = phi_grid(gr.l, phi_grid_size(gr.K_phi))
     nu = nu_max_profile(prev_beta, grid)
     mask = nu <= prev_delta
     diag = StepDiagnostics(admissible_points=int(mask.sum()))
@@ -102,27 +97,30 @@ def check_beta_relation(state, prev_beta, prev_delta, grid=None):
     grid = grid[mask]
     npts = len(grid)
     Phi = state.Phi
+    # rows in the order of coordinates(gr)
+    row = {v: n for n, v in enumerate(coordinates(gr))}
     # W rows: (D_phi Phi_q; I + D_phi Phi_x; D_phi Phi_p; D_phi Phi_y) at z = 0
-    comps = list(Phi.Uq) + list(Phi.Ux) + list(Phi.Up) + list(Phi.Uy)
     W = np.zeros((npts, 2 * m, l))
-    for i, comp in enumerate(comps):
+    for i, comp in enumerate(Phi.U):
         for j in range(l):
             ser = average_q(restrict_z0(differentiate(comp, ("phi", j))))
             W[:, i, j] = eval_phi_series(ser, grid).real
     for j in range(l):
-        W[:, d + j, j] += 1.0
+        W[:, row["x", j], j] += 1.0
     # dPhi/dy at z = 0 (2m x l), identity on the y-rows
     DY = np.zeros((npts, 2 * m, l))
-    for i, comp in enumerate(comps):
+    for i, comp in enumerate(Phi.U):
         for j in range(l):
             ser = average_q(restrict_z0(differentiate(comp, ("y", j))))
             DY[:, i, j] = eval_phi_series(ser, grid).real
     for j in range(l):
-        DY[:, m + d + j, j] += 1.0
-    # J with the orientation that makes R the identity at the trivial map
+        DY[:, row["y", j], j] += 1.0
+    # J with the orientation that makes R the identity at the trivial map:
+    # -1 from q_i to p_i and from x_i to y_i, +1 back
     J = np.zeros((2 * m, 2 * m))
-    J[:m, m:] = -np.eye(m)
-    J[m:, :m] = np.eye(m)
+    for (kind, i), n in row.items():
+        sign, var = _CONJUGATE[kind]
+        J[n, row[var, i]] = -sign
     # L = M_q(d_x Phi_x)^T - Gamma M^{-1} d_p M_q Phi_x
     DXX = np.zeros((npts, l, l))
     for i in range(l):

@@ -19,14 +19,14 @@ import numpy as np
 from ..errors import ConvergenceError, PreconditionError
 from ..normalform import (NormalFormTuple, assemble_hamiltonian, mat_add,
                           normal_form_distance, normal_form_norm)
-from ..series import (FTSeries, average_q, ck_norm_estimate, degrees,
-                      differentiate, majorant_norm, multiply, select,
+from ..series import (FTSeries, average_q, ck_norm_estimate, coordinate,
+                      degrees, differentiate, majorant_norm, multiply, select,
                       truncate_fourier)
 from ..smalldiv import effective_diophantine_constant
 from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
                           compose_maps, identity_map, lie_tail_integral,
                           lie_transform, map_from_generator, series_compose)
-from .cohom import coordinate, restrict_z0, solve_cohomological
+from .cohom import restrict_z0, solve_cohomological
 from .schedule import StepFailure, build_schedule
 
 
@@ -74,26 +74,26 @@ def _retag_tuple(N, r, s):
                            N.h.with_radii(r, s))
 
 
-def c2_norm(f, r=None, s=None):
+def c2_norm(f):
     """The working C^2 estimate for error terms (majorant route)."""
     if f.is_zero():
         return 0.0
-    return ck_norm_estimate(f, 2, 2, r, s)
+    return ck_norm_estimate(f, 2, 2)
 
 
-def phi_c2_norm(series_list, r=None):
-    return max((ck_norm_estimate(u, 2, 0, r, None) if not u.is_zero() else 0.0)
+def phi_c2_norm(series_list):
+    return max((ck_norm_estimate(u, 2, 0) if not u.is_zero() else 0.0)
                for u in series_list)
 
 
-def tracker_mean_norm(phi_x, gr, r=None):
+def tracker_mean_norm(phi_x, gr):
     """C^2 size of M_q phi_x(., 0) relative to the torus parameter."""
     vals = []
     for i in range(gr.l):
         m = average_q(restrict_z0(phi_x[i]))
         # remove the identity coordinate itself: x_i restricted to z = 0 is 0,
         # so m already carries only the displacement mean
-        vals.append(ck_norm_estimate(m, 2, 0, r, None) if not m.is_zero() else 0.0)
+        vals.append(ck_norm_estimate(m, 2, 0) if not m.is_zero() else 0.0)
     return max(vals)
 
 
@@ -298,7 +298,6 @@ class IterateConfig:
     target_tol: float = 1e-12
     lambda_cfg: float = 0.1
     frame: np.ndarray = None
-    stop_on_postcondition_miss: bool = True
 
 
 def conjugacy_residual(N0, f0, state):
@@ -377,7 +376,7 @@ def iterate(N0, f0, config=None):
         state.norms["conjugacy_residual"] = conj
         hist_row = _history_row(state, res)
         history["steps"].append(hist_row)
-        if not res.ok and cfg.stop_on_postcondition_miss:
+        if not res.ok:
             history["failure"] = {
                 "n": state.n,
                 "reason": "postcondition targets missed: %s"

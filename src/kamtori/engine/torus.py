@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..normalform import eval_phi_series, mat_eval_grid, phi_grid
-from ..series import differentiate, evaluate_all, freeze_phi
+from ..series import coordinates, differentiate, evaluate_all, freeze_phi
 from ..symplectic import vector_field
 from .cohom import restrict_z0
 
@@ -84,11 +84,9 @@ def find_vanishing_point(zeta, alpha, beta):
 def extract_torus(state, phi0):
     """Embedding q -> Phi^n(phi0, q, 0, 0, 0), stored as q-only displacements."""
     phi0 = np.asarray(phi0, dtype=float)
-    frz = lambda u: freeze_phi(restrict_z0(u), phi0)
-    emb = {"uq": [frz(u) for u in state.Phi.Uq],
-           "ux": [frz(u) for u in state.Phi.Ux],
-           "up": [frz(u) for u in state.Phi.Up],
-           "uy": [frz(u) for u in state.Phi.Uy]}
+    emb = {}
+    for (kind, _), u in zip(coordinates(state.grading), state.Phi.U):
+        emb.setdefault("u" + kind, []).append(freeze_phi(restrict_z0(u), phi0))
     for comps in emb.values():
         for u in comps:
             defect = u.reality_defect()
@@ -113,22 +111,22 @@ def verify_invariance(H, embedding, omega, grid_n=64):
     H must already be parameter-free (frozen at the selected phi0); the
     embedding holds q-only displacement series of one grading."""
     gr = H.grading
-    d, l = gr.d, gr.l
+    d = gr.d
     omega = np.asarray(omega, dtype=float)
-    qd, xd, pd, yd = vector_field(H)
-    fields = qd + xd + pd + yd
-    uq, ux, up, uy = (embedding["uq"], embedding["ux"], embedding["up"],
-                      embedding["uy"])
-    comps = uq + ux + up + uy
+    # the field's components and the embedding's, in the order of coordinates
+    fields = [u for us in vector_field(H) for u in us]
+    comps = [embedding["u" + kind][i] for kind, i in coordinates(gr)]
+    cols = {}
+    for n, (kind, _) in enumerate(coordinates(gr)):
+        cols.setdefault(kind, []).append(n)
     # D emb . omega: identity part contributes omega on the q-rows
     derivs = [differentiate(u, ("q", j)) for u in comps for j in range(d)]
     qs = _qgrid(d, grid_n)
     # the embedding and its q-derivatives on the grid, in one evaluation
     on_grid = evaluate_all(comps + derivs, q=qs)
-    uqv, uxv, upv, uyv = np.split(on_grid[:, :len(comps)],
-                                  np.cumsum([d, l, d]), axis=1)
-    X = evaluate_all(fields, q=qs + uqv, x=uxv, p=upv, y=uyv)
+    at = {kind: on_grid[:, c] for kind, c in cols.items()}
+    X = evaluate_all(fields, q=qs + at["q"], x=at["x"], p=at["p"], y=at["y"])
     D = on_grid[:, len(comps):].reshape(len(qs), len(comps), d)
     flow = D @ omega
-    flow[:, :d] += omega
+    flow[:, cols["q"]] += omega
     return float(np.linalg.norm(X - flow, axis=1).max())

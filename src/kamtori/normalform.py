@@ -2,6 +2,7 @@
 nu_max profiling and bump-function gluing over the parameter torus."""
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .series import (FTSeries, _l1, _phi_sums, _phi_values, _plan,
-                     ck_norm_estimate, differentiate)
+                     ck_norm_estimate, differentiate, monomial)
 
 
 # -- parameter-grid helpers --------------------------------------------------------
@@ -48,9 +49,9 @@ def majorant_on_grid(f, grid, r=None, s=None):
     return total
 
 
-def majorant_at_phi(f, phi, r=None, s=None):
+def majorant_at_phi(f, phi):
     """Majorant of the (q, z)-series obtained by freezing the parameter."""
-    return float(majorant_on_grid(f, [phi], r, s)[0])
+    return float(majorant_on_grid(f, [phi])[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,13 +116,11 @@ def series_matrix(grading, r, s, rows, cols):
 
 
 def const_matrix(grading, r, s, M):
+    """The matrix of constant series M[..., i, j]: numbers, or batched
+    series (one entry per point) for a (B, rows, cols) stack."""
     M = np.asarray(M, dtype=float)
-    out = series_matrix(grading, r, s, M.shape[0], M.shape[1])
-    for i in range(M.shape[0]):
-        for j in range(M.shape[1]):
-            if M[i, j] != 0.0:
-                out[i][j] = FTSeries.constant(grading, r, s, M[i, j])
-    return out
+    return [[FTSeries.constant(grading, r, s, M[..., i, j])
+             for j in range(M.shape[-1])] for i in range(M.shape[-2])]
 
 
 def mat_eval_grid(mat, grid, symmetric_tol=None):
@@ -148,8 +147,8 @@ def mat_eval_grid(mat, grid, symmetric_tol=None):
     return res
 
 
-def mat_add(A, B, scale=1.0):
-    return [[A[i][j] + B[i][j] * scale for j in range(len(A[0]))] for i in range(len(A))]
+def mat_add(A, B):
+    return [[A[i][j] + B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
 
 
 @dataclass
@@ -200,37 +199,27 @@ def initial_tuple(grading, r, s, omega, M0, h=None, Q0=None):
         h=h)
 
 
-def _monomial(grading, r, s, pos_list, coeff=1.0):
-    alpha = [0] * grading.nz
-    for p in pos_list:
-        alpha[p] += 1
-    return FTSeries.term(grading, r, s, (0,) * grading.l, (0,) * grading.d,
-                         tuple(alpha), coeff)
-
-
 def assemble_hamiltonian(N):
     """c + <w,p> + 1/2<Mp,p> + 1/2<Qy,y> + <Gamma p, x> + 1/2<beta x, x> + g + h."""
     gr = N.grading
     r, s = N.radii
-    xo, po, yo = 0, gr.l, gr.l + gr.d
     total = N.c.copy()
     for i in range(gr.d):
         if N.w[i] != 0.0:
-            total = total + _monomial(gr, r, s, [po + i], N.w[i])
-    for i in range(gr.d):
-        for j in range(gr.d):
-            if not N.M[i][j].is_zero():
-                total = total + N.M[i][j] * _monomial(gr, r, s, [po + i, po + j], 0.5)
-    for i in range(gr.l):
-        for j in range(gr.l):
-            if not N.Q[i][j].is_zero():
-                total = total + N.Q[i][j] * _monomial(gr, r, s, [yo + i, yo + j], 0.5)
-            if not N.beta[i][j].is_zero():
-                total = total + N.beta[i][j] * _monomial(gr, r, s, [xo + i, xo + j], 0.5)
-    for i in range(gr.l):
-        for j in range(gr.d):
-            if not N.Gamma[i][j].is_zero():
-                total = total + N.Gamma[i][j] * _monomial(gr, r, s, [xo + i, po + j])
+            total = total + monomial(gr, r, s, N.w[i], ("p", i))
+    # (matrix, the kinds of its rows and columns, the monomial's coefficient);
+    # the matrices of a group are summed entry by entry, interleaved (the
+    # prune floors act on each partial sum)
+    groups = [[(N.M, "p", "p", 0.5)],
+              [(N.Q, "y", "y", 0.5), (N.beta, "x", "x", 0.5)],
+              [(N.Gamma, "x", "p", 1.0)]]
+    for group in groups:
+        rows, cols = len(group[0][0]), len(group[0][0][0])
+        for i, j in itertools.product(range(rows), range(cols)):
+            for mat, a, b, coeff in group:
+                if not mat[i][j].is_zero():
+                    total = total + mat[i][j] * monomial(gr, r, s, coeff,
+                                                         (a, i), (b, j))
     return total + N.g + N.h
 
 
@@ -356,7 +345,7 @@ def normal_form_norm(N, r=None, s=None):
     return max(comps)
 
 
-def normal_form_distance(N1, N2, r=None, s=None):
+def normal_form_distance(N1, N2, r=None):
     if N1.grading != N2.grading:
         raise ValueError("grading mismatch")
     sub = lambda A, B: [[A[i][j] - B[i][j] for j in range(len(A[0]))]
@@ -364,7 +353,7 @@ def normal_form_distance(N1, N2, r=None, s=None):
     diff = NormalFormTuple(N1.w - N2.w, N1.c - N2.c, sub(N1.beta, N2.beta),
                            sub(N1.Gamma, N2.Gamma), sub(N1.M, N2.M),
                            sub(N1.Q, N2.Q), N1.g - N2.g, N1.h - N2.h)
-    return normal_form_norm(diff, r, s)
+    return normal_form_norm(diff, r)
 
 
 # -- serialization -----------------------------------------------------------------
@@ -373,7 +362,7 @@ def normal_form_distance(N1, N2, r=None, s=None):
 def tuple_to_json(N):
     from .series import to_json_dict
     mat = lambda m: [[to_json_dict(e) for e in row] for row in m]
-    return {"w": [float("%.17g" % v) for v in N.w], "c": to_json_dict(N.c),
+    return {"w": [float(v) for v in N.w], "c": to_json_dict(N.c),
             "beta": mat(N.beta), "Gamma": mat(N.Gamma), "M": mat(N.M),
             "Q": mat(N.Q), "g": to_json_dict(N.g), "h": to_json_dict(N.h)}
 

@@ -319,13 +319,13 @@ class FTSeries:
         new.r, new.s = float(r), float(s)
         return new
 
-    def _prune(self, floor=PRUNE_FLOOR, rel=REL_PRUNE):
+    def _prune(self, floor=PRUNE_FLOOR):
         """Apply the prune floors in place (on a series being built)."""
         if not len(self.coef):
             return
         keep, coef, loss = _prune_arrays(_plan(self.grading), self.ij, self.ik,
                                          self.it, self.coef, self.r, self.s,
-                                         floor, rel)
+                                         floor)
         self.trunc_loss += loss
         if coef is not self.coef or not keep.all():
             self._set(self.ij[keep], self.ik[keep], self.it[keep], coef[keep])
@@ -399,6 +399,49 @@ class FTSeries:
             len(self.coef), self.r, self.s, self.trunc_loss)
 
 
+# -- coordinate layout -----------------------------------------------------------
+
+
+def _sizes(gr):
+    """The number of variables of each kind."""
+    return {"phi": gr.l, "q": gr.d, "x": gr.l, "p": gr.d, "y": gr.l}
+
+
+@functools.lru_cache(maxsize=None)
+def coordinates(gr):
+    """The coordinates (kind, i) that a map moves, in the order q, x, p, y.
+
+    The ball variables x, p, y among them, in this order, are the positions
+    of a Taylor exponent."""
+    return tuple((kind, i) for kind in "qxpy" for i in range(_sizes(gr)[kind]))
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(gr):
+    """The exponent position of each ball variable (kind, i)."""
+    return {v: pos for pos, v in enumerate(coordinates(gr)[gr.d:])}
+
+
+def _exponent(gr, variables):
+    """The Taylor exponent of the product of the ball variables."""
+    alpha = [0] * gr.nz
+    for v in variables:
+        alpha[_positions(gr)[v]] += 1
+    return tuple(alpha)
+
+
+def monomial(gr, r, s, coeff, *variables):
+    """coeff times the product of the ball variables (kind, i), at phi and q
+    mode 0 (a variable listed twice enters squared)."""
+    return FTSeries.term(gr, r, s, (0,) * gr.l, (0,) * gr.d,
+                         _exponent(gr, variables), coeff)
+
+
+def coordinate(gr, r, s, kind, i):
+    """The ball variable (kind, i) as a series."""
+    return monomial(gr, r, s, 1.0, (kind, i))
+
+
 # -- operations ------------------------------------------------------------------
 
 
@@ -437,15 +480,14 @@ def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR):
     return new
 
 
-def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
-                  rel=REL_PRUNE):
+def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR):
     """The prune floors on a series' arrays: an entry at or below
-    max(floor, rel x its largest) is dropped and its majorant added to the
-    loss (each entry of a batched series against its own floor, zeroed in a
-    row that keeps others).  Returns (rows kept, coefficients, loss); the
+    max(floor, REL_PRUNE x its largest) is dropped and its majorant added to
+    the loss (each entry of a batched series against its own floor, zeroed in
+    a row that keeps others).  Returns (rows kept, coefficients, loss); the
     coefficients are coef itself when no entry was zeroed."""
     mag = np.abs(coef)
-    dead = mag <= np.maximum(floor, rel * mag.max(axis=0, initial=0.0))
+    dead = mag <= np.maximum(floor, REL_PRUNE * mag.max(axis=0, initial=0.0))
     if not dead.any():
         return ~dead if coef.ndim == 1 else ~dead[:, 0], coef, 0.0
     lost = dead & (mag > 0.0)
@@ -472,12 +514,10 @@ class _Partial:
         if var is None:
             return
         name, i = var
-        if not 0 <= i < {"phi": gr.l, "q": gr.d, "x": gr.l, "p": gr.d,
-                         "y": gr.l}[name]:
+        if not 0 <= i < _sizes(gr)[name]:
             raise IndexError("%s index out of range" % name)
         self.name = name
-        self.axis = i if name in ("phi", "q") \
-            else {"x": 0, "p": gr.l, "y": gr.l + gr.d}[name] + i
+        self.axis = _positions(gr).get(var, i)
         if name not in ("phi", "q"):
             self.shift = (self.axis,)
 
@@ -1125,30 +1165,37 @@ class TaylorSplit:
     convention (a diagonal monomial c*x_i^2 contributes d_xx[i][i] = 2c).
     """
 
-    a: FTSeries
-    b_x: list
-    b_p: list
-    b_y: list
-    d_xx: list
-    d_pp: list
-    d_yy: list
-    d_xy: list
-    d_px: list
-    d_py: list
-    remainder: FTSeries
+    a: FTSeries = None
+    b_x: list = None
+    b_p: list = None
+    b_y: list = None
+    d_xx: list = None
+    d_pp: list = None
+    d_yy: list = None
+    d_xy: list = None
+    d_px: list = None
+    d_py: list = None
+    remainder: FTSeries = None
 
     def reassemble(self):
-        """Inverse of taylor_split: a + b.z + 1/2 <d z, z> + remainder, coefficient-exact."""
-        g = self.a.grading
+        """Inverse of taylor_split: a + b.z + 1/2 <d z, z> + remainder,
+        coefficient-exact; a block left None is zero."""
+        some = next(v for v in vars(self).values() if v is not None)
+        while isinstance(some, list):
+            some = some[0]
+        g = some.grading
         index = _plan(g).T.index
-        parts = [self.a]
+        parts = [] if self.a is None else [self.a]
         for field, i, jj, alpha, factor in _split_plan(g)[0]:
-            entry = getattr(self, field)[i]
-            e = entry[jj] if field[0] == "d" else entry
-            parts.append((e.ij, e.ik, np.full(len(e.it), index[alpha]),
-                          e.coef * (1.0 / factor)))
-        parts.append(self.remainder)
-        return _merge(g, self.a.r, self.a.s, parts, self.a.trunc_loss, 0.0)
+            block = getattr(self, field)
+            if block is not None:
+                e = block[i][jj] if field[0] == "d" else block[i]
+                parts.append((e.ij, e.ik, np.full(len(e.it), index[alpha]),
+                              e.coef * (1.0 / factor)))
+        if self.remainder is not None:
+            parts.append(self.remainder)
+        return _merge(g, some.r, some.s, parts,
+                      0.0 if self.a is None else self.a.trunc_loss, 0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1157,15 +1204,10 @@ def _split_plan(g):
     (field, i, j, exponent, factor): the entry holds factor x the
     coefficient of that exponent; and for each exponent of degree <= 2 the
     entries (field, i, j, factor) taylor_split fills from it."""
-    dims = {"x": g.l, "p": g.d, "y": g.l}
-    position = {v: p for p, v in enumerate(
-        (n, i) for n in "xpy" for i in range(dims[n]))}
-
-    def alpha(*variables):  # the exponent of the product of the variables
-        return tuple(sum(position[v] == p for v in variables) for p in range(g.nz))
-
+    dims = _sizes(g)
+    alpha = lambda *variables: _exponent(g, variables)
     entries = [("b_" + n, i, 0, alpha((n, i)), 1.0)
-               for n in "xpy" for i in range(dims[n])]
+               for n, i in coordinates(g)[g.d:]]
     # diagonal blocks: 1/2 <d_xx x, x> = sum_i d_xx[i][i]/2 x_i^2
     #                                    + sum_{i<j} d_xx[i][j] x_i x_j
     entries += [("d_" + 2 * n, i, jj, alpha((n, i), (n, jj)), 2.0 if i == jj else 1.0)
@@ -1197,7 +1239,7 @@ def taylor_split(f):
                                           np.zeros_like(at), coef, 0.0)
     new = lambda field, i=0, jj=0: parts.get((field, i, jj)) \
         or _like(f, _NONE, _NONE, _NONE, _EMPTY, 0.0)
-    dims = {"x": g.l, "p": g.d, "y": g.l}
+    dims = _sizes(g)
     blocks = {"a": new("a"), "remainder": select(f, ~low)}
     blocks["remainder"].trunc_loss = 0.0
     blocks.update(("b_" + n, [new("b_" + n, i) for i in range(dims[n])]) for n in "xpy")
@@ -1213,16 +1255,12 @@ def taylor_split(f):
 # -- serialization ----------------------------------------------------------------
 
 
-def _fmt(v):
-    return float("%.17g" % v)
-
-
 def to_json_dict(f):
-    terms = [{"j": list(j), "k": list(k), "alpha": list(a), "re": _fmt(c.real),
-              "im": _fmt(c.imag)} for (j, k, a), c in f.terms.items()]
+    terms = [{"j": list(j), "k": list(k), "alpha": list(a), "re": c.real,
+              "im": c.imag} for (j, k, a), c in f.terms.items()]
     g = f.grading
     return {"grading": {"d": g.d, "l": g.l, "K_q": g.K_q, "K_phi": g.K_phi, "D": g.D},
-            "radii": [_fmt(f.r), _fmt(f.s)], "terms": terms}
+            "radii": [f.r, f.s], "terms": terms}
 
 
 def from_json_dict(data):

@@ -11,11 +11,15 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .series import (FTSeries, _bracket, _bracket_halves, _kept, _l1,
-                     _partial, _plan, ck_norm_estimate, differentiate, ft_sum,
-                     majorant_norm, multiply)
+                     _partial, _plan, ck_norm_estimate, coordinate,
+                     coordinates, differentiate, ft_sum, majorant_norm,
+                     monomial, multiply)
 
 DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
+TAIL_TOL = 1e-300        # a tail integral's terms are summed down to this
+EXP_TOL = 1e-18          # an exponential's terms are summed down to this
+EXP_ORDER_CAP = 59       # so an exponential may end at its 60th term
 
 
 class GeneratorTooLargeError(ConvergenceError):
@@ -40,20 +44,21 @@ def poisson_bracket(g, h):
 
 
 def vector_field(H, v=None):
-    """(qdot, xdot, pdot, ydot) = (d_p H, d_y H, -d_q H - v, -d_x H)."""
+    """(qdot, xdot, pdot, ydot) = (d_p H, d_y H, -d_q H - v, -d_x H), by
+    kind in the order of series.coordinates."""
     gr = H.grading
-    qdot = [differentiate(H, ("p", i)) for i in range(gr.d)]
-    xdot = [differentiate(H, ("y", i)) for i in range(gr.l)]
-    pdot = [-differentiate(H, ("q", i)) for i in range(gr.d)]
-    ydot = [-differentiate(H, ("x", i)) for i in range(gr.l)]
+    field = {}
+    for kind, i in coordinates(gr):
+        field.setdefault(kind, []).append(_base_bracket_with(kind, i, H))
     if v is not None:
+        pdot = field["p"]
         for i in range(gr.d):
             vi = v[i]
             if isinstance(vi, FTSeries):
                 pdot[i] = pdot[i] - vi
             elif vi:
                 pdot[i] = pdot[i] - FTSeries.constant(gr, H.r, H.s, vi)
-    return qdot, xdot, pdot, ydot
+    return tuple(field.values())
 
 
 @dataclass
@@ -90,6 +95,36 @@ class GeneratingFunction:
             None if self.v is None else [vi.with_radii(r, s) for vi in self.v])
 
 
+def _power_sum(total, term, step, tol, cap, what, weight=None, decay=True):
+    """total plus the terms t_n, n = 1, 2, ..., each times weight(n) if
+    given, where t_1 = term and t_n = step(t_{n-1}) / n, through the first
+    term whose majorant is at most tol.
+
+    Returns (sum, 2 |weight(n)| x the majorant of that last term, its order
+    n).  Raises GeneratorTooLargeError if no term of order <= cap + 1 gets
+    that small or, with decay, once a term past the second exceeds half the
+    one before it."""
+    n, prev = 1, math.inf
+    while True:
+        m = majorant_norm(term)
+        w = 1.0 if weight is None else weight(n)
+        part = term if weight is None else term.scale(w)
+        if m <= tol:
+            return total + part, 2.0 * m * abs(w), n
+        if n > cap:
+            raise GeneratorTooLargeError(
+                "%s not converged at order cap %d (last term %.3g)"
+                % (what, cap, m))
+        if decay and n > 2 and m > 0.5 * prev:
+            raise GeneratorTooLargeError(
+                "%s terms stopped decaying at order %d (%.3g -> %.3g); "
+                "generator too large for the working radii" % (what, n, prev, m))
+        total = total + part
+        prev = m
+        n += 1
+        term = step(term).scale(1.0 / n)
+
+
 def lie_transform(g, gen, order_cap=DEFAULT_ORDER_CAP, tol=None, first_term=None):
     """g composed with the time-1 flow of the generator, as an iterated-bracket sum.
 
@@ -97,33 +132,13 @@ def lie_transform(g, gen, order_cap=DEFAULT_ORDER_CAP, tol=None, first_term=None
     1e-14 x majorant of g); enforces decay (each term below half the previous
     one once n >= 2).  Returns (series, remainder_bound, order reached).
     """
-    scale = majorant_norm(g)
     if tol is None:
-        tol = 1e-14 * max(scale, 1e-300)
-    total = g.copy()
-    term = gen.bracket_with(g) if first_term is None else first_term
-    prev = math.inf
-    n = 1
-    while True:
-        m = majorant_norm(term)
-        if m <= tol:
-            total = total + term
-            return total, 2.0 * m, n
-        if n > order_cap:
-            raise GeneratorTooLargeError(
-                "lie series not converged at order cap %d (last term %.3g)"
-                % (order_cap, m))
-        if n > 2 and m > 0.5 * prev:
-            raise GeneratorTooLargeError(
-                "lie series terms stopped decaying at order %d (%.3g -> %.3g); "
-                "generator too large for the working radii" % (n, prev, m))
-        total = total + term
-        prev = m
-        n += 1
-        term = gen.bracket_with(term).scale(1.0 / n)
+        tol = 1e-14 * max(majorant_norm(g), 1e-300)
+    first = gen.bracket_with(g) if first_term is None else first_term
+    return _power_sum(g, first, gen.bracket_with, tol, order_cap, "lie series")
 
 
-def lie_tail_integral(u, gen, weight, order_cap=DEFAULT_ORDER_CAP, tol=1e-300):
+def lie_tail_integral(u, gen, weight):
     """sum_n w_n u_n for the Lie terms u_n of u (u_0 = u, u_n = {u_{n-1}, gen}/n).
 
     weight(n) supplies w_n; used for the time-integral remainders of one step:
@@ -131,25 +146,9 @@ def lie_tail_integral(u, gen, weight, order_cap=DEFAULT_ORDER_CAP, tol=1e-300):
     int_0^1  t    u o Psi^t dt has w_n = 1/(n+2).
     Returns (series, remainder_bound, order reached).
     """
-    total = u.scale(weight(0))
-    term = u
-    n = 0
-    prev = math.inf
-    while True:
-        n += 1
-        term = gen.bracket_with(term).scale(1.0 / n)
-        m = majorant_norm(term)
-        if m <= tol or term.is_zero():
-            return total + term.scale(weight(n)), 2.0 * m * abs(weight(n)), n
-        if n > order_cap:
-            raise GeneratorTooLargeError(
-                "lie tail integral not converged at order cap %d (term %.3g)"
-                % (order_cap, m))
-        if n > 2 and m > 0.5 * prev:
-            raise GeneratorTooLargeError(
-                "lie tail integral terms stopped decaying at order %d" % n)
-        total = total + term.scale(weight(n))
-        prev = m
+    return _power_sum(u.scale(weight(0)), gen.bracket_with(u),
+                      gen.bracket_with, TAIL_TOL, DEFAULT_ORDER_CAP,
+                      "lie tail integral", weight)
 
 
 # -- symplectic maps ---------------------------------------------------------------
@@ -159,15 +158,13 @@ def lie_tail_integral(u, gen, weight, order_cap=DEFAULT_ORDER_CAP, tol=1e-300):
 class SymplecticMapSeries:
     """Near-identity map stored as the displacement of each coordinate.
 
-    Full image: Phi(phi, q, x, p, y) = (q + Uq, x + Ux, p + Up, y + Uy); the
+    U holds the displacements in the order of series.coordinates (q, x, p,
+    y): Phi(phi, q, x, p, y) = (q + Uq, x + Ux, p + Up, y + Uy); the
     parameter phi is never moved.  A map built as the time-1 flow of a
     generating function keeps it in `generator`; composition needs it on the
     inner map.  `c2_bound_ok` records the C^2 product bound of a composition."""
 
-    Uq: list
-    Ux: list
-    Up: list
-    Uy: list
+    U: list
     remainder: float = 0.0
     symp_residual: float = None
     generator: GeneratingFunction = None
@@ -175,14 +172,23 @@ class SymplecticMapSeries:
 
     @property
     def grading(self):
-        return self.Uq[0].grading
+        return self.U[0].grading
 
     @property
     def radii(self):
-        return (self.Uq[0].r, self.Uq[0].s)
+        return (self.U[0].r, self.U[0].s)
+
+    def _kind(self, kind):
+        return [u for (k, _), u in zip(coordinates(self.grading), self.U)
+                if k == kind]
+
+    Uq = property(lambda self: self._kind("q"))
+    Ux = property(lambda self: self._kind("x"))
+    Up = property(lambda self: self._kind("p"))
+    Uy = property(lambda self: self._kind("y"))
 
     def components(self):
-        return list(self.Uq) + list(self.Ux) + list(self.Up) + list(self.Uy)
+        return list(self.U)
 
     def is_identity(self):
         return all(u.is_zero() for u in self.components())
@@ -195,18 +201,15 @@ class SymplecticMapSeries:
                    for u in self.components())
 
     def with_radii(self, r, s):
-        retag = lambda us: [u.with_radii(r, s) for u in us]
         gen = None if self.generator is None else self.generator.with_radii(r, s)
-        return SymplecticMapSeries(retag(self.Uq), retag(self.Ux),
-                                   retag(self.Up), retag(self.Uy),
+        return SymplecticMapSeries([u.with_radii(r, s) for u in self.U],
                                    self.remainder, self.symp_residual, gen,
                                    self.c2_bound_ok)
 
 
 def identity_map(grading, r, s):
-    z = lambda n: [FTSeries.zero(grading, r, s) for _ in range(n)]
-    return SymplecticMapSeries(z(grading.d), z(grading.l), z(grading.d),
-                               z(grading.l), 0.0, 0.0)
+    return SymplecticMapSeries([FTSeries.zero(grading, r, s)
+                                for _ in coordinates(grading)], 0.0, 0.0)
 
 
 # {base coordinate, u} = sign d_var u: (sign, var) by the base's kind
@@ -236,10 +239,9 @@ def _relation_defects(Phi):
     gr = Phi.grading
     plan = _plan(gr)
     r, s = Phi.radii
-    comps = Phi.components()
-    bases = [(sign, _partial(gr, (var, i))) for kind, count in
-             (("q", gr.d), ("x", gr.l), ("p", gr.d), ("y", gr.l))
-             for sign, var in [_CONJUGATE[kind]] for i in range(count)]
+    comps = Phi.U
+    bases = [(sign, _partial(gr, (var, i))) for kind, i in coordinates(gr)
+             for sign, var in [_CONJUGATE[kind]]]
     out = {}
     for a, b in itertools.combinations(range(len(comps)), 2):
         (sa, da), (sb, db) = bases[a], bases[b]
@@ -286,12 +288,8 @@ def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None):
         rem += bound
         return disp
 
-    Phi = SymplecticMapSeries(
-        [flow_disp("q", i) for i in range(gr.d)],
-        [flow_disp("x", i) for i in range(gr.l)],
-        [flow_disp("p", i) for i in range(gr.d)],
-        [flow_disp("y", i) for i in range(gr.l)],
-        remainder=rem, generator=gen)
+    U = [flow_disp(kind, i) for kind, i in coordinates(gr)]
+    Phi = SymplecticMapSeries(U, remainder=rem, generator=gen)
     resid = symplecticity_residual(Phi)
     Phi.symp_residual = resid
     if resid > DEFAULT_SYMP_TOL:
@@ -306,21 +304,16 @@ def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None):
 # the conjugacy residual and the zeta profile substitute the cumulative map.
 
 
-def _exp_of(u, cap=60, tol=1e-18):
+def _exp_of(u):
     """exp(u) for a series u; converges when the majorant of u is moderate."""
     scale = majorant_norm(u)
     if scale > 30.0:
         raise GeneratorTooLargeError("exponential argument majorant %.3g too large"
                                      % scale)
-    total = FTSeries.constant(u.grading, u.r, u.s, 1.0)
-    term = FTSeries.constant(u.grading, u.r, u.s, 1.0)
-    for n in range(1, cap + 1):
-        term = multiply(term, u).scale(1.0 / n)
-        total = total + term
-        if majorant_norm(term) <= tol:
-            return total
-    raise GeneratorTooLargeError("exponential series did not converge within %d terms"
-                                 % cap)
+    one = FTSeries.constant(u.grading, u.r, u.s, 1.0)
+    step = lambda term: multiply(term, u)
+    return _power_sum(one, step(one), step, EXP_TOL, EXP_ORDER_CAP,
+                      "exponential series", decay=False)[0]
 
 
 class _Substituter:
@@ -329,16 +322,14 @@ class _Substituter:
     With drop_z_identity the ball variables are replaced by the displacement
     alone (evaluation along z = 0) instead of identity + displacement."""
 
-    def __init__(self, Psi, tol=1e-18, drop_z_identity=False):
-        self.Psi = Psi
+    def __init__(self, Psi, drop_z_identity):
         self.gr = Psi.grading
-        r, s = Psi.radii
-        self.r, self.s = r, s
-        self.tol = tol
+        self.r, self.s = Psi.radii
+        self.disp = dict(zip(coordinates(self.gr), Psi.U))
         self.drop_z_identity = drop_z_identity
         self._exp_cache = {}
         self._pow_cache = {}
-        margin = max(majorant_norm(u) for u in Psi.Uq) if Psi.Uq else 0.0
+        margin = max(majorant_norm(u) for u in Psi.Uq)
         if margin * self.gr.K_q > 25.0:
             raise GeneratorTooLargeError(
                 "angle displacement majorant %.3g exceeds the analyticity margin "
@@ -351,34 +342,24 @@ class _Substituter:
             u = FTSeries.zero(self.gr, self.r, self.s)
             for i, ki in enumerate(k):
                 if ki:
-                    u = u + self.Psi.Uq[i].scale(1j * ki)
-            got = _exp_of(u, tol=self.tol) if not u.is_zero() else \
+                    u = u + self.disp["q", i].scale(1j * ki)
+            got = _exp_of(u) if not u.is_zero() else \
                 FTSeries.constant(self.gr, self.r, self.s, 1.0)
             self._exp_cache[k] = got
         return got
 
-    def _var_power(self, block, i, n):
-        key = (block, i, n)
+    def _var_power(self, var, n):
+        """The n-th power (n >= 1) of the image of the ball variable var."""
+        key = (var, n)
         got = self._pow_cache.get(key)
         if got is None:
-            if n == 0:
-                got = FTSeries.constant(self.gr, self.r, self.s, 1.0)
-            elif n == 1:
-                disp = {"x": self.Psi.Ux, "p": self.Psi.Up, "y": self.Psi.Uy}[block][i]
-                if self.drop_z_identity:
-                    got = disp.copy()
-                else:
-                    base_pos = {"x": 0, "p": self.gr.l,
-                                "y": self.gr.l + self.gr.d}[block] + i
-                    alpha = tuple(1 if t == base_pos else 0
-                                  for t in range(self.gr.nz))
-                    base = FTSeries.term(self.gr, self.r, self.s,
-                                         (0,) * self.gr.l, (0,) * self.gr.d,
-                                         alpha, 1.0)
-                    got = base + disp
+            if n == 1:
+                disp = self.disp[var]
+                got = disp.copy() if self.drop_z_identity else \
+                    coordinate(self.gr, self.r, self.s, *var) + disp
             else:
-                got = multiply(self._var_power(block, i, n - 1),
-                               self._var_power(block, i, 1))
+                got = multiply(self._var_power(var, n - 1),
+                               self._var_power(var, 1))
             self._pow_cache[key] = got
         return got
 
@@ -390,16 +371,9 @@ class _Substituter:
             piece = FTSeries.term(gr, self.r, self.s, j, k, (0,) * gr.nz, c)
             if _l1(k):
                 piece = multiply(piece, self._angle_factor(k))
-            for pos, n in enumerate(a):
-                if not n:
-                    continue
-                if pos < gr.l:
-                    blk, i = "x", pos
-                elif pos < gr.l + gr.d:
-                    blk, i = "p", pos - gr.l
-                else:
-                    blk, i = "y", pos - gr.l - gr.d
-                piece = multiply(piece, self._var_power(blk, i, n))
+            for var, n in zip(coordinates(gr)[gr.d:], a):
+                if n:
+                    piece = multiply(piece, self._var_power(var, n))
             loss += piece.trunc_loss
             pieces.append(piece)
         out = ft_sum(gr, self.r, self.s, pieces)
@@ -407,14 +381,14 @@ class _Substituter:
         return out
 
 
-def series_compose(f, Psi, tol=1e-18, drop_z_identity=False):
+def series_compose(f, Psi, drop_z_identity=False):
     """f o Psi by Taylor substitution (angle shifts via exponential expansion).
 
     With drop_z_identity the ball variables are replaced by Psi's
     displacement alone (evaluation along z = 0)."""
     if Psi.is_identity():
         return f.copy()
-    return _Substituter(Psi, tol, drop_z_identity).apply(f)
+    return _Substituter(Psi, drop_z_identity).apply(f)
 
 
 def compose_maps(Phi, Psi):
@@ -438,12 +412,8 @@ def compose_maps(Phi, Psi):
         rem += bound
         return psi_u + moved
 
-    new = SymplecticMapSeries(
-        [transport(a, b) for a, b in zip(Psi.Uq, Phi.Uq)],
-        [transport(a, b) for a, b in zip(Psi.Ux, Phi.Ux)],
-        [transport(a, b) for a, b in zip(Psi.Up, Phi.Up)],
-        [transport(a, b) for a, b in zip(Psi.Uy, Phi.Uy)],
-        remainder=rem)
+    new = SymplecticMapSeries([transport(a, b) for a, b in zip(Psi.U, Phi.U)],
+                              remainder=rem)
     lhs = 1.0 + new.displacement_c2()
     rhs = (1.0 + Phi.displacement_c2()) * (1.0 + Psi.displacement_c2())
     new.c2_bound_ok = bool(lhs <= rhs * (1.0 + 1e-9))
@@ -585,14 +555,13 @@ def sigma_cos(mode, amplitude=1.0, powers=None):
             SigmaTerm(tuple(-v for v in mode), powers, 0.5 * amplitude)]
 
 
-def _taylor_exp_vector(grading, r, s, block_offsets, coefvec, max_deg):
-    """Taylor polynomial of exp(i sum_j coefvec[j] z_j) over the listed variables."""
+def _taylor_exp_vector(grading, r, s, variables, coefvec, max_deg):
+    """Taylor polynomial of exp(i sum_j coefvec[j] z_j) over the listed ball
+    variables z_j."""
     u = FTSeries.zero(grading, r, s)
-    for pos, cj in zip(block_offsets, coefvec):
+    for var, cj in zip(variables, coefvec):
         if cj != 0.0:
-            alpha = tuple(1 if t == pos else 0 for t in range(grading.nz))
-            u = u + FTSeries.term(grading, r, s, (0,) * grading.l,
-                                  (0,) * grading.d, alpha, 1j * cj)
+            u = u + monomial(grading, r, s, 1j * cj, var)
     total = FTSeries.constant(grading, r, s, 1.0)
     term = FTSeries.constant(grading, r, s, 1.0)
     for n in range(1, max_deg + 1):
@@ -606,16 +575,13 @@ def _taylor_exp_vector(grading, r, s, block_offsets, coefvec, max_deg):
 def _action_substitution(grading, r, s, T):
     """Linear action substitution old_I = T . (p, y): returns replacement series."""
     d, l = grading.d, grading.l
-    m = d + l
+    actions = [("p", i) for i in range(d)] + [("y", i) for i in range(l)]
     reps = []
-    for a in range(m):
+    for row in T:
         u = FTSeries.zero(grading, r, s)
-        for b in range(m):
-            if T[a][b] == 0.0:
-                continue
-            pos = (l + b) if b < d else (l + d + (b - d))
-            alpha = tuple(1 if t == pos else 0 for t in range(grading.nz))
-            u = u + FTSeries.term(grading, r, s, (0,) * l, (0,) * d, alpha, T[a][b])
+        for var, t in zip(actions, row):
+            if t != 0.0:
+                u = u + monomial(grading, r, s, t, var)
         reps.append(u)
     return reps
 
@@ -653,7 +619,7 @@ def sigma_to_parametrized(terms, d, l, grading, r, s, K=None, shear_S=None,
         action_T = action_T @ norm_T
     reps = _action_substitution(grading, r, s, action_T)
     Sn_inv = None if x_scale is None else np.linalg.inv(np.asarray(x_scale, dtype=float))
-    xo = 0
+    x_vars = [("x", i) for i in range(l)]
     out = FTSeries.zero(grading, r, s)
     for t in sorted(terms, key=lambda t: (t.mode, t.powers)):
         mode = np.asarray(t.mode, dtype=int)
@@ -671,7 +637,7 @@ def sigma_to_parametrized(terms, d, l, grading, r, s, K=None, shear_S=None,
             cvec = Sn_inv.T @ cvec
         if np.any(cvec != 0.0):
             piece = multiply(piece, _taylor_exp_vector(
-                grading, r, s, list(range(xo, xo + l)), cvec, grading.D))
+                grading, r, s, x_vars, cvec, grading.D))
         for a_idx, n in enumerate(t.powers):
             for _ in range(n):
                 piece = multiply(piece, reps[a_idx])
@@ -743,8 +709,9 @@ def reduce_coordinates(N_hessian, omega0, red, h_terms, f_terms, grading, r, s):
                                shear_S=S_shear, x_scale=Sn)
     f0 = sigma_to_parametrized(f_terms, d, l, grading, r, s, K=red.K,
                                shear_S=S_shear, x_scale=Sn)
+    ball = coordinates(grading)[d:]
     for (j, k, a), _c in h0.terms.items():
-        py_deg = sum(a[l:])
+        py_deg = sum(n for (kind, _), n in zip(ball, a) if kind != "x")
         if py_deg < 3:
             raise ReductionError("reduced h carries a (p, y)-degree < 3 term")
     return omega, M0, h0, f0, report

@@ -309,8 +309,7 @@ def test_criterion_4_symplecticity():
 
 def test_criterion_5_counterterm_gradient_identity():
     gr, N0, f0 = _coupled(EPS)   # q-dependent shift-built data
-    state, hist = iterate(N0, f0, IterateConfig(n_max=1,
-                                                stop_on_postcondition_miss=False))
+    state, hist = iterate(N0, f0, IterateConfig(n_max=1))
     st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)], f=f0,
                          Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
     zeta1 = compute_zeta(st0, assemble_hamiltonian(N0) + f0)

@@ -1,8 +1,10 @@
-"""Every function the benchmark traces by name still exists.
+"""Every function the benchmark traces by name still exists, and every
+workload builds its problem.
 
-bench/tracing.py wraps the functions in its TARGETS list; a renamed or
-deleted one would only fail a later traced benchmark run. It is loaded here
-from its file (and not changed)."""
+bench/tracing.py wraps the functions in its TARGETS list, and
+bench/workloads.py reads library names while it builds each problem; a
+renamed or deleted one would only fail a later benchmark run. Both are
+loaded here from their files (and not changed)."""
 
 import importlib
 import importlib.util
@@ -10,15 +12,20 @@ import os
 
 import pytest
 
-TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "bench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, os.path.join(BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _targets():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return _load("tracing").TARGETS
 
 
 @pytest.mark.parametrize("modname, qual", _targets(),
@@ -29,3 +36,11 @@ def test_traced_target_resolves(modname, qual):
     for cls in classes:
         owner = getattr(owner, cls)
     assert callable(vars(owner).get(name)), "kamtori.%s.%s" % (modname, qual)
+
+
+@pytest.mark.parametrize("name", ["coupled-1p1", "threedof-cli", "l2-cohom"])
+def test_workload_setup_runs(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)   # workloads.py imports bench/checks.py
+    monkeypatch.chdir(tmp_path)          # threedof-cli's setup changes into it
+    problem = _load("workloads").WORKLOADS[name].setup(101, str(tmp_path))
+    assert len(problem["points"])

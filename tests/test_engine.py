@@ -789,8 +789,7 @@ class TestGapScalesWithErrorSize:
         for eps in (1e-4, 1e-5):
             gr, N0, f0 = q_coupled_problem(eps=eps)
             state, hist = iterate(N0, f0,
-                                  IterateConfig(n_max=1, target_tol=1e-30,
-                                                stop_on_postcondition_miss=False))
+                                  IterateConfig(n_max=1, target_tol=1e-30))
             H0 = assemble_hamiltonian(N0) + f0
             zeta = compute_zeta(state, H0)
             diag = check_alpha_gradient(state, zeta, N0.beta, 1.0)

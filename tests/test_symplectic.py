@@ -140,8 +140,15 @@ class TestLieTransform:
 
     def test_decay_precondition(self, g11):
         gen = GeneratingFunction(mono(g11, (1, 0, 1), 30.0))  # 30 x y
-        with pytest.raises(GeneratorTooLargeError):
+        with pytest.raises(GeneratorTooLargeError, match="stopped decaying"):
             lie_transform(mono(g11, (1, 0, 0)), gen, order_cap=12, tol=1e-16)
+
+    def test_exponential_sums_growing_terms(self, g11):
+        # the terms 3^n / n! of e^3 grow up to n = 3: the exponential shares
+        # the Lie series' summation loop but not its decay guard
+        got = symplectic._exp_of(FTSeries.constant(g11, 1, 1, 3.0))
+        assert got.coeff((0,), (0,), (0, 0, 0)) == pytest.approx(math.exp(3.0),
+                                                                 rel=1e-14)
 
 
 class TestMapFromGenerator:
@@ -241,7 +248,9 @@ class TestSymplecticityResidual:
         size = shown(key, c)
         moved = FTSeries(u.grading, u.r, u.s, {**u.terms, key: c * (1 + 1e-6)},
                          _raw=True)
-        bad = dataclasses.replace(Phi, Up=[moved])
+        U = list(Phi.U)
+        U[ring.coordinates(Phi.grading).index(("p", 0))] = moved
+        bad = dataclasses.replace(Phi, U=U)
         for residual in (symplecticity_residual,
                          symp_oracle.symplecticity_residual):
             assert residual(Phi) <= 1e-3 * size
