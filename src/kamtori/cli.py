@@ -42,11 +42,11 @@ EXIT_IO = 4
 HISTORY_FIELDS = (
     "n", "r", "s", "eps_measured", "alpha_norm", "f_norm",
     "conjugacy_residual", "f_plus_trunc_loss", "phi_trunc_loss",
-    "f_plus_terms", "phi_terms", "lie_orders", "contraction_exponent",
-    "symp_residual", "K_eff", "cohom_condition", "cohom_obstruction",
-    "cohom_projection_defect", "cohom_residual_plateau",
-    "cohom_residual_budget", "tuple_drift", "step_ok",
-    "postcondition_misses")
+    "psi_remainder", "phi_remainder", "f_plus_terms", "phi_terms",
+    "lie_orders", "contraction_exponent", "symp_residual", "K_eff",
+    "cohom_condition", "cohom_obstruction", "cohom_projection_defect",
+    "cohom_residual_plateau", "cohom_residual_budget", "tuple_drift",
+    "step_ok", "postcondition_misses")
 
 
 def _read_json(path):

@@ -167,6 +167,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     except ConvergenceError as exc:
         raise StepFailure("generator flow failed: %s" % exc, measures) from exc
     measures["psi_displacement"] = Psi.displacement_majorant()
+    measures["psi_remainder"] = Psi.remainder
     measures["symp_residual"] = Psi.symp_residual
 
     Nbar_ham = assemble_hamiltonian(sol.Nbar)
@@ -227,6 +228,9 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     # what the truncated ring dropped on the way, and how large it grew
     measures["f_plus_trunc_loss"] = f_plus.trunc_loss
     measures["phi_trunc_loss"] = max(u.trunc_loss for u in Phi_plus.components())
+    # the cumulative map's Lie-series remainder bound (psi_remainder is the
+    # rung's flow's share)
+    measures["phi_remainder"] = Phi_plus.remainder
     measures["f_plus_terms"] = len(f_plus.terms)
     measures["phi_terms"] = sum(len(u.terms) for u in Phi_plus.components())
     measures["f_plus_target"] = target

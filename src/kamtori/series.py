@@ -26,7 +26,6 @@ bounds the loss of every entry.
 
 import functools
 import itertools
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -1269,11 +1268,3 @@ def from_json_dict(data):
     return FTSeries(g, data["radii"][0], data["radii"][1],
                     {(tuple(t["j"]), tuple(t["k"]), tuple(t["alpha"])):
                      complex(t["re"], t["im"]) for t in data["terms"]}, _raw=True)
-
-
-def dumps(f):
-    return json.dumps(to_json_dict(f), separators=(",", ":"), sort_keys=True)
-
-
-def loads(text):
-    return from_json_dict(json.loads(text))

@@ -3,6 +3,7 @@ Lie-series time-1 flows, near-identity map composition by Lie transport with
 C^2 tracking, and the integer/shear coordinate reductions that bring a
 resonant problem to the parametrized model form."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -10,10 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .series import (FTSeries, _bracket, _bracket_halves, _kept, _l1,
-                     _partial, _plan, ck_norm_estimate, coordinate,
-                     coordinates, differentiate, ft_sum, majorant_norm,
-                     monomial, multiply)
+from .series import (FTSeries, _bracket, _bracket_halves, _bracket_pairs,
+                     _kept, _l1, _majorants, _partial, _plan,
+                     ck_norm_estimate, coordinate, coordinates, differentiate,
+                     ft_sum, majorant_norm, monomial, multiply)
 
 DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
@@ -83,6 +84,30 @@ class GeneratingFunction:
                     out = out - multiply(self.v[i], differentiate(g, ("p", i)))
         return out
 
+    def bracket_bound(self, g):
+        """A closed-form bound on the majorant of bracket_with(g), before it
+        is formed: the majorant is submultiplicative, so each half d_a g d_b F
+        is at most |d_a g| |d_b F| and each v_i d_{p_i} g at most |v_i|
+        |d_{p_i} g|.  It bounds the whole product, the pairs the kernel drops
+        past the grading included (per entry, an array, for a batched g)."""
+        ds, factors = self._bound_factors
+        return sum(x * y for x, y in
+                   zip(_majorants(_plan(self.grading), g, ds), factors))
+
+    @functools.cached_property
+    def _bound_factors(self):
+        """The derivatives of g in the terms of bracket_with(g) and the
+        majorants of their other factors: (a, |d_b F|) for each bracket half
+        d_a g d_b F, then (p_i, |v_i|)."""
+        gr = self.grading
+        pairs = _bracket_pairs(gr)
+        ds = [a for a, _ in pairs]
+        factors = _majorants(_plan(gr), self.F, [b for _, b in pairs])
+        if self.v is not None:
+            ds += [_partial(gr, ("p", i)) for i in range(gr.d)]
+            factors += [majorant_norm(vi) for vi in self.v]
+        return ds, factors
+
     def scale_estimate(self):
         m = majorant_norm(self.F)
         if self.v is not None:
@@ -95,22 +120,26 @@ class GeneratingFunction:
             None if self.v is None else [vi.with_radii(r, s) for vi in self.v])
 
 
-def _power_sum(total, term, step, tol, cap, what, weight=None, decay=True):
+def _power_sum(total, term, step, bound, tol, cap, what, weight=None,
+               decay=True):
     """total plus the terms t_n, n = 1, 2, ..., each times weight(n) if
     given, where t_1 = term and t_n = step(t_{n-1}) / n, through the first
-    term whose majorant is at most tol.
+    term certified to be at most tol: formed, by its majorant, or bounded
+    before it is formed, by bound(t_n) / (n + 1) with bound(t) at least the
+    majorant of step(t).
 
-    Returns (sum, 2 |weight(n)| x the majorant of that last term, its order
-    n).  Raises GeneratorTooLargeError if no term of order <= cap + 1 gets
-    that small or, with decay, once a term past the second exceeds half the
-    one before it."""
+    Returns (sum, 2 |weight(n)| x the majorant or bound of that last term,
+    its order n); a bounded term is left out of the sum.  Raises
+    GeneratorTooLargeError if no term of order <= cap + 1 gets that small
+    or, with decay, once a term past the second exceeds half the one before
+    it."""
     n, prev = 1, math.inf
+    size = lambda n: 1.0 if weight is None else abs(weight(n))
     while True:
         m = majorant_norm(term)
-        w = 1.0 if weight is None else weight(n)
-        part = term if weight is None else term.scale(w)
+        part = term if weight is None else term.scale(weight(n))
         if m <= tol:
-            return total + part, 2.0 * m * abs(w), n
+            return total + part, 2.0 * m * size(n), n
         if n > cap:
             raise GeneratorTooLargeError(
                 "%s not converged at order cap %d (last term %.3g)"
@@ -122,6 +151,9 @@ def _power_sum(total, term, step, tol, cap, what, weight=None, decay=True):
         total = total + part
         prev = m
         n += 1
+        b = bound(term) / n
+        if b <= tol:
+            return total, 2.0 * b * size(n), n
         term = step(term).scale(1.0 / n)
 
 
@@ -135,7 +167,8 @@ def lie_transform(g, gen, order_cap=DEFAULT_ORDER_CAP, tol=None, first_term=None
     if tol is None:
         tol = 1e-14 * max(majorant_norm(g), 1e-300)
     first = gen.bracket_with(g) if first_term is None else first_term
-    return _power_sum(g, first, gen.bracket_with, tol, order_cap, "lie series")
+    return _power_sum(g, first, gen.bracket_with, gen.bracket_bound, tol,
+                      order_cap, "lie series")
 
 
 def lie_tail_integral(u, gen, weight):
@@ -147,8 +180,8 @@ def lie_tail_integral(u, gen, weight):
     Returns (series, remainder_bound, order reached).
     """
     return _power_sum(u.scale(weight(0)), gen.bracket_with(u),
-                      gen.bracket_with, TAIL_TOL, DEFAULT_ORDER_CAP,
-                      "lie tail integral", weight)
+                      gen.bracket_with, gen.bracket_bound, TAIL_TOL,
+                      DEFAULT_ORDER_CAP, "lie tail integral", weight)
 
 
 # -- symplectic maps ---------------------------------------------------------------
@@ -312,8 +345,9 @@ def _exp_of(u):
                                      % scale)
     one = FTSeries.constant(u.grading, u.r, u.s, 1.0)
     step = lambda term: multiply(term, u)
-    return _power_sum(one, step(one), step, EXP_TOL, EXP_ORDER_CAP,
-                      "exponential series", decay=False)[0]
+    return _power_sum(one, step(one), step,
+                      lambda term: majorant_norm(term) * scale, EXP_TOL,
+                      EXP_ORDER_CAP, "exponential series", decay=False)[0]
 
 
 class _Substituter:

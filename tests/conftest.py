@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from kamtori.series import FTSeries, Grading
+from kamtori.series import FTSeries, Grading, from_json_dict, to_json_dict
 
 # every run draws the same examples: no example database, no per-example
 # deadline (a first call may build a grading's tables)
@@ -46,3 +47,13 @@ def random_real_series(grading, r, s, rng, n_modes=6, max_k=3, max_phi=2,
         terms[key] = terms.get(key, 0.0) + c
         terms[mirror] = terms.get(mirror, 0.0) + np.conj(c)
     return FTSeries(grading, r, s, terms)
+
+
+def dumps(f):
+    """A series as compact JSON text (to_json_dict, keys sorted)."""
+    return json.dumps(to_json_dict(f), separators=(",", ":"), sort_keys=True)
+
+
+def loads(text):
+    """The series of dumps' text."""
+    return from_json_dict(json.loads(text))

@@ -117,7 +117,8 @@ class TestRun:
         assert hist[0]["n"] == 1
         # each rung reports what the truncated ring dropped and kept
         for row in hist:
-            for key in ("f_plus_trunc_loss", "phi_trunc_loss"):
+            for key in ("f_plus_trunc_loss", "phi_trunc_loss",
+                        "psi_remainder", "phi_remainder"):
                 assert np.isfinite(row[key]) and row[key] >= 0.0
             for key in ("f_plus_terms", "phi_terms"):
                 assert isinstance(row[key], int) and row[key] >= 0

@@ -11,6 +11,7 @@ from kamtori.engine import (build_schedule, check_alpha_gradient,
                             find_vanishing_point, iterate, kam_step,
                             solve_cohomological, verify_invariance)
 import kamtori.engine.driver as driver
+import kamtori.symplectic as symplectic
 from kamtori.engine.cohom import (CohomologyError, coordinate, freeze_phi,
                                   restrict_z0)
 from kamtori.engine.driver import (IterateConfig, IterationState, c2_norm,
@@ -25,10 +26,12 @@ from kamtori.series import (FTSeries, Grading, RealityError, average_q,
 from kamtori.smalldiv import effective_diophantine_constant
 from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
                                 GeneratorTooLargeError, SymplecticityError,
-                                identity_map, map_from_generator,
+                                compose_maps, identity_map,
+                                map_from_generator,
                                 poisson_bracket, series_compose,
                                 shifted_parametrization, sigma_cos,
                                 vector_field)
+import lie_oracle
 import project_oracle
 from conftest import GOLDEN, random_real_series
 from test_symplectic import assert_defects_match_oracle
@@ -1083,6 +1086,76 @@ class TestSymplecticityOnCoupledMap:
         assert Psi.symp_residual <= DEFAULT_SYMP_TOL
 
 
+class TestLieSeriesMatchOracle:
+    """The Lie series and the angle exponential on the coupled run's second
+    rung against the formed-term loop (tests/lie_oracle.py): the flow of the
+    rung's generator, its composition with itself by Lie transport, and
+    exp(i Uq) as the conjugacy check's substitution takes it.  The loop that
+    stops on a bound leaves a term of majorant at most tol out of the sum,
+    so the coefficients agree to 1e-14 of the largest, the orders are the
+    same, and each remainder is at least the oracle's."""
+
+    @pytest.fixture(scope="class")
+    def Psi(self, coupled_rung_two_inputs):
+        args, kwargs = coupled_rung_two_inputs
+        sol = solve_cohomological(*args, **kwargs)
+        return map_from_generator(GeneratingFunction(sol.F, sol.v))
+
+    LOOPS = (symplectic._power_sum, lie_oracle.power_sum)
+
+    @classmethod
+    def both(cls, monkeypatch, run):
+        """run() with the summation loop, then with the oracle's, each with
+        the (remainder, order) of every sum it took."""
+        out = []
+        for loop in cls.LOOPS:
+            sums = []
+
+            def spy(*args, _loop=loop, _sums=sums, **kwargs):
+                got = _loop(*args, **kwargs)
+                _sums.append(got[1:])
+                return got
+            monkeypatch.setattr(symplectic, "_power_sum", spy)
+            out.append((run(), sums))
+        return out
+
+    @staticmethod
+    def assert_close(got, want):
+        assert set(got.terms) == set(want.terms)
+        gap = got - want
+        assert (gap.max_abs_coeff() if gap.terms else 0.0) \
+            <= 1e-14 * want.max_abs_coeff()
+
+    def assert_sums(self, got, want):
+        assert [n for _, n in got] == [n for _, n in want]
+        assert all(r >= r_old for (r, _), (r_old, _) in zip(got, want))
+        return sum(r > r_old for (r, _), (r_old, _) in zip(got, want))
+
+    def test_flow(self, monkeypatch, Psi):
+        gen = Psi.generator
+        (new, sums), (old, old_sums) = self.both(
+            monkeypatch, lambda: map_from_generator(gen))
+        for got, want in zip(new.U, old.U):
+            self.assert_close(got, want)
+        assert self.assert_sums(sums, old_sums) > 0   # some stop on the bound
+        assert new.remainder >= old.remainder
+
+    def test_composition(self, monkeypatch, Psi):
+        (new, sums), (old, old_sums) = self.both(
+            monkeypatch, lambda: compose_maps(Psi, Psi))
+        for got, want in zip(new.U, old.U):
+            self.assert_close(got, want)
+        assert self.assert_sums(sums, old_sums) > 0
+        assert new.remainder >= old.remainder
+
+    def test_angle_exponential(self, monkeypatch, Psi):
+        u = Psi.Uq[0].scale(1j)
+        (new, sums), (old, old_sums) = self.both(
+            monkeypatch, lambda: symplectic._exp_of(u))
+        self.assert_close(new, old)
+        assert self.assert_sums(sums, old_sums) > 0
+
+
 class TestModerateAmplitudeFailureReporting:
     def test_drift_precondition_reported(self):
         # amplitude large enough that the tuple drifts past the configured
@@ -1149,10 +1222,17 @@ class TestCoupledRunMatchesRecorded:
     def test_truncation_measures_reported(self, coupled_run_small):
         for row in coupled_run_small[4]["steps"]:
             m = row["measures"]
-            for key in ("f_plus_trunc_loss", "phi_trunc_loss"):
+            for key in ("f_plus_trunc_loss", "phi_trunc_loss",
+                        "psi_remainder", "phi_remainder"):
                 assert math.isfinite(m[key]) and m[key] >= 0.0
             for key in ("f_plus_terms", "phi_terms"):
                 assert m[key] == int(m[key]) and m[key] > 0
+        # the cumulative map's Lie remainder holds each rung's flow's
+        rows = [row["measures"] for row in coupled_run_small[4]["steps"]]
+        assert rows[0]["phi_remainder"] == rows[0]["psi_remainder"] > 0.0
+        for prev, m in zip(rows, rows[1:]):
+            assert m["phi_remainder"] >= prev["phi_remainder"] \
+                + m["psi_remainder"]
         # the map of the last rung holds every term of its four components
         state = coupled_run_small[3]
         last = coupled_run_small[4]["steps"][-1]["measures"]

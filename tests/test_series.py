@@ -9,7 +9,7 @@ from kamtori.series import (FTSeries, Grading, GradingError, average_q,
                             ck_norm_estimate, differentiate, evaluate,
                             majorant_norm, multiply, partial_omega,
                             taylor_split, truncate_fourier)
-from conftest import GOLDEN, random_real_series
+from conftest import GOLDEN, dumps, loads, random_real_series
 
 
 def mono(g, alpha, c=1.0, j=None, k=None, r=1.0, s=1.0):
@@ -302,9 +302,9 @@ class TestEvaluate:
 class TestSerialization:
     def test_round_trip_bit_exact(self, g11, rng):
         f = random_real_series(g11, 1, 1, rng, n_modes=15)
-        text = fts.dumps(f)
-        back = fts.loads(text)
-        assert fts.dumps(back) == text
+        text = dumps(f)
+        back = loads(text)
+        assert dumps(back) == text
         assert (back - f).max_abs_coeff() == 0.0
 
     def test_schema_fields(self, g11):

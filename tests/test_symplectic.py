@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 import bracket_oracle
 import kamtori.series as ring
+import lie_oracle
 import kamtori.symplectic as symplectic
 import symp_oracle
 from kamtori.series import (FTSeries, Grading, differentiate, evaluate,
@@ -15,7 +16,8 @@ from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
                                 GeneratorTooLargeError, ReductionError,
                                 SymplecticityError, _base_bracket_with,
                                 _relation_defects, compose_maps, identity_map,
-                                lie_transform, map_from_generator,
+                                lie_tail_integral, lie_transform,
+                                map_from_generator,
                                 poisson_bracket, reduce_coordinates,
                                 series_compose,
                                 shifted_parametrization, sigma_cos,
@@ -149,6 +151,158 @@ class TestLieTransform:
         got = symplectic._exp_of(FTSeries.constant(g11, 1, 1, 3.0))
         assert got.coeff((0,), (0,), (0, 0, 0)) == pytest.approx(math.exp(3.0),
                                                                  rel=1e-14)
+
+
+class TestBracketBound:
+    """GeneratingFunction.bracket_bound against the majorant of the bracket
+    it bounds, on both product kernels (a patched series._layout forces
+    one; the block kernel takes unbatched operands only)."""
+
+    GRADINGS = [Grading(d=1, l=1, K_q=4, K_phi=3, D=4),
+                Grading(d=2, l=1, K_q=3, K_phi=2, D=4),
+                Grading(d=1, l=2, K_q=3, K_phi=2, D=4)]
+
+    def generator(self, gr, rng, with_v):
+        # r, s below 1 so the mode and degree weights are not trivial
+        F = random_real_series(gr, 0.7, 0.9, rng, n_modes=8, max_k=2,
+                               max_phi=2, max_deg=3, scale=1e-2)
+        v = [random_real_series(gr, 0.7, 0.9, rng, n_modes=3, max_k=0,
+                                max_phi=2, max_deg=0, scale=1e-2)
+             for _ in range(gr.d)] if with_v else None
+        return GeneratingFunction(F, v)
+
+    @staticmethod
+    def bracket_on(path, gen, g):
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "block":
+                mp.setattr(ring, "_layout", lambda f, h: ring._block_layout(
+                    ring._plan(f.grading), f, h)
+                    if len(f.coef) and len(h.coef) else None)
+            else:
+                mp.setattr(ring, "_layout", lambda f, h: None)
+            return gen.bracket_with(g)
+
+    @pytest.mark.parametrize("path", ["pair", "block"])
+    @pytest.mark.parametrize("with_v", [False, True])
+    @pytest.mark.parametrize("gi", range(3))
+    def test_bounds_the_bracket(self, gi, with_v, path, rng):
+        gr = self.GRADINGS[gi]
+        for _ in range(4):
+            gen = self.generator(gr, rng, with_v)
+            g = random_real_series(gr, 0.7, 0.9, rng, n_modes=10, max_k=2,
+                                   max_phi=2, max_deg=4)
+            got = majorant_norm(self.bracket_on(path, gen, g))
+            assert got > 0.0
+            assert gen.bracket_bound(g) >= got * (1 - 1e-12)
+
+    def test_bound_is_exact_on_one_half(self, g11):
+        # {x, c y} = c: a single product of single terms, no slack
+        gen = GeneratingFunction(mono(g11, (0, 0, 1), 0.3))
+        g = mono(g11, (1, 0, 0))
+        assert majorant_norm(gen.bracket_with(g)) == pytest.approx(0.3)
+        assert gen.bracket_bound(g) == pytest.approx(0.3)
+
+    def test_zero_when_the_bracket_vanishes(self, g11, rng):
+        gen = self.generator(g11, rng, with_v=True)
+        phi_only = FTSeries.term(g11, 0.7, 0.9, (2,), (0,), (0, 0, 0), 1.0)
+        assert gen.bracket_with(phi_only).is_zero()
+        assert gen.bracket_bound(phi_only) == 0.0
+
+    def test_batched_bound_per_entry(self, rng):
+        gr = self.GRADINGS[0]
+        gen = self.generator(gr, rng, with_v=True)
+        entries = [random_real_series(gr, 0.7, 0.9, rng, n_modes=6, max_k=2,
+                                      max_phi=2, max_deg=3, scale=scale)
+                   for scale in (1.0, 1e-3, 0.5)]
+        keys = sorted(set().union(*(e.terms for e in entries)))
+        batched = FTSeries(gr, 0.7, 0.9, {
+            key: np.array([e.coeff(*key) for e in entries]) for key in keys},
+            _raw=True)
+        bound = gen.bracket_bound(batched)
+        assert np.shape(bound) == (len(entries),)
+        for n, e in enumerate(entries):
+            assert bound[n] == pytest.approx(gen.bracket_bound(e), rel=1e-13)
+        got = majorant_norm(gen.bracket_with(batched))
+        assert np.all(bound >= got * (1 - 1e-12))
+
+
+class TestPowerSum:
+    """The summation loop's stop on a bound of the next term."""
+
+    @staticmethod
+    def halving(calls):
+        def step(term):
+            calls.append(term)
+            return term.scale(0.5)
+        return step
+
+    def test_bound_stop_skips_the_step(self, g11):
+        # t_1 = 1, t_n = t_{n-1} / (2 n): t_5 = 1 / 1920 is the first term
+        # below 1e-3, and the exact bound |t| / 2 certifies it from t_4
+        one = FTSeries.constant(g11, 1, 1, 1.0)
+        zero = FTSeries.zero(g11, 1, 1)
+        calls = []
+        total, rem, n = symplectic._power_sum(
+            zero, one, self.halving(calls), lambda t: 0.5 * majorant_norm(t),
+            1e-3, 12, "test")
+        assert n == 5 and len(calls) == 3   # t_5 is never formed
+        assert majorant_norm(calls[-1]) == pytest.approx(1 / 24)   # t_3
+        assert rem == pytest.approx(2 / 1920)
+        assert total.coeff((0,), (0,), (0, 0, 0)) == pytest.approx(
+            1 + 1 / 4 + 1 / 24 + 1 / 192)
+        calls.clear()
+        total, rem, n = symplectic._power_sum(
+            zero, one, self.halving(calls), lambda t: math.inf, 1e-3, 12,
+            "test")
+        assert n == 5 and len(calls) == 4
+        assert total.coeff((0,), (0,), (0, 0, 0)) == pytest.approx(
+            1 + 1 / 4 + 1 / 24 + 1 / 192 + 1 / 1920)
+
+    def test_lie_series_bound_stop_skips_the_bracket(self, g11, rng):
+        F = random_real_series(g11, 1, 1, rng, n_modes=4, max_k=2, max_phi=1,
+                               max_deg=2, scale=1e-3)
+        gen = GeneratingFunction(F)
+        g = random_real_series(g11, 1, 1, rng, n_modes=6, max_k=2, max_phi=1,
+                               max_deg=3)
+        formed = []
+        real = gen.bracket_with
+        gen.bracket_with = lambda u: formed.append(real(u)) or formed[-1]
+        _, rem, n = lie_transform(g, gen)
+        # t_1 .. t_{n-1} were formed, t_n only bounded from t_{n-1}
+        assert n > 2 and len(formed) == n - 1
+        last = formed[-1].scale(1.0 / (n - 1))
+        assert rem == pytest.approx(2 * gen.bracket_bound(last) / n, rel=1e-14)
+        assert rem <= 2 * 1e-14 * majorant_norm(g)
+
+    @pytest.mark.parametrize("case", ["lie", "tail", "exp"])
+    def test_infinite_bound_is_the_formed_term_loop(self, case, g11, rng,
+                                                    monkeypatch):
+        F = random_real_series(g11, 1, 1, rng, n_modes=4, max_k=2, max_phi=1,
+                               max_deg=2, scale=1e-3)
+        gen = GeneratingFunction(F, [FTSeries.constant(g11, 1, 1, 2e-3)])
+        g = random_real_series(g11, 1, 1, rng, n_modes=6, max_k=2, max_phi=1,
+                               max_deg=3)
+        run = {"lie": lambda: lie_transform(g, gen),
+               "tail": lambda: lie_tail_integral(
+                   gen.bracket_with(g), gen, lambda n: 1.0 / (n + 2)),
+               "exp": lambda: symplectic._exp_of(
+                   gen.F.scale(10j))}[case]
+        loop, sums = symplectic._power_sum, []
+
+        def without_bound(total, term, step, bound, *args, **kwargs):
+            return loop(total, term, step, lambda t: math.inf, *args, **kwargs)
+
+        for stand_in in (without_bound, lie_oracle.power_sum):
+            def spy(*args, _loop=stand_in, **kwargs):
+                sums.append(_loop(*args, **kwargs))
+                return sums[-1]
+            monkeypatch.setattr(symplectic, "_power_sum", spy)
+            run()
+        (s1, r1, n1), (s2, r2, n2) = sums
+        assert (r1, n1) == (r2, n2)
+        assert list(s1.terms) == list(s2.terms)
+        assert np.array_equal(s1.coef, s2.coef)
+        assert s1.trunc_loss == s2.trunc_loss
 
 
 class TestMapFromGenerator:
