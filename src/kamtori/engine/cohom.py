@@ -33,9 +33,11 @@ from ..normalform import (BumpProjectionError, NormalFormTuple,
                           eval_phi_series, majorant_on_grid, mat_eval_grid,
                           nu_max_profile, phi_grid, project_phi_rows,
                           series_matrix)
-from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinate,
-                      coordinates, degrees, differentiate, freeze_phi,
-                      majorant_norm, multiply, select, taylor_split)
+from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinates,
+                      degrees, differentiate, freeze_phi, majorant_norm,
+                      multiply, select, taylor_split)
+# not used here: bench/workloads.py builds its trackers with cohom.coordinate
+from ..series import coordinate  # noqa: F401
 from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
 from ..symplectic import GeneratingFunction, poisson_bracket
 
@@ -102,16 +104,13 @@ def _reduced_hamiltonian(N, h_frozen, beta, Gamma, M):
     """N - g frozen on the grid (the constant c is irrelevant)."""
     gr = N.grading
     r, s = N.radii
-    quad = TaylorSplit(
+    return TaylorSplit(
+        b_p=[FTSeries.constant(gr, r, s, w) for w in N.w],
         d_xx=const_matrix(gr, r, s, beta),
         d_pp=const_matrix(gr, r, s, M),
         d_yy=const_matrix(gr, r, s, np.eye(gr.l)),
-        d_px=const_matrix(gr, r, s, np.swapaxes(Gamma, 1, 2))).reassemble()
-    lin = FTSeries.zero(gr, r, s)
-    for i in range(gr.d):
-        if N.w[i] != 0.0:
-            lin = lin + coordinate(gr, r, s, "p", i).scale(N.w[i])
-    return lin + quad + h_frozen
+        d_px=const_matrix(gr, r, s, np.swapaxes(Gamma, 1, 2)),
+        remainder=h_frozen).reassemble()
 
 
 def _peak(x):
@@ -135,10 +134,7 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
         lin1 = ch + poisson_bracket(Nred, A) if not A.is_zero() else ch
         sp1 = taylor_split(lin1)
         Bx, By = solve_L2(sp1.b_x, sp1.b_y, beta, witness, K_eff)
-        F1 = A
-        for i in range(l):
-            F1 = F1 + multiply(Bx[i], coordinate(gr, r, s, "x", i))
-            F1 = F1 + multiply(By[i], coordinate(gr, r, s, "y", i))
+        F1 = TaylorSplit(a=A, b_x=Bx, b_y=By).reassemble()
         lin2 = ch + poisson_bracket(Nred, F1) if not F1.is_zero() else ch
         sp2 = taylor_split(lin2)
         Bp = [solve_L1(sp2.b_p[i], witness) for i in range(d)]
@@ -217,12 +213,7 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
     for i in range(l):
         if mqby[:, i].any():
             By[i] = By[i] + mqby[:, i]
-    F_lin = A
-    for i in range(l):
-        F_lin = F_lin + multiply(Bx[i], coordinate(gr, r, s, "x", i))
-        F_lin = F_lin + multiply(By[i], coordinate(gr, r, s, "y", i))
-    for i in range(d):
-        F_lin = F_lin + multiply(Bp[i], coordinate(gr, r, s, "p", i))
+    F_lin = TaylorSplit(a=A, b_x=Bx, b_p=Bp, b_y=By).reassemble()
 
     combo = combine(channels)
     v_series = [FTSeries.constant(gr, r, s, v_pt[:, i]) for i in range(d)]

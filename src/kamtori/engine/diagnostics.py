@@ -8,8 +8,8 @@ import numpy as np
 
 from ..normalform import (eval_phi_series, mat_eval_grid, nu_max_profile,
                           phi_grid, phi_grid_size)
-from ..series import (average_q, coordinate, coordinates, differentiate,
-                      multiply, partial_omega)
+from ..series import (FTSeries, TaylorSplit, average_q, coordinates,
+                      differentiate, multiply, partial_omega)
 from ..symplectic import _CONJUGATE, SymplecticMapSeries, series_compose
 from .cohom import restrict_z0
 
@@ -25,10 +25,8 @@ def compute_zeta(state, H0_series):
     gr = state.grading
     omega = state.N.w
     r, s = state.r, state.s
-    F = H0_series.with_radii(r, s)
-    for i in range(gr.d):
-        if omega[i] != 0.0:
-            F = F - coordinate(gr, r, s, "p", i).scale(omega[i])
+    F = H0_series.with_radii(r, s) - TaylorSplit(
+        b_p=[FTSeries.constant(gr, r, s, w) for w in omega]).reassemble()
     Phi0 = _z0_map(state.Phi)
     total = restrict_z0(series_compose(F, Phi0, drop_z_identity=True))
     for i in range(gr.d):

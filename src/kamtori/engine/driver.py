@@ -19,9 +19,9 @@ import numpy as np
 from ..errors import ConvergenceError, PreconditionError
 from ..normalform import (NormalFormTuple, assemble_hamiltonian, mat_add,
                           normal_form_distance, normal_form_norm)
-from ..series import (FTSeries, average_q, ck_norm_estimate, coordinate,
-                      degrees, differentiate, majorant_norm, multiply, select,
-                      truncate_fourier)
+from ..series import (FTSeries, TaylorSplit, average_q, ck_norm_estimate,
+                      coordinate, degrees, differentiate, majorant_norm,
+                      multiply, select, truncate_fourier)
 from ..smalldiv import effective_diophantine_constant
 from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
                           compose_maps, identity_map, lie_tail_integral,
@@ -306,14 +306,9 @@ class IterateConfig:
 
 def conjugacy_residual(N0, f0, state):
     """Majorant of (N0 + f0 - <alpha_n, x>) o Phi^n - (N_n + f_n)."""
-    gr = state.grading
-    r, s = state.r, state.s
-    H0 = (assemble_hamiltonian(N0) + f0).with_radii(r, s)
-    A = FTSeries.zero(gr, r, s)
-    for i in range(gr.l):
-        if not state.alpha[i].is_zero():
-            A = A + multiply(state.alpha[i], coordinate(gr, r, s, "x", i))
-    lhs = series_compose(H0 - A, state.Phi)
+    H0 = (assemble_hamiltonian(N0) + f0).with_radii(state.r, state.s)
+    lhs = series_compose(H0 - TaylorSplit(b_x=state.alpha).reassemble(),
+                         state.Phi)
     rhs = assemble_hamiltonian(state.N) + state.f
     return majorant_norm(lhs - rhs)
 

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..normalform import eval_phi_series, mat_eval_grid, phi_grid
+from ..normalform import (eval_phi_series, mat_eval_grid, phi_grid,
+                          phi_grid_size)
 from ..series import coordinates, differentiate, evaluate_all, freeze_phi
 from ..symplectic import vector_field
 from .cohom import restrict_z0
@@ -31,7 +32,7 @@ def find_vanishing_point(zeta, alpha, beta):
     with a safeguarded step size down to gradient norm <= 1e-12.
     """
     l = zeta.grading.l
-    grid = phi_grid(l, max(64, 4 * zeta.grading.K_phi))
+    grid = phi_grid(l, phi_grid_size(zeta.grading.K_phi))
     vals = eval_phi_series(zeta, grid).real
     idx = int(np.argmax(vals))
     phi = grid[idx].copy()
@@ -93,16 +94,10 @@ def extract_torus(state, phi0):
             if defect > 1e-9 * max(1.0, u.max_abs_coeff()):
                 raise ValueError("embedding component lost reality symmetry "
                                  "(defect %.3g)" % defect)
-    qs = _qgrid(state.grading.d, 32)
+    qs = phi_grid(state.grading.d, 32)
     vec = evaluate_all([u for comps in emb.values() for u in comps], q=qs)
     dist = float(np.linalg.norm(vec, axis=1).max())
     return TorusResult(phi0=phi0, embedding=emb, distance_to_trivial=dist)
-
-
-def _qgrid(d, n):
-    axis = np.arange(n) * (2 * math.pi / n)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
 
 def verify_invariance(H, embedding, omega, grid_n=64):
@@ -121,7 +116,7 @@ def verify_invariance(H, embedding, omega, grid_n=64):
         cols.setdefault(kind, []).append(n)
     # D emb . omega: identity part contributes omega on the q-rows
     derivs = [differentiate(u, ("q", j)) for u in comps for j in range(d)]
-    qs = _qgrid(d, grid_n)
+    qs = phi_grid(d, grid_n)
     # the embedding and its q-derivatives on the grid, in one evaluation
     on_grid = evaluate_all(comps + derivs, q=qs)
     at = {kind: on_grid[:, c] for kind, c in cols.items()}

@@ -2,7 +2,6 @@
 nu_max profiling and bump-function gluing over the parameter torus."""
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -10,7 +9,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .series import (FTSeries, _l1, _phi_sums, _phi_values, _plan,
-                     ck_norm_estimate, differentiate, monomial)
+                     TaylorSplit, ck_norm_estimate, differentiate)
 
 
 # -- parameter-grid helpers --------------------------------------------------------
@@ -203,24 +202,11 @@ def assemble_hamiltonian(N):
     """c + <w,p> + 1/2<Mp,p> + 1/2<Qy,y> + <Gamma p, x> + 1/2<beta x, x> + g + h."""
     gr = N.grading
     r, s = N.radii
-    total = N.c.copy()
-    for i in range(gr.d):
-        if N.w[i] != 0.0:
-            total = total + monomial(gr, r, s, N.w[i], ("p", i))
-    # (matrix, the kinds of its rows and columns, the monomial's coefficient);
-    # the matrices of a group are summed entry by entry, interleaved (the
-    # prune floors act on each partial sum)
-    groups = [[(N.M, "p", "p", 0.5)],
-              [(N.Q, "y", "y", 0.5), (N.beta, "x", "x", 0.5)],
-              [(N.Gamma, "x", "p", 1.0)]]
-    for group in groups:
-        rows, cols = len(group[0][0]), len(group[0][0][0])
-        for i, j in itertools.product(range(rows), range(cols)):
-            for mat, a, b, coeff in group:
-                if not mat[i][j].is_zero():
-                    total = total + mat[i][j] * monomial(gr, r, s, coeff,
-                                                         (a, i), (b, j))
-    return total + N.g + N.h
+    model = TaylorSplit(
+        a=N.c, b_p=[FTSeries.constant(gr, r, s, w) for w in N.w],
+        d_xx=N.beta, d_pp=N.M, d_yy=N.Q,
+        d_px=[[N.Gamma[j][i] for j in range(gr.l)] for i in range(gr.d)])
+    return model.reassemble() + N.g + N.h
 
 
 def nu_max_profile(beta, grid):

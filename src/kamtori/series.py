@@ -1177,50 +1177,58 @@ class TaylorSplit:
     remainder: FTSeries = None
 
     def reassemble(self):
-        """Inverse of taylor_split: a + b.z + 1/2 <d z, z> + remainder,
-        coefficient-exact; a block left None is zero."""
+        """Inverse of taylor_split: a + b.z + 1/2 <d z, z> + remainder, with
+        every entry (i, j) of a symmetric block at weight 1/2 (so an
+        asymmetric block counts as its symmetric part), coefficient-exact;
+        a block left None is zero.  Each entry's trunc_loss is carried times
+        its monomial's majorant, weight x s^|exponent|, and a's and the
+        remainder's as they are."""
         some = next(v for v in vars(self).values() if v is not None)
         while isinstance(some, list):
             some = some[0]
         g = some.grading
-        index = _plan(g).T.index
+        index, pow_s = _plan(g).T.index, _plan(g).powers(some.r, some.s)[1]
         parts = [] if self.a is None else [self.a]
-        for field, i, jj, alpha, factor in _split_plan(g)[0]:
+        loss = 0.0 if self.a is None else self.a.trunc_loss
+        for field, i, jj, alpha, weight in _split_plan(g)[0]:
             block = getattr(self, field)
             if block is not None:
                 e = block[i][jj] if field[0] == "d" else block[i]
                 parts.append((e.ij, e.ik, np.full(len(e.it), index[alpha]),
-                              e.coef * (1.0 / factor)))
+                              e.coef * weight))
+                if e.trunc_loss:
+                    loss += e.trunc_loss * (weight * pow_s[sum(alpha)])
         if self.remainder is not None:
             parts.append(self.remainder)
-        return _merge(g, some.r, some.s, parts,
-                      0.0 if self.a is None else self.a.trunc_loss, 0.0)
+            loss += self.remainder.trunc_loss
+        return _merge(g, some.r, some.s, parts, loss, 0.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _split_plan(g):
     """The TaylorSplit entries of degrees 1 and 2 in reassembly order, as
-    (field, i, j, exponent, factor): the entry holds factor x the
-    coefficient of that exponent; and for each exponent of degree <= 2 the
-    entries (field, i, j, factor) taylor_split fills from it."""
+    (field, i, j, exponent, weight): the entry times weight is its share of
+    the coefficient of that exponent; and for each exponent of degree <= 2
+    the entries (field, i, j, factor) taylor_split fills from it, each with
+    factor x the coefficient, so that the shares add up to it."""
     dims = _sizes(g)
     alpha = lambda *variables: _exponent(g, variables)
     entries = [("b_" + n, i, 0, alpha((n, i)), 1.0)
                for n, i in coordinates(g)[g.d:]]
-    # diagonal blocks: 1/2 <d_xx x, x> = sum_i d_xx[i][i]/2 x_i^2
-    #                                    + sum_{i<j} d_xx[i][j] x_i x_j
-    entries += [("d_" + 2 * n, i, jj, alpha((n, i), (n, jj)), 2.0 if i == jj else 1.0)
-                for n in "xpy" for i in range(dims[n]) for jj in range(i, dims[n])]
+    # symmetric blocks: 1/2 <d z, z> = sum_{i,j} d[i][j]/2 z_i z_j
+    entries += [("d_" + 2 * n, i, jj, alpha((n, i), (n, jj)), 0.5)
+                for n in "xpy" for i in range(dims[n]) for jj in range(dims[n])]
     # cross blocks carry the full monomial coefficient once
     entries += [("d_xy", i, jj, alpha(("x", i), ("y", jj)), 1.0)
                 for i in range(g.l) for jj in range(g.l)]
     entries += [("d_p" + n, i, jj, alpha(("p", i), (n, jj)), 1.0)
                 for i in range(g.d) for jj in range(g.l) for n in "xy"]
+    shares = {}
+    for *_, a, weight in entries:
+        shares[a] = shares.get(a, 0.0) + weight
     fills = {(0,) * g.nz: [("a", 0, 0, 1.0)]}
-    for field, i, jj, a, factor in entries:
-        fills.setdefault(a, []).append((field, i, jj, factor))
-        if field in ("d_xx", "d_pp", "d_yy") and i != jj:
-            fills[a].append((field, jj, i, factor))
+    for field, i, jj, a, weight in entries:
+        fills.setdefault(a, []).append((field, i, jj, 1.0 / shares[a]))
     return entries, fills
 
 

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .series import (FTSeries, _bracket, _bracket_halves, _bracket_pairs,
-                     _kept, _l1, _majorants, _partial, _plan,
+from .series import (FTSeries, TaylorSplit, _bracket, _bracket_halves,
+                     _bracket_pairs, _kept, _l1, _majorants, _partial, _plan,
                      ck_norm_estimate, coordinate, coordinates, differentiate,
-                     ft_sum, majorant_norm, monomial, multiply)
+                     ft_sum, majorant_norm, multiply)
 
 DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
@@ -589,16 +589,13 @@ def sigma_cos(mode, amplitude=1.0, powers=None):
             SigmaTerm(tuple(-v for v in mode), powers, 0.5 * amplitude)]
 
 
-def _taylor_exp_vector(grading, r, s, variables, coefvec, max_deg):
-    """Taylor polynomial of exp(i sum_j coefvec[j] z_j) over the listed ball
-    variables z_j."""
-    u = FTSeries.zero(grading, r, s)
-    for var, cj in zip(variables, coefvec):
-        if cj != 0.0:
-            u = u + monomial(grading, r, s, 1j * cj, var)
+def _taylor_exp_vector(grading, r, s, coefvec):
+    """Taylor polynomial of exp(i sum_j coefvec[j] x_j) to degree D."""
+    u = TaylorSplit(b_x=[FTSeries.constant(grading, r, s, 1j * cj)
+                         for cj in coefvec]).reassemble()
     total = FTSeries.constant(grading, r, s, 1.0)
     term = FTSeries.constant(grading, r, s, 1.0)
-    for n in range(1, max_deg + 1):
+    for n in range(1, grading.D + 1):
         term = multiply(term, u).scale(1.0 / n)
         if term.is_zero():
             break
@@ -608,16 +605,10 @@ def _taylor_exp_vector(grading, r, s, variables, coefvec, max_deg):
 
 def _action_substitution(grading, r, s, T):
     """Linear action substitution old_I = T . (p, y): returns replacement series."""
-    d, l = grading.d, grading.l
-    actions = [("p", i) for i in range(d)] + [("y", i) for i in range(l)]
-    reps = []
-    for row in T:
-        u = FTSeries.zero(grading, r, s)
-        for var, t in zip(actions, row):
-            if t != 0.0:
-                u = u + monomial(grading, r, s, t, var)
-        reps.append(u)
-    return reps
+    d = grading.d
+    const = lambda row: [FTSeries.constant(grading, r, s, t) for t in row]
+    return [TaylorSplit(b_p=const(row[:d]), b_y=const(row[d:])).reassemble()
+            for row in T]
 
 
 def sigma_to_parametrized(terms, d, l, grading, r, s, K=None, shear_S=None,
@@ -653,7 +644,6 @@ def sigma_to_parametrized(terms, d, l, grading, r, s, K=None, shear_S=None,
         action_T = action_T @ norm_T
     reps = _action_substitution(grading, r, s, action_T)
     Sn_inv = None if x_scale is None else np.linalg.inv(np.asarray(x_scale, dtype=float))
-    x_vars = [("x", i) for i in range(l)]
     out = FTSeries.zero(grading, r, s)
     for t in sorted(terms, key=lambda t: (t.mode, t.powers)):
         mode = np.asarray(t.mode, dtype=int)
@@ -670,8 +660,7 @@ def sigma_to_parametrized(terms, d, l, grading, r, s, K=None, shear_S=None,
         if Sn_inv is not None:
             cvec = Sn_inv.T @ cvec
         if np.any(cvec != 0.0):
-            piece = multiply(piece, _taylor_exp_vector(
-                grading, r, s, x_vars, cvec, grading.D))
+            piece = multiply(piece, _taylor_exp_vector(grading, r, s, cvec))
         for a_idx, n in enumerate(t.powers):
             for _ in range(n):
                 piece = multiply(piece, reps[a_idx])

@@ -671,22 +671,29 @@ class TaylorSplit:
     remainder: FTSeries
 
     def reassemble(self):
-        """Inverse of taylor_split: a + b.z + 1/2 <d z, z> + remainder, coefficient-exact."""
-        g = self.a.grading
+        """Inverse of taylor_split: a + b.z + 1/2 <d z, z> + remainder, with
+        every entry of a symmetric block at weight 1/2, coefficient-exact;
+        each block's trunc_loss is carried times its monomial's majorant
+        weight s^|exponent|, with a's and the remainder's."""
+        g, s = self.a.grading, self.a.s
         terms = dict(self.a.terms)
+        loss = self.a.trunc_loss
 
         def add(key, c):
             cur = terms.get(key)
             terms[key] = c if cur is None else cur + c
 
-        for field, i, jj, alpha, factor in _split_plan(g)[0]:
+        for field, i, jj, alpha, weight in _split_plan(g)[0]:
             entry = getattr(self, field)[i]
-            for (j, k, _a), c in (entry[jj] if field[0] == "d" else entry).terms.items():
-                add((j, k, alpha), c * (1.0 / factor))
+            if field[0] == "d":
+                entry = entry[jj]
+            for (j, k, _a), c in entry.terms.items():
+                add((j, k, alpha), c * weight)
+            loss += entry.trunc_loss * weight * s ** sum(alpha)
         for key, c in self.remainder.terms.items():
             add(key, c)
-        total = FTSeries(g, self.a.r, self.a.s, terms, self.a.trunc_loss,
-                         _raw=True)
+        total = FTSeries(g, self.a.r, s, terms,
+                         loss + self.remainder.trunc_loss, _raw=True)
         total._prune(0.0)
         return total
 
@@ -694,9 +701,10 @@ class TaylorSplit:
 @functools.lru_cache(maxsize=None)
 def _split_plan(g):
     """The TaylorSplit entries of degrees 1 and 2 in reassembly order, as
-    (field, i, j, exponent, factor): the entry holds factor x the
-    coefficient of that exponent; and for each exponent of degree <= 2 the
-    entries (field, i, j, factor) taylor_split fills from it."""
+    (field, i, j, exponent, weight): the entry times weight is its share of
+    the coefficient of that exponent; and for each exponent of degree <= 2
+    the entries (field, i, j, factor) taylor_split fills from it with factor
+    x the coefficient."""
     dims = {"x": g.l, "p": g.d, "y": g.l}
     position = {v: p for p, v in enumerate(
         (n, i) for n in "xpy" for i in range(dims[n]))}
@@ -709,20 +717,20 @@ def _split_plan(g):
 
     entries = [("b_" + n, i, 0, alpha((n, i)), 1.0)
                for n in "xpy" for i in range(dims[n])]
-    # diagonal blocks: 1/2 <d_xx x, x> = sum_i d_xx[i][i]/2 x_i^2
-    #                                    + sum_{i<j} d_xx[i][j] x_i x_j
-    entries += [("d_" + 2 * n, i, jj, alpha((n, i), (n, jj)), 2.0 if i == jj else 1.0)
-                for n in "xpy" for i in range(dims[n]) for jj in range(i, dims[n])]
+    # symmetric blocks: 1/2 <d_xx x, x> = sum_{i,j} d_xx[i][j]/2 x_i x_j, so
+    # x_i^2 fills d_xx[i][i] with twice its coefficient and x_i x_j (i != j)
+    # fills both d_xx[i][j] and d_xx[j][i] with it
+    entries += [("d_" + 2 * n, i, jj, alpha((n, i), (n, jj)), 0.5)
+                for n in "xpy" for i in range(dims[n]) for jj in range(dims[n])]
     # cross blocks carry the full monomial coefficient once
     entries += [("d_xy", i, jj, alpha(("x", i), ("y", jj)), 1.0)
                 for i in range(g.l) for jj in range(g.l)]
     entries += [("d_p" + n, i, jj, alpha(("p", i), (n, jj)), 1.0)
                 for i in range(g.d) for jj in range(g.l) for n in "xy"]
     fills = {(0,) * g.nz: [("a", 0, 0, 1.0)]}
-    for field, i, jj, a, factor in entries:
+    for field, i, jj, a, weight in entries:
+        factor = 2.0 if weight == 0.5 and i == jj else 1.0
         fills.setdefault(a, []).append((field, i, jj, factor))
-        if field in ("d_xx", "d_pp", "d_yy") and i != jj:
-            fills[a].append((field, jj, i, factor))
     return entries, fills
 
 

@@ -1,11 +1,13 @@
-"""Every function the benchmark traces by name still exists, and every
-workload builds its problem.
+"""Every function the benchmark traces by name still exists, every
+library name the workloads read resolves, and every workload builds its
+problem.
 
 bench/tracing.py wraps the functions in its TARGETS list, and
-bench/workloads.py reads library names while it builds each problem; a
-renamed or deleted one would only fail a later benchmark run. Both are
-loaded here from their files (and not changed)."""
+bench/workloads.py reads library names while it builds, solves and checks
+each problem; a renamed or deleted one would only fail a later benchmark
+run. Both are loaded here from their files (and not changed)."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -44,3 +46,31 @@ def test_workload_setup_runs(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)          # threedof-cli's setup changes into it
     problem = _load("workloads").WORKLOADS[name].setup(101, str(tmp_path))
     assert len(problem["points"])
+
+
+def _workload_reads():
+    """The (module, attribute) pairs of every `alias.attr` read in
+    bench/workloads.py on an alias of a kamtori module."""
+    with open(os.path.join(BENCH, "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name.startswith("kamtori.")}
+    return sorted({(aliases[node.value.id], node.attr)
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in aliases})
+
+
+def test_workloads_read_some_library_names():
+    reads = _workload_reads()
+    assert ("kamtori.engine.cohom", "coordinate") in reads
+    assert ("kamtori.normalform", "phi_grid_size") in reads
+
+
+@pytest.mark.parametrize("modname, attr", _workload_reads(),
+                         ids=lambda v: str(v))
+def test_workload_read_resolves(modname, attr):
+    assert hasattr(importlib.import_module(modname), attr), \
+        "%s.%s" % (modname, attr)

@@ -17,8 +17,8 @@ from kamtori.engine.cohom import (CohomologyError, coordinate, freeze_phi,
 from kamtori.engine.driver import (IterateConfig, IterationState, c2_norm,
                                    conjugacy_residual)
 from kamtori.normalform import (assemble_hamiltonian, const_matrix,
-                                eval_phi_series, initial_tuple, tuple_to_json)
-from kamtori.engine.torus import _qgrid
+                                eval_phi_series, initial_tuple, phi_grid,
+                                phi_grid_size, tuple_to_json)
 from kamtori.errors import PreconditionError
 from kamtori.series import (FTSeries, Grading, RealityError, average_q,
                             differentiate, evaluate, from_json_dict,
@@ -688,6 +688,14 @@ class TestVanishingPoint:
         assert phi_a[0] == pytest.approx(phi_b[0], abs=1e-10)
         assert phi_a[0] == pytest.approx(phi_c[0], abs=1e-10)
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_searches_the_zeta_csv_grid(self, l):
+        # K_phi = 16, the CLI default: phi_grid_size is 65, not 4 K_phi
+        gr = Grading(d=1, l=l, K_q=1, K_phi=16, D=3)
+        zeta = FTSeries.cos_angle(gr, 1, 1, (1,) + (0,) * (l - 1), (0,))
+        _phi0, info = find_vanishing_point(zeta, None, None)
+        assert len(info["zeta_values"]) == phi_grid_size(16) ** l == 65 ** l
+
 
 class TestTorus:
     def test_trivial_embedding_for_zero_perturbation(self):
@@ -956,7 +964,6 @@ class TestCollocationGrid:
 
     def test_sizes(self):
         from kamtori.engine.cohom import collocation_size
-        from kamtori.normalform import phi_grid_size
         assert collocation_size(small_grading()) == 32
         assert collocation_size(Grading(d=1, l=1, K_q=6, K_phi=16,
                                         D=4)) == 65
@@ -1332,7 +1339,7 @@ def verify_pointwise(H, embedding, omega, grid_n):
     comps = uq + ux + up + uy
     derivs = [[differentiate(u, ("q", j)) for j in range(d)] for u in comps]
     worst, scale = 0.0, 0.0
-    for q0 in _qgrid(d, grid_n):
+    for q0 in phi_grid(d, grid_n):
         qv = q0 + np.array([evaluate_terms(u, q0) for u in uq])
         xv = np.array([evaluate_terms(u, q0) for u in ux])
         pv = np.array([evaluate_terms(u, q0) for u in up])
@@ -1379,7 +1386,7 @@ class TestGridEvaluation:
                           64) > 0.0
         comps = [u for us in tor.embedding.values() for u in us]
         dist = max(float(np.linalg.norm([evaluate_terms(u, q0) for u in comps]))
-                   for q0 in _qgrid(gr.d, 32))
+                   for q0 in phi_grid(gr.d, 32))
         assert tor.distance_to_trivial == pytest.approx(dist, rel=1e-14,
                                                         abs=0.0)
 
@@ -1395,7 +1402,7 @@ class TestGridEvaluation:
     def test_shapes_and_reality_check(self, rng):
         gr = Grading(d=2, l=1, K_q=4, K_phi=0, D=4)
         f = random_real_series(gr, 1, 1, rng, max_k=2, max_phi=0)
-        qs = _qgrid(2, 5).reshape(5, 5, 2)
+        qs = phi_grid(2, 5).reshape(5, 5, 2)
         grid = evaluate(f, q=qs, x=[0.1])
         assert grid.shape == (5, 5)
         assert grid[2, 3] == pytest.approx(evaluate_terms(f, qs[2, 3], 0.1),

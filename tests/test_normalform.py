@@ -35,6 +35,40 @@ class TestAssembly:
         assert (sp.d_px[0][0] - Gamma[0][0]).max_abs_coeff() < 1e-15
         assert (sp.d_pp[0][0] + FTSeries.constant(g11, 1, 1, 1.0)).max_abs_coeff() < 1e-15
 
+    M_ASYM = [[-1.0, 0.3], [0.2, 2.0]]   # M01 != M10
+
+    def lossy_tuple(self):
+        """A d = 2 tuple with an asymmetric M whose beta, Gamma, M and Q
+        entries carry trunc_loss; returns it with the loss the products
+        entry x monomial carried: each entry's loss times the monomial's
+        majorant |coeff| s^2, summed."""
+        gr = Grading(d=2, l=1, K_q=2, K_phi=2, D=3)
+        r, s = 1.0, 0.7
+        N = initial_tuple(gr, r, s, [GOLDEN, 1.0], self.M_ASYM, Q0=[[1.5]])
+        N.beta = const_matrix(gr, r, s, [[0.4]])
+        N.Gamma = [[FTSeries.cos_angle(gr, r, s, (1,), (0, 0), 0.2),
+                    FTSeries.constant(gr, r, s, -0.1)]]
+        want = 0.0
+        for n, (name, coeff) in enumerate((("M", 0.5), ("Q", 0.5),
+                                           ("beta", 0.5), ("Gamma", 1.0))):
+            for i, row in enumerate(getattr(N, name)):
+                for j, entry in enumerate(row):
+                    entry.trunc_loss = 1e-9 * (n + 1) * (i + 2 * j + 1)
+                    want += entry.trunc_loss * coeff * s ** 2
+        return N, want
+
+    def test_blocks_carry_their_loss(self):
+        N, want = self.lossy_tuple()
+        assert assemble_hamiltonian(N).trunc_loss == pytest.approx(want,
+                                                                   rel=1e-14)
+
+    def test_asymmetric_M_counts_as_its_symmetric_part(self):
+        # 1/2 <M p, p> puts (M01 + M10)/2 on p0 p1, not the upper entry
+        N, _ = self.lossy_tuple()
+        H = assemble_hamiltonian(N)
+        M = self.M_ASYM
+        assert H.coeff((0,), (0, 0), (0, 1, 1, 0)) == (M[0][1] + M[1][0]) / 2
+
     def test_linear_in_tuple(self, g11):
         N1 = initial_tuple(g11, 1, 1, [1.0], [[-1.0]])
         N2 = initial_tuple(g11, 1, 1, [2.0], [[-3.0]])
