@@ -4,7 +4,6 @@ Subcommands:
   reduce --config c.json            integer/shear reduction to the model form
   run    --config c.json           full pipeline: schedule, iteration, torus
   verify --torus t.json --problem p.json --grid n
-  zeta   --config c.json --out profile.csv
 
 Exit codes: 0 success, 2 precondition failure, 3 convergence failure, 4 I/O;
 each is the base class (kamtori.errors) of the failure that ended the run.
@@ -246,10 +245,12 @@ def _write_zeta_csv(path, rows, l):
         raise ArtifactIOError("cannot write %s: %s" % (path, exc)) from exc
 
 
-def _solve(cfg):
+def _pipeline(cfg):
     """Reduce (unless reduced.json was written from this very problem and
-    truncation), iterate and compute zeta."""
-    reduced_path = cfg.get("outputs", {}).get("reduced_path", "reduced.json")
+    truncation), iterate, compute zeta, extract and verify the torus, and
+    write history.json, zeta.csv and torus.json."""
+    outputs = cfg.get("outputs", {})
+    reduced_path = outputs.get("reduced_path", "reduced.json")
     data = _read_json(reduced_path) if os.path.exists(reduced_path) else None
     if data is None or data.get("config_sha256") != _config_sha256(cfg):
         cmd_reduce(cfg, reduced_path)
@@ -269,13 +270,6 @@ def _solve(cfg):
     state, history = iterate(N0, prob["f0"], it_cfg)
     H0 = assemble_hamiltonian(N0) + prob["f0"]
     zeta = compute_zeta(state, H0)
-    return prob, H0, state, history, zeta, target_tol
-
-
-def _pipeline(cfg):
-    prob, H0, state, history, zeta, target_tol = _solve(cfg)
-    grading = prob["grading"]
-    outputs = cfg.get("outputs", {})
     phi0, info = find_vanishing_point(zeta, state.alpha, state.N.beta)
     torus = extract_torus(state, phi0)
     Hbar = freeze_phi(H0, phi0)
@@ -371,18 +365,6 @@ def cmd_verify(torus_path, problem_path, grid_n):
     return EXIT_OK
 
 
-def cmd_zeta(cfg, out):
-    prob, _H0, state, history, zeta, _tol = _solve(cfg)
-    grading = prob["grading"]
-    _write_zeta_csv(out, _zeta_rows(zeta, state.alpha, state.N.beta, grading),
-                    grading.l)
-    print("wrote zeta profile: %s" % out)
-    if history.get("failure"):
-        print("iteration stopped early: %s" % history["failure"]["reason"])
-        return EXIT_CONVERGENCE
-    return EXIT_OK
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="kamtori",
@@ -397,9 +379,6 @@ def main(argv=None):
     p_ver.add_argument("--torus", required=True)
     p_ver.add_argument("--problem", default=None)
     p_ver.add_argument("--grid", type=int, default=64)
-    p_zeta = sub.add_parser("zeta", help="emit the zeta/alpha/nu profile CSV")
-    p_zeta.add_argument("--config", required=True)
-    p_zeta.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     try:
         max_threads()
@@ -410,8 +389,6 @@ def main(argv=None):
             return cmd_run(_read_json(args.config))
         if args.command == "verify":
             return cmd_verify(args.torus, args.problem, args.grid)
-        if args.command == "zeta":
-            return cmd_zeta(_read_json(args.config), args.out)
     except PreconditionError as exc:
         print("precondition failure: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION

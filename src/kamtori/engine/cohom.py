@@ -6,9 +6,9 @@ function F and a correction tuple Nbar (with w = 0, Q = 0) such that
 
     f - <alpha, phi_x> + {N - g(N), F + v.q} = T(Nbar)
 
-holds on the sublevel region of beta, glued to the whole parameter torus by a
-bump factor.  The equation carries no parameter derivatives, so every
-parameter collocation point is an independent problem of the same
+holds at every point of the parameter collocation grid, which the sublevel
+region of beta must cover.  The equation carries no parameter derivatives,
+so every collocation point is an independent problem of the same
 structure; the construction runs once for all of them, on series frozen at
 the grid points whose coefficients carry one entry per point (batched
 series, see kamtori.series), with batched linear solves for the per-point
@@ -22,15 +22,13 @@ side off the exact series residual so far.  One FFT over the grid axes
 projects the per-point results back onto parameter modes.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConvergenceError
-from ..normalform import (BumpProjectionError, NormalFormTuple,
-                          assemble_hamiltonian, bump_psi, const_matrix,
-                          eval_phi_series, majorant_on_grid, mat_eval_grid,
+from ..normalform import (NormalFormTuple, assemble_hamiltonian,
+                          const_matrix, majorant_on_grid, mat_eval_grid,
                           nu_max_profile, phi_grid, project_phi_rows,
                           series_matrix)
 from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinates,
@@ -41,9 +39,7 @@ from ..series import coordinate  # noqa: F401
 from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
 from ..symplectic import GeneratingFunction, poisson_bracket
 
-PSI_SOLVE_FLOOR = 1e-12
 COND_CAP = 1e8
-BUMP_GRID_CAP = 4096     # total points of the bump's parameter grid
 
 
 def collocation_size(gr):
@@ -278,29 +274,28 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
 _NUMERIC = ("alpha", "v", "cbar", "bbar", "Gbar", "Mbar")
 
 
-def _project(res, active, weights, l, size, gr, r, s):
-    """Weight the per-point results and project them onto parameter modes,
-    with one FFT over the grid axes for every coefficient at once.
+def _project(res, l, size, gr, r, s):
+    """Project the per-point results onto parameter modes, with one FFT over
+    the grid axes for every coefficient at once.
 
     Returns ({name: phi-only series or matrix of them} for the numeric
     results, {name: series} for F and hbar, the largest projection defect).
     """
     plan = _plan(gr)
-    w_act = weights[active]
-    numeric = [res[name].reshape(len(w_act), -1).T for name in _NUMERIC]
+    numeric = [res[name].reshape(size ** l, -1).T for name in _NUMERIC]
     series = [res["F"], res["hbar"]]
     # one row per numeric column, then one per term of F and of hbar (each
     # coefficient of a series is frozen: its terms all have j = 0)
     bounds = np.cumsum([0] + [len(v) for v in numeric]
                        + [len(f.coef) for f in series])
-    rows = np.zeros((bounds[-1], size ** l), dtype=complex)
+    rows = np.empty((bounds[-1], size ** l), dtype=complex)
     floors = np.empty(len(rows))
     # a number gets its own coefficient floor; a series one for all its keys
     peaks = [None] * len(numeric) + [_peak(f.max_abs_coeff()) for f in series]
     for n, (vals, peak) in enumerate(zip(numeric + [f.coef for f in series],
                                          peaks)):
         block = rows[bounds[n]:bounds[n + 1]]
-        block[:, active] = (vals if vals.ndim == 2 else vals[:, None]) * w_act
+        block[:] = vals if vals.ndim == 2 else vals[:, None]
         floors[bounds[n]:bounds[n + 1]] = 1e-16 * (
             np.abs(block).max(axis=1) if peak is None else peak)
     modes, coeffs, kept, defects = project_phi_rows(rows, l, size, gr.K_phi,
@@ -335,12 +330,19 @@ def _project(res, active, weights, l, size, gr, r, s):
 
 def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
                         K_eff=None, grid_size=None):
-    """Full construction glued over the parameter torus.
+    """Full construction on every point of the parameter collocation grid.
+
+    The solve needs the sublevel region of beta to cover the grid: the
+    source paper's bump over nu_max(beta) equals one wherever nu_max(beta)
+    < t1 + a (levels t1 = 2 delta_plus, t2 = 3 delta_plus, scale a =
+    (t2 - t1) / 4), so there it glues nothing and every point has unit
+    weight.  Any other beta is refused with a CohomologyError naming the
+    first uncovered point, before any per-point work.
 
     Returns a CohomSolution whose residual_plateau field is the majorant of
-    the defect g-slot of Nbar over the region where the bump equals one; the
-    caller checks it against the majorant of f.  The per-point construction
-    runs on grid_size points per axis, collocation_size(gr) by default.
+    the defect g-slot of Nbar over the grid; the caller checks it against
+    the majorant of f.  The per-point construction runs on grid_size points
+    per axis, collocation_size(gr) by default.
     """
     gr = f.grading
     l, d = gr.l, gr.d
@@ -355,48 +357,19 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
             if dev > 1e-10:
                 raise CohomologyError("tuple must have Q = I before the solve")
     size = grid_size or collocation_size(gr)
-    grid = phi_grid(l, size)
+    pts = phi_grid(l, size)
     try:
-        nu = nu_max_profile(N.beta, grid)
+        nu = nu_max_profile(N.beta, pts)
     except ValueError as exc:
         raise CohomologyError(str(exc)) from exc
-    t1, t2 = 2.0 * delta_plus, 3.0 * delta_plus
-    a_scale = (t2 - t1) / 4.0
-    if np.all(nu < t1 + a_scale):
-        psi_back = np.ones(len(grid))
-    elif np.all(nu >= t1 + a_scale):
+    level = 2.25 * delta_plus
+    bad = nu >= level
+    if bad.any():
         raise CohomologyError(
-            "sublevel region empty: min nu_max(beta) = %.3g >= %.3g"
-            % (float(np.min(nu)), t1 + a_scale))
-    else:
-        # the grid the bump asks for, clipped to the cap on its total points;
-        # bump_psi needs a spacing of at most a/2, checked here before
-        # anything is allocated
-        need = int(math.ceil(2 * math.pi / (a_scale / 4.0)))
-        per_axis = int(round(BUMP_GRID_CAP ** (1.0 / l)))
-        per_axis -= per_axis ** l > BUMP_GRID_CAP
-        fine_size = max(size, min(need, per_axis))
-        if 2 * math.pi / fine_size > a_scale / 2:
-            raise BumpProjectionError(
-                "the bump needs a %d-point parameter grid per axis, %d points "
-                "in all, over the cap of %d points (scale a=%.3g)"
-                % (need, need ** l, BUMP_GRID_CAP, a_scale))
-        fine = phi_grid(l, fine_size) if fine_size != size else grid
-        try:
-            nu_fine = nu_max_profile(N.beta, fine) if fine_size != size \
-                else nu
-        except ValueError as exc:
-            raise CohomologyError(str(exc)) from exc
-        psi, _vals = bump_psi(fine, nu_fine, t1, t2, gr, r, s)
-        psi_back = eval_phi_series(psi, grid).real
-    plateau = nu < t1
-
-    weights = psi_back.copy()
-    weights[weights <= PSI_SOLVE_FLOOR] = 0.0
-    active = np.flatnonzero(weights)
-    if not len(active):
-        raise CohomologyError("the bump vanishes on every grid point")
-    pts = grid[active]
+            "sublevel region does not cover the collocation grid: nu_max(beta)"
+            " = %.3g >= level t1 + a = %.3g on %d of %d points%s"
+            % (nu[np.argmax(bad)], level, np.count_nonzero(bad), len(pts),
+               _at_point(pts, bad)))
     try:
         beta = mat_eval_grid(N.beta, pts, symmetric_tol=1e-8)
         Gamma = mat_eval_grid(N.Gamma, pts)
@@ -415,12 +388,13 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
         raise SolverPreconditionError(
             "%s (at parameter grid point %s)" % (exc, pts[exc.entry])) from exc
 
-    scal, ser, proj_defect = _project(res, active, weights, l, size, gr, r, s)
+    scal, ser, proj_defect = _project(res, l, size, gr, r, s)
     alpha_g, v_g, cbar_g = scal["alpha"], scal["v"], scal["cbar"]
     beta_g, Gamma_g, M_g = scal["bbar"], scal["Gbar"], scal["Mbar"]
     F_g, hbar_g = ser["F"], ser["hbar"]
 
-    # global defect slot: everything the glued representatives fail to match
+    # global defect slot: everything the projected representatives fail to
+    # match
     Nred_glob = assemble_hamiltonian(N) - N.g - N.c
     gen_g = GeneratingFunction(F_g, v_g)
     lhs = f.copy()
@@ -436,19 +410,16 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
         w=np.zeros(d), c=cbar_g, beta=beta_g, Gamma=Gamma_g, M=M_g,
         Q=series_matrix(gr, r, s, l, l), g=gbar, h=hbar_g)
 
-    on_plateau = grid[plateau]
-    resid_plateau = _peak(majorant_on_grid(gbar, on_plateau)) \
-        if len(on_plateau) else 0.0
-    # tracker condition residual on the plateau
+    resid_plateau = _peak(majorant_on_grid(gbar, pts))
+    # tracker condition residual on the grid
     tracker_resid = 0.0
     for i in range(l):
         cond_ser = average_q(restrict_z0(phi_x[i] + gen_g.bracket_with(phi_x[i])))
-        if len(on_plateau):
-            tracker_resid = max(tracker_resid,
-                                _peak(majorant_on_grid(cond_ser, on_plateau)))
+        tracker_resid = max(tracker_resid,
+                            _peak(majorant_on_grid(cond_ser, pts)))
 
     return CohomSolution(
-        alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, grid=grid,
+        alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, grid=pts,
         residual_plateau=resid_plateau, residual_tracker=tracker_resid,
         linear_defect=res["lin_defect"],
         zero_mode_obstruction=res["obstruction"], max_condition=res["cond"],

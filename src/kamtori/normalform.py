@@ -1,5 +1,7 @@
 """Normal-form tuples, their Hamiltonian assembly, sublevel-set predicates,
-nu_max profiling and bump-function gluing over the parameter torus."""
+nu_max profiling and the source paper's bump over the parameter torus (which
+the cohomological solve does not call: it needs beta inside the bump's
+plateau on its whole grid)."""
 
 import functools
 import math

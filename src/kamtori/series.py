@@ -18,7 +18,7 @@ their majorant mass is accumulated in ``trunc_loss``.
 
 A coefficient may also be a length-B complex array: the series then stands
 for B series with one shared key set (one per parameter grid point in the
-glued cohomological solve), and the coefficients form an (n, B) array.  The
+cohomological solve), and the coefficients form an (n, B) array.  The
 coefficient-wise operations carry them as they are; the reductions (pruning,
 ``max_abs_coeff``, ``majorant_norm``) act per entry, and ``trunc_loss``
 bounds the loss of every entry.

@@ -22,7 +22,7 @@ run through per-grading index-pair tables (``_Plan``) on per-dict ``_arrays``.
 
 A coefficient may also be a length-B complex array: the series then stands
 for B series with one shared key set (one per parameter grid point in the
-glued cohomological solve).  The coefficient-wise operations carry arrays as
+cohomological solve).  The coefficient-wise operations carry arrays as
 they are; the reductions (pruning, ``max_abs_coeff``, ``majorant_norm``) act
 per entry, and ``trunc_loss`` bounds the loss of every entry.
 """

@@ -1,4 +1,4 @@
-"""The projection of the glued cohomological solve's per-point results onto
+"""The projection of the cohomological solve's per-point results onto
 parameter modes as it was before it read the coefficient arrays: one grid
 row per numeric column and per term of F and hbar (walked as a dict), one
 {j: c} dict per row back from the FFT, and series built from dicts.
@@ -40,23 +40,22 @@ def project_phi_rows(rows, l, size, K_phi, floors):
     return out, defect
 
 
-def project(res, active, weights, l, size, gr, r, s):
+def project(res, l, size, gr, r, s):
     """({name: phi-only series or matrix of them} for the numeric results,
     {name: series} for F and hbar, the largest projection defect)."""
     npts = size ** l
-    w_act = weights[active]
     rows, floors, slots = [], [], []
 
     def add_row(vals, slot, floor=None):
         row = np.zeros(npts, dtype=complex)
-        row[active] = vals * w_act
+        row[:] = vals
         rows.append(row)
         floors.append(1e-16 * np.abs(row).max() if floor is None else floor)
         slots.append(slot)
 
     # a number gets its own coefficient floor; a series one for all its keys
     for name in NUMERIC:
-        vals = res[name].reshape(len(w_act), -1)
+        vals = res[name].reshape(npts, -1)
         for col in range(vals.shape[1]):
             add_row(vals[:, col], (name, col))
     for name in ("F", "hbar"):

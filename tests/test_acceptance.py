@@ -150,6 +150,7 @@ def _sym_beta(rng, l, cap):
     return B
 
 
+@pytest.mark.slow
 def test_criterion_3_solver_oracle_equivalence():
     rng = np.random.default_rng(31)
     t0 = time.time()

@@ -131,6 +131,9 @@ class TestRun:
         csv = (tmp_path / "zeta.csv").read_text().splitlines()
         assert csv[0] == "phi1,zeta,alpha_norm,nu_max_beta"
         assert len(csv) == 1 + 65
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in csv[1:]])
+        # zeta is the averaged perturbation profile eps*cos(phi)
+        assert np.max(np.abs(rows[:, 1] - 1e-4 * np.cos(rows[:, 0]))) < 1e-12
 
     def test_zero_amplitude_trivial(self, tmp_path):
         path, cfg = flagship_config(tmp_path, eps=0.0)
@@ -201,6 +204,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert "perturbation too large to schedule" in err
         assert "glue level delta_plus" in err
+
+    def test_early_stop_writes_profile_and_exits_3(self, tmp_path,
+                                                   monkeypatch, capsys):
+        real = cli.iterate
+
+        def stopped(N0, f0, config=None):
+            state, history = real(N0, f0, config)
+            history["failure"] = {"n": state.n, "reason": "tuple drift",
+                                  "measures": {}}
+            return state, history
+        monkeypatch.setattr(cli, "iterate", stopped)
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_CONVERGENCE
+        assert (tmp_path / "zeta.csv").read_text().startswith(
+            "phi1,zeta,alpha_norm,nu_max_beta")
+        assert "iteration stopped early: tuple drift" in capsys.readouterr().out
 
     def test_determinism_byte_identical(self, tmp_path):
         path, cfg = flagship_config(tmp_path)
@@ -297,44 +316,6 @@ class TestVerify:
         bad = tmp_path / "bad_torus.json"
         bad.write_text(json.dumps({"phi0": [0.0], "omega": [1.0]}))
         assert main(["verify", "--torus", str(bad), "--grid", "8"]) == EXIT_IO
-
-
-class TestZetaCommand:
-    def test_profile_emitted(self, tmp_path):
-        path, cfg = flagship_config(tmp_path)
-        out = tmp_path / "profile.csv"
-        assert main(["zeta", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[0] == "phi1,zeta,alpha_norm,nu_max_beta"
-        rows = np.array([[float(v) for v in ln.split(",")]
-                         for ln in lines[1:]])
-        # zeta is the averaged perturbation profile eps*cos(phi)
-        assert np.max(np.abs(rows[:, 1] - 1e-4 * np.cos(rows[:, 0]))) < 1e-12
-
-    def test_early_stop_writes_profile_and_exits_3(self, tmp_path,
-                                                   monkeypatch, capsys):
-        real = cli.iterate
-
-        def stopped(N0, f0, config=None):
-            state, history = real(N0, f0, config)
-            history["failure"] = {"n": state.n, "reason": "tuple drift",
-                                  "measures": {}}
-            return state, history
-        monkeypatch.setattr(cli, "iterate", stopped)
-        path, cfg = flagship_config(tmp_path)
-        out = tmp_path / "profile.csv"
-        assert main(["zeta", "--config", str(path), "--out", str(out)]) \
-            == EXIT_CONVERGENCE
-        assert out.read_text().startswith("phi1,zeta,alpha_norm,nu_max_beta")
-        assert "iteration stopped early: tuple drift" in capsys.readouterr().out
-
-    def test_zeta_computed_once_without_torus(self, tmp_path, monkeypatch):
-        zetas = _count_calls(monkeypatch, cli, "compute_zeta")
-        tori = _count_calls(monkeypatch, cli, "extract_torus")
-        path, cfg = flagship_config(tmp_path)
-        out = tmp_path / "profile.csv"
-        assert main(["zeta", "--config", str(path), "--out", str(out)]) == EXIT_OK
-        assert len(zetas) == 1 and tori == []
 
 
 class TestFailureExitCodes:

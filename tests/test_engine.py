@@ -502,7 +502,7 @@ def l2_varying_tuple_problem():
 
 
 class TestGridSolveMatchesPointwise:
-    """The glued solve against the outputs of the construction run one grid
+    """The grid solve against the outputs of the construction run one grid
     point at a time, as it stood at commit 9373ffe: tests/data/cohom_case_*
     hold alpha, v and F (to_json_dict), Nbar (tuple_to_json) and the
     diagnostics, gzipped.  Series must agree to 1e-14 of their largest
@@ -897,64 +897,84 @@ class TestTwoResonanceRun:
             assert check.ok, check
 
 
-class TestBumpGridCap:
-    def test_glued_l2_solve_fails_before_allocating(self, monkeypatch):
-        # beta leaves the sublevel region on part of the l = 2 grid, so the
-        # bump needs 3352 points per axis at delta_plus = 0.03
-        import kamtori.engine.cohom as cohom
-        from kamtori.normalform import BumpProjectionError
-        N, f, phix, wit = l2_nonzero_beta_problem()
-        N.beta[0][0] = N.beta[0][0] + FTSeries.cos_angle(
-            f.grading, 1.0, 1.0, (1, 0), (0,), 0.06)
-        profiled = []
-        profile = cohom.nu_max_profile
-        monkeypatch.setattr(cohom, "nu_max_profile", lambda beta, grid: (
-            profiled.append(len(grid)), profile(beta, grid))[1])
-        with pytest.raises(BumpProjectionError,
-                           match="3352-point .* 11235904 points .* 4096"):
-            solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
-                                delta_plus=0.03)
-        assert profiled == [64 ** 2]  # the parameter grid, never the fine one
+class TestUncoveredSublevelRegion:
+    """The solve needs nu_max(beta) < t1 + a = 2.25 delta_plus on every
+    collocation point; any other beta is refused with one CohomologyError
+    that names the first uncovered point, before any per-point work."""
 
     @staticmethod
-    def l1_glued_problem():
-        gr = small_grading()
-        N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-        N.beta[0][0] = N.beta[0][0] + FTSeries.cos_angle(
-            gr, 1.0, 1.0, (1,), (0,), 0.06)
-        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
-        phix = [coordinate(gr, 1.0, 1.0, "x", 0)]
-        f = shifted_parametrization(sigma_cos((0, 1), EPS), 1, 1, gr, 1.0, 1.0)
+    def problem(l, shift):
+        """beta + shift + 0.06 cos(phi_1) in beta's first entry: at l = 1
+        the flagship tuple (beta = 0), at l = 2 l2_nonzero_beta_problem."""
+        if l == 1:
+            gr = small_grading()
+            N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
+            wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+            phix = [coordinate(gr, 1.0, 1.0, "x", 0)]
+            f = shifted_parametrization(sigma_cos((0, 1), EPS), 1, 1, gr,
+                                        1.0, 1.0)
+        else:
+            N, f, phix, wit = l2_nonzero_beta_problem()
+            gr = f.grading
+        N.beta[0][0] = N.beta[0][0] + shift + FTSeries.cos_angle(
+            gr, 1.0, 1.0, (1,) + (0,) * (l - 1), (0,), 0.06)
         return N, f, phix, wit
 
-    def test_glued_l1_solve_runs_on_the_clipped_grid(self, monkeypatch):
-        # at delta_plus = 0.02 the bump asks for 5027 points; the grid is
-        # clipped to the cap of 4096, whose spacing is still fine enough for
-        # the bump's scale a = 0.005, and the solve goes on (the bump itself
-        # is replaced by the constant one: at K_phi = 6 the real one misses
-        # its plateau tolerance)
+    @staticmethod
+    def nu_max(N, pts):
+        """nu_max(beta) at each point, from beta's entries evaluated by
+        series.evaluate rather than the solve's mat_eval_grid."""
+        beta = np.array([[evaluate(e, phi=pts) for e in row]
+                         for row in N.beta])
+        return np.linalg.eigvalsh(beta.transpose(2, 0, 1))[:, -1]
+
+    # (l, constant shift, delta_plus, points uncovered): partly and wholly
+    CASES = [(1, 0.0, 0.02, "partial"), (1, 0.1, 0.01, "empty"),
+             (2, 0.0, 0.03, "partial"), (2, 0.1, 0.02, "empty")]
+
+    @pytest.mark.parametrize("l, shift, delta_plus, kind", CASES,
+                             ids=[c[3] + "-l%d" % c[0] for c in CASES])
+    def test_refused_before_any_point_is_solved(self, monkeypatch, l, shift,
+                                                delta_plus, kind):
         import kamtori.engine.cohom as cohom
-        N, f, phix, wit = self.l1_glued_problem()
-        seen = []
-
-        def bump(grid, nu, t1, t2, gr, r, s):
-            seen.append(len(grid))
-            return FTSeries.constant(gr, r, s, 1.0), np.ones(len(grid))
-        monkeypatch.setattr(cohom, "bump_psi", bump)
-        sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
-                                  delta_plus=0.02)
-        assert seen == [4096]
-        assert sol.residual_plateau <= 1e-8 * majorant_norm(f)
-
-    def test_glued_l1_solve_too_fine_for_the_cap(self):
-        # at delta_plus = 0.012 even 4096 points are too coarse for the
-        # bump's scale a = 0.003: the same bound bump_psi applies
-        from kamtori.normalform import BumpProjectionError
-        N, f, phix, wit = self.l1_glued_problem()
-        with pytest.raises(BumpProjectionError,
-                           match="8378-point .* 8378 points .* 4096"):
+        N, f, phix, wit = self.problem(l, shift)
+        profiled, solved = [], []
+        profile = cohom.nu_max_profile
+        monkeypatch.setattr(cohom, "nu_max_profile", lambda beta, grid: (
+            profiled.append(grid.copy()), profile(beta, grid))[1])
+        monkeypatch.setattr(cohom, "_grid_solve",
+                            lambda *a: solved.append(a))
+        with pytest.raises(CohomologyError) as err:
             solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
-                                delta_plus=0.012)
+                                delta_plus=delta_plus)
+        pts = phi_grid(l, cohom.collocation_size(f.grading))
+        level = 2.25 * delta_plus
+        nu = self.nu_max(N, pts)
+        uncovered = nu >= level
+        assert uncovered.all() == (kind == "empty") and uncovered.any()
+        first = int(np.argmax(uncovered))
+        assert str(err.value) == (
+            "sublevel region does not cover the collocation grid: "
+            "nu_max(beta) = %.3g >= level t1 + a = %.3g on %d of %d points "
+            "(at parameter grid point %s)"
+            % (nu[first], level, uncovered.sum(), len(pts), pts[first]))
+        assert len(profiled) == 1 and np.array_equal(profiled[0], pts)
+        assert solved == []
+
+    def test_step_failure_names_the_point(self):
+        N0, f0, _phix, wit = self.problem(1, 0.1)
+        gr = f0.grading
+        row = build_schedule(1.0, 1.0, c2_norm(f0), 0.1, 1).rows[0]
+        state = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
+                               f=f0, Phi=identity_map(gr, 1, 1), r=1.0,
+                               s=1.0)
+        with pytest.raises(driver.StepFailure,
+                           match=r"^linearized conjugacy solve failed: "
+                                 r"sublevel region does not cover the "
+                                 r"collocation grid: nu_max\(beta\) = 0\.16 "
+                                 r">= .* on \d+ of 32 points \(at parameter "
+                                 r"grid point \[0\.\]\)$"):
+            kam_step(state, row, wit)
 
 
 class TestCollocationGrid:
@@ -1065,21 +1085,6 @@ class TestProjection:
         N, f, phix, wit = l2_nonzero_beta_problem()
         self.check(self.captured(monkeypatch, N, f, phix, wit, sigma=0.025,
                                  delta=0.1, delta_plus=0.03, grid_size=16))
-
-    def test_weighted_points(self, monkeypatch, coupled_rung_two_inputs):
-        # as under a bump: every other point active, with uneven weights
-        import kamtori.series as ring
-        args, kwargs = coupled_rung_two_inputs
-        res, active, weights, *rest = self.captured(monkeypatch, *args,
-                                                    **kwargs)
-        res = {key: (ring._like(u, u.ij, u.ik, u.it, u.coef[:, ::2],
-                                u.trunc_loss) if key in ("F", "hbar")
-                     else u[::2] if key in project_oracle.NUMERIC else u)
-               for key, u in res.items()}
-        weights = np.zeros_like(weights)
-        weights[active[::2]] = np.linspace(0.3, 1.0, len(active[::2]))
-        self.check((res, active[::2], weights, *rest))
-
 
 class TestSymplecticityOnCoupledMap:
     def test_rung_two_map_matches_oracle(self, coupled_rung_two_inputs):

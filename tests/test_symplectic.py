@@ -419,6 +419,7 @@ class TestSymplecticityResidual:
         with pytest.raises(SymplecticityError):
             map_from_generator(gen, tol=1e-4)
 
+    @pytest.mark.slow
     def test_no_series_built_one_kernel_call_per_pair(self, monkeypatch):
         Phi = random_map(2, 1, 210, n_modes=8)
         comps = Phi.components()
