@@ -128,6 +128,10 @@ class TestRun:
                 or np.isfinite(row["contraction_exponent"])
         torus = json.loads((tmp_path / "torus.json").read_text())
         assert torus["residual"] <= 1e-8
+
+    def test_profile_emitted(self, tmp_path):
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_OK
         csv = (tmp_path / "zeta.csv").read_text().splitlines()
         assert csv[0] == "phi1,zeta,alpha_norm,nu_max_beta"
         assert len(csv) == 1 + 65
