@@ -39,6 +39,8 @@ class IterationState:
     Phi: SymplecticMapSeries
     r: float
     s: float
+    # sizes measured as the state was made (f_c2 of f, alpha_c2, and, after
+    # a rung, tracker_mean_c2 of phi_x); kam_step reads what it finds here
     norms: dict = field(default_factory=dict)
 
     @property
@@ -112,9 +114,12 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     f = state.f
     phi_x = state.phi_x()
 
-    f_norm = c2_norm(f)
+    # a state that came out of a rung carries both sizes, measured there
+    norms = state.norms
+    f_norm = norms["f_c2"] if "f_c2" in norms else c2_norm(f)
     measures["f_c2"] = f_norm
-    measures["tracker_mean_c2"] = tracker_mean_norm(phi_x, gr)
+    measures["tracker_mean_c2"] = norms["tracker_mean_c2"] \
+        if "tracker_mean_c2" in norms else tracker_mean_norm(phi_x, gr)
     dx_off = [phi_x[i] - coordinate(gr, r, s, "x", i) for i in range(gr.l)]
     measures["tracker_off_c2"] = max(
         (c2_norm(u) for u in dx_off), default=0.0)
@@ -246,7 +251,8 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
         n=state.n + 1, N=N_plus, alpha=alpha_new,
         f=f_plus, Phi=Phi_plus, r=r_plus, s=s_plus,
         norms={"f_c2": fp_norm, "alpha_c2": phi_c2_norm(alpha_new)})
-    measures["tracker_next_mean_c2"] = tracker_mean_norm(new_state.phi_x(), gr)
+    measures["tracker_next_mean_c2"] = new_state.norms["tracker_mean_c2"] = \
+        tracker_mean_norm(new_state.phi_x(), gr)
     measures["alpha_step_c2"] = phi_c2_norm(sol.alpha)
     measures["v_c2"] = phi_c2_norm(sol.v) if gr.d else 0.0
     measures["nbar_norm"] = normal_form_norm(sol.Nbar)

@@ -1,4 +1,4 @@
-"""Normal-form tuples, their Hamiltonian assembly, sublevel-set predicates,
+"""Normal-form tuples, their Hamiltonian assembly, their norms and distance,
 nu_max profiling and the source paper's bump over the parameter torus (which
 the cohomological solve does not call: it needs beta inside the bump's
 plateau on its whole grid)."""
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .series import (FTSeries, _l1, _phi_sums, _phi_values, _plan,
-                     TaylorSplit, ck_norm_estimate, differentiate)
+                     TaylorSplit, ck_norm_estimate)
 
 
 # -- parameter-grid helpers --------------------------------------------------------
@@ -177,11 +177,6 @@ class NormalFormTuple:
     def radii(self):
         return (self.c.r, self.c.s)
 
-    def copy(self):
-        cp = lambda m: [[e.copy() for e in row] for row in m]
-        return NormalFormTuple(np.array(self.w), self.c.copy(), cp(self.beta),
-                               cp(self.Gamma), cp(self.M), cp(self.Q),
-                               self.g.copy(), self.h.copy())
 
 
 def initial_tuple(grading, r, s, omega, M0, h=None, Q0=None):
@@ -219,29 +214,6 @@ def nu_max_profile(beta, grid):
         raise ValueError("beta evaluation asymmetric beyond 1e-8 at phi=%s"
                          % grid[np.argmax(bad)])
     return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]
-
-
-def is_normal_form(N, v, delta, tol, grid=None):
-    """True iff w = v and g (with its phi-gradient) vanishes on the sublevel set."""
-    gr = N.grading
-    if grid is None:
-        grid = phi_grid(gr.l, phi_grid_size(gr.K_phi))
-    report = {"w_matches": bool(np.array_equal(np.asarray(v, dtype=float), N.w)),
-              "violations": [], "max_g": 0.0, "max_dg": 0.0}
-    nu = nu_max_profile(N.beta, grid)
-    inside = grid[nu <= delta]
-    mg = majorant_on_grid(N.g, inside)
-    mdg = np.zeros(len(inside))
-    for i in range(gr.l):
-        mdg = np.maximum(mdg, majorant_on_grid(
-            differentiate(N.g, ("phi", i)), inside))
-    report["max_g"] = float(mg.max(initial=0.0))
-    report["max_dg"] = float(mdg.max(initial=0.0))
-    for idx in np.flatnonzero((mg > tol) | (mdg > tol)):
-        report["violations"].append((tuple(inside[idx]), float(mg[idx]),
-                                     float(mdg[idx])))
-    ok = report["w_matches"] and not report["violations"]
-    return ok, report
 
 
 # -- bump function -----------------------------------------------------------------
@@ -343,22 +315,3 @@ def normal_form_distance(N1, N2, r=None):
                            sub(N1.Q, N2.Q), N1.g - N2.g, N1.h - N2.h)
     return normal_form_norm(diff, r)
 
-
-# -- serialization -----------------------------------------------------------------
-
-
-def tuple_to_json(N):
-    from .series import to_json_dict
-    mat = lambda m: [[to_json_dict(e) for e in row] for row in m]
-    return {"w": [float(v) for v in N.w], "c": to_json_dict(N.c),
-            "beta": mat(N.beta), "Gamma": mat(N.Gamma), "M": mat(N.M),
-            "Q": mat(N.Q), "g": to_json_dict(N.g), "h": to_json_dict(N.h)}
-
-
-def tuple_from_json(data):
-    from .series import from_json_dict
-    mat = lambda m: [[from_json_dict(e) for e in row] for row in m]
-    return NormalFormTuple(np.asarray(data["w"], dtype=float),
-                           from_json_dict(data["c"]), mat(data["beta"]),
-                           mat(data["Gamma"]), mat(data["M"]), mat(data["Q"]),
-                           from_json_dict(data["g"]), from_json_dict(data["h"]))

@@ -452,6 +452,18 @@ def _like(f, ij, ik, it, coef, trunc_loss):
     return new
 
 
+def _conjugate(f):
+    """The series of the complex conjugate of f on the real domain: the term
+    c at (j, k, a) moves to (-j, -k, a) as conj(c).  A mode ball is symmetric
+    and in lexicographic order, so -v sits at index N - 1 - i for v at index
+    i; the moved terms are sorted back into slot order."""
+    plan = _plan(f.grading)
+    ij, ik = len(plan.J.keys) - 1 - f.ij, plan.NK - 1 - f.ik
+    order = np.argsort(plan.code(ij, ik, f.it), kind="stable")
+    return _like(f, ij[order], ik[order], f.it[order], f.coef[order].conj(),
+                 f.trunc_loss)
+
+
 def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR):
     """The sum of parts, each a series or an (ij, ik, it, coef) tuple, as
     one pruned series: each part is added at its slots' positions in the
@@ -601,13 +613,13 @@ def _bracket_pairs(gr):
     return tuple(halves)
 
 
-def _bracket_halves(f, g):
+def _bracket_halves(f, g, losses=True):
     """The half-products of {f, g} as the kernel forms them, unpruned and
     without the operands' trunc_loss: for each pair of _bracket_pairs,
     (output slots, coefficients times the half's sign, majorant of the
-    out-of-grading pairs), from one kernel call on one layout of f and g,
-    chosen by multiply's rule."""
-    parts = _kernel(f, g, _bracket_pairs(f.grading), _layout(f, g))
+    out-of-grading pairs, or None unless losses), from one kernel call on
+    one layout of f and g, chosen by multiply's rule."""
+    parts = _kernel(f, g, _bracket_pairs(f.grading), _layout(f, g), losses)
     return [(slot, -coef if n % 2 else coef, dropped)
             for n, (slot, coef, dropped) in enumerate(parts)]
 
@@ -648,16 +660,19 @@ def _majorants(plan, f, ds):
             for d in ds]
 
 
-def _kernel(f, g, halves, layout):
+def _kernel(f, g, halves, layout, losses=True):
     """The products d_a f d_b g for the pairs (a, b) of _Partials in halves,
     as the kernel forms them: (output slots, coefficients, majorant of the
     out-of-grading pairs) each, by the block kernel on a _block_layout of f
-    and g, or by the pair kernel without one."""
+    and g, or by the pair kernel without one.  Without losses no majorant of
+    the out-of-grading pairs is formed: the entry is None (0.0 for a product
+    with no pairs)."""
     if not len(f.coef) or not len(g.coef):
         return [(_NONE, _EMPTY, 0.0)] * len(halves)
     plan = _plan(f.grading)
-    return _pair_product(plan, f, g, halves) if layout is None \
-        else _block_product(plan, layout, halves, f.r, f.s)
+    # losses goes by position, so a stand-in that forwards *args takes it
+    return _pair_product(plan, f, g, halves, losses) if layout is None \
+        else _block_product(plan, layout, halves, f.r, f.s, losses)
 
 
 def _products(f, g, halves, parts):
@@ -704,16 +719,16 @@ def _kept(plan, f, d):
     return f.ij[r], f.ik[r], it, coef
 
 
-def _pair_product(plan, f, g, halves):
+def _pair_product(plan, f, g, halves, losses=True):
     """The products d_a f d_b g over every pair of terms of d_a f and d_b g
     (``_kept``), for each (a, b) in halves: (output slots in order, their
-    accumulated coefficients, majorant of the out-of-grading pairs)."""
-    J, K, T = plan.J, plan.K, plan.T
+    accumulated coefficients, majorant of the out-of-grading pairs, or None
+    unless losses)."""
     js, ks, ts = plan.slots
     out = []
     for a, b in halves:
-        (fj, fk, ft, fc), (gj, gk, gt, gc) = (
-            _kept(plan, u, d) for u, d in ((f, a), (g, b)))
+        fd, gd = (_kept(plan, u, d) for u, d in ((f, a), (g, b)))
+        (fj, fk, ft, fc), (gj, gk, gt, gc) = fd, gd
         if not len(fc) or not len(gc):
             out.append((_NONE, _EMPTY, 0.0))
             continue
@@ -721,16 +736,10 @@ def _pair_product(plan, f, g, halves):
         slot += ks[fk].take(gk, axis=1)
         slot += ts[ft].take(gt, axis=1)
         outside = slot < 0
-        loss = 0.0
-        if outside.any():
-            # sum over out-of-grading pairs of |c_a| |c_b| e^{(|j|+|k|) r} s^deg
-            exp_r, pow_s = plan.powers(f.r, f.s)
-            w = exp_r[J.sums[1]][fj].take(gj, axis=1)
-            w *= exp_r[K.sums[1]][fk].take(gk, axis=1)
-            w *= outside
-            mf = np.abs(fc).reshape(len(fc), -1) * pow_s[T.norm[ft], None]
-            mg = np.abs(gc).reshape(len(gc), -1) * pow_s[T.norm[gt], None]
-            loss = float(np.max((mf * (w @ mg)).sum(axis=0)))  # per entry if batched
+        loss = None
+        if losses:
+            loss = _pair_loss(plan, f.r, f.s, fd, gd, outside) \
+                if outside.any() else 0.0
         if fc.ndim == 2 or gc.ndim == 2:
             # the in-grading pairs in slot order; pairs sharing a slot are summed
             pairs = np.flatnonzero(~outside.ravel())
@@ -754,6 +763,22 @@ def _pair_product(plan, f, g, halves):
             hit = np.flatnonzero((re != 0.0) | (im != 0.0))
             out.append((hit - 1, re[hit] + 1j * im[hit], loss))
     return out
+
+
+def _pair_loss(plan, r, s, fd, gd, outside):
+    """The pair kernel's majorant of the out-of-grading pairs of the terms
+    fd and gd (``_kept`` arrays): the sum over the pairs marked outside of
+    |c_a| |c_b| e^{(|j|+|k|) r} s^deg (the largest over the entries of a
+    batched series)."""
+    (fj, fk, ft, fc), (gj, gk, gt, gc) = fd, gd
+    J, K, T = plan.J, plan.K, plan.T
+    exp_r, pow_s = plan.powers(r, s)
+    w = exp_r[J.sums[1]][fj].take(gj, axis=1)
+    w *= exp_r[K.sums[1]][fk].take(gk, axis=1)
+    w *= outside
+    mf = np.abs(fc).reshape(len(fc), -1) * pow_s[T.norm[ft], None]
+    mg = np.abs(gc).reshape(len(gc), -1) * pow_s[T.norm[gt], None]
+    return float(np.max((mf * (w @ mg)).sum(axis=0)))
 
 
 def _starts(v):
@@ -845,13 +870,13 @@ def _block_layout(plan, f, g):
     return _BlockLayout(e, c, *np.divmod(modes, plan.NK), at, inside, swap)
 
 
-def _block_product(plan, layout, halves, r, s):
+def _block_product(plan, layout, halves, r, s, losses=True):
     """The block kernel on a _block_layout, for each (a, b) in halves:
     (output slots in order, the coefficients of d_a f d_b g, some of them
-    zero, majorant of the out-of-grading pairs).  Halves whose mode
-    derivatives agree share one matrix product; Taylor factors scale its
-    entries as they are summed."""
-    e, c, at, inside = layout.e, layout.c, layout.at, layout.inside
+    zero, majorant of the out-of-grading pairs, or None unless losses).
+    Halves whose mode derivatives agree share one matrix product; Taylor
+    factors scale its entries as they are summed."""
+    e, c, at = layout.e, layout.c, layout.at
     sides = [(b, a) if layout.swap else (a, b) for a, b in halves]  # (on e, on c)
     products, combos = {}, {}
     for n, (de, dc) in enumerate(sides):
@@ -904,8 +929,17 @@ def _block_product(plan, layout, halves, r, s):
             acc = np.add.reduceat(terms, first, axis=0).T.ravel()
             out[n] = ((o_slot[:, None] + t[first]).ravel(), acc)
         del P
-    # the out-of-grading majorants, from sums per mode and degree: pairs of
-    # modes outside the ball, then pairs inside it whose degrees pass D
+    loss = _block_loss(plan, layout, sides, r, s) if losses \
+        else [None] * len(out)
+    return [o + (x,) for o, x in zip(out, loss)]
+
+
+def _block_loss(plan, layout, sides, r, s):
+    """The block kernel's majorant of the out-of-grading pairs for each
+    (d_e, d_c) in sides, the derivatives on the layout's e and c, from sums
+    per mode and degree: pairs of modes outside the ball, then pairs inside
+    it whose degrees pass D."""
+    e, c, inside = layout.e, layout.c, layout.inside
     em, cm = e.mags([de for de, _ in sides]), c.mags([dc for _, dc in sides])
     w = plan.powers(r, s)[0][plan.J.sums[1][e.ij[:, None], c.ij]
                              + plan.K.sums[1][e.ik[:, None], c.ik]]
@@ -914,7 +948,7 @@ def _block_product(plan, layout, halves, r, s):
     past = np.concatenate((np.zeros(past.shape[:2] + (1,)), past), axis=2)
     loss = ((em.sum(axis=2) @ np.where(inside, 0.0, w)) * cm.sum(axis=2)).sum(axis=1) \
         + (em * (np.where(inside, w, 0.0) @ past)).sum(axis=(1, 2))
-    return [o + (float(x),) for o, x in zip(out, loss)]
+    return [float(x) for x in loss]
 
 
 def ft_sum(grading, r, s, parts, scales=None):

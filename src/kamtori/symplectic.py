@@ -12,13 +12,13 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .series import (FTSeries, TaylorSplit, _bracket, _bracket_halves,
-                     _bracket_pairs, _kept, _l1, _majorants, _partial, _plan,
-                     ck_norm_estimate, coordinate, coordinates, differentiate,
-                     ft_sum, majorant_norm, multiply)
+                     _bracket_pairs, _conjugate, _kept, _l1, _majorants,
+                     _partial, _plan, ck_norm_estimate, coordinate,
+                     coordinates, differentiate, ft_sum, majorant_norm,
+                     multiply)
 
 DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
-TAIL_TOL = 1e-300        # a tail integral's terms are summed down to this
 EXP_TOL = 1e-18          # an exponential's terms are summed down to this
 EXP_ORDER_CAP = 59       # so an exponential may end at its 60th term
 
@@ -177,11 +177,15 @@ def lie_tail_integral(u, gen, weight):
     weight(n) supplies w_n; used for the time-integral remainders of one step:
     int_0^1 (1-t) u o Psi^t dt has w_n = 1/((n+1)(n+2)) and
     int_0^1  t    u o Psi^t dt has w_n = 1/(n+2).
+    The sum stops at the rounding floor: at the first Lie term u_n certified
+    to be at most the unit roundoff 2^-53 times the majorant of u_0.  The
+    weights above fall with n, so w_n u_n is then as small against w_0 u_0.
     Returns (series, remainder_bound, order reached).
     """
     return _power_sum(u.scale(weight(0)), gen.bracket_with(u),
-                      gen.bracket_with, gen.bracket_bound, TAIL_TOL,
-                      DEFAULT_ORDER_CAP, "lie tail integral", weight)
+                      gen.bracket_with, gen.bracket_bound,
+                      2.0 ** -53 * majorant_norm(u), DEFAULT_ORDER_CAP,
+                      "lie tail integral", weight)
 
 
 # -- symplectic maps ---------------------------------------------------------------
@@ -268,7 +272,8 @@ def _relation_defects(Phi):
     (the two derivatives of the displacements and the signed half-products
     of {U_a, U_b} as the kernel forms them) are summed per slot over the
     slots they touch, unpruned, and the sum's majorant taken on the map's
-    radii."""
+    radii.  The pairs of terms past the grading touch no slot: the kernel
+    forms no majorant of them."""
     gr = Phi.grading
     plan = _plan(gr)
     r, s = Phi.radii
@@ -281,7 +286,8 @@ def _relation_defects(Phi):
         parts = [(plan.code(*t[:3]), sign * t[3]) for sign, t in
                  ((sa, _kept(plan, comps[b], da)),
                   (-sb, _kept(plan, comps[a], db)))]
-        parts += [half[:2] for half in _bracket_halves(comps[a], comps[b])]
+        parts += [half[:2] for half in
+                  _bracket_halves(comps[a], comps[b], losses=False)]
         slots, at = np.unique(np.concatenate([p[0] for p in parts]),
                               return_inverse=True)
         coef = np.concatenate([p[1] for p in parts])
@@ -370,15 +376,22 @@ class _Substituter:
                 "for K_q=%d" % (margin, self.gr.K_q))
 
     def _angle_factor(self, k):
+        """exp(i k.Uq).  The map is real, so exp(-i k.Uq) is the conjugate
+        of exp(i k.Uq): of each pair +-k, only the k that is lexicographically
+        larger takes an exponential, and -k takes its mirror."""
         k = tuple(k)
         got = self._exp_cache.get(k)
         if got is None:
-            u = FTSeries.zero(self.gr, self.r, self.s)
-            for i, ki in enumerate(k):
-                if ki:
-                    u = u + self.disp["q", i].scale(1j * ki)
-            got = _exp_of(u) if not u.is_zero() else \
-                FTSeries.constant(self.gr, self.r, self.s, 1.0)
+            neg = tuple(-ki for ki in k)
+            if k < neg:
+                got = _conjugate(self._angle_factor(neg))
+            else:
+                u = FTSeries.zero(self.gr, self.r, self.s)
+                for i, ki in enumerate(k):
+                    if ki:
+                        u = u + self.disp["q", i].scale(1j * ki)
+                got = _exp_of(u) if not u.is_zero() else \
+                    FTSeries.constant(self.gr, self.r, self.s, 1.0)
             self._exp_cache[k] = got
         return got
 
@@ -465,13 +478,6 @@ class LatticeReduction:
     A: np.ndarray = None
     B: np.ndarray = None  # d x l block (upper right)
     C: np.ndarray = None
-
-    @property
-    def m(self):
-        return len(self.K)
-
-    def det(self):
-        return _int_det(self.K)
 
 
 def _int_det(M):

@@ -4,12 +4,16 @@ term is formed, and the loop stops at the first whose majorant is at most
 tol, so the last bracket of a Lie series is formed only to be found small.
 
 Kept as the test oracle of ``kamtori.symplectic._power_sum``; it takes (and
-ignores) the same bound argument, so it can stand in for the loop."""
+ignores) the same bound argument, so it can stand in for the loop.  The tail
+integral as it was before it stopped at the rounding floor, summed down to
+TAIL_TOL, is kept on it as the oracle of ``lie_tail_integral``."""
 
 import math
 
 from kamtori.series import majorant_norm
-from kamtori.symplectic import GeneratorTooLargeError
+from kamtori.symplectic import DEFAULT_ORDER_CAP, GeneratorTooLargeError
+
+TAIL_TOL = 1e-300        # the old tail integral's terms went down to this
 
 
 def power_sum(total, term, step, bound, tol, cap, what, weight=None,
@@ -41,3 +45,12 @@ def power_sum(total, term, step, bound, tol, cap, what, weight=None,
         prev = m
         n += 1
         term = step(term).scale(1.0 / n)
+
+
+def tail_integral(u, gen, weight):
+    """sum_n w_n u_n for the Lie terms u_n of u (u_0 = u, u_n = {u_{n-1},
+    gen}/n), every term formed down to TAIL_TOL: (series, remainder bound,
+    order reached)."""
+    return power_sum(u.scale(weight(0)), gen.bracket_with(u),
+                     gen.bracket_with, None, TAIL_TOL, DEFAULT_ORDER_CAP,
+                     "lie tail integral", weight)

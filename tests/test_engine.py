@@ -18,7 +18,7 @@ from kamtori.engine.driver import (IterateConfig, IterationState, c2_norm,
                                    conjugacy_residual)
 from kamtori.normalform import (assemble_hamiltonian, const_matrix,
                                 eval_phi_series, initial_tuple, phi_grid,
-                                phi_grid_size, tuple_to_json)
+                                phi_grid_size)
 from kamtori.errors import PreconditionError
 from kamtori.series import (FTSeries, Grading, RealityError, average_q,
                             differentiate, evaluate, from_json_dict,
@@ -34,7 +34,11 @@ from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
 import lie_oracle
 import project_oracle
 from conftest import GOLDEN, random_real_series
-from test_symplectic import assert_defects_match_oracle
+from normalform_tools import tuple_to_json
+from test_symplectic import (TAIL_WEIGHTS, assert_defects_match_oracle,
+                             assert_mirror_matches_exp,
+                             assert_residual_forms_no_loss,
+                             assert_tail_matches_oracle)
 
 EPS = 1e-4
 DATA = pathlib.Path(__file__).parent / "data"
@@ -292,6 +296,32 @@ class TestKamStep:
         assert res.ok
         assert c2_norm(st.f) <= before / 10.0
 
+    def test_next_rung_reads_the_sizes_measured_here(self, monkeypatch):
+        # a rung's state carries f_c2 and tracker_mean_c2 of its f and
+        # phi_x; the next rung reports them without measuring them again
+        gr, N0, f0 = flagship_problem(K=8)
+        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+        sched = build_schedule(1.0, 1.0, c2_norm(f0), 0.1, 1)
+        st1, res1 = self.run_step(N0, f0, gr)
+        assert st1.norms["f_c2"] == res1.measures["f_plus_c2"] \
+            == c2_norm(st1.f)
+        assert st1.norms["tracker_mean_c2"] \
+            == res1.measures["tracker_next_mean_c2"] \
+            == driver.tracker_mean_norm(st1.phi_x(), gr)
+        seen = {"c2_norm": [], "tracker_mean_norm": []}
+        for name, got in seen.items():
+            def spy(*args, _real=getattr(driver, name), _got=got):
+                _got.append(args[0])
+                return _real(*args)
+            monkeypatch.setattr(driver, name, spy)
+        st2, res2 = kam_step(st1, sched.rows[1], wit)
+        assert res2.measures["f_c2"] == st1.norms["f_c2"]
+        assert res2.measures["tracker_mean_c2"] == st1.norms["tracker_mean_c2"]
+        assert not any(f is st1.f for f in seen["c2_norm"])
+        assert len(seen["tracker_mean_norm"]) == 1     # of st2's phi_x
+        assert st2.norms["tracker_mean_c2"] \
+            == res2.measures["tracker_next_mean_c2"]
+
     def test_cubic_jet_absorbed_into_h(self):
         gr = small_grading()
         N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
@@ -450,6 +480,14 @@ def coupled_rung_two_inputs():
         with pytest.raises(_Captured) as got:
             kam_step(st1, sched.rows[1], wit, N0=N0)
     return got.value.args
+
+
+@pytest.fixture(scope="module")
+def coupled_rung_two_flow(coupled_rung_two_inputs):
+    """The solve and the flow of kam_step on that rung: (solution, Psi)."""
+    args, kwargs = coupled_rung_two_inputs
+    sol = solve_cohomological(*args, **kwargs)
+    return sol, map_from_generator(GeneratingFunction(sol.F, sol.v))
 
 
 def l2_nonzero_beta_problem():
@@ -1087,12 +1125,10 @@ class TestProjection:
                                  delta=0.1, delta_plus=0.03, grid_size=16))
 
 class TestSymplecticityOnCoupledMap:
-    def test_rung_two_map_matches_oracle(self, coupled_rung_two_inputs):
+    def test_rung_two_map_matches_oracle(self, coupled_rung_two_flow):
         # the map kam_step flows on the second rung of the coupled run:
         # its residual against tests/symp_oracle.py, and under the gate
-        args, kwargs = coupled_rung_two_inputs
-        sol = solve_cohomological(*args, **kwargs)
-        Psi = map_from_generator(GeneratingFunction(sol.F, sol.v))
+        Psi = coupled_rung_two_flow[1]
         assert all(not u.is_zero() for u in Psi.components())
         assert_defects_match_oracle(Psi)
         assert Psi.symp_residual <= DEFAULT_SYMP_TOL
@@ -1108,10 +1144,8 @@ class TestLieSeriesMatchOracle:
     same, and each remainder is at least the oracle's."""
 
     @pytest.fixture(scope="class")
-    def Psi(self, coupled_rung_two_inputs):
-        args, kwargs = coupled_rung_two_inputs
-        sol = solve_cohomological(*args, **kwargs)
-        return map_from_generator(GeneratingFunction(sol.F, sol.v))
+    def Psi(self, coupled_rung_two_flow):
+        return coupled_rung_two_flow[1]
 
     LOOPS = (symplectic._power_sum, lie_oracle.power_sum)
 
@@ -1166,6 +1200,37 @@ class TestLieSeriesMatchOracle:
             monkeypatch, lambda: symplectic._exp_of(u))
         self.assert_close(new, old)
         assert self.assert_sums(sums, old_sums) > 0
+
+
+class TestFormedOnlyWhatIsRead:
+    """The three sums that stop forming what no result reads, on the coupled
+    run's second rung against the code they replaced: its two tail
+    integrals against the sums carried down to 1e-300, the angle factors of
+    its map against exponentials summed directly, and its symplecticity
+    residual against the one whose kernels form their loss majorants."""
+
+    def test_tail_integrals(self, coupled_rung_two_inputs,
+                            coupled_rung_two_flow):
+        # the integrands kam_step builds on this rung
+        args, _ = coupled_rung_two_inputs
+        f, phi_x = args[1], args[2]
+        sol, Psi = coupled_rung_two_flow
+        gen = Psi.generator
+        G = f
+        for a, x in zip(sol.alpha, phi_x):
+            G = G - multiply(a, x)
+        integrands = [gen.bracket_with(assemble_hamiltonian(sol.Nbar)),
+                      gen.bracket_with(G)]
+        for u, w in zip(integrands, TAIL_WEIGHTS):
+            n, n_old = assert_tail_matches_oracle(u, gen, w)
+            assert n <= n_old
+
+    def test_angle_factor_mirror(self, coupled_rung_two_flow, monkeypatch):
+        assert_mirror_matches_exp(coupled_rung_two_flow[1], monkeypatch)
+
+    def test_symplecticity_forms_no_loss(self, coupled_rung_two_flow,
+                                         monkeypatch):
+        assert_residual_forms_no_loss(coupled_rung_two_flow[1], monkeypatch)
 
 
 class TestModerateAmplitudeFailureReporting:

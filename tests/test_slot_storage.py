@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 import dict_ring as old
 import kamtori.series as new
-from kamtori.normalform import NormalFormTuple, tuple_from_json, tuple_to_json
+from kamtori.normalform import NormalFormTuple
 from kamtori.symplectic import GeneratingFunction, map_from_generator
 from conftest import dumps, loads, random_real_series
+from normalform_tools import tuple_from_json, tuple_to_json
 
 PROPS = settings(max_examples=30)
 NB = 3

@@ -11,11 +11,12 @@ import lie_oracle
 import kamtori.symplectic as symplectic
 import symp_oracle
 from kamtori.series import (FTSeries, Grading, differentiate, evaluate,
-                            majorant_norm)
+                            ft_sum, majorant_norm)
 from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
                                 GeneratorTooLargeError, ReductionError,
                                 SymplecticityError, _base_bracket_with,
-                                _relation_defects, compose_maps, identity_map,
+                                _int_det, _relation_defects, compose_maps,
+                                identity_map,
                                 lie_tail_integral, lie_transform,
                                 map_from_generator,
                                 poisson_bracket, reduce_coordinates,
@@ -305,6 +306,41 @@ class TestPowerSum:
         assert s1.trunc_loss == s2.trunc_loss
 
 
+TAIL_WEIGHTS = (lambda n: 1.0 / ((n + 1) * (n + 2)), lambda n: 1.0 / (n + 2))
+
+
+def assert_tail_matches_oracle(u, gen, weight):
+    """lie_tail_integral, which stops at the rounding floor, against the same
+    sum carried on down to 1e-300 (tests/lie_oracle.py): the same key set,
+    coefficients within 1e-14 of the largest, and a remainder at least the
+    majorant of what the floor left out.  Returns both orders reached."""
+    new, rem, n = lie_tail_integral(u, gen, weight)
+    old, _, n_old = lie_oracle.tail_integral(u, gen, weight)
+    assert set(new.terms) == set(old.terms)
+    gap = old - new
+    assert (gap.max_abs_coeff() if gap.terms else 0.0) \
+        <= 1e-14 * old.max_abs_coeff()
+    assert rem >= majorant_norm(gap)
+    return n, n_old
+
+
+class TestTailIntegral:
+    @pytest.mark.parametrize("d, l", [(1, 1), (2, 1), (1, 2)])
+    def test_rounding_floor_matches_oracle(self, d, l):
+        orders = []
+        for seed in range(3):
+            gen = random_generator(d, l, seed, scale=1e-3)
+            g = random_real_series(gen.grading, 1, 1,
+                                   np.random.default_rng(seed), n_modes=6,
+                                   max_k=2, max_phi=1, max_deg=3)
+            for weight in TAIL_WEIGHTS:
+                orders.append(assert_tail_matches_oracle(
+                    gen.bracket_with(g), gen, weight))
+        # the floor cuts sums that went on below it
+        assert any(n < n_old for n, n_old in orders)
+        assert all(n <= n_old for n, n_old in orders)
+
+
 class TestMapFromGenerator:
     def test_zero_generator_identity(self, g11):
         Phi = map_from_generator(GeneratingFunction(FTSeries.zero(g11, 1, 1)))
@@ -445,6 +481,83 @@ class TestSymplecticityResidual:
                                                             rel=1e-12)
         assert calls == ["_block_product"] * pairs
 
+    # maps with pairs of terms past the grading on both kernels
+    @pytest.mark.parametrize("d, l, seed", [(1, 1, 110), (2, 1, 210),
+                                            (1, 2, 121)])
+    def test_forms_no_loss_majorant(self, d, l, seed, monkeypatch):
+        assert_residual_forms_no_loss(random_map(d, l, seed), monkeypatch)
+
+
+def assert_residual_forms_no_loss(Phi, monkeypatch):
+    """symplecticity_residual on either kernel is bit-identical to the same
+    check with the kernels' majorants of the out-of-grading pairs formed,
+    and a spy on those majorants shows that it forms none."""
+    formed = []
+    for name in ("_pair_loss", "_block_loss"):
+        def spy(*args, _real=getattr(ring, name), _name=name):
+            formed.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(ring, name, spy)
+    halves = ring._bracket_halves
+    block = lambda f, g: None if f.is_zero() or g.is_zero() \
+        else ring._block_layout(ring._plan(f.grading), f, g)
+    for kernel, layout in (("_pair_loss", lambda f, g: None),
+                           ("_block_loss", block)):
+        monkeypatch.setattr(ring, "_layout", layout)
+        formed.clear()
+        got = symplecticity_residual(Phi)
+        assert formed == []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symplectic, "_bracket_halves",
+                       lambda f, g, losses: halves(f, g))
+            want = symplecticity_residual(Phi)
+        assert formed and set(formed) == {kernel}
+        assert got == want
+
+
+def assert_mirror_matches_exp(Phi, monkeypatch):
+    """The angle factor exp(i k.Uq) of the substitution for each mode k < -k
+    (lexicographically) of a series with every q-mode, taken as the mirror of
+    the factor of -k, against the exponential of i k.Uq summed directly:
+    the same key set and coefficients within 1e-15 of the largest.  A spy
+    shows one exponential per pair +-k in series_compose (none where k.Uq
+    is 0)."""
+    gr = Phi.grading
+    r, s = Phi.radii
+    keys = [k for k in ring._plan(gr).K.keys if any(k)]
+    sub = symplectic._Substituter(Phi, False)
+    pairs = 0
+    for k in keys:
+        if not k < tuple(-v for v in k):
+            continue
+        u = FTSeries.zero(gr, r, s)
+        for i, ki in enumerate(k):
+            if ki:
+                u = u + Phi.Uq[i].scale(1j * ki)
+        pairs += not u.is_zero()
+        want, got = symplectic._exp_of(u), sub._angle_factor(k)
+        assert set(got.terms) == set(want.terms), k
+        gap = got - want
+        assert (gap.max_abs_coeff() if gap.terms else 0.0) \
+            <= 1e-15 * want.max_abs_coeff(), k
+    calls = []
+    real = symplectic._exp_of
+    monkeypatch.setattr(symplectic, "_exp_of",
+                        lambda u: calls.append(u) or real(u))
+    f = ft_sum(gr, r, s, [FTSeries.term(gr, r, s, (0,) * gr.l, k,
+                                        (0,) * gr.nz, 1.0) for k in keys])
+    series_compose(f, Phi)
+    assert len(calls) == pairs > 0
+
+
+class TestAngleFactorMirror:
+    @pytest.mark.parametrize("d, l, seed", [(1, 1, 110), (2, 1, 214)])
+    def test_mirror_matches_exponential(self, d, l, seed, monkeypatch):
+        Phi = map_from_generator(random_generator(d, l, seed, scale=3e-4),
+                                 tol=1e-20)
+        assert not any(u.is_zero() for u in Phi.Uq)
+        assert_mirror_matches_exp(Phi, monkeypatch)
+
 
 class TestCompose:
     def test_identity_neutral(self, g11, rng):
@@ -545,7 +658,7 @@ class TestUnimodular:
     def test_standard_basis_resonances(self):
         red = unimodular_completion([(0, 0, 1), (0, 1, 0)])
         K = np.array(red.K)
-        assert abs(red.det()) == 1
+        assert abs(_int_det(red.K)) == 1
         w0 = np.array([GOLDEN, 0.0, 0.0])
         out = K @ w0
         assert np.allclose(out[1:], 0.0)
@@ -553,7 +666,7 @@ class TestUnimodular:
     def test_two_dim_example(self):
         red = unimodular_completion([(1, -1)])
         K = np.array(red.K)
-        assert abs(red.det()) == 1
+        assert abs(_int_det(red.K)) == 1
         out = K @ np.array([1.0, 1.0])
         assert out[1] == pytest.approx(0.0, abs=1e-14)
         assert abs(out[0]) > 0.5
@@ -562,7 +675,7 @@ class TestUnimodular:
         a, b = 1.3, 2.4
         red = unimodular_completion([(1, 1, -1)])
         K = np.array(red.K)
-        assert abs(red.det()) == 1
+        assert abs(_int_det(red.K)) == 1
         out = K @ np.array([a, b, a + b])
         assert abs(out[2]) < 1e-12
 
@@ -570,7 +683,7 @@ class TestUnimodular:
         # rows (1,1,0),(1,-1,0) span an index-2 sublattice; the completion
         # uses the saturation, which still consists of resonances
         red = unimodular_completion([(1, 1, 0), (1, -1, 0)])
-        assert abs(red.det()) == 1
+        assert abs(_int_det(red.K)) == 1
         w0 = np.array([0.0, 0.0, GOLDEN])
         out = np.array(red.K) @ w0
         assert np.allclose(out[1:], 0.0)
@@ -592,7 +705,7 @@ class TestUnimodular:
                 continue
             red = unimodular_completion([tuple(int(v) for v in row)
                                          for row in R])
-            assert abs(red.det()) == 1
+            assert abs(_int_det(red.K)) == 1
 
 
 def flagship_grading():
