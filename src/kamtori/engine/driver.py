@@ -78,14 +78,11 @@ def _retag_tuple(N, r, s):
 
 def c2_norm(f):
     """The working C^2 estimate for error terms (majorant route)."""
-    if f.is_zero():
-        return 0.0
     return ck_norm_estimate(f, 2, 2)
 
 
 def phi_c2_norm(series_list):
-    return max((ck_norm_estimate(u, 2, 0) if not u.is_zero() else 0.0)
-               for u in series_list)
+    return max(ck_norm_estimate(u, 2, 0) for u in series_list)
 
 
 def tracker_mean_norm(phi_x, gr):
@@ -95,7 +92,7 @@ def tracker_mean_norm(phi_x, gr):
         m = average_q(restrict_z0(phi_x[i]))
         # remove the identity coordinate itself: x_i restricted to z = 0 is 0,
         # so m already carries only the displacement mean
-        vals.append(ck_norm_estimate(m, 2, 0) if not m.is_zero() else 0.0)
+        vals.append(ck_norm_estimate(m, 2, 0))
     return max(vals)
 
 

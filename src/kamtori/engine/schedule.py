@@ -41,7 +41,6 @@ class Schedule:
     s0: float
     tau: float
     lambda_cfg: float
-    truncated_at: int = None
     truncation_reason: str = None
 
     def __len__(self):
@@ -66,7 +65,6 @@ def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
     rows = []
     r, s = float(r0), float(s0)
     eps = float(eps0)
-    truncated_at = None
     reason = None
     for n in range(n_max):
         sigma = base / (40.0 * 2 ** n)
@@ -81,7 +79,6 @@ def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
         if rows and not delta <= 8.0 * rows[-1].delta:
             checks.append("delta grew faster than 8x")
         if checks:
-            truncated_at = n
             reason = "; ".join(checks)
             break
         rows.append(ScheduleRow(n=n, r=r, s=s, sigma=sigma, eps=eps, delta=delta,
@@ -94,7 +91,7 @@ def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
         raise StepFailure("perturbation too large to schedule: rung 0 fails "
                           "its checks: %s" % reason)
     sched = Schedule(rows=rows, r0=r0, s0=s0, tau=tau, lambda_cfg=lambda_cfg,
-                     truncated_at=truncated_at, truncation_reason=reason)
+                     truncation_reason=reason)
     assert rows[-1].r - 10 * rows[-1].sigma > r0 / 2 - 1e-12
     assert rows[-1].s - rows[-1].sigma > s0 / 2 - 1e-12
     return sched

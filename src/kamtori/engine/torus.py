@@ -17,7 +17,6 @@ class TorusResult:
     phi0: np.ndarray
     embedding: dict          # q-only displacement series uq, ux, up, uy
     residual: float = None
-    zeta_profile: np.ndarray = None
     alpha_at_phi0: np.ndarray = None
     nu_max_at_phi0: float = None
     grad_norm: float = None

@@ -288,8 +288,7 @@ def bump_psi(profile_grid, nu_values, t1, t2, grading, r, s, tol=1e-6):
 
 
 def _mat_c2(mat, r):
-    return max(ck_norm_estimate(e, 2, 0, r, None) if not e.is_zero() else 0.0
-               for row in mat for e in row)
+    return max(ck_norm_estimate(e, 2, 0, r, None) for row in mat for e in row)
 
 
 def normal_form_norm(N, r=None, s=None):
@@ -297,11 +296,11 @@ def normal_form_norm(N, r=None, s=None):
     r = N.c.r if r is None else r
     s = N.c.s if s is None else s
     comps = [float(np.linalg.norm(N.w)),
-             ck_norm_estimate(N.c, 2, 0, r, s) if not N.c.is_zero() else 0.0,
+             ck_norm_estimate(N.c, 2, 0, r, s),
              _mat_c2(N.beta, r), _mat_c2(N.Gamma, r), _mat_c2(N.M, r),
              _mat_c2(N.Q, r),
-             ck_norm_estimate(N.g, 2, 2, r, s) if not N.g.is_zero() else 0.0,
-             ck_norm_estimate(N.h, 2, 2, r, s) if not N.h.is_zero() else 0.0]
+             ck_norm_estimate(N.g, 2, 2, r, s),
+             ck_norm_estimate(N.h, 2, 2, r, s)]
     return max(comps)
 
 

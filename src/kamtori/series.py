@@ -1281,8 +1281,8 @@ def taylor_split(f):
     new = lambda field, i=0, jj=0: parts.get((field, i, jj)) \
         or _like(f, _NONE, _NONE, _NONE, _EMPTY, 0.0)
     dims = _sizes(g)
+    # the remainder carries f's loss, so reassembly keeps it
     blocks = {"a": new("a"), "remainder": select(f, ~low)}
-    blocks["remainder"].trunc_loss = 0.0
     blocks.update(("b_" + n, [new("b_" + n, i) for i in range(dims[n])]) for n in "xpy")
     for m, n in ("xx", "pp", "yy", "xy", "px", "py"):
         blocks["d_" + m + n] = [[new("d_" + m + n, i, jj) for jj in range(dims[n])]

@@ -1,10 +1,12 @@
 """Per-Fourier-mode solvers for the three cohomological linear problems and
 Diophantine diagnostics.
 
-All three solvers act slice-wise: coefficients are grouped by the parameter
-mode j and the Taylor multi-index a, and each angle mode k != 0 is inverted
-independently (the systems are diagonal in k).  Zero modes follow the
-particular solutions fixed by the scheme:
+All three solvers act on the series' slot arrays, one slot (j, k, a) at a
+time: the systems are diagonal in the parameter mode j, the angle mode k and
+the Taylor multi-index a.  At k != 0, L2 and L3 solve one shifted system
+(C(beta) + i<omega, k> I) u = b on the stacked unknowns of the slot (L1 is
+its scalar case, with C = 0).  Zero modes follow the particular solutions
+fixed by the scheme:
 
   L1:  u has zero q-mean, solves <omega, d_q u> = v - M_q v
   L2:  (B_x, B_y)(0) = (M_q b_y, 0),  solves  d_om B_x - beta B_y = b_x - M_q b_x
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .series import FTSeries, _l1, divide_q_modes
+from .series import _l1, _like, _plan, divide_q_modes
 
 RESONANCE_RTOL = 1e-14
 
@@ -120,25 +122,6 @@ def effective_diophantine_constant(omega, tau, K):
     return DiophantineWitness(omega, gamma, tau, K, resonant=resonant, worst_k=worst)
 
 
-def _group_slices(series_list, batch=()):
-    """Group coefficients of several series by (j, alpha), then by angle mode k.
-
-    Returns dict (j, a) -> dict k -> complex vector over the series list
-    (shape batch + (len(series_list),) for batched coefficients).
-    """
-    out = {}
-    n = len(series_list)
-    for idx, f in enumerate(series_list):
-        for (j, k, a), c in f.terms.items():
-            slot = out.setdefault((j, a), {})
-            vec = slot.get(k)
-            if vec is None:
-                vec = np.zeros(batch + (n,), dtype=complex)
-                slot[k] = vec
-            vec[..., idx] += c
-    return out
-
-
 def _divisor(witness, k):
     dot = float(np.dot(witness.omega, k))
     if abs(dot) <= RESONANCE_RTOL * np.linalg.norm(witness.omega) * _l1(k):
@@ -153,28 +136,31 @@ def solve_L1(v, witness):
     return divide_q_modes(v, lambda k: _divisor(witness, k))
 
 
+def _fail(stacked, bad, msg):
+    """Raise L2's SolverPreconditionError; for a stacked solve, naming the
+    first entry where bad holds."""
+    if not stacked:
+        raise SolverPreconditionError("L2: %s" % msg)
+    entry = int(np.argmax(bad))
+    raise SolverPreconditionError("L2: %s (stack entry %d)" % (msg, entry),
+                                  entry)
+
+
 def _check_beta(beta, witness, K):
     """L2's precondition: beta is one l x l matrix or a (B, l, l) stack; each
     is checked, and an error names the first failing entry of a stack."""
     beta = np.asarray(beta, dtype=float)
     stack = beta.reshape((-1,) + beta.shape[-2:])
-
-    def fail(bad, msg):
-        if beta.ndim == 2:
-            raise SolverPreconditionError("L2: %s" % msg)
-        entry = int(np.argmax(bad))
-        raise SolverPreconditionError("L2: %s (stack entry %d)"
-                                      % (msg, entry), entry)
-
+    stacked = beta.ndim != 2
     if beta.shape[-2] != beta.shape[-1]:
         raise SolverPreconditionError("L2: beta must be symmetric")
     asym = ~np.all(np.isclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-5,
                               atol=1e-12), axis=(-2, -1))
     if asym.any():
-        fail(asym, "beta must be symmetric")
+        _fail(stacked, asym, "beta must be symmetric")
     big = np.linalg.norm(stack, 2, axis=(-2, -1)) > 1.0 + 1e-12
     if big.any():
-        fail(big, "need ||beta|| <= 1")
+        _fail(stacked, big, "need ||beta|| <= 1")
     nu = np.linalg.eigvalsh(stack)[:, -1]
     lim = 0.5 * witness.min_divisor_sq(K)
     over = nu > lim + 1e-15
@@ -182,9 +168,58 @@ def _check_beta(beta, witness, K):
         # name the offending mode for the error message
         worst = min(_modes_up_to(witness.d, K),
                     key=lambda k: abs(float(np.dot(witness.omega, k))))
-        fail(over, "nu_max(beta)=%.3g exceeds 0.5*min<omega,k>^2=%.3g "
-             "(worst k=%s)" % (float(nu[over][0]), lim, worst))
+        _fail(stacked, over, "nu_max(beta)=%.3g exceeds 0.5*min<omega,k>^2="
+              "%.3g (worst k=%s)" % (float(nu[over][0]), lim, worst))
     return beta
+
+
+def _gather(series, batch):
+    """The coefficients of several series on the sorted union of their slots:
+    (slots, b) with b of shape (len(slots),) + batch + (len(series),)."""
+    plan = _plan(series[0].grading)
+    codes = [plan.code(f.ij, f.ik, f.it) for f in series]
+    slots, at = np.unique(np.concatenate(codes), return_inverse=True)
+    b = np.zeros((len(slots),) + batch + (len(series),), dtype=complex)
+    ends = np.cumsum([len(c) for c in codes])[:-1]
+    for n, (f, rows) in enumerate(zip(series, np.split(at, ends))):
+        # a number fills every entry of a batched row
+        b[rows, ..., n] += f.coef[:, None] if batch and f.coef.ndim == 1 \
+            else f.coef
+    return slots, b
+
+
+def _assemble(like, slots, u):
+    """One series per column of u, shape (len(slots),) + batch + (n,), on the
+    grading and radii of its entry of like; a row that is zero at every
+    entry is left out."""
+    plan = _plan(like[0].grading)
+    out = []
+    for f, col in zip(like, np.moveaxis(u, -1, 0)):
+        live = col.any(axis=tuple(range(1, col.ndim)))
+        out.append(_like(f, *plan.split(slots[live]), col[live], 0.0))
+    return out
+
+
+def _solve_modes(witness, plan, slots, b, C, check=None):
+    """Overwrite each row of b at a slot of angle mode k != 0 with the u of
+    (C + i<omega, k> I) u = b, and return b (its zero-mode rows are left as
+    they are).  C is batch + (n, n) and b (len(slots),) + batch + (n,).
+    The slots are taken in (j, a, k) order, so an error names the first
+    failing slot of that order; each one's matrix M is passed to check(k,
+    M) before its solve."""
+    ij, ik, it = plan.split(slots)
+    eye = np.eye(C.shape[-1])
+    for n in np.lexsort((ik, it, ij)).tolist():
+        if plan.K.norm[ik[n]]:
+            k = plan.K.keys[ik[n]]
+            M = C + 1j * _divisor(witness, k) * eye
+            if check is not None:
+                check(k, M)
+            b[n] = np.linalg.solve(M, b[n][..., None])[..., 0]
+            # freed before the next one is formed (L3's M is 1.6 MB at l = 2
+            # on a 1024-point grid)
+            del M
+    return b
 
 
 def solve_L2(b_x, b_y, beta, witness, K):
@@ -193,47 +228,31 @@ def solve_L2(b_x, b_y, beta, witness, K):
     b_x, b_y are length-l lists of series (may carry phi modes and Taylor
     factors; every (j, alpha) slice is solved independently).  With a
     (B, l, l) stack of matrices the series are batched, entry b solved with
-    beta[b].
+    beta[b].  Each mode solves (C + i<omega, k> I) (B_x, B_y) = (b_x, b_y)
+    with C = [[0, -beta], [I, 0]].
     """
     l = len(b_x)
-    g = b_x[0].grading
+    plan = _plan(b_x[0].grading)
     beta = _check_beta(beta, witness, K)
     batch = beta.shape[:-2]
-    zero_k = (0,) * g.d
-    Bx, By = [{} for _ in b_x], [{} for _ in b_x]
-    slic = _group_slices(list(b_x) + list(b_y), batch)
+    zero = np.zeros(beta.shape)
     eye = np.broadcast_to(np.eye(l), beta.shape)
-    nonzero = (lambda c: c.any()) if batch else (lambda c: c != 0.0)
-    for (j, a), modes in sorted(slic.items()):
-        for k, vec in sorted(modes.items()):
-            if k == zero_k:
-                # rows of the transpose: a number, or one entry per matrix
-                by_hat = vec.T[l:]
-                for i in range(l):
-                    if nonzero(by_hat[i]):
-                        Bx[i][(j, k, a)] = by_hat[i]
-                continue
-            lam = 1j * _divisor(witness, k)
-            M = np.block([[lam * eye, -beta], [eye, lam * eye]])
-            det = np.abs(np.linalg.det(M))
-            dot = float(np.dot(witness.omega, k))
-            low = det < (1 - 1e-9) * (2.0 ** -l) * abs(dot) ** (2 * l)
-            if np.any(low):
-                msg = "L2: determinant bound violated at k=%s" % (k,)
-                if not batch:
-                    raise SolverPreconditionError(msg)
-                entry = int(np.argmax(low))
-                raise SolverPreconditionError(
-                    "%s (stack entry %d)" % (msg, entry), entry)
-            sol = np.linalg.solve(M, vec[..., None])[..., 0].T
-            for i in range(l):
-                if nonzero(sol[i]):
-                    Bx[i][(j, k, a)] = sol[i]
-                if nonzero(sol[l + i]):
-                    By[i][(j, k, a)] = sol[l + i]
-    series = lambda terms: [FTSeries(g, f.r, f.s, t, _raw=True)
-                            for f, t in zip(b_x, terms)]
-    return series(Bx), series(By)
+    C = np.block([[zero, -beta], [eye, zero]])
+
+    def check(k, M):
+        dot = float(np.dot(witness.omega, k))
+        low = np.abs(np.linalg.det(M)) < (1 - 1e-9) * (2.0 ** -l) \
+            * abs(dot) ** (2 * l)
+        if np.any(low):
+            _fail(batch, low, "determinant bound violated at k=%s" % (k,))
+
+    slots, u = _gather(list(b_x) + list(b_y), batch)
+    _solve_modes(witness, plan, slots, u, C, check)
+    mode0 = plan.K.norm[plan.split(slots)[1]] == 0   # (B_x, B_y)(0) = (b_y, 0)
+    u[mode0, ..., :l] = u[mode0, ..., l:]
+    u[mode0, ..., l:] = 0.0
+    out = _assemble(list(b_x) * 2, slots, u)
+    return out[:l], out[l:]
 
 
 def solve_L3(d_xx, d_yy, d_xy, beta, witness):
@@ -244,85 +263,56 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     entry per matrix of the stack (or one number for all of them)."""
     l = len(d_xx)
     f0 = d_xx[0][0]
-    gr, r, s = f0.grading, f0.r, f0.s
+    plan = _plan(f0.grading)
     nb = len(beta)
-    sym_idx = [(i, j) for i in range(l) for j in range(i, l)]
-    si, sj = np.array(sym_idx).T
-    nsym = len(sym_idx)
-    nunk = 2 * nsym + l * l
-    zero_k = (0,) * gr.d
+    si, sj = np.triu_indices(l)
+    nsym = len(si)
+    T = lambda m: np.swapaxes(m, -1, -2)
+    sym = lambda m: 0.5 * (m + T(m))
+    pack = lambda X, Y, Z: np.concatenate(
+        [X[..., si, sj], Y[..., si, sj], Z.reshape(Z.shape[:-2] + (l * l,))],
+        axis=-1)
+
+    def unpack(u):
+        """The blocks X, Y (symmetric) and Z of unknown vectors u, stacked
+        on the third axis from the end."""
+        D = np.zeros(u.shape[:-1] + (3, l, l), dtype=u.dtype)
+        D[..., 0, si, sj] = D[..., 0, sj, si] = u[..., :nsym]
+        D[..., 1, si, sj] = D[..., 1, sj, si] = u[..., nsym:2 * nsym]
+        D[..., 2, :, :] = u[..., 2 * nsym:].reshape(u.shape[:-1] + (l, l))
+        return D
+
+    # C(beta): its columns are the images of the unit unknowns
+    X, Y, Z = np.moveaxis(unpack(np.eye(2 * nsym + l * l)), -3, 0)
+    b = beta[:, None]
+    C = T(pack(-(b @ T(Z) + Z @ b), np.broadcast_to(Z + T(Z), (nb,) + Z.shape),
+               X - b @ Y))
+
     flat = [m[i][j] for m in (d_xx, d_yy, d_xy) for i in range(l)
             for j in range(l)]
-    slic = _group_slices(flat, (nb,))
-    zmat = lambda: np.zeros((nb, l, l), dtype=complex)
-    fresh = lambda: [[{} for _ in range(l)] for _ in range(l)]
-    Dxx, Dyy, Dxy = fresh(), fresh(), fresh()
-    obstruction = 0.0
+    slots, u = _gather(flat, (nb,))
+    u = u.reshape(len(slots), nb, 3, l, l)
+    mode0 = plan.K.norm[plan.split(slots)[1]] == 0
+    yy0, xy0 = sym(u[mode0, :, 1]), u[mode0, :, 2]
+    # each stage rebinds u, so that no stage's array outlives the next one
+    u = pack(sym(u[:, :, 0]), sym(u[:, :, 1]), u[:, :, 2])
+    u = unpack(_solve_modes(witness, plan, slots, u, C))
 
-    def store(mat, vals, key):
-        for i in range(l):
-            for j in range(l):
-                if vals[:, i, j].any():
-                    mat[i][j][key] = vals[:, i, j]
+    # the zero modes
+    w, V = np.linalg.eigh(beta)
+    At = T(V) @ (0.5 * (xy0 - T(xy0))) @ V
+    scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None, None]
+    dw = w[:, :, None] - w[:, None, :]
+    off = ~np.eye(l, dtype=bool)
+    split = off & (np.abs(dw) > 1e-10 * scale)
+    Yt = np.where(split, -2.0 * At / np.where(split, dw, 1.0), 0.0)
+    obstruction = float(np.abs(At)[:, off & ~split].max(initial=0.0))
+    Y0 = V @ Yt @ T(V)
+    u[mode0, :, 0] = sym(xy0 + beta @ Y0)
+    u[mode0, :, 1] = Y0
+    u[mode0, :, 2] = 0.5 * yy0
 
-    # per-mode matrix lam I + C(beta): the columns are the unit unknowns
-    C = np.zeros((nb, nunk, nunk), dtype=complex)
-    for col in range(nunk):
-        X, Y, Z = np.zeros((l, l)), np.zeros((l, l)), np.zeros((l, l))
-        if col < nsym:
-            i, j = sym_idx[col]
-            X[i, j] = X[j, i] = 1.0
-        elif col < 2 * nsym:
-            i, j = sym_idx[col - nsym]
-            Y[i, j] = Y[j, i] = 1.0
-        else:
-            i, j = divmod(col - 2 * nsym, l)
-            Z[i, j] = 1.0
-        E1 = -(beta @ Z.T + Z @ beta)
-        E2 = np.broadcast_to(Z + Z.T, (nb, l, l))
-        E3 = -(beta @ Y) + X
-        C[:, :, col] = np.concatenate([E1[:, si, sj], E2[:, si, sj],
-                                       E3.reshape(nb, -1)], axis=1)
-    eye = np.eye(nunk)
-
-    for (jm, a), modes in sorted(slic.items()):
-        for k, vec in sorted(modes.items()):
-            uxx, uyy, uxy = np.moveaxis(vec.reshape(nb, 3, l, l), 1, 0)
-            uxx = 0.5 * (uxx + np.swapaxes(uxx, 1, 2))
-            uyy = 0.5 * (uyy + np.swapaxes(uyy, 1, 2))
-            key = (jm, k, a)
-            if k == zero_k:
-                Z0 = 0.5 * uyy
-                anti = 0.5 * (uxy - np.swapaxes(uxy, 1, 2))
-                w, V = np.linalg.eigh(beta)
-                VT = np.swapaxes(V, 1, 2)
-                At = VT @ anti @ V
-                scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None, None]
-                dw = w[:, :, None] - w[:, None, :]
-                off = ~np.eye(l, dtype=bool)
-                split = off & (np.abs(dw) > 1e-10 * scale)
-                Yt = np.where(split, -2.0 * At / np.where(split, dw, 1.0), 0.0)
-                obstruction = max(obstruction, float(
-                    np.abs(At)[off & ~split].max(initial=0.0)))
-                Y0 = V @ Yt @ VT
-                X0 = uxy + beta @ Y0
-                X0 = 0.5 * (X0 + np.swapaxes(X0, 1, 2))
-                store(Dxx, X0, key)
-                store(Dyy, Y0, key)
-                store(Dxy, Z0, key)
-                continue
-            lam = 1j * _divisor(witness, k)
-            rhs = np.concatenate([uxx[:, si, sj], uyy[:, si, sj],
-                                  uxy.reshape(nb, -1)], axis=1)
-            sol = np.linalg.solve(C + lam * eye, rhs[..., None])[..., 0]
-            X = zmat()
-            Y = zmat()
-            X[:, si, sj] = X[:, sj, si] = sol[:, :nsym]
-            Y[:, si, sj] = Y[:, sj, si] = sol[:, nsym:2 * nsym]
-            Z = sol[:, 2 * nsym:].reshape(nb, l, l)
-            store(Dxx, X, key)
-            store(Dyy, Y, key)
-            store(Dxy, Z, key)
-    series = lambda mat: [[FTSeries(gr, r, s, t, _raw=True) for t in row]
-                          for row in mat]
-    return series(Dxx), series(Dyy), series(Dxy), obstruction
+    out = _assemble([f0] * (3 * l * l), slots,
+                    u.reshape(len(slots), nb, 3 * l * l))
+    rows = [out[n:n + l] for n in range(0, len(out), l)]
+    return rows[:l], rows[l:2 * l], rows[2 * l:], obstruction

@@ -1,7 +1,7 @@
 """Poisson brackets, Hamiltonian vector fields (with the affine <v,q> term),
-Lie-series time-1 flows, near-identity map composition by Lie transport with
-C^2 tracking, and the integer/shear coordinate reductions that bring a
-resonant problem to the parametrized model form."""
+Lie-series time-1 flows, near-identity map composition by Lie transport, and
+the integer/shear coordinate reductions that bring a resonant problem to the
+parametrized model form."""
 
 import functools
 import itertools
@@ -13,9 +13,8 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .series import (FTSeries, TaylorSplit, _bracket, _bracket_halves,
                      _bracket_pairs, _conjugate, _kept, _l1, _majorants,
-                     _partial, _plan, ck_norm_estimate, coordinate,
-                     coordinates, differentiate, ft_sum, majorant_norm,
-                     multiply)
+                     _partial, _plan, coordinate, coordinates,
+                     differentiate, ft_sum, majorant_norm, multiply)
 
 DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
@@ -199,13 +198,12 @@ class SymplecticMapSeries:
     y): Phi(phi, q, x, p, y) = (q + Uq, x + Ux, p + Up, y + Uy); the
     parameter phi is never moved.  A map built as the time-1 flow of a
     generating function keeps it in `generator`; composition needs it on the
-    inner map.  `c2_bound_ok` records the C^2 product bound of a composition."""
+    inner map."""
 
     U: list
     remainder: float = 0.0
     symp_residual: float = None
     generator: GeneratingFunction = None
-    c2_bound_ok: bool = None
 
     @property
     def grading(self):
@@ -233,15 +231,10 @@ class SymplecticMapSeries:
     def displacement_majorant(self):
         return max(majorant_norm(u) for u in self.components())
 
-    def displacement_c2(self):
-        return max((ck_norm_estimate(u, 2, 2) if not u.is_zero() else 0.0)
-                   for u in self.components())
-
     def with_radii(self, r, s):
         gen = None if self.generator is None else self.generator.with_radii(r, s)
         return SymplecticMapSeries([u.with_radii(r, s) for u in self.U],
-                                   self.remainder, self.symp_residual, gen,
-                                   self.c2_bound_ok)
+                                   self.remainder, self.symp_residual, gen)
 
 
 def identity_map(grading, r, s):
@@ -412,13 +405,18 @@ class _Substituter:
 
     def apply(self, f):
         gr = self.gr
+        plan = _plan(gr)
         pieces = []
         loss = f.trunc_loss
-        for (j, k, a), c in sorted(f.terms.items()):
-            piece = FTSeries.term(gr, self.r, self.s, j, k, (0,) * gr.nz, c)
+        # slot order: the (j, k, a) order, as the balls are lexicographic
+        for ij, ik, it, c in zip(f.ij.tolist(), f.ik.tolist(), f.it.tolist(),
+                                 f.coef.tolist()):
+            k = plan.K.keys[ik]
+            piece = FTSeries.term(gr, self.r, self.s, plan.J.keys[ij], k,
+                                  (0,) * gr.nz, c)
             if _l1(k):
                 piece = multiply(piece, self._angle_factor(k))
-            for var, n in zip(coordinates(gr)[gr.d:], a):
+            for var, n in zip(coordinates(gr)[gr.d:], plan.T.keys[it]):
                 if n:
                     piece = multiply(piece, self._var_power(var, n))
             loss += piece.trunc_loss
@@ -459,12 +457,8 @@ def compose_maps(Phi, Psi):
         rem += bound
         return psi_u + moved
 
-    new = SymplecticMapSeries([transport(a, b) for a, b in zip(Psi.U, Phi.U)],
-                              remainder=rem)
-    lhs = 1.0 + new.displacement_c2()
-    rhs = (1.0 + Phi.displacement_c2()) * (1.0 + Psi.displacement_c2())
-    new.c2_bound_ok = bool(lhs <= rhs * (1.0 + 1e-9))
-    return new
+    return SymplecticMapSeries([transport(a, b)
+                                for a, b in zip(Psi.U, Phi.U)], remainder=rem)
 
 
 # -- integer reduction --------------------------------------------------------------
@@ -738,9 +732,7 @@ def reduce_coordinates(N_hessian, omega0, red, h_terms, f_terms, grading, r, s):
                                shear_S=S_shear, x_scale=Sn)
     f0 = sigma_to_parametrized(f_terms, d, l, grading, r, s, K=red.K,
                                shear_S=S_shear, x_scale=Sn)
-    ball = coordinates(grading)[d:]
-    for (j, k, a), _c in h0.terms.items():
-        py_deg = sum(n for (kind, _), n in zip(ball, a) if kind != "x")
-        if py_deg < 3:
-            raise ReductionError("reduced h carries a (p, y)-degree < 3 term")
+    py = np.array([kind != "x" for kind, _ in coordinates(grading)[d:]])
+    if (_plan(grading).T.pts[h0.it][:, py].sum(axis=1) < 3).any():
+        raise ReductionError("reduced h carries a (p, y)-degree < 3 term")
     return omega, M0, h0, f0, report

@@ -1,7 +1,9 @@
 """The dict-backed Fourier-Taylor ring that kamtori.series replaced, kept
 verbatim as the oracle of tests/test_slot_storage.py: each series holds a
 dict {(j, k, a): c}, sums are Python merge loops and ck_norm_estimate sums
-the majorants of a recursive tree of derivatives.
+the majorants of a recursive tree of derivatives.  One change: taylor_split's
+remainder carries f's trunc_loss, as kamtori.series's does, so a split and
+its reassembly keep the truncation bound.
 
 Sparse Fourier-Taylor series on T^l_param x T^d x B^l x B^d x B^l.
 
@@ -752,7 +754,7 @@ def taylor_split(f):
                                             parts.get((field, i, jj)), _raw=True)
     dims = {"x": g.l, "p": g.d, "y": g.l}
     blocks = {"a": new("a"),
-              "remainder": FTSeries(g, f.r, f.s, rem, _raw=True)}
+              "remainder": FTSeries(g, f.r, f.s, rem, f.trunc_loss, _raw=True)}
     for n in "xpy":
         blocks["b_" + n] = [new("b_" + n, i) for i in range(dims[n])]
     for m, n in ("xx", "pp", "yy", "xy", "px", "py"):

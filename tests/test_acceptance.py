@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from kamtori.engine import (check_alpha_gradient, check_beta_relation,
-                            compute_zeta, extract_torus,
+from kamtori.engine import (compute_zeta, extract_torus,
                             find_vanishing_point, iterate, verify_invariance)
 from kamtori.engine.cohom import freeze_phi
 from kamtori.engine.driver import IterateConfig, IterationState, c2_norm
@@ -26,6 +25,7 @@ from kamtori.symplectic import (GeneratingFunction, identity_map,
                                 map_from_generator, reduce_coordinates,
                                 shifted_parametrization, sigma_cos,
                                 unimodular_completion)
+from identity_checks import check_alpha_gradient, check_beta_relation
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 EPS = 1e-4

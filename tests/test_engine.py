@@ -6,8 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from kamtori.engine import (build_schedule, check_alpha_gradient,
-                            check_beta_relation, compute_zeta, extract_torus,
+from kamtori.engine import (build_schedule, compute_zeta, extract_torus,
                             find_vanishing_point, iterate, kam_step,
                             solve_cohomological, verify_invariance)
 import kamtori.engine.driver as driver
@@ -34,6 +33,7 @@ from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
 import lie_oracle
 import project_oracle
 from conftest import GOLDEN, random_real_series
+from identity_checks import check_alpha_gradient, check_beta_relation
 from normalform_tools import tuple_to_json
 from test_symplectic import (TAIL_WEIGHTS, assert_defects_match_oracle,
                              assert_mirror_matches_exp,
@@ -1231,6 +1231,44 @@ class TestFormedOnlyWhatIsRead:
     def test_symplecticity_forms_no_loss(self, coupled_rung_two_flow,
                                          monkeypatch):
         assert_residual_forms_no_loss(coupled_rung_two_flow[1], monkeypatch)
+
+
+class TestSolvePathReadsArrays:
+    @pytest.mark.slow
+    def test_no_terms_dict_built(self, monkeypatch, coupled_rung_two_inputs,
+                                 coupled_rung_two_flow):
+        # the coupled run's second rung: the per-mode solvers and the
+        # substitution read the slot arrays, never the {(j, k, a): c} dict
+        import kamtori.engine.cohom as cohom
+        args, kwargs = coupled_rung_two_inputs
+        Psi = coupled_rung_two_flow[1]
+        inside, calls, built = [], [], []
+        terms_dict = FTSeries._terms_dict
+
+        def spy_dict(f):
+            if inside:
+                built.append(inside[-1])
+            return terms_dict(f)
+
+        def wrap(module, name):
+            fn = getattr(module, name)
+
+            def spy(*a, **kw):
+                calls.append(name)
+                inside.append(name)
+                try:
+                    return fn(*a, **kw)
+                finally:
+                    inside.pop()
+            monkeypatch.setattr(module, name, spy)
+        wrap(cohom, "solve_L2")
+        wrap(cohom, "solve_L3")
+        wrap(symplectic, "series_compose")
+        monkeypatch.setattr(FTSeries, "_terms_dict", spy_dict)
+        solve_cohomological(*args, **kwargs)
+        symplectic.series_compose(args[1], Psi)
+        assert {"solve_L2", "solve_L3", "series_compose"} <= set(calls)
+        assert built == []
 
 
 class TestModerateAmplitudeFailureReporting:

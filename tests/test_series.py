@@ -207,6 +207,11 @@ class TestTaylorSplit:
         f = random_real_series(g, 1, 1, rng, n_modes=25, max_deg=4)
         assert (taylor_split(f).reassemble() - f).max_abs_coeff() == 0.0
 
+    def test_reassembly_keeps_truncation_loss(self, g11, rng):
+        f = random_real_series(g11, 1, 1, rng, n_modes=12, max_deg=4)
+        f.trunc_loss = 1e-9
+        assert taylor_split(f).reassemble().trunc_loss >= 1e-9
+
 
 class TestMajorant:
     def test_constant(self, g11):

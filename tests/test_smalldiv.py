@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import smalldiv_oracle
+from kamtori.errors import ConvergenceError
 from kamtori.series import (FTSeries, Grading, average_q, majorant_norm,
                             partial_omega)
 from kamtori.smalldiv import (DiophantineWitness, ResonanceError,
@@ -386,3 +390,157 @@ class TestNormGrowthShape:
             consts.append(max(vals))
         assert max(consts) / min(consts) < 50.0
         assert max(consts) < 10.0
+
+
+# -- the slot-array solvers against the dict-walking ones (smalldiv_oracle) --
+
+SHAPES = [(1, 1), (2, 1), (1, 2)]   # (d, l)
+NB = 3
+gauss = st.builds(complex, st.integers(-8, 8), st.integers(-8, 8))
+
+
+def outcome(solve, *args):
+    """(result, None), or (None, (type, stack entry, message)) on a failed
+    solve."""
+    try:
+        return solve(*args), None
+    except ConvergenceError as err:
+        return None, (type(err), getattr(err, "entry", None), str(err))
+
+
+def assert_same_series(got, want):
+    assert len(got) == len(want)
+    for f, g in zip(got, want):
+        assert set(f.terms) == set(g.terms)
+        for key in ("ij", "ik", "it", "coef"):
+            assert np.array_equal(getattr(f, key), getattr(g, key)), key
+        assert (f.r, f.s, f.trunc_loss) == (g.r, g.s, g.trunc_loss)
+
+
+def assert_matches_oracle(b_x, b_y, d3, beta, witness, K):
+    """solve_L2 and solve_L3 give the oracle's series bit for bit, and the
+    same obstruction, or fail as it does."""
+    got, err = outcome(solve_L2, b_x, b_y, beta, witness, K)
+    want, err_old = outcome(smalldiv_oracle.solve_L2, b_x, b_y, beta,
+                            witness, K)
+    assert err == err_old
+    if got is not None:
+        assert_same_series(got[0] + got[1], want[0] + want[1])
+    stack = beta if beta.ndim == 3 else beta[None]
+    got, err = outcome(solve_L3, *d3, stack, witness)
+    want, err_old = outcome(smalldiv_oracle.solve_L3, *d3, stack, witness)
+    assert err == err_old
+    if got is not None:
+        for m in range(3):
+            for row, row_old in zip(got[m], want[m]):
+                assert_same_series(row, row_old)
+        assert got[3] == want[3]
+
+
+def shape_witness(d):
+    return effective_diophantine_constant([GOLDEN] if d == 1
+                                          else [1.0, GOLDEN], 0.5, 2)
+
+
+@st.composite
+def solver_inputs(draw):
+    """Right-hand sides of L2 and L3 on a grading of a drawn (d, l), over two
+    parameter modes j, three Taylor indices a and every angle mode with
+    |k| <= 2 (the zero mode among them), with explicit all-zero rows; beta
+    one matrix (plain coefficients) or a stack of NB (coefficients numbers
+    or length-NB arrays), inside L2's precondition."""
+    d, l = draw(st.sampled_from(SHAPES))
+    gr = Grading(d=d, l=l, K_q=2, K_phi=1, D=3)
+    batched = draw(st.booleans())
+    js = [(0,) * l, (1,) + (0,) * (l - 1)]
+    alphas = [(0,) * gr.nz, (1,) + (0,) * (gr.nz - 1),
+              (0,) * (gr.nz - 1) + (1,)]
+    ks = [k for k in itertools.product(range(-2, 3), repeat=d)
+          if sum(map(abs, k)) <= 2]
+    keys = [(j, k, a) for j in js for k in ks for a in alphas]
+    if batched:
+        coef = st.one_of(st.just(np.zeros(NB, complex)), gauss,
+                         st.lists(gauss, min_size=NB, max_size=NB).map(
+                             lambda v: np.array(v, dtype=complex)))
+    else:
+        coef = st.one_of(st.just(0j), gauss)
+    series = st.dictionaries(st.sampled_from(keys), coef, max_size=8).map(
+        lambda t: FTSeries(gr, 1.0, 1.0, t, _raw=True))
+    witness = shape_witness(d)
+    eig = st.floats(-0.9, min(0.9, 0.5 * witness.min_divisor_sq(2)))
+
+    def one_beta():
+        w = np.diag(draw(st.lists(eig, min_size=l, max_size=l)))
+        t = draw(st.floats(0, np.pi))
+        V = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) \
+            if l == 2 else np.eye(1)
+        b = V @ w @ V.T
+        return 0.5 * (b + b.T)
+    beta = np.stack([one_beta() for _ in range(NB)]) if batched else one_beta()
+    b_x = [draw(series) for _ in range(l)]
+    b_y = [draw(series) for _ in range(l)]
+    d3 = [[[draw(series) for _ in range(l)] for _ in range(l)]
+          for _ in range(3)]
+    return b_x, b_y, d3, beta, witness
+
+
+class TestSlotSolversMatchOracle:
+    @pytest.mark.slow
+    @settings(max_examples=60, deadline=None)
+    @given(solver_inputs())
+    def test_drawn_inputs(self, inputs):
+        b_x, b_y, d3, beta, witness = inputs
+        assert_matches_oracle(b_x, b_y, d3, beta, witness, 2)
+
+    @staticmethod
+    def modes(gr, slices):
+        """One series with coefficient 1 on each (j, k, a) of slices."""
+        return FTSeries(gr, 1.0, 1.0, {key: 1.0 + 0.5j for key in slices},
+                        _raw=True)
+
+    def test_resonant_divisor(self):
+        # omega = (1, 1): k = +-(1, -1) is resonant; beta negative definite
+        # passes L2's precondition at a zero minimal divisor
+        gr = Grading(d=2, l=1, K_q=2, K_phi=1, D=3)
+        w = DiophantineWitness(np.array([1.0, 1.0]), 0.1, 0.5, 2)
+        a0, a1 = (0, 0, 0, 0), (1, 0, 0, 0)
+        f = self.modes(gr, [((0,), (1, 0), a1), ((0,), (-1, 1), a1),
+                            ((0,), (1, -1), a0), ((1,), (0, 1), a0)])
+        z = FTSeries.zero(gr, 1.0, 1.0)
+        for beta in (np.array([[-0.5]]), np.full((NB, 1, 1), -0.5)):
+            assert_matches_oracle([f], [z], [[[f]], [[z]], [[f]]], beta, w, 2)
+            with pytest.raises(ResonanceError):
+                solve_L2([f], [z], beta, w, 2)
+
+    def test_determinant_bound(self):
+        # omega = (1, 0.6) checked to K = 1 allows nu_max(beta) <= 0.18, but
+        # |<omega, k>|^2 is 0.16 at k = (1, -1) and 0.04 at k = (1, -2):
+        # entry 1 (0.17) breaks the bound at the first, entry 0 (0.03) at the
+        # second; the (j, a, k) walk meets (1, -1) first
+        gr = Grading(d=2, l=1, K_q=3, K_phi=1, D=3)
+        w = DiophantineWitness(np.array([1.0, 0.6]), 0.1, 0.5, 3)
+        a0, a1 = (0, 0, 0, 0), (1, 0, 0, 0)
+        f = self.modes(gr, [((0,), (1, -2), a1), ((0,), (1, -1), a0)])
+        z = FTSeries.zero(gr, 1.0, 1.0)
+        beta = np.array([[[0.03]], [[0.17]], [[-0.5]]])
+        for b in (beta, beta[0], beta[1]):
+            assert_matches_oracle([f], [z], [[[f]], [[z]], [[f]]], b, w, 1)
+        with pytest.raises(SolverPreconditionError, match="k=\\(1, -1\\)") \
+                as err:
+            solve_L2([f], [z], beta, w, 1)
+        assert err.value.entry == 1
+
+    def test_stacked_entry_violation(self):
+        gr = Grading(d=1, l=2, K_q=2, K_phi=1, D=3)
+        w = shape_witness(1)
+        f = self.modes(gr, [((0, 0), (1,), (0,) * gr.nz)])
+        z = FTSeries.zero(gr, 1.0, 1.0)
+        ok = np.diag([0.1, -0.2])
+        for bad in (np.array([[0.1, 0.3], [0.0, 0.1]]),   # not symmetric
+                    np.diag([1.5, 0.0])):                   # ||beta|| > 1
+            beta = np.stack([ok, ok, bad])
+            assert_matches_oracle([f, z], [z, f], [[[z, z], [z, z]]] * 3,
+                                  beta, w, 2)
+            with pytest.raises(SolverPreconditionError) as err:
+                solve_L2([f, z], [z, f], beta, w, 2)
+            assert err.value.entry == 2

@@ -10,11 +10,12 @@ import kamtori.series as ring
 import lie_oracle
 import kamtori.symplectic as symplectic
 import symp_oracle
-from kamtori.series import (FTSeries, Grading, differentiate, evaluate,
-                            ft_sum, majorant_norm)
+from kamtori.series import (FTSeries, Grading, ck_norm_estimate,
+                            differentiate, evaluate, ft_sum, majorant_norm)
 from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
                                 GeneratorTooLargeError, ReductionError,
-                                SymplecticityError, _base_bracket_with,
+                                SigmaTerm, SymplecticityError,
+                                _base_bracket_with,
                                 _int_det, _relation_defects, compose_maps,
                                 identity_map,
                                 lie_tail_integral, lie_transform,
@@ -602,7 +603,8 @@ class TestCompose:
         P1 = map_from_generator(GeneratingFunction(F1))
         P2 = map_from_generator(GeneratingFunction(F2))
         C = compose_maps(P1, P2)
-        assert C.c2_bound_ok
+        c2 = lambda P: max(ck_norm_estimate(u, 2, 2) for u in P.U)
+        assert 1.0 + c2(C) <= (1.0 + c2(P1)) * (1.0 + c2(P2)) * (1.0 + 1e-9)
 
     def test_energy_invariance_of_own_flow(self, g11, rng):
         from kamtori.symplectic import series_compose
@@ -746,6 +748,18 @@ class TestReduce:
         with pytest.raises(ReductionError, match="ii"):
             reduce_coordinates(np.array([[-1.0, 0.0], [0.0, 0.0]]),
                                [GOLDEN, 0.0], red, [], [], g, 1.0, 1.0)
+
+    def test_h_of_action_degree_below_three_rejected(self):
+        # h must start at (p, y)-degree 3: p y is refused, p^3 is not
+        g = flagship_grading()
+        red = unimodular_completion([(0, 1)])
+        H = np.diag([-1.0, 1.0])
+        cubic = [SigmaTerm((0, 0), (3, 0), 1.0), SigmaTerm((0, 1), (0, 3), 1.0)]
+        reduce_coordinates(H, [GOLDEN, 0.0], red, cubic, [], g, 1.0, 1.0)
+        with pytest.raises(ReductionError, match="degree < 3"):
+            reduce_coordinates(H, [GOLDEN, 0.0], red,
+                               cubic + [SigmaTerm((0, 0), (1, 1), 1.0)], [],
+                               g, 1.0, 1.0)
 
     def test_cross_block_schur(self):
         g = flagship_grading()
