@@ -220,9 +220,9 @@ def _problem_from(data):
         }
 
 
-def _zeta_rows(zeta, alpha, beta, grading):
+def _zeta_rows(zv, alpha, beta, grading):
+    """zeta.csv's rows on the phi0 search's grid, given its zeta values zv."""
     grid = phi_grid(grading.l, phi_grid_size(grading.K_phi))
-    zv = eval_phi_series(zeta, grid).real
     av = np.stack([eval_phi_series(a, grid).real for a in alpha], axis=-1)
     nv = nu_max_profile(beta, grid)
     rows = []
@@ -293,8 +293,8 @@ def _pipeline(cfg):
     _write_json(hist_path, hist_out)
     artifacts["history"] = hist_path
     csv_path = outputs.get("zeta_csv_path", "zeta.csv")
-    _write_zeta_csv(csv_path, _zeta_rows(zeta, state.alpha, state.N.beta,
-                                         grading), grading.l)
+    _write_zeta_csv(csv_path, _zeta_rows(info["zeta_values"], state.alpha,
+                                         state.N.beta, grading), grading.l)
     artifacts["zeta_csv"] = csv_path
     torus_path = outputs.get("torus_path", "torus.json")
     emb = {k: [fts.to_json_dict(u) for u in us]

@@ -29,8 +29,7 @@ import numpy as np
 from ..errors import ConvergenceError
 from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           const_matrix, majorant_on_grid, mat_eval_grid,
-                          nu_max_profile, phi_grid, project_phi_rows,
-                          series_matrix)
+                          nu_max, phi_grid, project_phi_rows, series_matrix)
 from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinates,
                       degrees, differentiate, freeze_phi, majorant_norm,
                       multiply, select, taylor_split)
@@ -79,7 +78,10 @@ def _at_point(pts, bad):
 
 def _mean0(f, nb):
     """Constant coefficient of a batched series, one entry per point."""
-    return np.zeros(nb, dtype=complex) + f.coeff(*f.grading.zero_key())
+    plan = _plan(f.grading)
+    at = (f.ij == plan.J.index[(0,) * f.grading.l]) \
+        & (f.ik == plan.K.index[(0,) * f.grading.d]) & (f.it == 0)
+    return np.zeros(nb, dtype=complex) + f.coef[at].sum(axis=0)
 
 
 def _real_mean(f, what, pts):
@@ -342,7 +344,8 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     Returns a CohomSolution whose residual_plateau field is the majorant of
     the defect g-slot of Nbar over the grid; the caller checks it against
     the majorant of f.  The per-point construction runs on grid_size points
-    per axis, collocation_size(gr) by default.
+    per axis, collocation_size(gr) by default.  sigma and delta are unused;
+    they stay in the signature because callers pass them by keyword.
     """
     gr = f.grading
     l, d = gr.l, gr.d
@@ -358,10 +361,15 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
                 raise CohomologyError("tuple must have Q = I before the solve")
     size = grid_size or collocation_size(gr)
     pts = phi_grid(l, size)
-    try:
-        nu = nu_max_profile(N.beta, pts)
-    except ValueError as exc:
-        raise CohomologyError(str(exc)) from exc
+
+    def on_grid(mat, symmetric_tol=None):
+        try:
+            return mat_eval_grid(mat, pts, symmetric_tol)
+        except ValueError as exc:
+            raise CohomologyError(str(exc)) from exc
+
+    beta = on_grid(N.beta, 1e-8)
+    nu = nu_max(beta)
     level = 2.25 * delta_plus
     bad = nu >= level
     if bad.any():
@@ -370,12 +378,7 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
             " = %.3g >= level t1 + a = %.3g on %d of %d points%s"
             % (nu[np.argmax(bad)], level, np.count_nonzero(bad), len(pts),
                _at_point(pts, bad)))
-    try:
-        beta = mat_eval_grid(N.beta, pts, symmetric_tol=1e-8)
-        Gamma = mat_eval_grid(N.Gamma, pts)
-        M = mat_eval_grid(N.M, pts, symmetric_tol=1e-8)
-    except ValueError as exc:
-        raise CohomologyError(str(exc)) from exc
+    Gamma, M = on_grid(N.Gamma), on_grid(N.M, 1e-8)
     Nred = _reduced_hamiltonian(N, freeze_phi(N.h, pts), beta, Gamma, M)
     f_B = freeze_phi(f, pts)
     phix_B = [freeze_phi(phi_x[i], pts) for i in range(l)]

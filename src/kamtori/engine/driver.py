@@ -57,10 +57,7 @@ class IterationState:
 @dataclass
 class StepResult:
     alpha_step: list
-    v: list
-    F: FTSeries
     Psi: SymplecticMapSeries
-    Nbar: NormalFormTuple
     measures: dict
     ok: bool
 
@@ -257,8 +254,8 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     misses = postcondition_misses(measures)
     measures["postcondition_misses"] = misses
 
-    result = StepResult(alpha_step=sol.alpha, v=sol.v, F=sol.F, Psi=Psi_out,
-                        Nbar=sol.Nbar, measures=measures, ok=not misses)
+    result = StepResult(alpha_step=sol.alpha, Psi=Psi_out, measures=measures,
+                        ok=not misses)
     return new_state, result
 
 
@@ -353,8 +350,7 @@ def iterate(N0, f0, config=None):
     if eps0 >= 1.0:
         raise StepFailure("perturbation too large to schedule: measured "
                           "size %.3g >= 1" % eps0)
-    sched = build_schedule(r0, s0, eps0, cfg.tau, gr.l, cfg.n_max,
-                           cfg.lambda_cfg)
+    sched = build_schedule(r0, s0, eps0, cfg.tau, gr.l, cfg.n_max)
     history["schedule"] = [vars(row).copy() for row in sched.rows]
     if sched.truncation_reason:
         history["schedule_truncated"] = sched.truncation_reason

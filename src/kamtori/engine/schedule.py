@@ -30,34 +30,24 @@ class ScheduleRow:
     eps: float
     delta: float
     delta_plus: float
-    eps_smallness: float  # eps^(1/2) |log eps|^(4(l+2)tau), logged only
-    cube_root_margin: float = None  # eps^(1/3) / delta, logged only
 
 
 @dataclass
 class Schedule:
     rows: list
-    r0: float
-    s0: float
-    tau: float
-    lambda_cfg: float
     truncation_reason: str = None
 
-    def __len__(self):
-        return len(self.rows)
 
-
-def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
+def build_schedule(r0, s0, eps0, tau, l, n_max=8):
     """Emit rungs until n_max or until a consistency check fails (at rung
     0 that raises StepFailure: no rung can be scheduled).
 
     Checks per rung: the glue level stays below the sublevel threshold
     (delta_plus < delta) and the threshold chain is gradual (delta_n <= 8
-    delta_{n-1}).  The analytic smallness quantity eps^(1/2) |log eps|^(4(l+2)tau)
-    and the cube-root margin eps^(1/3) / delta are recorded for the log; the
-    analytic constants they compare against are not computable, so steps are
-    validated by their measured postconditions instead, and the vanishing-point
-    condition nu_max(beta(phi0)) <= 0 is measured directly.
+    delta_{n-1}).  The analytic smallness conditions compare against
+    constants that are not computable, so steps are validated by their
+    measured postconditions instead, and the vanishing-point condition
+    nu_max(beta(phi0)) <= 0 is measured directly.
     """
     if not (0 < eps0 < 1):
         raise ValueError("need 0 < eps0 < 1 (measured perturbation size)")
@@ -71,7 +61,6 @@ def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
         L = abs(math.log(eps))
         delta = (sigma / L) ** (4 * tau)
         delta_plus = 0.125 * (sigma / (4 * L)) ** (2 * tau)
-        smallness = math.sqrt(eps) * L ** (4 * (l + 2) * tau)
         checks = []
         if not delta_plus < delta:
             checks.append("glue level delta_plus=%.3g not below delta=%.3g"
@@ -82,16 +71,13 @@ def build_schedule(r0, s0, eps0, tau, l, n_max=8, lambda_cfg=0.1):
             reason = "; ".join(checks)
             break
         rows.append(ScheduleRow(n=n, r=r, s=s, sigma=sigma, eps=eps, delta=delta,
-                                delta_plus=delta_plus, eps_smallness=smallness,
-                                cube_root_margin=eps ** (1.0 / 3.0) / delta))
+                                delta_plus=delta_plus))
         r -= 10.0 * sigma
         s -= sigma
         eps = eps ** 1.5
     if not rows:
         raise StepFailure("perturbation too large to schedule: rung 0 fails "
                           "its checks: %s" % reason)
-    sched = Schedule(rows=rows, r0=r0, s0=s0, tau=tau, lambda_cfg=lambda_cfg,
-                     truncation_reason=reason)
     assert rows[-1].r - 10 * rows[-1].sigma > r0 / 2 - 1e-12
     assert rows[-1].s - rows[-1].sigma > s0 / 2 - 1e-12
-    return sched
+    return Schedule(rows=rows, truncation_reason=reason)

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..normalform import (eval_phi_series, mat_eval_grid, phi_grid,
+from ..errors import ConvergenceError
+from ..normalform import (eval_phi_series, nu_max_profile, phi_grid,
                           phi_grid_size)
 from ..series import coordinates, differentiate, evaluate_all, freeze_phi
 from ..symplectic import vector_field
@@ -76,8 +77,7 @@ def find_vanishing_point(zeta, alpha, beta):
         info["alpha_at_phi0"] = np.array(
             [eval_phi_series(a, phi[None, :])[0].real for a in alpha])
     if beta is not None:
-        B = mat_eval_grid(beta, phi)[0]
-        info["nu_max_at_phi0"] = float(np.linalg.eigvalsh(0.5 * (B + B.T))[-1])
+        info["nu_max_at_phi0"] = float(nu_max_profile(beta, phi)[0])
     return phi, info
 
 
@@ -91,8 +91,8 @@ def extract_torus(state, phi0):
         for u in comps:
             defect = u.reality_defect()
             if defect > 1e-9 * max(1.0, u.max_abs_coeff()):
-                raise ValueError("embedding component lost reality symmetry "
-                                 "(defect %.3g)" % defect)
+                raise ConvergenceError("embedding component lost reality "
+                                       "symmetry (defect %.3g)" % defect)
     qs = phi_grid(state.grading.d, 32)
     vec = evaluate_all([u for comps in emb.values() for u in comps], q=qs)
     dist = float(np.linalg.norm(vec, axis=1).max())

@@ -206,14 +206,14 @@ def assemble_hamiltonian(N):
     return model.reassemble() + N.g + N.h
 
 
-def nu_max_profile(beta, grid):
-    """Largest eigenvalue of the symmetrized evaluation of beta at each point."""
-    B = mat_eval_grid(beta, grid)
-    bad = np.abs(B - np.swapaxes(B, 1, 2)).max(axis=(1, 2)) > 1e-8
-    if bad.any():
-        raise ValueError("beta evaluation asymmetric beyond 1e-8 at phi=%s"
-                         % grid[np.argmax(bad)])
+def nu_max(B):
+    """Largest eigenvalue of each symmetrized matrix of a (B, l, l) stack."""
     return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]
+
+
+def nu_max_profile(beta, grid):
+    """nu_max of beta at each grid point (ValueError if asymmetric there)."""
+    return nu_max(mat_eval_grid(beta, grid, symmetric_tol=1e-8))
 
 
 # -- bump function -----------------------------------------------------------------

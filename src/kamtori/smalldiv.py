@@ -158,10 +158,12 @@ def _check_beta(beta, witness, K):
                               atol=1e-12), axis=(-2, -1))
     if asym.any():
         _fail(stacked, asym, "beta must be symmetric")
-    big = np.linalg.norm(stack, 2, axis=(-2, -1)) > 1.0 + 1e-12
+    # symmetric: the 2-norm is the largest |eigenvalue|
+    w = np.linalg.eigvalsh(stack)
+    big = np.abs(w).max(axis=-1) > 1.0 + 1e-12
     if big.any():
         _fail(stacked, big, "need ||beta|| <= 1")
-    nu = np.linalg.eigvalsh(stack)[:, -1]
+    nu = w[:, -1]
     lim = 0.5 * witness.min_divisor_sq(K)
     over = nu > lim + 1e-15
     if over.any():

@@ -466,12 +466,9 @@ def compose_maps(Phi, Psi):
 
 @dataclass
 class LatticeReduction:
-    """Unimodular angle change K in SL(m, Z) with the blocked Hessian data."""
+    """Unimodular angle change K in SL(m, Z)."""
 
     K: list  # m x m integer rows
-    A: np.ndarray = None
-    B: np.ndarray = None  # d x l block (upper right)
-    C: np.ndarray = None
 
 
 def _int_det(M):
@@ -546,7 +543,7 @@ def unimodular_completion(resonances):
         while True:
             nz = [j for j in range(i, m) if A[i][j] != 0]
             if not nz:
-                raise ValueError("resonance vectors are linearly dependent")
+                raise ReductionError("resonance vectors are linearly dependent")
             piv = min(nz, key=lambda j: abs(A[i][j]))
             if piv != i:
                 col_swap(i, piv)
@@ -703,7 +700,6 @@ def reduce_coordinates(N_hessian, omega0, red, h_terms, f_terms, grading, r, s):
     Hess = np.asarray(N_hessian, dtype=float)
     blocked = Karr @ Hess @ Karr.T
     A, B, C = blocked[:d, :d], blocked[:d, d:], blocked[d:, d:]
-    red.A, red.B, red.C = A, B, C
     eigH = np.linalg.eigvalsh(0.5 * (Hess + Hess.T))
     eigC = np.linalg.eigvalsh(0.5 * (C + C.T))
     report["hessian_eigs"] = [float(v) for v in eigH]

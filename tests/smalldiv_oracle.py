@@ -4,12 +4,46 @@ they read the coefficient arrays: the right-hand sides regrouped as dicts
 (j, k, a) in that order (L2 forming its block matrix per mode), the
 solutions accumulated in dicts and the series built from them.
 
-Kept as the test oracle of ``kamtori.smalldiv.solve_L2`` and ``solve_L3``."""
+Kept as the test oracle of ``kamtori.smalldiv.solve_L2`` and ``solve_L3``;
+``check_beta``, L2's precondition as it was when it took ||beta|| from an
+SVD of each matrix, is the oracle of ``kamtori.smalldiv._check_beta``."""
 
 import numpy as np
 
 from kamtori.series import FTSeries
-from kamtori.smalldiv import SolverPreconditionError, _check_beta, _divisor
+from kamtori.smalldiv import SolverPreconditionError, _divisor, _modes_up_to
+
+
+def check_beta(beta, witness, K):
+    beta = np.asarray(beta, dtype=float)
+    stack = beta.reshape((-1,) + beta.shape[-2:])
+    stacked = beta.ndim != 2
+
+    def fail(bad, msg):
+        if not stacked:
+            raise SolverPreconditionError("L2: %s" % msg)
+        entry = int(np.argmax(bad))
+        raise SolverPreconditionError("L2: %s (stack entry %d)"
+                                      % (msg, entry), entry)
+
+    if beta.shape[-2] != beta.shape[-1]:
+        raise SolverPreconditionError("L2: beta must be symmetric")
+    asym = ~np.all(np.isclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-5,
+                              atol=1e-12), axis=(-2, -1))
+    if asym.any():
+        fail(asym, "beta must be symmetric")
+    big = np.linalg.norm(stack, 2, axis=(-2, -1)) > 1.0 + 1e-12
+    if big.any():
+        fail(big, "need ||beta|| <= 1")
+    nu = np.linalg.eigvalsh(stack)[:, -1]
+    lim = 0.5 * witness.min_divisor_sq(K)
+    over = nu > lim + 1e-15
+    if over.any():
+        worst = min(_modes_up_to(witness.d, K),
+                    key=lambda k: abs(float(np.dot(witness.omega, k))))
+        fail(over, "nu_max(beta)=%.3g exceeds 0.5*min<omega,k>^2="
+             "%.3g (worst k=%s)" % (float(nu[over][0]), lim, worst))
+    return beta
 
 
 def _group_slices(series_list, batch=()):
@@ -34,7 +68,7 @@ def _group_slices(series_list, batch=()):
 def solve_L2(b_x, b_y, beta, witness, K):
     l = len(b_x)
     g = b_x[0].grading
-    beta = _check_beta(beta, witness, K)
+    beta = check_beta(beta, witness, K)
     batch = beta.shape[:-2]
     zero_k = (0,) * g.d
     Bx, By = [{} for _ in b_x], [{} for _ in b_x]

@@ -10,6 +10,7 @@ run. Both are loaded here from their files (and not changed)."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
@@ -74,3 +75,41 @@ def test_workloads_read_some_library_names():
 def test_workload_read_resolves(modname, attr):
     assert hasattr(importlib.import_module(modname), attr), \
         "%s.%s" % (modname, attr)
+
+
+def _workload_calls():
+    """(module, attribute, positional count, keyword names) of every call
+    `alias.attr(...)` in bench/workloads.py on an alias of a kamtori
+    module."""
+    with open(os.path.join(BENCH, "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    aliases = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names
+               if a.name.startswith("kamtori.")}
+    calls = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id in aliases:
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(kw.arg is not None for kw in node.keywords)
+            calls.add((aliases[node.func.value.id], node.func.attr,
+                       len(node.args),
+                       tuple(kw.arg for kw in node.keywords)))
+    return sorted(calls)
+
+
+def test_workloads_call_some_library_functions():
+    calls = {(mod, attr) for mod, attr, _, _ in _workload_calls()}
+    assert ("kamtori.engine", "solve_cohomological") in calls
+    assert ("kamtori.cli", "main") in calls
+
+
+@pytest.mark.parametrize("modname, attr, npos, keywords", _workload_calls(),
+                         ids=lambda v: str(v))
+def test_workload_call_binds(modname, attr, npos, keywords):
+    # a call bench/workloads.py makes still binds to the current signature:
+    # as many positional arguments, and each keyword a parameter
+    sig = inspect.signature(getattr(importlib.import_module(modname), attr))
+    sig.bind_partial(*[None] * npos, **dict.fromkeys(keywords))

@@ -16,7 +16,7 @@ from kamtori.engine.cohom import CohomologyError
 from kamtori.errors import (ArtifactIOError, ConvergenceError, KamtoriError,
                             PreconditionError)
 from kamtori.normalform import BumpProjectionError
-from kamtori.series import GradingError, RealityError
+from kamtori.series import FTSeries, GradingError, RealityError
 from kamtori.smalldiv import ResonanceError, SolverPreconditionError
 from kamtori.symplectic import (GeneratorTooLargeError, ReductionError,
                                 SymplecticityError)
@@ -75,6 +75,20 @@ class TestReduce:
         path.write_text(json.dumps(cfg))
         assert main(["reduce", "--config", str(path)]) == EXIT_PRECONDITION
         assert "(iii)" in capsys.readouterr().err
+
+    def test_dependent_resonances_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dep.json"
+        path.write_text(json.dumps({
+            "problem": {"m": 3, "resonances": [[1, 1, -1], [2, 2, -2]],
+                        "omega0": [1.0, GOLDEN, 1.0 + GOLDEN],
+                        "hessian": np.diag([-1.0, 1.0, 1.0]).tolist()},
+            "truncation": {"K_q": 3, "K_phi": 3, "D": 4},
+            "outputs": {"reduced_path": str(tmp_path / "red.json")}}))
+        assert main(["reduce", "--config", str(path)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("precondition failure: ")
+        assert "linearly dependent" in err
+        assert not (tmp_path / "red.json").exists()
 
     def test_three_dof_single_resonance(self, tmp_path):
         a, b = 1.0, GOLDEN
@@ -224,6 +238,24 @@ class TestRun:
         assert (tmp_path / "zeta.csv").read_text().startswith(
             "phi1,zeta,alpha_norm,nu_max_beta")
         assert "iteration stopped early: tuple drift" in capsys.readouterr().out
+
+    def test_embedding_reality_loss_exits_3(self, tmp_path, monkeypatch,
+                                            capsys):
+        # an unmatched angle mode in the map's q-displacement: the extracted
+        # embedding is not real, a check of the result that broke down
+        real = cli.extract_torus
+
+        def unmatched(state, phi0):
+            u = state.Phi.U[0]
+            state.Phi.U[0] = u + FTSeries.term(u.grading, u.r, u.s, (0,),
+                                               (1,), (0,) * u.grading.nz,
+                                               1e-3)
+            return real(state, phi0)
+        monkeypatch.setattr(cli, "extract_torus", unmatched)
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_CONVERGENCE
+        assert capsys.readouterr().err.startswith(
+            "convergence failure: embedding component lost reality symmetry")
 
     def test_determinism_byte_identical(self, tmp_path):
         path, cfg = flagship_config(tmp_path)

@@ -18,7 +18,7 @@ from kamtori.engine.driver import (IterateConfig, IterationState, c2_norm,
 from kamtori.normalform import (assemble_hamiltonian, const_matrix,
                                 eval_phi_series, initial_tuple, phi_grid,
                                 phi_grid_size)
-from kamtori.errors import PreconditionError
+from kamtori.errors import ConvergenceError, PreconditionError
 from kamtori.series import (FTSeries, Grading, RealityError, average_q,
                             differentiate, evaluate, from_json_dict,
                             majorant_norm, multiply, taylor_split)
@@ -440,7 +440,7 @@ class TestComposeByLieTransport:
         wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
         cfg = IterateConfig()
         sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
-                               cfg.n_max, cfg.lambda_cfg)
+                               cfg.n_max)
         st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
                              f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
         st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
@@ -468,7 +468,7 @@ def coupled_rung_two_inputs():
     wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
     cfg = IterateConfig()
     sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
-                           cfg.n_max, cfg.lambda_cfg)
+                           cfg.n_max)
     st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
                          f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
     st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
@@ -747,6 +747,21 @@ class TestTorus:
         H = assemble_hamiltonian(N0)
         assert verify_invariance(H, tor.embedding, [GOLDEN], 32) < 1e-14
 
+    def test_reality_loss_is_a_convergence_failure(self):
+        # a q-displacement with the mode k = 1 and not its mirror k = -1
+        gr = small_grading()
+        N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
+        Phi = identity_map(gr, 1, 1)
+        Phi.U[0] = FTSeries.term(gr, 1.0, 1.0, (0,), (1,), (0,) * gr.nz,
+                                 1e-3)
+        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
+                             f=FTSeries.zero(gr, 1, 1), Phi=Phi, r=1.0,
+                             s=1.0)
+        with pytest.raises(ConvergenceError,
+                           match="embedding component lost reality "
+                                 r"symmetry \(defect 0\.001\)"):
+            extract_torus(st0, [0.0])
+
     def test_flagship_exact_invariance(self, flagship_run):
         gr, N0, f0, state, hist = flagship_run
         H0 = assemble_hamiltonian(N0) + f0
@@ -977,9 +992,9 @@ class TestUncoveredSublevelRegion:
         import kamtori.engine.cohom as cohom
         N, f, phix, wit = self.problem(l, shift)
         profiled, solved = [], []
-        profile = cohom.nu_max_profile
-        monkeypatch.setattr(cohom, "nu_max_profile", lambda beta, grid: (
-            profiled.append(grid.copy()), profile(beta, grid))[1])
+        evaluate_grid = cohom.mat_eval_grid
+        monkeypatch.setattr(cohom, "mat_eval_grid", lambda mat, grid, *a: (
+            profiled.append(grid.copy()), evaluate_grid(mat, grid, *a))[1])
         monkeypatch.setattr(cohom, "_grid_solve",
                             lambda *a: solved.append(a))
         with pytest.raises(CohomologyError) as err:
@@ -1037,9 +1052,9 @@ class TestCollocationGrid:
         phix = [coordinate(gr, 1.0, 1.0, "x", 0)]
         f = shifted_parametrization(sigma_cos((1, 1), EPS), 1, 1, gr, 1.0, 1.0)
         profiled = []
-        profile = cohom.nu_max_profile
-        monkeypatch.setattr(cohom, "nu_max_profile", lambda beta, grid: (
-            profiled.append(len(grid)), profile(beta, grid))[1])
+        nu_max = cohom.nu_max
+        monkeypatch.setattr(cohom, "nu_max", lambda B: (
+            profiled.append(len(B)), nu_max(B))[1])
         sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
                                   delta_plus=0.03)
         assert profiled == [32]
@@ -1269,6 +1284,30 @@ class TestSolvePathReadsArrays:
         symplectic.series_compose(args[1], Psi)
         assert {"solve_L2", "solve_L3", "series_compose"} <= set(calls)
         assert built == []
+
+    @pytest.mark.parametrize("problem", ["coupled-rung-two", "l2-cohom"])
+    def test_solve_reads_each_input_once(self, monkeypatch, request,
+                                         problem):
+        # the whole solve builds no terms dict and evaluates beta once, on
+        # the coupled run's second rung and on the l = 2 benchmark problem
+        import kamtori.engine.cohom as cohom
+        if problem == "coupled-rung-two":
+            args, kwargs = request.getfixturevalue("coupled_rung_two_inputs")
+        else:
+            args = l2_nonzero_beta_problem()
+            kwargs = dict(sigma=0.025, delta=0.1, delta_plus=0.03,
+                          grid_size=32)
+        N = args[0]
+        built, evaluated = [], []
+        terms_dict = FTSeries._terms_dict
+        evaluate_grid = cohom.mat_eval_grid
+        monkeypatch.setattr(FTSeries, "_terms_dict",
+                            lambda f: (built.append(f), terms_dict(f))[1])
+        monkeypatch.setattr(cohom, "mat_eval_grid", lambda mat, *a: (
+            evaluated.append(mat), evaluate_grid(mat, *a))[1])
+        solve_cohomological(*args, **kwargs)
+        assert built == []
+        assert [mat is N.beta for mat in evaluated].count(True) == 1
 
 
 class TestModerateAmplitudeFailureReporting:

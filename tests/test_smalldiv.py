@@ -11,7 +11,7 @@ from kamtori.errors import ConvergenceError
 from kamtori.series import (FTSeries, Grading, average_q, majorant_norm,
                             partial_omega)
 from kamtori.smalldiv import (DiophantineWitness, ResonanceError,
-                              SolverPreconditionError,
+                              SolverPreconditionError, _check_beta,
                               effective_diophantine_constant, solve_L1,
                               solve_L2, solve_L3)
 from conftest import GOLDEN
@@ -544,3 +544,58 @@ class TestSlotSolversMatchOracle:
             with pytest.raises(SolverPreconditionError) as err:
                 solve_L2([f, z], [z, f], beta, w, 2)
             assert err.value.entry == 2
+
+
+# -- L2's precondition against its SVD version (smalldiv_oracle.check_beta) --
+
+# omega = (1, 0.6) checked to K = 1 allows nu_max(beta) <= 0.18 < 1, so both
+# of L2's bounds can be met and missed
+EDGE_WITNESS = DiophantineWitness(np.array([1.0, 0.6]), 0.1, 0.5, 1)
+EDGE_LIM = 0.5 * EDGE_WITNESS.min_divisor_sq(1)
+# norms some way off each side of the 1 + 1e-12 edge (far beyond the
+# rounding of an eigenvalue), and nu at and around the divisor bound
+edge_eig = st.one_of(
+    st.sampled_from([s * (1.0 + 1e-12 + o) for s in (-1.0, 1.0)
+                     for o in (-1e-3, -1e-11, -1e-13, 1e-13, 1e-11, 1e-3)]),
+    st.sampled_from([EDGE_LIM + o for o in (-1e-14, -1e-15, 0.0, 1e-15,
+                                            2e-15, 1e-14)]),
+    st.floats(-1.1, 1.1))
+
+
+@st.composite
+def symmetric_betas(draw):
+    """One exactly symmetric l x l matrix (l = 1 or 2) or a stack of 1 to 4
+    of them, with eigenvalues near L2's bounds."""
+    l = draw(st.sampled_from([1, 2]))
+
+    def one():
+        w = np.diag(draw(st.lists(edge_eig, min_size=l, max_size=l)))
+        t = draw(st.floats(0, np.pi))
+        V = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]) \
+            if l == 2 else np.eye(1)
+        b = V @ w @ V.T
+        return 0.5 * (b + b.T)
+    n = draw(st.integers(0, 4))
+    return np.stack([one() for _ in range(n)]) if n else one()
+
+
+class TestCheckBeta:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_betas())
+    def test_matches_svd_oracle(self, beta):
+        # the same pass or fail, first failing entry and message
+        got, err = outcome(_check_beta, beta, EDGE_WITNESS, 1)
+        want, err_old = outcome(smalldiv_oracle.check_beta, beta,
+                                EDGE_WITNESS, 1)
+        assert err == err_old
+        if got is not None:
+            assert np.array_equal(got, want)
+
+    def test_takes_no_svd(self, monkeypatch):
+        def svd_norm(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called")
+        monkeypatch.setattr(np.linalg, "norm", svd_norm)
+        beta = np.stack([np.diag([0.1, -0.2]), np.diag([-1.5, 0.0])])
+        with pytest.raises(SolverPreconditionError,
+                           match=r"need \|\|beta\|\| <= 1 \(stack entry 1\)"):
+            _check_beta(beta, EDGE_WITNESS, 1)

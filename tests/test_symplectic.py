@@ -691,7 +691,7 @@ class TestUnimodular:
         assert np.allclose(out[1:], 0.0)
 
     def test_dependent_input_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReductionError, match="linearly dependent"):
             unimodular_completion([(1, 1, 0), (2, 2, 0)])
 
     def test_non_integer_rejected(self):
