@@ -91,6 +91,14 @@ def max_threads():
     return n
 
 
+def _verify_grid(n):
+    """A verify grid of n points per axis, which needs n >= 1."""
+    if n < 1:
+        raise PreconditionError("verify grid must be >= 1 point per axis, "
+                                "got %d" % n)
+    return n
+
+
 def _sigma_terms(entries, amplitude=1.0):
     out = []
     for e in entries:
@@ -133,6 +141,9 @@ def cmd_reduce(cfg, out_path=None):
         amplitude = float(prob.get("amplitude", 1.0))
         h_terms = _sigma_terms(prob.get("h_terms", []))
         f_terms = _sigma_terms(prob.get("f_terms", []), amplitude)
+    if not (r > 0 and s > 0):
+        raise PreconditionError("bad config: radii must be positive, got "
+                                "(%g, %g)" % (r, s))
     if omega0.shape != (m,) or hessian.shape != (m, m) \
             or any(len(vec) != m for vec in resonances) \
             or any(len(t.mode) != m or len(t.powers) != m
@@ -265,6 +276,9 @@ def _pipeline(cfg):
             target_tol=min(target_tol, 1e-12),
             lambda_cfg=float(sched_cfg.get("lambda_cfg", 0.1)),
             frame=prob["frame"])
+    default_grid = 64 if grading.d == 1 else 24
+    with _parsing("outputs"):
+        grid_n = _verify_grid(int(outputs.get("verify_grid", default_grid)))
     N0 = initial_tuple(grading, prob["r0"], prob["s0"], prob["omega"],
                        prob["M0"], h=prob["h0"])
     state, history = iterate(N0, prob["f0"], it_cfg)
@@ -273,15 +287,8 @@ def _pipeline(cfg):
     phi0, info = find_vanishing_point(zeta, state.alpha, state.N.beta)
     torus = extract_torus(state, phi0)
     Hbar = freeze_phi(H0, phi0)
-    default_grid = 64 if grading.d == 1 else 24
-    with _parsing("outputs"):
-        grid_n = int(outputs.get("verify_grid", default_grid))
     residual = verify_invariance(Hbar, torus.embedding, prob["omega"],
                                  grid_n=grid_n)
-    torus.residual = residual
-    torus.alpha_at_phi0 = info.get("alpha_at_phi0")
-    torus.nu_max_at_phi0 = info.get("nu_max_at_phi0")
-    torus.grad_norm = info["grad_norm"]
     artifacts = {}
     hist_path = outputs.get("history_path", "history.json")
     # the rung's norms, what the truncated ring dropped and kept, the
@@ -305,27 +312,29 @@ def _pipeline(cfg):
         "tau": prob["tau"],
         "embedding": emb,
         "residual": float(residual),
-        "alpha_at_phi0": [float(v) for v in torus.alpha_at_phi0],
-        "nu_max_at_phi0": float(torus.nu_max_at_phi0),
+        "alpha_at_phi0": [float(v) for v in info["alpha_at_phi0"]],
+        "nu_max_at_phi0": float(info["nu_max_at_phi0"]),
         "distance_to_trivial": float(torus.distance_to_trivial),
-        "grad_norm": float(torus.grad_norm),
+        "grad_norm": float(info["grad_norm"]),
         "hamiltonian": fts.to_json_dict(Hbar),
     })
     artifacts["torus"] = torus_path
-    return state, history, torus, residual, target_tol, artifacts
+    return state, history, phi0, info, residual, target_tol, artifacts
 
 
 def cmd_run(cfg):
-    state, history, torus, residual, target_tol, artifacts = _pipeline(cfg)
+    state, history, phi0, info, residual, target_tol, artifacts = \
+        _pipeline(cfg)
     print("steps run: %d" % state.n)
     for row in history["steps"]:
         print("  n=%d  |f| = %.6g  conjugacy = %s"
               % (row["n"], row["f_norm"] or 0.0,
                  "%.3g" % row["conjugacy_residual"]
                  if row.get("conjugacy_residual") is not None else "n/a"))
-    print("phi0 = %s  (gradient %.3g)" % (torus.phi0, torus.grad_norm))
+    print("phi0 = %s  (gradient %.3g)" % (phi0, info["grad_norm"]))
     print("|alpha(phi0)| = %.6g   nu_max(beta(phi0)) = %.6g"
-          % (float(np.linalg.norm(torus.alpha_at_phi0)), torus.nu_max_at_phi0))
+          % (float(np.linalg.norm(info["alpha_at_phi0"])),
+             info["nu_max_at_phi0"]))
     print("invariance residual = %.6g  (gate %.3g)" % (residual, target_tol))
     for kind, path in sorted(artifacts.items()):
         print("wrote %s: %s" % (kind, path))
@@ -336,6 +345,7 @@ def cmd_run(cfg):
 
 
 def cmd_verify(torus_path, problem_path, grid_n):
+    _verify_grid(grid_n)
     data = _read_json(torus_path)
     try:
         H = fts.from_json_dict(data["hamiltonian"])

@@ -31,8 +31,8 @@ from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           const_matrix, majorant_on_grid, mat_eval_grid,
                           nu_max, phi_grid, project_phi_rows, series_matrix)
 from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinates,
-                      degrees, differentiate, freeze_phi, majorant_norm,
-                      multiply, select, taylor_split)
+                      differentiate, freeze_phi, majorant_norm, multiply,
+                      restrict_z0, taylor_split)
 # not used here: bench/workloads.py builds its trackers with cohom.coordinate
 from ..series import coordinate  # noqa: F401
 from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
@@ -65,7 +65,6 @@ class CohomSolution:
     grid: np.ndarray
     residual_plateau: float = 0.0
     residual_tracker: float = 0.0
-    linear_defect: float = 0.0
     zero_mode_obstruction: float = 0.0
     max_condition: float = 0.0
     projection_defect: float = 0.0
@@ -91,11 +90,6 @@ def _real_mean(f, what, pts):
         raise CohomologyError("%s mean came out complex: %s%s"
                               % (what, c[np.argmax(bad)], _at_point(pts, bad)))
     return c.real
-
-
-def restrict_z0(f):
-    """Drop every term with a nonzero Taylor exponent (evaluation at z = 0)."""
-    return select(f, degrees(f)[2] == 0)
 
 
 def _reduced_hamiltonian(N, h_frozen, beta, Gamma, M):
@@ -218,8 +212,6 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
     gen_lin = GeneratingFunction(F_lin, v_series)
     u = combo + gen_lin.bracket_with(Nred)
     sp_u = taylor_split(u)
-    lin_defect = max(_peak(majorant_norm(b))
-                     for b in sp_u.b_x + sp_u.b_y + sp_u.b_p)
 
     Dxx, Dyy, Dxy, obstruction = solve_L3(sp_u.d_xx, sp_u.d_yy, sp_u.d_xy,
                                           beta, witness)
@@ -269,7 +261,7 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
             "bbar": real(l, l, lambda i, j: spR.d_xx[i][j], "beta-bar"),
             "Gbar": real(l, d, lambda i, j: spR.d_px[j][i], "Gamma-bar"),
             "Mbar": real(d, d, lambda i, j: spR.d_pp[i][j], "M-bar"),
-            "hbar": spR.remainder, "lin_defect": lin_defect,
+            "hbar": spR.remainder,
             "cond": _peak(cond), "obstruction": obstruction}
 
 
@@ -424,6 +416,5 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     return CohomSolution(
         alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, grid=pts,
         residual_plateau=resid_plateau, residual_tracker=tracker_resid,
-        linear_defect=res["lin_defect"],
         zero_mode_obstruction=res["obstruction"], max_condition=res["cond"],
         projection_defect=proj_defect)

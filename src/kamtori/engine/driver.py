@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConvergenceError, PreconditionError
-from ..normalform import (NormalFormTuple, assemble_hamiltonian, mat_add,
+from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           normal_form_distance, normal_form_norm)
 from ..series import (FTSeries, TaylorSplit, average_q, ck_norm_estimate,
                       coordinate, degrees, differentiate, majorant_norm,
@@ -60,17 +60,6 @@ class StepResult:
     Psi: SymplecticMapSeries
     measures: dict
     ok: bool
-
-
-def _retag_mat(mat, r, s):
-    return [[e.with_radii(r, s) for e in row] for row in mat]
-
-
-def _retag_tuple(N, r, s):
-    return NormalFormTuple(N.w, N.c.with_radii(r, s), _retag_mat(N.beta, r, s),
-                           _retag_mat(N.Gamma, r, s), _retag_mat(N.M, r, s),
-                           _retag_mat(N.Q, r, s), N.g.with_radii(r, s),
-                           N.h.with_radii(r, s))
 
 
 def c2_norm(f):
@@ -119,7 +108,7 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
         (c2_norm(u) for u in dx_off), default=0.0)
     if N0 is not None:
         measures["tuple_drift"] = normal_form_distance(
-            state.N, _retag_tuple(N0, r, s))
+            state.N, N0.with_radii(r, s))
     pre_fail = []
     if f_norm > eps:
         pre_fail.append("|f|_2 = %.3g exceeds the rung budget %.3g"
@@ -195,24 +184,18 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
                           measures) from exc
     measures["lie_remainder"] = rem
 
-    g_new = state.N.g + sol.Nbar.g
+    # Nbar has w = 0 and Q = 0, so the sum keeps w and Q as they are
+    N_plus = state.N + sol.Nbar
     if not state.N.g.is_zero():
         try:
             g_moved, _, orders[2] = lie_transform(state.N.g, gen)
         except ConvergenceError as exc:
             raise StepFailure("normal-form transport failed: %s" % exc,
                               measures) from exc
-        g_new = g_new + (g_moved - state.N.g)
-    N_plus = NormalFormTuple(
-        w=state.N.w.copy(), c=state.N.c + sol.Nbar.c,
-        beta=mat_add(state.N.beta, sol.Nbar.beta),
-        Gamma=mat_add(state.N.Gamma, sol.Nbar.Gamma),
-        M=mat_add(state.N.M, sol.Nbar.M),
-        Q=[[e.copy() for e in rw] for rw in state.N.Q],
-        g=g_new, h=state.N.h + sol.Nbar.h)
+        N_plus.g = N_plus.g + (g_moved - state.N.g)
 
     r_plus, s_plus = r - 10 * sigma, s - sigma
-    N_plus = _retag_tuple(N_plus, r_plus, s_plus)
+    N_plus = N_plus.with_radii(r_plus, s_plus)
     f_plus = f_plus.with_radii(r_plus, s_plus)
     Psi_out = Psi.with_radii(r_plus, s_plus)
     try:
@@ -350,7 +333,7 @@ def iterate(N0, f0, config=None):
     if eps0 >= 1.0:
         raise StepFailure("perturbation too large to schedule: measured "
                           "size %.3g >= 1" % eps0)
-    sched = build_schedule(r0, s0, eps0, cfg.tau, gr.l, cfg.n_max)
+    sched = build_schedule(r0, s0, eps0, cfg.tau, n_max=cfg.n_max)
     history["schedule"] = [vars(row).copy() for row in sched.rows]
     if sched.truncation_reason:
         history["schedule_truncated"] = sched.truncation_reason

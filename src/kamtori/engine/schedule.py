@@ -9,7 +9,7 @@ delta_plus_n = (1/8) (sigma_n / (4 |log eps_n|))^(2 tau).
 import math
 from dataclasses import dataclass
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, PreconditionError
 
 
 class StepFailure(ConvergenceError):
@@ -38,9 +38,9 @@ class Schedule:
     truncation_reason: str = None
 
 
-def build_schedule(r0, s0, eps0, tau, l, n_max=8):
-    """Emit rungs until n_max or until a consistency check fails (at rung
-    0 that raises StepFailure: no rung can be scheduled).
+def build_schedule(r0, s0, eps0, tau, *, n_max=8):
+    """Emit rungs until n_max (at least 1) or until a consistency check
+    fails (at rung 0 that raises StepFailure: no rung can be scheduled).
 
     Checks per rung: the glue level stays below the sublevel threshold
     (delta_plus < delta) and the threshold chain is gradual (delta_n <= 8
@@ -51,6 +51,9 @@ def build_schedule(r0, s0, eps0, tau, l, n_max=8):
     """
     if not (0 < eps0 < 1):
         raise ValueError("need 0 < eps0 < 1 (measured perturbation size)")
+    if n_max < 1:
+        raise PreconditionError("n_max = %s schedules no rung; need n_max >= 1"
+                                % n_max)
     base = min(r0, s0)
     rows = []
     r, s = float(r0), float(s0)

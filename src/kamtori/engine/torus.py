@@ -17,11 +17,7 @@ from .cohom import restrict_z0
 class TorusResult:
     phi0: np.ndarray
     embedding: dict          # q-only displacement series uq, ux, up, uy
-    residual: float = None
-    alpha_at_phi0: np.ndarray = None
-    nu_max_at_phi0: float = None
-    grad_norm: float = None
-    distance_to_trivial: float = None
+    distance_to_trivial: float
 
 
 def find_vanishing_point(zeta, alpha, beta):

@@ -5,7 +5,8 @@ plateau on its whole grid)."""
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -148,10 +149,6 @@ def mat_eval_grid(mat, grid, symmetric_tol=None):
     return res
 
 
-def mat_add(A, B):
-    return [[A[i][j] + B[i][j] for j in range(len(A[0]))] for i in range(len(A))]
-
-
 @dataclass
 class NormalFormTuple:
     """The eight-component tuple (w, c, beta, Gamma, M, Q, g, h).
@@ -177,6 +174,26 @@ class NormalFormTuple:
     def radii(self):
         return (self.c.r, self.c.s)
 
+    def _walk(self, w, op, *others):
+        """The tuple with frequency vector w whose series components are op
+        of this tuple's and the others' (entry by entry in the matrices)."""
+        def each(x, *ys):
+            if isinstance(x, list):
+                return [each(*entries) for entries in zip(x, *ys)]
+            return op(x, *ys)
+        return NormalFormTuple(w, *(
+            each(*(getattr(N, f.name) for N in (self,) + others))
+            for f in fields(self)[1:]))
+
+    def with_radii(self, r, s):
+        """The same components read on radii (r, s), which may only shrink."""
+        return self._walk(self.w, lambda e: e.with_radii(r, s))
+
+    def __add__(self, other):
+        return self._walk(self.w + other.w, operator.add, other)
+
+    def __sub__(self, other):
+        return self._walk(self.w - other.w, operator.sub, other)
 
 
 def initial_tuple(grading, r, s, omega, M0, h=None, Q0=None):
@@ -305,12 +322,5 @@ def normal_form_norm(N, r=None, s=None):
 
 
 def normal_form_distance(N1, N2, r=None):
-    if N1.grading != N2.grading:
-        raise ValueError("grading mismatch")
-    sub = lambda A, B: [[A[i][j] - B[i][j] for j in range(len(A[0]))]
-                        for i in range(len(A))]
-    diff = NormalFormTuple(N1.w - N2.w, N1.c - N2.c, sub(N1.beta, N2.beta),
-                           sub(N1.Gamma, N2.Gamma), sub(N1.M, N2.M),
-                           sub(N1.Q, N2.Q), N1.g - N2.g, N1.h - N2.h)
-    return normal_form_norm(diff, r)
+    return normal_form_norm(N1 - N2, r)
 

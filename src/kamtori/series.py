@@ -978,6 +978,11 @@ def select(f, keep):
                  f.trunc_loss)
 
 
+def restrict_z0(f):
+    """Drop every term with a nonzero Taylor exponent (evaluation at z = 0)."""
+    return select(f, degrees(f)[2] == 0)
+
+
 def average_q(f):
     """Retain the k = 0 angle modes (the q-average M_q f)."""
     return select(f, degrees(f)[1] == 0)

@@ -1,7 +1,7 @@
-"""Poisson brackets, Hamiltonian vector fields (with the affine <v,q> term),
-Lie-series time-1 flows, near-identity map composition by Lie transport, and
-the integer/shear coordinate reductions that bring a resonant problem to the
-parametrized model form."""
+"""Poisson brackets, Hamiltonian vector fields, Lie-series time-1 flows of
+generators with the affine <v,q> term, near-identity map composition by Lie
+transport, and the integer/shear coordinate reductions that bring a resonant
+problem to the parametrized model form."""
 
 import functools
 import itertools
@@ -14,7 +14,8 @@ from .errors import ConvergenceError, PreconditionError
 from .series import (FTSeries, TaylorSplit, _bracket, _bracket_halves,
                      _bracket_pairs, _conjugate, _kept, _l1, _majorants,
                      _partial, _plan, coordinate, coordinates,
-                     differentiate, ft_sum, majorant_norm, multiply)
+                     differentiate, ft_sum, majorant_norm, multiply,
+                     restrict_z0)
 
 DEFAULT_ORDER_CAP = 12
 DEFAULT_SYMP_TOL = 1e-8
@@ -43,21 +44,12 @@ def poisson_bracket(g, h):
     return _bracket(g, h)
 
 
-def vector_field(H, v=None):
-    """(qdot, xdot, pdot, ydot) = (d_p H, d_y H, -d_q H - v, -d_x H), by
-    kind in the order of series.coordinates."""
-    gr = H.grading
+def vector_field(H):
+    """(qdot, xdot, pdot, ydot) = (d_p H, d_y H, -d_q H, -d_x H), by kind in
+    the order of series.coordinates."""
     field = {}
-    for kind, i in coordinates(gr):
+    for kind, i in coordinates(H.grading):
         field.setdefault(kind, []).append(_base_bracket_with(kind, i, H))
-    if v is not None:
-        pdot = field["p"]
-        for i in range(gr.d):
-            vi = v[i]
-            if isinstance(vi, FTSeries):
-                pdot[i] = pdot[i] - vi
-            elif vi:
-                pdot[i] = pdot[i] - FTSeries.constant(gr, H.r, H.s, vi)
     return tuple(field.values())
 
 
@@ -432,15 +424,16 @@ def series_compose(f, Psi, drop_z_identity=False):
     With drop_z_identity the ball variables are replaced by Psi's
     displacement alone (evaluation along z = 0)."""
     if Psi.is_identity():
-        return f.copy()
+        return restrict_z0(f) if drop_z_identity else f.copy()
     return _Substituter(Psi, drop_z_identity).apply(f)
 
 
 def compose_maps(Phi, Psi):
     """Functional composition Phi o Psi of two near-identity maps.
 
-    Psi must carry its generator: each displacement u of Phi is transported
-    as u o Psi = exp(L_gen) u (Deprit 1969), so no Taylor substitution is
+    Psi must carry its generator, on Psi's radii (map_from_generator and
+    with_radii keep it there): each displacement u of Phi is transported as
+    u o Psi = exp(L_gen) u (Deprit 1969), so no Taylor substitution is
     made."""
     if Psi.is_identity():
         return Phi
@@ -448,12 +441,11 @@ def compose_maps(Phi, Psi):
         return Psi
     if Psi.generator is None:
         raise TypeError("compose_maps needs the generator of the inner map")
-    gen = Psi.generator.with_radii(*Psi.radii)
     rem = Phi.remainder + Psi.remainder
 
     def transport(psi_u, phi_u):
         nonlocal rem
-        moved, bound, _ = lie_transform(phi_u, gen)
+        moved, bound, _ = lie_transform(phi_u, Psi.generator)
         rem += bound
         return psi_u + moved
 

@@ -412,13 +412,40 @@ class TestFailureExitCodes:
         lambda cfg: cfg["problem"].update(omega0=[GOLDEN]),
         lambda cfg: cfg["problem"]["f_terms"][0].update(q_modes=[0, 1]),
         lambda cfg: cfg.update(truncation={"K_q": 0}),
-        lambda cfg: cfg.update(schedule={"n_max": None})])
+        lambda cfg: cfg.update(schedule={"n_max": None}),
+        lambda cfg: cfg["schedule"].update(n_max=0),
+        lambda cfg: cfg["problem"].update(radii=[0.0, 1.0]),
+        lambda cfg: cfg["problem"].update(radii=[1.0, -2.0]),
+        lambda cfg: cfg["problem"].update(radii=[float("nan"), 1.0])])
     def test_bad_config_exits_2(self, tmp_path, capsys, edit):
         path, cfg = flagship_config(tmp_path)
         edit(cfg)
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
         assert "precondition failure" in capsys.readouterr().err
+
+
+class TestVerifyGrid:
+    def test_run_verify_grid_below_one_exits_2_before_iterating(
+            self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("iterate ran on a config it must refuse")
+        monkeypatch.setattr(cli, "iterate", never)
+        path, cfg = flagship_config(tmp_path)
+        cfg["outputs"]["verify_grid"] = 0
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "precondition failure" in err and "verify grid" in err
+
+    def test_verify_grid_below_one_exits_2(self, tmp_path, capsys):
+        path, cfg = flagship_config(tmp_path)
+        assert main(["run", "--config", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "--torus", str(tmp_path / "torus.json"),
+                     "--grid", "0"]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "precondition failure" in err and "verify grid" in err
 
 
 class TestThreadCap:

@@ -88,7 +88,7 @@ def coupled_run_small():
 
 class TestSchedule:
     def test_geometric_radii(self):
-        sched = build_schedule(1.0, 1.0, 1e-4, 0.1, 1)
+        sched = build_schedule(1.0, 1.0, 1e-4, 0.1)
         assert sched.rows[0].sigma == pytest.approx(1.0 / 40)
         assert sched.rows[1].r == pytest.approx(0.75)
         last = sched.rows[-1]
@@ -96,12 +96,12 @@ class TestSchedule:
         assert last.s - last.sigma > 0.5
 
     def test_eps_power_law(self):
-        sched = build_schedule(1.0, 1.0, 1e-4, 0.1, 1)
+        sched = build_schedule(1.0, 1.0, 1e-4, 0.1)
         assert sched.rows[1].eps == pytest.approx(1e-6)
         assert sched.rows[2].eps == pytest.approx(1e-9)
 
     def test_delta_ratio_bounded(self):
-        sched = build_schedule(1.0, 1.0, 1e-6, 0.2, 1, n_max=6)
+        sched = build_schedule(1.0, 1.0, 1e-6, 0.2, n_max=6)
         for a, b in zip(sched.rows, sched.rows[1:]):
             assert b.delta <= 8.0 * a.delta + 1e-15
 
@@ -115,14 +115,23 @@ class TestSchedule:
             assert d1 <= 8 * d0
 
     def test_glue_level_below_threshold(self):
-        sched = build_schedule(1.0, 1.0, 1e-4, 0.1, 1)
+        sched = build_schedule(1.0, 1.0, 1e-4, 0.1)
         for row in sched.rows:
             assert row.delta_plus < row.delta
 
     def test_unschedulable_rung_zero_is_a_step_failure(self):
         with pytest.raises(driver.StepFailure,
                            match="too large to schedule.*glue level"):
-            build_schedule(2.0, 2.0, 1e-4, 2.0, 1)
+            build_schedule(2.0, 2.0, 1e-4, 2.0)
+
+    def test_n_max_below_one_is_a_precondition(self):
+        with pytest.raises(PreconditionError, match="n_max = 0"):
+            build_schedule(1.0, 1.0, 1e-4, 0.1, n_max=0)
+
+    def test_n_max_is_keyword_only(self):
+        # a fifth positional argument is refused, not read as n_max
+        with pytest.raises(TypeError):
+            build_schedule(1.0, 1.0, 1e-4, 0.1, 8)
 
 
 class TestSolveCohomological:
@@ -275,7 +284,7 @@ class TestSolveCohomological:
 class TestKamStep:
     def run_step(self, N0, f0, gr):
         wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
-        sched = build_schedule(1.0, 1.0, max(c2_norm(f0), 1e-8), 0.1, 1)
+        sched = build_schedule(1.0, 1.0, max(c2_norm(f0), 1e-8), 0.1)
         state = IterationState(n=0, N=N0,
                                alpha=[FTSeries.zero(gr, 1, 1)], f=f0,
                                Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
@@ -301,7 +310,7 @@ class TestKamStep:
         # phi_x; the next rung reports them without measuring them again
         gr, N0, f0 = flagship_problem(K=8)
         wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
-        sched = build_schedule(1.0, 1.0, c2_norm(f0), 0.1, 1)
+        sched = build_schedule(1.0, 1.0, c2_norm(f0), 0.1)
         st1, res1 = self.run_step(N0, f0, gr)
         assert st1.norms["f_c2"] == res1.measures["f_plus_c2"] \
             == c2_norm(st1.f)
@@ -439,8 +448,8 @@ class TestComposeByLieTransport:
         gr, N0, f0 = q_coupled_problem()
         wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
         cfg = IterateConfig()
-        sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
-                               cfg.n_max)
+        sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau,
+                               n_max=cfg.n_max)
         st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
                              f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
         st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
@@ -467,8 +476,8 @@ def coupled_rung_two_inputs():
     gr, N0, f0 = q_coupled_problem()
     wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
     cfg = IterateConfig()
-    sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, gr.l,
-                           cfg.n_max)
+    sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau,
+                           n_max=cfg.n_max)
     st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
                          f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
     st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
@@ -581,7 +590,7 @@ class TestGridSolveMatchesPointwise:
         # the other diagnostics are rounding-level sizes of an equation
         # whose scale is f
         for key in ("zero_mode_obstruction", "projection_defect",
-                    "linear_defect", "residual_plateau", "residual_tracker"):
+                    "residual_plateau", "residual_tracker"):
             assert abs(getattr(sol, key) - diag[key]) \
                 <= 1e-12 * max(abs(diag[key]), f_scale)
 
@@ -1017,7 +1026,7 @@ class TestUncoveredSublevelRegion:
     def test_step_failure_names_the_point(self):
         N0, f0, _phix, wit = self.problem(1, 0.1)
         gr = f0.grading
-        row = build_schedule(1.0, 1.0, c2_norm(f0), 0.1, 1).rows[0]
+        row = build_schedule(1.0, 1.0, c2_norm(f0), 0.1).rows[0]
         state = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
                                f=f0, Phi=identity_map(gr, 1, 1), r=1.0,
                                s=1.0)

@@ -73,12 +73,7 @@ class TestAssembly:
     def test_linear_in_tuple(self, g11):
         N1 = initial_tuple(g11, 1, 1, [1.0], [[-1.0]])
         N2 = initial_tuple(g11, 1, 1, [2.0], [[-3.0]])
-        from kamtori.normalform import mat_add, NormalFormTuple
-        NS = NormalFormTuple(N1.w + N2.w, N1.c + N2.c,
-                             mat_add(N1.beta, N2.beta),
-                             mat_add(N1.Gamma, N2.Gamma), mat_add(N1.M, N2.M),
-                             mat_add(N1.Q, N2.Q), N1.g + N2.g, N1.h + N2.h)
-        diff = assemble_hamiltonian(NS) - assemble_hamiltonian(N1) \
+        diff = assemble_hamiltonian(N1 + N2) - assemble_hamiltonian(N1) \
             - assemble_hamiltonian(N2)
         assert diff.max_abs_coeff() < 1e-15
 
@@ -234,6 +229,25 @@ class TestNorms:
         d = normal_form_distance(N1, N2, r=0.0)
         comp_beta = ck_norm_estimate(N2.beta[0][0], 2, 0, 0.0, 1.0)
         assert d == pytest.approx(max(comp_beta, 0.2))
+
+    def test_with_radii_retags_every_component(self, g11):
+        N = initial_tuple(g11, 1, 1, [GOLDEN], [[-1.0]])
+        N.beta = [[FTSeries.cos_angle(g11, 1, 1, (1,), (0,), 0.1)]]
+        R = N.with_radii(0.8, 0.9)
+        pairs = [(getattr(N, key), getattr(R, key))
+                 for key in ("c", "g", "h")] + [
+            (getattr(N, key)[0][0], getattr(R, key)[0][0])
+            for key in ("beta", "Gamma", "M", "Q")]
+        for old, new in pairs:
+            assert (new.r, new.s) == (0.8, 0.9)
+            assert new.terms == old.terms
+        assert np.array_equal(R.w, N.w) and N.radii == (1.0, 1.0)
+
+    def test_difference_undoes_sum(self, g11):
+        N1 = initial_tuple(g11, 1, 1, [1.0], [[-1.0]])
+        N2 = initial_tuple(g11, 1, 1, [2.0], [[-3.0]])
+        N2.beta = [[FTSeries.cos_angle(g11, 1, 1, (1,), (0,), 0.1)]]
+        assert normal_form_distance((N1 + N2) - N2, N1) == 0.0
 
     def test_json_round_trip(self, g11):
         N = initial_tuple(g11, 1, 1, [GOLDEN], [[-1.0]])

@@ -84,12 +84,6 @@ class TestVectorField:
         assert xd[0].coeff((0,), (0,), (0, 0, 1)) == 1.0
         assert yd[0].is_zero()
 
-    def test_affine_term_only(self, g11):
-        qd, xd, pd, yd = vector_field(FTSeries.zero(g11, 1, 1),
-                                      v=[FTSeries.constant(g11, 1, 1, 0.7)])
-        assert pd[0].coeff((0,), (0,), (0, 0, 0)) == pytest.approx(-0.7)
-        assert qd[0].is_zero() and xd[0].is_zero() and yd[0].is_zero()
-
 
 class TestLieTransform:
     def test_pure_momentum_shift(self, g11, rng):
@@ -605,6 +599,14 @@ class TestCompose:
         C = compose_maps(P1, P2)
         c2 = lambda P: max(ck_norm_estimate(u, 2, 2) for u in P.U)
         assert 1.0 + c2(C) <= (1.0 + c2(P1)) * (1.0 + c2(P2)) * (1.0 + 1e-9)
+
+    def test_identity_substitution_along_z0(self, g11):
+        # along z = 0 the ball variables become the identity map's zero
+        # displacement, so only f's z = 0 part is left
+        f = mono(g11, (0, 0, 0), 0.3, k=(1,)) + mono(g11, (1, 0, 0), 0.5)
+        out = series_compose(f, identity_map(g11, 1, 1), drop_z_identity=True)
+        assert dict(out.terms) == {((0,), (1,), (0, 0, 0)): 0.3}
+        assert series_compose(f, identity_map(g11, 1, 1)).terms == f.terms
 
     def test_energy_invariance_of_own_flow(self, g11, rng):
         from kamtori.symplectic import series_compose
