@@ -47,6 +47,19 @@ HISTORY_FIELDS = (
     "cohom_residual_plateau", "cohom_residual_budget", "tuple_drift",
     "step_ok", "postcondition_misses")
 
+# the config keys kamtori reads, at the top level and in each section ("term"
+# is an entry of problem.h_terms or problem.f_terms); any other key is refused
+CONFIG_KEYS = {
+    "config": {"problem", "truncation", "schedule", "outputs"},
+    "problem": {"m", "resonances", "omega0", "hessian", "tau", "radii",
+                "amplitude", "h_terms", "f_terms"},
+    "term": {"q_modes", "x_modes", "action_powers", "re", "im", "hermitian"},
+    "truncation": {"K_q", "K_phi", "D"},
+    "schedule": {"n_max", "target_tol"},
+    "outputs": {"reduced_path", "history_path", "zeta_csv_path",
+                "torus_path", "verify_grid"},
+}
+
 
 def _read_json(path):
     try:
@@ -76,6 +89,27 @@ def _parsing(what):
     except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError("bad %s: %s: %s"
                                 % (what, type(exc).__name__, exc)) from exc
+
+
+def _read_config(path):
+    """The config at path, refused if it holds a key kamtori does not read."""
+    cfg = _read_json(path)
+
+    def check(obj, where, kind):
+        if not isinstance(obj, dict):
+            raise PreconditionError("bad config: %s must be an object" % where)
+        unknown = sorted(set(obj) - CONFIG_KEYS[kind])
+        if unknown:
+            raise PreconditionError("bad config: unknown key %s.%s"
+                                    % (where, unknown[0]))
+    check(cfg, "config", "config")
+    for section in cfg:
+        check(cfg[section], section, section)
+    with _parsing("config"):
+        for name in ("h_terms", "f_terms"):
+            for i, entry in enumerate(cfg.get("problem", {}).get(name, [])):
+                check(entry, "problem.%s[%d]" % (name, i), "term")
+    return cfg
 
 
 def max_threads():
@@ -144,6 +178,15 @@ def cmd_reduce(cfg, out_path=None):
     if not (r > 0 and s > 0):
         raise PreconditionError("bad config: radii must be positive, got "
                                 "(%g, %g)" % (r, s))
+    for name, value in [("omega0", omega0), ("hessian", hessian),
+                        ("resonances", [v for vec in resonances for v in vec]),
+                        ("radii", [r, s]), ("tau", tau),
+                        ("amplitude", amplitude),
+                        ("h_terms", [t.coeff for t in h_terms]),
+                        ("f_terms", [t.coeff for t in f_terms])]:
+        if not np.isfinite(value).all():
+            raise PreconditionError("bad config: problem.%s must be finite"
+                                    % name)
     if omega0.shape != (m,) or hessian.shape != (m, m) \
             or any(len(vec) != m for vec in resonances) \
             or any(len(t.mode) != m or len(t.powers) != m
@@ -260,6 +303,13 @@ def _pipeline(cfg):
     """Reduce (unless reduced.json was written from this very problem and
     truncation), iterate, compute zeta, extract and verify the torus, and
     write history.json, zeta.csv and torus.json."""
+    with _parsing("schedule"):
+        sched_cfg = cfg.get("schedule", {})
+        target_tol = float(sched_cfg.get("target_tol", 1e-12))
+        n_max = int(sched_cfg.get("n_max", 8))
+    if not target_tol > 0:
+        raise PreconditionError("bad config: schedule.target_tol must be "
+                                "above 0, got %g" % target_tol)
     outputs = cfg.get("outputs", {})
     reduced_path = outputs.get("reduced_path", "reduced.json")
     data = _read_json(reduced_path) if os.path.exists(reduced_path) else None
@@ -268,14 +318,9 @@ def _pipeline(cfg):
         data = _read_json(reduced_path)
     prob = _problem_from(data)
     grading = prob["grading"]
-    with _parsing("schedule"):
-        sched_cfg = cfg.get("schedule", {})
-        target_tol = float(sched_cfg.get("target_tol", 1e-12))
-        it_cfg = IterateConfig(
-            tau=prob["tau"], n_max=int(sched_cfg.get("n_max", 8)),
-            target_tol=min(target_tol, 1e-12),
-            lambda_cfg=float(sched_cfg.get("lambda_cfg", 0.1)),
-            frame=prob["frame"])
+    it_cfg = IterateConfig(tau=prob["tau"], n_max=n_max,
+                           target_tol=min(target_tol, 1e-12),
+                           frame=prob["frame"])
     default_grid = 64 if grading.d == 1 else 24
     with _parsing("outputs"):
         grid_n = _verify_grid(int(outputs.get("verify_grid", default_grid)))
@@ -353,18 +398,36 @@ def cmd_verify(torus_path, problem_path, grid_n):
                for k, us in data["embedding"].items()}
         omega = np.asarray(data["omega"], dtype=float)
         tau = float(data.get("tau", 0.1))
-    except (KeyError, TypeError, ValueError) as exc:
+        phi0 = np.asarray(data["phi0"], dtype=float) if problem_path else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ArtifactIOError("torus file %s is malformed: %s"
                               % (torus_path, exc)) from exc
     if len({u.grading for us in emb.values() for u in us}) > 1:
         raise ArtifactIOError("torus file %s is malformed: its embedding "
                               "components have different gradings" % torus_path)
+    d, l = H.grading.d, H.grading.l
+    shapes = {"embedding": {k: len(us) for k, us in emb.items()},
+              "omega": omega.shape}
+    want = {"embedding": {"uq": d, "ux": l, "up": d, "uy": l},
+            "omega": (d,)}
+    if problem_path:
+        shapes["phi0"], want["phi0"] = phi0.shape, (l,)
+    bad = ["%s is %s, not %s" % (k, shapes[k], want[k])
+           for k in want if shapes[k] != want[k]]
+    arrays = {"omega": [omega], "phi0": [] if phi0 is None else [phi0],
+              "hamiltonian": [H.coef],
+              "embedding": [u.coef for us in emb.values() for u in us]}
+    bad += ["%s is not finite" % k for k, vs in arrays.items()
+            if not all(np.isfinite(v).all() for v in vs)]
+    if bad:
+        raise ArtifactIOError("torus file %s is malformed: %s"
+                              % (torus_path, "; ".join(bad)))
     if problem_path:
         prob = _load_reduced(problem_path)
         H0 = assemble_hamiltonian(initial_tuple(
             prob["grading"], prob["r0"], prob["s0"], prob["omega"],
             prob["M0"], h=prob["h0"])) + prob["f0"]
-        H = freeze_phi(H0, np.asarray(data["phi0"], dtype=float))
+        H = freeze_phi(H0, phi0)
         omega = prob["omega"]
     residual = verify_invariance(H, emb, omega, grid_n=grid_n)
     witness = effective_diophantine_constant(omega, tau, H.grading.K_q)
@@ -393,10 +456,10 @@ def main(argv=None):
     try:
         max_threads()
         if args.command == "reduce":
-            cmd_reduce(_read_json(args.config))
+            cmd_reduce(_read_config(args.config))
             return EXIT_OK
         if args.command == "run":
-            return cmd_run(_read_json(args.config))
+            return cmd_run(_read_config(args.config))
         if args.command == "verify":
             return cmd_verify(args.torus, args.problem, args.grid)
     except PreconditionError as exc:

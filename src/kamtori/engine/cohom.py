@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import ConvergenceError
 from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           const_matrix, majorant_on_grid, mat_eval_grid,
-                          nu_max, phi_grid, project_phi_rows, series_matrix)
+                          nu_max, phi_grid, project_phi_rows)
 from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinates,
                       differentiate, freeze_phi, majorant_norm, multiply,
                       restrict_z0, taylor_split)
@@ -109,8 +109,7 @@ def _peak(x):
     return float(np.max(x))
 
 
-def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
-                K_eff):
+def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     """Run the full ordered construction at every point of pts at once.
 
     The series arguments are frozen on pts (batched) and beta, Gamma, M are
@@ -125,7 +124,7 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
         A = solve_L1(sp.a, witness)
         lin1 = ch + poisson_bracket(Nred, A) if not A.is_zero() else ch
         sp1 = taylor_split(lin1)
-        Bx, By = solve_L2(sp1.b_x, sp1.b_y, beta, witness, K_eff)
+        Bx, By = solve_L2(sp1.b_x, sp1.b_y, beta, witness, gr.K_q)
         F1 = TaylorSplit(a=A, b_x=Bx, b_y=By).reassemble()
         lin2 = ch + poisson_bracket(Nred, F1) if not F1.is_zero() else ch
         sp2 = taylor_split(lin2)
@@ -228,7 +227,7 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness,
     Dpx = [[None] * l for _ in range(d)]
     Dpy = [[None] * l for _ in range(d)]
     for i in range(d):
-        u_row, w_row = solve_L2(R1[i], R2[i], beta, witness, K_eff)
+        u_row, w_row = solve_L2(R1[i], R2[i], beta, witness, gr.K_q)
         for j in range(l):
             Dpx[i][j] = u_row[j]
             Dpy[i][j] = w_row[j]
@@ -323,7 +322,7 @@ def _project(res, l, size, gr, r, s):
 
 
 def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
-                        K_eff=None, grid_size=None):
+                        grid_size=None):
     """Full construction on every point of the parameter collocation grid.
 
     The solve needs the sublevel region of beta to cover the grid: the
@@ -342,8 +341,6 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     gr = f.grading
     l, d = gr.l, gr.d
     r, s = f.r, f.s
-    if K_eff is None:
-        K_eff = gr.K_q
     for i in range(l):
         for j in range(l):
             target = 1.0 if i == j else 0.0
@@ -376,7 +373,7 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     phix_B = [freeze_phi(phi_x[i], pts) for i in range(l)]
     try:
         res = _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B,
-                          witness, K_eff)
+                          witness)
     except SolverPreconditionError as exc:
         if exc.entry is None:
             raise
@@ -403,7 +400,7 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     gbar = lhs - model
     Nbar = NormalFormTuple(
         w=np.zeros(d), c=cbar_g, beta=beta_g, Gamma=Gamma_g, M=M_g,
-        Q=series_matrix(gr, r, s, l, l), g=gbar, h=hbar_g)
+        Q=const_matrix(gr, r, s, np.zeros((l, l))), g=gbar, h=hbar_g)
 
     resid_plateau = _peak(majorant_on_grid(gbar, pts))
     # tracker condition residual on the grid

@@ -18,14 +18,8 @@ def compute_zeta(state, H0_series):
         b_p=[FTSeries.constant(gr, r, s, w) for w in omega]).reassemble()
     Phi0 = SymplecticMapSeries([restrict_z0(u) for u in state.Phi.U])
     total = series_compose(F, Phi0, drop_z_identity=True)
-    for i in range(gr.d):
-        up = Phi0.Up[i]
-        duq = partial_omega(Phi0.Uq[i], omega)
-        if not (up.is_zero() or duq.is_zero()):
-            total = total - multiply(up, duq)
-    for i in range(gr.l):
-        uy = Phi0.Uy[i]
-        dux = partial_omega(Phi0.Ux[i], omega)
-        if not (uy.is_zero() or dux.is_zero()):
-            total = total - multiply(uy, dux)
+    for conj, u in zip(Phi0.Up + Phi0.Uy, Phi0.Uq + Phi0.Ux):
+        du = partial_omega(u, omega)
+        if not (conj.is_zero() or du.is_zero()):
+            total = total - multiply(conj, du)
     return average_q(total)

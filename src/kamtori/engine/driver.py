@@ -1,9 +1,9 @@
 """One rung of the quadratic scheme and the iteration loop around it.
 
-A step: truncate the error term in the angle modes, solve the linearized
-conjugacy (cohom module), flow by the resulting generator, carry the
-cumulative map through that flow by Lie transport, and assemble the
-corrected tuple and the new error term from the time-integral remainders
+A step: solve the linearized conjugacy (cohom module) on the grading's
+whole q-ball, flow by the resulting generator, carry the cumulative map
+through that flow by Lie transport, and assemble the corrected tuple and
+the new error term from the time-integral remainders
 
     f+ = int_0^1 { (1-t) Nbar + t (f - <alpha, phi_x>), F + v.q } o Psi^t dt.
 
@@ -21,13 +21,16 @@ from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           normal_form_distance, normal_form_norm)
 from ..series import (FTSeries, TaylorSplit, average_q, ck_norm_estimate,
                       coordinate, degrees, differentiate, majorant_norm,
-                      multiply, select, truncate_fourier)
+                      multiply, select)
 from ..smalldiv import effective_diophantine_constant
 from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
                           compose_maps, identity_map, lie_tail_integral,
                           lie_transform, map_from_generator, series_compose)
 from .cohom import restrict_z0, solve_cohomological
 from .schedule import StepFailure, build_schedule
+
+# a rung's tracker and tuple may drift at most 2 LAMBDA
+LAMBDA = 0.1
 
 
 @dataclass
@@ -82,7 +85,7 @@ def tracker_mean_norm(phi_x, gr):
     return max(vals)
 
 
-def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
+def kam_step(state, row, witness, N0=None):
     """Apply one rung; returns (next state, StepResult).
 
     Preconditions and postcondition targets are measured; a missed
@@ -116,27 +119,19 @@ def kam_step(state, row, witness, lambda_cfg=0.1, N0=None):
     if measures["tracker_mean_c2"] > eps:
         pre_fail.append("tracker mean %.3g exceeds %.3g"
                         % (measures["tracker_mean_c2"], eps))
-    if measures["tracker_off_c2"] > 2 * lambda_cfg:
+    if measures["tracker_off_c2"] > 2 * LAMBDA:
         pre_fail.append("tracker drift %.3g exceeds 2 lambda = %.3g"
-                        % (measures["tracker_off_c2"], 2 * lambda_cfg))
-    if N0 is not None and measures["tuple_drift"] > 2 * lambda_cfg:
+                        % (measures["tracker_off_c2"], 2 * LAMBDA))
+    if N0 is not None and measures["tuple_drift"] > 2 * LAMBDA:
         pre_fail.append("tuple drift %.3g exceeds 2 lambda = %.3g"
-                        % (measures["tuple_drift"], 2 * lambda_cfg))
+                        % (measures["tuple_drift"], 2 * LAMBDA))
     if pre_fail:
         raise StepFailure("; ".join(pre_fail), measures)
 
-    if f_norm == 0.0:
-        K_eff = gr.K_q
-    else:
-        K_eff = min(gr.K_q, max(1, math.ceil(4 * abs(math.log(f_norm)) / sigma)))
-    f_t, tail_f = truncate_fourier(f, K_eff, sigma / 10.0) \
-        if K_eff < gr.K_q else (f, 0.0)
-    measures["K_eff"] = K_eff
-    measures["trig_tail"] = tail_f
-
+    measures["K_eff"] = gr.K_q
     try:
-        sol = solve_cohomological(state.N, f_t, phi_x, witness, sigma,
-                                  row.delta, row.delta_plus, K_eff=K_eff)
+        sol = solve_cohomological(state.N, f, phi_x, witness, sigma,
+                                  row.delta, row.delta_plus)
     except (ConvergenceError, np.linalg.LinAlgError) as exc:
         raise StepFailure("linearized conjugacy solve failed: %s" % exc,
                           measures) from exc
@@ -283,7 +278,6 @@ class IterateConfig:
     tau: float = 0.1
     n_max: int = 8
     target_tol: float = 1e-12
-    lambda_cfg: float = 0.1
     frame: np.ndarray = None
 
 
@@ -339,8 +333,7 @@ def iterate(N0, f0, config=None):
         history["schedule_truncated"] = sched.truncation_reason
     for row in sched.rows:
         try:
-            state_next, res = kam_step(state, row, witness, cfg.lambda_cfg,
-                                       N0=N0)
+            state_next, res = kam_step(state, row, witness, N0=N0)
         except ConvergenceError as exc:
             history["failure"] = {"n": state.n, "reason": str(exc),
                                   "measures": getattr(exc, "measures", {})}

@@ -113,10 +113,6 @@ def project_phi_values(values, l, size, grading, r, s):
 # -- tuple space --------------------------------------------------------------------
 
 
-def series_matrix(grading, r, s, rows, cols):
-    return [[FTSeries.zero(grading, r, s) for _ in range(cols)] for _ in range(rows)]
-
-
 def const_matrix(grading, r, s, M):
     """The matrix of constant series M[..., i, j]: numbers, or batched
     series (one entry per point) for a (B, rows, cols) stack."""

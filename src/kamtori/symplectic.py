@@ -600,54 +600,38 @@ def _action_substitution(grading, r, s, T):
             for row in T]
 
 
-def sigma_to_parametrized(terms, d, l, grading, r, s, K=None, shear_S=None,
-                          x_scale=None):
+def sigma_to_parametrized(terms, d, l, grading, r, s, K, shear_S, x_scale):
     """Carry a Sigma-domain series through the full reduction pipeline.
 
-    Steps (any may be trivial): integer angle change K, angle shear
-    q -> q + S^T x paired with y -> y - S p, shift x -> x + phi, and the
-    normalization x -> Sn^{-1} x, y -> Sn^T y given by x_scale = Sn.
+    Steps: integer angle change K, angle shear q -> q + S^T x paired with
+    y -> y - S p, shift x -> x + phi, and the normalization x -> Sn^{-1} x,
+    y -> Sn^T y given by x_scale = Sn.
     Returns an FTSeries on the parametrized domain T^l x D.
     """
     m = d + l
-    Kinv_T = None
-    KT = None
-    if K is not None:
-        Karr = np.array(K, dtype=float)
-        Kinv = np.linalg.inv(Karr)
-        Kinv_T = np.rint(Kinv.T).astype(int)
-        if np.max(np.abs(Kinv.T - Kinv_T)) > 1e-9:
-            raise ValueError("K inverse is not integer; K not unimodular?")
-        KT = Karr.T
-    action_T = np.eye(m) if KT is None else KT
-    if shear_S is not None:
-        S = np.asarray(shear_S, dtype=float)  # l x d
-        shear_T = np.eye(m)
-        # old y = new y - S p : action vector transforms by [(I,0),(-S,I)]
-        shear_T[d:, :d] = -S
-        action_T = action_T @ shear_T
-    if x_scale is not None:
-        Sn = np.asarray(x_scale, dtype=float)
-        norm_T = np.eye(m)
-        norm_T[d:, d:] = Sn.T  # old y = Sn^T new y
-        action_T = action_T @ norm_T
-    reps = _action_substitution(grading, r, s, action_T)
-    Sn_inv = None if x_scale is None else np.linalg.inv(np.asarray(x_scale, dtype=float))
+    Karr = np.array(K, dtype=float)
+    Kinv = np.linalg.inv(Karr)
+    Kinv_T = np.rint(Kinv.T).astype(int)
+    if np.max(np.abs(Kinv.T - Kinv_T)) > 1e-9:
+        raise ValueError("K inverse is not integer; K not unimodular?")
+    S = np.asarray(shear_S, dtype=float)  # l x d
+    Sn = np.asarray(x_scale, dtype=float)
+    # old y = new y - S p : action vector transforms by [(I,0),(-S,I)]
+    shear_T = np.eye(m)
+    shear_T[d:, :d] = -S
+    norm_T = np.eye(m)
+    norm_T[d:, d:] = Sn.T  # old y = Sn^T new y
+    reps = _action_substitution(grading, r, s, Karr.T @ shear_T @ norm_T)
+    Sn_inv = np.linalg.inv(Sn)
     out = FTSeries.zero(grading, r, s)
     for t in sorted(terms, key=lambda t: (t.mode, t.powers)):
-        mode = np.asarray(t.mode, dtype=int)
-        if Kinv_T is not None:
-            mode = Kinv_T @ mode
+        mode = Kinv_T @ np.asarray(t.mode, dtype=int)
         kq, kx = mode[:d], mode[d:]
         piece = FTSeries.term(grading, r, s, tuple(int(v) for v in kx),
                               tuple(int(v) for v in kq), (0,) * grading.nz, t.coeff)
         # ball-variable exponentials: the shear contributes exp(i (S kq).x) and
         # the old x-angle contributes exp(i kx.x); both see the normalization
-        cvec = np.asarray(kx, dtype=float)
-        if shear_S is not None:
-            cvec = cvec + np.asarray(shear_S, dtype=float) @ kq
-        if Sn_inv is not None:
-            cvec = Sn_inv.T @ cvec
+        cvec = Sn_inv.T @ (np.asarray(kx, dtype=float) + S @ kq)
         if np.any(cvec != 0.0):
             piece = multiply(piece, _taylor_exp_vector(grading, r, s, cvec))
         for a_idx, n in enumerate(t.powers):
@@ -661,9 +645,13 @@ def shifted_parametrization(terms, d, l, grading, r, s):
     """Localize around all parallel tori: f(q, x, ...) -> f(q, x + phi, ...).
 
     The x-angle modes move onto the parameter and re-expand as Taylor factors;
-    by construction the output satisfies M_q(d_x f0) = M_q(d_phi f0).
+    by construction the output satisfies M_q(d_x f0) = M_q(d_phi f0).  It is
+    the reduction with the identity angle change, no shear and no
+    normalization.
     """
-    return sigma_to_parametrized(terms, d, l, grading, r, s)
+    return sigma_to_parametrized(terms, d, l, grading, r, s,
+                                 np.eye(d + l, dtype=int), np.zeros((l, d)),
+                                 np.eye(l))
 
 
 # -- reduction to the model form -----------------------------------------------------

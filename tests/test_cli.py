@@ -46,7 +46,7 @@ def flagship_config(tmp_path, eps=1e-4, target_tol=1e-8, K=16, D=4,
             "tau": 0.1,
         },
         "truncation": {"K_q": K, "K_phi": K, "D": D},
-        "schedule": {"lambda_cfg": 0.1, "n_max": 8, "target_tol": target_tol},
+        "schedule": {"n_max": 8, "target_tol": target_tol},
         "outputs": {
             "reduced_path": str(tmp_path / "reduced.json"),
             "history_path": str(tmp_path / "history.json"),
@@ -189,7 +189,8 @@ class TestRun:
                         "cohom_projection_defect", "cohom_residual_plateau",
                         "cohom_residual_budget", "tuple_drift"):
                 assert np.isfinite(row[key]) and row[key] >= 0.0, key
-            assert isinstance(row["K_eff"], int) and row["K_eff"] >= 1
+            # every rung solves on the whole q-ball
+            assert row["K_eff"] == cfg["truncation"]["K_q"]
             assert row["step_ok"] is True
             assert row["postcondition_misses"] == []
 
@@ -354,6 +355,55 @@ class TestVerify:
         assert main(["verify", "--torus", str(bad), "--grid", "8"]) == EXIT_IO
 
 
+@pytest.fixture(scope="module")
+def flagship_artifacts(tmp_path_factory):
+    """The torus.json and reduced.json of one flagship run."""
+    tmp_path = tmp_path_factory.mktemp("flagship")
+    path, cfg = flagship_config(tmp_path)
+    assert main(["run", "--config", str(path)]) == EXIT_OK
+    return (json.loads((tmp_path / "torus.json").read_text()),
+            tmp_path / "reduced.json")
+
+
+class TestMalformedTorus:
+    """A torus.json whose parts do not fit together exits 4 with the file
+    named as malformed, with or without --problem."""
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda t: t.pop("phi0"), True),
+        (lambda t: t.update(phi0=["zero"]), True),
+        (lambda t: t.update(phi0=[0.0, 1.0]), True),
+        (lambda t: t.update(phi0=[float("nan")]), True),
+        (lambda t: t.update(embedding=[]), False),
+        (lambda t: t["embedding"].pop("uq"), False),
+        (lambda t: t["embedding"].pop("uy"), True),
+        (lambda t: t["embedding"]["ux"].append(t["embedding"]["ux"][0]),
+         False),
+        (lambda t: t.update(omega=[1.0, 2.0]), False),
+        (lambda t: t.update(omega=[float("inf")]), False),
+        (lambda t: t["hamiltonian"]["terms"][-1].update(re=float("nan")),
+         False),
+        (lambda t: t["embedding"]["up"][0]["terms"].append(
+            {"alpha": [0, 0, 0], "j": [0], "k": [1], "re": float("inf"),
+             "im": 0.0}), True)],
+        ids=["no-phi0", "phi0-not-numeric", "phi0-too-long", "phi0-nan",
+             "embedding-not-object", "no-uq", "no-uy", "ux-too-long",
+             "omega-too-long", "omega-inf", "hamiltonian-nan",
+             "embedding-inf"])
+    def test_exits_4(self, tmp_path, capsys, flagship_artifacts, edit,
+                     problem):
+        torus, reduced = flagship_artifacts
+        torus = json.loads(json.dumps(torus))
+        edit(torus)
+        bad = tmp_path / "torus.json"
+        bad.write_text(json.dumps(torus))
+        argv = ["verify", "--torus", str(bad), "--grid", "8"]
+        if problem:
+            argv += ["--problem", str(reduced)]
+        assert main(argv) == EXIT_IO
+        assert "torus file %s is malformed" % bad in capsys.readouterr().err
+
+
 class TestFailureExitCodes:
     def test_bug_propagates_as_a_traceback(self, tmp_path, monkeypatch):
         # a numpy shape error is a ValueError, and no precondition failure
@@ -413,6 +463,9 @@ class TestFailureExitCodes:
         lambda cfg: cfg["problem"]["f_terms"][0].update(q_modes=[0, 1]),
         lambda cfg: cfg.update(truncation={"K_q": 0}),
         lambda cfg: cfg.update(schedule={"n_max": None}),
+        lambda cfg: cfg["problem"].update(f_terms=5),
+        lambda cfg: cfg["problem"].update(h_terms={"re": 1.0}),
+        lambda cfg: cfg.update(schedule=[]),
         lambda cfg: cfg["schedule"].update(n_max=0),
         lambda cfg: cfg["problem"].update(radii=[0.0, 1.0]),
         lambda cfg: cfg["problem"].update(radii=[1.0, -2.0]),
@@ -423,6 +476,83 @@ class TestFailureExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
         assert "precondition failure" in capsys.readouterr().err
+
+
+def _refuse_work(monkeypatch):
+    """Make the reduction and the iteration fail the test if they run."""
+    def never(*args, **kwargs):
+        raise AssertionError("work ran on a config it must refuse")
+    monkeypatch.setattr(cli, "unimodular_completion", never)
+    monkeypatch.setattr(cli, "iterate", never)
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("edit, name", [
+        (lambda p: p.update(amplitude=float("inf")), "amplitude"),
+        (lambda p: p.update(amplitude=float("nan")), "amplitude"),
+        (lambda p: p["hessian"][1].__setitem__(1, float("nan")), "hessian"),
+        (lambda p: p["omega0"].__setitem__(0, float("nan")), "omega0"),
+        (lambda p: p.update(tau=float("inf")), "tau"),
+        (lambda p: p.update(radii=[float("inf"), 1.0]), "radii"),
+        (lambda p: p.update(resonances=[[0, float("nan")]]), "resonances"),
+        (lambda p: p["f_terms"][0].update(re=float("nan")), "f_terms"),
+        (lambda p: p["f_terms"][0].update(im=float("-inf")), "f_terms"),
+        (lambda p: p.update(h_terms=[{"q_modes": [0], "x_modes": [3],
+                                      "re": float("inf")}]), "h_terms")],
+        ids=["amplitude-inf", "amplitude-nan", "hessian-nan", "omega0-nan",
+             "tau-inf", "radii-inf", "resonance-nan", "f-re-nan", "f-im-inf",
+             "h-re-inf"])
+    def test_non_finite_problem_data_exits_2(self, tmp_path, capsys, edit,
+                                             name):
+        path, cfg = flagship_config(tmp_path)
+        edit(cfg["problem"])
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
+        assert "problem.%s must be finite" % name in capsys.readouterr().err
+        assert not (tmp_path / "reduced.json").exists()
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda cfg: cfg["schedule"].update(taget_tol=1e-12),
+         "schedule.taget_tol"),
+        (lambda cfg: cfg["schedule"].update(lambda_cfg=0.1),
+         "schedule.lambda_cfg"),
+        (lambda cfg: cfg.update(shedule={}), "config.shedule"),
+        (lambda cfg: cfg["problem"].update(omega=[1.0]), "problem.omega"),
+        (lambda cfg: cfg["problem"]["f_terms"][0].update(amp=1.0),
+         "problem.f_terms[0].amp"),
+        (lambda cfg: cfg["truncation"].update(K=4), "truncation.K"),
+        (lambda cfg: cfg["outputs"].update(zeta_path="z.csv"),
+         "outputs.zeta_path")])
+    @pytest.mark.parametrize("command", ["reduce", "run"])
+    def test_unknown_key_exits_2(self, tmp_path, monkeypatch, capsys, edit,
+                                 key, command):
+        _refuse_work(monkeypatch)
+        path, cfg = flagship_config(tmp_path)
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == EXIT_PRECONDITION
+        assert "unknown key %s" % key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target_tol", [-1.0, 0.0, float("nan")])
+    def test_target_tol_not_above_zero_exits_2(self, tmp_path, monkeypatch,
+                                               capsys, target_tol):
+        _refuse_work(monkeypatch)
+        path, cfg = flagship_config(tmp_path, target_tol=target_tol)
+        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
+        assert "schedule.target_tol must be above 0" in \
+            capsys.readouterr().err
+
+    def test_config_with_every_accepted_key_runs(self, tmp_path):
+        # the flagship config with every optional key set to its default
+        path, cfg = flagship_config(tmp_path)
+        cfg["problem"].update(amplitude=1.0)
+        cfg["problem"]["f_terms"][0].update(im=0.0, hermitian=True)
+        cfg["outputs"].update(verify_grid=64)
+        sections = dict(cfg, config=cfg, term=cfg["problem"]["f_terms"][0])
+        for kind, keys in cli.CONFIG_KEYS.items():
+            assert set(sections[kind]) == keys, kind
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_OK
 
 
 class TestVerifyGrid:

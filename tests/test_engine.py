@@ -426,8 +426,7 @@ class TestIterate:
         for row in hist["steps"]:
             resid = row["conjugacy_residual"]
             m = row["measures"]
-            budget = (m["lie_remainder"] + m["trig_tail"]
-                      + m["cohom_projection_defect"]
+            budget = (m["lie_remainder"] + m["cohom_projection_defect"]
                       + m["cohom_residual_plateau"] + 1e-10 * c2_norm(f0))
             assert resid <= 10 * budget + 1e-12
 
@@ -1333,6 +1332,22 @@ class TestModerateAmplitudeFailureReporting:
         assert "drift" in hist["failure"]["reason"] \
             or "budget" in hist["failure"]["reason"]
 
+    def test_tracker_drift_past_two_lambda_refused(self):
+        # an x-displacement 0.03 cos(q) in the cumulative map: its mean is
+        # zero, its C^2 size 0.245 is past the drift window 2 lambda = 0.2
+        gr, N0, f0 = flagship_problem(K=8)
+        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+        row = build_schedule(1.0, 1.0, c2_norm(f0), 0.1).rows[0]
+        Phi = identity_map(gr, 1, 1)
+        Phi.U[gr.d] = FTSeries.cos_angle(gr, 1, 1, (0,), (1,), 0.03)
+        state = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
+                               f=f0, Phi=Phi, r=1.0, s=1.0)
+        with pytest.raises(driver.StepFailure,
+                           match=r"^tracker drift 0\.245 exceeds "
+                                 r"2 lambda = 0\.2$") as got:
+            kam_step(state, row, wit, N0=N0)
+        assert got.value.measures["tracker_off_c2"] > 2 * driver.LAMBDA
+
 
 class TestDiagnosticsShapesTwoAngles:
     def test_identity_state_zero_gaps(self):
@@ -1469,8 +1484,7 @@ class TestCoupledPipelineMatchesRecorded:
             assert m["contraction_exponent"] == pytest.approx(
                 ref["contraction_exponent"], rel=1e-12, abs=0.0)
             # the gates the run checks them against
-            budget = (m["lie_remainder"] + m["trig_tail"]
-                      + m["cohom_projection_defect"]
+            budget = (m["lie_remainder"] + m["cohom_projection_defect"]
                       + m["cohom_residual_plateau"] + 1e-10 * c2_norm(f0))
             assert got["conjugacy_residual"] <= 10 * budget + 1e-12
             assert 0.0 <= m["symp_residual"] <= DEFAULT_SYMP_TOL
