@@ -133,13 +133,32 @@ def _verify_grid(n):
     return n
 
 
-def _sigma_terms(entries, amplitude=1.0):
+def _int(value, field):
+    """A config integer: a JSON number without a fractional part (a string,
+    a bool or 3.9 is refused, not read as a number)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise PreconditionError("bad config: %s must be an integer, got %s"
+                                % (field, json.dumps(value)))
+    return int(value)
+
+
+def _ints(values, field):
+    """A config list of integers (see _int)."""
+    if not isinstance(values, list):
+        raise PreconditionError("bad config: %s must be a list of integers, "
+                                "got %s" % (field, json.dumps(values)))
+    return [_int(v, field) for v in values]
+
+
+def _sigma_terms(entries, where, amplitude=1.0):
     out = []
-    for e in entries:
-        mode = tuple(int(v) for v in (list(e.get("q_modes", []))
-                                      + list(e.get("x_modes", []))))
-        powers = tuple(int(v) for v in e.get("action_powers",
-                                             [0] * len(mode)))
+    for n, e in enumerate(entries):
+        at = "%s[%d]." % (where, n)
+        mode = tuple(_ints(e.get("q_modes", []), at + "q_modes")
+                     + _ints(e.get("x_modes", []), at + "x_modes"))
+        powers = tuple(_ints(e.get("action_powers", [0] * len(mode)),
+                             at + "action_powers"))
         c = complex(e.get("re", 0.0), e.get("im", 0.0)) * amplitude
         out.append(SigmaTerm(mode, powers, c))
         if e.get("hermitian", True):
@@ -150,8 +169,8 @@ def _sigma_terms(entries, amplitude=1.0):
 
 def _truncation(cfg):
     t = cfg.get("truncation", {})
-    return {"K_q": int(t.get("K_q", 16)), "K_phi": int(t.get("K_phi", 16)),
-            "D": int(t.get("D", 4))}
+    return {key: _int(t.get(key, default), "truncation." + key)
+            for key, default in (("K_q", 16), ("K_phi", 16), ("D", 4))}
 
 
 def _config_sha256(cfg):
@@ -165,7 +184,7 @@ def _config_sha256(cfg):
 def cmd_reduce(cfg, out_path=None):
     with _parsing("config"):
         prob = cfg["problem"]
-        m = int(prob["m"])
+        m = _int(prob["m"], "problem.m")
         resonances = [[float(v) for v in vec] for vec in prob["resonances"]]
         omega0 = np.asarray(prob["omega0"], dtype=float)
         hessian = np.asarray(prob["hessian"], dtype=float)
@@ -173,8 +192,9 @@ def cmd_reduce(cfg, out_path=None):
         r, s = (float(v) for v in prob.get("radii", [1.0, 1.0]))
         truncation = _truncation(cfg)
         amplitude = float(prob.get("amplitude", 1.0))
-        h_terms = _sigma_terms(prob.get("h_terms", []))
-        f_terms = _sigma_terms(prob.get("f_terms", []), amplitude)
+        h_terms = _sigma_terms(prob.get("h_terms", []), "problem.h_terms")
+        f_terms = _sigma_terms(prob.get("f_terms", []), "problem.f_terms",
+                               amplitude)
     if not (r > 0 and s > 0):
         raise PreconditionError("bad config: radii must be positive, got "
                                 "(%g, %g)" % (r, s))
@@ -306,7 +326,7 @@ def _pipeline(cfg):
     with _parsing("schedule"):
         sched_cfg = cfg.get("schedule", {})
         target_tol = float(sched_cfg.get("target_tol", 1e-12))
-        n_max = int(sched_cfg.get("n_max", 8))
+        n_max = _int(sched_cfg.get("n_max", 8), "schedule.n_max")
     if not target_tol > 0:
         raise PreconditionError("bad config: schedule.target_tol must be "
                                 "above 0, got %g" % target_tol)
@@ -323,7 +343,8 @@ def _pipeline(cfg):
                            frame=prob["frame"])
     default_grid = 64 if grading.d == 1 else 24
     with _parsing("outputs"):
-        grid_n = _verify_grid(int(outputs.get("verify_grid", default_grid)))
+        grid_n = _verify_grid(_int(outputs.get("verify_grid", default_grid),
+                                   "outputs.verify_grid"))
     N0 = initial_tuple(grading, prob["r0"], prob["s0"], prob["omega"],
                        prob["M0"], h=prob["h0"])
     state, history = iterate(N0, prob["f0"], it_cfg)

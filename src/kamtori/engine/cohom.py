@@ -35,7 +35,8 @@ from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinates,
                       restrict_z0, taylor_split)
 # not used here: bench/workloads.py builds its trackers with cohom.coordinate
 from ..series import coordinate  # noqa: F401
-from ..smalldiv import SolverPreconditionError, solve_L1, solve_L2, solve_L3
+from ..smalldiv import (SolverPreconditionError, _check_beta, solve_L1,
+                        solve_L2, solve_L3)
 from ..symplectic import GeneratingFunction, poisson_bracket
 
 COND_CAP = 1e8
@@ -119,12 +120,16 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(l)]
     A_c, Bx_c, By_c, Bp_c = [], [], [], []
     mx_c, mp_c = [], []
-    for ch in channels:
+    for n, ch in enumerate(channels):
         sp = taylor_split(ch)
         A = solve_L1(sp.a, witness)
+        if n == 0:
+            # L2's precondition, once for every L2 solve below (after channel
+            # 0's L1 solve, whose resonance error comes first)
+            checked = _check_beta(beta, witness, gr.K_q)
         lin1 = ch + poisson_bracket(Nred, A) if not A.is_zero() else ch
         sp1 = taylor_split(lin1)
-        Bx, By = solve_L2(sp1.b_x, sp1.b_y, beta, witness, gr.K_q)
+        Bx, By = solve_L2(sp1.b_x, sp1.b_y, checked, witness, gr.K_q)
         F1 = TaylorSplit(a=A, b_x=Bx, b_y=By).reassemble()
         lin2 = ch + poisson_bracket(Nred, F1) if not F1.is_zero() else ch
         sp2 = taylor_split(lin2)
@@ -227,7 +232,7 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     Dpx = [[None] * l for _ in range(d)]
     Dpy = [[None] * l for _ in range(d)]
     for i in range(d):
-        u_row, w_row = solve_L2(R1[i], R2[i], beta, witness, gr.K_q)
+        u_row, w_row = solve_L2(R1[i], R2[i], checked, witness, gr.K_q)
         for j in range(l):
             Dpx[i][j] = u_row[j]
             Dpy[i][j] = w_row[j]

@@ -5,8 +5,23 @@ All three solvers act on the series' slot arrays, one slot (j, k, a) at a
 time: the systems are diagonal in the parameter mode j, the angle mode k and
 the Taylor multi-index a.  At k != 0, L2 and L3 solve one shifted system
 (C(beta) + i<omega, k> I) u = b on the stacked unknowns of the slot (L1 is
-its scalar case, with C = 0).  Zero modes follow the particular solutions
-fixed by the scheme:
+its scalar case, with C = 0), with <omega, k> computed once per mode.
+
+L2's precondition on beta (symmetric, ||beta|| <= 1 and nu_max(beta) <= 1/2
+min <omega, k>^2 over 0 < |k|_1 <= K) is checked once per beta stack, by
+one eigvalsh whose eigenvalues w also give L2's determinant bound in closed
+form: for C = [[0, -beta], [I, 0]], det(C + i lam I) = det(beta - lam^2 I),
+so |det| = prod_i |lam^2 - w_i|, which the precondition keeps at or above
+2^-l |lam|^(2l).  A solve whose determinant falls below that bound, with a
+1e-9 relative margin, is refused.  The precondition keeps L2's systems
+regular but leaves L3's second-order resonances open: in beta's eigenbasis
+det(C_3(beta) + i lam I) factors into |lam| |lam^2 - 4 w_i| and
+|lam^4 - 2 lam^2 (w_i + w_j) + (w_i - w_j)^2|, which vanish at
+4 w_i = lam^2 and at (sqrt(w_i) +- sqrt(w_j))^2 = lam^2, inside the
+precondition (w_i = 0.09 at omega = 0.6, say).  L3 refuses a system that
+LAPACK finds singular; a nearly singular one is solved as it is.
+
+Zero modes follow the particular solutions fixed by the scheme:
 
   L1:  u has zero q-mean, solves <omega, d_q u> = v - M_q v
   L2:  (B_x, B_y)(0) = (M_q b_y, 0),  solves  d_om B_x - beta B_y = b_x - M_q b_x
@@ -31,6 +46,7 @@ fixed by the scheme:
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,19 +152,35 @@ def solve_L1(v, witness):
     return divide_q_modes(v, lambda k: _divisor(witness, k))
 
 
-def _fail(stacked, bad, msg):
-    """Raise L2's SolverPreconditionError; for a stacked solve, naming the
-    first entry where bad holds."""
+def _fail(name, stacked, bad, msg):
+    """Raise solver name's SolverPreconditionError; for a stacked solve,
+    naming the first entry where bad holds."""
     if not stacked:
-        raise SolverPreconditionError("L2: %s" % msg)
+        raise SolverPreconditionError("%s: %s" % (name, msg))
     entry = int(np.argmax(bad))
-    raise SolverPreconditionError("L2: %s (stack entry %d)" % (msg, entry),
-                                  entry)
+    raise SolverPreconditionError("%s: %s (stack entry %d)"
+                                  % (name, msg, entry), entry)
+
+
+class _CheckedBeta(NamedTuple):
+    """A beta that passed L2's precondition for witness and K, with its
+    eigenvalues (shape beta.shape[:-1], ascending)."""
+
+    beta: np.ndarray
+    w: np.ndarray
+    witness: "DiophantineWitness"
+    K: int
 
 
 def _check_beta(beta, witness, K):
     """L2's precondition: beta is one l x l matrix or a (B, l, l) stack; each
-    is checked, and an error names the first failing entry of a stack."""
+    is checked, and an error names the first failing entry of a stack.
+    Returns a _CheckedBeta; one checked for the same witness and K is
+    returned as it is, and one checked for others is checked again."""
+    if isinstance(beta, _CheckedBeta):
+        if beta.witness is witness and beta.K == K:
+            return beta
+        beta = beta.beta
     beta = np.asarray(beta, dtype=float)
     stack = beta.reshape((-1,) + beta.shape[-2:])
     stacked = beta.ndim != 2
@@ -157,12 +189,12 @@ def _check_beta(beta, witness, K):
     asym = ~np.all(np.isclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-5,
                               atol=1e-12), axis=(-2, -1))
     if asym.any():
-        _fail(stacked, asym, "beta must be symmetric")
+        _fail("L2", stacked, asym, "beta must be symmetric")
     # symmetric: the 2-norm is the largest |eigenvalue|
     w = np.linalg.eigvalsh(stack)
     big = np.abs(w).max(axis=-1) > 1.0 + 1e-12
     if big.any():
-        _fail(stacked, big, "need ||beta|| <= 1")
+        _fail("L2", stacked, big, "need ||beta|| <= 1")
     nu = w[:, -1]
     lim = 0.5 * witness.min_divisor_sq(K)
     over = nu > lim + 1e-15
@@ -170,9 +202,10 @@ def _check_beta(beta, witness, K):
         # name the offending mode for the error message
         worst = min(_modes_up_to(witness.d, K),
                     key=lambda k: abs(float(np.dot(witness.omega, k))))
-        _fail(stacked, over, "nu_max(beta)=%.3g exceeds 0.5*min<omega,k>^2="
-              "%.3g (worst k=%s)" % (float(nu[over][0]), lim, worst))
-    return beta
+        _fail("L2", stacked, over, "nu_max(beta)=%.3g exceeds "
+              "0.5*min<omega,k>^2=%.3g (worst k=%s)"
+              % (float(nu[over][0]), lim, worst))
+    return _CheckedBeta(beta, w.reshape(beta.shape[:-1]), witness, K)
 
 
 def _gather(series, batch):
@@ -202,22 +235,60 @@ def _assemble(like, slots, u):
     return out
 
 
-def _solve_modes(witness, plan, slots, b, C, check=None):
+def _below_det_bound(w, dot):
+    """Where L2's |det(C + i dot I)| = prod_i |dot^2 - w_i| (from beta's
+    eigenvalues w) falls below (1 - 1e-9) 2^-l |dot|^(2l), shape
+    w.shape[:-1].  The precondition implies the bound for the modes it was
+    checked on, so it can only fail at |k|_1 > K (or where min <omega, k>^2
+    is below about 2e-6, inside the tolerances)."""
+    l = w.shape[-1]
+    return np.prod(np.abs(dot * dot - w), axis=-1) \
+        < (1 - 1e-9) * (2.0 ** -l) * abs(dot) ** (2 * l)
+
+
+def _first_singular(M):
+    """Where the first matrix of the stack M that np.linalg.solve finds
+    singular sits, as a mask of shape M.shape[:-2] (a failed solve is redone
+    one matrix at a time to find it)."""
+    bad = np.zeros(M.shape[:-2], dtype=bool)
+    for entry, m in enumerate(M.reshape((-1,) + M.shape[-2:])):
+        try:
+            np.linalg.solve(m, m[:, :1])
+        except np.linalg.LinAlgError:
+            bad.flat[entry] = True
+            return bad
+    raise AssertionError("no singular matrix in the stack")
+
+
+def _solve_modes(witness, plan, slots, b, C, name, w=None):
     """Overwrite each row of b at a slot of angle mode k != 0 with the u of
     (C + i<omega, k> I) u = b, and return b (its zero-mode rows are left as
     they are).  C is batch + (n, n) and b (len(slots),) + batch + (n,).
     The slots are taken in (j, a, k) order, so an error names the first
-    failing slot of that order; each one's matrix M is passed to check(k,
-    M) before its solve."""
+    failing slot of that order: a ResonanceError for a resonant <omega, k>,
+    solver name's SolverPreconditionError for a singular system and, given
+    w (beta's eigenvalues, batch + (l,)), one where L2's determinant bound
+    fails."""
     ij, ik, it = plan.split(slots)
     eye = np.eye(C.shape[-1])
+    stacked = C.ndim > 2
+    dots = {}
     for n in np.lexsort((ik, it, ij)).tolist():
         if plan.K.norm[ik[n]]:
             k = plan.K.keys[ik[n]]
-            M = C + 1j * _divisor(witness, k) * eye
-            if check is not None:
-                check(k, M)
-            b[n] = np.linalg.solve(M, b[n][..., None])[..., 0]
+            if k not in dots:
+                # once per mode: the divisor, and L2's bound at it
+                dots[k] = _divisor(witness, k)
+                low = w is not None and _below_det_bound(w, dots[k])
+                if np.any(low):
+                    _fail(name, stacked, low,
+                          "determinant bound violated at k=%s" % (k,))
+            M = C + 1j * dots[k] * eye
+            try:
+                b[n] = np.linalg.solve(M, b[n][..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                _fail(name, stacked, _first_singular(M),
+                      "singular shifted system at k=%s" % (k,))
             # freed before the next one is formed (L3's M is 1.6 MB at l = 2
             # on a 1024-point grid)
             del M
@@ -231,25 +302,19 @@ def solve_L2(b_x, b_y, beta, witness, K):
     factors; every (j, alpha) slice is solved independently).  With a
     (B, l, l) stack of matrices the series are batched, entry b solved with
     beta[b].  Each mode solves (C + i<omega, k> I) (B_x, B_y) = (b_x, b_y)
-    with C = [[0, -beta], [I, 0]].
+    with C = [[0, -beta], [I, 0]].  beta may be _check_beta(beta, witness,
+    K), which is then not checked again.
     """
     l = len(b_x)
     plan = _plan(b_x[0].grading)
-    beta = _check_beta(beta, witness, K)
+    beta, w = _check_beta(beta, witness, K)[:2]
     batch = beta.shape[:-2]
     zero = np.zeros(beta.shape)
     eye = np.broadcast_to(np.eye(l), beta.shape)
     C = np.block([[zero, -beta], [eye, zero]])
 
-    def check(k, M):
-        dot = float(np.dot(witness.omega, k))
-        low = np.abs(np.linalg.det(M)) < (1 - 1e-9) * (2.0 ** -l) \
-            * abs(dot) ** (2 * l)
-        if np.any(low):
-            _fail(batch, low, "determinant bound violated at k=%s" % (k,))
-
     slots, u = _gather(list(b_x) + list(b_y), batch)
-    _solve_modes(witness, plan, slots, u, C, check)
+    _solve_modes(witness, plan, slots, u, C, "L2", w)
     mode0 = plan.K.norm[plan.split(slots)[1]] == 0   # (B_x, B_y)(0) = (b_y, 0)
     u[mode0, ..., :l] = u[mode0, ..., l:]
     u[mode0, ..., l:] = 0.0
@@ -298,7 +363,7 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     yy0, xy0 = sym(u[mode0, :, 1]), u[mode0, :, 2]
     # each stage rebinds u, so that no stage's array outlives the next one
     u = pack(sym(u[:, :, 0]), sym(u[:, :, 1]), u[:, :, 2])
-    u = unpack(_solve_modes(witness, plan, slots, u, C))
+    u = unpack(_solve_modes(witness, plan, slots, u, C, "L3"))
 
     # the zero modes
     w, V = np.linalg.eigh(beta)

@@ -1,0 +1,151 @@
+"""sha256 digests of kamtori's canonical outputs, printed as one JSON object.
+
+    PYTHONPATH=src python tests/output_digest.py > digest.json
+    PYTHONPATH=src python tests/output_digest.py --against digest.json
+
+Two trees compute the same outputs bit for bit exactly when their digests
+agree on the same machine. The entries, each named "<problem>/<output>":
+
+- coupled-1p1 at eps 1e-5 and 1e-4 (the problem of bench/workloads.py's
+  `Coupled`): the history rows as history.json would hold them, phi0, the
+  slot arrays of every embedding component and the invariance residual;
+- threedof-cli at seeds 101, 7 and 42001 (`ThreeDofCli.config`), run
+  through `kamtori.cli.main` (reduce, run, verify) in a temporary
+  directory: the exit codes and the bytes of reduced.json, history.json,
+  torus.json and zeta.csv;
+- l2-cohom (`L2Cohom`): alpha's slot arrays and the residual plateau.
+
+The problems are read from bench/workloads.py and not changed. With
+--against FILE, an earlier run's output, the entries that differ are listed
+and the exit code is 1 if any does. --only PREFIX computes only the entries
+of the problems whose name starts with PREFIX.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "bench"))
+
+import workloads  # noqa: E402
+from kamtori import cli  # noqa: E402
+
+COUPLED_EPS = (1e-5, 1e-4)
+CLI_SEEDS = (101, 7, 42001)
+CLI_ARTIFACTS = ("reduced.json", "history.json", "torus.json", "zeta.csv")
+
+
+def sha(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def series_parts(f):
+    """The slot arrays, radii and truncation loss of one series."""
+    return [f.ij.tobytes(), f.ik.tobytes(), f.it.tobytes(),
+            np.ascontiguousarray(f.coef).tobytes(), f.coef.shape,
+            f.r, f.s, f.trunc_loss]
+
+
+def coupled(eps):
+    wl = workloads.Coupled()
+    wl.EPS = eps
+    out = wl.solve(wl.setup(0, None))
+    rows = [{k: cli._jsonable(v) for k, v in {**row.get("measures", {}),
+                                               **row}.items()
+             if k in cli.HISTORY_FIELDS} for row in out["hist"]["steps"]]
+    name = "coupled-1p1@eps=%g/" % eps
+    digests = {name + "history": sha(json.dumps(rows, sort_keys=True))}
+    if "embedding" in out:
+        emb = [p for key in sorted(out["embedding"])
+               for u in out["embedding"][key] for p in series_parts(u)]
+        digests.update({name + "phi0": sha(np.asarray(out["phi0"]).tobytes()),
+                        name + "embedding": sha(*emb),
+                        name + "residual": sha(float(out["residual"]))})
+    return digests
+
+
+def threedof(seed):
+    name = "threedof-cli@seed=%d/" % seed
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("config.json", "w") as fh:
+                json.dump(workloads.ThreeDofCli().config(seed), fh, indent=1)
+            grid = str(workloads.ThreeDofCli.GRID)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes = [cli.main(argv) for argv in (
+                    ["reduce", "--config", "config.json"],
+                    ["run", "--config", "config.json"],
+                    ["verify", "--torus", "torus.json", "--problem",
+                     "reduced.json", "--grid", grid])]
+            digests = {name + "exit_codes": sha(codes)}
+            for art in CLI_ARTIFACTS:
+                with open(art, "rb") as fh:
+                    digests[name + art] = sha(fh.read())
+        finally:
+            os.chdir(cwd)
+    return digests
+
+
+def l2_cohom():
+    wl = workloads.L2Cohom()
+    out = wl.solve(wl.setup(0, None))
+    alpha = [p for a in out["alpha"] for p in series_parts(a)]
+    return {"l2-cohom/alpha": sha(*alpha),
+            "l2-cohom/residual_plateau": sha(float(out["residual_plateau"]))}
+
+
+PROBLEMS = ([("coupled-1p1@eps=%g" % eps, lambda eps=eps: coupled(eps))
+             for eps in COUPLED_EPS]
+            + [("threedof-cli@seed=%d" % seed, lambda seed=seed: threedof(seed))
+               for seed in CLI_SEEDS]
+            + [("l2-cohom", l2_cohom)])
+
+
+def digest(only=""):
+    out = {}
+    for name, run in PROBLEMS:
+        if name.startswith(only):
+            out.update(run())
+    return out
+
+
+def differing(got, want):
+    """The entries of got that want lacks or holds with another digest."""
+    return sorted(k for k in got if want.get(k) != got[k])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--against", help="an earlier output to compare with")
+    ap.add_argument("--only", default="",
+                    help="only the problems whose name starts with this")
+    args = ap.parse_args(argv)
+    got = digest(args.only)
+    print(json.dumps(got, indent=1, sort_keys=True))
+    if args.against:
+        with open(args.against) as fh:
+            diff = differing(got, json.load(fh))
+        for name in diff:
+            print("differs: %s" % name, file=sys.stderr)
+        print("%d of %d entries differ" % (len(diff), len(got)),
+              file=sys.stderr)
+        return 1 if diff else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,9 @@
 """The coupled-pair (L2) and coupled-triple (L3) solves as they were before
 they read the coefficient arrays: the right-hand sides regrouped as dicts
 (j, a) -> k -> vector by walking each series' terms, one linear solve per
-(j, k, a) in that order (L2 forming its block matrix per mode), the
-solutions accumulated in dicts and the series built from them.
+(j, k, a) in that order (L2 forming its block matrix per mode and checking its
+determinant with np.linalg.det, L3 naming the stack entry of a singular
+system), the solutions accumulated in dicts and the series built from them.
 
 Kept as the test oracle of ``kamtori.smalldiv.solve_L2`` and ``solve_L3``;
 ``check_beta``, L2's precondition as it was when it took ||beta|| from an
@@ -106,6 +107,14 @@ def solve_L2(b_x, b_y, beta, witness, K):
     return series(Bx), series(By)
 
 
+def _singular(m):
+    try:
+        np.linalg.solve(m, np.ones(len(m)))
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
 def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     l = len(d_xx)
     f0 = d_xx[0][0]
@@ -178,7 +187,14 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
             lam = 1j * _divisor(witness, k)
             rhs = np.concatenate([uxx[:, si, sj], uyy[:, si, sj],
                                   uxy.reshape(nb, -1)], axis=1)
-            sol = np.linalg.solve(C + lam * eye, rhs[..., None])[..., 0]
+            try:
+                sol = np.linalg.solve(C + lam * eye, rhs[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                entry = next(n for n, m in enumerate(C + lam * eye)
+                             if _singular(m))
+                raise SolverPreconditionError(
+                    "L3: singular shifted system at k=%s (stack entry %d)"
+                    % (k, entry), entry)
             X = zmat()
             Y = zmat()
             X[:, si, sj] = X[:, sj, si] = sol[:, :nsym]

@@ -542,6 +542,67 @@ class TestConfigChecks:
         assert "schedule.target_tol must be above 0" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, field", [
+        (lambda cfg: cfg["problem"]["f_terms"][0].update(x_modes="1"),
+         "problem.f_terms[0].x_modes"),
+        (lambda cfg: cfg["problem"]["f_terms"][0].update(q_modes=[1.7]),
+         "problem.f_terms[0].q_modes"),
+        (lambda cfg: cfg["problem"]["f_terms"][0].update(
+            action_powers=[True, 0]), "problem.f_terms[0].action_powers"),
+        (lambda cfg: cfg["problem"].update(h_terms=[
+            {"q_modes": ["1"], "x_modes": [0]}]), "problem.h_terms[0].q_modes"),
+        (lambda cfg: cfg["truncation"].update(K_q=3.9), "truncation.K_q"),
+        (lambda cfg: cfg["truncation"].update(K_q="3"), "truncation.K_q"),
+        (lambda cfg: cfg["truncation"].update(K_phi=False),
+         "truncation.K_phi"),
+        (lambda cfg: cfg["truncation"].update(D=4.5), "truncation.D"),
+        (lambda cfg: cfg["problem"].update(m="2"), "problem.m")],
+        ids=["x_modes-string", "q_modes-fraction", "action_powers-bool",
+             "h_terms-string", "K_q-fraction", "K_q-string", "K_phi-bool",
+             "D-fraction", "m-string"])
+    def test_non_integer_reduce_field_exits_2(self, tmp_path, monkeypatch,
+                                              capsys, edit, field):
+        _refuse_work(monkeypatch)
+        path, cfg = flagship_config(tmp_path)
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        assert main(["reduce", "--config", str(path)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "bad config: %s must be " % field in err and "integer" in err
+        assert not (tmp_path / "reduced.json").exists()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda cfg: cfg["schedule"].update(n_max=8.5), "schedule.n_max"),
+        (lambda cfg: cfg["schedule"].update(n_max="8"), "schedule.n_max"),
+        (lambda cfg: cfg["outputs"].update(verify_grid="64"),
+         "outputs.verify_grid"),
+        (lambda cfg: cfg["outputs"].update(verify_grid=63.5),
+         "outputs.verify_grid")],
+        ids=["n_max-fraction", "n_max-string", "verify_grid-string",
+             "verify_grid-fraction"])
+    def test_non_integer_run_field_exits_2(self, tmp_path, monkeypatch,
+                                           capsys, edit, field):
+        monkeypatch.setattr(cli, "iterate", lambda *a, **k: pytest.fail(
+            "iterated on a config it must refuse"))
+        path, cfg = flagship_config(tmp_path)
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
+        assert "bad config: %s must be an integer" % field in \
+            capsys.readouterr().err
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        # 16.0 is the integer 16: the grading matches the plain config's
+        path, cfg = flagship_config(tmp_path)
+        assert main(["reduce", "--config", str(path)]) == EXIT_OK
+        plain = json.loads((tmp_path / "reduced.json").read_text())
+        cfg["truncation"] = {"K_q": 16.0, "K_phi": 16.0, "D": 4.0}
+        path.write_text(json.dumps(cfg))
+        assert main(["reduce", "--config", str(path)]) == EXIT_OK
+        floats = json.loads((tmp_path / "reduced.json").read_text())
+        assert floats["grading"] == plain["grading"]
+        assert floats["f0"] == plain["f0"]
+
     def test_config_with_every_accepted_key_runs(self, tmp_path):
         # the flagship config with every optional key set to its default
         path, cfg = flagship_config(tmp_path)

@@ -10,8 +10,10 @@ import smalldiv_oracle
 from kamtori.errors import ConvergenceError
 from kamtori.series import (FTSeries, Grading, average_q, majorant_norm,
                             partial_omega)
+import kamtori.smalldiv as smalldiv
 from kamtori.smalldiv import (DiophantineWitness, ResonanceError,
-                              SolverPreconditionError, _check_beta,
+                              SolverPreconditionError, _below_det_bound,
+                              _check_beta,
                               effective_diophantine_constant, solve_L1,
                               solve_L2, solve_L3)
 from conftest import GOLDEN
@@ -584,7 +586,9 @@ class TestCheckBeta:
     @given(symmetric_betas())
     def test_matches_svd_oracle(self, beta):
         # the same pass or fail, first failing entry and message
-        got, err = outcome(_check_beta, beta, EDGE_WITNESS, 1)
+        # _check_beta returns (beta, eigenvalues); the oracle beta alone
+        got, err = outcome(lambda *a: _check_beta(*a).beta, beta,
+                           EDGE_WITNESS, 1)
         want, err_old = outcome(smalldiv_oracle.check_beta, beta,
                                 EDGE_WITNESS, 1)
         assert err == err_old
@@ -599,3 +603,199 @@ class TestCheckBeta:
         with pytest.raises(SolverPreconditionError,
                            match=r"need \|\|beta\|\| <= 1 \(stack entry 1\)"):
             _check_beta(beta, EDGE_WITNESS, 1)
+
+    def test_checked_beta_is_checked_again_for_another_K(self):
+        # 0.1 <= 0.5 * 0.6^2 for |k|_1 <= 1, but not 0.5 * 0.4^2 at k = (1, -1)
+        w = DiophantineWitness(np.array([1.0, 0.6]), 0.1, 0.5, 3)
+        checked = _check_beta(np.array([[0.1]]), w, 1)
+        assert _check_beta(checked, w, 1) is checked
+        gr = Grading(d=2, l=1, K_q=3, K_phi=1, D=3)
+        f = FTSeries(gr, 1.0, 1.0, {((0,), (1, 0), (0, 0, 0, 0)): 1.0},
+                     _raw=True)
+        solve_L2([f], [f], checked, w, 1)
+        with pytest.raises(SolverPreconditionError, match=r"nu_max"):
+            solve_L2([f], [f], checked, w, 2)
+
+
+# -- one piece of per-point linear algebra per solve --
+
+# omega = 3 checked to K = 1 allows nu_max(beta) <= 4.5, so every beta with
+# ||beta|| <= 1 passes L2's precondition
+WIDE_WITNESS = DiophantineWitness(np.array([3.0]), 1.0, 0.5, 1)
+
+
+def orthogonal(draw, l):
+    a = np.array(draw(st.lists(st.floats(-1, 1, allow_subnormal=False),
+                               min_size=l * l, max_size=l * l))).reshape(l, l)
+    return np.linalg.qr(a + 3 * np.eye(l))[0]
+
+
+@st.composite
+def det_cases(draw):
+    """A symmetric beta, one l x l matrix (l = 1, 2, 3) or a stack of 1 to 3,
+    each with largest eigenvalue w_max >= 0.05, and divisors: drawn ones,
+    sqrt(w_max) of each matrix (below L2's bound there) and one above the
+    bound for every matrix."""
+    l = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 3))
+
+    def one():
+        w = draw(st.lists(st.floats(-1, 1, allow_subnormal=False),
+                          min_size=l - 1, max_size=l - 1))
+        w = np.array([draw(st.floats(0.05, 1))] + w)
+        V = orthogonal(draw, l)
+        b = V @ np.diag(w) @ V.T
+        # np.linalg.det (the reference) turns a subnormal entry beside a
+        # zero pivot into NaN
+        b[np.abs(b) < 1e-300] = 0.0
+        return 0.5 * (b + b.T), w.max()
+    mats = [one() for _ in range(max(n, 1))]
+    beta = np.stack([b for b, _ in mats]) if n else mats[0][0]
+    near = [math.sqrt(w) for _, w in mats]
+    far = 2 * math.sqrt(max(np.abs(np.linalg.eigvalsh(b)).max()
+                            for b, _ in mats)) + 0.1
+    drawn = draw(st.lists(st.floats(0.01, 2), max_size=3))
+    return beta, np.array(near + [far] + drawn), len(near)
+
+
+class TestL2DeterminantClosedForm:
+    @settings(max_examples=150, deadline=None)
+    @given(det_cases())
+    def test_matches_numpy_det(self, case):
+        beta, dots, n_near = case
+        l = beta.shape[-1]
+        w = _check_beta(beta, WIDE_WITNESS, 1).w
+        zero, eye = np.zeros(beta.shape), np.broadcast_to(np.eye(l),
+                                                          beta.shape)
+        C = np.block([[zero, -beta], [eye, zero]])
+        want = np.stack([np.abs(np.linalg.det(C + 1j * dot * np.eye(2 * l)))
+                         for dot in dots])
+        # the identity the bound reads: |det| = prod_i |dot^2 - w_i|
+        got = np.prod(np.abs((dots * dots).reshape(
+            (-1,) + (1,) * w.ndim) - w), axis=-1)
+        assert got.shape == want.shape == (len(dots),) + beta.shape[:-2]
+        # rounding of a 2l x 2l determinant against the size of its factors
+        scale = np.prod(dots[:, None] ** 2 + np.abs(w.reshape(-1, l))
+                        .max(axis=0), axis=-1).reshape(
+                            (-1,) + (1,) * (beta.ndim - 2))
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        below = np.stack([_below_det_bound(w, dot) for dot in dots])
+        bound = ((1 - 1e-9) * 2.0 ** -l * np.abs(dots) ** (2 * l)).reshape(
+            (-1,) + (1,) * (beta.ndim - 2))
+        clear = np.abs(want - bound) > 1e-6 * bound
+        assert np.array_equal(below[clear], (want < bound)[clear])
+        # each matrix is below the bound at its own sqrt(w_max), and every
+        # one is above it at the far divisor
+        entries = below[:n_near].reshape(n_near, n_near)
+        assert np.diagonal(entries).all()
+        assert not below[n_near].any()
+
+
+def l2_cohom_problem():
+    """The l = 2 problem of test_cohomological_residual_l2_nonzero_beta (the
+    benchmark's l2-cohom workload), solved on a 32 x 32 grid."""
+    from kamtori.engine.cohom import coordinate
+    from kamtori.normalform import const_matrix, initial_tuple
+    from kamtori.symplectic import shifted_parametrization, sigma_cos
+    gr = Grading(d=1, l=2, K_q=4, K_phi=4, D=4)
+    N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
+    N.beta = const_matrix(gr, 1.0, 1.0,
+                          np.array([[0.02, 0.01], [0.01, -0.03]]))
+    wit = effective_diophantine_constant([GOLDEN], 0.1, 4)
+    phix = [coordinate(gr, 1.0, 1.0, "x", i) for i in range(2)]
+    eps = 1e-4
+    terms = (sigma_cos((0, 1, 0), eps) + sigma_cos((1, 0, 1), eps)
+             + sigma_cos((2, 1, -1), 0.3 * eps, powers=(1, 0, 0)))
+    f = shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
+    return N, f, phix, wit
+
+
+def test_one_decomposition_per_solve(monkeypatch):
+    from kamtori.engine import solve_cohomological
+    N, f, phix, wit = l2_cohom_problem()
+    nb = 32 * 32
+    calls = {"eigvalsh": 0, "eigh": 0, "solve": 0}
+    linalg = {name: getattr(np.linalg, name)
+              for name in ("eigvalsh", "eigh", "solve")}
+
+    def counted(name):
+        def spy(a, *args, **kwargs):
+            if name == "solve":
+                calls[name] += 1
+            elif np.shape(a) == (nb, 2, 2):
+                calls[name] += 1
+            return linalg[name](a, *args, **kwargs)
+        return spy
+
+    def no_det(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+    for name in linalg:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    monkeypatch.setattr(np.linalg, "det", no_det)
+    stages = []
+    solve_modes = smalldiv._solve_modes
+
+    def stage(witness, plan, slots, *args):
+        stages.append(int(np.count_nonzero(
+            plan.K.norm[plan.split(slots)[1]])))
+        return solve_modes(witness, plan, slots, *args)
+    monkeypatch.setattr(smalldiv, "_solve_modes", stage)
+    solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                        delta_plus=0.03, grid_size=32)
+    # the check and nu_max; L3's zero modes
+    assert (calls["eigvalsh"], calls["eigh"]) == (2, 1)
+    assert len(stages) == 5                  # four L2 solves and one L3
+    # one solve per k != 0 slot, and the counter-term system
+    assert calls["solve"] == sum(stages) + 1
+
+
+def many_slot_inputs():
+    """d = 1, l = 1 right-hand sides over several slots, in the (j, a, k)
+    order: good slots at j = 0, then (at a1) k = -1 and k = 1, where beta =
+    0.09 makes L3's shifted system singular at omega = 0.6."""
+    gr = Grading(d=1, l=1, K_q=2, K_phi=1, D=3)
+    a0, a1 = (0, 0, 0), (1, 0, 0)
+    keys = [((0,), (k,), a) for a in (a0,) for k in (-2, 2)] + \
+        [((1,), (k,), a1) for k in (-2, 2, -1, 1)]
+    f = FTSeries(gr, 1.0, 1.0, {key: np.array([1.0 + 0.5j, -2.0, 0.25j])
+                                for key in keys}, _raw=True)
+    z = FTSeries.zero(gr, 1.0, 1.0)
+    return [f], [f], [[[f]], [[z]], [[f]]]
+
+
+class TestSingularL3:
+    WITNESS = effective_diophantine_constant([0.6], 0.5, 2)
+
+    def test_names_k_and_entry(self):
+        # L2's precondition holds (0.09 <= 0.5 * 0.6^2 = 0.18), but
+        # 4 beta = <omega, k>^2 at k = +-1 is a second-order resonance of L3
+        b_x, b_y, d3 = many_slot_inputs()
+        beta = np.array([[[0.01]], [[0.09]], [[-0.2]]])
+        solve_L2(b_x, b_y, beta, self.WITNESS, 2)
+        with pytest.raises(SolverPreconditionError,
+                           match=r"L3: singular shifted system at "
+                                 r"k=\(-?1,\) \(stack entry 1\)") as err:
+            solve_L3(*d3, beta, self.WITNESS)
+        assert err.value.entry == 1
+        assert_matches_oracle(b_x, b_y, d3, beta, self.WITNESS, 2)
+
+    def test_first_failing_slot_raises(self):
+        # the failing slots come after good ones in the (j, a, k) order
+        b_x, b_y, d3 = many_slot_inputs()
+        for beta in (np.array([[[0.01]], [[0.09]], [[-0.2]]]),
+                     np.array([[[0.01]], [[0.05]], [[-0.2]]])):
+            assert_matches_oracle(b_x, b_y, d3, beta, self.WITNESS, 2)
+        # L2's determinant bound (test_determinant_bound) fails at the
+        # third slot, for entry 2, after two good ones at j = 0
+        w = DiophantineWitness(np.array([1.0, 0.6]), 0.1, 0.5, 3)
+        gr = Grading(d=2, l=1, K_q=3, K_phi=1, D=3)
+        a0, a1 = (0, 0, 0, 0), (1, 0, 0, 0)
+        f = FTSeries(gr, 1.0, 1.0, {key: 1.0 + 0.5j for key in [
+            ((0,), (1, 0), a0), ((0,), (0, 1), a0), ((1,), (1, -1), a0),
+            ((1,), (1, -2), a1)]}, _raw=True)
+        z = FTSeries.zero(gr, 1.0, 1.0)
+        beta = np.array([[[0.03]], [[-0.5]], [[0.17]]])
+        assert_matches_oracle([f], [z], [[[f]], [[z]], [[f]]], beta, w, 1)
+        with pytest.raises(SolverPreconditionError,
+                           match=r"k=\(1, -1\) \(stack entry 2\)"):
+            solve_L2([f], [z], beta, w, 1)
