@@ -113,8 +113,8 @@ def _read_config(path):
 
 
 def max_threads():
-    """Parallelism cap from the environment (the solver itself is sequential,
-    so any cap >= 1 is honored)."""
+    """Parallelism cap from the environment, validated only: kamtori's own
+    code is sequential, and the BLAS threads numpy runs on are not capped."""
     raw = os.environ.get("KAM_THREADS")
     if raw is None:
         return None

@@ -216,7 +216,8 @@ class FTSeries:
     A dict of terms is checked against the grading (terms outside it go to
     trunc_loss) and pruned, unless _raw, which takes it as it is."""
 
-    __slots__ = ("grading", "r", "s", "trunc_loss", "ij", "ik", "it", "coef", "_dict")
+    __slots__ = ("grading", "r", "s", "trunc_loss", "ij", "ik", "it", "coef",
+                 "_dict", "_maj")
 
     def __init__(self, grading, r, s, terms=None, trunc_loss=0.0, _raw=False):
         if not (r > 0 and s > 0):
@@ -253,7 +254,7 @@ class FTSeries:
     def _set(self, ij, ik, it, coef):
         self.ij, self.ik, self.it = ij, ik, it
         self.coef = coef if len(coef) else _EMPTY
-        self._dict = None
+        self._dict = self._maj = None
 
     @property
     def terms(self):
@@ -308,7 +309,10 @@ class FTSeries:
         return cls(grading, r, s, terms)
 
     def copy(self):
-        return _like(self, self.ij, self.ik, self.it, self.coef, self.trunc_loss)
+        """The same series, sharing its arrays and kept majorants."""
+        new = _like(self, self.ij, self.ik, self.it, self.coef, self.trunc_loss)
+        new._maj = self._maj
+        return new
 
     def with_radii(self, r, s):
         """The same coefficients read on radii (r, s), which may only shrink."""
@@ -326,8 +330,10 @@ class FTSeries:
                                          self.it, self.coef, self.r, self.s,
                                          floor)
         self.trunc_loss += loss
-        if coef is not self.coef or not keep.all():
+        if keep is not None:
             self._set(self.ij[keep], self.ik[keep], self.it[keep], coef[keep])
+        elif coef is not self.coef:
+            self._set(self.ij, self.ik, self.it, coef)
 
     def _check_compat(self, other):
         if self.grading != other.grading:
@@ -495,22 +501,26 @@ def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR):
     """The prune floors on a series' arrays: an entry at or below
     max(floor, REL_PRUNE x its largest) is dropped and its majorant added to
     the loss (each entry of a batched series against its own floor, zeroed in
-    a row that keeps others).  Returns (rows kept, coefficients, loss); the
-    coefficients are coef itself when no entry was zeroed."""
+    a row that keeps others).  Returns (rows kept, coefficients, loss): the
+    rows are None when no row is dropped, and the coefficients are coef
+    itself when no entry was zeroed.  A NaN entry is never dropped."""
     mag = np.abs(coef)
     dead = mag <= np.maximum(floor, REL_PRUNE * mag.max(axis=0, initial=0.0))
     if not dead.any():
-        return ~dead if coef.ndim == 1 else ~dead[:, 0], coef, 0.0
+        return None, coef, 0.0
     lost = dead & (mag > 0.0)
     rows = np.flatnonzero(lost.any(axis=1) if coef.ndim == 2 else lost)
     loss = 0.0
     if len(rows):
         w = plan.weight(ij[rows], ik[rows], it[rows], r, s)
-        pruned = np.where(dead[rows], mag[rows], 0.0)
-        loss = float(np.max((pruned.T * w).sum(axis=-1)))
         if coef.ndim == 2:
+            pruned = np.where(dead[rows], mag[rows], 0.0)
+            loss = float(np.max((pruned.T * w).sum(axis=-1)))
             coef = np.where(dead, 0.0, coef)
-    return ~(dead.all(axis=1) if coef.ndim == 2 else dead), coef, loss
+        else:
+            loss = float((mag[rows] * w).sum())
+    gone = dead.all(axis=1) if coef.ndim == 2 else dead
+    return ~gone if gone.any() else None, coef, loss
 
 
 class _Partial:
@@ -653,11 +663,21 @@ def _product(f, g, layout=None):
 
 def _majorants(plan, f, ds):
     """The majorant norm of d f for each _Partial d in ds, in closed form
-    (per entry, an array, for a batched f)."""
-    w = plan.weight(f.ij, f.ik, f.it, f.r, f.s)
-    return [_weighted(f.coef, w if d.name is None
-                      else w * d.magnitude(plan, f.ij, f.ik, f.it, f.s))
-            for d in ds]
+    (per entry, an array, for a batched f).  Each is kept on f for f's
+    radii, read-only, until _set gives f new terms."""
+    if f._maj is None or f._maj[0] != (f.r, f.s):
+        f._maj = ((f.r, f.s), {})
+    kept = f._maj[1]
+    new = [d for d in ds if d not in kept]
+    if new:
+        w = plan.weight(f.ij, f.ik, f.it, f.r, f.s)
+        for d in dict.fromkeys(new):
+            m = _weighted(f.coef, w if d.name is None
+                          else w * d.magnitude(plan, f.ij, f.ik, f.it, f.s))
+            if isinstance(m, np.ndarray):
+                m.flags.writeable = False
+            kept[d] = m
+    return [kept[d] for d in ds]
 
 
 def _kernel(f, g, halves, layout, losses=True):
@@ -698,7 +718,7 @@ def _products(f, g, halves, parts):
         # each half is pruned against its own floors
         ij, ik, it = plan.split(slot)
         keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s)
-        if not keep.all():
+        if keep is not None:
             ij, ik, it, acc = ij[keep], ik[keep], it[keep], acc[keep]
         out.append((ij, ik, it, acc, loss + dropped + pruned))
     return out
@@ -1040,8 +1060,10 @@ def _weighted(coef, w):
 def majorant_norm(f, r=None, s=None):
     """sum |c| e^{(|j|+|k|) r} s^{|a|}; dominates sup |f| on the (r, s) strip.
 
-    Per entry (an array) for a batched series."""
+    Per entry (a read-only array) for a batched series."""
     r, s = _radii(f, r, s)
+    if (r, s) == (f.r, f.s):
+        return _majorants(_plan(f.grading), f, [_UNIT])[0]
     return _weighted(f.coef, _plan(f.grading).weight(f.ij, f.ik, f.it, r, s))
 
 

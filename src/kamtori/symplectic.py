@@ -102,7 +102,7 @@ class GeneratingFunction:
     def scale_estimate(self):
         m = majorant_norm(self.F)
         if self.v is not None:
-            m += sum(majorant_norm(vi) for vi in self.v)
+            m = m + sum(majorant_norm(vi) for vi in self.v)
         return m
 
     def with_radii(self, r, s):
@@ -253,18 +253,21 @@ def _relation_defects(Phi):
 
     {base_a + U_a, base_b + U_b} = {base_a, base_b} + {base_a, U_b} - {base_b,
     U_a} + {U_a, U_b}: the canonical constant comes from the bases alone, so
-    the defect is the majorant of the other three terms' sum.  Their terms
-    (the two derivatives of the displacements and the signed half-products
-    of {U_a, U_b} as the kernel forms them) are summed per slot over the
-    slots they touch, unpruned, and the sum's majorant taken on the map's
-    radii.  The pairs of terms past the grading touch no slot: the kernel
-    forms no majorant of them."""
+    the defect is the majorant of the other three terms' sum.  Their parts
+    (the two derivatives of the displacements, then the signed half-products
+    of {U_a, U_b} as the kernel forms them, each holding a slot at most
+    once) are added in that order onto one dense table of the grading's
+    slots, unpruned, and the sum's majorant is taken over the touched slots
+    in slot order on the map's radii.  The pairs of terms past the grading
+    touch no slot: the kernel forms no majorant of them."""
     gr = Phi.grading
     plan = _plan(gr)
     r, s = Phi.radii
     comps = Phi.U
     bases = [(sign, _partial(gr, (var, i))) for kind, i in coordinates(gr)
              for sign, var in [_CONJUGATE[kind]]]
+    acc = np.zeros(len(plan.J.keys) * plan.NK * plan.NT, dtype=complex)
+    touched = np.zeros(len(acc), dtype=bool)
     out = {}
     for a, b in itertools.combinations(range(len(comps)), 2):
         (sa, da), (sb, db) = bases[a], bases[b]
@@ -273,12 +276,14 @@ def _relation_defects(Phi):
                   (-sb, _kept(plan, comps[a], db)))]
         parts += [half[:2] for half in
                   _bracket_halves(comps[a], comps[b], losses=False)]
-        slots, at = np.unique(np.concatenate([p[0] for p in parts]),
-                              return_inverse=True)
-        coef = np.concatenate([p[1] for p in parts])
-        acc = np.abs(np.bincount(at, coef.real, len(slots))
-                     + 1j * np.bincount(at, coef.imag, len(slots)))
-        out[a, b] = float(acc @ plan.weight(*plan.split(slots), r, s))
+        for slot, coef in parts:
+            acc[slot] += coef
+            touched[slot] = True
+        slots = np.flatnonzero(touched)
+        out[a, b] = float(np.abs(acc[slots])
+                          @ plan.weight(*plan.split(slots), r, s))
+        acc[slots] = 0.0
+        touched[slots] = False
     return out
 
 

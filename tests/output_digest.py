@@ -8,7 +8,10 @@ agree on the same machine. The entries, each named "<problem>/<output>":
 
 - coupled-1p1 at eps 1e-5 and 1e-4 (the problem of bench/workloads.py's
   `Coupled`): the history rows as history.json would hold them, phi0, the
-  slot arrays of every embedding component and the invariance residual;
+  slot arrays of every embedding component, the invariance residual and
+  relation_defects, every checked map's defect of each canonical bracket
+  relation in pair order (history.json keeps only the largest, behind
+  which a moved pair could hide);
 - threedof-cli at seeds 101, 7 and 42001 (`ThreeDofCli.config`), run
   through `kamtori.cli.main` (reduce, run, verify) in a temporary
   directory: the exit codes and the bytes of reduced.json, history.json,
@@ -36,7 +39,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "bench"))
 
 import workloads  # noqa: E402
-from kamtori import cli  # noqa: E402
+from kamtori import cli, symplectic  # noqa: E402
 
 COUPLED_EPS = (1e-5, 1e-4)
 CLI_SEEDS = (101, 7, 42001)
@@ -57,15 +60,34 @@ def series_parts(f):
             f.r, f.s, f.trunc_loss]
 
 
+@contextlib.contextmanager
+def relation_defects():
+    """A list that collects, for each map checked by
+    symplectic.symplecticity_residual while the context is open, its
+    relation defects (``_relation_defects``) in pair order."""
+    real, got = symplectic.symplecticity_residual, []
+
+    def recording(Phi):
+        got.append(np.array(list(symplectic._relation_defects(Phi).values())))
+        return real(Phi)
+    symplectic.symplecticity_residual = recording
+    try:
+        yield got
+    finally:
+        symplectic.symplecticity_residual = real
+
+
 def coupled(eps):
     wl = workloads.Coupled()
     wl.EPS = eps
-    out = wl.solve(wl.setup(0, None))
+    with relation_defects() as defects:
+        out = wl.solve(wl.setup(0, None))
     rows = [{k: cli._jsonable(v) for k, v in {**row.get("measures", {}),
                                                **row}.items()
              if k in cli.HISTORY_FIELDS} for row in out["hist"]["steps"]]
     name = "coupled-1p1@eps=%g/" % eps
-    digests = {name + "history": sha(json.dumps(rows, sort_keys=True))}
+    digests = {name + "history": sha(json.dumps(rows, sort_keys=True)),
+               name + "relation_defects": sha(*(d.tobytes() for d in defects))}
     if "embedding" in out:
         emb = [p for key in sorted(out["embedding"])
                for u in out["embedding"][key] for p in series_parts(u)]

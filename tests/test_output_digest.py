@@ -1,6 +1,11 @@
 import json
 
+import numpy as np
+
 import output_digest
+from kamtori import symplectic
+from kamtori.series import Grading
+from conftest import random_real_series
 
 
 def test_l2_cohom_entry(tmp_path, capsys):
@@ -18,3 +23,18 @@ def test_l2_cohom_entry(tmp_path, capsys):
                                str(path)]) == 1
     assert "differs: l2-cohom/alpha\n" in capsys.readouterr().err
 
+
+def test_relation_defects_recorded_per_checked_map():
+    # every map the check sees is recorded in pair order, and the check is
+    # restored afterwards
+    real = symplectic.symplecticity_residual
+    gr = Grading(d=1, l=1, K_q=6, K_phi=3, D=4)
+    gen = symplectic.GeneratingFunction(random_real_series(
+        gr, 1, 1, np.random.default_rng(2), n_modes=4, max_k=2, max_phi=1,
+        max_deg=2, scale=1e-3))
+    with output_digest.relation_defects() as got:
+        Phi = symplectic.map_from_generator(gen)
+    assert symplectic.symplecticity_residual is real
+    want = symplectic._relation_defects(Phi)
+    assert len(got) == 1 and got[0].tolist() == list(want.values())
+    assert Phi.symp_residual == max(want.values())

@@ -331,3 +331,78 @@ class TestTermsView:
         f = self.make()
         assert len(f.terms) == 3 and f._dict is None
         assert dict(f.terms) and f._dict is not None
+
+
+@settings(max_examples=100)
+@given(pairs(1), st.sampled_from([None, 0, -1]),
+       st.sampled_from([new.PRUNE_FLOOR, 0.0]))
+def test_prune_matches_dict_ring(fg, nan_row, floor):
+    (f, _), = fg
+    assert_prune_matches(f, nan_row, floor)
+
+
+def test_prune_drops_a_batched_row():
+    # row 0 is dead in every entry and dropped, row 1 in one entry only and
+    # zeroed there, row 2 lives; without row 0 no row is dropped
+    gr = new.Grading(1, 1, 2, 2, 3)
+    tiny, big = 1e-40, np.array([1.0, 2.0, 3.0])
+    f = new.FTSeries(gr, 0.7, 0.9, {
+        ((0,), (0,), (0, 0, 0)): np.full(NB, tiny),
+        ((0,), (1,), (0, 0, 0)): np.array([tiny, 1.0, 1.0]),
+        ((1,), (0,), (1, 0, 0)): big}, _raw=True)
+    g = new.FTSeries(gr, 0.7, 0.9, dict(list(f.terms.items())[1:]), _raw=True)
+    keep = assert_prune_matches(f, None, new.PRUNE_FLOOR)
+    assert keep.tolist() == [False, True, True]
+    assert f.coef[0, 0] == 0.0 and f.trunc_loss > 0.0
+    assert assert_prune_matches(g, None, new.PRUNE_FLOOR) is None
+    assert g.coef[0, 0] == 0.0 and g.trunc_loss > 0.0
+
+
+def assert_prune_matches(f, nan_row, floor):
+    """_prune_arrays and FTSeries._prune against the dict ring's copy, on
+    the same slot-ordered arrays and weights: the same kept rows,
+    coefficients and loss to the bit.  When no row is dropped the rows come
+    back as None, and when no entry is zeroed either the series keeps its
+    coef object; a NaN entry (in row nan_row, if any) is never dropped.
+    Returns the kept rows."""
+    coef = f.coef.copy()
+    if nan_row is not None and len(coef):
+        if coef.ndim == 2:
+            coef[nan_row, 0] = np.nan
+        else:
+            coef[nan_row] = np.nan
+    f._set(f.ij, f.ik, f.it, coef)
+    coef = f.coef   # an empty series holds the shared empty array
+    plan = new._plan(f.grading)
+    args = (plan, f.ij, f.ik, f.it, coef, f.r, f.s, floor)
+    keep, kept, loss = new._prune_arrays(*args)
+    keep_old, kept_old, loss_old = old._prune_arrays(*args)
+    assert loss == loss_old
+    assert (kept is coef) == (kept_old is coef)
+    assert np.array_equal(kept, kept_old, equal_nan=True)
+    if keep is None:
+        assert keep_old.all()
+    else:
+        assert np.array_equal(keep, keep_old) and not keep.all()
+    if nan_row is not None and len(coef):
+        assert keep is None or keep[nan_row]
+
+    f_old = old.FTSeries(old.Grading(*_shape(f.grading)), f.r, f.s,
+                         dict(f.terms), f.trunc_loss, _raw=True)
+    with pytest.MonkeyPatch.context() as mp:
+        # the dict ring's weights, bit for bit the slot ring's
+        mp.setattr(old, "_plan", lambda gr: new._plan(new.Grading(
+            *_shape(gr))))
+        f._prune(floor)
+        f_old._prune(floor)
+        want = old._arrays(f_old)
+    assert list(f.terms) == list(f_old.terms)
+    assert np.array_equal(f.coef, want[3].reshape(f.coef.shape),
+                          equal_nan=True)
+    assert f.trunc_loss == f_old.trunc_loss
+    assert (f.coef is coef) == (keep is None and kept is coef)
+    return keep
+
+
+def _shape(gr):
+    return gr.d, gr.l, gr.K_q, gr.K_phi, gr.D

@@ -450,6 +450,41 @@ class TestSymplecticityResidual:
         with pytest.raises(SymplecticityError):
             map_from_generator(gen, tol=1e-4)
 
+    @pytest.mark.parametrize("path", ["rule", "block"])
+    @pytest.mark.parametrize("d, l", [(1, 1), (2, 1), (1, 2)])
+    def test_dense_sums_match_sort_and_bincount(self, d, l, path,
+                                                monkeypatch):
+        # each slot sums its parts in the same order from 0.0, so the two
+        # reductions agree bit for bit, on either kernel's parts (the block
+        # kernel's hold zero coefficients) and on the identity map
+        if path == "block":
+            monkeypatch.setattr(ring, "_layout", lambda f, g: None
+                                if f.is_zero() or g.is_zero()
+                                else ring._block_layout(ring._plan(f.grading),
+                                                        f, g))
+        Phi = random_map(d, l, 100 * d + 10 * l + 1)
+        gr = Phi.grading
+        for m in (Phi, Phi.with_radii(0.8, 0.9), identity_map(gr, 1.0, 1.0)):
+            got = _relation_defects(m)
+            assert list(got) == list(symp_oracle.relation_sums(m))
+            assert got == symp_oracle.relation_sums(m)
+        assert sum(v > 0.0 for v in _relation_defects(Phi).values()) >= 2
+        assert set(_relation_defects(identity_map(gr, 1.0, 1.0)).values()) \
+            == {0.0}
+
+    def test_calls_no_unique(self, monkeypatch):
+        Phi = random_map(1, 2, 121)
+        calls = []
+
+        def spy(*args, _real=np.unique, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np, "unique", spy)
+        residual = symplecticity_residual(Phi)
+        assert calls == []
+        assert residual == max(symp_oracle.relation_sums(Phi).values())
+        assert calls
+
     @pytest.mark.slow
     def test_no_series_built_one_kernel_call_per_pair(self, monkeypatch):
         Phi = random_map(2, 1, 210, n_modes=8)
