@@ -41,6 +41,14 @@ REL_PRUNE = 2e-16  # relative floor: rounding debris far below a series' own
 # the two kernels' measured crossover lies between 1.5e4 and 2e4 pairs (below
 # it the block kernel's fixed cost per call loses)
 BLOCK_MIN_PAIRS = 20000
+# the bytes of one temporary of either product kernel: the block kernel
+# gathers its Fourier contraction per tile of output modes and the batched
+# pair kernel forms its products per chunk of whole slot runs, each within
+# this budget.  Measured on a 2-vCPU VM: one coupled-1p1 solve peaks at 43.2,
+# 43.7, 44.7 and 46.2 MB RSS at 256 KiB, 512 KiB, 1 MiB and 2 MiB (49.0 MB
+# untiled), and the l = 2 run takes 4.7 s at 256 and 512 KiB, 5.2-5.6 s at
+# 1 MiB
+BLOCK_TILE_BYTES = 512 * 1024
 
 
 class GradingError(PreconditionError):
@@ -394,10 +402,22 @@ class FTSeries:
         return self.terms.get((tuple(j), tuple(k), tuple(alpha)), 0.0 + 0.0j)
 
     def reality_defect(self):
-        """Max |c(j,k,a) - conj(c(-j,-k,a))| over stored terms."""
-        t = self.terms
-        mirror = lambda j, k, a: t.get((tuple(-v for v in j), tuple(-v for v in k), a), 0)
-        return max((abs(c - np.conj(mirror(*key))) for key, c in t.items()), default=0.0)
+        """Max |c(j,k,a) - conj(c(-j,-k,a))| over stored terms, a missing
+        mirror counting as 0 (per entry, an array, for a batched series).
+        The mirror of the term at ball indices (i, m, t) sits at (N_J - 1 -
+        i, N_K - 1 - m, t), as in _conjugate."""
+        plan = _plan(self.grading)
+        slot = plan.code(self.ij, self.ik, self.it)
+        mirror = plan.code(len(plan.J.keys) - 1 - self.ij,
+                           plan.NK - 1 - self.ik, self.it)
+        at = np.searchsorted(slot, mirror).clip(max=len(slot) - 1)
+        found = slot[at] == mirror
+        if self.coef.ndim == 2:
+            found = found[:, None]
+        d = self.coef - np.where(found, self.coef[at], 0.0).conj()
+        # hypot, as abs() of one complex number computes it
+        d = np.hypot(d.real, d.imag)
+        return d.max(axis=0) if d.ndim == 2 else float(d.max(initial=0.0))
 
     def __repr__(self):
         return "FTSeries(%d terms, r=%g, s=%g, loss=%.3g)" % (
@@ -594,7 +614,16 @@ def multiply(f, g):
     The block kernel runs when both operands are unbatched, they have at
     least BLOCK_MIN_PAIRS pairs of terms and its gathered array holds no
     more entries than those pairs; small and batched products take the pair
-    kernel.  Either way the prune floors act on the accumulated array."""
+    kernel.  Either way the prune floors act on the accumulated array.
+
+    Neither kernel holds a temporary larger than BLOCK_TILE_BYTES, apart
+    from its output: the block kernel takes the output modes in tiles, each
+    gathering its own rows and forming its own part of the matrix product,
+    with a column count that is a multiple of 4 so that the matrix product
+    of a tile rounds each entry as the one-call product does; the batched
+    pair kernel forms its products in chunks of whole slot runs, so each
+    slot sums its pairs in the same order.  Every coefficient is the one
+    the untiled kernels form, bit for bit."""
     f._check_compat(g)
     return _product(f, g, _layout(f, g))
 
@@ -743,7 +772,10 @@ def _pair_product(plan, f, g, halves, losses=True):
     """The products d_a f d_b g over every pair of terms of d_a f and d_b g
     (``_kept``), for each (a, b) in halves: (output slots in order, their
     accumulated coefficients, majorant of the out-of-grading pairs, or None
-    unless losses)."""
+    unless losses).  A batched product sums its pairs per slot in slot
+    order (``_run_sums``: in chunks of whole runs of at most
+    BLOCK_TILE_BYTES of products once they exceed it); an unbatched one
+    bins them."""
     js, ks, ts = plan.slots
     out = []
     for a, b in halves:
@@ -765,12 +797,11 @@ def _pair_product(plan, f, g, halves, losses=True):
             pairs = np.flatnonzero(~outside.ravel())
             pairs = pairs[np.argsort(slot.ravel()[pairs], kind="stable")]
             slot = slot.ravel()[pairs]
-            pf, pg = np.divmod(pairs, len(gc))
-            coef = fc.reshape(len(fc), -1)[pf] * gc.reshape(len(gc), -1)[pg]
             first = _starts(slot)
-            acc = coef if len(first) == len(slot) \
-                else np.add.reduceat(coef, first, axis=0)
-            out.append((slot[first], acc, loss))
+            out.append((slot[first],
+                        _run_sums(fc.reshape(len(fc), -1),
+                                  gc.reshape(len(gc), -1),
+                                  *np.divmod(pairs, len(gc)), first), loss))
         else:
             # out-of-grading pairs land in bin 0; only the hit slots go on
             coef = (fc[:, None] * gc).ravel()
@@ -783,6 +814,37 @@ def _pair_product(plan, f, g, halves, losses=True):
             hit = np.flatnonzero((re != 0.0) | (im != 0.0))
             out.append((hit - 1, re[hit] + 1j * im[hit], loss))
     return out
+
+
+def _run_sums(fc, gc, pf, pg, first):
+    """The products fc[pf] gc[pg] of the pairs, 2-d coefficient arrays (an
+    unbatched one has one column), summed over each run of pairs that
+    starts at first: an (runs, B) array.  Products that exceed
+    BLOCK_TILE_BYTES are formed in chunks of whole runs, each within the
+    budget unless one run exceeds it, so each run sums its pairs in the
+    same order as in one array; a chunk of one-pair runs is multiplied
+    straight into its rows."""
+    width = max(fc.shape[1], gc.shape[1])
+    if len(pf) * width * 16 <= BLOCK_TILE_BYTES:
+        coef = fc[pf] * gc[pg]
+        return coef if len(first) == len(pf) \
+            else np.add.reduceat(coef, first, axis=0)
+    acc = np.empty((len(first), width), dtype=complex)
+    ends = np.append(first[1:], len(pf))
+    rows = max(BLOCK_TILE_BYTES // (width * 16), 1)
+    r0 = 0
+    while r0 < len(first):
+        lo = first[r0]
+        # the runs that end within the chunk's rows, or the first alone
+        r1 = max(int(np.searchsorted(ends, lo + rows, side="right")), r0 + 1)
+        hi = ends[r1 - 1]
+        if hi - lo == r1 - r0:
+            np.multiply(fc[pf[lo:hi]], gc[pg[lo:hi]], out=acc[r0:r1])
+        else:
+            np.add.reduceat(fc[pf[lo:hi]] * gc[pg[lo:hi]], first[r0:r1] - lo,
+                            axis=0, out=acc[r0:r1])
+        r0 = r1
+    return acc
 
 
 def _pair_loss(plan, r, s, fd, gd, outside):
@@ -870,7 +932,10 @@ class _BlockLayout:
 
     @property
     def gathered(self):
-        """The entries of the block kernel's gathered array."""
+        """The entries of the block kernel's gathered array: e's rows at
+        ``at``, for every output mode.  The kernel rule compares it with the
+        pairs of terms; the kernel itself gathers it one tile of output
+        modes at a time, at most BLOCK_TILE_BYTES each (``_tile_modes``)."""
         return self.at.size * len(self.e.taylor)
 
 
@@ -890,12 +955,34 @@ def _block_layout(plan, f, g):
     return _BlockLayout(e, c, *np.divmod(modes, plan.NK), at, inside, swap)
 
 
+def _tile_modes(mode_bytes, cols):
+    """The output modes of one tile of the block kernel: as many as keep a
+    tile of mode_bytes per mode within BLOCK_TILE_BYTES, rounded down so
+    that the tile's column count in the matrix product, modes x cols, is a
+    multiple of 4 (and at least the smallest such count).  Every tile then
+    starts at a column that is a multiple of 4, and each column of a tile's
+    product equals the column of the one-call product bit for bit (measured
+    with OpenBLAS 0.3.31's Haswell zgemm; at other column counts its column
+    edge moved coefficients by about 2e-14)."""
+    step = 4 // math.gcd(cols, 4)
+    return max(BLOCK_TILE_BYTES // (mode_bytes * step), 1) * step
+
+
 def _block_product(plan, layout, halves, r, s, losses=True):
     """The block kernel on a _block_layout, for each (a, b) in halves:
     (output slots in order, the coefficients of d_a f d_b g, some of them
     zero, majorant of the out-of-grading pairs, or None unless losses).
     Halves whose mode derivatives agree share one matrix product; Taylor
-    factors scale its entries as they are summed."""
+    factors scale its entries as they are summed.
+
+    The output modes (rows of the layout's at) are taken in tiles of
+    ``_tile_modes``: each tile gathers its own rows of e, forms its own
+    part of the product and sums its own Taylor pairs, so neither the
+    gathered array nor the product exceeds BLOCK_TILE_BYTES (unless one
+    step of 4 columns does).  An output mode's sums read only its own
+    column of the product, so every coefficient is the one a call with one
+    tile forms; a call that fits in one tile makes one gather and one
+    matrix product per group."""
     e, c, at = layout.e, layout.c, layout.at
     sides = [(b, a) if layout.swap else (a, b) for a, b in halves]  # (on e, on c)
     products, combos = {}, {}
@@ -903,55 +990,64 @@ def _block_product(plan, layout, halves, r, s, losses=True):
         products.setdefault((de if de.on_modes else None,
                              dc if dc.on_modes else None), []).append(n)
     o_slot = plan.code(layout.oj, layout.ok, 0)
-    out = [None] * len(halves)
-    gathered = None
-    # the products without a mode factor on e share one gathered array of
-    # e's rows; it is dropped before a factor on e scales e's rows into a
-    # gathered array of their own, so one is alive at a time
+    out, taylor = [None] * len(halves), [None] * len(halves)
+    for n, (de, dc) in enumerate(sides):
+        # Taylor combination: the pairs (q, p) whose exponents sum inside
+        # the ball after the shift, in order of the output exponent t;
+        # the others are never read
+        shift = tuple(sorted(de.shift + dc.shift))
+        if shift not in combos:
+            ts = plan.taylor_sums(shift)[c.taylor[:, None], e.taylor]
+            q, p = np.nonzero(ts >= 0)
+            order = np.argsort(ts[q, p], kind="stable")
+            combos[shift] = q[order], p[order], ts[q[order], p[order]]
+        q, p, t = combos[shift]
+        tc, te = dc.taylor_factor(plan, c.taylor), de.taylor_factor(plan, e.taylor)
+        factor = (1 if tc is None else tc[q]) * (1 if te is None else te[p])
+        if np.ndim(factor):
+            live = factor != 0
+            q, p, t, factor = q[live], p[live], t[live], factor[live]
+        first = _starts(t)
+        taylor[n] = q, p, factor if np.ndim(factor) else None, first
+        out[n] = ((o_slot[:, None] + t[first]).ravel(),
+                  np.empty((len(at), len(first)), dtype=complex))
+    # per group, e's rows and c's block times their mode factors; the
+    # groups without a mode factor on e come first and share e's rows
+    groups = []
     for (me, mc), members in sorted(products.items(),
                                     key=lambda item: item[0][0] is not None):
-        if me is None:
-            gathered = e.dense[at.T] if gathered is None else gathered
-            ed = gathered
-        else:
-            gathered = None
-            factor = np.append(me.mode_factor(plan, e.ij, e.ik), 0.0)
-            ed = (e.dense * factor[:, None])[at.T]
+        rows = e.dense if me is None else e.dense * np.append(
+            me.mode_factor(plan, e.ij, e.ik), 0.0)[:, None]
         cd = c.dense[:-1]
         if mc is not None:
             cd = cd * mc.mode_factor(plan, c.ij, c.ik)[:, None]
-        # Fourier convolution, one matrix product: P[q, o, p] = sum over c's
-        # modes m of c[m, q] e[at[o, m], p], each times its mode factor
-        P = (cd.T @ ed.reshape(len(c.ij), -1)).reshape(len(c.taylor), len(at),
-                                                       len(e.taylor))
-        del cd, ed
-        for n in members:
-            de, dc = sides[n]
-            # Taylor combination: the pairs (q, p) whose exponents sum inside
-            # the ball after the shift, in order of the output exponent t;
-            # the others are never read
-            shift = tuple(sorted(de.shift + dc.shift))
-            if shift not in combos:
-                ts = plan.taylor_sums(shift)[c.taylor[:, None], e.taylor]
-                q, p = np.nonzero(ts >= 0)
-                order = np.argsort(ts[q, p], kind="stable")
-                combos[shift] = q[order], p[order], ts[q[order], p[order]]
-            q, p, t = combos[shift]
-            tc, te = dc.taylor_factor(plan, c.taylor), de.taylor_factor(plan, e.taylor)
-            factor = (1 if tc is None else tc[q]) * (1 if te is None else te[p])
-            if np.ndim(factor):
-                live = factor != 0
-                q, p, t, factor = q[live], p[live], t[live], factor[live]
-            first = _starts(t)
-            terms = P[q, :, p]
-            if np.ndim(factor):
-                terms *= factor[:, None]
-            acc = np.add.reduceat(terms, first, axis=0).T.ravel()
-            out[n] = ((o_slot[:, None] + t[first]).ravel(), acc)
-        del P
+        groups.append((rows, cd, members))
+    width = _tile_modes(16 * len(e.taylor) * max(len(c.ij), len(c.taylor)),
+                        len(e.taylor))
+    for lo in range(0, len(at), width):
+        tile, src, ed = at[lo:lo + width].T, None, None
+        for rows, cd, members in groups:
+            if rows is not src:
+                # one gathered tile is alive at a time: shared by the groups
+                # on e's plain rows, dropped before a scaled one is gathered
+                ed = None
+                src, ed = rows, rows[tile]
+            # Fourier convolution, one matrix product: P[q, o, p] = sum over
+            # c's modes m of c[m, q] e[at[o, m], p], each times its mode factor
+            P = (cd.T @ ed.reshape(len(c.ij), -1)).reshape(
+                len(c.taylor), -1, len(e.taylor))
+            for n in members:
+                q, p, factor, first = taylor[n]
+                terms = P[q, :, p]
+                if factor is not None:
+                    terms *= factor[:, None]
+                # output modes are independent columns of the sums
+                np.add.reduceat(terms, first, axis=0,
+                                out=out[n][1][lo:lo + width].T)
+            del P
     loss = _block_loss(plan, layout, sides, r, s) if losses \
         else [None] * len(out)
-    return [o + (x,) for o, x in zip(out, loss)]
+    return [(slot, acc.ravel(), x) for (slot, acc), x in zip(out, loss)]
 
 
 def _block_loss(plan, layout, sides, r, s):

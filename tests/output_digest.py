@@ -16,9 +16,14 @@ agree on the same machine. The entries, each named "<problem>/<output>":
   through `kamtori.cli.main` (reduce, run, verify) in a temporary
   directory: the exit codes and the bytes of reduced.json, history.json,
   torus.json and zeta.csv;
-- l2-cohom (`L2Cohom`): alpha's slot arrays and the residual plateau.
+- l2-cohom (`L2Cohom`): alpha's slot arrays and the residual plateau;
+- l2-iterate (the l = 2 problem of tests/test_engine.py's
+  `TestTwoResonanceRun`, about 5 s): iterate's history rows and the slot
+  arrays of the final f and of every component of the map Phi, whose
+  batched products run at B = 4096 in many chunks.
 
-The problems are read from bench/workloads.py and not changed. With
+The problems are read from bench/workloads.py and not changed; l2-iterate,
+which no workload runs, is built here as its test builds it. With
 --against FILE, an earlier run's output, the entries that differ are listed
 and the exit code is 1 if any does. --only PREFIX computes only the entries
 of the problems whose name starts with PREFIX.
@@ -39,7 +44,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "bench"))
 
 import workloads  # noqa: E402
-from kamtori import cli, symplectic  # noqa: E402
+from kamtori import cli, engine, normalform, series, symplectic  # noqa: E402
+from kamtori.engine.driver import IterateConfig  # noqa: E402
 
 COUPLED_EPS = (1e-5, 1e-4)
 CLI_SEEDS = (101, 7, 42001)
@@ -77,14 +83,19 @@ def relation_defects():
         symplectic.symplecticity_residual = real
 
 
+def history_rows(hist):
+    """The history rows as history.json would hold them."""
+    return [{k: cli._jsonable(v) for k, v in {**row.get("measures", {}),
+                                               **row}.items()
+             if k in cli.HISTORY_FIELDS} for row in hist["steps"]]
+
+
 def coupled(eps):
     wl = workloads.Coupled()
     wl.EPS = eps
     with relation_defects() as defects:
         out = wl.solve(wl.setup(0, None))
-    rows = [{k: cli._jsonable(v) for k, v in {**row.get("measures", {}),
-                                               **row}.items()
-             if k in cli.HISTORY_FIELDS} for row in out["hist"]["steps"]]
+    rows = history_rows(out["hist"])
     name = "coupled-1p1@eps=%g/" % eps
     digests = {name + "history": sha(json.dumps(rows, sort_keys=True)),
                name + "relation_defects": sha(*(d.tobytes() for d in defects))}
@@ -130,11 +141,26 @@ def l2_cohom():
             "l2-cohom/residual_plateau": sha(float(out["residual_plateau"]))}
 
 
+def l2_iterate():
+    eps = 1e-5
+    gr = series.Grading(d=1, l=2, K_q=4, K_phi=4, D=4)
+    N0 = normalform.initial_tuple(gr, 1.0, 1.0, [workloads.GOLDEN], [[-1.0]])
+    sc = symplectic.sigma_cos
+    terms = sc((0, 1, 0), eps) + sc((1, 0, 1), eps) + sc((1, 1, 1), 0.5 * eps)
+    f0 = symplectic.shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
+    state, hist = engine.iterate(N0, f0, IterateConfig(target_tol=1e-13))
+    return {"l2-iterate/history": sha(json.dumps(history_rows(hist),
+                                                 sort_keys=True)),
+            "l2-iterate/f": sha(*series_parts(state.f)),
+            "l2-iterate/Phi": sha(*(p for u in state.Phi.U
+                                    for p in series_parts(u)))}
+
+
 PROBLEMS = ([("coupled-1p1@eps=%g" % eps, lambda eps=eps: coupled(eps))
              for eps in COUPLED_EPS]
             + [("threedof-cli@seed=%d" % seed, lambda seed=seed: threedof(seed))
                for seed in CLI_SEEDS]
-            + [("l2-cohom", l2_cohom)])
+            + [("l2-cohom", l2_cohom), ("l2-iterate", l2_iterate)])
 
 
 def digest(only=""):
