@@ -11,6 +11,7 @@ each is the base class (kamtori.errors) of the failure that ended the run.
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,8 +20,7 @@ import sys
 import numpy as np
 
 from . import series as fts
-from .engine import (compute_zeta, extract_torus, find_vanishing_point,
-                     iterate, verify_invariance)
+from .engine import find_torus, iterate, verify_invariance
 from .engine.driver import IterateConfig
 from .errors import (ArtifactIOError, ConvergenceError, KamtoriError,
                      PreconditionError)
@@ -236,8 +236,7 @@ def cmd_reduce(cfg, out_path=None):
         "M0": [[float(v) for v in row] for row in M0],
         "frame": report["normalization"],
         "tau": tau, "radii": [float(r0), float(s0)],
-        "grading": {"d": grading.d, "l": l, "K_q": grading.K_q,
-                    "K_phi": grading.K_phi, "D": grading.D},
+        "grading": dataclasses.asdict(grading),
         "h0": fts.to_json_dict(h0.with_radii(r0, s0)),
         "f0": fts.to_json_dict(f0.with_radii(r0, s0)),
         "report": _jsonable(report),
@@ -272,26 +271,28 @@ def _jsonable(obj):
     return obj
 
 
-def _load_reduced(path):
-    return _problem_from(_read_json(path))
-
-
 def _problem_from(data):
+    """reduced.json's problem: its grading, omega, tau and frame, the
+    starting tuple N0, the perturbation f0 and H0 = N0's Hamiltonian + f0."""
     with _parsing("reduced problem"):
-        gd = data["grading"]
-        grading = Grading(gd["d"], gd["l"], gd["K_q"], gd["K_phi"], gd["D"])
+        grading = Grading(**data["grading"])
         r0, s0 = data["radii"]
-        h0 = fts.from_json_dict(data["h0"])
-        f0 = fts.from_json_dict(data["f0"])
-        return {
-            "grading": grading, "r0": r0, "s0": s0,
-            "omega": np.asarray(data["omega"], dtype=float),
-            "M0": np.asarray(data["M0"], dtype=float),
-            "frame": np.asarray(data["frame"], dtype=float),
-            "tau": data["tau"],
-            "h0": h0.with_radii(r0, s0),
-            "f0": f0.with_radii(r0, s0),
-        }
+        omega = np.asarray(data["omega"], dtype=float)
+        M0 = np.asarray(data["M0"], dtype=float)
+        frame = np.asarray(data["frame"], dtype=float)
+        tau = data["tau"]
+        h0 = fts.from_json_dict(data["h0"]).with_radii(r0, s0)
+        f0 = fts.from_json_dict(data["f0"]).with_radii(r0, s0)
+    N0 = initial_tuple(grading, r0, s0, omega, M0, h=h0)
+    return {"grading": grading, "omega": omega, "tau": tau, "frame": frame,
+            "N0": N0, "f0": f0, "H0": assemble_hamiltonian(N0) + f0}
+
+
+def history_rows(history):
+    """history.json's rows: the HISTORY_FIELDS of each rung's row and of
+    its measures."""
+    return [{k: v for k, v in {**row.get("measures", {}), **row}.items()
+             if k in HISTORY_FIELDS} for row in history["steps"]]
 
 
 def _zeta_rows(zv, alpha, beta, grading):
@@ -345,25 +346,11 @@ def _pipeline(cfg):
     with _parsing("outputs"):
         grid_n = _verify_grid(_int(outputs.get("verify_grid", default_grid),
                                    "outputs.verify_grid"))
-    N0 = initial_tuple(grading, prob["r0"], prob["s0"], prob["omega"],
-                       prob["M0"], h=prob["h0"])
-    state, history = iterate(N0, prob["f0"], it_cfg)
-    H0 = assemble_hamiltonian(N0) + prob["f0"]
-    zeta = compute_zeta(state, H0)
-    phi0, info = find_vanishing_point(zeta, state.alpha, state.N.beta)
-    torus = extract_torus(state, phi0)
-    Hbar = freeze_phi(H0, phi0)
-    residual = verify_invariance(Hbar, torus.embedding, prob["omega"],
-                                 grid_n=grid_n)
+    state, history = iterate(prob["N0"], prob["f0"], it_cfg)
+    phi0, info, torus, residual = find_torus(state, prob["H0"], grid_n)
     artifacts = {}
     hist_path = outputs.get("history_path", "history.json")
-    # the rung's norms, what the truncated ring dropped and kept, the
-    # solve's diagnostics and the postconditions it missed
-    hist_out = [{k: _jsonable(v) for k, v in {**row.get("measures", {}),
-                                               **row}.items()
-                 if k in HISTORY_FIELDS}
-                for row in history["steps"]]
-    _write_json(hist_path, hist_out)
+    _write_json(hist_path, history_rows(history))
     artifacts["history"] = hist_path
     csv_path = outputs.get("zeta_csv_path", "zeta.csv")
     _write_zeta_csv(csv_path, _zeta_rows(info["zeta_values"], state.alpha,
@@ -382,7 +369,7 @@ def _pipeline(cfg):
         "nu_max_at_phi0": float(info["nu_max_at_phi0"]),
         "distance_to_trivial": float(torus.distance_to_trivial),
         "grad_norm": float(info["grad_norm"]),
-        "hamiltonian": fts.to_json_dict(Hbar),
+        "hamiltonian": fts.to_json_dict(info["hamiltonian"]),
     })
     artifacts["torus"] = torus_path
     return state, history, phi0, info, residual, target_tol, artifacts
@@ -444,11 +431,13 @@ def cmd_verify(torus_path, problem_path, grid_n):
         raise ArtifactIOError("torus file %s is malformed: %s"
                               % (torus_path, "; ".join(bad)))
     if problem_path:
-        prob = _load_reduced(problem_path)
-        H0 = assemble_hamiltonian(initial_tuple(
-            prob["grading"], prob["r0"], prob["s0"], prob["omega"],
-            prob["M0"], h=prob["h0"])) + prob["f0"]
-        H = freeze_phi(H0, phi0)
+        prob = _problem_from(_read_json(problem_path))
+        pd, pl = prob["grading"].d, prob["grading"].l
+        if (pd, pl) != (d, l):
+            raise ArtifactIOError("torus file %s (d = %d, l = %d) does not "
+                                  "match problem file %s (d = %d, l = %d)"
+                                  % (torus_path, d, l, problem_path, pd, pl))
+        H = freeze_phi(prob["H0"], phi0)
         omega = prob["omega"]
     residual = verify_invariance(H, emb, omega, grid_n=grid_n)
     witness = effective_diophantine_constant(omega, tau, H.grading.K_q)

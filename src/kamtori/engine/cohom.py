@@ -63,6 +63,7 @@ class CohomSolution:
     v: list                  # d phi-only series
     F: FTSeries
     Nbar: NormalFormTuple    # w = 0, Q = 0
+    G: FTSeries              # f - <alpha, phi_x>
     grid: np.ndarray
     residual_plateau: float = 0.0
     residual_tracker: float = 0.0
@@ -337,11 +338,11 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     weight.  Any other beta is refused with a CohomologyError naming the
     first uncovered point, before any per-point work.
 
-    Returns a CohomSolution whose residual_plateau field is the majorant of
-    the defect g-slot of Nbar over the grid; the caller checks it against
-    the majorant of f.  The per-point construction runs on grid_size points
-    per axis, collocation_size(gr) by default.  sigma and delta are unused;
-    they stay in the signature because callers pass them by keyword.
+    Returns a CohomSolution: residual_plateau is the majorant of Nbar's
+    defect g-slot over the grid, which the caller checks against f's, and G
+    is f - <alpha, phi_x>.  The per-point construction runs on grid_size
+    points per axis, collocation_size(gr) by default.  sigma and delta are
+    unused; they stay in the signature because callers pass them by keyword.
     """
     gr = f.grading
     l, d = gr.l, gr.d
@@ -394,10 +395,10 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     # match
     Nred_glob = assemble_hamiltonian(N) - N.g - N.c
     gen_g = GeneratingFunction(F_g, v_g)
-    lhs = f.copy()
+    G = f.copy()
     for i in range(l):
-        lhs = lhs - multiply(alpha_g[i], phi_x[i])
-    lhs = lhs + gen_g.bracket_with(Nred_glob)
+        G = G - multiply(alpha_g[i], phi_x[i])
+    lhs = G + gen_g.bracket_with(Nred_glob)
     model = TaylorSplit(
         a=cbar_g, d_xx=beta_g, d_pp=M_g,
         d_px=[[Gamma_g[j][i] for j in range(l)] for i in range(d)],
@@ -416,7 +417,7 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
                             _peak(majorant_on_grid(cond_ser, pts)))
 
     return CohomSolution(
-        alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, grid=pts,
+        alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, G=G, grid=pts,
         residual_plateau=resid_plateau, residual_tracker=tracker_resid,
         zero_mode_obstruction=res["obstruction"], max_condition=res["cond"],
         projection_defect=proj_defect)

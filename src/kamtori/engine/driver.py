@@ -11,6 +11,7 @@ Every smallness hypothesis and every contraction target is measured and
 recorded; a miss marks the step failed instead of being silently accepted.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           normal_form_distance, normal_form_norm)
 from ..series import (FTSeries, TaylorSplit, average_q, ck_norm_estimate,
                       coordinate, degrees, differentiate, majorant_norm,
-                      multiply, select)
+                      select)
 from ..smalldiv import effective_diophantine_constant
 from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
                           compose_maps, identity_map, lie_tail_integral,
@@ -45,6 +46,16 @@ class IterationState:
     # sizes measured as the state was made (f_c2 of f, alpha_c2, and, after
     # a rung, tracker_mean_c2 of phi_x); kam_step reads what it finds here
     norms: dict = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, N0, f0):
+        """Rung 0 of a run from (N0, f0): no counter-term, the identity map,
+        f0's radii, and f0's measured size."""
+        gr, r, s = f0.grading, f0.r, f0.s
+        return cls(n=0, N=N0, alpha=[FTSeries.zero(gr, r, s)
+                                     for _ in range(gr.l)],
+                   f=f0, Phi=identity_map(gr, r, s), r=r, s=s,
+                   norms={"f_c2": c2_norm(f0), "alpha_c2": 0.0})
 
     @property
     def grading(self):
@@ -85,7 +96,17 @@ def tracker_mean_norm(phi_x, gr):
     return max(vals)
 
 
-def kam_step(state, row, witness, N0=None):
+@contextlib.contextmanager
+def _phase(what, measures, *also):
+    """Turn a ConvergenceError (or an exception of a type in also) in the
+    block into StepFailure("<what> failed: <exc>") carrying measures."""
+    try:
+        yield
+    except (ConvergenceError,) + also as exc:
+        raise StepFailure("%s failed: %s" % (what, exc), measures) from exc
+
+
+def kam_step(state, row, witness, N0):
     """Apply one rung; returns (next state, StepResult).
 
     Preconditions and postcondition targets are measured; a missed
@@ -109,9 +130,8 @@ def kam_step(state, row, witness, N0=None):
     dx_off = [phi_x[i] - coordinate(gr, r, s, "x", i) for i in range(gr.l)]
     measures["tracker_off_c2"] = max(
         (c2_norm(u) for u in dx_off), default=0.0)
-    if N0 is not None:
-        measures["tuple_drift"] = normal_form_distance(
-            state.N, N0.with_radii(r, s))
+    measures["tuple_drift"] = normal_form_distance(state.N,
+                                                   N0.with_radii(r, s))
     pre_fail = []
     if f_norm > eps:
         pre_fail.append("|f|_2 = %.3g exceeds the rung budget %.3g"
@@ -122,19 +142,17 @@ def kam_step(state, row, witness, N0=None):
     if measures["tracker_off_c2"] > 2 * LAMBDA:
         pre_fail.append("tracker drift %.3g exceeds 2 lambda = %.3g"
                         % (measures["tracker_off_c2"], 2 * LAMBDA))
-    if N0 is not None and measures["tuple_drift"] > 2 * LAMBDA:
+    if measures["tuple_drift"] > 2 * LAMBDA:
         pre_fail.append("tuple drift %.3g exceeds 2 lambda = %.3g"
                         % (measures["tuple_drift"], 2 * LAMBDA))
     if pre_fail:
         raise StepFailure("; ".join(pre_fail), measures)
 
     measures["K_eff"] = gr.K_q
-    try:
+    with _phase("linearized conjugacy solve", measures,
+                np.linalg.LinAlgError):
         sol = solve_cohomological(state.N, f, phi_x, witness, sigma,
                                   row.delta, row.delta_plus)
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        raise StepFailure("linearized conjugacy solve failed: %s" % exc,
-                          measures) from exc
     measures["cohom_residual_plateau"] = sol.residual_plateau
     measures["cohom_tracker_residual"] = sol.residual_tracker
     measures["cohom_condition"] = sol.max_condition
@@ -145,23 +163,18 @@ def kam_step(state, row, witness, N0=None):
     measures["cohom_residual_ok"] = bool(sol.residual_plateau <= resid_budget)
 
     gen = GeneratingFunction(sol.F, sol.v)
-    try:
+    with _phase("generator flow", measures):
         Psi = map_from_generator(gen)
-    except ConvergenceError as exc:
-        raise StepFailure("generator flow failed: %s" % exc, measures) from exc
     measures["psi_displacement"] = Psi.displacement_majorant()
     measures["psi_remainder"] = Psi.remainder
     measures["symp_residual"] = Psi.symp_residual
 
     Nbar_ham = assemble_hamiltonian(sol.Nbar)
-    G = f.copy()
-    for i in range(gr.l):
-        G = G - multiply(sol.alpha[i], phi_x[i])
     rem = 0.0
     # orders reached by the two tail integrals and the transport of g
     # (0 for a sum not taken)
     orders = [0, 0, 0]
-    try:
+    with _phase("error-term transport", measures):
         if Nbar_ham.is_zero() and gen.F.is_zero() \
                 and all(v.is_zero() for v in sol.v):
             f_plus = FTSeries.zero(gr, r, s)
@@ -169,35 +182,26 @@ def kam_step(state, row, witness, N0=None):
             u1 = gen.bracket_with(Nbar_ham)
             t1, rem1, orders[0] = lie_tail_integral(
                 u1, gen, lambda n: 1.0 / ((n + 1) * (n + 2)))
-            u2 = gen.bracket_with(G)
+            u2 = gen.bracket_with(sol.G)
             t2, rem2, orders[1] = lie_tail_integral(u2, gen,
                                                     lambda n: 1.0 / (n + 2))
             f_plus = t1 + t2
             rem = rem1 + rem2
-    except ConvergenceError as exc:
-        raise StepFailure("error-term transport failed: %s" % exc,
-                          measures) from exc
     measures["lie_remainder"] = rem
 
     # Nbar has w = 0 and Q = 0, so the sum keeps w and Q as they are
     N_plus = state.N + sol.Nbar
     if not state.N.g.is_zero():
-        try:
+        with _phase("normal-form transport", measures):
             g_moved, _, orders[2] = lie_transform(state.N.g, gen)
-        except ConvergenceError as exc:
-            raise StepFailure("normal-form transport failed: %s" % exc,
-                              measures) from exc
         N_plus.g = N_plus.g + (g_moved - state.N.g)
 
     r_plus, s_plus = r - 10 * sigma, s - sigma
     N_plus = N_plus.with_radii(r_plus, s_plus)
     f_plus = f_plus.with_radii(r_plus, s_plus)
     Psi_out = Psi.with_radii(r_plus, s_plus)
-    try:
+    with _phase("map composition", measures):
         Phi_plus = compose_maps(state.Phi.with_radii(r_plus, s_plus), Psi_out)
-    except ConvergenceError as exc:
-        raise StepFailure("map composition failed: %s" % exc,
-                          measures) from exc
 
     fp_norm = c2_norm(f_plus)
     target = eps ** 1.5
@@ -298,14 +302,12 @@ def iterate(N0, f0, config=None):
     failure reason.
     """
     cfg = config or IterateConfig()
-    gr = f0.grading
-    r0, s0 = f0.r, f0.s
     defect = equal_derivative_defect(f0, cfg.frame)
     scale = max(majorant_norm(f0), 1.0)
     if defect > 1e-10 * scale:
         raise PreconditionError("perturbation violates the averaged-"
                                 "derivative identity: defect %.3g" % defect)
-    witness = effective_diophantine_constant(N0.w, cfg.tau, gr.K_q)
+    witness = effective_diophantine_constant(N0.w, cfg.tau, f0.grading.K_q)
     if witness.resonant:
         raise PreconditionError("frequency vector is resonant at k=%s"
                                 % (witness.worst_k,))
@@ -316,10 +318,7 @@ def iterate(N0, f0, config=None):
                              "correction tuple carries Q = 0 (the alternative "
                              "reading, Q = 0 on the iterated tuple, is "
                              "rejected as inconsistent with the tuple sum)"}}
-    state = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, r0, s0)
-                                             for _ in range(gr.l)],
-                           f=f0, Phi=identity_map(gr, r0, s0), r=r0, s=s0,
-                           norms={"f_c2": c2_norm(f0), "alpha_c2": 0.0})
+    state = IterationState.start(N0, f0)
     eps0 = state.norms["f_c2"]
     if eps0 <= cfg.target_tol:
         history["steps"].append(_history_row(state, None))
@@ -327,13 +326,13 @@ def iterate(N0, f0, config=None):
     if eps0 >= 1.0:
         raise StepFailure("perturbation too large to schedule: measured "
                           "size %.3g >= 1" % eps0)
-    sched = build_schedule(r0, s0, eps0, cfg.tau, n_max=cfg.n_max)
+    sched = build_schedule(state.r, state.s, eps0, cfg.tau, n_max=cfg.n_max)
     history["schedule"] = [vars(row).copy() for row in sched.rows]
     if sched.truncation_reason:
         history["schedule_truncated"] = sched.truncation_reason
     for row in sched.rows:
         try:
-            state_next, res = kam_step(state, row, witness, N0=N0)
+            state_next, res = kam_step(state, row, witness, N0)
         except ConvergenceError as exc:
             history["failure"] = {"n": state.n, "reason": str(exc),
                                   "measures": getattr(exc, "measures", {})}

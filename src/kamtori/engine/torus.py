@@ -1,4 +1,5 @@
-"""Parameter selection, torus extraction and direct invariance verification."""
+"""Parameter selection, torus extraction and direct invariance verification,
+and the pipeline that runs the three on an iterated state (find_torus)."""
 
 import math
 from dataclasses import dataclass
@@ -11,6 +12,7 @@ from ..normalform import (eval_phi_series, nu_max_profile, phi_grid,
 from ..series import coordinates, differentiate, evaluate_all, freeze_phi
 from ..symplectic import vector_field
 from .cohom import restrict_z0
+from .diagnostics import compute_zeta
 
 
 @dataclass
@@ -120,3 +122,17 @@ def verify_invariance(H, embedding, omega, grid_n=64):
     flow = D @ omega
     flow[:, cols["q"]] += omega
     return float(np.linalg.norm(X - flow, axis=1).max())
+
+
+def find_torus(state, H0, grid_n=64):
+    """The torus of an iterated state: phi0 where alpha = grad zeta vanishes
+    (zeta's maximum), the embedding there, and its invariance residual under
+    H0 frozen at phi0 (info["hamiltonian"]) on grid_n points per axis.
+    Returns (phi0, info, TorusResult, residual); omega is the tuple's w."""
+    phi0, info = find_vanishing_point(compute_zeta(state, H0), state.alpha,
+                                      state.N.beta)
+    torus = extract_torus(state, phi0)
+    info["hamiltonian"] = freeze_phi(H0, phi0)
+    residual = verify_invariance(info["hamiltonian"], torus.embedding,
+                                 state.N.w, grid_n)
+    return phi0, info, torus, residual

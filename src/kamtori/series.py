@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -821,14 +821,10 @@ def _run_sums(fc, gc, pf, pg, first):
     unbatched one has one column), summed over each run of pairs that
     starts at first: an (runs, B) array.  Products that exceed
     BLOCK_TILE_BYTES are formed in chunks of whole runs, each within the
-    budget unless one run exceeds it, so each run sums its pairs in the
-    same order as in one array; a chunk of one-pair runs is multiplied
-    straight into its rows."""
+    budget unless one run exceeds it (a product within it is one chunk), so
+    each run sums its pairs in the same order as in one array; a chunk of
+    one-pair runs is multiplied straight into its rows."""
     width = max(fc.shape[1], gc.shape[1])
-    if len(pf) * width * 16 <= BLOCK_TILE_BYTES:
-        coef = fc[pf] * gc[pg]
-        return coef if len(first) == len(pf) \
-            else np.add.reduceat(coef, first, axis=0)
     acc = np.empty((len(first), width), dtype=complex)
     ends = np.append(first[1:], len(pf))
     rows = max(BLOCK_TILE_BYTES // (width * 16), 1)
@@ -1422,14 +1418,12 @@ def taylor_split(f):
 def to_json_dict(f):
     terms = [{"j": list(j), "k": list(k), "alpha": list(a), "re": c.real,
               "im": c.imag} for (j, k, a), c in f.terms.items()]
-    g = f.grading
-    return {"grading": {"d": g.d, "l": g.l, "K_q": g.K_q, "K_phi": g.K_phi, "D": g.D},
-            "radii": [f.r, f.s], "terms": terms}
+    return {"grading": asdict(f.grading), "radii": [f.r, f.s],
+            "terms": terms}
 
 
 def from_json_dict(data):
-    gd = data["grading"]
-    g = Grading(gd["d"], gd["l"], gd["K_q"], gd["K_phi"], gd["D"])
-    return FTSeries(g, data["radii"][0], data["radii"][1],
+    g, radii = Grading(**data["grading"]), data["radii"]
+    return FTSeries(g, radii[0], radii[1],
                     {(tuple(t["j"]), tuple(t["k"]), tuple(t["alpha"])):
                      complex(t["re"], t["im"]) for t in data["terms"]}, _raw=True)

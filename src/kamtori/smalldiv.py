@@ -88,14 +88,9 @@ class DiophantineWitness:
         """min over 0 < |k|_1 <= K of <omega,k>^2."""
         if K > self.K_checked:
             raise ValueError("witness only checked up to K=%d" % self.K_checked)
-        cache = getattr(self, "_mindiv_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_mindiv_cache", cache)
-        if K not in cache:
-            best = min(abs(float(np.dot(self.omega, k))) for k in _modes_up_to(self.d, K))
-            cache[K] = best * best
-        return cache[K]
+        best = min(abs(float(np.dot(self.omega, k)))
+                   for k in _modes_up_to(self.d, K))
+        return best * best
 
 
 def _modes_up_to(d, K):

@@ -1,9 +1,11 @@
 """The dict-backed Fourier-Taylor ring that kamtori.series replaced, kept
-verbatim as the oracle of tests/test_slot_storage.py: each series holds a
-dict {(j, k, a): c}, sums are Python merge loops and ck_norm_estimate sums
-the majorants of a recursive tree of derivatives.  One change: taylor_split's
+as the oracle of tests/test_slot_storage.py: each series holds a dict
+{(j, k, a): c}, sums are Python merge loops and ck_norm_estimate sums the
+majorants of a recursive tree of derivatives.  Two changes: taylor_split's
 remainder carries f's trunc_loss, as kamtori.series's does, so a split and
-its reassembly keep the truncation bound.
+its reassembly keep the truncation bound; and the FTSeries methods that no
+test calls (the mode-pair constructors, copy, with_radii, the queries and
+the reflected operators) are left out.
 
 Sparse Fourier-Taylor series on T^l_param x T^d x B^l x B^d x B^l.
 
@@ -25,8 +27,8 @@ run through per-grading index-pair tables (``_Plan``) on per-dict ``_arrays``.
 A coefficient may also be a length-B complex array: the series then stands
 for B series with one shared key set (one per parameter grid point in the
 cohomological solve).  The coefficient-wise operations carry arrays as
-they are; the reductions (pruning, ``max_abs_coeff``, ``majorant_norm``) act
-per entry, and ``trunc_loss`` bounds the loss of every entry.
+they are; the reductions (pruning, ``majorant_norm``) act per entry, and
+``trunc_loss`` bounds the loss of every entry.
 """
 
 import functools
@@ -195,7 +197,7 @@ class FTSeries:
         self.s = float(s)
         self.trunc_loss = float(trunc_loss)
         if _raw:
-            # a _Terms is shared (with_radii), a plain dict wrapped once
+            # a _Terms is shared, a plain dict wrapped once
             self._terms = terms if type(terms) is _Terms else _Terms(terms or ())
             return
         self._terms = {}
@@ -212,10 +214,6 @@ class FTSeries:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls, grading, r, s):
-        return cls(grading, r, s, {}, _raw=True)
-
-    @classmethod
     def constant(cls, grading, r, s, value):
         if isinstance(value, np.ndarray):
             terms = {grading.zero_key(): value.astype(complex)} \
@@ -223,40 +221,6 @@ class FTSeries:
         else:
             terms = {grading.zero_key(): complex(value)} if value != 0 else {}
         return cls(grading, r, s, terms, _raw=True)
-
-    @classmethod
-    def term(cls, grading, r, s, j, k, alpha, coeff):
-        return cls(grading, r, s, {(tuple(j), tuple(k), tuple(alpha)): complex(coeff)})
-
-    @classmethod
-    def cos_angle(cls, grading, r, s, j, k, amplitude=1.0):
-        """amplitude * cos(j.phi + k.q) as the conjugate mode pair."""
-        return cls._mode_pair(grading, r, s, j, k, 0.5 * amplitude,
-                              0.5 * amplitude)
-
-    @classmethod
-    def sin_angle(cls, grading, r, s, j, k, amplitude=1.0):
-        return cls._mode_pair(grading, r, s, j, k, -0.5j * amplitude,
-                              0.5j * amplitude)
-
-    @classmethod
-    def _mode_pair(cls, grading, r, s, j, k, c, c_minus):
-        a = (0,) * grading.nz
-        new = cls.zero(grading, r, s)
-        new._accumulate((tuple(j), tuple(k), a), c)
-        new._accumulate((tuple(-v for v in j), tuple(-v for v in k), a), c_minus)
-        return new
-
-    def copy(self):
-        return FTSeries(self.grading, self.r, self.s, _Terms(self.terms),
-                        self.trunc_loss, _raw=True)
-
-    def with_radii(self, r, s):
-        """The same coefficients read on radii (r, s), which may only shrink."""
-        if r > self.r * (1 + 1e-12) or s > self.s * (1 + 1e-12):
-            raise ValueError("cannot grow radii by relabeling")
-        return FTSeries(self.grading, r, s, self.terms, self.trunc_loss,
-                        _raw=True)
 
     # -- internal accumulation with bound checks -------------------------------
 
@@ -321,9 +285,6 @@ class FTSeries:
             other = FTSeries.constant(self.grading, self.r, self.s, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c):
         """Multiply by a number, or entry-wise by a length-B array."""
         mag = float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
@@ -331,42 +292,6 @@ class FTSeries:
         # the loss of a series scaled to zero is kept, not scaled
         return FTSeries(self.grading, self.r, self.s, terms,
                         self.trunc_loss * (mag or 1.0), _raw=True)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        return NotImplemented
-
-    # -- queries ----------------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def max_abs_coeff(self):
-        """Largest coefficient modulus (per entry for a batched series)."""
-        if _is_batched(self):
-            return np.abs(_coef_matrix(self.terms.values())).max(axis=0)
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def coeff(self, j, k, alpha):
-        return self.terms.get((tuple(j), tuple(k), tuple(alpha)), 0.0 + 0.0j)
-
-    def reality_defect(self):
-        """Max |c(j,k,a) - conj(c(-j,-k,a))| over stored terms."""
-        worst = 0.0
-        for (j, k, a), c in self.terms.items():
-            mirror = self.terms.get((tuple(-v for v in j), tuple(-v for v in k), a), 0.0)
-            worst = max(worst, abs(c - np.conj(mirror)))
-        return worst
-
-    def __repr__(self):
-        return "FTSeries(%d terms, r=%g, s=%g, loss=%.3g)" % (
-            len(self.terms), self.r, self.s, self.trunc_loss)
 
 
 # -- operations ------------------------------------------------------------------

@@ -83,19 +83,12 @@ def relation_defects():
         symplectic.symplecticity_residual = real
 
 
-def history_rows(hist):
-    """The history rows as history.json would hold them."""
-    return [{k: cli._jsonable(v) for k, v in {**row.get("measures", {}),
-                                               **row}.items()
-             if k in cli.HISTORY_FIELDS} for row in hist["steps"]]
-
-
 def coupled(eps):
     wl = workloads.Coupled()
     wl.EPS = eps
     with relation_defects() as defects:
         out = wl.solve(wl.setup(0, None))
-    rows = history_rows(out["hist"])
+    rows = cli.history_rows(out["hist"])
     name = "coupled-1p1@eps=%g/" % eps
     digests = {name + "history": sha(json.dumps(rows, sort_keys=True)),
                name + "relation_defects": sha(*(d.tobytes() for d in defects))}
@@ -149,7 +142,7 @@ def l2_iterate():
     terms = sc((0, 1, 0), eps) + sc((1, 0, 1), eps) + sc((1, 1, 1), 0.5 * eps)
     f0 = symplectic.shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
     state, hist = engine.iterate(N0, f0, IterateConfig(target_tol=1e-13))
-    return {"l2-iterate/history": sha(json.dumps(history_rows(hist),
+    return {"l2-iterate/history": sha(json.dumps(cli.history_rows(hist),
                                                  sort_keys=True)),
             "l2-iterate/f": sha(*series_parts(state.f)),
             "l2-iterate/Phi": sha(*(p for u in state.Phi.U

@@ -10,9 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from kamtori.engine import (compute_zeta, extract_torus,
-                            find_vanishing_point, iterate, verify_invariance)
-from kamtori.engine.cohom import freeze_phi
+from kamtori.engine import compute_zeta, find_torus, iterate
 from kamtori.engine.driver import IterateConfig, IterationState, c2_norm
 from kamtori.normalform import (assemble_hamiltonian, bump_psi, initial_tuple,
                                 phi_grid)
@@ -21,11 +19,11 @@ from kamtori.series import (FTSeries, Grading, average_q,
                             truncate_fourier)
 from kamtori.smalldiv import (effective_diophantine_constant, solve_L1,
                               solve_L2, solve_L3)
-from kamtori.symplectic import (GeneratingFunction, identity_map,
-                                map_from_generator, reduce_coordinates,
-                                shifted_parametrization, sigma_cos,
+from kamtori.symplectic import (GeneratingFunction, map_from_generator,
+                                reduce_coordinates, sigma_cos,
                                 unimodular_completion)
 from identity_checks import check_alpha_gradient, check_beta_relation
+from test_engine import flagship_problem, q_coupled_problem
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 EPS = 1e-4
@@ -36,39 +34,19 @@ def report(num, ok, text):
     assert ok, "criterion %d failed: %s" % (num, text)
 
 
-def _flagship(eps=EPS, K=16, D=4):
-    gr = Grading(d=1, l=1, K_q=K, K_phi=K, D=D)
-    f0 = shifted_parametrization(sigma_cos((0, 1), eps), 1, 1, gr, 1.0, 1.0)
-    N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-    return gr, N0, f0
-
-
-def _full_pipeline(gr, N0, f0, omega, target_tol=1e-12, grid_n=64):
+def _full_pipeline(N0, f0, target_tol=1e-12, grid_n=64):
     state, hist = iterate(N0, f0, IterateConfig(target_tol=target_tol))
-    H0 = assemble_hamiltonian(N0) + f0
-    zeta = compute_zeta(state, H0)
-    phi0, info = find_vanishing_point(zeta, state.alpha, state.N.beta)
-    torus = extract_torus(state, phi0)
-    Hbar = freeze_phi(H0, phi0)
-    residual = verify_invariance(Hbar, torus.embedding, omega, grid_n)
+    phi0, info, torus, residual = find_torus(
+        state, assemble_hamiltonian(N0) + f0, grid_n)
     return state, hist, phi0, info, torus, residual
 
 
 @pytest.fixture(scope="module")
 def flagship_pipeline():
     t0 = time.time()
-    gr, N0, f0 = _flagship()
-    out = _full_pipeline(gr, N0, f0, [GOLDEN])
+    gr, N0, f0 = flagship_problem()
+    out = _full_pipeline(N0, f0)
     return (gr, N0, f0) + out + (time.time() - t0,)
-
-
-def _coupled(eps):
-    gr = Grading(d=1, l=1, K_q=6, K_phi=6, D=4)
-    terms = (sigma_cos((0, 1), eps) + sigma_cos((1, 1), eps)
-             + sigma_cos((1, 0), 0.5 * eps, powers=(1, 0)))
-    f0 = shifted_parametrization(terms, 1, 1, gr, 1.0, 1.0)
-    N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-    return gr, N0, f0
 
 
 def test_criterion_1_flagship(flagship_pipeline):
@@ -309,11 +287,10 @@ def test_criterion_4_symplecticity():
 
 
 def test_criterion_5_counterterm_gradient_identity():
-    gr, N0, f0 = _coupled(EPS)   # q-dependent shift-built data
+    gr, N0, f0 = q_coupled_problem(EPS)   # q-dependent shift-built data
     state, hist = iterate(N0, f0, IterateConfig(n_max=1))
-    st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)], f=f0,
-                         Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
-    zeta1 = compute_zeta(st0, assemble_hamiltonian(N0) + f0)
+    zeta1 = compute_zeta(IterationState.start(N0, f0),
+                         assemble_hamiltonian(N0) + f0)
     diag = check_alpha_gradient(state, zeta1, N0.beta, 1.0)
     ok = diag.alpha_grad_gap <= 1e-10
     report(5, ok, "first-order counter-term vs zeta gradient: max grid gap "
@@ -393,9 +370,9 @@ def test_criterion_9_two_amplitude_embedding_scaling():
     # conjugacy is analytic in f0 and the identity at f0 = 0, so it does.
     dists, norms, failures, residuals = {}, {}, {}, {}
     for eps in (1e-4, 1e-5):
-        gr, N0, f0 = _coupled(eps)
+        gr, N0, f0 = q_coupled_problem(eps)
         state, hist, phi0, info, torus, residual = _full_pipeline(
-            gr, N0, f0, [GOLDEN], target_tol=1e-13, grid_n=32)
+            N0, f0, target_tol=1e-13, grid_n=32)
         dists[eps] = torus.distance_to_trivial
         norms[eps] = c2_norm(f0)
         failures[eps] = hist["failure"]
@@ -446,12 +423,7 @@ def test_criterion_10_reduction_and_full_run():
     N0 = initial_tuple(gr, r0, s0, omega, M0, h=h0)
     frame = np.asarray(rep["normalization"])
     state, hist = iterate(N0, f0, IterateConfig(tau=0.1, frame=frame))
-    H0 = assemble_hamiltonian(N0) + f0
-    zeta = compute_zeta(state, H0)
-    phi0, info = find_vanishing_point(zeta, state.alpha, state.N.beta)
-    torus = extract_torus(state, phi0)
-    Hbar = freeze_phi(H0, phi0)
-    residual = verify_invariance(Hbar, torus.embedding, omega, 24)
+    residual = find_torus(state, assemble_hamiltonian(N0) + f0, 24)[3]
     ok = (hist["failure"] is None and all(conds[1:]) and residual <= 1e-6)
     report(10, ok, "3-dof problem with one resonance: reduction sign "
                    "conditions hold (M0 eigs %s, Q0 eigs %s), full run "

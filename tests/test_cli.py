@@ -10,6 +10,7 @@ import pytest
 import kamtori
 import kamtori.cli as cli
 import kamtori.engine.driver as driver
+import kamtori.engine.torus as engine_torus
 from kamtori.cli import (EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          EXIT_PRECONDITION, main)
 from kamtori.engine.cohom import CohomologyError
@@ -19,7 +20,7 @@ from kamtori.normalform import BumpProjectionError
 from kamtori.series import FTSeries, GradingError, RealityError
 from kamtori.smalldiv import ResonanceError, SolverPreconditionError
 from kamtori.symplectic import (GeneratorTooLargeError, ReductionError,
-                                SymplecticityError)
+                                SymplecticityError, unimodular_completion)
 from conftest import GOLDEN
 
 # the named failure classes, StepFailure, and the exit-4 base itself
@@ -143,10 +144,9 @@ class TestRun:
         torus = json.loads((tmp_path / "torus.json").read_text())
         assert torus["residual"] <= 1e-8
 
-    def test_profile_emitted(self, tmp_path):
-        path, cfg = flagship_config(tmp_path)
-        assert main(["run", "--config", str(path)]) == EXIT_OK
-        csv = (tmp_path / "zeta.csv").read_text().splitlines()
+    def test_profile_emitted(self, flagship_artifacts):
+        csv = (flagship_artifacts[1].parent / "zeta.csv").read_text() \
+            .splitlines()
         assert csv[0] == "phi1,zeta,alpha_norm,nu_max_beta"
         assert len(csv) == 1 + 65
         rows = np.array([[float(v) for v in ln.split(",")] for ln in csv[1:]])
@@ -170,27 +170,25 @@ class TestRun:
         out = capsys.readouterr()
         assert "stopped early" in out.out or "failure" in out.err
 
-    def test_history_reports_symp_residual(self, tmp_path):
-        path, cfg = flagship_config(tmp_path)
-        assert main(["run", "--config", str(path)]) == EXIT_OK
-        hist = json.loads((tmp_path / "history.json").read_text())
+    def test_history_reports_symp_residual(self, flagship_artifacts):
+        hist = json.loads(
+            (flagship_artifacts[1].parent / "history.json").read_text())
         assert hist
         for row in hist:
             assert np.isfinite(row["symp_residual"])
             assert 0.0 <= row["symp_residual"] <= 1e-8
 
-    def test_history_reports_solve_diagnostics(self, tmp_path):
-        path, cfg = flagship_config(tmp_path)
-        assert main(["run", "--config", str(path)]) == EXIT_OK
-        hist = json.loads((tmp_path / "history.json").read_text())
+    def test_history_reports_solve_diagnostics(self, flagship_artifacts):
+        hist = json.loads(
+            (flagship_artifacts[1].parent / "history.json").read_text())
         assert hist
         for row in hist:
             for key in ("cohom_condition", "cohom_obstruction",
                         "cohom_projection_defect", "cohom_residual_plateau",
                         "cohom_residual_budget", "tuple_drift"):
                 assert np.isfinite(row[key]) and row[key] >= 0.0, key
-            # every rung solves on the whole q-ball
-            assert row["K_eff"] == cfg["truncation"]["K_q"]
+            # every rung solves on the whole q-ball (flagship_config's K_q)
+            assert row["K_eff"] == 16
             assert row["step_ok"] is True
             assert row["postcondition_misses"] == []
 
@@ -244,7 +242,7 @@ class TestRun:
                                             capsys):
         # an unmatched angle mode in the map's q-displacement: the extracted
         # embedding is not real, a check of the result that broke down
-        real = cli.extract_torus
+        real = engine_torus.extract_torus
 
         def unmatched(state, phi0):
             u = state.Phi.U[0]
@@ -252,7 +250,7 @@ class TestRun:
                                                (1,), (0,) * u.grading.nz,
                                                1e-3)
             return real(state, phi0)
-        monkeypatch.setattr(cli, "extract_torus", unmatched)
+        monkeypatch.setattr(engine_torus, "extract_torus", unmatched)
         path, cfg = flagship_config(tmp_path)
         assert main(["run", "--config", str(path)]) == EXIT_CONVERGENCE
         assert capsys.readouterr().err.startswith(
@@ -330,16 +328,27 @@ class TestVerify:
         line = [ln for ln in ver_out.splitlines() if "residual" in ln][0]
         assert float(line.split(":")[1]) == pytest.approx(run_resid, abs=1e-12)
 
+    def test_problem_grading_with_unknown_key_exits_2(
+            self, tmp_path, capsys, flagship_artifacts):
+        # a grading crosses JSON as its fields, and only those
+        reduced = flagship_artifacts[1]
+        data = json.loads(reduced.read_text())
+        data["grading"]["K"] = 3
+        (tmp_path / "reduced.json").write_text(json.dumps(data))
+        assert main(["verify", "--torus", str(reduced.parent / "torus.json"),
+                     "--problem", str(tmp_path / "reduced.json")]) \
+            == EXIT_PRECONDITION
+        assert "bad reduced problem: TypeError" in capsys.readouterr().err
+
     def test_missing_file_exits_4(self, tmp_path):
         assert main(["verify", "--torus", str(tmp_path / "absent.json"),
                      "--grid", "8"]) == EXIT_IO
 
-    def test_mixed_grading_embedding_exits_4(self, tmp_path, capsys):
+    def test_mixed_grading_embedding_exits_4(self, tmp_path, capsys,
+                                             flagship_artifacts):
         # one embedding component in a larger grading than the others: the
         # file no longer describes one embedding, and verify refuses it
-        path, cfg = flagship_config(tmp_path)
-        assert main(["run", "--config", str(path)]) == EXIT_OK
-        data = json.loads((tmp_path / "torus.json").read_text())
+        data = json.loads(json.dumps(flagship_artifacts[0]))
         comps = [u for us in data["embedding"].values() for u in us]
         assert len({json.dumps(u["grading"]) for u in comps}) == 1
         comps[-1]["grading"]["K_q"] += 1
@@ -385,11 +394,12 @@ class TestMalformedTorus:
          False),
         (lambda t: t["embedding"]["up"][0]["terms"].append(
             {"alpha": [0, 0, 0], "j": [0], "k": [1], "re": float("inf"),
-             "im": 0.0}), True)],
+             "im": 0.0}), True),
+        (lambda t: t["hamiltonian"]["grading"].update(K=3), False)],
         ids=["no-phi0", "phi0-not-numeric", "phi0-too-long", "phi0-nan",
              "embedding-not-object", "no-uq", "no-uy", "ux-too-long",
              "omega-too-long", "omega-inf", "hamiltonian-nan",
-             "embedding-inf"])
+             "embedding-inf", "grading-unknown-key"])
     def test_exits_4(self, tmp_path, capsys, flagship_artifacts, edit,
                      problem):
         torus, reduced = flagship_artifacts
@@ -656,40 +666,64 @@ class TestThreadCap:
         assert main(["run", "--config", str(path)]) == EXIT_PRECONDITION
 
 
+@pytest.fixture(scope="module")
+def two_angle_run(tmp_path_factory):
+    """Three degrees of freedom, one resonance, so two surviving angles: the
+    directory of its whole pipeline through the CLI, and run's exit code."""
+    tmp_path = tmp_path_factory.mktemp("two_angle")
+    red = unimodular_completion([(1, 1, -1)])
+    K = np.array(red.K, dtype=float)
+    blocked = np.diag([-1.0, -1.5, 1.2])
+    Kinv = np.linalg.inv(K)
+    kA = [int(v) for v in (K.T @ np.array([1, 0, 1]))]
+    cfg = {
+        "problem": {
+            "m": 3, "resonances": [[1, 1, -1]],
+            "omega0": [1.0, GOLDEN, 1.0 + GOLDEN],
+            "hessian": (Kinv @ blocked @ Kinv.T).tolist(),
+            "h_terms": [],
+            "f_terms": [{"q_modes": kA[:2], "x_modes": kA[2:],
+                         "re": 0.5e-5}],
+            "radii": [1.0, 1.0], "tau": 0.1,
+        },
+        "truncation": {"K_q": 3, "K_phi": 3, "D": 4},
+        "schedule": {"target_tol": 1e-6},
+        "outputs": {
+            "reduced_path": str(tmp_path / "red.json"),
+            "history_path": str(tmp_path / "hist.json"),
+            "zeta_csv_path": str(tmp_path / "zeta.csv"),
+            "torus_path": str(tmp_path / "torus.json"),
+            "verify_grid": 16,
+        },
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return tmp_path, main(["run", "--config", str(path)])
+
+
 class TestTwoAngleRun:
-    def test_full_pipeline_after_reduction(self, tmp_path):
-        # three degrees of freedom, one resonance: the reduced problem has
-        # two surviving angles; run the whole pipeline through the CLI
-        from kamtori.symplectic import unimodular_completion
-        red = unimodular_completion([(1, 1, -1)])
-        K = np.array(red.K, dtype=float)
-        blocked = np.diag([-1.0, -1.5, 1.2])
-        Kinv = np.linalg.inv(K)
-        kA = [int(v) for v in (K.T @ np.array([1, 0, 1]))]
-        cfg = {
-            "problem": {
-                "m": 3, "resonances": [[1, 1, -1]],
-                "omega0": [1.0, GOLDEN, 1.0 + GOLDEN],
-                "hessian": (Kinv @ blocked @ Kinv.T).tolist(),
-                "h_terms": [],
-                "f_terms": [{"q_modes": kA[:2], "x_modes": kA[2:],
-                             "re": 0.5e-5}],
-                "radii": [1.0, 1.0], "tau": 0.1,
-            },
-            "truncation": {"K_q": 3, "K_phi": 3, "D": 4},
-            "schedule": {"target_tol": 1e-6},
-            "outputs": {
-                "reduced_path": str(tmp_path / "red.json"),
-                "history_path": str(tmp_path / "hist.json"),
-                "zeta_csv_path": str(tmp_path / "zeta.csv"),
-                "torus_path": str(tmp_path / "torus.json"),
-                "verify_grid": 16,
-            },
-        }
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == EXIT_OK
+    def test_full_pipeline_after_reduction(self, two_angle_run):
+        tmp_path, code = two_angle_run
+        assert code == EXIT_OK
         torus = json.loads((tmp_path / "torus.json").read_text())
         assert torus["residual"] <= 1e-6
         assert main(["verify", "--torus", str(tmp_path / "torus.json"),
                      "--grid", "12"]) == EXIT_OK
+
+
+class TestVerifyDimensionMismatch:
+    """verify refuses a torus and a reduced problem of different d or l,
+    in either direction, naming both files and both dimensions."""
+
+    @pytest.mark.parametrize("torus_d, problem_d", [(1, 2), (2, 1)])
+    def test_exits_4(self, capsys, flagship_artifacts, two_angle_run,
+                     torus_d, problem_d):
+        dirs = {1: flagship_artifacts[1].parent, 2: two_angle_run[0]}
+        torus = dirs[torus_d] / "torus.json"
+        problem = {1: flagship_artifacts[1], 2: dirs[2] / "red.json"}[problem_d]
+        capsys.readouterr()
+        assert main(["verify", "--torus", str(torus), "--problem",
+                     str(problem), "--grid", "8"]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "I/O error: torus file %s (d = %d, l = 1) does not match problem "
+            "file %s (d = %d, l = 1)\n" % (torus, torus_d, problem, problem_d))

@@ -2,19 +2,18 @@ import gzip
 import json
 import math
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kamtori.engine import (build_schedule, compute_zeta, extract_torus,
-                            find_vanishing_point, iterate, kam_step,
-                            solve_cohomological, verify_invariance)
+                            find_torus, find_vanishing_point, iterate,
+                            kam_step, solve_cohomological, verify_invariance)
 import kamtori.engine.driver as driver
 import kamtori.symplectic as symplectic
-from kamtori.engine.cohom import (CohomologyError, coordinate, freeze_phi,
-                                  restrict_z0)
-from kamtori.engine.driver import (IterateConfig, IterationState, c2_norm,
-                                   conjugacy_residual)
+from kamtori.engine.cohom import CohomologyError, coordinate, restrict_z0
+from kamtori.engine.driver import IterateConfig, IterationState, c2_norm
 from kamtori.normalform import (assemble_hamiltonian, const_matrix,
                                 eval_phi_series, initial_tuple, phi_grid,
                                 phi_grid_size)
@@ -42,6 +41,15 @@ from test_symplectic import (TAIL_WEIGHTS, assert_defects_match_oracle,
 
 EPS = 1e-4
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def assert_near(got, want, scale=None):
+    """Every coefficient of got - want within 1e-14 of scale, by default
+    want's largest coefficient."""
+    if scale is None:
+        scale = want.max_abs_coeff() if want.terms else 0.0
+    gap = got - want
+    assert (gap.max_abs_coeff() if gap.terms else 0.0) <= 1e-14 * scale
 
 
 def small_grading():
@@ -285,10 +293,7 @@ class TestKamStep:
     def run_step(self, N0, f0, gr):
         wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
         sched = build_schedule(1.0, 1.0, max(c2_norm(f0), 1e-8), 0.1)
-        state = IterationState(n=0, N=N0,
-                               alpha=[FTSeries.zero(gr, 1, 1)], f=f0,
-                               Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
-        return kam_step(state, sched.rows[0], wit)
+        return kam_step(IterationState.start(N0, f0), sched.rows[0], wit, N0)
 
     def test_zero_perturbation_trivial(self):
         gr = small_grading()
@@ -323,7 +328,7 @@ class TestKamStep:
                 _got.append(args[0])
                 return _real(*args)
             monkeypatch.setattr(driver, name, spy)
-        st2, res2 = kam_step(st1, sched.rows[1], wit)
+        st2, res2 = kam_step(st1, sched.rows[1], wit, N0)
         assert res2.measures["f_c2"] == st1.norms["f_c2"]
         assert res2.measures["tracker_mean_c2"] == st1.norms["tracker_mean_c2"]
         assert not any(f is st1.f for f in seen["c2_norm"])
@@ -438,21 +443,26 @@ class TestIterate:
             assert m["alpha_step_c2"] <= m["sqrt_eps"]
 
 
+@pytest.fixture(scope="module")
+def coupled_rung_one():
+    """Rung 1 of the eps = 1e-4 q-coupled problem: (N0, the witness, the
+    schedule's second row, the state after rung 1)."""
+    gr, N0, f0 = q_coupled_problem()
+    wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
+    cfg = IterateConfig()
+    sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau, n_max=cfg.n_max)
+    st1, _ = kam_step(IterationState.start(N0, f0), sched.rows[0], wit, N0)
+    return N0, wit, sched.rows[1], st1
+
+
 class TestComposeByLieTransport:
     @pytest.mark.slow
-    def test_rung_two_matches_substitution(self):
+    def test_rung_two_matches_substitution(self, coupled_rung_one):
         # rung 2 of the q-coupled run is its first composition of two maps
         # that are not the identity; the oracle is the Taylor substitution
         # Psi.U + U o Psi of the same two maps
-        gr, N0, f0 = q_coupled_problem()
-        wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
-        cfg = IterateConfig()
-        sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau,
-                               n_max=cfg.n_max)
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
-        st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
-        st2, res2 = kam_step(st1, sched.rows[1], wit, N0=N0)
+        N0, wit, row, st1 = coupled_rung_one
+        st2, res2 = kam_step(st1, row, wit, N0)
         Phi1 = st1.Phi.with_radii(st2.r, st2.s)
         Psi2 = res2.Psi
         assert not Phi1.is_identity() and not Psi2.is_identity()
@@ -469,24 +479,17 @@ class _Captured(Exception):
 
 
 @pytest.fixture(scope="module")
-def coupled_rung_two_inputs():
+def coupled_rung_two_inputs(coupled_rung_one):
     """The arguments kam_step passes solve_cohomological on the second rung
     of the eps = 1e-4 q-coupled problem, after rung 1."""
-    gr, N0, f0 = q_coupled_problem()
-    wit = effective_diophantine_constant([GOLDEN], 0.1, gr.K_q)
-    cfg = IterateConfig()
-    sched = build_schedule(1.0, 1.0, c2_norm(f0), cfg.tau,
-                           n_max=cfg.n_max)
-    st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                         f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
-    st1, _ = kam_step(st0, sched.rows[0], wit, N0=N0)
+    N0, wit, row, st1 = coupled_rung_one
 
     def capture(*args, **kwargs):
         raise _Captured(args, kwargs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(driver, "solve_cohomological", capture)
         with pytest.raises(_Captured) as got:
-            kam_step(st1, sched.rows[1], wit, N0=N0)
+            kam_step(st1, row, wit, N0)
     return got.value.args
 
 
@@ -559,14 +562,8 @@ class TestGridSolveMatchesPointwise:
             want = json.load(fh)
         f_scale = f.max_abs_coeff()
 
-        def close(got, ref, scale=None):
-            ref = from_json_dict(ref)
-            if scale is None:
-                scale = ref.max_abs_coeff() if ref.terms else 0.0
-            gap = got - ref
-            assert (gap.max_abs_coeff() if gap.terms else 0.0) \
-                <= 1e-14 * scale
-
+        close = lambda got, ref, scale=None: assert_near(
+            got, from_json_dict(ref), scale)
         for key in ("alpha", "v"):
             for got, ref in zip(getattr(sol, key), want[key]):
                 close(got, ref)
@@ -622,8 +619,18 @@ class TestGridSolveMatchesPointwise:
 
 
 class TestRungFailureWrappers:
-    """A numerical failure inside a rung ends the run with a reason; any
-    other exception is a bug and propagates out of iterate."""
+    """A numerical failure in any of a rung's five phases ends the run with
+    "<phase> failed: <failure>" and the measures taken so far; any other
+    exception is a bug and propagates.  On the eps = 1e-5 q-coupled problem,
+    rung 2 is the first with an N.g to transport."""
+
+    # the function each phase calls: (the rung it fails on, a measure taken
+    # just before the phase)
+    PHASES = {"solve_cohomological": (0, "K_eff"),
+              "map_from_generator": (0, "cohom_residual_ok"),
+              "lie_tail_integral": (0, "symp_residual"),
+              "lie_transform": (1, "lie_remainder"),
+              "compose_maps": (0, "lie_remainder")}
 
     @pytest.mark.parametrize("target, numerical, reason", [
         ("solve_cohomological", CohomologyError("ill-conditioned"),
@@ -631,34 +638,47 @@ class TestRungFailureWrappers:
         ("map_from_generator", SymplecticityError("bracket residual"),
          "generator flow failed"),
         ("lie_tail_integral", GeneratorTooLargeError("not converged"),
-         "error-term transport failed")])
+         "error-term transport failed"),
+        ("solve_cohomological", np.linalg.LinAlgError("Singular matrix"),
+         "linearized conjugacy solve failed"),
+        ("lie_transform", GeneratorTooLargeError("not converged"),
+         "normal-form transport failed"),
+        ("compose_maps", GeneratorTooLargeError("angle displacement"),
+         "map composition failed")])
     def test_numerical_failure_recorded(self, monkeypatch, target, numerical,
                                         reason):
         def fails(*args, **kwargs):
             raise numerical
         monkeypatch.setattr(driver, target, fails)
-        gr, N0, f0 = flagship_problem(K=8)
+        gr, N0, f0 = q_coupled_problem(eps=1e-5)
         state, hist = iterate(N0, f0, IterateConfig())
-        assert hist["failure"]["n"] == 0
-        assert reason in hist["failure"]["reason"]
+        n, measured = self.PHASES[target]
+        assert state.n == hist["failure"]["n"] == n
+        assert hist["failure"]["reason"] == "%s: %s" % (reason, numerical)
+        assert measured in hist["failure"]["measures"]
 
-    @pytest.mark.parametrize("target", ["solve_cohomological",
-                                        "map_from_generator",
-                                        "lie_tail_integral"])
+    @pytest.mark.parametrize("target", list(PHASES))
     def test_bug_propagates(self, monkeypatch, target):
         def broken(*args, **kwargs):
             raise TypeError("not a numerical failure")
         monkeypatch.setattr(driver, target, broken)
-        gr, N0, f0 = flagship_problem(K=8)
-        with pytest.raises(TypeError):
+        gr, N0, f0 = q_coupled_problem(eps=1e-5)
+        with pytest.raises(TypeError, match="not a numerical failure"):
             iterate(N0, f0, IterateConfig())
+
+    def test_failure_chains_its_cause(self):
+        cause, measures = GeneratorTooLargeError("too far"), {"K_eff": 6}
+        with pytest.raises(driver.StepFailure,
+                           match="^map composition failed: too far$") as got:
+            with driver._phase("map composition", measures):
+                raise cause
+        assert got.value.__cause__ is cause and got.value.measures is measures
 
 
 class TestZeta:
     def test_identity_map_gives_averaged_section(self, flagship_run):
         gr, N0, f0, state, hist = flagship_run
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+        st0 = IterationState.start(N0, f0)
         H0 = assemble_hamiltonian(N0) + f0
         zeta = compute_zeta(st0, H0)
         expect = average_q(restrict_z0(f0))
@@ -673,9 +693,7 @@ class TestZeta:
     def test_zero_perturbation_zero_zeta(self):
         gr = small_grading()
         N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=FTSeries.zero(gr, 1, 1),
-                             Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+        st0 = IterationState.start(N0, FTSeries.zero(gr, 1, 1))
         zeta = compute_zeta(st0, assemble_hamiltonian(N0))
         assert majorant_norm(zeta) < 1e-18
 
@@ -747,9 +765,7 @@ class TestTorus:
     def test_trivial_embedding_for_zero_perturbation(self):
         gr = small_grading()
         N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=FTSeries.zero(gr, 1, 1),
-                             Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+        st0 = IterationState.start(N0, FTSeries.zero(gr, 1, 1))
         tor = extract_torus(st0, [0.0])
         assert tor.distance_to_trivial == 0.0
         H = assemble_hamiltonian(N0)
@@ -762,9 +778,8 @@ class TestTorus:
         Phi = identity_map(gr, 1, 1)
         Phi.U[0] = FTSeries.term(gr, 1.0, 1.0, (0,), (1,), (0,) * gr.nz,
                                  1e-3)
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=FTSeries.zero(gr, 1, 1), Phi=Phi, r=1.0,
-                             s=1.0)
+        st0 = replace(IterationState.start(N0, FTSeries.zero(gr, 1, 1)),
+                      Phi=Phi)
         with pytest.raises(ConvergenceError,
                            match="embedding component lost reality "
                                  r"symmetry \(defect 0\.001\)"):
@@ -772,12 +787,8 @@ class TestTorus:
 
     def test_flagship_exact_invariance(self, flagship_run):
         gr, N0, f0, state, hist = flagship_run
-        H0 = assemble_hamiltonian(N0) + f0
-        zeta = compute_zeta(state, H0)
-        phi0, info = find_vanishing_point(zeta, state.alpha, state.N.beta)
-        tor = extract_torus(state, phi0)
-        Hbar = freeze_phi(H0, phi0)
-        resid = verify_invariance(Hbar, tor.embedding, [GOLDEN], 64)
+        _phi0, _info, tor, resid = find_torus(state,
+                                              assemble_hamiltonian(N0) + f0)
         assert resid <= 1e-12
         for comps in tor.embedding.values():
             for u in comps:
@@ -800,9 +811,8 @@ class TestTorus:
 class TestCounterTermDiagnostics:
     def test_alpha_equals_zeta_gradient_at_first_order(self, flagship_run):
         gr, N0, f0, state, hist = flagship_run
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=f0, Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
-        zeta1 = compute_zeta(st0, assemble_hamiltonian(N0) + f0)
+        zeta1 = compute_zeta(IterationState.start(N0, f0),
+                             assemble_hamiltonian(N0) + f0)
         diag = check_alpha_gradient(state, zeta1, N0.beta, 1.0)
         assert diag.alpha_grad_gap <= 1e-10
         assert diag.alpha_hess_gap <= 1e-10
@@ -810,9 +820,7 @@ class TestCounterTermDiagnostics:
     def test_zero_perturbation_all_gaps_zero(self):
         gr = small_grading()
         N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=FTSeries.zero(gr, 1, 1),
-                             Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+        st0 = IterationState.start(N0, FTSeries.zero(gr, 1, 1))
         zeta = compute_zeta(st0, assemble_hamiltonian(N0))
         diag = check_alpha_gradient(st0, zeta, N0.beta, 1.0)
         assert diag.alpha_grad_gap == 0.0
@@ -843,12 +851,7 @@ class TestToleranceMonotonicity:
         residuals = []
         for target in (3e-7, 1e-13):
             state, hist = iterate(N0, f0, IterateConfig(target_tol=target))
-            zeta = compute_zeta(state, H0)
-            phi0, _ = find_vanishing_point(zeta, state.alpha, state.N.beta)
-            tor = extract_torus(state, phi0)
-            Hbar = freeze_phi(H0, phi0)
-            residuals.append(verify_invariance(Hbar, tor.embedding,
-                                               [GOLDEN], 16))
+            residuals.append(find_torus(state, H0, 16)[3])
         assert residuals[1] <= residuals[0]
 
 
@@ -877,9 +880,6 @@ class TestTwoNormalDirections:
         # two collapsed directions: exercises the coupled vector/matrix
         # stages at l = 2, including the symmetrized quadratic solve
         gr = Grading(d=1, l=2, K_q=4, K_phi=4, D=4)
-        from kamtori.normalform import const_matrix
-        from kamtori.engine import solve_cohomological
-        from kamtori.engine.cohom import coordinate
         N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
         wit = effective_diophantine_constant([GOLDEN], 0.1, 4)
         phix = [coordinate(gr, 1.0, 1.0, "x", i) for i in range(2)]
@@ -893,20 +893,7 @@ class TestTwoNormalDirections:
         assert sol.zero_mode_obstruction <= 1e-12 * majorant_norm(f)
 
     def test_cohomological_residual_l2_nonzero_beta(self):
-        gr = Grading(d=1, l=2, K_q=4, K_phi=4, D=4)
-        from kamtori.normalform import const_matrix
-        from kamtori.engine import solve_cohomological
-        from kamtori.engine.cohom import coordinate
-        N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-        # constant symmetric beta with distinct eigenvalues, inside the
-        # solvable sublevel region
-        N.beta = const_matrix(gr, 1.0, 1.0,
-                              np.array([[0.02, 0.01], [0.01, -0.03]]))
-        wit = effective_diophantine_constant([GOLDEN], 0.1, 4)
-        phix = [coordinate(gr, 1.0, 1.0, "x", i) for i in range(2)]
-        terms = (sigma_cos((0, 1, 0), EPS) + sigma_cos((1, 0, 1), EPS)
-                 + sigma_cos((2, 1, -1), 0.3 * EPS, powers=(1, 0, 0)))
-        f = shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
+        N, f, phix, wit = l2_nonzero_beta_problem()
         sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
                                   delta_plus=0.03)
         assert sol.residual_plateau <= 1e-8 * majorant_norm(f)
@@ -940,13 +927,9 @@ class TestTwoResonanceRun:
                                              1.2494723208158026e-15)):
             assert row["step_ok"]
             assert row["f_norm"] == pytest.approx(want, rel=1e-12, abs=0.0)
-        H0 = assemble_hamiltonian(N0) + f0
-        zeta = compute_zeta(state, H0)
-        phi0, _info = find_vanishing_point(zeta, state.alpha, state.N.beta)
+        phi0, _info, tor, residual = find_torus(
+            state, assemble_hamiltonian(N0) + f0)
         assert list(phi0) == [0.0, 0.0]
-        tor = extract_torus(state, phi0)
-        residual = verify_invariance(freeze_phi(H0, phi0), tor.embedding,
-                                     [GOLDEN], 64)
         assert residual <= ck.CRITERION_1_GATE
         H = ck.model_hamiltonian(2, 1, [GOLDEN], [[-1.0]],
                                  ck.Series.from_terms(2, 1, f0.terms))
@@ -1026,16 +1009,14 @@ class TestUncoveredSublevelRegion:
         N0, f0, _phix, wit = self.problem(1, 0.1)
         gr = f0.grading
         row = build_schedule(1.0, 1.0, c2_norm(f0), 0.1).rows[0]
-        state = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                               f=f0, Phi=identity_map(gr, 1, 1), r=1.0,
-                               s=1.0)
+        state = IterationState.start(N0, f0)
         with pytest.raises(driver.StepFailure,
                            match=r"^linearized conjugacy solve failed: "
                                  r"sublevel region does not cover the "
                                  r"collocation grid: nu_max\(beta\) = 0\.16 "
                                  r">= .* on \d+ of 32 points \(at parameter "
                                  r"grid point \[0\.\]\)$"):
-            kam_step(state, row, wit)
+            kam_step(state, row, wit, N0)
 
 
 class TestCollocationGrid:
@@ -1077,12 +1058,7 @@ class TestCollocationGrid:
         ref = solve_cohomological(*args, **dict(kwargs, grid_size=64))
         assert (len(got.grid), len(ref.grid)) == (32, 64)
 
-        def close(a, b):
-            scale = b.max_abs_coeff() if b.terms else 0.0
-            gap = a - b
-            assert (gap.max_abs_coeff() if gap.terms else 0.0) \
-                <= 1e-14 * scale
-
+        close = assert_near
         assert set(got.F.terms) == set(ref.F.terms)
         close(got.F, ref.F)
         for a, b in zip(got.alpha, ref.alpha):
@@ -1191,9 +1167,7 @@ class TestLieSeriesMatchOracle:
     @staticmethod
     def assert_close(got, want):
         assert set(got.terms) == set(want.terms)
-        gap = got - want
-        assert (gap.max_abs_coeff() if gap.terms else 0.0) \
-            <= 1e-14 * want.max_abs_coeff()
+        assert_near(got, want)
 
     def assert_sums(self, got, want):
         assert [n for _, n in got] == [n for _, n in want]
@@ -1340,12 +1314,11 @@ class TestModerateAmplitudeFailureReporting:
         row = build_schedule(1.0, 1.0, c2_norm(f0), 0.1).rows[0]
         Phi = identity_map(gr, 1, 1)
         Phi.U[gr.d] = FTSeries.cos_angle(gr, 1, 1, (0,), (1,), 0.03)
-        state = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                               f=f0, Phi=Phi, r=1.0, s=1.0)
+        state = replace(IterationState.start(N0, f0), Phi=Phi)
         with pytest.raises(driver.StepFailure,
                            match=r"^tracker drift 0\.245 exceeds "
                                  r"2 lambda = 0\.2$") as got:
-            kam_step(state, row, wit, N0=N0)
+            kam_step(state, row, wit, N0)
         assert got.value.measures["tracker_off_c2"] > 2 * driver.LAMBDA
 
 
@@ -1354,9 +1327,7 @@ class TestDiagnosticsShapesTwoAngles:
         gr = Grading(d=2, l=1, K_q=3, K_phi=3, D=4)
         N0 = initial_tuple(gr, 1.0, 1.0, [GOLDEN, 1.0 + GOLDEN],
                            np.diag([-1.0, -1.5]))
-        st0 = IterationState(n=0, N=N0, alpha=[FTSeries.zero(gr, 1, 1)],
-                             f=FTSeries.zero(gr, 1, 1),
-                             Phi=identity_map(gr, 1, 1), r=1.0, s=1.0)
+        st0 = IterationState.start(N0, FTSeries.zero(gr, 1, 1))
         zeta = compute_zeta(st0, assemble_hamiltonian(N0))
         d1 = check_alpha_gradient(st0, zeta, N0.beta, 1.0)
         assert d1.alpha_grad_gap == 0.0
@@ -1385,9 +1356,7 @@ class TestCoupledRunMatchesRecorded:
         for got, ref in pairs:
             ref = from_json_dict(ref)
             assert set(got.terms) == set(ref.terms)
-            gap = got - ref
-            assert (gap.max_abs_coeff() if gap.terms else 0.0) \
-                <= 1e-14 * ref.max_abs_coeff()
+            assert_near(got, ref)
 
     def test_rung_norms(self, coupled_run_small, recorded):
         steps = coupled_run_small[4]["steps"]
@@ -1450,16 +1419,10 @@ class TestCoupledPipelineMatchesRecorded:
         with gzip.open(DATA / "coupled_pipeline_eps1e-5.json.gz", "rt") as fh:
             return json.load(fh)
 
-    @pytest.fixture(scope="class")
-    def torus(self, coupled_run_small):
+    def test_embedding(self, coupled_run_small, recorded):
         gr, N0, f0, state, hist = coupled_run_small
-        H0 = assemble_hamiltonian(N0) + f0
-        zeta = compute_zeta(state, H0)
-        phi0, _info = find_vanishing_point(zeta, state.alpha, state.N.beta)
-        return H0, phi0, extract_torus(state, phi0)
-
-    def test_embedding(self, torus, recorded):
-        H0, phi0, tor = torus
+        phi0, _info, tor, residual = find_torus(
+            state, assemble_hamiltonian(N0) + f0)
         assert list(np.atleast_1d(phi0)) == recorded["phi0"]
         for key, refs in recorded["embedding"].items():
             assert len(tor.embedding[key]) == len(refs)
@@ -1468,8 +1431,6 @@ class TestCoupledPipelineMatchesRecorded:
                 gap = got - ref
                 assert (gap.max_abs_coeff() if gap.terms else 0.0) \
                     <= 1e-14 * ref.max_abs_coeff(), key
-        residual = verify_invariance(freeze_phi(H0, phi0), tor.embedding,
-                                     [GOLDEN], 64)
         assert residual <= 1e-8   # criterion 1's invariance gate
 
     def test_rungs(self, coupled_run_small, recorded):
@@ -1539,20 +1500,14 @@ class TestGridEvaluation:
 
     def test_flagship(self, flagship_run):
         gr, N0, f0, state, hist = flagship_run
-        H0 = assemble_hamiltonian(N0) + f0
-        phi0, _ = find_vanishing_point(compute_zeta(state, H0), state.alpha,
-                                       state.N.beta)
-        tor = extract_torus(state, phi0)
-        self.check(freeze_phi(H0, phi0), tor.embedding, [GOLDEN], 64)
+        _phi0, info, tor, _ = find_torus(state, assemble_hamiltonian(N0) + f0)
+        self.check(info["hamiltonian"], tor.embedding, [GOLDEN], 64)
 
     @pytest.mark.slow
     def test_coupled(self, coupled_run_small):
         gr, N0, f0, state, hist = coupled_run_small
-        H0 = assemble_hamiltonian(N0) + f0
-        phi0, _ = find_vanishing_point(compute_zeta(state, H0), state.alpha,
-                                       state.N.beta)
-        tor = extract_torus(state, phi0)
-        assert self.check(freeze_phi(H0, phi0), tor.embedding, [GOLDEN],
+        _phi0, info, tor, _ = find_torus(state, assemble_hamiltonian(N0) + f0)
+        assert self.check(info["hamiltonian"], tor.embedding, [GOLDEN],
                           64) > 0.0
         comps = [u for us in tor.embedding.values() for u in us]
         dist = max(float(np.linalg.norm([evaluate_terms(u, q0) for u in comps]))

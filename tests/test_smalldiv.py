@@ -17,6 +17,7 @@ from kamtori.smalldiv import (DiophantineWitness, ResonanceError,
                               effective_diophantine_constant, solve_L1,
                               solve_L2, solve_L3)
 from conftest import GOLDEN
+from test_engine import l2_nonzero_beta_problem
 
 
 def fib_upto(n):
@@ -245,20 +246,25 @@ class TestL3:
         assert Dxx[0][0].is_zero() and Dyy[0][0].is_zero() and Dxy[0][0].is_zero()
         assert obs == 0.0
 
-    def test_beta_zero_triangular_chain(self, rng):
-        # with beta = 0 the system triangularizes by hand:
-        # lam X = uxx, lam Z + X = uxy, lam Y + 2 Z = uyy
+    @staticmethod
+    def single_mode(rng, k, beta):
+        """solve_L3 on random data of the mode pair +-k: (solution, lam, data)."""
         g = Grading(d=1, l=1, K_q=4, K_phi=0, D=3)
         w = effective_diophantine_constant([GOLDEN], 0.5, 4)
-        k = 2
-        lam = 1j * k * GOLDEN
         cs = [complex(rng.standard_normal(), rng.standard_normal())
               for _ in range(3)]
         mk = lambda c: [[FTSeries(g, 1, 1, {((0,), (k,), (0, 0, 0)): c,
                                             ((0,), (-k,), (0, 0, 0)): np.conj(c)},
                                   _raw=True)]]
-        Dxx, Dyy, Dxy, _ = solve_L3(mk(cs[0]), mk(cs[1]), mk(cs[2]),
-                                    np.zeros((1, 1, 1)), w)
+        return solve_L3(mk(cs[0]), mk(cs[1]), mk(cs[2]), beta, w), \
+            1j * k * GOLDEN, cs
+
+    def test_beta_zero_triangular_chain(self, rng):
+        # with beta = 0 the system triangularizes by hand:
+        # lam X = uxx, lam Z + X = uxy, lam Y + 2 Z = uyy
+        k = 2
+        (Dxx, Dyy, Dxy, _), lam, cs = self.single_mode(
+            rng, k, np.zeros((1, 1, 1)))
         X = cs[0] / lam
         Z = (cs[2] - X) / lam
         Y = (cs[1] - 2 * Z) / lam
@@ -268,18 +274,10 @@ class TestL3:
         assert entry(Dxy[0][0]).terms[key] == pytest.approx(Z)
 
     def test_single_mode_matches_dense_3x3(self, rng):
-        g = Grading(d=1, l=1, K_q=4, K_phi=0, D=3)
         w = effective_diophantine_constant([GOLDEN], 0.5, 4)
         beta = make_beta(rng, 1, 0.25 * w.min_divisor_sq(4))
         k = 1
-        lam = 1j * k * GOLDEN
-        cs = [complex(rng.standard_normal(), rng.standard_normal())
-              for _ in range(3)]
-        mk = lambda c: [[FTSeries(g, 1, 1, {((0,), (k,), (0, 0, 0)): c,
-                                            ((0,), (-k,), (0, 0, 0)): np.conj(c)},
-                                  _raw=True)]]
-        Dxx, Dyy, Dxy, _ = solve_L3(mk(cs[0]), mk(cs[1]), mk(cs[2]),
-                                    beta[None], w)
+        (Dxx, Dyy, Dxy, _), lam, cs = self.single_mode(rng, k, beta[None])
         b = beta[0, 0]
         M = np.array([[lam, 0, -2 * b], [0, lam, 2.0], [1.0, -b, lam]])
         dense = np.linalg.solve(M, cs)
@@ -691,28 +689,10 @@ class TestL2DeterminantClosedForm:
         assert not below[n_near].any()
 
 
-def l2_cohom_problem():
-    """The l = 2 problem of test_cohomological_residual_l2_nonzero_beta (the
-    benchmark's l2-cohom workload), solved on a 32 x 32 grid."""
-    from kamtori.engine.cohom import coordinate
-    from kamtori.normalform import const_matrix, initial_tuple
-    from kamtori.symplectic import shifted_parametrization, sigma_cos
-    gr = Grading(d=1, l=2, K_q=4, K_phi=4, D=4)
-    N = initial_tuple(gr, 1.0, 1.0, [GOLDEN], [[-1.0]])
-    N.beta = const_matrix(gr, 1.0, 1.0,
-                          np.array([[0.02, 0.01], [0.01, -0.03]]))
-    wit = effective_diophantine_constant([GOLDEN], 0.1, 4)
-    phix = [coordinate(gr, 1.0, 1.0, "x", i) for i in range(2)]
-    eps = 1e-4
-    terms = (sigma_cos((0, 1, 0), eps) + sigma_cos((1, 0, 1), eps)
-             + sigma_cos((2, 1, -1), 0.3 * eps, powers=(1, 0, 0)))
-    f = shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
-    return N, f, phix, wit
-
-
 def test_one_decomposition_per_solve(monkeypatch):
     from kamtori.engine import solve_cohomological
-    N, f, phix, wit = l2_cohom_problem()
+    # the benchmark's l2-cohom workload, solved on a 32 x 32 grid
+    N, f, phix, wit = l2_nonzero_beta_problem()
     nb = 32 * 32
     calls = {"eigvalsh": 0, "eigh": 0, "solve": 0}
     linalg = {name: getattr(np.linalg, name)
