@@ -18,8 +18,8 @@ coupled pair solve, B_p, then the block linear system for (alpha, v, mean of
 B_y), then the quadratic blocks (the xx/yy/xy stage by kamtori.smalldiv's
 symmetrized coupled-triple solve; its leftover xx average, like the px / pp
 averages, becomes a component of Nbar), each stage reading its right-hand
-side off the exact series residual so far.  One FFT over the grid axes
-projects the per-point results back onto parameter modes.
+side off the exact series residual so far.  An FFT over the grid axes
+projects each per-point result back onto parameter modes.
 """
 
 from dataclasses import dataclass
@@ -115,44 +115,76 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     """Run the full ordered construction at every point of pts at once.
 
     The series arguments are frozen on pts (batched) and beta, Gamma, M are
-    (B, ., .) stacks of their values there."""
+    (B, ., .) stacks of their values there.  Each stage runs in its own
+    function, so that the series it reads only itself are freed before the
+    next stage's brackets."""
+    l, d = gr.l, gr.d
+    channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(l)]
+    checked, alpha_pt, v_pt, cond, gen = _linear_stage(
+        gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B, witness)
+    combo = _combine(channels, alpha_pt)
+    # gen goes from the linear generator to the full one
+    gen, obstruction = _quadratic_stage(gr, r, s, combo, gen, Nred, beta,
+                                        Gamma, checked, witness)
+    spR = taylor_split(combo + gen.bracket_with(Nred))
+
+    def real(rows, cols, get, what):
+        """(B, rows, cols) real means of the blocks get(i, j)."""
+        return np.stack([np.stack([_real_mean(get(i, j), what, pts)
+                                   for j in range(cols)], axis=1)
+                         for i in range(rows)], axis=1)
+    return {"alpha": alpha_pt, "v": v_pt, "F": gen.F,
+            "cbar": _real_mean(spR.a, "cbar", pts),
+            "bbar": real(l, l, lambda i, j: spR.d_xx[i][j], "beta-bar"),
+            "Gbar": real(l, d, lambda i, j: spR.d_px[j][i], "Gamma-bar"),
+            "Mbar": real(d, d, lambda i, j: spR.d_pp[i][j], "M-bar"),
+            "hbar": spR.remainder,
+            "cond": _peak(cond), "obstruction": obstruction}
+
+
+def _solve_channel(gr, nb, ch, Nred, beta, witness, checked):
+    """The linear blocks of one channel: A by L1, then (B_x, B_y) by L2 and
+    B_p by L1, each on the right-hand side that the blocks before it leave,
+    with the means of the b_x and b_p slots the counter-term system reads.
+    checked is L2's checked beta, or None on the first channel: beta is
+    checked after its L1 solve, whose resonance error comes first.
+    Returns (checked, (A, Bx, By, Bp, means of b_x, means of b_p))."""
+    l, d = gr.l, gr.d
+    sp = taylor_split(ch)
+    A = solve_L1(sp.a, witness)
+    if checked is None:
+        # L2's precondition, once for every L2 solve of the construction
+        checked = _check_beta(beta, witness, gr.K_q)
+    lin1 = ch + poisson_bracket(Nred, A) if not A.is_zero() else ch
+    sp1 = taylor_split(lin1)
+    Bx, By = solve_L2(sp1.b_x, sp1.b_y, checked, witness, gr.K_q)
+    F1 = TaylorSplit(a=A, b_x=Bx, b_y=By).reassemble()
+    lin2 = ch + poisson_bracket(Nred, F1) if not F1.is_zero() else ch
+    sp2 = taylor_split(lin2)
+    Bp = [solve_L1(sp2.b_p[i], witness) for i in range(d)]
+    return checked, (A, Bx, By, Bp,
+                     np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1),
+                     np.stack([_mean0(sp2.b_p[i], nb) for i in range(d)], 1))
+
+
+def _counter_terms(gr, r, s, pts, beta, Gamma, M, phix_B, solved):
+    """alpha, v and the mean of B_y at every point, from the block linear
+    system of the channels' means and the parameter-tracker condition, with
+    the system's condition numbers."""
     l, d = gr.l, gr.d
     nb = len(pts)
-    channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(l)]
-    A_c, Bx_c, By_c, Bp_c = [], [], [], []
-    mx_c, mp_c = [], []
-    for n, ch in enumerate(channels):
-        sp = taylor_split(ch)
-        A = solve_L1(sp.a, witness)
-        if n == 0:
-            # L2's precondition, once for every L2 solve below (after channel
-            # 0's L1 solve, whose resonance error comes first)
-            checked = _check_beta(beta, witness, gr.K_q)
-        lin1 = ch + poisson_bracket(Nred, A) if not A.is_zero() else ch
-        sp1 = taylor_split(lin1)
-        Bx, By = solve_L2(sp1.b_x, sp1.b_y, checked, witness, gr.K_q)
-        F1 = TaylorSplit(a=A, b_x=Bx, b_y=By).reassemble()
-        lin2 = ch + poisson_bracket(Nred, F1) if not F1.is_zero() else ch
-        sp2 = taylor_split(lin2)
-        Bp = [solve_L1(sp2.b_p[i], witness) for i in range(d)]
-        A_c.append(A)
-        Bx_c.append(Bx)
-        By_c.append(By)
-        Bp_c.append(Bp)
-        mx_c.append(np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1))
-        mp_c.append(np.stack([_mean0(sp2.b_p[i], nb) for i in range(d)], 1))
-
     # parameter-tracker condition row: means of phix + {phix, F + v.q} at
     # z = 0; dphix[var][i] is the derivative of tracker i by coordinate var
     dphix = {var: [restrict_z0(differentiate(u, var)) for u in phix_B]
              for var in coordinates(gr)}
 
     def tracker_mean(c):
+        A, Bx, By, Bp = solved[c][:4]
         out = np.zeros((nb, l), dtype=complex)
-        dqA = [restrict_z0(differentiate(A_c[c], ("q", j))) for j in range(d)]
-        Bp0 = [restrict_z0(Bp_c[c][j]) for j in range(d)]
-        Bx0 = [restrict_z0(Bx_c[c][i2]) for i2 in range(l)]
-        By0 = [restrict_z0(By_c[c][i2]) for i2 in range(l)]
+        dqA = [restrict_z0(differentiate(A, ("q", j))) for j in range(d)]
+        Bp0 = [restrict_z0(Bp[j]) for j in range(d)]
+        Bx0 = [restrict_z0(Bx[i2]) for i2 in range(l)]
+        By0 = [restrict_z0(By[i2]) for i2 in range(l)]
         for i in range(l):
             acc = FTSeries.zero(gr, r, s)
             for j in range(d):
@@ -172,14 +204,14 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     P_x = np.stack([np.stack([_mean0(dphix["x", j][i], nb) for j in range(l)], 1)
                     for i in range(l)], axis=1)
 
-    MX = np.stack(mx_c[1:], axis=2)
-    MP = np.stack(mp_c[1:], axis=2)
+    MX = np.stack([part[4] for part in solved[1:]], axis=2)
+    MP = np.stack([part[5] for part in solved[1:]], axis=2)
     Sys = np.concatenate([
         np.concatenate([MX, -Gamma.astype(complex), beta.astype(complex)], 2),
         np.concatenate([MP, -M.astype(complex),
                         np.swapaxes(Gamma, 1, 2).astype(complex)], 2),
         np.concatenate([T, -P_p, P_x], 2)], axis=1)
-    rhs = -np.concatenate([mx_c[0], mp_c[0], a_phi + t0], axis=1)
+    rhs = -np.concatenate([solved[0][4], solved[0][5], a_phi + t0], axis=1)
     bad = np.abs(Sys.imag).max(axis=(1, 2)) > \
         1e-9 * np.maximum(1.0, np.abs(Sys).max(axis=(1, 2)))
     if bad.any():
@@ -194,29 +226,51 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
                               "(cond %.3g)%s" % (cond[np.argmax(bad)],
                                                  _at_point(pts, bad)))
     sol = np.linalg.solve(Sys, rhs[..., None])[..., 0]
-    alpha_pt, v_pt, mqby = sol[:, :l], sol[:, l:l + d], sol[:, l + d:]
+    return sol[:, :l], sol[:, l:l + d], sol[:, l + d:], cond
 
-    def combine(parts):
-        out = parts[0]
-        for i in range(l):
-            if alpha_pt[:, i].any():
-                out = out + parts[1 + i].scale(alpha_pt[:, i])
-        return out
 
-    A = combine(A_c)
-    Bx = [combine([Bx_c[c][i] for c in range(l + 1)]) for i in range(l)]
-    By = [combine([By_c[c][i] for c in range(l + 1)]) for i in range(l)]
-    Bp = [combine([Bp_c[c][i] for c in range(l + 1)]) for i in range(d)]
+def _combine(parts, alpha_pt):
+    """parts[0] + sum over i of alpha_i parts[1 + i], point by point (a
+    part whose alpha is zero at every point is left out)."""
+    out = parts[0]
+    for i in range(alpha_pt.shape[1]):
+        if alpha_pt[:, i].any():
+            out = out + parts[1 + i].scale(alpha_pt[:, i])
+    return out
+
+
+def _linear_stage(gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B,
+                  witness):
+    """Every channel's linear blocks, the counter terms, and the linear
+    generator they combine to.  Returns (L2's checked beta, alpha and v at
+    every point, the condition numbers, the linear generator)."""
+    l, d = gr.l, gr.d
+    checked, solved = None, []
+    for ch in channels:
+        checked, part = _solve_channel(gr, len(pts), ch, Nred, beta, witness,
+                                       checked)
+        solved.append(part)
+    alpha_pt, v_pt, mqby, cond = _counter_terms(gr, r, s, pts, beta, Gamma,
+                                                M, phix_B, solved)
+    A = _combine([part[0] for part in solved], alpha_pt)
+    Bx, By, Bp = ([_combine([part[n][i] for part in solved], alpha_pt)
+                   for i in range(len(solved[0][n]))] for n in (1, 2, 3))
     for i in range(l):
         if mqby[:, i].any():
             By[i] = By[i] + mqby[:, i]
     F_lin = TaylorSplit(a=A, b_x=Bx, b_p=Bp, b_y=By).reassemble()
-
-    combo = combine(channels)
     v_series = [FTSeries.constant(gr, r, s, v_pt[:, i]) for i in range(d)]
-    gen_lin = GeneratingFunction(F_lin, v_series)
-    u = combo + gen_lin.bracket_with(Nred)
-    sp_u = taylor_split(u)
+    return checked, alpha_pt, v_pt, cond, GeneratingFunction(F_lin, v_series)
+
+
+def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, beta, Gamma, checked,
+                     witness):
+    """The quadratic blocks on the residual combo + {gen_lin, Nred}: the
+    xx/yy/xy stage by L3, px/py by L2, pp by L1.  Returns (the full
+    generator, linear plus quadratic blocks, with gen_lin's v; L3's zero-mode
+    obstruction)."""
+    l, d = gr.l, gr.d
+    sp_u = taylor_split(combo + gen_lin.bracket_with(Nred))
 
     Dxx, Dyy, Dxy, obstruction = solve_L3(sp_u.d_xx, sp_u.d_yy, sp_u.d_xy,
                                           beta, witness)
@@ -251,31 +305,16 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
 
     F_quad = TaylorSplit(d_xx=Dxx, d_yy=Dyy, d_xy=Dxy, d_px=Dpx, d_py=Dpy,
                          d_pp=Dpp).reassemble()
-    F_full = F_lin + F_quad
-    gen = GeneratingFunction(F_full, v_series)
-    R = combo + gen.bracket_with(Nred)
-    spR = taylor_split(R)
-
-    def real(rows, cols, get, what):
-        """(B, rows, cols) real means of the blocks get(i, j)."""
-        return np.stack([np.stack([_real_mean(get(i, j), what, pts)
-                                   for j in range(cols)], axis=1)
-                         for i in range(rows)], axis=1)
-    return {"alpha": alpha_pt, "v": v_pt, "F": F_full,
-            "cbar": _real_mean(spR.a, "cbar", pts),
-            "bbar": real(l, l, lambda i, j: spR.d_xx[i][j], "beta-bar"),
-            "Gbar": real(l, d, lambda i, j: spR.d_px[j][i], "Gamma-bar"),
-            "Mbar": real(d, d, lambda i, j: spR.d_pp[i][j], "M-bar"),
-            "hbar": spR.remainder,
-            "cond": _peak(cond), "obstruction": obstruction}
+    return GeneratingFunction(gen_lin.F + F_quad, gen_lin.v), obstruction
 
 
 _NUMERIC = ("alpha", "v", "cbar", "bbar", "Gbar", "Mbar")
 
 
 def _project(res, l, size, gr, r, s):
-    """Project the per-point results onto parameter modes, with one FFT over
-    the grid axes for every coefficient at once.
+    """Project the per-point results onto parameter modes: one grid row per
+    coefficient, each transformed by an FFT over the grid axes
+    (``project_phi_rows``, in blocks of rows).
 
     Returns ({name: phi-only series or matrix of them} for the numeric
     results, {name: series} for F and hbar, the largest projection defect).
@@ -374,12 +413,14 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
             % (nu[np.argmax(bad)], level, np.count_nonzero(bad), len(pts),
                _at_point(pts, bad)))
     Gamma, M = on_grid(N.Gamma), on_grid(N.M, 1e-8)
-    Nred = _reduced_hamiltonian(N, freeze_phi(N.h, pts), beta, Gamma, M)
-    f_B = freeze_phi(f, pts)
-    phix_B = [freeze_phi(phi_x[i], pts) for i in range(l)]
     try:
-        res = _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B,
-                          witness)
+        # the frozen series are the solve's own: they are freed with it,
+        # before the projection
+        res = _grid_solve(
+            gr, r, s, pts, beta, Gamma, M,
+            _reduced_hamiltonian(N, freeze_phi(N.h, pts), beta, Gamma, M),
+            freeze_phi(f, pts), [freeze_phi(phi_x[i], pts) for i in range(l)],
+            witness)
     except SolverPreconditionError as exc:
         if exc.entry is None:
             raise

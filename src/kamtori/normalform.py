@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError
-from .series import (FTSeries, _l1, _phi_sums, _phi_values, _plan,
-                     TaylorSplit, ck_norm_estimate)
+from .series import (BLOCK_TILE_BYTES, FTSeries, _l1, _phi_sums,
+                     _phi_values, _plan, TaylorSplit, ck_norm_estimate)
 
 
 # -- parameter-grid helpers --------------------------------------------------------
@@ -73,24 +73,38 @@ def _phi_modes(l, size, K_phi):
 
 
 def project_phi_rows(rows, l, size, K_phi, floors):
-    """Project many grid-sampled functions onto <= K_phi parameter modes with
-    one FFT over the grid axes.
+    """Project many grid-sampled functions onto <= K_phi parameter modes by
+    an FFT over the grid axes of each row.
 
     rows: complex array (n, size^l); floors: per-row coefficient floor.
     Returns (modes, coeffs, kept, defect): the kept modes in lexicographic
     order, their (n, modes) coefficients, the mask of those with |c| >
     floor, and the per-row defect = total magnitude of the dropped high
-    modes."""
+    modes.  The rows are transformed in blocks of at most BLOCK_TILE_BYTES,
+    each filling its own rows of the results; a row's FFT reads that row
+    alone.  A block has at least two rows unless n is 1: numpy sums a
+    one-row block's defect pairwise and a longer block's left to right, so
+    this keeps every result the one-call transform of all rows gives."""
     rows = np.asarray(rows, dtype=complex)
-    n = len(rows)
-    hat = np.fft.fftn(rows.reshape((n,) + (size,) * l),
-                      axes=tuple(range(1, l + 1))).reshape(n, -1)
-    hat /= size ** l
+    n, npts = len(rows), size ** l
+    floors = np.asarray(floors, dtype=float)
     modes, cols, dropped = _phi_modes(l, size, K_phi)
-    mag = np.abs(hat)
-    defect = mag[:, dropped].sum(axis=1)
-    kept = mag[:, cols] > np.asarray(floors, dtype=float)[:, None]
-    return modes, hat[:, cols], kept, defect
+    coeffs = np.empty((n, len(cols)), dtype=complex)
+    kept = np.empty((n, len(cols)), dtype=bool)
+    defect = np.empty(n)
+    step = max(BLOCK_TILE_BYTES // (16 * npts), 2)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()   # a lone last row joins the block before it
+    for lo, hi in zip(starts, starts[1:] + [n]):
+        hat = np.fft.fftn(rows[lo:hi].reshape((hi - lo,) + (size,) * l),
+                          axes=tuple(range(1, l + 1))).reshape(hi - lo, -1)
+        hat /= npts
+        mag = np.abs(hat)
+        defect[lo:hi] = mag[:, dropped].sum(axis=1)
+        kept[lo:hi] = mag[:, cols] > floors[lo:hi, None]
+        coeffs[lo:hi] = hat[:, cols]
+    return modes, coeffs, kept, defect
 
 
 def project_phi_values(values, l, size, grading, r, s):

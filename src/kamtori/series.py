@@ -190,8 +190,11 @@ class _Plan:
 
 
 _plan = functools.lru_cache(maxsize=None)(_Plan)
+# the arrays of every empty series and kernel part: read-only, so that a
+# write into one raises instead of reaching every other empty series
 _EMPTY = np.zeros(0, dtype=complex)
 _NONE = np.zeros(0, dtype=np.intp)
+_EMPTY.flags.writeable = _NONE.flags.writeable = False
 
 
 class _TermsView(Mapping):
@@ -330,17 +333,21 @@ class FTSeries:
         new.r, new.s = float(r), float(s)
         return new
 
-    def _prune(self, floor=PRUNE_FLOOR):
-        """Apply the prune floors in place (on a series being built)."""
+    def _prune(self, floor=PRUNE_FLOOR, shared=False):
+        """Apply the prune floors in place, on a series being built: no
+        one else holds its terms, and its coefficients are zeroed in their
+        own array, or in a copy if shared (an array that another series or
+        the caller still reads).  The series takes its terms anew, so no
+        kept dict or majorant of the entries before the prune survives."""
         if not len(self.coef):
             return
         keep, coef, loss = _prune_arrays(_plan(self.grading), self.ij, self.ik,
                                          self.it, self.coef, self.r, self.s,
-                                         floor)
+                                         floor, shared)
         self.trunc_loss += loss
         if keep is not None:
             self._set(self.ij[keep], self.ik[keep], self.it[keep], coef[keep])
-        elif coef is not self.coef:
+        else:
             self._set(self.ij, self.ik, self.it, coef)
 
     def _check_compat(self, other):
@@ -490,40 +497,66 @@ def _conjugate(f):
                  f.trunc_loss)
 
 
-def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR):
+def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR, signs=None):
     """The sum of parts, each a series or an (ij, ik, it, coef) tuple, as
     one pruned series: each part is added at its slots' positions in the
-    sorted union of their slots, so a slot sums its terms in part order."""
+    sorted union of their slots, so a slot sums its terms in part order.
+    signs holds each part's sign, 1 or -1 (all 1 by default): a part of
+    sign -1 is subtracted.  The sum accumulates in place in one array; a
+    lone part of sign 1 is handed through, its arrays shared with the
+    caller, and copied only if the prune zeroes an entry."""
     plan = _plan(gr)
-    parts = [p if isinstance(p, tuple) else (p.ij, p.ik, p.it, p.coef)
-             for p in parts]
-    parts = [p for p in parts if len(p[3])]
-    ij, ik, it, coef = parts[0] if len(parts) == 1 else (_NONE, _NONE, _NONE, _EMPTY)
-    if len(parts) > 1:
-        codes = [plan.code(*p[:3]) for p in parts]
+    parts = [(p if isinstance(p, tuple) else (p.ij, p.ik, p.it, p.coef), sign)
+             for p, sign in zip(parts, itertools.repeat(1) if signs is None
+                                else signs)]
+    parts = [(p, sign) for p, sign in parts if len(p[3])]
+    ij, ik, it, coef = _NONE, _NONE, _NONE, _EMPTY
+    shared = False
+    if len(parts) == 1:
+        (ij, ik, it, coef), sign = parts[0]
+        shared = sign > 0
+        if not shared:
+            coef = -coef
+    elif parts:
+        codes = [plan.code(*p[:3]) for p, _ in parts]
         slot = np.sort(np.concatenate(codes), kind="stable")
         slot = slot[np.concatenate(([True], slot[1:] != slot[:-1]))]
-        width = max(p[3].shape[1] if p[3].ndim == 2 else 0 for p in parts)
+        width = max(p[3].shape[1] if p[3].ndim == 2 else 0 for p, _ in parts)
         coef = np.zeros((len(slot), width) if width else len(slot), complex)
-        for n, (code, p) in enumerate(zip(codes, parts)):
+        for n, (code, (p, sign)) in enumerate(zip(codes, parts)):
             # a scalar part of a batched sum broadcasts over the entries
             c = p[3] if p[3].ndim == coef.ndim else p[3][:, None]
             at = np.searchsorted(slot, code)
-            coef[at] = coef[at] + c if n else c
+            if not n:
+                coef[at] = c if sign > 0 else -c
+            elif sign > 0:
+                coef[at] += c
+            else:
+                coef[at] -= c
         ij, ik, it = plan.split(slot)
     new = FTSeries(gr, r, s, trunc_loss=trunc_loss)
     new._set(ij, ik, it, coef)
-    new._prune(floor)
+    new._prune(floor, shared)
     return new
 
 
-def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR):
+# the value a pruned entry of a subtracted part takes: x - (-0 - 0j) is x +
+# (0 + 0j) to the bit, signed zeros too, so the part subtracts as its
+# negation, pruned to 0j, adds
+_NEG_ZERO = complex(-0.0, -0.0)
+
+
+def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
+                  shared=False, zero=0j):
     """The prune floors on a series' arrays: an entry at or below
     max(floor, REL_PRUNE x its largest) is dropped and its majorant added to
-    the loss (each entry of a batched series against its own floor, zeroed in
-    a row that keeps others).  Returns (rows kept, coefficients, loss): the
-    rows are None when no row is dropped, and the coefficients are coef
-    itself when no entry was zeroed.  A NaN entry is never dropped."""
+    the loss (each entry of a batched series against its own floor, set to
+    zero in a row that keeps others, once an entry with a nonzero majorant
+    is dropped).  Returns (rows kept, coefficients, loss): the rows are None
+    when no row is dropped.  The coefficients are coef itself, its entries
+    zeroed in place, unless coef is shared (an array that a series or the
+    caller still reads), which is copied only if an entry is zeroed.  A NaN
+    entry is never dropped."""
     mag = np.abs(coef)
     dead = mag <= np.maximum(floor, REL_PRUNE * mag.max(axis=0, initial=0.0))
     if not dead.any():
@@ -536,7 +569,10 @@ def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR):
         if coef.ndim == 2:
             pruned = np.where(dead[rows], mag[rows], 0.0)
             loss = float(np.max((pruned.T * w).sum(axis=-1)))
-            coef = np.where(dead, 0.0, coef)
+            if shared:
+                coef = np.where(dead, zero, coef)
+            else:
+                coef[dead] = zero
         else:
             loss = float((mag[rows] * w).sum())
     gone = dead.all(axis=1) if coef.ndim == 2 else dead
@@ -655,12 +691,16 @@ def _bracket_pairs(gr):
 def _bracket_halves(f, g, losses=True):
     """The half-products of {f, g} as the kernel forms them, unpruned and
     without the operands' trunc_loss: for each pair of _bracket_pairs,
-    (output slots, coefficients times the half's sign, majorant of the
-    out-of-grading pairs, or None unless losses), from one kernel call on
-    one layout of f and g, chosen by multiply's rule."""
-    parts = _kernel(f, g, _bracket_pairs(f.grading), _layout(f, g), losses)
-    return [(slot, -coef if n % 2 else coef, dropped)
-            for n, (slot, coef, dropped) in enumerate(parts)]
+    (output slots, coefficients, majorant of the out-of-grading pairs, or
+    None unless losses), from one kernel call on one layout of f and g,
+    chosen by multiply's rule.  The coefficients do not carry the half's
+    sign (_bracket_signs): the sum subtracts the halves of sign -1."""
+    return _kernel(f, g, _bracket_pairs(f.grading), _layout(f, g), losses)
+
+
+def _bracket_signs(gr):
+    """The sign of each half of _bracket_pairs: 1, -1, 1, -1, ..."""
+    return (1, -1) * (gr.d + gr.l)
 
 
 def _bracket(f, g):
@@ -676,9 +716,10 @@ def _bracket(f, g):
     halves are then summed as ft_sum sums them."""
     f._check_compat(g)
     gr = f.grading
-    parts = _products(f, g, _bracket_pairs(gr), _bracket_halves(f, g))
+    signs = _bracket_signs(gr)
+    parts = _products(f, g, _bracket_pairs(gr), _bracket_halves(f, g), signs)
     return _merge(gr, f.r, f.s, [p[:4] for p in parts],
-                  sum(p[4] for p in parts))
+                  sum(p[4] for p in parts), signs=signs)
 
 
 def _product(f, g, layout=None):
@@ -724,11 +765,13 @@ def _kernel(f, g, halves, layout, losses=True):
         else _block_product(plan, layout, halves, f.r, f.s, losses)
 
 
-def _products(f, g, halves, parts):
+def _products(f, g, halves, parts, signs=None):
     """The kernel's parts of f and g for halves (``_kernel``), each as
     (ij, ik, it, coef, trunc_loss) of a series pruned against its own
     largest entries, with the operands' trunc_loss carried through its
-    scale."""
+    scale.  Each part is pruned in the kernel's own array; the pruned
+    entries of a part that _merge will subtract (sign -1 in signs) take
+    _NEG_ZERO."""
     plan = _plan(f.grading)
     losses = [0.0] * len(halves)
     if f.trunc_loss or g.trunc_loss:
@@ -740,13 +783,15 @@ def _products(f, g, halves, parts):
                                + f.trunc_loss * g.trunc_loss))
                   for x, y in zip(mf, mg)]
     out = []
-    for (slot, acc, dropped), loss in zip(parts, losses):
+    for (slot, acc, dropped), loss, sign in zip(
+            parts, losses, itertools.repeat(1) if signs is None else signs):
         if not len(acc):
             out.append((_NONE, _NONE, _NONE, _EMPTY, loss + dropped))
             continue
         # each half is pruned against its own floors
         ij, ik, it = plan.split(slot)
-        keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s)
+        keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s,
+                                          zero=_NEG_ZERO if sign < 0 else 0j)
         if keep is not None:
             ij, ik, it, acc = ij[keep], ik[keep], it[keep], acc[keep]
         out.append((ij, ik, it, acc, loss + dropped + pruned))

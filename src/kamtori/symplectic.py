@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
 from .series import (FTSeries, TaylorSplit, _bracket, _bracket_halves,
-                     _bracket_pairs, _conjugate, _kept, _l1, _majorants,
-                     _partial, _plan, coordinate, coordinates,
+                     _bracket_pairs, _bracket_signs, _conjugate, _kept, _l1,
+                     _majorants, _partial, _plan, coordinate, coordinates,
                      differentiate, ft_sum, majorant_norm, multiply,
                      restrict_z0)
 
@@ -254,12 +254,13 @@ def _relation_defects(Phi):
     {base_a + U_a, base_b + U_b} = {base_a, base_b} + {base_a, U_b} - {base_b,
     U_a} + {U_a, U_b}: the canonical constant comes from the bases alone, so
     the defect is the majorant of the other three terms' sum.  Their parts
-    (the two derivatives of the displacements, then the signed half-products
-    of {U_a, U_b} as the kernel forms them, each holding a slot at most
-    once) are added in that order onto one dense table of the grading's
-    slots, unpruned, and the sum's majorant is taken over the touched slots
-    in slot order on the map's radii.  The pairs of terms past the grading
-    touch no slot: the kernel forms no majorant of them."""
+    (the two derivatives of the displacements, then the half-products of
+    {U_a, U_b} as the kernel forms them, each holding a slot at most once)
+    are added in that order onto one dense table of the grading's slots
+    (a half of sign -1 is subtracted), unpruned, and the sum's majorant is
+    taken over the touched slots in slot order on the map's radii.  The
+    pairs of terms past the grading touch no slot: the kernel forms no
+    majorant of them."""
     gr = Phi.grading
     plan = _plan(gr)
     r, s = Phi.radii
@@ -271,13 +272,17 @@ def _relation_defects(Phi):
     out = {}
     for a, b in itertools.combinations(range(len(comps)), 2):
         (sa, da), (sb, db) = bases[a], bases[b]
-        parts = [(plan.code(*t[:3]), sign * t[3]) for sign, t in
+        parts = [(plan.code(*t[:3]), sign * t[3], 1) for sign, t in
                  ((sa, _kept(plan, comps[b], da)),
                   (-sb, _kept(plan, comps[a], db)))]
-        parts += [half[:2] for half in
-                  _bracket_halves(comps[a], comps[b], losses=False)]
-        for slot, coef in parts:
-            acc[slot] += coef
+        parts += [(slot, coef, sign) for (slot, coef, _), sign in
+                  zip(_bracket_halves(comps[a], comps[b], losses=False),
+                      _bracket_signs(gr))]
+        for slot, coef, sign in parts:
+            if sign > 0:
+                acc[slot] += coef
+            else:
+                acc[slot] -= coef
             touched[slot] = True
         slots = np.flatnonzero(touched)
         out[a, b] = float(np.abs(acc[slots])

@@ -57,8 +57,10 @@ def relation_sums(Phi):
         parts = [(plan.code(*t[:3]), sign * t[3]) for sign, t in
                  ((sa, _kept(plan, comps[b], da)),
                   (-sb, _kept(plan, comps[a], db)))]
-        parts += [half[:2] for half in
-                  _bracket_halves(comps[a], comps[b], losses=False)]
+        # the halves alternate in sign, + first
+        parts += [(slot, -coef if n % 2 else coef) for n, (slot, coef, _) in
+                  enumerate(_bracket_halves(comps[a], comps[b],
+                                            losses=False))]
         slots, at = np.unique(np.concatenate([p[0] for p in parts]),
                               return_inverse=True)
         coef = np.concatenate([p[1] for p in parts])

@@ -1123,6 +1123,20 @@ class TestProjection:
         self.check(self.captured(monkeypatch, N, f, phix, wit, sigma=0.025,
                                  delta=0.1, delta_plus=0.03, grid_size=16))
 
+    def test_l2_cohom_grid_spans_several_blocks(self, monkeypatch):
+        # the l2-cohom workload's 32 x 32 grid: project_phi_rows transforms
+        # the rows in several blocks, and the oracle in one call
+        from kamtori.series import BLOCK_TILE_BYTES
+        N, f, phix, wit = l2_nonzero_beta_problem()
+        args = self.captured(monkeypatch, N, f, phix, wit, sigma=0.025,
+                             delta=0.1, delta_plus=0.03, grid_size=32)
+        res = args[0]
+        rows = sum(np.asarray(res[name]).size // 32 ** 2
+                   for name in project_oracle.NUMERIC) \
+            + len(res["F"].coef) + len(res["hbar"].coef)
+        assert rows > 3 * BLOCK_TILE_BYTES // (16 * 32 ** 2)
+        self.check(args)
+
 class TestSymplecticityOnCoupledMap:
     def test_rung_two_map_matches_oracle(self, coupled_rung_two_flow):
         # the map kam_step flows on the second rung of the coupled run:

@@ -6,8 +6,10 @@ import pytest
 from kamtori.normalform import (assemble_hamiltonian, bump_psi,
                                 const_matrix, initial_tuple,
                                 normal_form_distance, nu_max_profile,
-                                phi_grid, phi_grid_size, project_phi_values)
-from kamtori.series import FTSeries, Grading, ck_norm_estimate, taylor_split
+                                phi_grid, phi_grid_size, project_phi_rows,
+                                project_phi_values)
+from kamtori.series import (BLOCK_TILE_BYTES, FTSeries, Grading,
+                            ck_norm_estimate, taylor_split)
 from conftest import GOLDEN
 from normalform_tools import (copy_tuple, is_normal_form, tuple_from_json,
                               tuple_to_json)
@@ -254,3 +256,36 @@ class TestNorms:
         N.beta = [[FTSeries.cos_angle(g11, 1, 1, (1,), (0,), 0.1)]]
         back = tuple_from_json(tuple_to_json(N))
         assert normal_form_distance(N, back) == 0.0
+
+
+class TestBlockedProjection:
+    """project_phi_rows transforms its rows in blocks of BLOCK_TILE_BYTES:
+    every coefficient, kept mask and defect is, byte for byte, the one of
+    tests/project_oracle.py's one FFT over all rows, whether the rows fill
+    one block, part of one, or spill over into the next by one row."""
+
+    @pytest.mark.parametrize("l, size", [(1, 32), (1, 64), (2, 16), (2, 32)])
+    def test_matches_one_call(self, l, size):
+        import project_oracle
+        rng = np.random.default_rng(size + l)
+        step = BLOCK_TILE_BYTES // (16 * size ** l)
+        seen = set()
+        for n in (1, step - 1, step, step + 1):
+            rows = (rng.standard_normal((n, size ** l))
+                    + 1j * rng.standard_normal((n, size ** l))) \
+                * 10.0 ** rng.uniform(-20, 0, (n, 1))
+            # a floor around each row's median keeps some modes and not others
+            floors = np.median(np.abs(rows), axis=1) * 0.05
+            modes, coeffs, kept, defect = project_phi_rows(rows, l, size, 3,
+                                                           floors)
+            want, want_defect = project_oracle.project_phi_rows(rows, l, size,
+                                                                3, floors)
+            assert defect.tobytes() == want_defect.tobytes()
+            seen.update(kept.ravel().tolist())
+            for row in range(n):
+                got = {modes[i]: coeffs[row, i]
+                       for i in np.flatnonzero(kept[row])}
+                assert list(sorted(got)) == sorted(want[row])
+                assert all(np.array(got[j]).tobytes()
+                           == np.array(want[row][j]).tobytes() for j in got)
+        assert seen == {True, False}

@@ -362,9 +362,10 @@ def assert_prune_matches(f, nan_row, floor):
     """_prune_arrays and FTSeries._prune against the dict ring's copy, on
     the same slot-ordered arrays and weights: the same kept rows,
     coefficients and loss to the bit.  When no row is dropped the rows come
-    back as None, and when no entry is zeroed either the series keeps its
-    coef object; a NaN entry (in row nan_row, if any) is never dropped.
-    Returns the kept rows."""
+    back as None.  An array the ring owns is zeroed in place; a shared one
+    is left as it was, and copied only when an entry is zeroed.  A NaN
+    entry (in row nan_row, if any) is never dropped.  Returns the kept
+    rows."""
     coef = f.coef.copy()
     if nan_row is not None and len(coef):
         if coef.ndim == 2:
@@ -374,21 +375,32 @@ def assert_prune_matches(f, nan_row, floor):
     f._set(f.ij, f.ik, f.it, coef)
     coef = f.coef   # an empty series holds the shared empty array
     plan = new._plan(f.grading)
-    args = (plan, f.ij, f.ik, f.it, coef, f.r, f.s, floor)
-    keep, kept, loss = new._prune_arrays(*args)
-    keep_old, kept_old, loss_old = old._prune_arrays(*args)
-    assert loss == loss_old
-    assert (kept is coef) == (kept_old is coef)
-    assert np.array_equal(kept, kept_old, equal_nan=True)
-    if keep is None:
-        assert keep_old.all()
-    else:
-        assert np.array_equal(keep, keep_old) and not keep.all()
+    args = (plan, f.ij, f.ik, f.it)
+    old_in = coef.copy()
+    keep_old, kept_old, loss_old = old._prune_arrays(*args, old_in, f.r,
+                                                     f.s, floor)
+    before = coef.tobytes()
+    for shared in (True, False):
+        given = coef if shared else coef.copy()
+        keep, kept, loss = new._prune_arrays(*args, given, f.r, f.s, floor,
+                                             shared)
+        assert loss == loss_old
+        assert np.array_equal(kept, kept_old, equal_nan=True)
+        assert coef.tobytes() == before
+        assert kept is given if not shared else \
+            (kept is coef) == (kept_old is old_in)
+        if keep is None:
+            assert keep_old.all()
+        else:
+            assert np.array_equal(keep, keep_old) and not keep.all()
     if nan_row is not None and len(coef):
         assert keep is None or keep[nan_row]
 
+    # the terms of a batched series are views of its rows, which the prune
+    # below zeroes in place: the dict ring gets copies
     f_old = old.FTSeries(old.Grading(*_shape(f.grading)), f.r, f.s,
-                         dict(f.terms), f.trunc_loss, _raw=True)
+                         {key: np.copy(c) for key, c in f.terms.items()},
+                         f.trunc_loss, _raw=True)
     with pytest.MonkeyPatch.context() as mp:
         # the dict ring's weights, bit for bit the slot ring's
         mp.setattr(old, "_plan", lambda gr: new._plan(new.Grading(
@@ -400,7 +412,7 @@ def assert_prune_matches(f, nan_row, floor):
     assert np.array_equal(f.coef, want[3].reshape(f.coef.shape),
                           equal_nan=True)
     assert f.trunc_loss == f_old.trunc_loss
-    assert (f.coef is coef) == (keep is None and kept is coef)
+    assert (f.coef is coef) == (keep is None)
     return keep
 
 
