@@ -123,6 +123,8 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     checked, alpha_pt, v_pt, cond, gen = _linear_stage(
         gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B, witness)
     combo = _combine(channels, alpha_pt)
+    # the brackets from here on read only combo
+    del f_B, phix_B, channels
     # gen goes from the linear generator to the full one
     gen, obstruction = _quadratic_stage(gr, r, s, combo, gen, Nred, beta,
                                         Gamma, checked, witness)

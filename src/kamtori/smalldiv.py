@@ -6,6 +6,13 @@ time: the systems are diagonal in the parameter mode j, the angle mode k and
 the Taylor multi-index a.  At k != 0, L2 and L3 solve one shifted system
 (C(beta) + i<omega, k> I) u = b on the stacked unknowns of the slot (L1 is
 its scalar case, with C = 0), with <omega, k> computed once per mode.
+Over a stack of grid points the system is factored once per slot when C
+is the same matrix at every point, as it is wherever beta does not depend
+on phi (every first rung, whose beta is 0, and every constant beta): one
+(n, n) solve takes every point's right-hand side as a column.  A stack
+that varies is solved point by point.  The two give the same bits on
+OpenBLAS 0.3.31 (Haswell kernels), where tests/test_smalldiv.py checks it;
+another LAPACK may round the many-column solve differently.
 
 L2's precondition on beta (symmetric, ||beta|| <= 1 and nu_max(beta) <= 1/2
 min <omega, k>^2 over 0 < |k|_1 <= K) is checked once per beta stack, by
@@ -263,10 +270,19 @@ def _solve_modes(witness, plan, slots, b, C, name, w=None):
     failing slot of that order: a ResonanceError for a resonant <omega, k>,
     solver name's SolverPreconditionError for a singular system and, given
     w (beta's eigenvalues, batch + (l,)), one where L2's determinant bound
-    fails."""
+    fails.
+
+    A stack C whose matrices are all the same one is factored once per
+    slot (module docstring): one (n, n) system, solved for every entry's
+    right-hand side as the columns of one np.linalg.solve, where a varying
+    stack makes one factorization per entry.  A singular one fails as
+    stack entry 0."""
     ij, ik, it = plan.split(slots)
     eye = np.eye(C.shape[-1])
     stacked = C.ndim > 2
+    single = stacked and bool((C == C[:1]).all())
+    if single:
+        C = C[0]
     dots = {}
     for n in np.lexsort((ik, it, ij)).tolist():
         if plan.K.norm[ik[n]]:
@@ -280,12 +296,17 @@ def _solve_modes(witness, plan, slots, b, C, name, w=None):
                           "determinant bound violated at k=%s" % (k,))
             M = C + 1j * dots[k] * eye
             try:
-                b[n] = np.linalg.solve(M, b[n][..., None])[..., 0]
+                if single:
+                    # the stack's entries are the columns of one solve
+                    b[n] = np.linalg.solve(M, b[n].T).T
+                else:
+                    b[n] = np.linalg.solve(M, b[n][..., None])[..., 0]
             except np.linalg.LinAlgError:
+                # a single matrix is entry 0 of a stack
                 _fail(name, stacked, _first_singular(M),
                       "singular shifted system at k=%s" % (k,))
-            # freed before the next one is formed (L3's M is 1.6 MB at l = 2
-            # on a 1024-point grid)
+            # freed before the next one is formed (a varying stack's M is
+            # 1.6 MB for L3 at l = 2 on a 1024-point grid)
             del M
     return b
 

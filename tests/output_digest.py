@@ -16,7 +16,12 @@ agree on the same machine. The entries, each named "<problem>/<output>":
   through `kamtori.cli.main` (reduce, run, verify) in a temporary
   directory: the exit codes and the bytes of reduced.json, history.json,
   torus.json and zeta.csv;
-- l2-cohom (`L2Cohom`): alpha's slot arrays and the residual plateau;
+- l2-cohom (`L2Cohom`): alpha's and the generator F's slot arrays and the
+  residual plateau;
+- l2-cohom-varying: the same for L2Cohom's problem with 0.01 cos(phi_1)
+  added to beta[0][0], whose beta differs from point to point (it stays
+  inside the sublevel region), so that its shifted systems are solved one
+  grid point at a time where l2-cohom's are factored once per slot;
 - l2-iterate (the l = 2 problem of tests/test_engine.py's
   `TestTwoResonanceRun`, about 5 s): iterate's history rows and the slot
   arrays of the final f and of every component of the map Phi, whose
@@ -126,12 +131,31 @@ def threedof(seed):
     return digests
 
 
-def l2_cohom():
+def l2_cohom(name="l2-cohom", vary=0.0):
+    """L2Cohom's entries; with vary, vary cos(phi_1) is added to beta[0][0],
+    so that beta differs from one grid point to the next."""
     wl = workloads.L2Cohom()
-    out = wl.solve(wl.setup(0, None))
+    p = wl.setup(0, None)
+    if vary:
+        beta = p["N"].beta
+        beta[0][0] = beta[0][0] + series.FTSeries.cos_angle(
+            p["f"].grading, 1.0, 1.0, (1, 0), (0,), vary)
+    # the workload returns alpha and the plateau; F, which every slot solve
+    # feeds, is read off the solution it is given
+    solve, sols = engine.solve_cohomological, []
+
+    def recording(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+    engine.solve_cohomological = recording
+    try:
+        out = wl.solve(p)
+    finally:
+        engine.solve_cohomological = solve
     alpha = [p for a in out["alpha"] for p in series_parts(a)]
-    return {"l2-cohom/alpha": sha(*alpha),
-            "l2-cohom/residual_plateau": sha(float(out["residual_plateau"]))}
+    return {name + "/alpha": sha(*alpha),
+            name + "/residual_plateau": sha(float(out["residual_plateau"])),
+            name + "/F": sha(*series_parts(sols[0].F))}
 
 
 def l2_iterate():
@@ -153,7 +177,10 @@ PROBLEMS = ([("coupled-1p1@eps=%g" % eps, lambda eps=eps: coupled(eps))
              for eps in COUPLED_EPS]
             + [("threedof-cli@seed=%d" % seed, lambda seed=seed: threedof(seed))
                for seed in CLI_SEEDS]
-            + [("l2-cohom", l2_cohom), ("l2-iterate", l2_iterate)])
+            + [("l2-cohom", l2_cohom),
+               ("l2-cohom-varying",
+                lambda: l2_cohom("l2-cohom-varying", vary=0.01)),
+               ("l2-iterate", l2_iterate)])
 
 
 def digest(only=""):

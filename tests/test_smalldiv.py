@@ -17,7 +17,7 @@ from kamtori.smalldiv import (DiophantineWitness, ResonanceError,
                               effective_diophantine_constant, solve_L1,
                               solve_L2, solve_L3)
 from conftest import GOLDEN
-from test_engine import l2_nonzero_beta_problem
+from test_engine import l2_nonzero_beta_problem, l2_varying_tuple_problem
 
 
 def fib_upto(n):
@@ -689,19 +689,24 @@ class TestL2DeterminantClosedForm:
         assert not below[n_near].any()
 
 
-def test_one_decomposition_per_solve(monkeypatch):
+def solve_with_spies(monkeypatch, problem, size):
+    """Run solve_cohomological on problem() over a size x size grid and
+    return (the eigvalsh and eigh calls on the (B, 2, 2) beta stack, the
+    shapes of the matrices np.linalg.solve received outside the slot
+    solves, and per slot solve (_solve_modes call) its number of k != 0
+    slots, its n and the shapes of the matrices it solved with)."""
     from kamtori.engine import solve_cohomological
-    # the benchmark's l2-cohom workload, solved on a 32 x 32 grid
-    N, f, phix, wit = l2_nonzero_beta_problem()
-    nb = 32 * 32
-    calls = {"eigvalsh": 0, "eigh": 0, "solve": 0}
+    N, f, phix, wit = problem()
+    nb = size ** 2
+    calls = {"eigvalsh": 0, "eigh": 0}
+    shapes = []
     linalg = {name: getattr(np.linalg, name)
               for name in ("eigvalsh", "eigh", "solve")}
 
     def counted(name):
         def spy(a, *args, **kwargs):
             if name == "solve":
-                calls[name] += 1
+                shapes.append(np.shape(a))
             elif np.shape(a) == (nb, 2, 2):
                 calls[name] += 1
             return linalg[name](a, *args, **kwargs)
@@ -715,18 +720,132 @@ def test_one_decomposition_per_solve(monkeypatch):
     stages = []
     solve_modes = smalldiv._solve_modes
 
-    def stage(witness, plan, slots, *args):
-        stages.append(int(np.count_nonzero(
-            plan.K.norm[plan.split(slots)[1]])))
-        return solve_modes(witness, plan, slots, *args)
+    def stage(witness, plan, slots, b, C, *args):
+        before = len(shapes)
+        out = solve_modes(witness, plan, slots, b, C, *args)
+        stages.append((int(np.count_nonzero(
+            plan.K.norm[plan.split(slots)[1]])), C.shape[-1],
+            shapes[before:]))
+        del shapes[before:]
+        return out
     monkeypatch.setattr(smalldiv, "_solve_modes", stage)
     solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
-                        delta_plus=0.03, grid_size=32)
+                        delta_plus=0.03, grid_size=size)
+    return calls, shapes, stages
+
+
+def test_one_decomposition_per_solve(monkeypatch):
+    # the benchmark's l2-cohom workload, solved on a 32 x 32 grid: its beta
+    # is the same at every point
+    calls, shapes, stages = solve_with_spies(
+        monkeypatch, l2_nonzero_beta_problem, 32)
     # the check and nu_max; L3's zero modes
     assert (calls["eigvalsh"], calls["eigh"]) == (2, 1)
-    assert len(stages) == 5                  # four L2 solves and one L3
-    # one solve per k != 0 slot, and the counter-term system
-    assert calls["solve"] == sum(stages) + 1
+    # four L2 solves (n = 4) and one L3 (n = 10)
+    assert [n for _, n, _ in stages] == [4, 4, 4, 10, 4]
+    assert sum(count for count, _, _ in stages) == 8
+    # one (n, n) matrix per k != 0 slot
+    for count, n, solved in stages:
+        assert solved == [(n, n)] * count
+    assert shapes == [(32 * 32, 5, 5)]        # the counter-term system
+
+
+def test_varying_beta_solves_entry_by_entry(monkeypatch):
+    # beta depends on phi: every slot solve takes the (B, n, n) stack
+    _, shapes, stages = solve_with_spies(
+        monkeypatch, l2_varying_tuple_problem, 16)
+    assert shapes == [(16 * 16, 5, 5)]
+    assert sum(count for count, _, _ in stages) > 0
+    for count, n, solved in stages:
+        assert solved == [(16 * 16, n, n)] * count
+
+
+# -- one factorization per slot for a stack of equal matrices --
+
+SLOT_WITNESS = effective_diophantine_constant([GOLDEN], 0.5, 2)
+
+
+def shifted_inputs(n, nb, scale, seed):
+    """(plan, slots, b, C) for _solve_modes on d = l = 1: four slots at
+    k = 1, -2, 0, 2, right-hand sides of size scale and a stack of nb copies
+    of one real n x n matrix."""
+    plan = smalldiv._plan(Grading(d=1, l=1, K_q=2, K_phi=1, D=3))
+    ik = np.array([plan.K.index[(k,)] for k in (1, -2, 0, 2)])
+    slots = plan.code(np.zeros(4, dtype=int), ik, np.zeros(4, dtype=int))
+    rng = np.random.default_rng(seed)
+    C = np.broadcast_to(rng.normal(size=(n, n)), (nb, n, n)).copy()
+    b = scale * (rng.normal(size=(4, nb, n)) + 1j * rng.normal(size=(4, nb, n)))
+    return plan, slots, b, C
+
+
+def per_entry(plan, slots, b, C):
+    """The per-entry solve: each k != 0 row of b by the stack
+    C + i<omega, k> I, one system per entry."""
+    out = b.copy()
+    for n, ik in enumerate(plan.split(slots)[1]):
+        if plan.K.norm[ik]:
+            dot = float(np.dot(SLOT_WITNESS.omega, plan.K.keys[ik]))
+            M = C + 1j * dot * np.eye(C.shape[-1])
+            out[n] = np.linalg.solve(M, out[n][..., None])[..., 0]
+    return out
+
+
+def solved_shapes(monkeypatch, *args):
+    """(_solve_modes' result on args, the shapes of the matrices it handed
+    np.linalg.solve)."""
+    shapes, solve = [], np.linalg.solve
+
+    def spy(a, *rest):
+        shapes.append(np.shape(a))
+        return solve(a, *rest)
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    return smalldiv._solve_modes(SLOT_WITNESS, *args, "L2"), shapes
+
+
+class TestOneFactorizationPerSlot:
+    """The byte equality rests on LAPACK's many-right-hand-side solve
+    repeating the rounding of the single solves, as it does on OpenBLAS
+    0.3.31 (Haswell kernels), like tests/test_tiled_kernels.py's."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3, 4, 6, 10, 21]),
+           st.sampled_from([1, 2, 25, 1024]), st.floats(-20, 0),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_entry_solve(self, n, nb, log_scale, seed):
+        plan, slots, b, C = shifted_inputs(n, nb, 10.0 ** log_scale, seed)
+        want = per_entry(plan, slots, b, C)
+        got = smalldiv._solve_modes(SLOT_WITNESS, plan, slots, b.copy(), C,
+                                    "L2")
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_matrix_per_slot(self, monkeypatch):
+        plan, slots, b, C = shifted_inputs(4, 25, 1.0, 3)
+        want = per_entry(plan, slots, b, C)
+        got, shapes = solved_shapes(monkeypatch, plan, slots, b, C)
+        assert shapes == [(4, 4)] * 3
+        assert got.tobytes() == want.tobytes()
+
+    def test_entry_one_ulp_off_solves_entry_by_entry(self, monkeypatch):
+        plan, slots, b, C = shifted_inputs(4, 25, 1.0, 3)
+        C[17, 2, 1] = np.nextafter(C[17, 2, 1], np.inf)
+        want = per_entry(plan, slots, b, C)
+        got, shapes = solved_shapes(monkeypatch, plan, slots, b, C)
+        assert shapes == [(25, 4, 4)] * 3
+        assert got.tobytes() == want.tobytes()
+
+    def test_singular_equal_stack_names_entry_0(self):
+        # beta = 0.09 makes L3's system singular at k = +-1 (TestSingularL3):
+        # a stack of three such betas fails as the per-entry solve of a
+        # stack whose entry 0 is singular does
+        _, _, d3 = many_slot_inputs()
+        errors = []
+        for beta in (np.full((3, 1, 1), 0.09),
+                     np.array([[[0.09]], [[0.01]], [[-0.2]]])):
+            with pytest.raises(SolverPreconditionError) as err:
+                solve_L3(*d3, beta, TestSingularL3.WITNESS)
+            errors.append((str(err.value), err.value.entry))
+        assert errors[0] == errors[1] == (
+            "L3: singular shifted system at k=(-1,) (stack entry 0)", 0)
 
 
 def many_slot_inputs():
