@@ -230,7 +230,7 @@ def kam_step(state, row, witness, N0):
     measures["tracker_next_mean_c2"] = new_state.norms["tracker_mean_c2"] = \
         tracker_mean_norm(new_state.phi_x(), gr)
     measures["alpha_step_c2"] = phi_c2_norm(sol.alpha)
-    measures["v_c2"] = phi_c2_norm(sol.v) if gr.d else 0.0
+    measures["v_c2"] = phi_c2_norm(sol.v)
     measures["nbar_norm"] = normal_form_norm(sol.Nbar)
     measures["sqrt_eps"] = math.sqrt(eps)
     misses = postcondition_misses(measures)

@@ -27,7 +27,9 @@ def find_vanishing_point(zeta, alpha, beta):
 
     Ties on the grid break toward the smallest row-major (lexicographic)
     coordinate; the refinement runs at most 200 Newton steps on the gradient
-    with a safeguarded step size down to gradient norm <= 1e-12.
+    with a safeguarded step size down to gradient norm <= 1e-12.  info
+    holds the final gradient norm, zeta's grid values, and the values of
+    the counter terms alpha and of nu_max(beta) at phi0.
     """
     l = zeta.grading.l
     grid = phi_grid(l, phi_grid_size(zeta.grading.K_phi))
@@ -70,12 +72,10 @@ def find_vanishing_point(zeta, alpha, beta):
             g = gradient(phi)
     phi = np.mod(phi, 2 * math.pi)
     info = {"grad_norm": float(np.linalg.norm(gradient(phi))),
-            "zeta_values": vals}
-    if alpha is not None:
-        info["alpha_at_phi0"] = np.array(
-            [eval_phi_series(a, phi[None, :])[0].real for a in alpha])
-    if beta is not None:
-        info["nu_max_at_phi0"] = float(nu_max_profile(beta, phi)[0])
+            "zeta_values": vals,
+            "alpha_at_phi0": np.array(
+                [eval_phi_series(a, phi[None, :])[0].real for a in alpha]),
+            "nu_max_at_phi0": float(nu_max_profile(beta, phi)[0])}
     return phi, info
 
 

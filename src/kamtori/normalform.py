@@ -35,18 +35,17 @@ def eval_phi_series(f, grid):
     return _phi_values([f], grid)[0]
 
 
-def majorant_on_grid(f, grid, r=None, s=None):
+def majorant_on_grid(f, grid):
     """Majorant of the (q, z)-series obtained by freezing the parameter, at
     every grid point (array)."""
-    r = f.r if r is None else r
-    s = f.s if s is None else s
     grid = np.asarray(grid, dtype=float).reshape(-1, f.grading.l)
     codes, sums = _phi_sums(f, grid)
     plan = _plan(f.grading)
     total = np.zeros(len(grid))
     for code, c in zip(codes.tolist(), sums):
         k, t = divmod(code, plan.NT)
-        weight = math.exp(_l1(plan.K.keys[k]) * r) * s ** _l1(plan.T.keys[t])
+        weight = math.exp(_l1(plan.K.keys[k]) * f.r) \
+            * f.s ** _l1(plan.T.keys[t])
         total += np.abs(c) * weight
     return total
 
@@ -206,18 +205,17 @@ class NormalFormTuple:
         return self._walk(self.w - other.w, operator.sub, other)
 
 
-def initial_tuple(grading, r, s, omega, M0, h=None, Q0=None):
+def initial_tuple(grading, r, s, omega, M0, h=None):
     """The starting tuple (omega, 0, 0, 0, M0, I_l, 0, h)."""
     gr = grading
     h = h if h is not None else FTSeries.zero(gr, r, s)
-    Q0 = np.eye(gr.l) if Q0 is None else np.asarray(Q0, dtype=float)
     return NormalFormTuple(
         w=np.asarray(omega, dtype=float),
         c=FTSeries.zero(gr, r, s),
         beta=const_matrix(gr, r, s, np.zeros((gr.l, gr.l))),
         Gamma=const_matrix(gr, r, s, np.zeros((gr.l, gr.d))),
         M=const_matrix(gr, r, s, M0),
-        Q=const_matrix(gr, r, s, Q0),
+        Q=const_matrix(gr, r, s, np.eye(gr.l)),
         g=FTSeries.zero(gr, r, s),
         h=h)
 
@@ -314,23 +312,21 @@ def bump_psi(profile_grid, nu_values, t1, t2, grading, r, s, tol=1e-6):
 # -- norms -------------------------------------------------------------------------
 
 
-def _mat_c2(mat, r):
-    return max(ck_norm_estimate(e, 2, 0, r, None) for row in mat for e in row)
+def _mat_c2(mat):
+    return max(ck_norm_estimate(e, 2, 0) for row in mat for e in row)
 
 
-def normal_form_norm(N, r=None, s=None):
-    """max of the eight component norms (C^2 in phi for the matrix parts)."""
-    r = N.c.r if r is None else r
-    s = N.c.s if s is None else s
+def normal_form_norm(N):
+    """max of the eight component norms (C^2 in phi for the matrix parts),
+    on N's radii (re-tag N with with_radii to take it on smaller ones)."""
     comps = [float(np.linalg.norm(N.w)),
-             ck_norm_estimate(N.c, 2, 0, r, s),
-             _mat_c2(N.beta, r), _mat_c2(N.Gamma, r), _mat_c2(N.M, r),
-             _mat_c2(N.Q, r),
-             ck_norm_estimate(N.g, 2, 2, r, s),
-             ck_norm_estimate(N.h, 2, 2, r, s)]
+             ck_norm_estimate(N.c, 2, 0),
+             _mat_c2(N.beta), _mat_c2(N.Gamma), _mat_c2(N.M), _mat_c2(N.Q),
+             ck_norm_estimate(N.g, 2, 2),
+             ck_norm_estimate(N.h, 2, 2)]
     return max(comps)
 
 
-def normal_form_distance(N1, N2, r=None):
-    return normal_form_norm(N1 - N2, r)
+def normal_form_distance(N1, N2):
+    return normal_form_norm(N1 - N2)
 

@@ -20,8 +20,9 @@ A coefficient may also be a length-B complex array: the series then stands
 for B series with one shared key set (one per parameter grid point in the
 cohomological solve), and the coefficients form an (n, B) array.  The
 coefficient-wise operations carry them as they are; the reductions (pruning,
-``max_abs_coeff``, ``majorant_norm``) act per entry, and ``trunc_loss``
-bounds the loss of every entry.
+``max_abs_coeff``, ``majorant_norm``) act per entry.  The prunes and
+products of batched series form no loss: the grid solve is judged by its
+measured residual, so what they drop is never accounted.
 """
 
 import functools
@@ -224,6 +225,8 @@ class FTSeries:
 
     ij, ik, it index the terms' j, k and a in the grading's balls, in slot
     order; coef holds their coefficients, shape (n,) or (n, B) if batched.
+    trunc_loss bounds the majorant of the terms dropped in forming the
+    series; the ring's prunes and products add none for a batched one.
     A dict of terms is checked against the grading (terms outside it go to
     trunc_loss) and pruned, unless _raw, which takes it as it is."""
 
@@ -549,11 +552,12 @@ _NEG_ZERO = complex(-0.0, -0.0)
 def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
                   shared=False, zero=0j):
     """The prune floors on a series' arrays: an entry at or below
-    max(floor, REL_PRUNE x its largest) is dropped and its majorant added to
-    the loss (each entry of a batched series against its own floor, set to
-    zero in a row that keeps others, once an entry with a nonzero majorant
-    is dropped).  Returns (rows kept, coefficients, loss): the rows are None
-    when no row is dropped.  The coefficients are coef itself, its entries
+    max(floor, REL_PRUNE x its largest) is dropped (each entry of a batched
+    series against its own floor, set to zero in a row that keeps others,
+    once an entry with a nonzero modulus is dropped).  Returns (rows kept,
+    coefficients, loss): the rows are None when no row is dropped, and the
+    loss is the majorant of the dropped terms of an unbatched series (0.0
+    for a batched one).  The coefficients are coef itself, its entries
     zeroed in place, unless coef is shared (an array that a series or the
     caller still reads), which is copied only if an entry is zeroed.  A NaN
     entry is never dropped."""
@@ -562,21 +566,18 @@ def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
     if not dead.any():
         return None, coef, 0.0
     lost = dead & (mag > 0.0)
-    rows = np.flatnonzero(lost.any(axis=1) if coef.ndim == 2 else lost)
-    loss = 0.0
-    if len(rows):
-        w = plan.weight(ij[rows], ik[rows], it[rows], r, s)
-        if coef.ndim == 2:
-            pruned = np.where(dead[rows], mag[rows], 0.0)
-            loss = float(np.max((pruned.T * w).sum(axis=-1)))
+    if coef.ndim == 2:
+        if lost.any():
             if shared:
                 coef = np.where(dead, zero, coef)
             else:
                 coef[dead] = zero
-        else:
-            loss = float((mag[rows] * w).sum())
-    gone = dead.all(axis=1) if coef.ndim == 2 else dead
-    return ~gone if gone.any() else None, coef, loss
+        gone = dead.all(axis=1)
+        return ~gone if gone.any() else None, coef, 0.0
+    rows = np.flatnonzero(lost)
+    loss = float((mag[rows] * plan.weight(ij[rows], ik[rows], it[rows], r, s))
+                 .sum()) if len(rows) else 0.0
+    return ~dead, coef, loss
 
 
 class _Partial:
@@ -638,7 +639,8 @@ def multiply(f, g):
 
     - the pair kernel: every pair of terms finds its output slot in the
       grading's sum tables; pairs outside the grading add their majorant to
-      trunc_loss, the rest accumulate per slot;
+      trunc_loss (unless an operand is batched), the rest accumulate per
+      slot;
     - the block kernel (``_block_product``): each operand is a dense block
       of its distinct (j, k) modes x its distinct Taylor indices; the
       Fourier convolution is one matrix product of the operand with fewer
@@ -769,9 +771,9 @@ def _products(f, g, halves, parts, signs=None):
     """The kernel's parts of f and g for halves (``_kernel``), each as
     (ij, ik, it, coef, trunc_loss) of a series pruned against its own
     largest entries, with the operands' trunc_loss carried through its
-    scale.  Each part is pruned in the kernel's own array; the pruned
-    entries of a part that _merge will subtract (sign -1 in signs) take
-    _NEG_ZERO."""
+    scale (a part of batched operands carries none: ``_prune_arrays``).
+    Each part is pruned in the kernel's own array; the pruned entries of a
+    part that _merge will subtract (sign -1 in signs) take _NEG_ZERO."""
     plan = _plan(f.grading)
     losses = [0.0] * len(halves)
     if f.trunc_loss or g.trunc_loss:
@@ -817,10 +819,10 @@ def _pair_product(plan, f, g, halves, losses=True):
     """The products d_a f d_b g over every pair of terms of d_a f and d_b g
     (``_kept``), for each (a, b) in halves: (output slots in order, their
     accumulated coefficients, majorant of the out-of-grading pairs, or None
-    unless losses).  A batched product sums its pairs per slot in slot
-    order (``_run_sums``: in chunks of whole runs of at most
-    BLOCK_TILE_BYTES of products once they exceed it); an unbatched one
-    bins them."""
+    unless losses; 0.0 if an operand is batched).  A batched product sums
+    its pairs per slot in slot order (``_run_sums``: in chunks of whole runs
+    of at most BLOCK_TILE_BYTES of products once they exceed it); an
+    unbatched one bins them."""
     js, ks, ts = plan.slots
     out = []
     for a, b in halves:
@@ -833,11 +835,12 @@ def _pair_product(plan, f, g, halves, losses=True):
         slot += ks[fk].take(gk, axis=1)
         slot += ts[ft].take(gt, axis=1)
         outside = slot < 0
+        batched = fc.ndim == 2 or gc.ndim == 2
         loss = None
         if losses:
             loss = _pair_loss(plan, f.r, f.s, fd, gd, outside) \
-                if outside.any() else 0.0
-        if fc.ndim == 2 or gc.ndim == 2:
+                if not batched and outside.any() else 0.0
+        if batched:
             # the in-grading pairs in slot order; pairs sharing a slot are summed
             pairs = np.flatnonzero(~outside.ravel())
             pairs = pairs[np.argsort(slot.ravel()[pairs], kind="stable")]
@@ -889,19 +892,18 @@ def _run_sums(fc, gc, pf, pg, first):
 
 
 def _pair_loss(plan, r, s, fd, gd, outside):
-    """The pair kernel's majorant of the out-of-grading pairs of the terms
-    fd and gd (``_kept`` arrays): the sum over the pairs marked outside of
-    |c_a| |c_b| e^{(|j|+|k|) r} s^deg (the largest over the entries of a
-    batched series)."""
+    """The pair kernel's majorant of the out-of-grading pairs of the
+    unbatched terms fd and gd (``_kept`` arrays): the sum over the pairs
+    marked outside of |c_a| |c_b| e^{(|j|+|k|) r} s^deg."""
     (fj, fk, ft, fc), (gj, gk, gt, gc) = fd, gd
     J, K, T = plan.J, plan.K, plan.T
     exp_r, pow_s = plan.powers(r, s)
     w = exp_r[J.sums[1]][fj].take(gj, axis=1)
     w *= exp_r[K.sums[1]][fk].take(gk, axis=1)
     w *= outside
-    mf = np.abs(fc).reshape(len(fc), -1) * pow_s[T.norm[ft], None]
-    mg = np.abs(gc).reshape(len(gc), -1) * pow_s[T.norm[gt], None]
-    return float(np.max((mf * (w @ mg)).sum(axis=0)))
+    mf = np.abs(fc)[:, None] * pow_s[T.norm[ft], None]
+    mg = np.abs(gc)[:, None] * pow_s[T.norm[gt], None]
+    return float((mf * (w @ mg)).sum(axis=0)[0])
 
 
 def _starts(v):
@@ -1108,13 +1110,9 @@ def _block_loss(plan, layout, sides, r, s):
     return [float(x) for x in loss]
 
 
-def ft_sum(grading, r, s, parts, scales=None):
+def ft_sum(grading, r, s, parts):
     """Sum many series in one merge (avoids quadratic re-copying)."""
-    pairs = [(p, w) for p, w in zip(parts, itertools.repeat(1.0)
-                                    if scales is None else scales) if w != 0.0]
-    return _merge(grading, r, s, [(p.ij, p.ik, p.it, p.coef * w if w != 1.0
-                                   else p.coef) for p, w in pairs],
-                  sum(p.trunc_loss * abs(w) for p, w in pairs))
+    return _merge(grading, r, s, parts, sum(p.trunc_loss for p in parts))
 
 
 def differentiate(f, var):

@@ -128,7 +128,6 @@ def effective_diophantine_constant(omega, tau, K):
     norm_w = float(np.linalg.norm(omega))
     gamma = math.inf
     worst = None
-    resonant = False
     for k in _modes_up_to(d, K):
         dot = abs(float(np.dot(omega, k)))
         l1 = sum(abs(v) for v in k)
@@ -137,7 +136,7 @@ def effective_diophantine_constant(omega, tau, K):
         val = dot * l1 ** (d + tau)
         if val < gamma:
             gamma, worst = val, k
-    return DiophantineWitness(omega, gamma, tau, K, resonant=resonant, worst_k=worst)
+    return DiophantineWitness(omega, gamma, tau, K, worst_k=worst)
 
 
 def _divisor(witness, k):

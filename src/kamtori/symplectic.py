@@ -57,10 +57,10 @@ def vector_field(H):
 class GeneratingFunction:
     """Pair (F, v) defining the affine-Hamiltonian time-1 map of F + <v, q>.
 
-    v is a list of d phi-only series (or None for v = 0)."""
+    v is a list of d phi-only series."""
 
     F: FTSeries
-    v: list = None
+    v: list
 
     @property
     def grading(self):
@@ -69,10 +69,9 @@ class GeneratingFunction:
     def bracket_with(self, g):
         """{g, F + v.q} = {g, F} - sum_i v_i d_{p_i} g."""
         out = poisson_bracket(g, self.F)
-        if self.v is not None:
-            for i in range(self.grading.d):
-                if not self.v[i].is_zero():
-                    out = out - multiply(self.v[i], differentiate(g, ("p", i)))
+        for i in range(self.grading.d):
+            if not self.v[i].is_zero():
+                out = out - multiply(self.v[i], differentiate(g, ("p", i)))
         return out
 
     def bracket_bound(self, g):
@@ -93,22 +92,17 @@ class GeneratingFunction:
         gr = self.grading
         pairs = _bracket_pairs(gr)
         ds = [a for a, _ in pairs]
+        ds += [_partial(gr, ("p", i)) for i in range(gr.d)]
         factors = _majorants(_plan(gr), self.F, [b for _, b in pairs])
-        if self.v is not None:
-            ds += [_partial(gr, ("p", i)) for i in range(gr.d)]
-            factors += [majorant_norm(vi) for vi in self.v]
+        factors += [majorant_norm(vi) for vi in self.v]
         return ds, factors
 
     def scale_estimate(self):
-        m = majorant_norm(self.F)
-        if self.v is not None:
-            m = m + sum(majorant_norm(vi) for vi in self.v)
-        return m
+        return majorant_norm(self.F) + sum(majorant_norm(vi) for vi in self.v)
 
     def with_radii(self, r, s):
-        return GeneratingFunction(
-            self.F.with_radii(r, s),
-            None if self.v is None else [vi.with_radii(r, s) for vi in self.v])
+        return GeneratingFunction(self.F.with_radii(r, s),
+                                  [vi.with_radii(r, s) for vi in self.v])
 
 
 def _power_sum(total, term, step, bound, tol, cap, what, weight=None,
@@ -313,7 +307,7 @@ def map_from_generator(gen, order_cap=DEFAULT_ORDER_CAP, tol=None):
     def flow_disp(kind, i):
         nonlocal rem
         first = _base_bracket_with(kind, i, gen.F)
-        if kind == "p" and gen.v is not None and not gen.v[i].is_zero():
+        if kind == "p" and not gen.v[i].is_zero():
             first = first - gen.v[i]
         if first.is_zero():
             return zero.copy()
@@ -409,7 +403,6 @@ class _Substituter:
         gr = self.gr
         plan = _plan(gr)
         pieces = []
-        loss = f.trunc_loss
         # slot order: the (j, k, a) order, as the balls are lexicographic
         for ij, ik, it, c in zip(f.ij.tolist(), f.ik.tolist(), f.it.tolist(),
                                  f.coef.tolist()):
@@ -421,10 +414,9 @@ class _Substituter:
             for var, n in zip(coordinates(gr)[gr.d:], plan.T.keys[it]):
                 if n:
                     piece = multiply(piece, self._var_power(var, n))
-            loss += piece.trunc_loss
             pieces.append(piece)
         out = ft_sum(gr, self.r, self.s, pieces)
-        out.trunc_loss = loss
+        out.trunc_loss += f.trunc_loss
         return out
 
 

@@ -31,4 +31,5 @@ def poisson_bracket(g, h):
     """{g, h} over both symplectic pairs (q, p) and (x, y)."""
     g._check_compat(h)
     parts, scales = halves(g, h)
-    return ft_sum(g.grading, g.r, g.s, parts, scales)
+    return ft_sum(g.grading, g.r, g.s,
+                  [p if w > 0 else -p for p, w in zip(parts, scales)])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from kamtori.series import FTSeries, Grading, from_json_dict, to_json_dict
+from kamtori.symplectic import GeneratingFunction
 
 # every run draws the same examples: no example database, no per-example
 # deadline (a first call may build a grading's tables)
@@ -47,6 +48,12 @@ def random_real_series(grading, r, s, rng, n_modes=6, max_k=3, max_phi=2,
         terms[key] = terms.get(key, 0.0) + c
         terms[mirror] = terms.get(mirror, 0.0) + np.conj(c)
     return FTSeries(grading, r, s, terms)
+
+
+def drift_free(F):
+    """The generator F + <v, q> with v = 0: d zero series on F's radii."""
+    return GeneratingFunction(
+        F, [FTSeries.zero(F.grading, F.r, F.s) for _ in range(F.grading.d)])
 
 
 def dumps(f):

@@ -1,11 +1,12 @@
 """The dict-backed Fourier-Taylor ring that kamtori.series replaced, kept
 as the oracle of tests/test_slot_storage.py: each series holds a dict
 {(j, k, a): c}, sums are Python merge loops and ck_norm_estimate sums the
-majorants of a recursive tree of derivatives.  Two changes: taylor_split's
+majorants of a recursive tree of derivatives.  Three changes: taylor_split's
 remainder carries f's trunc_loss, as kamtori.series's does, so a split and
-its reassembly keep the truncation bound; and the FTSeries methods that no
-test calls (the mode-pair constructors, copy, with_radii, the queries and
-the reflected operators) are left out.
+its reassembly keep the truncation bound; a batched prune or product forms
+no loss, as kamtori.series's do; and the FTSeries methods that no test
+calls (the mode-pair constructors, copy, with_radii, the queries, the
+reflected operators and ft_sum's scales) are left out.
 
 Sparse Fourier-Taylor series on T^l_param x T^d x B^l x B^d x B^l.
 
@@ -28,7 +29,7 @@ A coefficient may also be a length-B complex array: the series then stands
 for B series with one shared key set (one per parameter grid point in the
 cohomological solve).  The coefficient-wise operations carry arrays as
 they are; the reductions (pruning, ``majorant_norm``) act per entry, and
-``trunc_loss`` bounds the loss of every entry.
+the prunes and products of batched series form no loss.
 """
 
 import functools
@@ -329,10 +330,11 @@ def _from_arrays(f, keys, arrays, trunc_loss):
 def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
                   rel=REL_PRUNE):
     """The prune floors on a series' arrays: an entry at or below
-    max(floor, rel x its largest) is dropped and its majorant added to the
-    loss (each entry of a batched series against its own floor, zeroed in a
-    row that keeps others).  Returns (rows kept, coefficients, loss); the
-    coefficients are coef itself when no entry was zeroed."""
+    max(floor, rel x its largest) is dropped and, for an unbatched series,
+    its majorant added to the loss (each entry of a batched series against
+    its own floor, zeroed in a row that keeps others).  Returns (rows kept,
+    coefficients, loss); the coefficients are coef itself when no entry was
+    zeroed."""
     mag = np.abs(coef)
     dead = mag <= np.maximum(floor, rel * mag.max(axis=0, initial=0.0))
     if not dead.any():
@@ -340,12 +342,11 @@ def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
     lost = dead & (mag > 0.0)
     rows = np.flatnonzero(lost.any(axis=1) if coef.ndim == 2 else lost)
     loss = 0.0
-    if len(rows):
-        w = plan.weight(ij[rows], ik[rows], it[rows], r, s)
-        pruned = np.where(dead[rows], mag[rows], 0.0)
-        loss = float(np.max((pruned.T * w).sum(axis=-1)))
-        if coef.ndim == 2:
-            coef = np.where(dead, 0.0, coef)
+    if len(rows) and coef.ndim == 2:
+        coef = np.where(dead, 0.0, coef)
+    elif len(rows):
+        loss = float((mag[rows] * plan.weight(ij[rows], ik[rows], it[rows],
+                                              r, s)).sum())
     return ~(dead.all(axis=1) if coef.ndim == 2 else dead), coef, loss
 
 
@@ -374,15 +375,15 @@ def multiply(f, g):
     slot += ks[fk].take(gk, axis=1)
     slot += ts[ft].take(gt, axis=1)
     out = slot < 0
-    if out.any():
+    batched = fc.ndim == 2 or gc.ndim == 2
+    if out.any() and not batched:
         # sum over out-of-grading pairs of |c_a| |c_b| e^{(|j|+|k|) r} s^deg
         w = np.exp(J.sums[1] * f.r)[fj].take(gj, axis=1)
         w *= np.exp(K.sums[1] * f.r)[fk].take(gk, axis=1)
         w *= out
         mf = np.abs(fc).reshape(len(fc), -1) * f.s ** T.norm[ft, None].astype(float)
         mg = np.abs(gc).reshape(len(gc), -1) * f.s ** T.norm[gt, None].astype(float)
-        loss += float(np.max((mf * (w @ mg)).sum(axis=0)))  # per entry if batched
-    batched = fc.ndim == 2 or gc.ndim == 2
+        loss += float(np.max((mf * (w @ mg)).sum(axis=0)))
     if batched:
         # the in-grading pairs in slot order; pairs sharing a slot are summed
         pairs = np.flatnonzero(~out.ravel())
@@ -414,17 +415,14 @@ def multiply(f, g):
     return _from_arrays(f, keys, arrays, loss + pruned)
 
 
-def ft_sum(grading, r, s, parts, scales=None):
+def ft_sum(grading, r, s, parts):
     """Sum many series into one pass (avoids quadratic re-copying)."""
     acc, loss = {}, 0.0
-    for p, w in zip(parts, itertools.repeat(1.0) if scales is None else scales):
-        if w == 0.0:
-            continue
-        loss += p.trunc_loss * abs(w)
+    for p in parts:
+        loss += p.trunc_loss
         for key, c in p.terms.items():
             cur = acc.get(key)
-            v = c * w
-            acc[key] = v if cur is None else cur + v
+            acc[key] = c if cur is None else cur + c
     new = FTSeries(grading, r, s, acc, loss, _raw=True)
     new._prune()
     return new

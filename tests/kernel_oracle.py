@@ -6,12 +6,12 @@ products of all its sorted pairs as one (pairs, B) array.
 Kept as the test oracle of ``kamtori.series._block_product`` and of the
 batched branch of ``kamtori.series._pair_product`` (its unbatched branch,
 which bins the pairs, is unchanged): the tiled kernels must return the same
-slots, coefficients and losses, bit for bit."""
+slots, coefficients and losses, bit for bit.  A batched product forms no
+loss: its loss is 0.0 (None without losses)."""
 
 import numpy as np
 
-from kamtori.series import (_EMPTY, _NONE, _block_loss, _kept, _pair_loss,
-                            _starts)
+from kamtori.series import _EMPTY, _NONE, _block_loss, _kept, _starts
 
 
 def block_product(plan, layout, halves, r, s, losses=True):
@@ -81,10 +81,7 @@ def pair_product(plan, f, g, halves, losses=True):
         slot += ks[fk].take(gk, axis=1)
         slot += ts[ft].take(gt, axis=1)
         outside = slot < 0
-        loss = None
-        if losses:
-            loss = _pair_loss(plan, f.r, f.s, fd, gd, outside) \
-                if outside.any() else 0.0
+        loss = 0.0 if losses else None
         assert fc.ndim == 2 or gc.ndim == 2, "the oracle of batched products"
         pairs = np.flatnonzero(~outside.ravel())
         pairs = pairs[np.argsort(slot.ravel()[pairs], kind="stable")]

@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kamtori.engine.cohom as cohom
+import kamtori.series as ring
 from kamtori.series import (FTSeries, Grading, differentiate, majorant_norm,
                             multiply, taylor_split)
 from kamtori.smalldiv import effective_diophantine_constant, solve_L1, solve_L2
 from kamtori.symplectic import poisson_bracket
 from conftest import GOLDEN
+from output_digest import workloads
 
 GR = Grading(d=1, l=2, K_q=3, K_phi=2, D=3)
 NB = 3
@@ -189,8 +192,52 @@ def test_prune_per_entry(keys, data):
     assert_entries(f, plain)
     for key, c in f.terms.items():
         assert c.any()
-    assert f.trunc_loss == pytest.approx(max(p.trunc_loss for p in plain),
-                                         rel=1e-12)
+    assert f.trunc_loss == 0.0   # a batched prune forms no loss
+
+
+def test_batched_series_form_no_loss():
+    # a prune that drops entry 0 of one term, and a product and a bracket
+    # whose pairs of modes all sum past K_q = 3: the batched results carry
+    # no loss, while the plain series of each entry that drops terms does
+    z, k = (0, 0), (2,)
+    x1, p, y1 = (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0)
+    terms = {(z, k, x1): np.array([1e-20, 1.0, 2.0]),
+             (z, k, p): np.array([3.0, 1.0, 1.0])}
+    pruned = FTSeries(GR, 1.0, 1.0, terms)
+    assert pruned.terms[z, k, x1][0] == 0.0 and pruned.trunc_loss == 0.0
+    assert FTSeries(GR, 1.0, 1.0, {key: c[0] for key, c in terms.items()}
+                    ).trunc_loss > 0.0
+    f = FTSeries(GR, 1.0, 1.0, terms, _raw=True)
+    g = FTSeries(GR, 1.0, 1.0, {(z, k, y1): np.array([1.0, 2.0, 1j])},
+                 _raw=True)
+    for op in (multiply, poisson_bracket):
+        out = op(f, g)
+        assert out.is_zero() and out.trunc_loss == 0.0
+        for b in range(NB):
+            assert op(entry(f, b), entry(g, b)).trunc_loss > 0.0
+
+
+def test_l2_cohom_forms_no_batched_pair_loss(monkeypatch):
+    # the grid solve's products run on batched series and form no loss;
+    # the plain products after the projection still do
+    seen = []
+
+    def spy(plan, r, s, fd, gd, outside, _real=ring._pair_loss):
+        seen.append((fd[3].ndim, gd[3].ndim))
+        return _real(plan, r, s, fd, gd, outside)
+    monkeypatch.setattr(ring, "_pair_loss", spy)
+    solved = []
+
+    def grid_solve(*args, _real=cohom._grid_solve):
+        solved.append(_real(*args))
+        return solved[-1]
+    monkeypatch.setattr(cohom, "_grid_solve", grid_solve)
+    wl = workloads.L2Cohom()
+    wl.solve(wl.setup(101, None))
+    assert seen and set(seen) == {(1, 1)}
+    res, = solved
+    assert res["F"].coef.ndim == res["hbar"].coef.ndim == 2
+    assert res["F"].trunc_loss == res["hbar"].trunc_loss == 0.0
 
 
 @settings(max_examples=15, deadline=None)

@@ -713,18 +713,28 @@ class TestVanishingPoint:
     def mk_zeta(self, gr, terms):
         return FTSeries(gr, 1, 1, terms, _raw=True)
 
+    def find(self, zeta):
+        """find_vanishing_point as find_torus calls it, with alpha = grad
+        zeta and the starting tuple's beta = 0."""
+        gr = zeta.grading
+        alpha = [differentiate(zeta, ("phi", i)) for i in range(gr.l)]
+        beta = const_matrix(gr, zeta.r, zeta.s, np.zeros((gr.l, gr.l)))
+        return find_vanishing_point(zeta, alpha, beta)
+
     def test_cosine_max_at_zero(self):
         gr = small_grading()
         zeta = self.mk_zeta(gr, {((1,), (0,), (0, 0, 0)): 0.5 * EPS,
                                  ((-1,), (0,), (0, 0, 0)): 0.5 * EPS})
-        phi0, info = find_vanishing_point(zeta, None, None)
+        phi0, info = self.find(zeta)
         assert min(phi0[0], 2 * math.pi - phi0[0]) < 1e-9
         assert info["grad_norm"] <= 1e-12
+        assert abs(info["alpha_at_phi0"][0]) <= 1e-12
+        assert info["nu_max_at_phi0"] == 0.0
 
     def test_constant_returns_origin(self):
         gr = small_grading()
         zeta = self.mk_zeta(gr, {((0,), (0,), (0, 0, 0)): 1.0})
-        phi0, info = find_vanishing_point(zeta, None, None)
+        phi0, info = self.find(zeta)
         assert phi0[0] == 0.0
 
     def test_tie_breaks_lexicographic(self):
@@ -732,7 +742,7 @@ class TestVanishingPoint:
         # cos(2 phi): equal maxima at 0 and pi; the grid tie-break picks 0
         zeta = self.mk_zeta(gr, {((2,), (0,), (0, 0, 0)): 0.5,
                                  ((-2,), (0,), (0, 0, 0)): 0.5})
-        phi0, info = find_vanishing_point(zeta, None, None)
+        phi0, info = self.find(zeta)
         assert phi0[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_argmax_invariance(self):
@@ -742,13 +752,13 @@ class TestVanishingPoint:
                 ((2,), (0,), (0, 0, 0)): 0.05,
                 ((-2,), (0,), (0, 0, 0)): 0.05}
         z1 = self.mk_zeta(gr, dict(base))
-        phi_a, _ = find_vanishing_point(z1, None, None)
+        phi_a, _ = self.find(z1)
         shifted = dict(base)
         shifted[((0,), (0,), (0, 0, 0))] = 7.0
         z2 = self.mk_zeta(gr, shifted)
-        phi_b, _ = find_vanishing_point(z2, None, None)
+        phi_b, _ = self.find(z2)
         z3 = z1.scale(3.0)
-        phi_c, _ = find_vanishing_point(z3, None, None)
+        phi_c, _ = self.find(z3)
         assert phi_a[0] == pytest.approx(phi_b[0], abs=1e-10)
         assert phi_a[0] == pytest.approx(phi_c[0], abs=1e-10)
 
@@ -757,7 +767,7 @@ class TestVanishingPoint:
         # K_phi = 16, the CLI default: phi_grid_size is 65, not 4 K_phi
         gr = Grading(d=1, l=l, K_q=1, K_phi=16, D=3)
         zeta = FTSeries.cos_angle(gr, 1, 1, (1,) + (0,) * (l - 1), (0,))
-        _phi0, info = find_vanishing_point(zeta, None, None)
+        _phi0, info = self.find(zeta)
         assert len(info["zeta_values"]) == phi_grid_size(16) ** l == 65 ** l
 
 

@@ -115,7 +115,7 @@ def test_a_one_part_sum_that_prunes_copies_the_operand():
     for out in (f + FTSeries.zero(GR, 1.0, 1.0), ft_sum(GR, 1.0, 1.0, [f]),
                 _merge(GR, 1.0, 1.0, [f], 0.0)):
         assert out.coef[1, 0] == 0.0 and out.coef is not f.coef
-        assert out.trunc_loss > 0.0
+        assert out.trunc_loss == 0.0   # a batched prune forms no loss
     assert snapshot([f]) == before
     # nothing to zero: the operand's arrays are handed through, not copied
     g = FTSeries(GR, 1.0, 1.0, {KEYS[0]: np.ones(NB)}, _raw=True)

@@ -8,8 +8,8 @@ import pytest
 
 from kamtori.series import (Grading, coordinate, coordinates, differentiate,
                             evaluate, monomial, taylor_split)
-from kamtori.symplectic import GeneratingFunction, map_from_generator
-from conftest import random_real_series
+from kamtori.symplectic import map_from_generator
+from conftest import drift_free, random_real_series
 
 SHAPES = [(2, 1), (1, 2)]
 
@@ -78,7 +78,7 @@ def test_map_views_are_slices_of_U(d, l):
     F = random_real_series(gr, 1, 1, np.random.default_rng(10 * d + l),
                            n_modes=4, max_k=2, max_phi=1, max_deg=2,
                            scale=2e-5)
-    Phi = map_from_generator(GeneratingFunction(F), tol=1e-20)
+    Phi = map_from_generator(drift_free(F), tol=1e-20)
     assert len(Phi.U) == len(coordinates(gr)) == 2 * (d + l)
     U = Phi.U
     slices = [(Phi.Uq, U[:d]), (Phi.Ux, U[d:d + l]),

@@ -25,7 +25,8 @@ class TestAssembly:
         assert len(H.terms) == 3
 
     def test_zero_tuple(self, g11):
-        N = initial_tuple(g11, 1, 1, [0.0], [[0.0]], Q0=[[0.0]])
+        N = initial_tuple(g11, 1, 1, [0.0], [[0.0]])
+        N.Q = const_matrix(g11, 1, 1, [[0.0]])
         assert assemble_hamiltonian(N).is_zero()
 
     def test_split_recovers_blocks(self, g11, rng):
@@ -47,7 +48,8 @@ class TestAssembly:
         majorant |coeff| s^2, summed."""
         gr = Grading(d=2, l=1, K_q=2, K_phi=2, D=3)
         r, s = 1.0, 0.7
-        N = initial_tuple(gr, r, s, [GOLDEN, 1.0], self.M_ASYM, Q0=[[1.5]])
+        N = initial_tuple(gr, r, s, [GOLDEN, 1.0], self.M_ASYM)
+        N.Q = const_matrix(gr, r, s, [[1.5]])
         N.beta = const_matrix(gr, r, s, [[0.4]])
         N.Gamma = [[FTSeries.cos_angle(gr, r, s, (1,), (0, 0), 0.2),
                     FTSeries.constant(gr, r, s, -0.1)]]
@@ -228,8 +230,10 @@ class TestNorms:
         N2 = copy_tuple(N1)
         N2.beta = [[FTSeries.cos_angle(g11, 1, 1, (1,), (0,), 0.7)]]
         N2.c = FTSeries.constant(g11, 1, 1, 0.2)
-        d = normal_form_distance(N1, N2, r=0.0)
-        comp_beta = ck_norm_estimate(N2.beta[0][0], 2, 0, 0.0, 1.0)
+        # on smaller radii by the tuples' own re-tag
+        d = normal_form_distance(N1.with_radii(0.5, 1.0),
+                                 N2.with_radii(0.5, 1.0))
+        comp_beta = ck_norm_estimate(N2.beta[0][0], 2, 0, 0.5, 1.0)
         assert d == pytest.approx(max(comp_beta, 0.2))
 
     def test_with_radii_retags_every_component(self, g11):

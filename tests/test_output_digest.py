@@ -5,7 +5,7 @@ import numpy as np
 import output_digest
 from kamtori import symplectic
 from kamtori.series import Grading
-from conftest import random_real_series
+from conftest import drift_free, random_real_series
 
 
 def test_l2_cohom_entry(tmp_path, capsys):
@@ -35,7 +35,7 @@ def test_relation_defects_recorded_per_checked_map():
     # restored afterwards
     real = symplectic.symplecticity_residual
     gr = Grading(d=1, l=1, K_q=6, K_phi=3, D=4)
-    gen = symplectic.GeneratingFunction(random_real_series(
+    gen = drift_free(random_real_series(
         gr, 1, 1, np.random.default_rng(2), n_modes=4, max_k=2, max_phi=1,
         max_deg=2, scale=1e-3))
     with output_digest.relation_defects() as got:

@@ -71,7 +71,7 @@ def test_majorant_on_grid_matches_oracle():
             grid = np.reshape(phi, (-1, gr.l))
             assert identical(majorant_on_grid(f, grid),
                              oracle.majorant_on_grid(f, grid))
-            assert identical(majorant_on_grid(f, grid, 0.5, 0.3),
+            assert identical(majorant_on_grid(f.with_radii(0.5, 0.3), grid),
                              oracle.majorant_on_grid(f, grid, 0.5, 0.3))
         phi = pts[-1]
         assert majorant_at_phi(f, phi) == oracle.majorant_on_grid(f, [phi])[0]

@@ -2,8 +2,9 @@
 
 The oracle is the pair loop ``multiply`` ran before the index-pair tables:
 every pair of terms in sorted order, the out-of-grading pairs' majorant added
-to the loss (per entry for batched coefficients), then the dict prune that
-ran with it (per entry for batched coefficients).
+to the loss, then the dict prune that ran with it (per entry for batched
+coefficients).  A product with a batched operand forms no loss of its own:
+it carries only its operands' losses.
 Coefficients are Gaussian integers scaled by powers of two, so products and
 sums are exact in any order and the key sets must agree exactly.  The block
 kernel is called directly, so that small products reach it too.
@@ -130,8 +131,10 @@ def oracle_multiply(f, g):
             cur = terms.get((j, k, a))
             terms[(j, k, a)] = c1 * c2 if cur is None else cur + c1 * c2
     terms, pruned = oracle_prune(terms, f.r, f.s)
-    return FTSeries(gr, f.r, f.s, terms, carried + float(np.max(loss)) + pruned,
-                    _raw=True)
+    batched = any(np.ndim(c) for u in (f, g) for c in u.terms.values())
+    if not batched:
+        carried = carried + float(np.max(loss)) + pruned
+    return FTSeries(gr, f.r, f.s, terms, carried, _raw=True)
 
 
 def largest(f):

@@ -26,7 +26,7 @@ from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
                                 symplecticity_residual,
                                 unimodular_completion, vector_field)
 from kamtori.engine.driver import equal_derivative_defect
-from conftest import GOLDEN, random_real_series
+from conftest import GOLDEN, drift_free, random_real_series
 
 
 def image(Phi, phi, q, x=None, p=None, y=None):
@@ -100,7 +100,7 @@ class TestLieTransform:
 
     def test_angle_translation_phase(self, g11):
         c = 0.4
-        gen = GeneratingFunction(mono(g11, (0, 1, 0), c))
+        gen = drift_free(mono(g11, (0, 1, 0), c))
         e = FTSeries.term(g11, 1, 1, (0,), (3,), (0, 0, 0), 1.0)
         out, _, _ = lie_transform(e, gen, order_cap=40, tol=1e-18)
         assert out.coeff((0,), (3,), (0, 0, 0)) == pytest.approx(
@@ -111,7 +111,7 @@ class TestLieTransform:
         # integrating the Hamilton equations numerically at sample points
         F = (mono(g11, (2, 0, 0), 0.04) + mono(g11, (1, 0, 1), 0.03)
              + mono(g11, (0, 2, 0), 0.05))
-        gen = GeneratingFunction(F)
+        gen = drift_free(F)
         Phi = map_from_generator(gen, order_cap=30, tol=1e-18)
 
         def field(t, z):
@@ -137,7 +137,7 @@ class TestLieTransform:
             assert np.max(np.abs(got - zt)) < 1e-8
 
     def test_decay_precondition(self, g11):
-        gen = GeneratingFunction(mono(g11, (1, 0, 1), 30.0))  # 30 x y
+        gen = drift_free(mono(g11, (1, 0, 1), 30.0))  # 30 x y
         with pytest.raises(GeneratorTooLargeError, match="stopped decaying"):
             lie_transform(mono(g11, (1, 0, 0)), gen, order_cap=12, tol=1e-16)
 
@@ -162,10 +162,12 @@ class TestBracketBound:
         # r, s below 1 so the mode and degree weights are not trivial
         F = random_real_series(gr, 0.7, 0.9, rng, n_modes=8, max_k=2,
                                max_phi=2, max_deg=3, scale=1e-2)
-        v = [random_real_series(gr, 0.7, 0.9, rng, n_modes=3, max_k=0,
-                                max_phi=2, max_deg=0, scale=1e-2)
-             for _ in range(gr.d)] if with_v else None
-        return GeneratingFunction(F, v)
+        if not with_v:
+            return drift_free(F)
+        return GeneratingFunction(F, [
+            random_real_series(gr, 0.7, 0.9, rng, n_modes=3, max_k=0,
+                               max_phi=2, max_deg=0, scale=1e-2)
+            for _ in range(gr.d)])
 
     @staticmethod
     def bracket_on(path, gen, g):
@@ -193,7 +195,7 @@ class TestBracketBound:
 
     def test_bound_is_exact_on_one_half(self, g11):
         # {x, c y} = c: a single product of single terms, no slack
-        gen = GeneratingFunction(mono(g11, (0, 0, 1), 0.3))
+        gen = drift_free(mono(g11, (0, 0, 1), 0.3))
         g = mono(g11, (1, 0, 0))
         assert majorant_norm(gen.bracket_with(g)) == pytest.approx(0.3)
         assert gen.bracket_bound(g) == pytest.approx(0.3)
@@ -257,7 +259,7 @@ class TestPowerSum:
     def test_lie_series_bound_stop_skips_the_bracket(self, g11, rng):
         F = random_real_series(g11, 1, 1, rng, n_modes=4, max_k=2, max_phi=1,
                                max_deg=2, scale=1e-3)
-        gen = GeneratingFunction(F)
+        gen = drift_free(F)
         g = random_real_series(g11, 1, 1, rng, n_modes=6, max_k=2, max_phi=1,
                                max_deg=3)
         formed = []
@@ -338,12 +340,12 @@ class TestTailIntegral:
 
 class TestMapFromGenerator:
     def test_zero_generator_identity(self, g11):
-        Phi = map_from_generator(GeneratingFunction(FTSeries.zero(g11, 1, 1)))
+        Phi = map_from_generator(drift_free(FTSeries.zero(g11, 1, 1)))
         assert Phi.is_identity() and Phi.symp_residual == 0.0
 
     def test_linear_shear_vs_matrix_exponential(self, g11):
         eps = 0.05
-        Phi = map_from_generator(GeneratingFunction(mono(g11, (1, 1, 0), eps)),
+        Phi = map_from_generator(drift_free(mono(g11, (1, 1, 0), eps)),
                                  order_cap=40, tol=1e-18)
         # X_F on (q, x, p, y): qdot = eps x, xdot = 0, pdot = 0, ydot = -eps p
         A = np.zeros((4, 4))
@@ -362,7 +364,7 @@ class TestMapFromGenerator:
         for _ in range(10):
             F = random_real_series(g11, 1, 1, rng, n_modes=4, max_k=2,
                                    max_phi=1, max_deg=2, scale=2e-5)
-            Phi = map_from_generator(GeneratingFunction(F), tol=1e-20)
+            Phi = map_from_generator(drift_free(F), tol=1e-20)
             assert Phi.symp_residual <= 1e-8
 
 
@@ -370,7 +372,7 @@ def random_generator(d, l, seed, n_modes=4, scale=2e-5):
     """A random real generator of degree <= 2."""
     gr = Grading(d=d, l=l, K_q=6, K_phi=3, D=4)
     rng = np.random.default_rng(seed)
-    return GeneratingFunction(random_real_series(
+    return drift_free(random_real_series(
         gr, 1, 1, rng, n_modes=n_modes, max_k=2, max_phi=1, max_deg=2,
         scale=scale))
 
@@ -593,7 +595,7 @@ class TestCompose:
     def test_identity_neutral(self, g11, rng):
         F = random_real_series(g11, 1, 1, rng, n_modes=4, max_k=2, max_phi=1,
                                max_deg=2, scale=1e-3)
-        Phi = map_from_generator(GeneratingFunction(F))
+        Phi = map_from_generator(drift_free(F))
         ident = identity_map(g11, 1, 1)
         out = compose_maps(Phi, ident)
         assert all((a - b).max_abs_coeff() == 0.0
@@ -611,8 +613,8 @@ class TestCompose:
                                     max_phi=1, max_deg=2, scale=1e-4)
             F2 = random_real_series(g11, 1, 1, rng, n_modes=3, max_k=2,
                                     max_phi=1, max_deg=2, scale=1e-4)
-            P1 = map_from_generator(GeneratingFunction(F1), tol=1e-18)
-            P2 = map_from_generator(GeneratingFunction(F2), tol=1e-18)
+            P1 = map_from_generator(drift_free(F1), tol=1e-18)
+            P2 = map_from_generator(drift_free(F2), tol=1e-18)
             C = compose_maps(P1, P2)
             for _ in range(2):
                 phi = rng.uniform(0, 2 * math.pi, 1)
@@ -629,8 +631,8 @@ class TestCompose:
                                 max_deg=2, scale=1e-3)
         F2 = random_real_series(g11, 1, 1, rng, n_modes=3, max_k=1, max_phi=1,
                                 max_deg=2, scale=1e-3)
-        P1 = map_from_generator(GeneratingFunction(F1))
-        P2 = map_from_generator(GeneratingFunction(F2))
+        P1 = map_from_generator(drift_free(F1))
+        P2 = map_from_generator(drift_free(F2))
         C = compose_maps(P1, P2)
         c2 = lambda P: max(ck_norm_estimate(u, 2, 2) for u in P.U)
         assert 1.0 + c2(C) <= (1.0 + c2(P1)) * (1.0 + c2(P2)) * (1.0 + 1e-9)
@@ -643,11 +645,31 @@ class TestCompose:
         assert dict(out.terms) == {((0,), (1,), (0, 0, 0)): 0.3}
         assert series_compose(f, identity_map(g11, 1, 1)).terms == f.terms
 
+    def test_substitution_keeps_the_loss_of_its_sum(self, monkeypatch):
+        # the one sum of the substituted terms prunes rounding debris: the
+        # result's loss is that sum's loss, the pieces' and the pruned
+        # terms', plus f's own
+        sums = []
+
+        def spy(gr, r, s, parts, _real=ft_sum):
+            out = _real(gr, r, s, parts)
+            sums.append((out.trunc_loss, sum(p.trunc_loss for p in parts)))
+            return out
+        monkeypatch.setattr(symplectic, "ft_sum", spy)
+        Phi = random_map(1, 1, 110)
+        f = random_real_series(Phi.grading, 1, 1, np.random.default_rng(110),
+                               max_k=2, max_phi=1)
+        f.trunc_loss = 1e-12
+        out = series_compose(f, Phi)
+        (total, pieces), = sums
+        assert total > pieces
+        assert out.trunc_loss == total + f.trunc_loss
+
     def test_energy_invariance_of_own_flow(self, g11, rng):
         from kamtori.symplectic import series_compose
         F = random_real_series(g11, 1, 1, rng, n_modes=3, max_k=1, max_phi=1,
                                max_deg=2, scale=1e-3)
-        Phi = map_from_generator(GeneratingFunction(F), tol=1e-20)
+        Phi = map_from_generator(drift_free(F), tol=1e-20)
         drift = series_compose(F, Phi) - F
         assert majorant_norm(drift) <= 1e-12 * max(majorant_norm(F), 1e-30)
 
@@ -657,7 +679,7 @@ class TestComposeByTransport:
         # generators large enough that every Lie order up to the cut-off
         # shows: a first-order transport misses by 1e-9 to 1e-5 here
         for scale, max_k in [(1e-3, 1), (1e-4, 2), (1e-4, 2)]:
-            P1, P2 = [map_from_generator(GeneratingFunction(
+            P1, P2 = [map_from_generator(drift_free(
                 random_real_series(g11, 1, 1, rng, n_modes=3, max_k=max_k,
                                    max_phi=1, max_deg=2, scale=scale)),
                 tol=1e-20) for _ in range(2)]
@@ -674,7 +696,7 @@ class TestComposeByTransport:
     def test_inner_map_without_generator_rejected(self, g11, rng):
         F = random_real_series(g11, 1, 1, rng, n_modes=3, max_k=1, max_phi=1,
                                max_deg=2, scale=1e-3)
-        P = map_from_generator(GeneratingFunction(F))
+        P = map_from_generator(drift_free(F))
         bare = dataclasses.replace(P, generator=None)
         with pytest.raises(TypeError, match="generator"):
             compose_maps(P, bare)
@@ -872,7 +894,7 @@ class TestPoissonMorphism:
     def test_bracket_commutes_with_flow_to_truncation_order(self, g11, rng):
         F = random_real_series(g11, 1, 1, rng, n_modes=3, max_k=1, max_phi=1,
                                max_deg=2, scale=1e-4)
-        gen = GeneratingFunction(F)
+        gen = drift_free(F)
         f = random_real_series(g11, 1, 1, rng, max_k=1, max_phi=1, max_deg=1)
         g = random_real_series(g11, 1, 1, rng, max_k=1, max_phi=1, max_deg=1)
         tf, r1, _ = lie_transform(f, gen, tol=1e-18)

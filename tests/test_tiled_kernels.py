@@ -300,13 +300,14 @@ def batched(terms, B=5, seed=0):
 
 
 def test_batched_pair_kernel_no_output_mode():
-    # every k sums past K_q = 3: no slot, and the pairs' loss
+    # every k sums past K_q = 3: no slot, and no loss (a batched product
+    # forms none)
     f = batched([((0,), (2,), (0, 0, 0)), ((1,), (3,), (1, 0, 0))])
     g = batched([((0,), (2,), (0, 1, 0)), ((0,), (3,), (0, 0, 0))], seed=1)
     for rows in (None, 1, 0):
         want = assert_pair_kernel_matches(f, g, halves_of(PAIR_GR, False),
                                           pair_budget(rows, 5))
-        assert not len(want[0][0]) and want[0][2] > 0.0
+        assert not len(want[0][0]) and want[0][2] == 0.0
 
 
 def test_batched_pair_kernel_runs_of_one_pair():
