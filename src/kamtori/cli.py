@@ -25,8 +25,7 @@ from .engine.driver import IterateConfig
 from .errors import (ArtifactIOError, ConvergenceError, KamtoriError,
                      PreconditionError)
 from .normalform import (assemble_hamiltonian, eval_phi_series,
-                         initial_tuple, nu_max_profile, phi_grid,
-                         phi_grid_size)
+                         initial_tuple, nu_max_profile)
 from .series import Grading, freeze_phi
 from .smalldiv import effective_diophantine_constant
 from .symplectic import (SigmaTerm, reduce_coordinates,
@@ -295,9 +294,8 @@ def history_rows(history):
              if k in HISTORY_FIELDS} for row in history["steps"]]
 
 
-def _zeta_rows(zv, alpha, beta, grading):
+def _zeta_rows(grid, zv, alpha, beta):
     """zeta.csv's rows on the phi0 search's grid, given its zeta values zv."""
-    grid = phi_grid(grading.l, phi_grid_size(grading.K_phi))
     av = np.stack([eval_phi_series(a, grid).real for a in alpha], axis=-1)
     nv = nu_max_profile(beta, grid)
     rows = []
@@ -353,8 +351,9 @@ def _pipeline(cfg):
     _write_json(hist_path, history_rows(history))
     artifacts["history"] = hist_path
     csv_path = outputs.get("zeta_csv_path", "zeta.csv")
-    _write_zeta_csv(csv_path, _zeta_rows(info["zeta_values"], state.alpha,
-                                         state.N.beta, grading), grading.l)
+    _write_zeta_csv(csv_path, _zeta_rows(info["zeta_grid"],
+                                         info["zeta_values"], state.alpha,
+                                         state.N.beta), grading.l)
     artifacts["zeta_csv"] = csv_path
     torus_path = outputs.get("torus_path", "torus.json")
     emb = {k: [fts.to_json_dict(u) for u in us]

@@ -27,9 +27,11 @@ def find_vanishing_point(zeta, alpha, beta):
 
     Ties on the grid break toward the smallest row-major (lexicographic)
     coordinate; the refinement runs at most 200 Newton steps on the gradient
-    with a safeguarded step size down to gradient norm <= 1e-12.  info
-    holds the final gradient norm, zeta's grid values, and the values of
-    the counter terms alpha and of nu_max(beta) at phi0.
+    with a safeguarded step size down to gradient norm <= 1e-12, and stops
+    early where no halved step lowers the gradient norm (its rounding floor
+    at a zeta of large scale).  info holds the final gradient norm, the grid
+    and zeta's values on it, and the values of the counter terms alpha and
+    of nu_max(beta) at phi0.
     """
     l = zeta.grading.l
     grid = phi_grid(l, phi_grid_size(zeta.grading.K_phi))
@@ -68,10 +70,10 @@ def find_vanishing_point(zeta, alpha, beta):
                 break
             lam *= 0.5
         else:
-            phi = phi + 1e-3 * g / max(gn, 1e-300)
-            g = gradient(phi)
+            break
     phi = np.mod(phi, 2 * math.pi)
     info = {"grad_norm": float(np.linalg.norm(gradient(phi))),
+            "zeta_grid": grid,
             "zeta_values": vals,
             "alpha_at_phi0": np.array(
                 [eval_phi_series(a, phi[None, :])[0].real for a in alpha]),

@@ -41,11 +41,10 @@ def majorant_on_grid(f, grid):
     grid = np.asarray(grid, dtype=float).reshape(-1, f.grading.l)
     codes, sums = _phi_sums(f, grid)
     plan = _plan(f.grading)
+    k, t = np.divmod(codes, plan.NT)
+    zero = np.full(len(codes), plan.J.index[(0,) * f.grading.l])
     total = np.zeros(len(grid))
-    for code, c in zip(codes.tolist(), sums):
-        k, t = divmod(code, plan.NT)
-        weight = math.exp(_l1(plan.K.keys[k]) * f.r) \
-            * f.s ** _l1(plan.T.keys[t])
+    for c, weight in zip(sums, plan.weight(zero, k, t, f.r, f.s).tolist()):
         total += np.abs(c) * weight
     return total
 

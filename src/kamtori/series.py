@@ -173,14 +173,14 @@ class _Plan:
                 s ** np.arange(self.T.K + 1).astype(float))
 
     @functools.lru_cache(maxsize=256)
-    def degree_weights(self, d, s):
+    def degree_weights(self, d, r, s):
         """W[t, n] = |factor| s^n at n = |a| - |shift| for the derivative d
         (a _Partial) of a term with Taylor index t and factor 1 on modes:
         the majorant weight of d's term by Taylor index and degree."""
         deg = np.maximum(self.T.norm - len(d.shift), 0)
         W = np.zeros((self.NT, self.T.K + 1))
         factor = d.taylor_factor(self, np.arange(self.NT))
-        W[np.arange(self.NT), deg] = s ** deg.astype(float) \
+        W[np.arange(self.NT), deg] = self.powers(r, s)[1][deg] \
             * (1 if factor is None else factor)
         return W
 
@@ -306,20 +306,10 @@ class FTSeries:
     @classmethod
     def cos_angle(cls, grading, r, s, j, k, amplitude=1.0):
         """amplitude * cos(j.phi + k.q) as the conjugate mode pair."""
-        return cls._mode_pair(grading, r, s, j, k, 0.5 * amplitude,
-                              0.5 * amplitude)
-
-    @classmethod
-    def sin_angle(cls, grading, r, s, j, k, amplitude=1.0):
-        return cls._mode_pair(grading, r, s, j, k, -0.5j * amplitude,
-                              0.5j * amplitude)
-
-    @classmethod
-    def _mode_pair(cls, grading, r, s, j, k, c, c_minus):
-        a = (0,) * grading.nz
+        a, c = (0,) * grading.nz, 0.5 * amplitude
         mirror = (tuple(-v for v in j), tuple(-v for v in k), a)
         terms = {(tuple(j), tuple(k), a): c}
-        terms[mirror] = terms.get(mirror, 0.0) + c_minus
+        terms[mirror] = terms.get(mirror, 0.0) + c
         return cls(grading, r, s, terms)
 
     def copy(self):
@@ -329,7 +319,11 @@ class FTSeries:
         return new
 
     def with_radii(self, r, s):
-        """The same coefficients read on radii (r, s), which may only shrink."""
+        """The same coefficients read on radii (r, s), which may only shrink,
+        down to 0 (the real torus): the one way to take a series' norms on
+        other radii."""
+        if not (r >= 0 and s >= 0):
+            raise ValueError("radii must be non-negative")
         if r > self.r * (1 + 1e-12) or s > self.s * (1 + 1e-12):
             raise ValueError("cannot grow radii by relabeling")
         new = self.copy()
@@ -377,9 +371,6 @@ class FTSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c):
         """Multiply by a number, or entry-wise by a length-B array."""
         mag = float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
@@ -392,10 +383,6 @@ class FTSeries:
     def __mul__(self, other):
         number = isinstance(other, (int, float, complex))
         return self.scale(other) if number else multiply(self, other)
-
-    def __rmul__(self, other):
-        number = isinstance(other, (int, float, complex))
-        return self.scale(other) if number else NotImplemented
 
     # -- queries ----------------------------------------------------------------
 
@@ -927,13 +914,13 @@ class _Block:
     order x its distinct Taylor indices, plus one zero row.  The modes and
     Taylor indices are found at once, the dense block filled on first use."""
 
-    def __init__(self, plan, f, s):
+    def __init__(self, plan, f, r, s):
         mode = f.ij * plan.NK + f.ik    # nondecreasing: the terms are in slot order
         new = np.concatenate(([True], mode[1:] != mode[:-1]))
         self.row = np.cumsum(new) - 1
         self.ij, self.ik = f.ij[new], f.ik[new]
         self.taylor, self.col = _distinct(f.it, plan.NT)
-        self._plan, self._f, self._s = plan, f, s
+        self._plan, self._f, self._radii = plan, f, (r, s)
 
     @functools.cached_property
     def dense(self):
@@ -947,7 +934,7 @@ class _Block:
         D + 1) array, from one matrix product of |block| with the weights
         per Taylor index and degree."""
         plan = self._plan
-        weights = np.stack([plan.degree_weights(d, self._s)[self.taylor]
+        weights = np.stack([plan.degree_weights(d, *self._radii)[self.taylor]
                             for d in ds])
         out = np.abs(self.dense[:-1]) @ weights
         for n, d in enumerate(ds):
@@ -984,7 +971,7 @@ class _BlockLayout:
 
 def _block_layout(plan, f, g):
     """The _BlockLayout of nonempty unbatched f and g (no block filled)."""
-    a, b = _Block(plan, f, f.s), _Block(plan, g, f.s)
+    a, b = _Block(plan, f, f.r, f.s), _Block(plan, g, f.r, f.s)
     swap = len(b.ij) > len(a.ij)
     e, c = (b, a) if swap else (a, b)
     js = plan.J.sums[0][e.ij[:, None], c.ij]
@@ -1169,20 +1156,14 @@ def truncate_fourier(f, K, sigma):
     """Drop q-modes with |k|_1 > K; certify the tail at radius r - sigma.
 
     Returns (truncated series, tail_bound) where the bound is the majorant
-    norm of the dropped part evaluated at radii (r - sigma, s); it dominates
+    norm of the dropped part re-tagged to radii (r - sigma, s); it dominates
     the sup of the discarded tail on the shrunk strip.
     """
     if not 0 < sigma < f.r:
         raise ValueError("need 0 < sigma < r")
     drop = degrees(f)[1] > K
-    return select(f, ~drop), majorant_norm(select(f, drop), f.r - sigma)
-
-
-def _radii(f, r, s):
-    r, s = (f.r if r is None else r), (f.s if s is None else s)
-    if r > f.r * (1 + 1e-12) or s > f.s * (1 + 1e-12):
-        raise ValueError("majorant radii exceed stored domain")
-    return r, s
+    return select(f, ~drop), majorant_norm(
+        select(f, drop).with_radii(f.r - sigma, f.s))
 
 
 def _weighted(coef, w):
@@ -1192,14 +1173,12 @@ def _weighted(coef, w):
     return float(np.sum(np.abs(coef) * w))
 
 
-def majorant_norm(f, r=None, s=None):
-    """sum |c| e^{(|j|+|k|) r} s^{|a|}; dominates sup |f| on the (r, s) strip.
+def majorant_norm(f):
+    """sum |c| e^{(|j|+|k|) r} s^{|a|} on f's radii (r, s); dominates sup |f|
+    on the (r, s) strip.
 
     Per entry (a read-only array) for a batched series."""
-    r, s = _radii(f, r, s)
-    if (r, s) == (f.r, f.s):
-        return _majorants(_plan(f.grading), f, [_UNIT])[0]
-    return _weighted(f.coef, _plan(f.grading).weight(f.ij, f.ik, f.it, r, s))
+    return _majorants(_plan(f.grading), f, [_UNIT])[0]
 
 
 FTSeries.majorant_norm = majorant_norm
@@ -1216,25 +1195,25 @@ def _truncated_product(F):
     return poly.sum(axis=1)
 
 
-def ck_norm_estimate(f, k1, k2, r=None, s=None):
+def ck_norm_estimate(f, k1, k2):
     """Upper bound on the C^{k1,k2} norm (k1 in phi, k2 in (q,x,p,y)).
 
-    Sums majorant norms of all partial derivatives up to the given orders, in
-    closed form: the derivative by multi-indices m (phi) and n (q, z) scales
-    a term's majorant by prod |j_i|^m_i prod |k_i|^n_i prod a_p^(n_p) s^-n_p,
-    a^(n) the falling factorial a (a - 1) ... (a - n + 1).
+    Sums the majorant norms on f's radii (r, s) of all partial derivatives up
+    to the given orders, in closed form: the derivative by multi-indices m
+    (phi) and n (q, z) scales a term's majorant by prod |j_i|^m_i prod
+    |k_i|^n_i prod a_p^(n_p) s^-n_p, a^(n) the falling factorial a (a - 1)
+    ... (a - n + 1).
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("derivative orders must be >= 0")
-    r, s = _radii(f, r, s)
-    plan = _plan(f.grading)
+    plan, s = _plan(f.grading), f.s
     a = plan.T.pts[f.it, :, None] - np.arange(k2)
     falling = np.cumprod(np.concatenate([np.ones(a.shape[:2] + (1,)), a / s],
                                         axis=2), axis=2)
     phi = _truncated_product(np.abs(plan.J.pts[f.ij, :, None]) ** np.arange(k1 + 1))
     z = _truncated_product(np.concatenate(
         [np.abs(plan.K.pts[f.ik, :, None]) ** np.arange(k2 + 1), falling], axis=1))
-    return _weighted(f.coef, phi * z * plan.weight(f.ij, f.ik, f.it, r, s))
+    return _weighted(f.coef, phi * z * plan.weight(f.ij, f.ik, f.it, f.r, s))
 
 
 def evaluate(f, phi=None, q=None, x=None, p=None, y=None):

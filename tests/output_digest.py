@@ -2,9 +2,14 @@
 
     PYTHONPATH=src python tests/output_digest.py > digest.json
     PYTHONPATH=src python tests/output_digest.py --against digest.json
+    PYTHONPATH=src python tests/output_digest.py \
+        --against tests/data/output_digest.json
 
 Two trees compute the same outputs bit for bit exactly when their digests
-agree on the same machine. The entries, each named "<problem>/<output>":
+agree on the same numpy build and CPU. tests/data/output_digest.json pins
+the digests with the platform() they were computed on, and
+tests/test_output_digest.py compares the script's output with it. The
+entries, each named "<problem>/<output>":
 
 - coupled-1p1 at eps 1e-5 and 1e-4 (the problem of bench/workloads.py's
   `Coupled`): the history rows as history.json would hold them, phi0, the
@@ -29,9 +34,9 @@ agree on the same machine. The entries, each named "<problem>/<output>":
 
 The problems are read from bench/workloads.py and not changed; l2-iterate,
 which no workload runs, is built here as its test builds it. With
---against FILE, an earlier run's output, the entries that differ are listed
-and the exit code is 1 if any does. --only PREFIX computes only the entries
-of the problems whose name starts with PREFIX.
+--against FILE, an earlier run's output or the pinned file, the entries
+that differ are listed and the exit code is 1 if any does. --only PREFIX
+computes only the entries of the problems whose name starts with PREFIX.
 """
 
 import argparse
@@ -62,6 +67,19 @@ def sha(*parts):
     for part in parts:
         h.update(part if isinstance(part, bytes) else repr(part).encode())
     return h.hexdigest()
+
+
+def platform():
+    """The numpy build and CPU the digests hold on: numpy's version, its
+    OpenBLAS build (the block kernel's matrix products) and the SIMD
+    extensions it dispatches to (its float64 exp runs AVX-512 code where
+    the CPU has it, which differs from libm's by an ulp for some
+    arguments)."""
+    config = np.show_config(mode="dicts")
+    return {"numpy": np.__version__,
+            "blas": config["Build Dependencies"]["blas"].get(
+                "openblas configuration"),
+            "simd": config["SIMD Extensions"]}
 
 
 def series_parts(f):
@@ -206,7 +224,9 @@ def main(argv=None):
     print(json.dumps(got, indent=1, sort_keys=True))
     if args.against:
         with open(args.against) as fh:
-            diff = differing(got, json.load(fh))
+            want = json.load(fh)
+        # the pinned file holds the digests beside their platform
+        diff = differing(got, want.get("digests", want))
         for name in diff:
             print("differs: %s" % name, file=sys.stderr)
         print("%d of %d entries differ" % (len(diff), len(got)),

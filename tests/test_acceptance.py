@@ -353,8 +353,9 @@ def test_criterion_8_bump_plateaus():
                float(np.max(np.abs(vals1[nu > 0.5]))))
     dev2 = max(float(np.max(np.abs(vals2[nu < -0.25] - 1.0))),
                float(np.max(np.abs(vals2[nu > 0.25]))))
-    c2_wide = ck_norm_estimate(psi1, 2, 0, 0.0, 1.0)
-    c2_narrow = ck_norm_estimate(psi2, 2, 0, 0.0, 1.0)
+    # the C2 estimates on the real torus r = 0
+    c2_wide = ck_norm_estimate(psi1.with_radii(0.0, 1.0), 2, 0)
+    c2_narrow = ck_norm_estimate(psi2.with_radii(0.0, 1.0), 2, 0)
     ratio = c2_narrow / c2_wide
     ok = dev1 <= 1e-6 and dev2 <= 1e-6 and ratio >= 2.0
     report(8, ok, "bump plateau deviations %.2e / %.2e (<= 1e-6); C2 estimate "

@@ -244,10 +244,10 @@ def test_l2_cohom_forms_no_batched_pair_loss(monkeypatch):
 @given(batched(min_terms=1, max_terms=300, scalar_share=0.1))
 def test_max_abs_coeff_and_majorant_norm(f):
     got_max = np.broadcast_to(f.max_abs_coeff(), (NB,))
-    got_norm = np.broadcast_to(majorant_norm(f, 0.9, 0.8), (NB,))
+    got_norm = np.broadcast_to(majorant_norm(f.with_radii(0.9, 0.8)), (NB,))
     for b in range(NB):
         plain = entry(f, b)
         assert got_max[b] == pytest.approx(plain.max_abs_coeff(), rel=1e-15,
                                            abs=0.0)
-        assert got_norm[b] == pytest.approx(majorant_norm(plain, 0.9, 0.8),
-                                            rel=1e-13, abs=0.0)
+        assert got_norm[b] == pytest.approx(
+            majorant_norm(plain.with_radii(0.9, 0.8)), rel=1e-13, abs=0.0)

@@ -769,6 +769,24 @@ class TestVanishingPoint:
         zeta = FTSeries.cos_angle(gr, 1, 1, (1,) + (0,) * (l - 1), (0,))
         _phi0, info = self.find(zeta)
         assert len(info["zeta_values"]) == phi_grid_size(16) ** l == 65 ** l
+        # the grid the values are on comes with them (zeta.csv's rows)
+        assert np.array_equal(info["zeta_grid"], phi_grid(l, 65))
+
+    @pytest.mark.parametrize("scale, shift", [(1e5, 0.41875),
+                                              (1e6, 0.66458), (1e7, 0.05)])
+    def test_stops_at_the_floor_of_a_large_zeta(self, scale, shift):
+        # scale cos(phi - shift): the gradient's rounding floor lies above
+        # the 1e-12 stop, so Newton reaches a point where no halved step
+        # lowers |g|; the search stops there instead of stepping 1e-3 away
+        # (and, at 1e6, coming back to within 3e-10 at |g| = 3e-4)
+        gr = Grading(d=1, l=1, K_q=1, K_phi=4, D=3)
+        a, c = (0,) * gr.nz, 0.5 * scale * complex(math.cos(shift),
+                                                   -math.sin(shift))
+        zeta = self.mk_zeta(gr, {((1,), (0,), a): c,
+                                 ((-1,), (0,), a): c.conjugate()})
+        phi0, info = self.find(zeta)
+        assert abs(phi0[0] - shift) <= 1e-9
+        assert info["grad_norm"] <= 1e-15 * scale
 
 
 class TestTorus:

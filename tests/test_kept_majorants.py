@@ -78,8 +78,12 @@ class TestKept:
                 assert_bits(got, fresh(u, d))
             assert_bits(majorant_norm(u), fresh(u, _UNIT))
         assert np.all(majorant_norm(g) < majorant_norm(f))
-        # f read on other radii, without re-tagging it
-        assert_bits(majorant_norm(f, 0.5, 0.6), fresh(f, _UNIT, 0.5, 0.6))
+        # f's norm on other radii is its re-tag's, the weighted sum formed
+        # on those radii; reading it leaves what f keeps as it was
+        kept = f._maj
+        assert_bits(majorant_norm(f.with_radii(0.5, 0.6)),
+                    fresh(f, _UNIT, 0.5, 0.6))
+        assert f._maj is kept
         assert_bits(majorant_norm(f), fresh(f, _UNIT))
         # new terms by _set
         h = f.copy()

@@ -31,7 +31,9 @@ class TestAssembly:
 
     def test_split_recovers_blocks(self, g11, rng):
         beta = [[FTSeries.cos_angle(g11, 1, 1, (1,), (0,), 0.3)]]
-        Gamma = [[FTSeries.sin_angle(g11, 1, 1, (1,), (0,), 0.2)]]
+        a = (0,) * g11.nz   # 0.2 sin(phi)
+        Gamma = [[FTSeries(g11, 1, 1, {((1,), (0,), a): -0.1j,
+                                       ((-1,), (0,), a): 0.1j})]]
         N = initial_tuple(g11, 1, 1, [GOLDEN], [[-1.0]])
         N.beta, N.Gamma = beta, Gamma
         sp = taylor_split(assemble_hamiltonian(N))
@@ -233,7 +235,7 @@ class TestNorms:
         # on smaller radii by the tuples' own re-tag
         d = normal_form_distance(N1.with_radii(0.5, 1.0),
                                  N2.with_radii(0.5, 1.0))
-        comp_beta = ck_norm_estimate(N2.beta[0][0], 2, 0, 0.5, 1.0)
+        comp_beta = ck_norm_estimate(N2.beta[0][0].with_radii(0.5, 1.0), 2, 0)
         assert d == pytest.approx(max(comp_beta, 0.2))
 
     def test_with_radii_retags_every_component(self, g11):

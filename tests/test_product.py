@@ -461,7 +461,7 @@ class TestNoStaleArrays:
         self.refused(lambda t, key: operator.setitem(t, key, 5.0), f,
                      next(iter(f.terms)))
         assert majorant_norm(h) == before \
-            == majorant_norm(self.fresh(f), 0.9, 0.9)
+            == majorant_norm(self.fresh(f).with_radii(0.9, 0.9))
 
     def test_product_arrays_follow_writes(self):
         # a product is born with its arrays, and its view refuses writes too

@@ -169,7 +169,7 @@ class TestTruncateFourier:
             K, sigma = 5, 0.3
             out, tail = truncate_fourier(f, K, sigma)
             dropped = f - out
-            ref = majorant_norm(dropped, f.r - sigma, f.s)
+            ref = majorant_norm(dropped.with_radii(f.r - sigma, f.s))
             assert tail >= ref * (1 - 1e-13)
 
     def test_sigma_bounds(self, g11):
@@ -220,12 +220,13 @@ class TestMajorant:
     def test_single_mode_formula(self):
         g = Grading(d=2, l=1, K_q=4, K_phi=2, D=3)
         f = FTSeries.term(g, 1, 1, (0,), (2, 1), (0, 0, 0, 0), 1.0)
-        assert majorant_norm(f, 0.5, 1.0) == pytest.approx(math.exp(1.5))
+        assert majorant_norm(f.with_radii(0.5, 1.0)) == pytest.approx(
+            math.exp(1.5))
 
     def test_dominates_grid_samples(self, g11, rng):
         for _ in range(5):
             f = random_real_series(g11, 1, 1, rng)
-            bound = majorant_norm(f, f.r, f.s)
+            bound = majorant_norm(f)
             for t in np.linspace(0, 2 * math.pi, 32, endpoint=False):
                 val = evaluate(f, phi=[t], q=[2 * t], x=[0.3], p=[-0.2],
                                y=[0.1])
@@ -245,7 +246,9 @@ class TestWithRadii:
         g = f.with_radii(0.8, 0.9)
         assert (g.r, g.s) == (0.8, 0.9)
         assert g.terms == f.terms
-        assert majorant_norm(g) == pytest.approx(majorant_norm(f, 0.8, 0.9))
+        assert majorant_norm(g) == pytest.approx(sum(
+            abs(c) * math.exp(0.8 * sum(map(abs, j + k))) * 0.9 ** sum(a)
+            for (j, k, a), c in f.terms.items()), rel=1e-14)
 
     def test_radii_may_only_shrink(self, g11):
         f = FTSeries.constant(g11, 0.8, 0.9, 1.0)
@@ -255,6 +258,17 @@ class TestWithRadii:
         with pytest.raises(ValueError, match="cannot grow"):
             f.with_radii(0.8, 1.0)
 
+    def test_radii_may_shrink_to_zero_not_below(self, g11):
+        # cos(q) on the real torus r = 0: its majorant is sup |cos| = 1; a
+        # negative radius would read 0.5 e^{-0.5} + 0.5 e^{-0.5} = 0.607,
+        # below the sup, so it is refused
+        f = FTSeries.cos_angle(g11, 1, 1, (0,), (1,))
+        assert majorant_norm(f.with_radii(0.0, 1.0)) == 1.0
+        assert majorant_norm(f.with_radii(0.0, 0.0)) == 1.0
+        for r, s in [(-0.5, 1.0), (0.5, -1.0), (math.nan, 1.0)]:
+            with pytest.raises(ValueError, match="non-negative"):
+                f.with_radii(r, s)
+
 
 class TestCkNorm:
     def test_constant(self, g11):
@@ -263,13 +277,15 @@ class TestCkNorm:
             assert ck_norm_estimate(f, k1, k2) == 2.0
 
     def test_sin_phi_second_order(self, g11):
-        f = FTSeries.sin_angle(g11, 1, 1, (1,), (0,))
-        bound = ck_norm_estimate(f, 2, 0, 0.0, 1.0)
+        a = (0,) * g11.nz
+        f = FTSeries(g11, 1, 1, {((1,), (0,), a): -0.5j,
+                                 ((-1,), (0,), a): 0.5j}).with_radii(0.0, 1.0)
+        bound = ck_norm_estimate(f, 2, 0)
         assert bound >= 3.0 - 1e-12  # |f| + |f'| + |f''| sup-sum
 
     def test_monotone_in_orders(self, g11, rng):
-        f = random_real_series(g11, 1, 1, rng)
-        vals = [[ck_norm_estimate(f, k1, k2, 0.5, 1.0) for k2 in range(3)]
+        f = random_real_series(g11, 1, 1, rng).with_radii(0.5, 1.0)
+        vals = [[ck_norm_estimate(f, k1, k2) for k2 in range(3)]
                 for k1 in range(3)]
         for k1 in range(2):
             for k2 in range(2):

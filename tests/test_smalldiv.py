@@ -384,8 +384,8 @@ class TestNormGrowthShape:
                 v = random_real_series(g11, 1, 1, rng, max_k=8, max_phi=0,
                                        max_deg=0)
                 u = solve_L1(v, w)
-                num = majorant_norm(u, 1.0 - sigma, 1.0)
-                den = majorant_norm(v, 1.0, 1.0)
+                num = majorant_norm(u.with_radii(1.0 - sigma, 1.0))
+                den = majorant_norm(v)
                 vals.append(num * w.gamma * sigma ** (tau + 1) / den)
             consts.append(max(vals))
         assert max(consts) / min(consts) < 50.0
