@@ -30,9 +30,9 @@ from ..errors import ConvergenceError
 from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           const_matrix, majorant_on_grid, mat_eval_grid,
                           nu_max, phi_grid, project_phi_rows)
-from ..series import (FTSeries, TaylorSplit, _plan, average_q, coordinates,
-                      differentiate, freeze_phi, majorant_norm, multiply,
-                      restrict_z0, taylor_split)
+from ..series import (FTSeries, TaylorSplit, _equal_stack, _plan, average_q,
+                      coordinates, differentiate, freeze_phi, majorant_norm,
+                      multiply, restrict_z0, taylor_split)
 # not used here: bench/workloads.py builds its trackers with cohom.coordinate
 from ..series import coordinate  # noqa: F401
 from ..smalldiv import (SolverPreconditionError, _check_beta, solve_L1,
@@ -172,7 +172,9 @@ def _solve_channel(gr, nb, ch, Nred, beta, witness, checked):
 def _counter_terms(gr, r, s, pts, beta, Gamma, M, phix_B, solved):
     """alpha, v and the mean of B_y at every point, from the block linear
     system of the channels' means and the parameter-tracker condition, with
-    the system's condition numbers."""
+    the system's condition numbers (_condition: one SVD for a stack of
+    equal systems).  The system is solved point by point even when every
+    point has the same one (module docstring of kamtori.smalldiv)."""
     l, d = gr.l, gr.d
     nb = len(pts)
     # parameter-tracker condition row: means of phix + {phix, F + v.q} at
@@ -221,14 +223,22 @@ def _counter_terms(gr, r, s, pts, beta, Gamma, M, phix_B, solved):
                               % _at_point(pts, bad))
     Sys = Sys.real
     rhs = rhs.real
-    cond = np.linalg.cond(Sys)
+    cond = _condition(Sys, pts)
+    sol = np.linalg.solve(Sys, rhs[..., None])[..., 0]
+    return sol[:, :l], sol[:, l:l + d], sol[:, l + d:], cond
+
+
+def _condition(Sys, pts):
+    """The condition number of each counter-term system of the (B, n, n)
+    stack Sys, refused above COND_CAP at the first such point of pts.  A
+    stack of equal systems takes one SVD (series._equal_stack)."""
+    cond = np.broadcast_to(np.linalg.cond(_equal_stack(Sys)), Sys.shape[:1])
     bad = cond > COND_CAP
     if bad.any():
         raise CohomologyError("counter-term linear system ill-conditioned "
                               "(cond %.3g)%s" % (cond[np.argmax(bad)],
                                                  _at_point(pts, bad)))
-    sol = np.linalg.solve(Sys, rhs[..., None])[..., 0]
-    return sol[:, :l], sol[:, l:l + d], sol[:, l + d:], cond
+    return cond
 
 
 def _combine(parts, alpha_pt):

@@ -11,8 +11,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError
-from .series import (BLOCK_TILE_BYTES, FTSeries, _l1, _phi_sums,
-                     _phi_values, _plan, TaylorSplit, ck_norm_estimate)
+from .series import (BLOCK_TILE_BYTES, FTSeries, _equal_stack, _l1,
+                     _phi_sums, _phi_values, _plan, TaylorSplit,
+                     ck_norm_estimate)
 
 
 # -- parameter-grid helpers --------------------------------------------------------
@@ -231,8 +232,11 @@ def assemble_hamiltonian(N):
 
 
 def nu_max(B):
-    """Largest eigenvalue of each symmetrized matrix of a (B, l, l) stack."""
-    return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, 1, 2)))[:, -1]
+    """Largest eigenvalue of each symmetrized matrix of a (B, l, l) stack;
+    a stack of equal matrices is decomposed once (series._equal_stack)."""
+    one = _equal_stack(B)
+    nu = np.linalg.eigvalsh(0.5 * (one + np.swapaxes(one, 1, 2)))[:, -1]
+    return np.broadcast_to(nu, B.shape[:1])
 
 
 def nu_max_profile(beta, grid):

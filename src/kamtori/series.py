@@ -95,6 +95,16 @@ def _l1(t):
     return sum(map(abs, t))
 
 
+def _equal_stack(stack):
+    """stack[:1] when every entry of the (B, ...) float64 stack has the
+    bytes of the first, and the stack itself otherwise.  The grid solve's
+    per-point matrices are all the same wherever beta does not depend on
+    phi; a decomposition of the stack of one, broadcast back to B points,
+    then gives each point the bytes its own decomposition would."""
+    bits = stack.view(np.int64)
+    return stack[:1] if (bits == bits[:1]).all() else stack
+
+
 class _Ball:
     """The integer vectors of |v|_1 <= K (Taylor exponents: v >= 0) in
     lexicographic order, with their norms."""
@@ -1202,11 +1212,15 @@ def ck_norm_estimate(f, k1, k2):
     to the given orders, in closed form: the derivative by multi-indices m
     (phi) and n (q, z) scales a term's majorant by prod |j_i|^m_i prod
     |k_i|^n_i prod a_p^(n_p) s^-n_p, a^(n) the falling factorial a (a - 1)
-    ... (a - n + 1).
+    ... (a - n + 1).  At s = 0 a derivative in (q, x, p, y) has no such
+    bound, so k2 >= 1 is refused there.
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("derivative orders must be >= 0")
     plan, s = _plan(f.grading), f.s
+    if k2 and s == 0:
+        raise ValueError("ck_norm_estimate: no C^k bound with k2 = %d >= 1 "
+                         "at s = 0" % k2)
     a = plan.T.pts[f.it, :, None] - np.arange(k2)
     falling = np.cumprod(np.concatenate([np.ones(a.shape[:2] + (1,)), a / s],
                                         axis=2), axis=2)

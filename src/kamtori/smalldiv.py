@@ -6,13 +6,22 @@ time: the systems are diagonal in the parameter mode j, the angle mode k and
 the Taylor multi-index a.  At k != 0, L2 and L3 solve one shifted system
 (C(beta) + i<omega, k> I) u = b on the stacked unknowns of the slot (L1 is
 its scalar case, with C = 0), with <omega, k> computed once per mode.
-Over a stack of grid points the system is factored once per slot when C
-is the same matrix at every point, as it is wherever beta does not depend
-on phi (every first rung, whose beta is 0, and every constant beta): one
-(n, n) solve takes every point's right-hand side as a column.  A stack
-that varies is solved point by point.  The two give the same bits on
-OpenBLAS 0.3.31 (Haswell kernels), where tests/test_smalldiv.py checks it;
-another LAPACK may round the many-column solve differently.
+Wherever beta does not depend on phi (every first rung, whose beta is 0,
+and every constant beta) every grid point has the same matrices, and a
+stack of them is carried as a stack of one (series._equal_stack, the one
+rule for "equal stack": every entry has the bytes of the first).  These
+sites work on what it returns and broadcast the result back to the points:
+the check of beta (its eigvalsh), L2's C(beta), L3's C(beta) and its
+zero-mode eigh, normalform.nu_max and the counter-term condition number of
+kamtori.engine.cohom (its SVD).  Each shifted system of an equal stack is
+factored once per slot: one (n, n) solve takes every point's right-hand
+side as a column.  A stack that varies is decomposed and solved point by
+point.  The two give the same bytes on OpenBLAS 0.3.31 (Haswell kernels),
+where tests/test_smalldiv.py checks every site; another LAPACK may round
+differently.  The counter-term solve is not such a site: its real dgesv
+with the points as columns differed from the per-point solve in 2941 of
+3000 random equal stacks (n 2 to 7, B in {2, 32, 576, 1024}), while
+cond and eigh of the stack of one differed in none, so it stays per point.
 
 L2's precondition on beta (symmetric, ||beta|| <= 1 and nu_max(beta) <= 1/2
 min <omega, k>^2 over 0 < |k|_1 <= K) is checked once per beta stack, by
@@ -58,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .series import _l1, _like, _plan, divide_q_modes
+from .series import _equal_stack, _l1, _like, _plan, divide_q_modes
 
 RESONANCE_RTOL = 1e-14
 
@@ -187,12 +196,14 @@ def _check_beta(beta, witness, K):
     stacked = beta.ndim != 2
     if beta.shape[-2] != beta.shape[-1]:
         raise SolverPreconditionError("L2: beta must be symmetric")
-    asym = ~np.all(np.isclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-5,
+    # an equal stack is checked once, as its entry 0
+    one = _equal_stack(stack)
+    asym = ~np.all(np.isclose(one, np.swapaxes(one, -1, -2), rtol=1e-5,
                               atol=1e-12), axis=(-2, -1))
     if asym.any():
         _fail("L2", stacked, asym, "beta must be symmetric")
     # symmetric: the 2-norm is the largest |eigenvalue|
-    w = np.linalg.eigvalsh(stack)
+    w = np.linalg.eigvalsh(one)
     big = np.abs(w).max(axis=-1) > 1.0 + 1e-12
     if big.any():
         _fail("L2", stacked, big, "need ||beta|| <= 1")
@@ -206,7 +217,8 @@ def _check_beta(beta, witness, K):
         _fail("L2", stacked, over, "nu_max(beta)=%.3g exceeds "
               "0.5*min<omega,k>^2=%.3g (worst k=%s)"
               % (float(nu[over][0]), lim, worst))
-    return _CheckedBeta(beta, w.reshape(beta.shape[:-1]), witness, K)
+    w = np.broadcast_to(w, stack.shape[:-1]).reshape(beta.shape[:-1])
+    return _CheckedBeta(beta, w, witness, K)
 
 
 def _gather(series, batch):
@@ -271,15 +283,15 @@ def _solve_modes(witness, plan, slots, b, C, name, w=None):
     w (beta's eigenvalues, batch + (l,)), one where L2's determinant bound
     fails.
 
-    A stack C whose matrices are all the same one is factored once per
-    slot (module docstring): one (n, n) system, solved for every entry's
-    right-hand side as the columns of one np.linalg.solve, where a varying
-    stack makes one factorization per entry.  A singular one fails as
-    stack entry 0."""
+    A stack C whose entries series._equal_stack finds equal (module
+    docstring), a stack of one among them, is factored once per slot: one
+    (n, n) system, solved for every entry's right-hand side as the columns
+    of one np.linalg.solve, where a varying stack makes one factorization
+    per entry.  A singular one fails as stack entry 0."""
     ij, ik, it = plan.split(slots)
     eye = np.eye(C.shape[-1])
     stacked = C.ndim > 2
-    single = stacked and bool((C == C[:1]).all())
+    single = stacked and len(_equal_stack(C)) == 1
     if single:
         C = C[0]
     dots = {}
@@ -324,9 +336,10 @@ def solve_L2(b_x, b_y, beta, witness, K):
     plan = _plan(b_x[0].grading)
     beta, w = _check_beta(beta, witness, K)[:2]
     batch = beta.shape[:-2]
-    zero = np.zeros(beta.shape)
-    eye = np.broadcast_to(np.eye(l), beta.shape)
-    C = np.block([[zero, -beta], [eye, zero]])
+    one = _equal_stack(beta) if batch else beta
+    zero = np.zeros(one.shape)
+    eye = np.broadcast_to(np.eye(l), one.shape)
+    C = np.block([[zero, -one], [eye, zero]])
 
     slots, u = _gather(list(b_x) + list(b_y), batch)
     _solve_modes(witness, plan, slots, u, C, "L2", w)
@@ -364,11 +377,13 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
         D[..., 2, :, :] = u[..., 2 * nsym:].reshape(u.shape[:-1] + (l, l))
         return D
 
-    # C(beta): its columns are the images of the unit unknowns
+    # C(beta), once for an equal stack: its columns are the images of the
+    # unit unknowns
     X, Y, Z = np.moveaxis(unpack(np.eye(2 * nsym + l * l)), -3, 0)
-    b = beta[:, None]
-    C = T(pack(-(b @ T(Z) + Z @ b), np.broadcast_to(Z + T(Z), (nb,) + Z.shape),
-               X - b @ Y))
+    one = _equal_stack(beta)
+    b = one[:, None]
+    C = T(pack(-(b @ T(Z) + Z @ b),
+               np.broadcast_to(Z + T(Z), (len(one),) + Z.shape), X - b @ Y))
 
     flat = [m[i][j] for m in (d_xx, d_yy, d_xy) for i in range(l)
             for j in range(l)]
@@ -380,8 +395,9 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     u = pack(sym(u[:, :, 0]), sym(u[:, :, 1]), u[:, :, 2])
     u = unpack(_solve_modes(witness, plan, slots, u, C, "L3"))
 
-    # the zero modes
-    w, V = np.linalg.eigh(beta)
+    # the zero modes, on beta's eigen-decomposition at every point
+    w, V = (np.broadcast_to(a, (nb,) + a.shape[1:])
+            for a in np.linalg.eigh(one))
     At = T(V) @ (0.5 * (xy0 - T(xy0))) @ V
     scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None, None]
     dw = w[:, :, None] - w[:, None, :]

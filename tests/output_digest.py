@@ -21,8 +21,9 @@ entries, each named "<problem>/<output>":
   through `kamtori.cli.main` (reduce, run, verify) in a temporary
   directory: the exit codes and the bytes of reduced.json, history.json,
   torus.json and zeta.csv;
-- l2-cohom (`L2Cohom`): alpha's and the generator F's slot arrays and the
-  residual plateau;
+- l2-cohom (`L2Cohom`): alpha's and the generator F's slot arrays, the
+  residual plateau and the largest condition number of the counter-term
+  systems (`max_condition`, history.json's `cohom_condition`);
 - l2-cohom-varying: the same for L2Cohom's problem with 0.01 cos(phi_1)
   added to beta[0][0], whose beta differs from point to point (it stays
   inside the sublevel region), so that its shifted systems are solved one
@@ -173,7 +174,8 @@ def l2_cohom(name="l2-cohom", vary=0.0):
     alpha = [p for a in out["alpha"] for p in series_parts(a)]
     return {name + "/alpha": sha(*alpha),
             name + "/residual_plateau": sha(float(out["residual_plateau"])),
-            name + "/F": sha(*series_parts(sols[0].F))}
+            name + "/F": sha(*series_parts(sols[0].F)),
+            name + "/max_condition": sha(float(sols[0].max_condition))}
 
 
 def l2_iterate():

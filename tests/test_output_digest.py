@@ -25,10 +25,11 @@ def test_l2_cohom_entry(tmp_path, capsys):
     first = output_digest.digest("l2-cohom")
     assert set(first) == {name + "/" + out
                           for name in ("l2-cohom", "l2-cohom-varying")
-                          for out in ("alpha", "residual_plateau", "F")}
-    # the varying beta moves the generator and the plateau (alpha comes out
-    # the same)
-    for out in ("residual_plateau", "F"):
+                          for out in ("alpha", "residual_plateau", "F",
+                                      "max_condition")}
+    # the varying beta moves the generator, the plateau and the counter-term
+    # systems' condition (alpha comes out the same)
+    for out in ("residual_plateau", "F", "max_condition"):
         assert first["l2-cohom/" + out] != first["l2-cohom-varying/" + out]
     # the same tree gives the same digests, and --against says so
     path = tmp_path / "before.json"

@@ -283,6 +283,22 @@ class TestCkNorm:
         bound = ck_norm_estimate(f, 2, 0)
         assert bound >= 3.0 - 1e-12  # |f| + |f'| + |f''| sup-sum
 
+    def test_s_zero_refuses_ball_derivatives(self, g11):
+        # cos(phi + q) + x on s = 0: a derivative in (q, x, p, y) has no
+        # bound there (the falling factorial divides by s), so k2 >= 1 is
+        # refused, not returned as nan; k2 = 0 reads e^{2 r} (k1 + 1) off the
+        # cosine (|j| = 1), with the x term weighed s^1 = 0, as majorant_norm
+        f = (FTSeries.cos_angle(g11, 1, 1, (1,), (1,))
+             + fts.coordinate(g11, 1, 1, "x", 0)).with_radii(0.5, 0.0)
+        for k1, k2 in [(0, 1), (2, 1), (0, 3)]:
+            with pytest.raises(ValueError, match=r"k2 = %d >= 1 at s = 0"
+                               % k2):
+                ck_norm_estimate(f, k1, k2)
+        assert ck_norm_estimate(f, 0, 0) == majorant_norm(f)
+        for k1 in range(3):
+            assert ck_norm_estimate(f, k1, 0) == pytest.approx(
+                math.e * (k1 + 1), rel=1e-15)
+
     def test_monotone_in_orders(self, g11, rng):
         f = random_real_series(g11, 1, 1, rng).with_radii(0.5, 1.0)
         vals = [[ck_norm_estimate(f, k1, k2) for k2 in range(3)]

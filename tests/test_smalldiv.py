@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -7,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smalldiv_oracle
+from kamtori import normalform
+from kamtori.engine import cohom
 from kamtori.errors import ConvergenceError
-from kamtori.series import (FTSeries, Grading, average_q, majorant_norm,
-                            partial_omega)
+from kamtori.normalform import nu_max, phi_grid
+from kamtori.series import (FTSeries, Grading, _equal_stack, average_q,
+                            majorant_norm, partial_omega)
 import kamtori.smalldiv as smalldiv
 from kamtori.smalldiv import (DiophantineWitness, ResonanceError,
                               SolverPreconditionError, _below_det_bound,
@@ -689,65 +693,78 @@ class TestL2DeterminantClosedForm:
         assert not below[n_near].any()
 
 
-def solve_with_spies(monkeypatch, problem, size):
-    """Run solve_cohomological on problem() over a size x size grid and
-    return (the eigvalsh and eigh calls on the (B, 2, 2) beta stack, the
-    shapes of the matrices np.linalg.solve received outside the slot
-    solves, and per slot solve (_solve_modes call) its number of k != 0
-    slots, its n and the shapes of the matrices it solved with)."""
-    from kamtori.engine import solve_cohomological
-    N, f, phix, wit = problem()
-    nb = size ** 2
-    calls = {"eigvalsh": 0, "eigh": 0}
-    shapes = []
-    linalg = {name: getattr(np.linalg, name)
-              for name in ("eigvalsh", "eigh", "solve")}
+LINALG = ("eigvalsh", "eigh", "eigvals", "eig", "svd", "cond", "qr",
+          "cholesky", "inv", "pinv", "slogdet", "matrix_rank", "lstsq",
+          "solve")
 
-    def counted(name):
-        def spy(a, *args, **kwargs):
-            if name == "solve":
-                shapes.append(np.shape(a))
-            elif np.shape(a) == (nb, 2, 2):
-                calls[name] += 1
-            return linalg[name](a, *args, **kwargs)
-        return spy
+
+def spy_linalg(monkeypatch):
+    """A list that records, in call order, the name and the shape of the
+    first argument of every numpy.linalg decomposition or solve (LINALG)
+    called while monkeypatch's patches hold; np.linalg.det fails."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
 
     def no_det(*args, **kwargs):
         raise AssertionError("np.linalg.det called")
-    for name in linalg:
-        monkeypatch.setattr(np.linalg, name, counted(name))
+    for name in LINALG:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg,
+                                                               name)))
     monkeypatch.setattr(np.linalg, "det", no_det)
+    return calls
+
+
+def solve_with_spies(monkeypatch, problem, size):
+    """Run solve_cohomological on problem() over a size x size grid and
+    return (the name and the shape of the argument of every numpy.linalg
+    decomposition call, in call order, the shapes of the matrices
+    np.linalg.solve received outside the slot solves, and per slot solve
+    (_solve_modes call) its number of k != 0 slots, its n and the shapes of
+    the matrices it solved with)."""
+    from kamtori.engine import solve_cohomological
+    N, f, phix, wit = problem()
+    calls = spy_linalg(monkeypatch)
     stages = []
     solve_modes = smalldiv._solve_modes
 
     def stage(witness, plan, slots, b, C, *args):
-        before = len(shapes)
+        before = len(calls)
         out = solve_modes(witness, plan, slots, b, C, *args)
         stages.append((int(np.count_nonzero(
             plan.K.norm[plan.split(slots)[1]])), C.shape[-1],
-            shapes[before:]))
-        del shapes[before:]
+            [shape for _, shape in calls[before:]]))
+        del calls[before:]
         return out
     monkeypatch.setattr(smalldiv, "_solve_modes", stage)
     solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
                         delta_plus=0.03, grid_size=size)
-    return calls, shapes, stages
+    return ([call for call in calls if call[0] != "solve"],
+            [shape for name, shape in calls if name == "solve"], stages)
 
 
 def test_one_decomposition_per_solve(monkeypatch):
-    # the benchmark's l2-cohom workload, solved on a 32 x 32 grid: its beta
-    # is the same at every point
+    # the benchmark's l2-cohom workload, solved on a 32 x 32 grid: its beta,
+    # and with it every per-point matrix, is the same at every point, so
+    # each decomposition runs once, on a stack of one, and none on a stack
+    # of the 1024 points: nu_max and L2's check of beta, the counter-term
+    # condition number (an SVD), L3's zero modes
     calls, shapes, stages = solve_with_spies(
         monkeypatch, l2_nonzero_beta_problem, 32)
-    # the check and nu_max; L3's zero modes
-    assert (calls["eigvalsh"], calls["eigh"]) == (2, 1)
+    assert calls == [("eigvalsh", (1, 2, 2)), ("eigvalsh", (1, 2, 2)),
+                     ("cond", (1, 5, 5)), ("eigh", (1, 2, 2))]
     # four L2 solves (n = 4) and one L3 (n = 10)
     assert [n for _, n, _ in stages] == [4, 4, 4, 10, 4]
     assert sum(count for count, _, _ in stages) == 8
     # one (n, n) matrix per k != 0 slot
     for count, n, solved in stages:
         assert solved == [(n, n)] * count
-    assert shapes == [(32 * 32, 5, 5)]        # the counter-term system
+    # the counter-term system is still solved point by point, in one call
+    assert shapes == [(32 * 32, 5, 5)]
 
 
 def test_varying_beta_solves_entry_by_entry(monkeypatch):
@@ -898,3 +915,195 @@ class TestSingularL3:
         with pytest.raises(SolverPreconditionError,
                            match=r"k=\(1, -1\) \(stack entry 2\)"):
             solve_L2([f], [z], beta, w, 1)
+
+
+# -- one decomposition per stack of equal matrices --
+
+@contextlib.contextmanager
+def per_point():
+    """Every equal-stack site on its per-point path: _equal_stack hands
+    back the stack it is given, in each module that reads it."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (smalldiv, normalform, cohom):
+            mp.setattr(module, "_equal_stack", lambda stack: stack)
+        yield
+
+
+def as_bytes(x):
+    """x by its bytes: an array's with its shape and dtype, a series' slot
+    arrays with its radii and loss, a float's hex, item by item through
+    lists and tuples."""
+    if x is None:
+        return None
+    if isinstance(x, FTSeries):
+        return [as_bytes(getattr(x, key)) for key in ("ij", "ik", "it", "coef")
+                ] + [as_bytes(v) for v in (x.r, x.s, x.trunc_loss)]
+    if isinstance(x, (list, tuple)):
+        return [as_bytes(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.tobytes()
+    return float(x).hex()
+
+
+def assert_same_bytes(fn, *args):
+    """fn(*args) gives the bytes, or fails with the message, that it gives
+    on the per-point path."""
+    got, err = outcome(fn, *args)
+    with per_point():
+        want, err_want = outcome(fn, *args)
+    assert err == err_want
+    assert as_bytes(got) == as_bytes(want)
+
+
+def copies(m, nb):
+    """A stack of nb copies of the matrix m."""
+    return np.broadcast_to(m, (nb,) + m.shape).copy()
+
+
+def batched_rhs(gr, nb, rng, count):
+    """count series on gr (d = 1), each with six random slots over two
+    parameter modes, every angle mode |k| <= 2 (the zero mode among them)
+    and two Taylor indices, whose coefficients hold nb independent
+    entries."""
+    js = [(0,) * gr.l, (1,) + (0,) * (gr.l - 1)]
+    alphas = [(0,) * gr.nz, (1,) + (0,) * (gr.nz - 1)]
+    keys = [(j, (k,), a) for j in js for k in range(-2, 3) for a in alphas]
+    out = []
+    for _ in range(count):
+        at = rng.choice(len(keys), 6, replace=False)
+        out.append(FTSeries(gr, 1.0, 1.0, {
+            keys[n]: rng.normal(size=nb) + 1j * rng.normal(size=nb)
+            for n in at}, _raw=True))
+    return out
+
+
+def batched_l3_rhs(gr, nb, rng):
+    """d_xx, d_yy, d_xy for solve_L3: l x l matrices of batched_rhs
+    series."""
+    l = gr.l
+    b = batched_rhs(gr, nb, rng, 3 * l * l)
+    return [[b[(m * l + i) * l:(m * l + i + 1) * l] for i in range(l)]
+            for m in range(3)]
+
+
+STACK_SIZES = st.sampled_from([1, 2, 32, 1024])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+L2_CAP = 0.5 * SLOT_WITNESS.min_divisor_sq(2)
+
+
+class TestOneDecompositionPerEqualStack:
+    """Each site that decomposes or builds a per-point matrix does so once
+    for a stack of equal ones, and the result broadcast back to every point
+    has the bytes of the per-point path (here on OpenBLAS 0.3.31, Haswell
+    kernels, like TestOneFactorizationPerSlot's)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 7), STACK_SIZES, st.sampled_from([0, 0, 9]), SEEDS)
+    def test_counter_term_condition(self, n, nb, ill, seed):
+        # a column scaled by 1e-9 puts some systems past COND_CAP
+        m = np.random.default_rng(seed).normal(size=(n, n))
+        m[:, 0] *= 10.0 ** -ill
+        assert_same_bytes(cohom._condition, copies(m, nb), np.arange(nb))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), STACK_SIZES, st.sampled_from([1.0, 1.0, 2.0]),
+           SEEDS)
+    def test_beta_check_eigenvalues(self, l, nb, scale, seed):
+        # scale 2 breaks ||beta|| <= 1
+        beta = scale * make_beta(np.random.default_rng(seed), l, 4.5)
+        assert_same_bytes(lambda b: _check_beta(b, WIDE_WITNESS, 1).w,
+                          copies(beta, nb))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3), STACK_SIZES, SEEDS)
+    def test_nu_max(self, l, nb, seed):
+        m = np.random.default_rng(seed).normal(size=(l, l))
+        assert_same_bytes(nu_max, copies(m, nb))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 2), STACK_SIZES, SEEDS)
+    def test_solve_L2(self, l, nb, seed):
+        rng = np.random.default_rng(seed)
+        gr = Grading(d=1, l=l, K_q=2, K_phi=1, D=3)
+        b = batched_rhs(gr, nb, rng, 2 * l)
+        beta = copies(make_beta(rng, l, L2_CAP), nb)
+        assert_same_bytes(solve_L2, b[:l], b[l:], beta, SLOT_WITNESS, 2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 2), STACK_SIZES, st.booleans(), SEEDS)
+    def test_solve_L3(self, l, nb, degenerate, seed):
+        # a multiple of the identity leaves an obstruction at l = 2
+        rng = np.random.default_rng(seed)
+        d3 = batched_l3_rhs(Grading(d=1, l=l, K_q=2, K_phi=1, D=3), nb, rng)
+        beta = 0.3 * np.eye(l) if degenerate else make_beta(rng, l, L2_CAP)
+        assert_same_bytes(solve_L3, *d3, copies(beta, nb), SLOT_WITNESS)
+
+    def test_obstruction_is_covered(self):
+        # test_solve_L3's degenerate beta reads a nonzero obstruction
+        gr = Grading(d=1, l=2, K_q=2, K_phi=1, D=3)
+        z = FTSeries.zero(gr, 1.0, 1.0)
+        xy = FTSeries(gr, 1.0, 1.0, {((0, 0), (0,), (0,) * gr.nz):
+                                     np.full(32, 1.0 + 0j)}, _raw=True)
+        d3 = [[[z, z], [z, z]], [[z, z], [z, z]], [[z, xy], [z, z]]]
+        got = solve_L3(*d3, copies(0.3 * np.eye(2), 32), SLOT_WITNESS)
+        assert got[3] == 0.5
+        assert_same_bytes(solve_L3, *d3, copies(0.3 * np.eye(2), 32),
+                          SLOT_WITNESS)
+
+    @pytest.mark.parametrize("ulp", [False, True])
+    def test_one_ulp_off_stays_per_point(self, monkeypatch, ulp):
+        # 32 copies of beta and of a counter-term system; with one entry of
+        # one copy moved by an ulp, every site decomposes, builds and solves
+        # the whole stack
+        rng = np.random.default_rng(5)
+        nb, l = 32, 2
+        gr = Grading(d=1, l=l, K_q=2, K_phi=1, D=3)
+        beta = copies(make_beta(rng, l, L2_CAP), nb)
+        Sys = copies(rng.normal(size=(5, 5)), nb)
+        if ulp:
+            beta[17, 1, 1] = np.nextafter(beta[17, 1, 1], np.inf)
+            Sys[17, 2, 1] = np.nextafter(Sys[17, 2, 1], np.inf)
+        b = batched_rhs(gr, nb, rng, 2 * l)
+        d3 = batched_l3_rhs(gr, nb, rng)
+        calls = spy_linalg(monkeypatch)
+        nu_max(beta)
+        cohom._condition(Sys, np.arange(nb))
+        solve_L2(b[:l], b[l:], beta, SLOT_WITNESS, 2)
+        n_L2 = len(calls)
+        solve_L3(*d3, beta, SLOT_WITNESS)
+        lead = (nb,) if ulp else (1,)
+        decomposed = [("eigvalsh", lead + (2, 2)), ("cond", lead + (5, 5)),
+                      ("eigvalsh", lead + (2, 2))]
+        assert [c for c in calls[:n_L2] if c[0] != "solve"] == decomposed
+        assert [c for c in calls[n_L2:] if c[0] != "solve"] == \
+            [("eigh", lead + (2, 2))]
+        # each k != 0 slot: one system for every point, or one per point
+        per = (nb,) if ulp else ()
+        solved = [shape for name, shape in calls if name == "solve"]
+        in_L2 = sum(name == "solve" for name, _ in calls[:n_L2])
+        assert 0 < in_L2 < len(solved)
+        assert solved == [per + (4, 4)] * in_L2 \
+            + [per + (10, 10)] * (len(solved) - in_L2)
+
+    def test_ill_conditioned_equal_stack_names_point_0(self):
+        # an equal stack past COND_CAP fails at grid point 0, with the cond
+        # and the text of the per-point path
+        pts = phi_grid(2, 4)
+        m = np.eye(5)
+        m[3, 3] = 1e-9
+        Sys = copies(m, len(pts))
+        with pytest.raises(cohom.CohomologyError) as err:
+            cohom._condition(Sys, pts)
+        assert str(err.value) == (
+            "counter-term linear system ill-conditioned (cond %.3g) (at "
+            "parameter grid point %s)" % (np.linalg.cond(Sys)[0], pts[0]))
+        assert_same_bytes(cohom._condition, Sys, pts)
+
+    def test_equal_means_the_same_bytes(self):
+        # 0.0 and -0.0 compare equal but are different bytes; a nan has
+        # the bytes of a nan
+        stack = np.zeros((3, 2, 2))
+        assert _equal_stack(stack).shape == (1, 2, 2)
+        stack[2, 0, 1] = -0.0
+        assert _equal_stack(stack) is stack
+        assert _equal_stack(np.full((3, 2), np.nan)).shape == (1, 2)
