@@ -19,7 +19,9 @@ B_y), then the quadratic blocks (the xx/yy/xy stage by kamtori.smalldiv's
 symmetrized coupled-triple solve; its leftover xx average, like the px / pp
 averages, becomes a component of Nbar), each stage reading its right-hand
 side off the exact series residual so far.  An FFT over the grid axes
-projects each per-point result back onto parameter modes.
+projects each per-point result back onto parameter modes.  N - g frozen on
+the grid and Nbar's model are written, and Nbar's blocks read back, by
+kamtori.normalform's one map (model_hamiltonian, model_blocks).
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,8 @@ import numpy as np
 from ..errors import ConvergenceError
 from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           const_matrix, majorant_on_grid, mat_eval_grid,
-                          nu_max, phi_grid, project_phi_rows)
+                          model_blocks, model_hamiltonian, nu_max, phi_grid,
+                          project_phi_rows)
 from ..series import (FTSeries, TaylorSplit, _equal_stack, _plan, average_q,
                       coordinates, differentiate, freeze_phi, majorant_norm,
                       multiply, restrict_z0, taylor_split)
@@ -94,19 +97,6 @@ def _real_mean(f, what, pts):
     return c.real
 
 
-def _reduced_hamiltonian(N, h_frozen, beta, Gamma, M):
-    """N - g frozen on the grid (the constant c is irrelevant)."""
-    gr = N.grading
-    r, s = N.radii
-    return TaylorSplit(
-        b_p=[FTSeries.constant(gr, r, s, w) for w in N.w],
-        d_xx=const_matrix(gr, r, s, beta),
-        d_pp=const_matrix(gr, r, s, M),
-        d_yy=const_matrix(gr, r, s, np.eye(gr.l)),
-        d_px=const_matrix(gr, r, s, np.swapaxes(Gamma, 1, 2)),
-        remainder=h_frozen).reassemble()
-
-
 def _peak(x):
     return float(np.max(x))
 
@@ -118,8 +108,7 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     (B, ., .) stacks of their values there.  Each stage runs in its own
     function, so that the series it reads only itself are freed before the
     next stage's brackets."""
-    l, d = gr.l, gr.d
-    channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(l)]
+    channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(gr.l)]
     checked, alpha_pt, v_pt, cond, gen = _linear_stage(
         gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B, witness)
     combo = _combine(channels, alpha_pt)
@@ -128,19 +117,18 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     # gen goes from the linear generator to the full one
     gen, obstruction = _quadratic_stage(gr, r, s, combo, gen, Nred, beta,
                                         Gamma, checked, witness)
-    spR = taylor_split(combo + gen.bracket_with(Nred))
+    bar = model_blocks(taylor_split(combo + gen.bracket_with(Nred)))
 
-    def real(rows, cols, get, what):
-        """(B, rows, cols) real means of the blocks get(i, j)."""
-        return np.stack([np.stack([_real_mean(get(i, j), what, pts)
-                                   for j in range(cols)], axis=1)
-                         for i in range(rows)], axis=1)
+    def real(mat, what):
+        """(B, rows, cols) real means of a matrix of blocks."""
+        return np.stack([np.stack([_real_mean(e, what, pts) for e in row],
+                                  axis=1) for row in mat], axis=1)
     return {"alpha": alpha_pt, "v": v_pt, "F": gen.F,
-            "cbar": _real_mean(spR.a, "cbar", pts),
-            "bbar": real(l, l, lambda i, j: spR.d_xx[i][j], "beta-bar"),
-            "Gbar": real(l, d, lambda i, j: spR.d_px[j][i], "Gamma-bar"),
-            "Mbar": real(d, d, lambda i, j: spR.d_pp[i][j], "M-bar"),
-            "hbar": spR.remainder,
+            "cbar": _real_mean(bar["c"], "cbar", pts),
+            "bbar": real(bar["beta"], "beta-bar"),
+            "Gbar": real(bar["Gamma"], "Gamma-bar"),
+            "Mbar": real(bar["M"], "M-bar"),
+            "hbar": bar["h"],
             "cond": _peak(cond), "obstruction": obstruction}
 
 
@@ -290,30 +278,24 @@ def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, beta, Gamma, checked,
     def mat_comb(rows, cols, entry):
         return [[entry(i, j) for j in range(cols)] for i in range(rows)]
 
-    R1 = mat_comb(d, l, lambda i, j: sp_u.d_px[i][j] + sum(
-        (Dxy[j][k2].scale(Gamma[:, k2, i]) for k2 in range(l)),
-        FTSeries.zero(gr, r, s)))
-    R2 = mat_comb(d, l, lambda i, j: sp_u.d_py[i][j] + sum(
-        (Dyy[k2][j].scale(Gamma[:, k2, i]) for k2 in range(l)),
-        FTSeries.zero(gr, r, s)))
-    Dpx = [[None] * l for _ in range(d)]
-    Dpy = [[None] * l for _ in range(d)]
-    for i in range(d):
-        u_row, w_row = solve_L2(R1[i], R2[i], checked, witness, gr.K_q)
-        for j in range(l):
-            Dpx[i][j] = u_row[j]
-            Dpy[i][j] = w_row[j]
+    def through_gamma(i, entry):
+        """The sum over k of entry(k) Gamma[:, k, i], point by point."""
+        return sum((entry(k).scale(Gamma[:, k, i]) for k in range(l)),
+                   FTSeries.zero(gr, r, s))
+
+    R1 = mat_comb(d, l, lambda i, j: sp_u.d_px[i][j]
+                  + through_gamma(i, lambda k: Dxy[j][k]))
+    R2 = mat_comb(d, l, lambda i, j: sp_u.d_py[i][j]
+                  + through_gamma(i, lambda k: Dyy[k][j]))
+    Dpx, Dpy = map(list, zip(*(solve_L2(R1[i], R2[i], checked, witness,
+                                        gr.K_q) for i in range(d))))
     R3 = mat_comb(d, d, lambda i, j: sp_u.d_pp[i][j]
-                  + sum((Dpy[j][k2].scale(Gamma[:, k2, i]) for k2 in range(l)),
-                        FTSeries.zero(gr, r, s))
-                  + sum((Dpy[i][k2].scale(Gamma[:, k2, j]) for k2 in range(l)),
-                        FTSeries.zero(gr, r, s)))
+                  + through_gamma(i, lambda k: Dpy[j][k])
+                  + through_gamma(j, lambda k: Dpy[i][k]))
     Dpp = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):
-            Dpp[i][j] = solve_L1(R3[i][j], witness)
-            if j > i:
-                Dpp[j][i] = Dpp[i][j]
+            Dpp[i][j] = Dpp[j][i] = solve_L1(R3[i][j], witness)
 
     F_quad = TaylorSplit(d_xx=Dxx, d_yy=Dyy, d_xy=Dxy, d_px=Dpx, d_py=Dpy,
                          d_pp=Dpp).reassemble()
@@ -398,13 +380,9 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     gr = f.grading
     l, d = gr.l, gr.d
     r, s = f.r, f.s
-    for i in range(l):
-        for j in range(l):
-            target = 1.0 if i == j else 0.0
-            dev = majorant_norm(N.Q[i][j] - target) if not N.Q[i][j].is_zero() \
-                else abs(target)
-            if dev > 1e-10:
-                raise CohomologyError("tuple must have Q = I before the solve")
+    if max(majorant_norm(N.Q[i][j] - float(i == j))
+           for i in range(l) for j in range(l)) > 1e-10:
+        raise CohomologyError("tuple must have Q = I before the solve")
     size = grid_size or collocation_size(gr)
     pts = phi_grid(l, size)
 
@@ -425,12 +403,15 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
             % (nu[np.argmax(bad)], level, np.count_nonzero(bad), len(pts),
                _at_point(pts, bad)))
     Gamma, M = on_grid(N.Gamma), on_grid(N.M, 1e-8)
+    frozen = lambda B: const_matrix(N.grading, *N.radii, B)
     try:
         # the frozen series are the solve's own: they are freed with it,
-        # before the projection
+        # before the projection; N - g has Q = I (its c is irrelevant)
         res = _grid_solve(
             gr, r, s, pts, beta, Gamma, M,
-            _reduced_hamiltonian(N, freeze_phi(N.h, pts), beta, Gamma, M),
+            model_hamiltonian(N.grading, *N.radii, w=N.w, beta=frozen(beta),
+                              Gamma=frozen(Gamma), M=frozen(M),
+                              Q=frozen(np.eye(l)), h=freeze_phi(N.h, pts)),
             freeze_phi(f, pts), [freeze_phi(phi_x[i], pts) for i in range(l)],
             witness)
     except SolverPreconditionError as exc:
@@ -440,26 +421,23 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
             "%s (at parameter grid point %s)" % (exc, pts[exc.entry])) from exc
 
     scal, ser, proj_defect = _project(res, l, size, gr, r, s)
-    alpha_g, v_g, cbar_g = scal["alpha"], scal["v"], scal["cbar"]
-    beta_g, Gamma_g, M_g = scal["bbar"], scal["Gbar"], scal["Mbar"]
-    F_g, hbar_g = ser["F"], ser["hbar"]
+    alpha_g, v_g, F_g = scal["alpha"], scal["v"], ser["F"]
+    # Nbar's blocks, by their names in the tuple
+    bar = {"c": scal["cbar"], "beta": scal["bbar"], "Gamma": scal["Gbar"],
+           "M": scal["Mbar"], "h": ser["hbar"]}
 
     # global defect slot: everything the projected representatives fail to
-    # match
+    # match.  N - g - c is built from the whole assembly: without g and c it
+    # would round differently, since (X + g) - g need not be X
     Nred_glob = assemble_hamiltonian(N) - N.g - N.c
     gen_g = GeneratingFunction(F_g, v_g)
     G = f.copy()
     for i in range(l):
         G = G - multiply(alpha_g[i], phi_x[i])
     lhs = G + gen_g.bracket_with(Nred_glob)
-    model = TaylorSplit(
-        a=cbar_g, d_xx=beta_g, d_pp=M_g,
-        d_px=[[Gamma_g[j][i] for j in range(l)] for i in range(d)],
-        remainder=hbar_g).reassemble()
-    gbar = lhs - model
-    Nbar = NormalFormTuple(
-        w=np.zeros(d), c=cbar_g, beta=beta_g, Gamma=Gamma_g, M=M_g,
-        Q=const_matrix(gr, r, s, np.zeros((l, l))), g=gbar, h=hbar_g)
+    gbar = lhs - model_hamiltonian(gr, r, s, **bar)
+    Nbar = NormalFormTuple(w=np.zeros(d), g=gbar, **bar,
+                           Q=const_matrix(gr, r, s, np.zeros((l, l))))
 
     resid_plateau = _peak(majorant_on_grid(gbar, pts))
     # tracker condition residual on the grid

@@ -2,8 +2,8 @@
 critical points select the torus.  The paper's identities alpha = grad zeta
 and the beta relation are checked by the tests (tests/identity_checks.py)."""
 
-from ..series import (FTSeries, TaylorSplit, average_q, multiply,
-                      partial_omega)
+from ..normalform import model_hamiltonian
+from ..series import average_q, multiply, partial_omega
 from ..symplectic import SymplecticMapSeries, series_compose
 from .cohom import restrict_z0
 
@@ -14,8 +14,7 @@ def compute_zeta(state, H0_series):
     gr = state.grading
     omega = state.N.w
     r, s = state.r, state.s
-    F = H0_series.with_radii(r, s) - TaylorSplit(
-        b_p=[FTSeries.constant(gr, r, s, w) for w in omega]).reassemble()
+    F = H0_series.with_radii(r, s) - model_hamiltonian(gr, r, s, w=omega)
     Phi0 = SymplecticMapSeries([restrict_z0(u) for u in state.Phi.U])
     total = series_compose(F, Phi0, drop_z_identity=True)
     for conj, u in zip(Phi0.Up + Phi0.Uy, Phi0.Uq + Phi0.Ux):

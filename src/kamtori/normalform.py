@@ -1,7 +1,8 @@
-"""Normal-form tuples, their Hamiltonian assembly, their norms and distance,
-nu_max profiling and the source paper's bump over the parameter torus (which
-the cohomological solve does not call: it needs beta inside the bump's
-plateau on its whole grid)."""
+"""Normal-form tuples, the one map between their blocks and TaylorSplit's
+fields (model_hamiltonian writes, model_blocks reads back), their norms and
+distance, nu_max profiling and the source paper's bump over the parameter
+torus (which the cohomological solve does not call: it needs beta inside
+the bump's plateau on its whole grid)."""
 
 import functools
 import math
@@ -220,15 +221,30 @@ def initial_tuple(grading, r, s, omega, M0, h=None):
         h=h)
 
 
+def model_hamiltonian(gr, r, s, *, w=None, c=None, beta=None, Gamma=None,
+                      M=None, Q=None, h=None):
+    """c + <w,p> + 1/2<beta x, x> + <Gamma p, x> + 1/2<Mp,p> + 1/2<Qy,y> + h,
+    the one map of the tuple's blocks onto TaylorSplit's fields, reassembled
+    (a block left None is zero; w's constants are made on radii (r, s))."""
+    b_p = None if w is None else [FTSeries.constant(gr, r, s, x) for x in w]
+    d_px = None if Gamma is None else [list(col) for col in zip(*Gamma)]
+    return TaylorSplit(a=c, b_p=b_p, d_xx=beta, d_pp=M, d_yy=Q, d_px=d_px,
+                       remainder=h).reassemble()
+
+
+def model_blocks(split):
+    """model_hamiltonian's inverse on a TaylorSplit: c, beta, Gamma, M, h
+    by name."""
+    return {"c": split.a, "beta": split.d_xx, "M": split.d_pp,
+            "Gamma": [list(row) for row in zip(*split.d_px)],
+            "h": split.remainder}
+
+
 def assemble_hamiltonian(N):
-    """c + <w,p> + 1/2<Mp,p> + 1/2<Qy,y> + <Gamma p, x> + 1/2<beta x, x> + g + h."""
-    gr = N.grading
-    r, s = N.radii
-    model = TaylorSplit(
-        a=N.c, b_p=[FTSeries.constant(gr, r, s, w) for w in N.w],
-        d_xx=N.beta, d_pp=N.M, d_yy=N.Q,
-        d_px=[[N.Gamma[j][i] for j in range(gr.l)] for i in range(gr.d)])
-    return model.reassemble() + N.g + N.h
+    """The tuple's model Hamiltonian plus g, then h: h as the model's
+    remainder would round differently."""
+    return model_hamiltonian(N.grading, *N.radii, w=N.w, c=N.c, beta=N.beta,
+                             Gamma=N.Gamma, M=N.M, Q=N.Q) + N.g + N.h
 
 
 def nu_max(B):

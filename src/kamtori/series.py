@@ -132,6 +132,12 @@ class _Ball:
         return np.where(codes[at] == sum_codes, at, -1), np.abs(sums).sum(axis=2)
 
 
+def _powers(modes, degrees, r, s):
+    """_Plan.powers's tables, of any length: e^{n r} for n <= modes and s^n
+    for n <= degrees."""
+    return np.exp(np.arange(modes + 1) * r), s ** np.arange(degrees + 1.0)
+
+
 class _Plan:
     """The product plan of a grading: its phi-mode, q-mode and Taylor balls
     J, K, T; lower[p][t], the index of a - e_p for the Taylor exponent a of
@@ -179,8 +185,7 @@ class _Plan:
     def powers(self, r, s):
         """The tables e^{n r} for the mode norms n <= 2 (K_phi + K_q) (a sum
         of two modes) and s^n for the degrees n <= D."""
-        return (np.exp(np.arange(2 * (self.J.K + self.K.K) + 1) * r),
-                s ** np.arange(self.T.K + 1).astype(float))
+        return _powers(2 * (self.J.K + self.K.K), self.T.K, r, s)
 
     @functools.lru_cache(maxsize=256)
     def degree_weights(self, d, r, s):
@@ -261,8 +266,10 @@ class FTSeries:
                             and _l1(a) <= grading.D):
                     raise GradingError("term outside the grading: %s"
                                        % ((j, k, a),)) from None
-                self.trunc_loss += float(np.max(np.abs(c))) * math.exp(
-                    (_l1(j) + _l1(k)) * self.r) * self.s ** _l1(a)
+                n, m = _l1(j) + _l1(k), _l1(a)   # _Plan.weight's rule
+                exp_r, pow_s = _powers(n, m, self.r, self.s)
+                weight = exp_r[n] * pow_s[m]
+                self.trunc_loss += float(np.max(np.abs(c)) * weight)
                 continue
             values.append(c)
         ij, ik, it = np.array(idx, dtype=np.intp).reshape(-1, 3).T

@@ -1,13 +1,17 @@
 """Normal-form tuple helpers that only the tests use: the normal-form
-predicate of the source paper on a parameter grid, a deep copy, and the JSON
+predicate of the source paper on a parameter grid, a deep copy, the JSON
 round trip of a tuple (the recorded cohomological cases hold their Nbar in
-this form)."""
+this form), and four constructions of a Hamiltonian from a tuple's blocks,
+each writing its own TaylorSplit, whose bytes normalform.model_hamiltonian
+must reproduce (the oracle of tests/test_normalform.py)."""
 
 import numpy as np
 
-from kamtori.normalform import (NormalFormTuple, majorant_on_grid,
-                                nu_max_profile, phi_grid, phi_grid_size)
-from kamtori.series import differentiate, from_json_dict, to_json_dict
+from kamtori.normalform import (NormalFormTuple, const_matrix,
+                                majorant_on_grid, nu_max_profile, phi_grid,
+                                phi_grid_size)
+from kamtori.series import (FTSeries, TaylorSplit, differentiate,
+                            from_json_dict, to_json_dict)
 
 
 def is_normal_form(N, v, delta, tol, grid=None):
@@ -54,3 +58,47 @@ def tuple_from_json(data):
                            from_json_dict(data["c"]), mat(data["beta"]),
                            mat(data["Gamma"]), mat(data["M"]), mat(data["Q"]),
                            from_json_dict(data["g"]), from_json_dict(data["h"]))
+
+
+# -- the four constructions of a Hamiltonian from a tuple's blocks --
+
+
+def assembled_oracle(N):
+    """assemble_hamiltonian: c + <w,p> + 1/2<Mp,p> + 1/2<Qy,y> + <Gamma p, x>
+    + 1/2<beta x, x> + g + h."""
+    gr = N.grading
+    r, s = N.radii
+    model = TaylorSplit(
+        a=N.c, b_p=[FTSeries.constant(gr, r, s, w) for w in N.w],
+        d_xx=N.beta, d_pp=N.M, d_yy=N.Q,
+        d_px=[[N.Gamma[j][i] for j in range(gr.l)] for i in range(gr.d)])
+    return model.reassemble() + N.g + N.h
+
+
+def reduced_oracle(N, h_frozen, beta, Gamma, M):
+    """The cohomological solve's N - g frozen on the grid, for (B, ., .)
+    stacks beta, Gamma, M (the constant c is irrelevant)."""
+    gr = N.grading
+    r, s = N.radii
+    return TaylorSplit(
+        b_p=[FTSeries.constant(gr, r, s, w) for w in N.w],
+        d_xx=const_matrix(gr, r, s, beta),
+        d_pp=const_matrix(gr, r, s, M),
+        d_yy=const_matrix(gr, r, s, np.eye(gr.l)),
+        d_px=const_matrix(gr, r, s, np.swapaxes(Gamma, 1, 2)),
+        remainder=h_frozen).reassemble()
+
+
+def nbar_model_oracle(cbar, beta, Gamma, M, hbar):
+    """The solve's model of the correction Nbar (w = 0, Q = 0, g = 0)."""
+    l, d = len(beta), len(M)
+    return TaylorSplit(
+        a=cbar, d_xx=beta, d_pp=M,
+        d_px=[[Gamma[j][i] for j in range(l)] for i in range(d)],
+        remainder=hbar).reassemble()
+
+
+def rotation_oracle(gr, r, s, omega):
+    """compute_zeta's plain rotation term <omega, p>."""
+    return TaylorSplit(
+        b_p=[FTSeries.constant(gr, r, s, w) for w in omega]).reassemble()

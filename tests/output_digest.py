@@ -16,7 +16,9 @@ entries, each named "<problem>/<output>":
   slot arrays of every embedding component, the invariance residual and
   relation_defects, every checked map's defect of each canonical bracket
   relation in pair order (history.json keeps only the largest, behind
-  which a moved pair could hide);
+  which a moved pair could hide), and the slot arrays of the final
+  tuple's assembled Hamiltonian (`assemble_hamiltonian`) and of zeta,
+  both read off the one call of `engine.compute_zeta`;
 - threedof-cli at seeds 101, 7 and 42001 (`ThreeDofCli.config`), run
   through `kamtori.cli.main` (reduce, run, verify) in a temporary
   directory: the exit codes and the bytes of reduced.json, history.json,
@@ -107,10 +109,26 @@ def relation_defects():
         symplectic.symplecticity_residual = real
 
 
+@contextlib.contextmanager
+def zeta_calls():
+    """A list that collects (state, zeta) for each call of
+    engine.compute_zeta while the context is open."""
+    real, got = engine.compute_zeta, []
+
+    def recording(state, H0_series):
+        got.append((state, real(state, H0_series)))
+        return got[-1][1]
+    engine.compute_zeta = recording
+    try:
+        yield got
+    finally:
+        engine.compute_zeta = real
+
+
 def coupled(eps):
     wl = workloads.Coupled()
     wl.EPS = eps
-    with relation_defects() as defects:
+    with relation_defects() as defects, zeta_calls() as zetas:
         out = wl.solve(wl.setup(0, None))
     rows = cli.history_rows(out["hist"])
     name = "coupled-1p1@eps=%g/" % eps
@@ -122,6 +140,11 @@ def coupled(eps):
         digests.update({name + "phi0": sha(np.asarray(out["phi0"]).tobytes()),
                         name + "embedding": sha(*emb),
                         name + "residual": sha(float(out["residual"]))})
+        (state, zeta), = zetas
+        digests.update({
+            name + "hamiltonian": sha(*series_parts(
+                normalform.assemble_hamiltonian(state.N))),
+            name + "zeta": sha(*series_parts(zeta))})
     return digests
 
 

@@ -1047,6 +1047,34 @@ class TestUncoveredSublevelRegion:
             kam_step(state, row, wit, N0)
 
 
+class TestQMustBeIdentity:
+    """The solve refuses a tuple whose Q is more than 1e-10 (majorant) away
+    from the identity in any entry, a zero entry included, before any
+    per-point work."""
+
+    @pytest.mark.parametrize("entry, value, refused", [
+        ((0, 1), 1e-9, True), ((0, 1), 1e-11, False), ((1, 1), 0.0, True),
+        ((1, 1), 1.0, False), ((0, 0), 1.0 + 2e-10, True)])
+    def test_refusal(self, monkeypatch, entry, value, refused):
+        import kamtori.engine.cohom as cohom
+        N, f, phix, wit = l2_nonzero_beta_problem()
+        Q = np.eye(2)
+        Q[entry] = value
+        N.Q = const_matrix(f.grading, 1.0, 1.0, Q)
+        assert N.Q[1][1].is_zero() == (entry == (1, 1) and value == 0.0)
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+        monkeypatch.setattr(cohom, "_grid_solve", reached)
+        want = CohomologyError if refused else Reached
+        with pytest.raises(want, match="Q = I" if refused else None):
+            solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                delta_plus=0.03, grid_size=8)
+
+
 class TestCollocationGrid:
     """The solve collocates on max(32, 4 K_phi + 1) points at l = 1 and on
     max(64, 4 K_phi + 1) per axis at l >= 2; the grid the artifacts and the

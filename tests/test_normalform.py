@@ -2,17 +2,128 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kamtori.normalform import (assemble_hamiltonian, bump_psi,
-                                const_matrix, initial_tuple,
+from kamtori.normalform import (NormalFormTuple, assemble_hamiltonian,
+                                bump_psi, const_matrix, initial_tuple,
+                                model_blocks, model_hamiltonian,
                                 normal_form_distance, nu_max_profile,
                                 phi_grid, phi_grid_size, project_phi_rows,
                                 project_phi_values)
 from kamtori.series import (BLOCK_TILE_BYTES, FTSeries, Grading,
-                            ck_norm_estimate, taylor_split)
-from conftest import GOLDEN
-from normalform_tools import (copy_tuple, is_normal_form, tuple_from_json,
+                            ck_norm_estimate, freeze_phi, select,
+                            taylor_split)
+from conftest import GOLDEN, random_real_series
+from normalform_tools import (assembled_oracle, copy_tuple, is_normal_form,
+                              nbar_model_oracle, reduced_oracle,
+                              rotation_oracle, tuple_from_json,
                               tuple_to_json)
+from output_digest import series_parts
+
+
+def model_inputs(d, l, nb, seed, symmetric=False):
+    """(grading, r, s, w, blocks, stacks): a frequency vector w and the
+    blocks c, beta, Gamma, M, Q and h of a tuple on a (d, l) grading, each
+    entry of c and of the matrices carrying a truncation loss, h of Taylor
+    degree >= 3.  With nb None the blocks are series in phi and q (Taylor
+    degree 0) and stacks is None; with nb the matrices are const_matrix
+    stacks of nb points, whose (nb, ., .) arrays stacks holds, and c and h
+    are frozen on nb points (batched).  symmetric makes beta and M
+    symmetric."""
+    gr = Grading(d=d, l=l, K_q=3, K_phi=2, D=4)
+    r, s = 1.0, 0.7
+    rng = np.random.default_rng(seed)
+    losses = iter(range(1, 100))
+    stacks = None if nb is None else {}
+
+    def series(n_modes, max_deg):
+        return random_real_series(gr, r, s, rng, n_modes=n_modes, max_k=1,
+                                  max_phi=1, max_deg=max_deg)
+
+    def lossy(f):
+        f.trunc_loss = 1e-9 * next(losses)
+        return f
+
+    def matrix(name, rows, cols):
+        sym = symmetric and name in ("beta", "M")
+        if nb is None:
+            mat = [[series(4, 0) for _ in range(cols)] for _ in range(rows)]
+            if sym:
+                mat = [[mat[min(i, j)][max(i, j)].copy() for j in range(cols)]
+                       for i in range(rows)]
+        else:
+            B = rng.normal(size=(nb, rows, cols))
+            stacks[name] = B = 0.5 * (B + np.swapaxes(B, 1, 2)) if sym else B
+            mat = const_matrix(gr, r, s, B)
+        return [[lossy(e) for e in row] for row in mat]
+
+    def frozen(f):
+        return f if nb is None else freeze_phi(
+            f, rng.uniform(0.0, 2 * math.pi, (nb, l)))
+    h = series(12, 4)
+    h = frozen(select(h, np.array([sum(a) >= 3 for _, _, a in h.terms],
+                                  dtype=bool)))
+    blocks = {"c": lossy(frozen(series(4, 0))),
+              "beta": matrix("beta", l, l), "Gamma": matrix("Gamma", l, d),
+              "M": matrix("M", d, d), "Q": matrix("Q", l, l), "h": h}
+    return gr, r, s, rng.normal(size=d), blocks, stacks
+
+
+DIMS = st.sampled_from([1, 2])
+BATCH = st.sampled_from([None, 1, 32])
+
+
+class TestModelMap:
+    """model_hamiltonian, the one writer of the tuple's blocks, gives the
+    bytes of each of the four constructions it replaced
+    (tests/normalform_tools.py), and model_blocks reads its blocks back."""
+
+    @settings(max_examples=24)
+    @given(DIMS, DIMS, BATCH, st.integers(0, 2 ** 32 - 1))
+    def test_writer_matches_the_old_constructions(self, d, l, nb, seed):
+        gr, r, s, w, b, stack = model_inputs(d, l, nb, seed)
+        zero = FTSeries.zero(gr, r, s)
+        N = NormalFormTuple(w, b["c"], b["beta"], b["Gamma"], b["M"], b["Q"],
+                            zero, b["h"])
+        pairs = [(assemble_hamiltonian(N), assembled_oracle(N)),
+                 (model_hamiltonian(gr, r, s, w=w),
+                  rotation_oracle(gr, r, s, w)),
+                 (model_hamiltonian(gr, r, s, c=b["c"], beta=b["beta"],
+                                    Gamma=b["Gamma"], M=b["M"], h=b["h"]),
+                  nbar_model_oracle(b["c"], b["beta"], b["Gamma"], b["M"],
+                                    b["h"]))]
+        if nb is not None:
+            # the solve's N - g on the grid, from (B, ., .) stacks
+            frozen = lambda B: const_matrix(gr, r, s, B)
+            pairs.append((
+                model_hamiltonian(gr, r, s, w=w, beta=frozen(stack["beta"]),
+                                  Gamma=frozen(stack["Gamma"]),
+                                  M=frozen(stack["M"]),
+                                  Q=frozen(np.eye(l)), h=b["h"]),
+                reduced_oracle(N, b["h"], stack["beta"], stack["Gamma"],
+                               stack["M"])))
+        for got, want in pairs:
+            assert series_parts(got) == series_parts(want)
+
+    @settings(max_examples=24)
+    @given(DIMS, DIMS, BATCH, st.integers(0, 2 ** 32 - 1))
+    def test_reader_inverts_the_writer(self, d, l, nb, seed):
+        # coefficient-exact for symmetric beta and M; w and Q go to b_p
+        # and d_yy, which the reader leaves
+        gr, r, s, w, b, _ = model_inputs(d, l, nb, seed, symmetric=True)
+        got = model_blocks(taylor_split(model_hamiltonian(gr, r, s, w=w,
+                                                          **b)))
+        assert set(got) == {"c", "beta", "Gamma", "M", "h"}
+        coefs = lambda f: [f.ij.tobytes(), f.ik.tobytes(), f.it.tobytes(),
+                           np.ascontiguousarray(f.coef).tobytes()]
+        for name, block in got.items():
+            want = b[name]
+            if isinstance(want, list):
+                assert [[coefs(e) for e in row] for row in block] == \
+                    [[coefs(e) for e in row] for row in want]
+            else:
+                assert coefs(block) == coefs(want)
 
 
 class TestAssembly:

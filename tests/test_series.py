@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import kamtori.series as fts
 from kamtori.series import (FTSeries, Grading, GradingError, average_q,
@@ -231,6 +233,23 @@ class TestMajorant:
                 val = evaluate(f, phi=[t], q=[2 * t], x=[0.3], p=[-0.2],
                                y=[0.1])
                 assert abs(val) <= bound + 1e-12
+
+    @settings(max_examples=80)
+    @given(st.integers(-6, 6), st.integers(-6, 6),
+           st.tuples(*[st.integers(0, 6)] * 3), st.floats(0.01, 3.0),
+           st.floats(0.01, 3.0))
+    def test_dropped_term_weighed_by_the_plan(self, j, k, a, r, s):
+        # a term outside the grading goes to trunc_loss at _Plan.weight's
+        # weight, bit for bit: the weight read in a grading that holds it
+        small = Grading(d=1, l=1, K_q=2, K_phi=2, D=3)
+        assume(abs(j) > 2 or abs(k) > 2 or sum(a) > 3)
+        f = FTSeries(small, r, s, {((j,), (k,), a): 0.75})
+        assert f.is_zero()
+        plan = fts._plan(Grading(d=1, l=1, K_q=6, K_phi=6, D=18))
+        weight = plan.weight(np.array([plan.J.index[(j,)]]),
+                             np.array([plan.K.index[(k,)]]),
+                             np.array([plan.T.index[a]]), r, s)
+        assert f.trunc_loss == 0.75 * weight[0]
 
     def test_submultiplicative_without_loss(self, g11, rng):
         f = random_real_series(g11, 1, 1, rng, max_k=2, max_phi=1, max_deg=1)
