@@ -142,6 +142,17 @@ def _int(value, field):
     return int(value)
 
 
+def _real(value, field, nesting=0):
+    """A config real, or with nesting n a list of reals nested n deep: JSON
+    numbers (a string or a bool is refused, not read as a number)."""
+    if nesting and isinstance(value, list):
+        return [_real(v, field, nesting - 1) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PreconditionError("bad config: %s must be a number, got %s"
+                                % (field, json.dumps(value)))
+    return float(value)
+
+
 def _ints(values, field):
     """A config list of integers (see _int)."""
     if not isinstance(values, list):
@@ -158,7 +169,8 @@ def _sigma_terms(entries, where, amplitude=1.0):
                      + _ints(e.get("x_modes", []), at + "x_modes"))
         powers = tuple(_ints(e.get("action_powers", [0] * len(mode)),
                              at + "action_powers"))
-        c = complex(e.get("re", 0.0), e.get("im", 0.0)) * amplitude
+        c = complex(_real(e.get("re", 0.0), at + "re"),
+                    _real(e.get("im", 0.0), at + "im")) * amplitude
         out.append(SigmaTerm(mode, powers, c))
         if e.get("hermitian", True):
             out.append(SigmaTerm(tuple(-v for v in mode), powers,
@@ -185,12 +197,12 @@ def cmd_reduce(cfg, out_path=None):
         prob = cfg["problem"]
         m = _int(prob["m"], "problem.m")
         resonances = [[float(v) for v in vec] for vec in prob["resonances"]]
-        omega0 = np.asarray(prob["omega0"], dtype=float)
-        hessian = np.asarray(prob["hessian"], dtype=float)
-        tau = float(prob.get("tau", 0.1))
-        r, s = (float(v) for v in prob.get("radii", [1.0, 1.0]))
+        omega0 = np.asarray(_real(prob["omega0"], "problem.omega0", 1))
+        hessian = np.asarray(_real(prob["hessian"], "problem.hessian", 2))
+        tau = _real(prob.get("tau", 0.1), "problem.tau")
+        r, s = _real(prob.get("radii", [1.0, 1.0]), "problem.radii", 1)
         truncation = _truncation(cfg)
-        amplitude = float(prob.get("amplitude", 1.0))
+        amplitude = _real(prob.get("amplitude", 1.0), "problem.amplitude")
         h_terms = _sigma_terms(prob.get("h_terms", []), "problem.h_terms")
         f_terms = _sigma_terms(prob.get("f_terms", []), "problem.f_terms",
                                amplitude)
@@ -324,7 +336,8 @@ def _pipeline(cfg):
     write history.json, zeta.csv and torus.json."""
     with _parsing("schedule"):
         sched_cfg = cfg.get("schedule", {})
-        target_tol = float(sched_cfg.get("target_tol", 1e-12))
+        target_tol = _real(sched_cfg.get("target_tol", 1e-12),
+                           "schedule.target_tol")
         n_max = _int(sched_cfg.get("n_max", 8), "schedule.n_max")
     if not target_tol > 0:
         raise PreconditionError("bad config: schedule.target_tol must be "

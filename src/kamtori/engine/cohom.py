@@ -107,7 +107,10 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     The series arguments are frozen on pts (batched) and beta, Gamma, M are
     (B, ., .) stacks of their values there.  Each stage runs in its own
     function, so that the series it reads only itself are freed before the
-    next stage's brackets."""
+    next stage's brackets.  Returns ({name: (B, ...) real array} for alpha,
+    v and Nbar's c, beta, Gamma and M; {name: batched series} for F and
+    Nbar's h; the largest condition number of the counter-term systems;
+    L3's zero-mode obstruction)."""
     channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(gr.l)]
     checked, alpha_pt, v_pt, cond, gen = _linear_stage(
         gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B, witness)
@@ -123,13 +126,12 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
         """(B, rows, cols) real means of a matrix of blocks."""
         return np.stack([np.stack([_real_mean(e, what, pts) for e in row],
                                   axis=1) for row in mat], axis=1)
-    return {"alpha": alpha_pt, "v": v_pt, "F": gen.F,
-            "cbar": _real_mean(bar["c"], "cbar", pts),
-            "bbar": real(bar["beta"], "beta-bar"),
-            "Gbar": real(bar["Gamma"], "Gamma-bar"),
-            "Mbar": real(bar["M"], "M-bar"),
-            "hbar": bar["h"],
-            "cond": _peak(cond), "obstruction": obstruction}
+    numbers = {"alpha": alpha_pt, "v": v_pt,
+               "c": _real_mean(bar["c"], "cbar", pts),
+               "beta": real(bar["beta"], "beta-bar"),
+               "Gamma": real(bar["Gamma"], "Gamma-bar"),
+               "M": real(bar["M"], "M-bar")}
+    return numbers, {"F": gen.F, "h": bar["h"]}, _peak(cond), obstruction
 
 
 def _solve_channel(gr, nb, ch, Nred, beta, witness, checked):
@@ -302,62 +304,48 @@ def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, beta, Gamma, checked,
     return GeneratingFunction(gen_lin.F + F_quad, gen_lin.v), obstruction
 
 
-_NUMERIC = ("alpha", "v", "cbar", "bbar", "Gbar", "Mbar")
+def _project(numbers, series, l, size, gr, r, s):
+    """Project the grid solve's per-point results onto parameter modes by an
+    FFT over the grid axes of each grid row (``project_phi_rows``): one call
+    on the numbers, a row per entry of their stacked (B, ...) arrays, and
+    one on each series' (terms, B) coefficient array itself (each
+    coefficient of a series is frozen: its terms all have j = 0).
 
-
-def _project(res, l, size, gr, r, s):
-    """Project the per-point results onto parameter modes: one grid row per
-    coefficient, each transformed by an FFT over the grid axes
-    (``project_phi_rows``, in blocks of rows).
-
-    Returns ({name: phi-only series or matrix of them} for the numeric
-    results, {name: series} for F and hbar, the largest projection defect).
+    Returns ({name: phi-only series, nested as the number's entries}, {name:
+    series}, the largest projection defect).
     """
     plan = _plan(gr)
-    numeric = [res[name].reshape(size ** l, -1).T for name in _NUMERIC]
-    series = [res["F"], res["hbar"]]
-    # one row per numeric column, then one per term of F and of hbar (each
-    # coefficient of a series is frozen: its terms all have j = 0)
-    bounds = np.cumsum([0] + [len(v) for v in numeric]
-                       + [len(f.coef) for f in series])
-    rows = np.empty((bounds[-1], size ** l), dtype=complex)
-    floors = np.empty(len(rows))
-    # a number gets its own coefficient floor; a series one for all its keys
-    peaks = [None] * len(numeric) + [_peak(f.max_abs_coeff()) for f in series]
-    for n, (vals, peak) in enumerate(zip(numeric + [f.coef for f in series],
-                                         peaks)):
-        block = rows[bounds[n]:bounds[n + 1]]
-        block[:] = vals if vals.ndim == 2 else vals[:, None]
-        floors[bounds[n]:bounds[n + 1]] = 1e-16 * (
-            np.abs(block).max(axis=1) if peak is None else peak)
-    modes, coeffs, kept, defects = project_phi_rows(rows, l, size, gr.K_phi,
-                                                    floors)
-    jidx = np.array([plan.J.index[j] for j in modes])
     zk, za = plan.K.index[(0,) * gr.d], plan.T.index[(0,) * gr.nz]
-    scalars = {}
-    for n, name in enumerate(_NUMERIC):
-        for row in range(bounds[n], bounds[n + 1]):
-            at = np.flatnonzero(kept[row])
-            new = FTSeries(gr, r, s)
-            new._set(jidx[at], np.full(len(at), zk), np.full(len(at), za),
-                     coeffs[row, at])
-            scalars.setdefault(name, []).append(new)
-    out = {}
-    for n, (name, f) in enumerate(zip(("F", "hbar"), series)):
-        lo = bounds[len(numeric) + n]
-        # the modes outermost: f's terms are in slot order, so are these
-        col, row = np.nonzero(kept[lo:lo + len(f.coef)].T)
+    rows = np.concatenate([a.reshape(len(a), -1).T for a in numbers.values()])
+    # a number gets its own coefficient floor; a series one for all its keys
+    modes, coeffs, kept, defect = project_phi_rows(
+        rows, l, size, gr.K_phi, 1e-16 * np.abs(rows).max(axis=1))
+    jidx = np.array([plan.J.index[j] for j in modes])
+    defects = [defect]
+
+    def phi_only(row):
+        at = np.flatnonzero(kept[row])
         new = FTSeries(gr, r, s)
-        new._set(jidx[col], f.ik[row], f.it[row], coeffs[lo + row, col])
+        new._set(jidx[at], np.full(len(at), zk), np.full(len(at), za),
+                 coeffs[row, at])
+        return new
+    # each number's series, nested as the entries of its (B, ...) array
+    entries = map(phi_only, range(len(rows)))
+    scalars = {name: np.fromiter(entries, object, a[0].size).reshape(
+        a.shape[1:]).tolist() for name, a in numbers.items()}
+    out = {}
+    for name, f in series.items():
+        _, f_coeffs, f_kept, f_defect = project_phi_rows(
+            f.coef, l, size, gr.K_phi,
+            np.full(len(f.coef), 1e-16 * _peak(f.max_abs_coeff())))
+        # the modes outermost: f's terms are in slot order, so are these
+        col, row = np.nonzero(f_kept.T)
+        new = FTSeries(gr, r, s)
+        new._set(jidx[col], f.ik[row], f.it[row], f_coeffs[row, col])
         new._prune()
         out[name] = new
-    shape = lambda items, rows, cols: [items[i * cols:(i + 1) * cols]
-                                       for i in range(rows)]
-    scalars["bbar"] = shape(scalars["bbar"], gr.l, gr.l)
-    scalars["Gbar"] = shape(scalars["Gbar"], gr.l, gr.d)
-    scalars["Mbar"] = shape(scalars["Mbar"], gr.d, gr.d)
-    scalars["cbar"] = scalars["cbar"][0]
-    return scalars, out, _peak(defects)
+        defects.append(f_defect)
+    return scalars, out, _peak(np.concatenate(defects))
 
 
 def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
@@ -407,7 +395,7 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     try:
         # the frozen series are the solve's own: they are freed with it,
         # before the projection; N - g has Q = I (its c is irrelevant)
-        res = _grid_solve(
+        numbers, series, cond, obstruction = _grid_solve(
             gr, r, s, pts, beta, Gamma, M,
             model_hamiltonian(N.grading, *N.radii, w=N.w, beta=frozen(beta),
                               Gamma=frozen(Gamma), M=frozen(M),
@@ -420,11 +408,10 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
         raise SolverPreconditionError(
             "%s (at parameter grid point %s)" % (exc, pts[exc.entry])) from exc
 
-    scal, ser, proj_defect = _project(res, l, size, gr, r, s)
-    alpha_g, v_g, F_g = scal["alpha"], scal["v"], ser["F"]
-    # Nbar's blocks, by their names in the tuple
-    bar = {"c": scal["cbar"], "beta": scal["bbar"], "Gamma": scal["Gbar"],
-           "M": scal["Mbar"], "h": ser["hbar"]}
+    bar, ser, proj_defect = _project(numbers, series, l, size, gr, r, s)
+    alpha_g, v_g, F_g = bar.pop("alpha"), bar.pop("v"), ser.pop("F")
+    # Nbar's blocks, by their names in the tuple: c, beta, Gamma, M and h
+    bar.update(ser)
 
     # global defect slot: everything the projected representatives fail to
     # match.  N - g - c is built from the whole assembly: without g and c it
@@ -450,5 +437,5 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     return CohomSolution(
         alpha=alpha_g, v=v_g, F=F_g, Nbar=Nbar, G=G, grid=pts,
         residual_plateau=resid_plateau, residual_tracker=tracker_resid,
-        zero_mode_obstruction=res["obstruction"], max_condition=res["cond"],
+        zero_mode_obstruction=obstruction, max_condition=cond,
         projection_defect=proj_defect)

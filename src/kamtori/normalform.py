@@ -59,17 +59,14 @@ def majorant_at_phi(f, phi):
 @functools.lru_cache(maxsize=None)
 def _phi_modes(l, size, K_phi):
     """The parameter modes |j|_1 <= K_phi of the FFT of a grid of phi_grid,
-    in lexicographic order; their columns in the FFT's row-major order; and
-    the mask of the other (dropped) columns."""
+    in lexicographic order, and their columns in the FFT's row-major
+    order."""
     half = size // 2
     modes = [tuple(m if m <= half else m - size for m in idx)
              for idx in np.ndindex(*([size] * l))]
     cols = sorted((i for i, j in enumerate(modes) if _l1(j) <= K_phi),
                   key=modes.__getitem__)
-    dropped = np.ones(len(modes), dtype=bool)
-    dropped[cols] = False
-    dropped.flags.writeable = False
-    return [modes[i] for i in cols], np.array(cols), dropped
+    return [modes[i] for i in cols], np.array(cols)
 
 
 def project_phi_rows(rows, l, size, K_phi, floors):
@@ -80,30 +77,28 @@ def project_phi_rows(rows, l, size, K_phi, floors):
     Returns (modes, coeffs, kept, defect): the kept modes in lexicographic
     order, their (n, modes) coefficients, the mask of those with |c| >
     floor, and the per-row defect = total magnitude of the dropped high
-    modes.  The rows are transformed in blocks of at most BLOCK_TILE_BYTES,
-    each filling its own rows of the results; a row's FFT reads that row
-    alone.  A block has at least two rows unless n is 1: numpy sums a
-    one-row block's defect pairwise and a longer block's left to right, so
-    this keeps every result the one-call transform of all rows gives."""
+    modes, summed left to right.  The rows are transformed in blocks of at
+    most BLOCK_TILE_BYTES, each filling its own rows of the results; a
+    row's results read that row alone, whatever block it falls in."""
     rows = np.asarray(rows, dtype=complex)
     n, npts = len(rows), size ** l
     floors = np.asarray(floors, dtype=float)
-    modes, cols, dropped = _phi_modes(l, size, K_phi)
+    modes, cols = _phi_modes(l, size, K_phi)
     coeffs = np.empty((n, len(cols)), dtype=complex)
     kept = np.empty((n, len(cols)), dtype=bool)
     defect = np.empty(n)
-    step = max(BLOCK_TILE_BYTES // (16 * npts), 2)
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()   # a lone last row joins the block before it
-    for lo, hi in zip(starts, starts[1:] + [n]):
+    step = max(BLOCK_TILE_BYTES // (16 * npts), 1)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         hat = np.fft.fftn(rows[lo:hi].reshape((hi - lo,) + (size,) * l),
                           axes=tuple(range(1, l + 1))).reshape(hi - lo, -1)
         hat /= npts
         mag = np.abs(hat)
-        defect[lo:hi] = mag[:, dropped].sum(axis=1)
         kept[lo:hi] = mag[:, cols] > floors[lo:hi, None]
         coeffs[lo:hi] = hat[:, cols]
+        # the kept modes add exact zeros to the dropped ones' running sum
+        mag[:, cols] = 0.0
+        defect[lo:hi] = np.cumsum(mag, axis=1, out=mag)[:, -1]
     return modes, coeffs, kept, defect
 
 

@@ -24,8 +24,10 @@ entries, each named "<problem>/<output>":
   directory: the exit codes and the bytes of reduced.json, history.json,
   torus.json and zeta.csv;
 - l2-cohom (`L2Cohom`): alpha's and the generator F's slot arrays, the
-  residual plateau and the largest condition number of the counter-term
-  systems (`max_condition`, history.json's `cohom_condition`);
+  residual plateau, the largest condition number of the counter-term
+  systems (`max_condition`, history.json's `cohom_condition`), the slot
+  arrays of the drift v and of the correction Nbar's c, beta, Gamma, M, h
+  and g in that order, and the projection defect;
 - l2-cohom-varying: the same for L2Cohom's problem with 0.01 cos(phi_1)
   added to beta[0][0], whose beta differs from point to point (it stays
   inside the sublevel region), so that its shifted systems are solved one
@@ -195,10 +197,17 @@ def l2_cohom(name="l2-cohom", vary=0.0):
     finally:
         engine.solve_cohomological = solve
     alpha = [p for a in out["alpha"] for p in series_parts(a)]
+    sol, = sols
+    Nbar = sol.Nbar
+    nbar = [Nbar.c] + [u for mat in (Nbar.beta, Nbar.Gamma, Nbar.M)
+                       for row in mat for u in row] + [Nbar.h, Nbar.g]
     return {name + "/alpha": sha(*alpha),
             name + "/residual_plateau": sha(float(out["residual_plateau"])),
-            name + "/F": sha(*series_parts(sols[0].F)),
-            name + "/max_condition": sha(float(sols[0].max_condition))}
+            name + "/F": sha(*series_parts(sol.F)),
+            name + "/max_condition": sha(float(sol.max_condition)),
+            name + "/v": sha(*(p for u in sol.v for p in series_parts(u))),
+            name + "/nbar": sha(*(p for u in nbar for p in series_parts(u))),
+            name + "/projection_defect": sha(float(sol.projection_defect))}
 
 
 def l2_iterate():

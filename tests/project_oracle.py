@@ -1,6 +1,6 @@
 """The projection of the cohomological solve's per-point results onto
 parameter modes as it was before it read the coefficient arrays: one grid
-row per numeric column and per term of F and hbar (walked as a dict), one
+row per numeric column and per term of F and h (walked as a dict), one
 {j: c} dict per row back from the FFT, and series built from dicts.
 
 Kept as the test oracle of ``kamtori.engine.cohom._project``."""
@@ -9,7 +9,7 @@ import numpy as np
 
 from kamtori.series import FTSeries, _l1
 
-NUMERIC = ("alpha", "v", "cbar", "bbar", "Gbar", "Mbar")
+NUMERIC = ("alpha", "v", "c", "beta", "Gamma", "M")
 
 
 def _phi_modes(l, size, K_phi):
@@ -24,14 +24,17 @@ def _phi_modes(l, size, K_phi):
 
 def project_phi_rows(rows, l, size, K_phi, floors):
     """(list of {j: c} with |c| > floor, per-row defect = total magnitude
-    of the dropped high modes) of grid-sampled rows, by one FFT."""
+    of the dropped high modes, added left to right) of grid-sampled rows,
+    by one FFT."""
     rows = np.asarray(rows, dtype=complex)
     n = len(rows)
     hat = np.fft.fftn(rows.reshape((n,) + (size,) * l),
                       axes=tuple(range(1, l + 1))).reshape(n, -1) / size ** l
     modes, keep = _phi_modes(l, size, K_phi)
     mag = np.abs(hat)
-    defect = mag[:, ~keep].sum(axis=1)
+    defect = np.zeros(n)
+    for col in np.flatnonzero(~keep):
+        defect += mag[:, col]
     kept = keep[None, :] & (mag > np.asarray(floors, dtype=float)[:, None])
     out = []
     for row in range(n):
@@ -40,9 +43,9 @@ def project_phi_rows(rows, l, size, K_phi, floors):
     return out, defect
 
 
-def project(res, l, size, gr, r, s):
+def project(numbers, series, l, size, gr, r, s):
     """({name: phi-only series or matrix of them} for the numeric results,
-    {name: series} for F and hbar, the largest projection defect)."""
+    {name: series} for F and h, the largest projection defect)."""
     npts = size ** l
     rows, floors, slots = [], [], []
 
@@ -55,11 +58,11 @@ def project(res, l, size, gr, r, s):
 
     # a number gets its own coefficient floor; a series one for all its keys
     for name in NUMERIC:
-        vals = res[name].reshape(npts, -1)
+        vals = numbers[name].reshape(npts, -1)
         for col in range(vals.shape[1]):
             add_row(vals[:, col], (name, col))
-    for name in ("F", "hbar"):
-        f = res[name]
+    for name in ("F", "h"):
+        f = series[name]
         floor = 1e-16 * float(np.max(f.max_abs_coeff())) if f.terms else 0.0
         for (_j, k, a), c in sorted(f.terms.items()):
             add_row(c, (name, (k, a)), floor)
@@ -67,7 +70,7 @@ def project(res, l, size, gr, r, s):
                                        floors)
     zk, za = (0,) * gr.d, (0,) * gr.nz
     scalars = {}
-    terms = {"F": {}, "hbar": {}}
+    terms = {"F": {}, "h": {}}
     for (name, slot), cs in zip(slots, coeffs):
         if name in terms:
             k, a = slot
@@ -79,8 +82,8 @@ def project(res, l, size, gr, r, s):
     series = {name: FTSeries(gr, r, s, t) for name, t in terms.items()}
     shape = lambda items, rows, cols: [items[i * cols:(i + 1) * cols]
                                        for i in range(rows)]
-    scalars["bbar"] = shape(scalars["bbar"], gr.l, gr.l)
-    scalars["Gbar"] = shape(scalars["Gbar"], gr.l, gr.d)
-    scalars["Mbar"] = shape(scalars["Mbar"], gr.d, gr.d)
-    scalars["cbar"] = scalars["cbar"][0]
+    scalars["beta"] = shape(scalars["beta"], gr.l, gr.l)
+    scalars["Gamma"] = shape(scalars["Gamma"], gr.l, gr.d)
+    scalars["M"] = shape(scalars["M"], gr.d, gr.d)
+    scalars["c"] = scalars["c"][0]
     return scalars, series, float(np.max(defects))

@@ -235,9 +235,32 @@ def test_l2_cohom_forms_no_batched_pair_loss(monkeypatch):
     wl = workloads.L2Cohom()
     wl.solve(wl.setup(101, None))
     assert seen and set(seen) == {(1, 1)}
-    res, = solved
-    assert res["F"].coef.ndim == res["hbar"].coef.ndim == 2
-    assert res["F"].trunc_loss == res["hbar"].trunc_loss == 0.0
+    (_, res, _, _), = solved
+    assert res["F"].coef.ndim == res["h"].coef.ndim == 2
+    assert res["F"].trunc_loss == res["h"].trunc_loss == 0.0
+
+
+def test_l2_cohom_projects_the_coefficient_arrays_in_place(monkeypatch):
+    # the projection transforms F's and h's per-point coefficient arrays
+    # themselves, not a copy of them
+    rows, solved = [], []
+
+    def project(*args, _real=cohom.project_phi_rows):
+        rows.append(args[0])
+        return _real(*args)
+    monkeypatch.setattr(cohom, "project_phi_rows", project)
+
+    def grid_solve(*args, _real=cohom._grid_solve):
+        solved.append(_real(*args))
+        return solved[-1]
+    monkeypatch.setattr(cohom, "_grid_solve", grid_solve)
+    wl = workloads.L2Cohom()
+    wl.solve(wl.setup(101, None))
+    (_, res, _, _), = solved
+    for name in ("F", "h"):
+        coef = res[name].coef
+        assert coef.ndim == 2 and len(coef)
+        assert any(np.shares_memory(coef, got) for got in rows), name
 
 
 @settings(max_examples=15, deadline=None)

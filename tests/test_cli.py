@@ -581,6 +581,39 @@ class TestConfigChecks:
         assert "bad config: %s must be " % field in err and "integer" in err
         assert not (tmp_path / "reduced.json").exists()
 
+    @pytest.mark.parametrize("command, edit, field, got", [
+        ("reduce", lambda cfg: cfg["problem"].update(tau=True),
+         "problem.tau", "true"),
+        ("reduce", lambda cfg: cfg["problem"].update(tau="0.1"),
+         "problem.tau", '"0.1"'),
+        ("reduce", lambda cfg: cfg["problem"].update(amplitude=True),
+         "problem.amplitude", "true"),
+        ("reduce", lambda cfg: cfg["problem"].update(radii=[True, True]),
+         "problem.radii", "true"),
+        ("reduce", lambda cfg: cfg["problem"].update(omega0=[GOLDEN, "0"]),
+         "problem.omega0", '"0"'),
+        ("reduce", lambda cfg: cfg["problem"]["hessian"][1].__setitem__(
+            1, "1.0"), "problem.hessian", '"1.0"'),
+        ("reduce", lambda cfg: cfg["problem"]["f_terms"][0].update(re="1e-5"),
+         "problem.f_terms[0].re", '"1e-5"'),
+        ("reduce", lambda cfg: cfg["problem"]["f_terms"][0].update(im=False),
+         "problem.f_terms[0].im", "false"),
+        ("run", lambda cfg: cfg["schedule"].update(target_tol="1e-8"),
+         "schedule.target_tol", '"1e-8"')],
+        ids=["tau-bool", "tau-string", "amplitude-bool", "radii-bool",
+             "omega0-string", "hessian-string", "re-string", "im-bool",
+             "target_tol-string"])
+    def test_non_number_real_field_exits_2(self, tmp_path, monkeypatch,
+                                           capsys, command, edit, field, got):
+        _refuse_work(monkeypatch)
+        path, cfg = flagship_config(tmp_path)
+        edit(cfg)
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == EXIT_PRECONDITION
+        assert "bad config: %s must be a number, got %s\n" % (field, got) \
+            in capsys.readouterr().err
+        assert not (tmp_path / "reduced.json").exists()
+
     @pytest.mark.parametrize("edit, field", [
         (lambda cfg: cfg["schedule"].update(n_max=8.5), "schedule.n_max"),
         (lambda cfg: cfg["schedule"].update(n_max="8"), "schedule.n_max"),

@@ -1186,10 +1186,10 @@ class TestProjection:
         N, f, phix, wit = l2_nonzero_beta_problem()
         args = self.captured(monkeypatch, N, f, phix, wit, sigma=0.025,
                              delta=0.1, delta_plus=0.03, grid_size=32)
-        res = args[0]
-        rows = sum(np.asarray(res[name]).size // 32 ** 2
+        numbers, series = args[:2]
+        rows = sum(np.asarray(numbers[name]).size // 32 ** 2
                    for name in project_oracle.NUMERIC) \
-            + len(res["F"].coef) + len(res["hbar"].coef)
+            + len(series["F"].coef) + len(series["h"].coef)
         assert rows > 3 * BLOCK_TILE_BYTES // (16 * 32 ** 2)
         self.check(args)
 

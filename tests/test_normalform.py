@@ -406,3 +406,16 @@ class TestBlockedProjection:
                 assert all(np.array(got[j]).tobytes()
                            == np.array(want[row][j]).tobytes() for j in got)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("l, size", [(1, 32), (1, 64), (2, 16), (2, 32)])
+    def test_defect_of_a_row_alone(self, l, size):
+        # a row's defect has the same bytes transformed alone and inside a
+        # block of other rows
+        rng = np.random.default_rng(size + l)
+        n = BLOCK_TILE_BYTES // (16 * size ** l)
+        rows = rng.standard_normal((n, size ** l)) \
+            + 1j * rng.standard_normal((n, size ** l))
+        *_, defect = project_phi_rows(rows, l, size, 3, np.zeros(n))
+        for row in range(n):
+            *_, alone = project_phi_rows(rows[row:row + 1], l, size, 3, [0.0])
+            assert alone.tobytes() == defect[row:row + 1].tobytes(), row

@@ -26,10 +26,13 @@ def test_l2_cohom_entry(tmp_path, capsys):
     assert set(first) == {name + "/" + out
                           for name in ("l2-cohom", "l2-cohom-varying")
                           for out in ("alpha", "residual_plateau", "F",
-                                      "max_condition")}
-    # the varying beta moves the generator, the plateau and the counter-term
-    # systems' condition (alpha comes out the same)
-    for out in ("residual_plateau", "F", "max_condition"):
+                                      "max_condition", "v", "nbar",
+                                      "projection_defect")}
+    # the varying beta moves the generator, the plateau, the counter-term
+    # systems' condition, Nbar and the projection defect (alpha and v come
+    # out the same)
+    for out in ("residual_plateau", "F", "max_condition", "nbar",
+                "projection_defect"):
         assert first["l2-cohom/" + out] != first["l2-cohom-varying/" + out]
     # the same tree gives the same digests, and --against says so
     path = tmp_path / "before.json"
