@@ -38,15 +38,14 @@ from ..errors import ConvergenceError
 from ..normalform import (MODEL_FIELDS, NormalFormTuple,
                           assemble_hamiltonian, const_matrix,
                           majorant_on_grid, mat_eval_grid, model_blocks,
-                          model_hamiltonian, nu_max, phi_grid,
-                          project_phi_rows)
+                          model_hamiltonian, phi_grid, project_phi_rows)
 from ..series import (FTSeries, TaylorSplit, _equal_stack, _plan, average_q,
                       coordinates, differentiate, freeze_phi, majorant_norm,
                       multiply, restrict_z0, taylor_split)
 # not used here: bench/workloads.py builds its trackers with cohom.coordinate
 from ..series import coordinate  # noqa: F401
-from ..smalldiv import (SolverPreconditionError, _check_beta, solve_L1,
-                        solve_L2, solve_L3)
+from ..smalldiv import (SolverPreconditionError, _check_beta, _decompose,
+                        solve_L1, solve_L2, solve_L3)
 from ..symplectic import GeneratingFunction, poisson_bracket
 
 COND_CAP = 1e8
@@ -108,25 +107,26 @@ def _peak(x):
     return float(np.max(x))
 
 
-def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
+def _grid_solve(gr, r, s, pts, checked, Gamma, M, Nred, f_B, phix_B,
+                witness):
     """Run the full ordered construction at every point of pts at once.
 
-    The series arguments are frozen on pts (batched) and beta, Gamma, M are
-    (B, ., .) stacks of their values there.  Each stage runs in its own
-    function, so that the series it reads only itself are freed before the
-    next stage's brackets.  Returns ({name: (B, ...) real array} for alpha,
-    v and Nbar's c, beta, Gamma and M; {name: batched series} for F and
-    Nbar's h; the largest condition number of the counter-term systems;
-    L3's zero-mode obstruction)."""
+    The series arguments are frozen on pts (batched); Gamma, M and checked
+    (beta, checked for L2 by smalldiv._check_beta) are (B, ., .) stacks of
+    their values there.  Each stage runs in its own function, so that the
+    series it reads only itself are freed before the next stage's brackets.
+    Returns ({name: (B, ...) real array} for alpha, v and Nbar's c, beta,
+    Gamma and M; {name: batched series} for F and Nbar's h; the largest
+    counter-term condition number; L3's zero-mode obstruction)."""
     channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(gr.l)]
-    checked, alpha_pt, v_pt, cond, gen = _linear_stage(
-        gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B, witness)
+    alpha_pt, v_pt, cond, gen = _linear_stage(
+        gr, r, s, pts, checked, Gamma, M, Nred, channels, phix_B, witness)
     combo = _combine(channels, alpha_pt)
     # the brackets from here on read only combo
     del f_B, phix_B, channels
     # gen goes from the linear generator to the full one
-    gen, obstruction = _quadratic_stage(gr, r, s, combo, gen, Nred, beta,
-                                        Gamma, checked, witness)
+    gen, obstruction = _quadratic_stage(gr, r, s, combo, gen, Nred, checked,
+                                        Gamma, witness)
     bar = model_blocks(taylor_split(combo + gen.bracket_with(Nred,
                                                            MODEL_FIELDS)))
 
@@ -142,19 +142,14 @@ def _grid_solve(gr, r, s, pts, beta, Gamma, M, Nred, f_B, phix_B, witness):
     return numbers, {"F": gen.F, "h": bar["h"]}, _peak(cond), obstruction
 
 
-def _solve_channel(gr, nb, ch, Nred, beta, witness, checked):
+def _solve_channel(gr, nb, ch, Nred, checked, witness):
     """The linear blocks of one channel: A by L1, then (B_x, B_y) by L2 and
     B_p by L1, each on the right-hand side that the blocks before it leave,
     with the means of the b_x and b_p slots the counter-term system reads.
-    checked is L2's checked beta, or None on the first channel: beta is
-    checked after its L1 solve, whose resonance error comes first.
-    Returns (checked, (A, Bx, By, Bp, means of b_x, means of b_p))."""
+    Returns (A, Bx, By, Bp, means of b_x, means of b_p)."""
     l, d = gr.l, gr.d
     sp = taylor_split(ch)
     A = solve_L1(sp.a, witness)
-    if checked is None:
-        # L2's precondition, once for every L2 solve of the construction
-        checked = _check_beta(beta, witness, gr.K_q)
     lin1 = ch + poisson_bracket(Nred, A, ("b_x", "b_y")) \
         if not A.is_zero() else ch
     sp1 = taylor_split(lin1)
@@ -164,9 +159,9 @@ def _solve_channel(gr, nb, ch, Nred, beta, witness, checked):
         if not F1.is_zero() else ch
     sp2 = taylor_split(lin2)
     Bp = [solve_L1(sp2.b_p[i], witness) for i in range(d)]
-    return checked, (A, Bx, By, Bp,
-                     np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1),
-                     np.stack([_mean0(sp2.b_p[i], nb) for i in range(d)], 1))
+    return (A, Bx, By, Bp,
+            np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1),
+            np.stack([_mean0(sp2.b_p[i], nb) for i in range(d)], 1))
 
 
 def _counter_terms(gr, r, s, pts, beta, Gamma, M, phix_B, solved):
@@ -251,19 +246,16 @@ def _combine(parts, alpha_pt):
     return out
 
 
-def _linear_stage(gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B,
+def _linear_stage(gr, r, s, pts, checked, Gamma, M, Nred, channels, phix_B,
                   witness):
     """Every channel's linear blocks, the counter terms, and the linear
-    generator they combine to.  Returns (L2's checked beta, alpha and v at
-    every point, the condition numbers, the linear generator)."""
+    generator they combine to.  Returns (alpha and v at every point, the
+    condition numbers, the linear generator)."""
     l, d = gr.l, gr.d
-    checked, solved = None, []
-    for ch in channels:
-        checked, part = _solve_channel(gr, len(pts), ch, Nred, beta, witness,
-                                       checked)
-        solved.append(part)
-    alpha_pt, v_pt, mqby, cond = _counter_terms(gr, r, s, pts, beta, Gamma,
-                                                M, phix_B, solved)
+    solved = [_solve_channel(gr, len(pts), ch, Nred, checked, witness)
+              for ch in channels]
+    alpha_pt, v_pt, mqby, cond = _counter_terms(gr, r, s, pts, checked.beta,
+                                                Gamma, M, phix_B, solved)
     A = _combine([part[0] for part in solved], alpha_pt)
     Bx, By, Bp = ([_combine([part[n][i] for part in solved], alpha_pt)
                    for i in range(len(solved[0][n]))] for n in (1, 2, 3))
@@ -272,11 +264,10 @@ def _linear_stage(gr, r, s, pts, beta, Gamma, M, Nred, channels, phix_B,
             By[i] = By[i] + mqby[:, i]
     F_lin = TaylorSplit(a=A, b_x=Bx, b_p=Bp, b_y=By).reassemble()
     v_series = [FTSeries.constant(gr, r, s, v_pt[:, i]) for i in range(d)]
-    return checked, alpha_pt, v_pt, cond, GeneratingFunction(F_lin, v_series)
+    return alpha_pt, v_pt, cond, GeneratingFunction(F_lin, v_series)
 
 
-def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, beta, Gamma, checked,
-                     witness):
+def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, checked, Gamma, witness):
     """The quadratic blocks on the residual combo + {gen_lin, Nred}: the
     xx/yy/xy stage by L3, px/py by L2, pp by L1.  Returns (the full
     generator, linear plus quadratic blocks, with gen_lin's v; L3's zero-mode
@@ -286,7 +277,7 @@ def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, beta, Gamma, checked,
         Nred, ("d_xx", "d_yy", "d_xy", "d_px", "d_py", "d_pp")))
 
     Dxx, Dyy, Dxy, obstruction = solve_L3(sp_u.d_xx, sp_u.d_yy, sp_u.d_xy,
-                                          beta, witness)
+                                          checked, witness)
 
     def mat_comb(rows, cols, entry):
         return [[entry(i, j) for j in range(cols)] for i in range(rows)]
@@ -367,8 +358,11 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     source paper's bump over nu_max(beta) equals one wherever nu_max(beta)
     < t1 + a (levels t1 = 2 delta_plus, t2 = 3 delta_plus, scale a =
     (t2 - t1) / 4), so there it glues nothing and every point has unit
-    weight.  Any other beta is refused with a CohomologyError naming the
-    first uncovered point, before any per-point work.
+    weight.  Before any per-point work, and reading one eigh of beta's grid
+    stack, the solve refuses in this order: a Q other than I, a beta whose
+    sublevel region leaves a point uncovered (a CohomologyError), then one
+    failing L2's precondition (a SolverPreconditionError); the last two
+    name their first failing grid point.
 
     Returns a CohomSolution: residual_plateau is the majorant of Nbar's
     defect g-slot over the grid, which the caller checks against f's, and G
@@ -392,7 +386,8 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
             raise CohomologyError(str(exc)) from exc
 
     beta = on_grid(N.beta, 1e-8)
-    nu = nu_max(beta)
+    decomposed = _decompose(beta)
+    nu = decomposed.w[:, -1]
     level = 2.25 * delta_plus
     bad = nu >= level
     if bad.any():
@@ -404,10 +399,11 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     Gamma, M = on_grid(N.Gamma), on_grid(N.M, 1e-8)
     frozen = lambda B: const_matrix(N.grading, *N.radii, B)
     try:
+        checked = _check_beta(decomposed, witness, gr.K_q)
         # the frozen series are the solve's own: they are freed with it,
         # before the projection; N - g has Q = I (its c is irrelevant)
         numbers, series, cond, obstruction = _grid_solve(
-            gr, r, s, pts, beta, Gamma, M,
+            gr, r, s, pts, checked, Gamma, M,
             model_hamiltonian(N.grading, *N.radii, w=N.w, beta=frozen(beta),
                               Gamma=frozen(Gamma), M=frozen(M),
                               Q=frozen(np.eye(l)), h=freeze_phi(N.h, pts)),

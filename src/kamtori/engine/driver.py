@@ -43,19 +43,22 @@ class IterationState:
     Phi: SymplecticMapSeries
     r: float
     s: float
-    # sizes measured as the state was made (f_c2 of f, alpha_c2, and, after
-    # a rung, tracker_mean_c2 of phi_x); kam_step reads what it finds here
+    # sizes measured as the state was made: f_c2 of f, alpha_c2 and
+    # tracker_mean_c2 of phi_x, which kam_step reads as its rung's sizes
     norms: dict = field(default_factory=dict)
 
     @classmethod
     def start(cls, N0, f0):
         """Rung 0 of a run from (N0, f0): no counter-term, the identity map,
-        f0's radii, and f0's measured size."""
+        f0's radii, and the measured sizes of f0 and of the tracker's
+        mean."""
         gr, r, s = f0.grading, f0.r, f0.s
-        return cls(n=0, N=N0, alpha=[FTSeries.zero(gr, r, s)
-                                     for _ in range(gr.l)],
-                   f=f0, Phi=identity_map(gr, r, s), r=r, s=s,
-                   norms={"f_c2": c2_norm(f0), "alpha_c2": 0.0})
+        state = cls(n=0, N=N0, alpha=[FTSeries.zero(gr, r, s)
+                                      for _ in range(gr.l)],
+                    f=f0, Phi=identity_map(gr, r, s), r=r, s=s,
+                    norms={"f_c2": c2_norm(f0), "alpha_c2": 0.0})
+        state.norms["tracker_mean_c2"] = tracker_mean_norm(state.phi_x(), gr)
+        return state
 
     @property
     def grading(self):
@@ -121,12 +124,8 @@ def kam_step(state, row, witness, N0):
     f = state.f
     phi_x = state.phi_x()
 
-    # a state that came out of a rung carries both sizes, measured there
-    norms = state.norms
-    f_norm = norms["f_c2"] if "f_c2" in norms else c2_norm(f)
-    measures["f_c2"] = f_norm
-    measures["tracker_mean_c2"] = norms["tracker_mean_c2"] \
-        if "tracker_mean_c2" in norms else tracker_mean_norm(phi_x, gr)
+    f_norm = measures["f_c2"] = state.norms["f_c2"]
+    measures["tracker_mean_c2"] = state.norms["tracker_mean_c2"]
     dx_off = [phi_x[i] - coordinate(gr, r, s, "x", i) for i in range(gr.l)]
     measures["tracker_off_c2"] = max(
         (c2_norm(u) for u in dx_off), default=0.0)

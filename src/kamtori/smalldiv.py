@@ -6,26 +6,26 @@ time: the systems are diagonal in the parameter mode j, the angle mode k and
 the Taylor multi-index a.  At k != 0, L2 and L3 solve one shifted system
 (C(beta) + i<omega, k> I) u = b on the stacked unknowns of the slot (L1 is
 its scalar case, with C = 0), with <omega, k> computed once per mode.
-Wherever beta does not depend on phi (every first rung, whose beta is 0,
-and every constant beta) every grid point has the same matrices, and a
-stack of them is carried as a stack of one (series._equal_stack, the one
-rule for "equal stack": every entry has the bytes of the first).  These
-sites work on what it returns and broadcast the result back to the points:
-the check of beta (its eigvalsh), L2's C(beta), L3's C(beta) and its
-zero-mode eigh, normalform.nu_max and the counter-term condition number of
-kamtori.engine.cohom (its SVD).  Each shifted system of an equal stack is
-factored once per slot: one (n, n) solve takes every point's right-hand
-side as a column.  A stack that varies is decomposed and solved point by
-point.  The two give the same bytes on OpenBLAS 0.3.31 (Haswell kernels),
-where tests/test_smalldiv.py checks every site; another LAPACK may round
-differently.  The counter-term solve is not such a site: its real dgesv
-with the points as columns differed from the per-point solve in 2941 of
-3000 random equal stacks (n 2 to 7, B in {2, 32, 576, 1024}), while
-cond and eigh of the stack of one differed in none, so it stays per point.
+Wherever beta does not depend on phi (every first rung, whose beta is 0, and
+every constant beta) every grid point has the same matrices, and a stack of
+them is carried as a stack of one (series._equal_stack, the one rule for
+"equal stack": every entry has the bytes of the first).  These sites work on
+what it returns and broadcast the result back to the points: beta's one eigh
+(_decompose; the sublevel refusal, the beta check, both C(beta) and L3's
+zero modes read it), normalform.nu_max and the counter-term condition number
+of kamtori.engine.cohom (its SVD).  Each shifted system of an equal stack is
+factored once per slot: one (n, n) solve takes every point's right-hand side
+as a column; a stack that varies is decomposed and solved point by point.
+The two give the same bytes on OpenBLAS 0.3.31 (Haswell kernels), where
+tests/test_smalldiv.py checks every site; another LAPACK may round
+differently.  The counter-term solve is not such a site: its real dgesv with
+the points as columns differed from the per-point solve in 2941 of 3000
+random equal stacks (n 2 to 7, B in {2, 32, 576, 1024}), while cond and eigh
+of the stack of one differed in none, so it stays per point.
 
 L2's precondition on beta (symmetric, ||beta|| <= 1 and nu_max(beta) <= 1/2
 min <omega, k>^2 over 0 < |k|_1 <= K) is checked once per beta stack, by
-one eigvalsh whose eigenvalues w also give L2's determinant bound in closed
+one eigh whose eigenvalues w also give L2's determinant bound in closed
 form: for C = [[0, -beta], [I, 0]], det(C + i lam I) = det(beta - lam^2 I),
 so |det| = prod_i |lam^2 - w_i|, which the precondition keeps at or above
 2^-l |lam|^(2l).  A solve whose determinant falls below that bound, with a
@@ -111,17 +111,10 @@ class DiophantineWitness:
 
 def _modes_up_to(d, K):
     """All k in Z^d with 0 < |k|_1 <= K, one representative per +-pair."""
-    rng = range(-K, K + 1)
-    for k in itertools.product(*([rng] * d)):
-        if sum(abs(v) for v in k) == 0 or sum(abs(v) for v in k) > K:
-            continue
+    for k in itertools.product(range(-K, K + 1), repeat=d):
         # keep the lexicographically positive representative
-        for v in k:
-            if v > 0:
-                yield k
-                break
-            if v < 0:
-                break
+        if 0 < sum(map(abs, k)) <= K and next(v for v in k if v) > 0:
+            yield k
 
 
 def effective_diophantine_constant(omega, tau, K):
@@ -173,37 +166,50 @@ def _fail(name, stacked, bad, msg):
 
 
 class _CheckedBeta(NamedTuple):
-    """A beta that passed L2's precondition for witness and K, with its
-    eigenvalues (shape beta.shape[:-1], ascending)."""
+    """beta with its equal-stack form one and its eigh, w (ascending) and V
+    broadcast to every entry; witness and K once L2's precondition holds."""
 
     beta: np.ndarray
+    one: np.ndarray
     w: np.ndarray
-    witness: "DiophantineWitness"
-    K: int
+    V: np.ndarray
+    witness: "DiophantineWitness" = None
+    K: int = None
+
+
+def _decompose(beta):
+    """beta (l x l or (B, l, l)) with one eigh of its equal-stack form
+    (series._equal_stack); a _CheckedBeta is returned as it is."""
+    if isinstance(beta, _CheckedBeta):
+        return beta
+    beta = np.asarray(beta, dtype=float)
+    stack = beta.reshape((-1,) + beta.shape[-2:])
+    one = _equal_stack(stack)
+    w, V = np.linalg.eigh(one)
+    w = np.broadcast_to(w, stack.shape[:-1]).reshape(beta.shape[:-1])
+    V = np.broadcast_to(V, stack.shape).reshape(beta.shape)
+    return _CheckedBeta(beta, one, w, V)
 
 
 def _check_beta(beta, witness, K):
     """L2's precondition: beta is one l x l matrix or a (B, l, l) stack; each
     is checked, and an error names the first failing entry of a stack.
     Returns a _CheckedBeta; one checked for the same witness and K is
-    returned as it is, and one checked for others is checked again."""
+    returned as it is, any other is checked on its own decomposition."""
     if isinstance(beta, _CheckedBeta):
         if beta.witness is witness and beta.K == K:
             return beta
-        beta = beta.beta
-    beta = np.asarray(beta, dtype=float)
-    stack = beta.reshape((-1,) + beta.shape[-2:])
-    stacked = beta.ndim != 2
-    if beta.shape[-2] != beta.shape[-1]:
+    elif np.shape(beta)[-2] != np.shape(beta)[-1]:
         raise SolverPreconditionError("L2: beta must be symmetric")
-    # an equal stack is checked once, as its entry 0
-    one = _equal_stack(stack)
+    dec = _decompose(beta)
+    stacked, one = dec.beta.ndim != 2, dec.one
+    # an equal stack is checked once, as its entry 0 (w's first row)
     asym = ~np.all(np.isclose(one, np.swapaxes(one, -1, -2), rtol=1e-5,
                               atol=1e-12), axis=(-2, -1))
     if asym.any():
         _fail("L2", stacked, asym, "beta must be symmetric")
     # symmetric: the 2-norm is the largest |eigenvalue|
-    w = np.linalg.eigvalsh(one)
+    w = dec.w.reshape(-1, one.shape[-1])[:len(one)]
     big = np.abs(w).max(axis=-1) > 1.0 + 1e-12
     if big.any():
         _fail("L2", stacked, big, "need ||beta|| <= 1")
@@ -217,8 +223,7 @@ def _check_beta(beta, witness, K):
         _fail("L2", stacked, over, "nu_max(beta)=%.3g exceeds "
               "0.5*min<omega,k>^2=%.3g (worst k=%s)"
               % (float(nu[over][0]), lim, worst))
-    w = np.broadcast_to(w, stack.shape[:-1]).reshape(beta.shape[:-1])
-    return _CheckedBeta(beta, w, witness, K)
+    return dec._replace(witness=witness, K=K)
 
 
 def _gather(series, batch):
@@ -330,19 +335,19 @@ def solve_L2(b_x, b_y, beta, witness, K):
     (B, l, l) stack of matrices the series are batched, entry b solved with
     beta[b].  Each mode solves (C + i<omega, k> I) (B_x, B_y) = (b_x, b_y)
     with C = [[0, -beta], [I, 0]].  beta may be _check_beta(beta, witness,
-    K), which is then not checked again.
+    K), which is then not checked again, or _decompose(beta).
     """
     l = len(b_x)
     plan = _plan(b_x[0].grading)
-    beta, w = _check_beta(beta, witness, K)[:2]
-    batch = beta.shape[:-2]
-    one = _equal_stack(beta) if batch else beta
+    checked = _check_beta(beta, witness, K)
+    batch = checked.beta.shape[:-2]
+    one = checked.one if batch else checked.beta
     zero = np.zeros(one.shape)
     eye = np.broadcast_to(np.eye(l), one.shape)
     C = np.block([[zero, -one], [eye, zero]])
 
     slots, u = _gather(list(b_x) + list(b_y), batch)
-    _solve_modes(witness, plan, slots, u, C, "L2", w)
+    _solve_modes(witness, plan, slots, u, C, "L2", checked.w)
     mode0 = plan.K.norm[plan.split(slots)[1]] == 0   # (B_x, B_y)(0) = (b_y, 0)
     u[mode0, ..., :l] = u[mode0, ..., l:]
     u[mode0, ..., l:] = 0.0
@@ -355,11 +360,13 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     of a (B, l, l) beta stack; returns (Dxx, Dyy, Dxy, obstruction).
 
     d_xx, d_yy, d_xy are l x l matrices of series whose coefficients hold one
-    entry per matrix of the stack (or one number for all of them)."""
+    entry per matrix of the stack (or one number for all of them); beta may
+    be a _CheckedBeta."""
     l = len(d_xx)
     f0 = d_xx[0][0]
     plan = _plan(f0.grading)
-    nb = len(beta)
+    dec = _decompose(beta)
+    nb = len(dec.beta)
     si, sj = np.triu_indices(l)
     nsym = len(si)
     T = lambda m: np.swapaxes(m, -1, -2)
@@ -380,10 +387,9 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     # C(beta), once for an equal stack: its columns are the images of the
     # unit unknowns
     X, Y, Z = np.moveaxis(unpack(np.eye(2 * nsym + l * l)), -3, 0)
-    one = _equal_stack(beta)
-    b = one[:, None]
+    b = dec.one[:, None]
     C = T(pack(-(b @ T(Z) + Z @ b),
-               np.broadcast_to(Z + T(Z), (len(one),) + Z.shape), X - b @ Y))
+               np.broadcast_to(Z + T(Z), (len(b),) + Z.shape), X - b @ Y))
 
     flat = [m[i][j] for m in (d_xx, d_yy, d_xy) for i in range(l)
             for j in range(l)]
@@ -396,8 +402,7 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     u = unpack(_solve_modes(witness, plan, slots, u, C, "L3"))
 
     # the zero modes, on beta's eigen-decomposition at every point
-    w, V = (np.broadcast_to(a, (nb,) + a.shape[1:])
-            for a in np.linalg.eigh(one))
+    w, V = dec.w, dec.V
     At = T(V) @ (0.5 * (xy0 - T(xy0))) @ V
     scale = np.maximum(1.0, np.abs(w).max(axis=1))[:, None, None]
     dw = w[:, :, None] - w[:, None, :]
@@ -406,7 +411,7 @@ def solve_L3(d_xx, d_yy, d_xy, beta, witness):
     Yt = np.where(split, -2.0 * At / np.where(split, dw, 1.0), 0.0)
     obstruction = float(np.abs(At)[:, off & ~split].max(initial=0.0))
     Y0 = V @ Yt @ T(V)
-    u[mode0, :, 0] = sym(xy0 + beta @ Y0)
+    u[mode0, :, 0] = sym(xy0 + dec.beta @ Y0)
     u[mode0, :, 1] = Y0
     u[mode0, :, 2] = 0.5 * yy0
 

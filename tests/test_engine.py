@@ -21,7 +21,8 @@ from kamtori.errors import ConvergenceError, PreconditionError
 from kamtori.series import (FTSeries, Grading, RealityError, average_q,
                             differentiate, evaluate, from_json_dict,
                             majorant_norm, multiply, taylor_split)
-from kamtori.smalldiv import effective_diophantine_constant
+from kamtori.smalldiv import (SolverPreconditionError,
+                              effective_diophantine_constant)
 from kamtori.symplectic import (DEFAULT_SYMP_TOL, GeneratingFunction,
                                 GeneratorTooLargeError, SymplecticityError,
                                 compose_maps, identity_map,
@@ -993,12 +994,17 @@ class TestUncoveredSublevelRegion:
         return N, f, phix, wit
 
     @staticmethod
-    def nu_max(N, pts):
-        """nu_max(beta) at each point, from beta's entries evaluated by
+    def eigenvalues(N, pts):
+        """beta's eigenvalues at each point, from its entries evaluated by
         series.evaluate rather than the solve's mat_eval_grid."""
         beta = np.array([[evaluate(e, phi=pts) for e in row]
                          for row in N.beta])
-        return np.linalg.eigvalsh(beta.transpose(2, 0, 1))[:, -1]
+        return np.linalg.eigvalsh(beta.transpose(2, 0, 1))
+
+    @classmethod
+    def nu_max(cls, N, pts):
+        """nu_max(beta) at each point (eigenvalues)."""
+        return cls.eigenvalues(N, pts)[:, -1]
 
     # (l, constant shift, delta_plus, points uncovered): partly and wholly
     CASES = [(1, 0.0, 0.02, "partial"), (1, 0.1, 0.01, "empty"),
@@ -1045,6 +1051,55 @@ class TestUncoveredSublevelRegion:
                                  r">= .* on \d+ of 32 points \(at parameter "
                                  r"grid point \[0\.\]\)$"):
             kam_step(state, row, wit, N0)
+
+
+class TestL2PreconditionOnTheGrid:
+    """After the sublevel refusal, and still before any per-point work, the
+    solve checks L2's precondition on beta's grid stack once; a failure
+    names its first failing grid point.  A beta that fails both checks gets
+    the sublevel refusal."""
+
+    # (l, delta_plus): omega = GOLDEN allows nu_max(beta) <= 0.5 GOLDEN^2 >
+    # 1 at d = 1, so the beta -0.97 + 0.06 cos(phi_1) (at l = 2 added to
+    # l2_nonzero_beta_problem's) fails only ||beta|| <= 1, and only away
+    # from phi = 0
+    @pytest.mark.parametrize("l, delta_plus", [(1, 0.03), (2, 0.03)])
+    def test_refused_before_any_point_is_solved(self, monkeypatch, l,
+                                                delta_plus):
+        import kamtori.engine.cohom as cohom
+        N, f, phix, wit = TestUncoveredSublevelRegion.problem(l, -0.97)
+        solved = []
+        monkeypatch.setattr(cohom, "_grid_solve",
+                            lambda *a: solved.append(a))
+        with pytest.raises(SolverPreconditionError) as err:
+            solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                delta_plus=delta_plus)
+        pts = phi_grid(l, cohom.collocation_size(f.grading))
+        w = TestUncoveredSublevelRegion.eigenvalues(N, pts)
+        assert (w[:, -1] < 2.25 * delta_plus).all()
+        big = np.abs(w).max(axis=1) > 1.0 + 1e-12
+        assert big.any() and not big.all()
+        first = int(np.argmax(big))
+        assert first > 0
+        assert str(err.value) == (
+            "L2: need ||beta|| <= 1 (stack entry %d) (at parameter grid "
+            "point %s)" % (first, pts[first]))
+        assert solved == []
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_both_failing_gets_the_sublevel_refusal(self, monkeypatch, l):
+        import kamtori.engine.cohom as cohom
+        N, f, phix, wit = TestUncoveredSublevelRegion.problem(l, 1.1)
+        pts = phi_grid(l, cohom.collocation_size(f.grading))
+        w = TestUncoveredSublevelRegion.eigenvalues(N, pts)
+        assert (w[:, -1] > 1.0 + 1e-12).all()
+        monkeypatch.setattr(cohom, "_grid_solve",
+                            lambda *a: pytest.fail("_grid_solve reached"))
+        with pytest.raises(CohomologyError,
+                           match=r"^sublevel region does not cover the "
+                                 r"collocation grid: nu_max\(beta\) = "):
+            solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
+                                delta_plus=0.03)
 
 
 class TestQMustBeIdentity:
@@ -1097,9 +1152,9 @@ class TestCollocationGrid:
         phix = [coordinate(gr, 1.0, 1.0, "x", 0)]
         f = shifted_parametrization(sigma_cos((1, 1), EPS), 1, 1, gr, 1.0, 1.0)
         profiled = []
-        nu_max = cohom.nu_max
-        monkeypatch.setattr(cohom, "nu_max", lambda B: (
-            profiled.append(len(B)), nu_max(B))[1])
+        decompose = cohom._decompose
+        monkeypatch.setattr(cohom, "_decompose", lambda B: (
+            profiled.append(len(B)), decompose(B))[1])
         sol = solve_cohomological(N, f, phix, wit, sigma=0.025, delta=0.1,
                                   delta_plus=0.03)
         assert profiled == [32]

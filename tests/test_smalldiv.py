@@ -588,7 +588,7 @@ class TestCheckBeta:
     @given(symmetric_betas())
     def test_matches_svd_oracle(self, beta):
         # the same pass or fail, first failing entry and message
-        # _check_beta returns (beta, eigenvalues); the oracle beta alone
+        # _check_beta returns a _CheckedBeta; the oracle beta alone
         got, err = outcome(lambda *a: _check_beta(*a).beta, beta,
                            EDGE_WITNESS, 1)
         want, err_old = outcome(smalldiv_oracle.check_beta, beta,
@@ -751,12 +751,21 @@ def test_one_decomposition_per_solve(monkeypatch):
     # the benchmark's l2-cohom workload, solved on a 32 x 32 grid: its beta,
     # and with it every per-point matrix, is the same at every point, so
     # each decomposition runs once, on a stack of one, and none on a stack
-    # of the 1024 points: nu_max and L2's check of beta, the counter-term
-    # condition number (an SVD), L3's zero modes
+    # of the 1024 points: beta's one eigh (which the sublevel refusal, L2's
+    # check of beta, both C(beta) and L3's zero modes read), then the
+    # counter-term condition number (an SVD)
+    compared = []
+
+    def compare(stack):
+        compared.append(stack.shape)
+        return _equal_stack(stack)
+    for module in (smalldiv, normalform, cohom):
+        monkeypatch.setattr(module, "_equal_stack", compare)
     calls, shapes, stages = solve_with_spies(
         monkeypatch, l2_nonzero_beta_problem, 32)
-    assert calls == [("eigvalsh", (1, 2, 2)), ("eigvalsh", (1, 2, 2)),
-                     ("cond", (1, 5, 5)), ("eigh", (1, 2, 2))]
+    assert calls == [("eigh", (1, 2, 2)), ("cond", (1, 5, 5))]
+    # beta's (B, l, l) stack is compared once per solve
+    assert compared.count((32 * 32, 2, 2)) == 1
     # four L2 solves (n = 4) and one L3 (n = 10)
     assert [n for _, n, _ in stages] == [4, 4, 4, 10, 4]
     assert sum(count for count, _, _ in stages) == 8
@@ -1072,8 +1081,9 @@ class TestOneDecompositionPerEqualStack:
         n_L2 = len(calls)
         solve_L3(*d3, beta, SLOT_WITNESS)
         lead = (nb,) if ulp else (1,)
+        # L2's check of beta decomposes it by eigh, as L3 does
         decomposed = [("eigvalsh", lead + (2, 2)), ("cond", lead + (5, 5)),
-                      ("eigvalsh", lead + (2, 2))]
+                      ("eigh", lead + (2, 2))]
         assert [c for c in calls[:n_L2] if c[0] != "solve"] == decomposed
         assert [c for c in calls[n_L2:] if c[0] != "solve"] == \
             [("eigh", lead + (2, 2))]
