@@ -22,12 +22,15 @@ side off the exact series residual so far.  Each stage's bracket with
 N - g forms only the TaylorSplit fields its reader takes (kamtori.series
 ``_bracket``): b_x and b_y for L2, b_p for B_p's L1, the six quadratic
 blocks for the quadratic stage, and normalform.MODEL_FIELDS for Nbar.
-Each term it forms has the bits of the whole bracket's term; only the
-relative prune floor, which reads the formed terms alone, may differ.  An
-FFT over the grid axes projects each per-point result back onto parameter
-modes.  N - g frozen on the grid and Nbar's model are written, and Nbar's
-blocks read back, by kamtori.normalform's one map (model_hamiltonian,
-model_blocks).
+The sums and splits that read the brackets do the same: each adds only the
+terms of its right-hand side that feed those fields (``_split_sum``; the
+last keeps one whole merge, which holds less at once) and splits only
+them (``taylor_split(f, fields)``).  Each term formed has the bits of the
+whole bracket's or sum's term; only the relative prune floor, which reads
+the formed terms alone, may differ.  An FFT over the grid axes projects
+each per-point result back onto parameter modes.  N - g frozen on the
+grid and Nbar's model are written, and Nbar's blocks read back, by
+kamtori.normalform's one map (model_hamiltonian, model_blocks).
 """
 
 from dataclasses import dataclass
@@ -39,9 +42,10 @@ from ..normalform import (MODEL_FIELDS, NormalFormTuple,
                           assemble_hamiltonian, const_matrix,
                           majorant_on_grid, mat_eval_grid, model_blocks,
                           model_hamiltonian, phi_grid, project_phi_rows)
-from ..series import (FTSeries, TaylorSplit, _equal_stack, _plan, average_q,
-                      coordinates, differentiate, freeze_phi, majorant_norm,
-                      multiply, restrict_z0, taylor_split)
+from ..series import (FTSeries, TaylorSplit, _equal_stack, _field_mask, _plan,
+                      average_q, coordinates, differentiate, freeze_phi,
+                      majorant_norm, multiply, restrict_z0, select,
+                      taylor_split)
 # not used here: bench/workloads.py builds its trackers with cohom.coordinate
 from ..series import coordinate  # noqa: F401
 from ..smalldiv import (SolverPreconditionError, _check_beta, _decompose,
@@ -127,8 +131,9 @@ def _grid_solve(gr, r, s, pts, checked, Gamma, M, Nred, f_B, phix_B,
     # gen goes from the linear generator to the full one
     gen, obstruction = _quadratic_stage(gr, r, s, combo, gen, Nred, checked,
                                         Gamma, witness)
-    bar = model_blocks(taylor_split(combo + gen.bracket_with(Nred,
-                                                           MODEL_FIELDS)))
+    # one whole merge: selecting combo's terms first raised the peak
+    bar = model_blocks(taylor_split(
+        combo + gen.bracket_with(Nred, MODEL_FIELDS), MODEL_FIELDS))
 
     def real(mat, what):
         """(B, rows, cols) real means of a matrix of blocks."""
@@ -142,22 +147,30 @@ def _grid_solve(gr, r, s, pts, checked, Gamma, M, Nred, f_B, phix_B,
     return numbers, {"F": gen.F, "h": bar["h"]}, _peak(cond), obstruction
 
 
+def _split_sum(f, g, fields):
+    """taylor_split(f + g, fields), adding to g only the terms of f whose
+    exponents feed the fields (``_field_mask``).  A named field sums the
+    same terms in the same order as the whole sum's; only the relative
+    prune floor, which reads the added terms alone, may differ."""
+    keep = _field_mask(f.grading, frozenset(fields))[f.it]
+    return taylor_split(select(f, keep) + g, fields)
+
+
 def _solve_channel(gr, nb, ch, Nred, checked, witness):
     """The linear blocks of one channel: A by L1, then (B_x, B_y) by L2 and
     B_p by L1, each on the right-hand side that the blocks before it leave,
     with the means of the b_x and b_p slots the counter-term system reads.
     Returns (A, Bx, By, Bp, means of b_x, means of b_p)."""
     l, d = gr.l, gr.d
-    sp = taylor_split(ch)
+    xy = ("b_x", "b_y")
+    sp = taylor_split(ch, ("a",) + xy + ("b_p",))
     A = solve_L1(sp.a, witness)
-    lin1 = ch + poisson_bracket(Nred, A, ("b_x", "b_y")) \
-        if not A.is_zero() else ch
-    sp1 = taylor_split(lin1)
+    sp1 = sp if A.is_zero() else _split_sum(
+        ch, poisson_bracket(Nred, A, xy), xy)
     Bx, By = solve_L2(sp1.b_x, sp1.b_y, checked, witness, gr.K_q)
     F1 = TaylorSplit(a=A, b_x=Bx, b_y=By).reassemble()
-    lin2 = ch + poisson_bracket(Nred, F1, ("b_p",)) \
-        if not F1.is_zero() else ch
-    sp2 = taylor_split(lin2)
+    sp2 = sp if F1.is_zero() else _split_sum(
+        ch, poisson_bracket(Nred, F1, ("b_p",)), ("b_p",))
     Bp = [solve_L1(sp2.b_p[i], witness) for i in range(d)]
     return (A, Bx, By, Bp,
             np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1),
@@ -273,8 +286,8 @@ def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, checked, Gamma, witness):
     generator, linear plus quadratic blocks, with gen_lin's v; L3's zero-mode
     obstruction)."""
     l, d = gr.l, gr.d
-    sp_u = taylor_split(combo + gen_lin.bracket_with(
-        Nred, ("d_xx", "d_yy", "d_xy", "d_px", "d_py", "d_pp")))
+    quad = ("d_xx", "d_yy", "d_xy", "d_px", "d_py", "d_pp")
+    sp_u = _split_sum(combo, gen_lin.bracket_with(Nred, quad), quad)
 
     Dxx, Dyy, Dxy, obstruction = solve_L3(sp_u.d_xx, sp_u.d_yy, sp_u.d_xy,
                                           checked, witness)

@@ -1462,30 +1462,50 @@ def _field_mask(g, fields):
     return keep
 
 
-def taylor_split(f):
+def taylor_split(f, fields=None):
+    """f split by Taylor degree into a TaylorSplit, the exact inverse of
+    TaylorSplit.reassemble; the remainder carries f's trunc_loss.
+
+    With fields (TaylorSplit field names), only the named fields are formed
+    and the others are None; the remainder's select runs only if
+    "remainder" is named.  Each field is read off f's terms at its own
+    exponents and pruned on its own, so a named field has the bits it has
+    in the whole split."""
     g = f.grading
     T = _plan(g).T
     fills = _split_plan(g)[1]
+    named = lambda field: fields is None or field in fields
     parts = {}   # parts[(field, i, j)]: the series of one entry
     low = T.norm[f.it] <= 2   # exactly the exponents fills covers
     for t in np.flatnonzero(np.bincount(f.it[low])).tolist():
-        at = np.flatnonzero(f.it == t)
-        for field, i, jj, factor in fills[T.keys[t]]:
+        entries = [e for e in fills[T.keys[t]] if named(e[0])]
+        at = np.flatnonzero(f.it == t) if entries else None
+        for field, i, jj, factor in entries:
             coef = f.coef[at] if factor == 1.0 else factor * f.coef[at]
             parts[(field, i, jj)] = _like(f, f.ij[at], f.ik[at],
                                           np.zeros_like(at), coef, 0.0)
-    new = lambda field, i=0, jj=0: parts.get((field, i, jj)) \
-        or _like(f, _NONE, _NONE, _NONE, _EMPTY, 0.0)
+
+    def new(field, i=0, jj=0):
+        e = parts.get((field, i, jj)) \
+            or _like(f, _NONE, _NONE, _NONE, _EMPTY, 0.0)
+        if field[0] != "d":
+            e._prune(0.0)
+        return e
     dims = _sizes(g)
-    # the remainder carries f's loss, so reassembly keeps it
-    blocks = {"a": new("a"), "remainder": select(f, ~low)}
-    blocks.update(("b_" + n, [new("b_" + n, i) for i in range(dims[n])]) for n in "xpy")
+    blocks = {}
+    if named("a"):
+        blocks["a"] = new("a")
+    if named("remainder"):
+        # the remainder carries f's loss, so reassembly keeps it
+        blocks["remainder"] = select(f, ~low)
+        blocks["remainder"]._prune(0.0)
+    blocks.update(("b_" + n, [new("b_" + n, i) for i in range(dims[n])])
+                  for n in "xpy" if named("b_" + n))
     for m, n in ("xx", "pp", "yy", "xy", "px", "py"):
-        blocks["d_" + m + n] = [[new("d_" + m + n, i, jj) for jj in range(dims[n])]
-                                for i in range(dims[m])]
-    for series in ([blocks["a"], blocks["remainder"]] + blocks["b_x"]
-                   + blocks["b_p"] + blocks["b_y"]):
-        series._prune(0.0)
+        if named("d_" + m + n):
+            blocks["d_" + m + n] = [[new("d_" + m + n, i, jj)
+                                     for jj in range(dims[n])]
+                                    for i in range(dims[m])]
     return TaylorSplit(**blocks)
 
 

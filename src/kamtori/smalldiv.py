@@ -23,19 +23,19 @@ the points as columns differed from the per-point solve in 2941 of 3000
 random equal stacks (n 2 to 7, B in {2, 32, 576, 1024}), while cond and eigh
 of the stack of one differed in none, so it stays per point.
 
-L2's precondition on beta (symmetric, ||beta|| <= 1 and nu_max(beta) <= 1/2
-min <omega, k>^2 over 0 < |k|_1 <= K) is checked once per beta stack, by
-one eigh whose eigenvalues w also give L2's determinant bound in closed
-form: for C = [[0, -beta], [I, 0]], det(C + i lam I) = det(beta - lam^2 I),
-so |det| = prod_i |lam^2 - w_i|, which the precondition keeps at or above
-2^-l |lam|^(2l).  A solve whose determinant falls below that bound, with a
-1e-9 relative margin, is refused.  The precondition keeps L2's systems
-regular but leaves L3's second-order resonances open: in beta's eigenbasis
-det(C_3(beta) + i lam I) factors into |lam| |lam^2 - 4 w_i| and
-|lam^4 - 2 lam^2 (w_i + w_j) + (w_i - w_j)^2|, which vanish at
-4 w_i = lam^2 and at (sqrt(w_i) +- sqrt(w_j))^2 = lam^2, inside the
-precondition (w_i = 0.09 at omega = 0.6, say).  L3 refuses a system that
-LAPACK finds singular; a nearly singular one is solved as it is.
+L2's precondition on beta (finite and symmetric, ||beta|| <= 1 and
+nu_max(beta) <= 1/2 min <omega, k>^2 over 0 < |k|_1 <= K) is checked once
+per beta stack, by one eigh whose eigenvalues w also give L2's determinant
+bound in closed form: for C = [[0, -beta], [I, 0]], det(C + i lam I) =
+det(beta - lam^2 I), so |det| = prod_i |lam^2 - w_i|, which the precondition
+keeps at or above 2^-l |lam|^(2l).  A solve whose determinant falls below
+that bound, with a 1e-9 relative margin, is refused.  The precondition keeps
+L2's systems regular but leaves L3's second-order resonances open: in beta's
+eigenbasis det(C_3(beta) + i lam I) factors into |lam| |lam^2 - 4 w_i| and
+|lam^4 - 2 lam^2 (w_i + w_j) + (w_i - w_j)^2|, which vanish at 4 w_i = lam^2
+and at (sqrt(w_i) +- sqrt(w_j))^2 = lam^2, inside the precondition (w_i =
+0.09 at omega = 0.6, say).  L3 refuses a system that LAPACK finds singular;
+a nearly singular one is solved as it is.
 
 Zero modes follow the particular solutions fixed by the scheme:
 
@@ -203,6 +203,10 @@ def _check_beta(beta, witness, K):
         raise SolverPreconditionError("L2: beta must be symmetric")
     dec = _decompose(beta)
     stacked, one = dec.beta.ndim != 2, dec.one
+    # a non-finite entry makes the eigenvalues NaN, which no bound refuses
+    inf = ~np.isfinite(one).all(axis=(-2, -1))
+    if inf.any():
+        _fail("L2", stacked, inf, "beta must be finite")
     # an equal stack is checked once, as its entry 0 (w's first row)
     asym = ~np.all(np.isclose(one, np.swapaxes(one, -1, -2), rtol=1e-5,
                               atol=1e-12), axis=(-2, -1))
@@ -288,15 +292,16 @@ def _solve_modes(witness, plan, slots, b, C, name, w=None):
     w (beta's eigenvalues, batch + (l,)), one where L2's determinant bound
     fails.
 
-    A stack C whose entries series._equal_stack finds equal (module
-    docstring), a stack of one among them, is factored once per slot: one
-    (n, n) system, solved for every entry's right-hand side as the columns
-    of one np.linalg.solve, where a varying stack makes one factorization
-    per entry.  A singular one fails as stack entry 0."""
+    A stack C of one is factored once per slot: one (n, n) system, solved
+    for every entry's right-hand side as the columns of one np.linalg.solve,
+    where a longer stack makes one factorization per entry.  L2 and L3 build
+    C from beta's equal-stack form (_decompose), so a stack of one is an
+    equal stack (module docstring).  A singular one fails as stack entry
+    0."""
     ij, ik, it = plan.split(slots)
     eye = np.eye(C.shape[-1])
     stacked = C.ndim > 2
-    single = stacked and len(_equal_stack(C)) == 1
+    single = stacked and len(C) == 1
     if single:
         C = C[0]
     dots = {}

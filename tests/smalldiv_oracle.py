@@ -29,6 +29,9 @@ def check_beta(beta, witness, K):
 
     if beta.shape[-2] != beta.shape[-1]:
         raise SolverPreconditionError("L2: beta must be symmetric")
+    inf = ~np.isfinite(stack).all(axis=(-2, -1))
+    if inf.any():
+        fail(inf, "beta must be finite")
     asym = ~np.all(np.isclose(stack, np.swapaxes(stack, -1, -2), rtol=1e-5,
                               atol=1e-12), axis=(-2, -1))
     if asym.any():

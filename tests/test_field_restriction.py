@@ -8,7 +8,9 @@ grid solve of kamtori.engine.cohom names one field set per bracket with
 N - g.  These tests check the mask against taylor_split itself, the
 restricted kernel against the whole one bit for bit, the refusal of an
 unbatched product, and the grid solve against the same solve with every
-field kept.
+field kept.  The grid solve's sums and splits are restricted the same way:
+``taylor_split(f, fields)`` forms only the named fields, each with the
+bits it has in the whole split.
 """
 
 import contextlib
@@ -101,6 +103,36 @@ def test_restricted_halves_are_the_kept_part_of_the_whole(fields, fg, swap):
         assert loss == w_loss == 0.0
 
 
+SPLIT_FIELDS = list(TaylorSplit.__dataclass_fields__)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), l=st.sampled_from([1, 2]),
+       B=st.sampled_from([None, 1, 32]),
+       fields=st.one_of(st.sampled_from(GRID_FIELDS + [
+           ("a", "b_x", "b_y", "b_p")]), st.sets(st.sampled_from(SPLIT_FIELDS),
+                                                  min_size=1).map(tuple)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_restricted_split_is_the_named_part_of_the_whole(d, l, B, fields,
+                                                         seed):
+    # each named field has the whole split's bytes; the others are None
+    gr = Grading(d=d, l=l, K_q=2, K_phi=1, D=3)
+    f = random_series(gr, np.random.default_rng(seed), 60, B)
+    f.trunc_loss = 0.0 if B else 0.25
+    whole, part = taylor_split(f), taylor_split(f, fields)
+    for name in SPLIT_FIELDS:
+        if name in fields:
+            assert [series_parts(u) for u in leaves(getattr(part, name))] \
+                == [series_parts(u) for u in leaves(getattr(whole, name))]
+        else:
+            assert getattr(part, name) is None
+    # fields=None forms every field, as naming them all does
+    every = taylor_split(f, SPLIT_FIELDS)
+    for name in SPLIT_FIELDS:
+        assert [series_parts(u) for u in leaves(getattr(every, name))] \
+            == [series_parts(u) for u in leaves(getattr(whole, name))]
+
+
 def test_unbatched_product_refuses_fields():
     # an unbatched product would count the pairs it drops as lost; one
     # batched operand makes a batched product (drawn above as "mixed")
@@ -129,12 +161,40 @@ def test_grid_solve_names_its_field_sets(monkeypatch):
 
 
 @contextlib.contextmanager
-def whole_brackets():
-    """A context in which every bracket forms every field."""
+def every_field():
+    """A context in which every bracket forms every field, and the grid
+    solve adds every term of its sums and splits every field of them."""
     real = symplectic._bracket
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symplectic, "_bracket", lambda f, g, fields=None: real(f, g))
+        mp.setattr(cohom, "taylor_split",
+                   lambda f, fields=None: taylor_split(f))
+        mp.setattr(cohom, "_split_sum",
+                   lambda f, g, fields: taylor_split(f + g))
         yield
+
+
+def test_grid_solve_names_the_fields_of_every_split(monkeypatch):
+    # no split inside the grid solve forms every field
+    seen, inside, grid_solve = [], [], cohom._grid_solve
+
+    def spy(f, fields=None):
+        if inside:
+            seen.append(fields)
+        return taylor_split(f, fields)
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return grid_solve(*args)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(cohom, "taylor_split", spy)
+    monkeypatch.setattr(cohom, "_grid_solve", marked)
+    wl = workloads.L2Cohom()
+    wl.solve(wl.setup(0, None))
+    assert seen and None not in seen
+    assert seen[-1] == MODEL_FIELDS
 
 
 def relative_deviation(got, want):
@@ -163,7 +223,7 @@ def test_coupled_rung_two_matches_the_whole_brackets(monkeypatch):
     wl.solve(wl.setup(0, None))
     args = calls[1]
     numbers, series, cond, obstruction = grid_solve(*args)
-    with whole_brackets():
+    with every_field():
         w_numbers, w_series, w_cond, w_obstruction = grid_solve(*args)
     assert numbers.keys() == w_numbers.keys() == {"alpha", "v", "c", "beta",
                                                   "Gamma", "M"}
@@ -194,6 +254,6 @@ def test_l2_cohom_keeps_its_bytes():
                  sol.zero_mode_obstruction, sol.max_condition,
                  sol.projection_defect])
     got = solve()
-    with whole_brackets():
+    with every_field():
         want = solve()
     assert got == want

@@ -12,8 +12,9 @@ import peak_memory
 SRC = os.path.join(os.path.dirname(os.path.dirname(peak_memory.__file__)),
                    "src")
 # MB (2^20 bytes) the l2-cohom solve may hold at once: 13.0 when every
-# stage's series lived to the end of the solve, about 7.9 now
-L2_COHOM_PEAK_MB = 10.0
+# stage's series lived to the end of the solve, 4.81 now; 5.21 when the
+# last split added only the terms of combo that its fields read
+L2_COHOM_PEAK_MB = 5.1
 
 
 def test_l2_cohom_solve_peak_is_bounded():

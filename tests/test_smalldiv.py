@@ -606,6 +606,19 @@ class TestCheckBeta:
                            match=r"need \|\|beta\|\| <= 1 \(stack entry 1\)"):
             _check_beta(beta, EDGE_WITNESS, 1)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_refuses_an_infinite_entry(self, value):
+        # its eigenvalues come out NaN, which every bound would let pass
+        bad = np.array([[value, 0.0], [0.0, 0.1]])
+        ok = np.diag([0.1, -0.2])
+        for beta, want in (
+                (bad, (None, "L2: beta must be finite")),
+                (np.stack([ok, ok, bad, bad]),
+                 (2, "L2: beta must be finite (stack entry 2)"))):
+            for check in (_check_beta, smalldiv_oracle.check_beta):
+                assert outcome(check, beta, EDGE_WITNESS, 1) == \
+                    (None, (SolverPreconditionError,) + want)
+
     def test_checked_beta_is_checked_again_for_another_K(self):
         # 0.1 <= 0.5 * 0.6^2 for |k|_1 <= 1, but not 0.5 * 0.4^2 at k = (1, -1)
         w = DiophantineWitness(np.array([1.0, 0.6]), 0.1, 0.5, 3)
@@ -747,13 +760,8 @@ def solve_with_spies(monkeypatch, problem, size):
             [shape for name, shape in calls if name == "solve"], stages)
 
 
-def test_one_decomposition_per_solve(monkeypatch):
-    # the benchmark's l2-cohom workload, solved on a 32 x 32 grid: its beta,
-    # and with it every per-point matrix, is the same at every point, so
-    # each decomposition runs once, on a stack of one, and none on a stack
-    # of the 1024 points: beta's one eigh (which the sublevel refusal, L2's
-    # check of beta, both C(beta) and L3's zero modes read), then the
-    # counter-term condition number (an SVD)
+def spy_equal_stack(monkeypatch):
+    """The shapes of the stacks _equal_stack is handed, in call order."""
     compared = []
 
     def compare(stack):
@@ -761,11 +769,23 @@ def test_one_decomposition_per_solve(monkeypatch):
         return _equal_stack(stack)
     for module in (smalldiv, normalform, cohom):
         monkeypatch.setattr(module, "_equal_stack", compare)
+    return compared
+
+
+def test_one_decomposition_per_solve(monkeypatch):
+    # the benchmark's l2-cohom workload, solved on a 32 x 32 grid: its beta,
+    # and with it every per-point matrix, is the same at every point, so
+    # each decomposition runs once, on a stack of one, and none on a stack
+    # of the 1024 points: beta's one eigh (which the sublevel refusal, L2's
+    # check of beta, both C(beta) and L3's zero modes read), then the
+    # counter-term condition number (an SVD)
+    compared = spy_equal_stack(monkeypatch)
     calls, shapes, stages = solve_with_spies(
         monkeypatch, l2_nonzero_beta_problem, 32)
     assert calls == [("eigh", (1, 2, 2)), ("cond", (1, 5, 5))]
-    # beta's (B, l, l) stack is compared once per solve
-    assert compared.count((32 * 32, 2, 2)) == 1
+    # beta's (B, l, l) stack is compared once per solve, the counter-term
+    # systems once, and no slot solve's C(beta)
+    assert compared == [(32 * 32, 2, 2), (32 * 32, 5, 5)]
     # four L2 solves (n = 4) and one L3 (n = 10)
     assert [n for _, n, _ in stages] == [4, 4, 4, 10, 4]
     assert sum(count for count, _, _ in stages) == 8
@@ -777,9 +797,12 @@ def test_one_decomposition_per_solve(monkeypatch):
 
 
 def test_varying_beta_solves_entry_by_entry(monkeypatch):
-    # beta depends on phi: every slot solve takes the (B, n, n) stack
+    # beta depends on phi: every slot solve takes the (B, n, n) stack,
+    # which its length marks as varying, without a compare of its own
+    compared = spy_equal_stack(monkeypatch)
     _, shapes, stages = solve_with_spies(
         monkeypatch, l2_varying_tuple_problem, 16)
+    assert compared == [(16 * 16, 2, 2), (16 * 16, 5, 5)]
     assert shapes == [(16 * 16, 5, 5)]
     assert sum(count for count, _, _ in stages) > 0
     for count, n, solved in stages:
@@ -838,17 +861,28 @@ class TestOneFactorizationPerSlot:
            st.sampled_from([1, 2, 25, 1024]), st.floats(-20, 0),
            st.integers(0, 2 ** 32 - 1))
     def test_matches_per_entry_solve(self, n, nb, log_scale, seed):
+        # the equal stack of nb copies, carried as its stack of one
         plan, slots, b, C = shifted_inputs(n, nb, 10.0 ** log_scale, seed)
         want = per_entry(plan, slots, b, C)
-        got = smalldiv._solve_modes(SLOT_WITNESS, plan, slots, b.copy(), C,
-                                    "L2")
+        got = smalldiv._solve_modes(SLOT_WITNESS, plan, slots, b.copy(),
+                                    C[:1], "L2")
         assert got.tobytes() == want.tobytes()
 
     def test_one_matrix_per_slot(self, monkeypatch):
         plan, slots, b, C = shifted_inputs(4, 25, 1.0, 3)
         want = per_entry(plan, slots, b, C)
-        got, shapes = solved_shapes(monkeypatch, plan, slots, b, C)
+        got, shapes = solved_shapes(monkeypatch, plan, slots, b, C[:1])
         assert shapes == [(4, 4)] * 3
+        assert got.tobytes() == want.tobytes()
+
+    def test_copies_are_not_compared(self, monkeypatch):
+        # the length of C decides: 25 copies of one matrix are solved
+        # entry by entry, with the same bytes
+        plan, slots, b, C = shifted_inputs(4, 25, 1.0, 3)
+        want = per_entry(plan, slots, b, C)
+        monkeypatch.setattr(smalldiv, "_equal_stack", None)
+        got, shapes = solved_shapes(monkeypatch, plan, slots, b, C)
+        assert shapes == [(25, 4, 4)] * 3
         assert got.tobytes() == want.tobytes()
 
     def test_entry_one_ulp_off_solves_entry_by_entry(self, monkeypatch):
