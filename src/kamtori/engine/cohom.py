@@ -13,15 +13,18 @@ structure; the construction runs once for all of them, on series frozen at
 the grid points whose coefficients carry one entry per point (batched
 series, see kamtori.series), with batched linear solves for the per-point
 matrices (de la Llave, Gonzalez, Jorba & Villanueva, Nonlinearity 18,
-2005).  The order: A by the plain cohomological solve, (B_x, B_y) by the
-coupled pair solve, B_p, then the block linear system for (alpha, v, mean of
-B_y), then the quadratic blocks (the xx/yy/xy stage by kamtori.smalldiv's
-symmetrized coupled-triple solve; its leftover xx average, like the px / pp
-averages, becomes a component of Nbar), each stage reading its right-hand
-side off the exact series residual so far.  Each stage's bracket with
-N - g forms only the TaylorSplit fields its reader takes (kamtori.series
-``_bracket``): b_x and b_y for L2, b_p for B_p's L1, the six quadratic
-blocks for the quadratic stage, and normalform.MODEL_FIELDS for Nbar.
+2005).  The order: for f and each -phi_x_i (the channels), A by the plain
+cohomological solve, (B_x, B_y) by the coupled pair solve and B_p, as the
+channel's generator A + B.z; then the block linear system for (alpha, v,
+mean of B_y), whose tracker row brackets each tracker with each channel's
+generator; then the quadratic blocks (the xx/yy/xy stage by
+kamtori.smalldiv's symmetrized coupled-triple solve; its leftover xx
+average, like the px / pp averages, becomes a component of Nbar), each
+stage reading its right-hand side off the exact series residual so far.
+Each bracket forms only the TaylorSplit fields its reader takes
+(kamtori.series ``_bracket``): with N - g, b_x and b_y for L2, b_p for
+B_p's L1, the six quadratic blocks for the quadratic stage, and
+normalform.MODEL_FIELDS for Nbar; the tracker row's, a alone.
 The sums and splits that read the brackets do the same: each adds only the
 terms of its right-hand side that feed those fields (``_split_sum``; the
 last keeps one whole merge, which holds less at once) and splits only
@@ -43,11 +46,9 @@ from ..normalform import (MODEL_FIELDS, NormalFormTuple,
                           majorant_on_grid, mat_eval_grid, model_blocks,
                           model_hamiltonian, phi_grid, project_phi_rows)
 from ..series import (FTSeries, TaylorSplit, _equal_stack, _field_mask, _plan,
-                      average_q, coordinates, differentiate, freeze_phi,
-                      majorant_norm, multiply, restrict_z0, select,
+                      average_q, coordinate, degrees, differentiate,
+                      freeze_phi, majorant_norm, multiply, restrict_z0, select,
                       taylor_split)
-# not used here: bench/workloads.py builds its trackers with cohom.coordinate
-from ..series import coordinate  # noqa: F401
 from ..smalldiv import (SolverPreconditionError, _check_beta, _decompose,
                         solve_L1, solve_L2, solve_L3)
 from ..symplectic import GeneratingFunction, poisson_bracket
@@ -157,10 +158,11 @@ def _split_sum(f, g, fields):
 
 
 def _solve_channel(gr, nb, ch, Nred, checked, witness):
-    """The linear blocks of one channel: A by L1, then (B_x, B_y) by L2 and
-    B_p by L1, each on the right-hand side that the blocks before it leave,
-    with the means of the b_x and b_p slots the counter-term system reads.
-    Returns (A, Bx, By, Bp, means of b_x, means of b_p)."""
+    """The linear generator of one channel: A by L1, then (B_x, B_y) by L2
+    and B_p by L1, each on the right-hand side that the blocks before it
+    leave.  Returns (A + B.z as one series, means of b_x, means of b_p):
+    the means, and the generator through the tracker row, are the
+    channel's column of the counter-term system."""
     l, d = gr.l, gr.d
     xy = ("b_x", "b_y")
     sp = taylor_split(ch, ("a",) + xy + ("b_p",))
@@ -172,58 +174,54 @@ def _solve_channel(gr, nb, ch, Nred, checked, witness):
     sp2 = sp if F1.is_zero() else _split_sum(
         ch, poisson_bracket(Nred, F1, ("b_p",)), ("b_p",))
     Bp = [solve_L1(sp2.b_p[i], witness) for i in range(d)]
-    return (A, Bx, By, Bp,
+    return (TaylorSplit(a=A, b_x=Bx, b_y=By, b_p=Bp).reassemble(),
             np.stack([_mean0(sp1.b_x[i], nb) for i in range(l)], 1),
             np.stack([_mean0(sp2.b_p[i], nb) for i in range(d)], 1))
 
 
-def _counter_terms(gr, r, s, pts, beta, Gamma, M, phix_B, solved):
+def _tracker_row(phix_B, gens, nb):
+    """(B, l, len(gens)): the mean at z = 0 of {phix_i, gens[c]} at every
+    point, each bracket formed on TaylorSplit field a alone.  A degree-0
+    term of {phix_i, F} reads only phix_i's terms of degree <= 1, so each
+    tracker is cut to them once."""
+    cut = [select(u, degrees(u)[2] <= 1) for u in phix_B]
+    return np.stack([np.stack([_mean0(poisson_bracket(u, F, ("a",)), nb)
+                               for u in cut], 1) for F in gens], axis=2)
+
+
+def _counter_terms(gr, pts, beta, Gamma, M, phix_B, solved):
     """alpha, v and the mean of B_y at every point, from the block linear
-    system of the channels' means and the parameter-tracker condition, with
-    the system's condition numbers (_condition: one SVD for a stack of
-    equal systems).  The system is solved point by point even when every
-    point has the same one (module docstring of kamtori.smalldiv)."""
+    system of the channels' means and the parameter-tracker condition (its
+    generator entries by _tracker_row, on field a), with the system's
+    condition numbers (_condition: one SVD for a stack of equal systems).
+    solved holds each channel's _solve_channel.  The system is solved point
+    by point even when every point has the same one (module docstring of
+    kamtori.smalldiv)."""
     l, d = gr.l, gr.d
     nb = len(pts)
+
+    def slopes(kind, n):
+        """(B, l, n): the means at z = 0 of d phix_i / d (kind, j)."""
+        return np.stack([np.stack([
+            _mean0(restrict_z0(differentiate(u, (kind, j))), nb)
+            for j in range(n)], 1) for u in phix_B], axis=1)
+
     # parameter-tracker condition row: means of phix + {phix, F + v.q} at
-    # z = 0; dphix[var][i] is the derivative of tracker i by coordinate var
-    dphix = {var: [restrict_z0(differentiate(u, var)) for u in phix_B]
-             for var in coordinates(gr)}
-
-    def tracker_mean(c):
-        A, Bx, By, Bp = solved[c][:4]
-        out = np.zeros((nb, l), dtype=complex)
-        dqA = [restrict_z0(differentiate(A, ("q", j))) for j in range(d)]
-        Bp0 = [restrict_z0(Bp[j]) for j in range(d)]
-        Bx0 = [restrict_z0(Bx[i2]) for i2 in range(l)]
-        By0 = [restrict_z0(By[i2]) for i2 in range(l)]
-        for i in range(l):
-            acc = FTSeries.zero(gr, r, s)
-            for j in range(d):
-                acc = acc + multiply(dphix["q", j][i], Bp0[j])
-                acc = acc - multiply(dphix["p", j][i], dqA[j])
-            for j in range(l):
-                acc = acc + multiply(dphix["x", j][i], By0[j])
-                acc = acc - multiply(dphix["y", j][i], Bx0[j])
-            out[:, i] = _mean0(acc, nb)
-        return out
-
+    # z = 0; F's columns read its channels' generators, v's the p slopes
+    # and the mean of B_y's the x slopes of the trackers
     a_phi = np.stack([_mean0(restrict_z0(phix_B[i]), nb) for i in range(l)], 1)
-    t0 = tracker_mean(0)
-    T = np.stack([tracker_mean(c) for c in range(1, l + 1)], axis=2)
-    P_p = np.stack([np.stack([_mean0(dphix["p", j][i], nb) for j in range(d)], 1)
-                    for i in range(l)], axis=1)
-    P_x = np.stack([np.stack([_mean0(dphix["x", j][i], nb) for j in range(l)], 1)
-                    for i in range(l)], axis=1)
+    row = _tracker_row(phix_B, [part[0] for part in solved], nb)
 
-    MX = np.stack([part[4] for part in solved[1:]], axis=2)
-    MP = np.stack([part[5] for part in solved[1:]], axis=2)
+    MX = np.stack([part[1] for part in solved[1:]], axis=2)
+    MP = np.stack([part[2] for part in solved[1:]], axis=2)
     Sys = np.concatenate([
         np.concatenate([MX, -Gamma.astype(complex), beta.astype(complex)], 2),
         np.concatenate([MP, -M.astype(complex),
                         np.swapaxes(Gamma, 1, 2).astype(complex)], 2),
-        np.concatenate([T, -P_p, P_x], 2)], axis=1)
-    rhs = -np.concatenate([solved[0][4], solved[0][5], a_phi + t0], axis=1)
+        np.concatenate([row[:, :, 1:], -slopes("p", d), slopes("x", l)], 2)],
+        axis=1)
+    rhs = -np.concatenate([solved[0][1], solved[0][2], a_phi + row[:, :, 0]],
+                          axis=1)
     bad = np.abs(Sys.imag).max(axis=(1, 2)) > \
         1e-9 * np.maximum(1.0, np.abs(Sys).max(axis=(1, 2)))
     if bad.any():
@@ -261,21 +259,19 @@ def _combine(parts, alpha_pt):
 
 def _linear_stage(gr, r, s, pts, checked, Gamma, M, Nred, channels, phix_B,
                   witness):
-    """Every channel's linear blocks, the counter terms, and the linear
-    generator they combine to.  Returns (alpha and v at every point, the
-    condition numbers, the linear generator)."""
+    """Every channel's linear generator, the counter terms, and the linear
+    generator they combine to: the channels' by _combine, plus the mean of
+    B_y times y.  Returns (alpha and v at every point, the condition
+    numbers, the linear generator)."""
     l, d = gr.l, gr.d
     solved = [_solve_channel(gr, len(pts), ch, Nred, checked, witness)
               for ch in channels]
-    alpha_pt, v_pt, mqby, cond = _counter_terms(gr, r, s, pts, checked.beta,
-                                                Gamma, M, phix_B, solved)
-    A = _combine([part[0] for part in solved], alpha_pt)
-    Bx, By, Bp = ([_combine([part[n][i] for part in solved], alpha_pt)
-                   for i in range(len(solved[0][n]))] for n in (1, 2, 3))
+    alpha_pt, v_pt, mqby, cond = _counter_terms(gr, pts, checked.beta, Gamma,
+                                                M, phix_B, solved)
+    F_lin = _combine([part[0] for part in solved], alpha_pt)
     for i in range(l):
         if mqby[:, i].any():
-            By[i] = By[i] + mqby[:, i]
-    F_lin = TaylorSplit(a=A, b_x=Bx, b_p=Bp, b_y=By).reassemble()
+            F_lin = F_lin + coordinate(gr, r, s, "y", i).scale(mqby[:, i])
     v_series = [FTSeries.constant(gr, r, s, v_pt[:, i]) for i in range(d)]
     return alpha_pt, v_pt, cond, GeneratingFunction(F_lin, v_series)
 

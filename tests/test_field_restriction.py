@@ -5,12 +5,13 @@ exponents taylor_split reads into the named fields: the batched pair kernel
 drops every other pair before it sorts the pairs by slot, so each slot it
 forms sums the same pairs in the same order as the whole bracket does.  The
 grid solve of kamtori.engine.cohom names one field set per bracket with
-N - g.  These tests check the mask against taylor_split itself, the
-restricted kernel against the whole one bit for bit, the refusal of an
-unbatched product, and the grid solve against the same solve with every
-field kept.  The grid solve's sums and splits are restricted the same way:
-``taylor_split(f, fields)`` forms only the named fields, each with the
-bits it has in the whole split.
+N - g, and field a for its tracker row.  These tests check the mask
+against taylor_split itself, the restricted kernel against the whole one
+bit for bit, the refusal of an unbatched product, and the grid solve
+against the same solve with every field kept; a bracket on field a reads
+no term of degree above 1.  The grid solve's sums and splits are
+restricted the same way: ``taylor_split(f, fields)`` forms only the named
+fields, each with the bits it has in the whole split.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kamtori.series as ring
@@ -31,8 +32,9 @@ from kamtori.series import (FTSeries, Grading, TaylorSplit, _bracket,
 from kamtori.symplectic import poisson_bracket
 from output_digest import series_parts, workloads
 
-# the field sets the grid solve's brackets with N - g name, in its order
-GRID_FIELDS = [("b_x", "b_y"), ("b_p",),
+# the field sets the grid solve's restricted brackets name, in its order:
+# those with N - g, and the tracker row's (a) with each channel's generator
+GRID_FIELDS = [("b_x", "b_y"), ("b_p",), ("a",),
                ("d_xx", "d_yy", "d_xy", "d_px", "d_py", "d_pp"), MODEL_FIELDS]
 
 
@@ -133,6 +135,19 @@ def test_restricted_split_is_the_named_part_of_the_whole(d, l, B, fields,
             == [series_parts(u) for u in leaves(getattr(whole, name))]
 
 
+@settings(max_examples=25, deadline=None)
+@given(fg=operands, swap=st.booleans())
+def test_field_a_reads_terms_of_degree_at_most_one(fg, swap):
+    # a degree-0 term of {f, g} pairs a term of f of degree <= 1 with one of
+    # g: cutting f to those leaves the bracket on field a byte for byte
+    f, g = fg[::-1] if swap else fg
+    cut = ring.select(f, ring.degrees(f)[2] <= 1)
+    # an empty cut has no batch axis: both operands would read as unbatched
+    assume(0 < len(cut.coef) < len(f.coef))
+    assert series_parts(_bracket(cut, g, ("a",))) \
+        == series_parts(_bracket(f, g, ("a",)))
+
+
 def test_unbatched_product_refuses_fields():
     # an unbatched product would count the pairs it drops as lost; one
     # batched operand makes a batched product (drawn above as "mixed")
@@ -146,8 +161,8 @@ def test_unbatched_product_refuses_fields():
 
 
 def test_grid_solve_names_its_field_sets(monkeypatch):
-    # each bracket of the l2-cohom solve with N - g names one of the four
-    # sets, and each set is named; no other bracket is restricted
+    # each restricted bracket of the l2-cohom solve names one of the five
+    # sets, and each set is named
     seen = []
 
     def spy(gr, fields, _real=ring._field_mask):
