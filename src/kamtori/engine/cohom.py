@@ -17,8 +17,9 @@ matrices (de la Llave, Gonzalez, Jorba & Villanueva, Nonlinearity 18,
 cohomological solve, (B_x, B_y) by the coupled pair solve and B_p, as the
 channel's generator A + B.z; then the block linear system for (alpha, v,
 mean of B_y), whose tracker row brackets each tracker with each channel's
-generator; then the quadratic blocks (the xx/yy/xy stage by
-kamtori.smalldiv's symmetrized coupled-triple solve; its leftover xx
+generator; the linear generator and the residual, one ft_sum each of the
+channels weighted by alpha; then the quadratic blocks (the xx/yy/xy stage
+by kamtori.smalldiv's symmetrized coupled-triple solve; its leftover xx
 average, like the px / pp averages, becomes a component of Nbar), each
 stage reading its right-hand side off the exact series residual so far.
 Each bracket forms only the TaylorSplit fields its reader takes
@@ -47,8 +48,8 @@ from ..normalform import (MODEL_FIELDS, NormalFormTuple,
                           model_hamiltonian, phi_grid, project_phi_rows)
 from ..series import (FTSeries, TaylorSplit, _equal_stack, _field_mask, _plan,
                       average_q, coordinate, degrees, differentiate,
-                      freeze_phi, majorant_norm, multiply, restrict_z0, select,
-                      taylor_split)
+                      freeze_phi, ft_sum, majorant_norm, multiply, restrict_z0,
+                      select, taylor_split)
 from ..smalldiv import (SolverPreconditionError, _check_beta, _decompose,
                         solve_L1, solve_L2, solve_L3)
 from ..symplectic import GeneratingFunction, poisson_bracket
@@ -126,7 +127,7 @@ def _grid_solve(gr, r, s, pts, checked, Gamma, M, Nred, f_B, phix_B,
     channels = [f_B] + [phix_B[i].scale(-1.0) for i in range(gr.l)]
     alpha_pt, v_pt, cond, gen = _linear_stage(
         gr, r, s, pts, checked, Gamma, M, Nred, channels, phix_B, witness)
-    combo = _combine(channels, alpha_pt)
+    combo = ft_sum(gr, r, s, _weighted(channels, alpha_pt))
     # the brackets from here on read only combo
     del f_B, phix_B, channels
     # gen goes from the linear generator to the full one
@@ -247,31 +248,27 @@ def _condition(Sys, pts):
     return cond
 
 
-def _combine(parts, alpha_pt):
-    """parts[0] + sum over i of alpha_i parts[1 + i], point by point (a
-    part whose alpha is zero at every point is left out)."""
-    out = parts[0]
-    for i in range(alpha_pt.shape[1]):
-        if alpha_pt[:, i].any():
-            out = out + parts[1 + i].scale(alpha_pt[:, i])
-    return out
+def _weighted(parts, alpha_pt):
+    """The terms of parts[0] + sum over i of alpha_i parts[1 + i], point by
+    point (a part whose alpha is zero at every point is left out)."""
+    return parts[:1] + [p.scale(a) for p, a in zip(parts[1:], alpha_pt.T)
+                        if a.any()]
 
 
 def _linear_stage(gr, r, s, pts, checked, Gamma, M, Nred, channels, phix_B,
                   witness):
     """Every channel's linear generator, the counter terms, and the linear
-    generator they combine to: the channels' by _combine, plus the mean of
-    B_y times y.  Returns (alpha and v at every point, the condition
-    numbers, the linear generator)."""
+    generator they combine to, one ft_sum: the channels' weighted by alpha,
+    plus the mean of B_y times y.  Returns (alpha and v at every point, the
+    condition numbers, the linear generator)."""
     l, d = gr.l, gr.d
     solved = [_solve_channel(gr, len(pts), ch, Nred, checked, witness)
               for ch in channels]
     alpha_pt, v_pt, mqby, cond = _counter_terms(gr, pts, checked.beta, Gamma,
                                                 M, phix_B, solved)
-    F_lin = _combine([part[0] for part in solved], alpha_pt)
-    for i in range(l):
-        if mqby[:, i].any():
-            F_lin = F_lin + coordinate(gr, r, s, "y", i).scale(mqby[:, i])
+    F_lin = ft_sum(gr, r, s, _weighted([part[0] for part in solved], alpha_pt)
+                   + [coordinate(gr, r, s, "y", i).scale(mqby[:, i])
+                      for i in range(l) if mqby[:, i].any()])
     v_series = [FTSeries.constant(gr, r, s, v_pt[:, i]) for i in range(d)]
     return alpha_pt, v_pt, cond, GeneratingFunction(F_lin, v_series)
 
@@ -293,6 +290,7 @@ def _quadratic_stage(gr, r, s, combo, gen_lin, Nred, checked, Gamma, witness):
 
     def through_gamma(i, entry):
         """The sum over k of entry(k) Gamma[:, k, i], point by point."""
+        # a fold: R1-R3 add this sum pruned alone (one ft_sum moves bits)
         return sum((entry(k).scale(Gamma[:, k, i]) for k in range(l)),
                    FTSeries.zero(gr, r, s))
 
@@ -434,9 +432,8 @@ def solve_cohomological(N, f, phi_x, witness, sigma, delta, delta_plus,
     # would round differently, since (X + g) - g need not be X
     Nred_glob = assemble_hamiltonian(N) - N.g - N.c
     gen_g = GeneratingFunction(F_g, v_g)
-    G = f.copy()
-    for i in range(l):
-        G = G - multiply(alpha_g[i], phi_x[i])
+    G = ft_sum(gr, r, s, [f] + [-multiply(alpha_g[i], phi_x[i])
+                                for i in range(l)])
     lhs = G + gen_g.bracket_with(Nred_glob)
     gbar = lhs - model_hamiltonian(gr, r, s, **bar)
     Nbar = NormalFormTuple(w=np.zeros(d), g=gbar, **bar,

@@ -17,6 +17,7 @@ def compute_zeta(state, H0_series):
     F = H0_series.with_radii(r, s) - model_hamiltonian(gr, r, s, w=omega)
     Phi0 = SymplecticMapSeries([restrict_z0(u) for u in state.Phi.U])
     total = series_compose(F, Phi0, drop_z_identity=True)
+    # a fold: one ft_sum sums the losses in another order (zeta's bits move)
     for conj, u in zip(Phi0.Up + Phi0.Uy, Phi0.Uq + Phi0.Ux):
         du = partial_omega(u, omega)
         if not (conj.is_zero() or du.is_zero()):

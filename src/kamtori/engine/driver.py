@@ -21,8 +21,8 @@ from ..errors import ConvergenceError, PreconditionError
 from ..normalform import (NormalFormTuple, assemble_hamiltonian,
                           normal_form_distance, normal_form_norm)
 from ..series import (FTSeries, TaylorSplit, average_q, ck_norm_estimate,
-                      coordinate, degrees, differentiate, majorant_norm,
-                      select)
+                      coordinate, degrees, differentiate, ft_sum,
+                      majorant_norm, select)
 from ..smalldiv import effective_diophantine_constant
 from ..symplectic import (GeneratingFunction, SymplecticMapSeries,
                           compose_maps, identity_map, lie_tail_integral,
@@ -266,11 +266,10 @@ def equal_derivative_defect(f0, frame=None):
     frame = np.eye(gr.l) if frame is None else np.asarray(frame, dtype=float)
     worst = 0.0
     for i in range(gr.l):
-        lhs = FTSeries.zero(gr, f0.r, f0.s)
-        for j in range(gr.l):
-            if frame[j, i] != 0.0:
-                lhs = lhs + differentiate(f0, ("x", j)).scale(frame[j, i])
-        dev = average_q(lhs - differentiate(f0, ("phi", i)))
+        dev = average_q(ft_sum(gr, f0.r, f0.s, [
+            differentiate(f0, ("x", j)).scale(frame[j, i])
+            for j in range(gr.l) if frame[j, i] != 0.0]
+            + [-differentiate(f0, ("phi", i))]))
         checkable = select(dev, degrees(dev)[2] <= gr.D - 1)
         worst = max(worst, majorant_norm(checkable))
     return worst

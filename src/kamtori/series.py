@@ -1136,7 +1136,9 @@ def _block_loss(plan, layout, sides, r, s):
 
 
 def ft_sum(grading, r, s, parts):
-    """Sum many series in one merge (avoids quadratic re-copying)."""
+    """Sum many series in one merge (avoids quadratic re-copying): each slot
+    sums its parts in list order, pruned once at the end, so this is the
+    left fold of `+` exactly when no prune inside the fold drops an entry."""
     return _merge(grading, r, s, parts, sum(p.trunc_loss for p in parts))
 
 

@@ -71,6 +71,7 @@ class GeneratingFunction:
         """{g, F + v.q} = {g, F} - sum_i v_i d_{p_i} g, with {g, F} formed
         on fields only (poisson_bracket)."""
         out = poisson_bracket(g, self.F, fields)
+        # a fold: with v = 0 one ft_sum would prune the lone bracket again
         for i in range(self.grading.d):
             if not self.v[i].is_zero():
                 out = out - multiply(self.v[i], differentiate(g, ("p", i)))
@@ -135,6 +136,7 @@ def _power_sum(total, term, step, bound, tol, cap, what, weight=None,
             raise GeneratorTooLargeError(
                 "%s terms stopped decaying at order %d (%.3g -> %.3g); "
                 "generator too large for the working radii" % (what, n, prev, m))
+        # a fold: one ft_sum would drop its prunes between adds (bits move)
         total = total + part
         prev = m
         n += 1
@@ -377,10 +379,9 @@ class _Substituter:
             if k < neg:
                 got = _conjugate(self._angle_factor(neg))
             else:
-                u = FTSeries.zero(self.gr, self.r, self.s)
-                for i, ki in enumerate(k):
-                    if ki:
-                        u = u + self.disp["q", i].scale(1j * ki)
+                u = ft_sum(self.gr, self.r, self.s,
+                           [self.disp["q", i].scale(1j * ki)
+                            for i, ki in enumerate(k) if ki])
                 got = _exp_of(u) if not u.is_zero() else \
                     FTSeries.constant(self.gr, self.r, self.s, 1.0)
             self._exp_cache[k] = got
@@ -586,14 +587,13 @@ def _taylor_exp_vector(grading, r, s, coefvec):
     """Taylor polynomial of exp(i sum_j coefvec[j] x_j) to degree D."""
     u = TaylorSplit(b_x=[FTSeries.constant(grading, r, s, 1j * cj)
                          for cj in coefvec]).reassemble()
-    total = FTSeries.constant(grading, r, s, 1.0)
-    term = FTSeries.constant(grading, r, s, 1.0)
+    terms = [FTSeries.constant(grading, r, s, 1.0)]
     for n in range(1, grading.D + 1):
-        term = multiply(term, u).scale(1.0 / n)
+        term = multiply(terms[-1], u).scale(1.0 / n)
         if term.is_zero():
             break
-        total = total + term
-    return total
+        terms.append(term)
+    return ft_sum(grading, r, s, terms)
 
 
 def _action_substitution(grading, r, s, T):
@@ -627,7 +627,7 @@ def sigma_to_parametrized(terms, d, l, grading, r, s, K, shear_S, x_scale):
     norm_T[d:, d:] = Sn.T  # old y = Sn^T new y
     reps = _action_substitution(grading, r, s, Karr.T @ shear_T @ norm_T)
     Sn_inv = np.linalg.inv(Sn)
-    out = FTSeries.zero(grading, r, s)
+    pieces = []
     for t in sorted(terms, key=lambda t: (t.mode, t.powers)):
         mode = Kinv_T @ np.asarray(t.mode, dtype=int)
         kq, kx = mode[:d], mode[d:]
@@ -641,8 +641,8 @@ def sigma_to_parametrized(terms, d, l, grading, r, s, K, shear_S, x_scale):
         for a_idx, n in enumerate(t.powers):
             for _ in range(n):
                 piece = multiply(piece, reps[a_idx])
-        out = out + piece
-    return out
+        pieces.append(piece)
+    return ft_sum(grading, r, s, pieces)
 
 
 def shifted_parametrization(terms, d, l, grading, r, s):

@@ -12,8 +12,10 @@ tests/test_output_digest.py compares the script's output with it. The
 entries, each named "<problem>/<output>":
 
 - coupled-1p1 at eps 1e-5 and 1e-4 (the problem of bench/workloads.py's
-  `Coupled`): the history rows as history.json would hold them, phi0, the
-  slot arrays of every embedding component, the invariance residual and
+  `Coupled`): the slot arrays of the built f0 (the series
+  `symplectic.shifted_parametrization` returns), the history rows as
+  history.json would hold them, phi0, the slot arrays of every embedding
+  component, the invariance residual and
   relation_defects, every checked map's defect of each canonical bracket
   relation in pair order (history.json keeps only the largest, behind
   which a moved pair could hide), and the slot arrays of the final
@@ -23,19 +25,22 @@ entries, each named "<problem>/<output>":
   through `kamtori.cli.main` (reduce, run, verify) in a temporary
   directory: the exit codes and the bytes of reduced.json, history.json,
   torus.json and zeta.csv;
-- l2-cohom (`L2Cohom`): alpha's and the generator F's slot arrays, the
-  residual plateau, the largest condition number of the counter-term
+- l2-cohom (`L2Cohom`): the slot arrays of the built f (entry f0), of
+  alpha and of the generator F, the residual plateau, the largest
+  condition number of the counter-term
   systems (`max_condition`, history.json's `cohom_condition`), the slot
   arrays of the drift v and of the correction Nbar's c, beta, Gamma, M, h
   and g in that order, and the projection defect;
 - l2-cohom-varying: the same for L2Cohom's problem with 0.01 cos(phi_1)
   added to beta[0][0], whose beta differs from point to point (it stays
   inside the sublevel region), so that its shifted systems are solved one
-  grid point at a time where l2-cohom's are factored once per slot;
+  grid point at a time where l2-cohom's are factored once per slot (its
+  f is l2-cohom's, pinned there);
 - l2-iterate (the l = 2 problem of tests/test_engine.py's
-  `TestTwoResonanceRun`, about 5 s): iterate's history rows and the slot
-  arrays of the final f and of every component of the map Phi, whose
-  batched products run at B = 4096 in many chunks.
+  `TestTwoResonanceRun`, about 5 s): the slot arrays of the built f0,
+  iterate's history rows and the slot arrays of the final f and of every
+  component of the map Phi, whose batched products run at B = 4096 in
+  many chunks.
 
 The problems are read from bench/workloads.py and not changed; l2-iterate,
 which no workload runs, is built here as its test builds it. With
@@ -130,11 +135,14 @@ def zeta_calls():
 def coupled(eps):
     wl = workloads.Coupled()
     wl.EPS = eps
-    with relation_defects() as defects, zeta_calls() as zetas:
-        out = wl.solve(wl.setup(0, None))
-    rows = cli.history_rows(out["hist"])
+    p = wl.setup(0, None)
     name = "coupled-1p1@eps=%g/" % eps
-    digests = {name + "history": sha(json.dumps(rows, sort_keys=True)),
+    f0 = sha(*series_parts(p["f0"]))
+    with relation_defects() as defects, zeta_calls() as zetas:
+        out = wl.solve(p)
+    rows = cli.history_rows(out["hist"])
+    digests = {name + "f0": f0,
+               name + "history": sha(json.dumps(rows, sort_keys=True)),
                name + "relation_defects": sha(*(d.tobytes() for d in defects))}
     if "embedding" in out:
         emb = [p for key in sorted(out["embedding"])
@@ -180,6 +188,8 @@ def l2_cohom(name="l2-cohom", vary=0.0):
     so that beta differs from one grid point to the next."""
     wl = workloads.L2Cohom()
     p = wl.setup(0, None)
+    # the varying problem is built as l2-cohom's: its f is pinned once
+    built = {} if vary else {name + "/f0": sha(*series_parts(p["f"]))}
     if vary:
         beta = p["N"].beta
         beta[0][0] = beta[0][0] + series.FTSeries.cos_angle(
@@ -201,7 +211,7 @@ def l2_cohom(name="l2-cohom", vary=0.0):
     Nbar = sol.Nbar
     nbar = [Nbar.c] + [u for mat in (Nbar.beta, Nbar.Gamma, Nbar.M)
                        for row in mat for u in row] + [Nbar.h, Nbar.g]
-    return {name + "/alpha": sha(*alpha),
+    return {**built, name + "/alpha": sha(*alpha),
             name + "/residual_plateau": sha(float(out["residual_plateau"])),
             name + "/F": sha(*series_parts(sol.F)),
             name + "/max_condition": sha(float(sol.max_condition)),
@@ -217,8 +227,10 @@ def l2_iterate():
     sc = symplectic.sigma_cos
     terms = sc((0, 1, 0), eps) + sc((1, 0, 1), eps) + sc((1, 1, 1), 0.5 * eps)
     f0 = symplectic.shifted_parametrization(terms, 1, 2, gr, 1.0, 1.0)
+    built = sha(*series_parts(f0))
     state, hist = engine.iterate(N0, f0, IterateConfig(target_tol=1e-13))
-    return {"l2-iterate/history": sha(json.dumps(cli.history_rows(hist),
+    return {"l2-iterate/f0": built,
+            "l2-iterate/history": sha(json.dumps(cli.history_rows(hist),
                                                  sort_keys=True)),
             "l2-iterate/f": sha(*series_parts(state.f)),
             "l2-iterate/Phi": sha(*(p for u in state.Phi.U

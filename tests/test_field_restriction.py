@@ -139,13 +139,16 @@ def test_restricted_split_is_the_named_part_of_the_whole(d, l, B, fields,
 @given(fg=operands, swap=st.booleans())
 def test_field_a_reads_terms_of_degree_at_most_one(fg, swap):
     # a degree-0 term of {f, g} pairs a term of f of degree <= 1 with one of
-    # g: cutting f to those leaves the bracket on field a byte for byte
+    # g of degree <= 1: cutting f, or f and g at once, to those leaves the
+    # bracket on field a byte for byte
     f, g = fg[::-1] if swap else fg
-    cut = ring.select(f, ring.degrees(f)[2] <= 1)
+    cut_f, cut_g = (ring.select(u, ring.degrees(u)[2] <= 1) for u in (f, g))
     # an empty cut has no batch axis: both operands would read as unbatched
-    assume(0 < len(cut.coef) < len(f.coef))
-    assert series_parts(_bracket(cut, g, ("a",))) \
-        == series_parts(_bracket(f, g, ("a",)))
+    assume(0 < len(cut_f.coef) < len(f.coef))
+    assume(0 < len(cut_g.coef) < len(g.coef))
+    whole = series_parts(_bracket(f, g, ("a",)))
+    assert series_parts(_bracket(cut_f, g, ("a",))) == whole
+    assert series_parts(_bracket(cut_f, cut_g, ("a",))) == whole
 
 
 def test_unbatched_product_refuses_fields():

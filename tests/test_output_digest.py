@@ -23,11 +23,12 @@ PINNED = os.path.join(TESTS, "data", "output_digest.json")
 
 def test_l2_cohom_entry(tmp_path, capsys):
     first = output_digest.digest("l2-cohom")
+    # the varying problem's f is l2-cohom's, pinned once as its f0
     assert set(first) == {name + "/" + out
                           for name in ("l2-cohom", "l2-cohom-varying")
                           for out in ("alpha", "residual_plateau", "F",
                                       "max_condition", "v", "nbar",
-                                      "projection_defect")}
+                                      "projection_defect")} | {"l2-cohom/f0"}
     # the varying beta moves the generator, the plateau, the counter-term
     # systems' condition, Nbar and the projection defect (alpha and v come
     # out the same)

@@ -6,7 +6,8 @@ restricted to the TaylorSplit field a, with phix_i cut to its terms of
 degree <= 1.  These tests compare that row (t0, the entries of channel 0,
 and T, those of the alpha channels) byte for byte with the hand-expanded
 products of tests/tracker_oracle.py, and count the calls that the row and
-the combination of the channels' generators leave in one grid solve.
+the two combinations of the channels, one ft_sum each, leave in one grid
+solve.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ import kamtori.symplectic as symplectic
 import tracker_oracle
 from kamtori.engine import cohom
 from kamtori.series import FTSeries, Grading, TaylorSplit, _plan
-from output_digest import l2_cohom, workloads
+from output_digest import l2_cohom, series_parts, workloads
 from test_field_restriction import random_series
 
 
@@ -57,6 +58,8 @@ def test_tracker_row_matches_the_hand_expanded_products(problem, monkeypatch):
     # coupled-1p1's second rung: its trackers are no longer the coordinates
     phix_B, channels, gens, nb, got = rows[-1]
     assert len(rows) == (2 if problem == "coupled-1p1" else 1)
+    # F_c = A + B.z has no term of degree above 1: only the trackers are cut
+    assert all((ring.degrees(F)[2] <= 1).all() for F in gens)
     l = gens[0].grading.l
     assert len(channels) == len(gens) == 1 + l
     assert got.shape == (nb, l, 1 + l)
@@ -68,32 +71,54 @@ def test_tracker_row_matches_the_hand_expanded_products(problem, monkeypatch):
 
 
 def test_one_grid_solve_combines_twice_and_multiplies_no_tracker(monkeypatch):
-    # the linear generator and the residual are each one _combine over the
-    # channels; the tracker row forms no product outside the bracket kernel
-    combines, products, inside = [], [], []
-    combine, counter_terms = cohom._combine, cohom._counter_terms
+    # the linear generator and the residual are each one ft_sum over the
+    # channels, each past the first scaled by its alpha (the generator's
+    # also over y scaled by the mean of B_y, zero here); the tracker row
+    # forms no product outside the bracket kernel
+    sums, products, inside, seen = [], [], [], {}
+    counter_terms, linear_stage = cohom._counter_terms, cohom._linear_stage
 
-    def counting(parts, alpha_pt):
-        combines.append(len(parts))
-        return combine(parts, alpha_pt)
+    def summing(gr, r, s, parts, _real=cohom.ft_sum):
+        sums.append(list(parts))
+        return _real(gr, r, s, parts)
 
     def marked(*args):
+        seen["gens"] = [part[0] for part in args[6]]
         inside.append(True)
         try:
-            return counter_terms(*args)
+            out = counter_terms(*args)
         finally:
             inside.pop()
+        seen["mqby"] = out[2]
+        return out
+
+    def linear(*args):
+        seen["channels"] = args[8]
+        out = linear_stage(*args)
+        seen["alpha"] = out[0]
+        return out
 
     for module in (ring, cohom, symplectic):
         def spy(f, g, _real=module.multiply):
             products.append(bool(inside))
             return _real(f, g)
         monkeypatch.setattr(module, "multiply", spy)
-    monkeypatch.setattr(cohom, "_combine", counting)
+    monkeypatch.setattr(cohom, "ft_sum", summing)
     monkeypatch.setattr(cohom, "_counter_terms", marked)
+    monkeypatch.setattr(cohom, "_linear_stage", linear)
     wl = workloads.L2Cohom()
     wl.solve(wl.setup(0, None))
-    assert combines == [3, 3]
+    # the third sum is solve_cohomological's G = f - <alpha, phi_x>
+    assert len(sums) == 3 and len(sums[2]) == 3
+    assert not seen["mqby"].any()
+    alpha = seen["alpha"]
+    assert alpha.shape[1] == 2 and alpha.any()
+    for parts, channels in zip(sums, (seen["gens"], seen["channels"])):
+        assert len(channels) == 3 and parts[0] is channels[0]
+        weighted = [ch.scale(a) for ch, a in zip(channels[1:], alpha.T)
+                    if a.any()]
+        assert [series_parts(p) for p in parts[1:]] \
+            == [series_parts(p) for p in weighted]
     assert products and not any(products)
 
 
