@@ -95,8 +95,8 @@ def _at_point(pts, bad):
 def _mean0(f, nb):
     """Constant coefficient of a batched series, one entry per point."""
     plan = _plan(f.grading)
-    at = (f.ij == plan.J.index[(0,) * f.grading.l]) \
-        & (f.ik == plan.K.index[(0,) * f.grading.d]) & (f.it == 0)
+    at = f.slot == plan.code(plan.J.index[(0,) * f.grading.l],
+                             plan.K.index[(0,) * f.grading.d], 0)
     return np.zeros(nb, dtype=complex) + f.coef[at].sum(axis=0)
 
 
@@ -324,19 +324,19 @@ def _project(numbers, series, l, size, gr, r, s):
     series}, the largest projection defect).
     """
     plan = _plan(gr)
-    zk, za = plan.K.index[(0,) * gr.d], plan.T.index[(0,) * gr.nz]
+    # the slot of (j, k, a) is j NK NT + (k NT + t)
+    zero = plan.code(0, plan.K.index[(0,) * gr.d], plan.T.index[(0,) * gr.nz])
     rows = np.concatenate([a.reshape(len(a), -1).T for a in numbers.values()])
     # a number gets its own coefficient floor; a series one for all its keys
     modes, coeffs, kept, defect = project_phi_rows(
         rows, l, size, gr.K_phi, 1e-16 * np.abs(rows).max(axis=1))
-    jidx = np.array([plan.J.index[j] for j in modes])
+    jslot = plan.code(np.array([plan.J.index[j] for j in modes]), 0, 0)
     defects = [defect]
 
     def phi_only(row):
         at = np.flatnonzero(kept[row])
         new = FTSeries(gr, r, s)
-        new._set(jidx[at], np.full(len(at), zk), np.full(len(at), za),
-                 coeffs[row, at])
+        new._set(jslot[at] + zero, coeffs[row, at])
         return new
     # each number's series, nested as the entries of its (B, ...) array
     entries = map(phi_only, range(len(rows)))
@@ -350,7 +350,8 @@ def _project(numbers, series, l, size, gr, r, s):
         # the modes outermost: f's terms are in slot order, so are these
         col, row = np.nonzero(f_kept.T)
         new = FTSeries(gr, r, s)
-        new._set(jidx[col], f.ik[row], f.it[row], f_coeffs[row, col])
+        new._set(jslot[col] + f.slot[row] % (plan.NK * plan.NT),
+                 f_coeffs[row, col])
         new._prune()
         out[name] = new
         defects.append(f_defect)

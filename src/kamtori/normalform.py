@@ -41,12 +41,9 @@ def majorant_on_grid(f, grid):
     """Majorant of the (q, z)-series obtained by freezing the parameter, at
     every grid point (array)."""
     grid = np.asarray(grid, dtype=float).reshape(-1, f.grading.l)
-    codes, sums = _phi_sums(f, grid)
-    plan = _plan(f.grading)
-    k, t = np.divmod(codes, plan.NT)
-    zero = np.full(len(codes), plan.J.index[(0,) * f.grading.l])
+    slot, sums = _phi_sums(f, grid)
     total = np.zeros(len(grid))
-    for c, weight in zip(sums, plan.weight(zero, k, t, f.r, f.s).tolist()):
+    for c, weight in zip(sums, _plan(f.grading).weigh(slot, f.r, f.s).tolist()):
         total += np.abs(c) * weight
     return total
 

@@ -6,9 +6,10 @@ truncated series
     f(phi, q, x, p, y) = sum  c[j,k,a] * e^{i j.phi} e^{i k.q} x^ax p^ap y^ay
 
 with j in Z^l (parameter modes), k in Z^d (angle modes) and a = (ax, ap, ay)
-a Taylor multi-index over the ball variables.  The terms are stored as
-arrays in slot order (the sorted (j, k, a) order): the indices of j, k and a
-in the grading's balls (``_Plan``) and the coefficients; ``terms`` is a
+a Taylor multi-index over the ball variables.  The terms are stored in slot
+order (the sorted (j, k, a) order) by one index each, their slot code
+(``_Plan``), beside their coefficients; the indices of j, k and a in the
+grading's balls are split from the slots on first read, and ``terms`` is a
 read-only {(j, k, a): c} view.  Real functions keep the reality symmetry
 c[-j,-k,a] = conj(c[j,k,a]).
 
@@ -183,6 +184,13 @@ class _Plan:
         jk, it = np.divmod(slot, self.NT)
         return (*np.divmod(jk, self.NK), it)
 
+    def mirror(self, slot):
+        """The slots of (-j, -k, a) for those of (j, k, a): a mode ball is
+        symmetric and lexicographic, so the mode j NK + k goes to NJ NK - 1
+        less it."""
+        return (len(self.J.keys) * self.NK - 1) * self.NT - slot \
+            + 2 * (slot % self.NT)
+
     @functools.lru_cache(maxsize=64)
     def powers(self, r, s):
         """The tables e^{n r} for the mode norms n <= 2 (K_phi + K_q) (a sum
@@ -201,10 +209,25 @@ class _Plan:
             * (1 if factor is None else factor)
         return W
 
-    def weight(self, ij, ik, it, r, s):
-        """Majorant weights e^{(|j|+|k|) r} s^|a| of terms."""
+    @functools.cached_property
+    def grade(self):
+        """The radius-free weight class (|j| + |k|) (D + 1) + |a| of every
+        slot, as the smallest unsigned type holding it (a byte at bench sizes)."""
+        dtype = np.min_scalar_type((self.J.K + self.K.K + 1) * (self.T.K + 1) - 1)
+        modes = (self.J.norm[:, None] + self.K.norm) * (self.T.K + 1)
+        return (modes.astype(dtype)[:, :, None] + self.T.norm.astype(dtype)).ravel()
+
+    @functools.lru_cache(maxsize=64)
+    def grade_weights(self, r, s):
+        """The weight of each class of ``grade``: e^{n r} s^m at class
+        n (D + 1) + m, the product of powers' two table entries."""
         exp_r, pow_s = self.powers(r, s)
-        return exp_r[self.J.norm[ij] + self.K.norm[ik]] * pow_s[self.T.norm[it]]
+        return np.outer(exp_r[:self.J.K + self.K.K + 1], pow_s).ravel()
+
+    def weigh(self, slot, r, s):
+        """Majorant weights e^{(|j|+|k|) r} s^|a| of the terms at slot: one
+        lookup by slot, the one majorant weight of the ring."""
+        return self.grade_weights(r, s).take(self.grade.take(slot))
 
 
 _plan = functools.lru_cache(maxsize=None)(_Plan)
@@ -240,14 +263,16 @@ class _TermsView(Mapping):
 class FTSeries:
     """One truncated Fourier-Taylor series with its domain radii.
 
-    ij, ik, it index the terms' j, k and a in the grading's balls, in slot
-    order; coef holds their coefficients, shape (n,) or (n, B) if batched.
-    trunc_loss bounds the majorant of the terms dropped in forming the
-    series; the ring's prunes and products add none for a batched one.
-    A dict of terms is checked against the grading (terms outside it go to
-    trunc_loss) and pruned, unless _raw, which takes it as it is."""
+    slot holds the terms' slot codes (``_Plan``), strictly increasing, and
+    coef their coefficients, shape (n,) or (n, B) if batched; ij, ik and it,
+    the terms' indices in the grading's balls, are read-only, split from the
+    slots on first read and kept until the terms change.  trunc_loss bounds
+    the majorant of the terms dropped in forming the series; the ring's
+    prunes and products add none for a batched one.  A dict of terms is
+    checked against the grading (terms outside it go to trunc_loss) and
+    pruned, unless _raw, which takes it as it is."""
 
-    __slots__ = ("grading", "r", "s", "trunc_loss", "ij", "ik", "it", "coef",
+    __slots__ = ("grading", "r", "s", "trunc_loss", "slot", "coef", "_idx",
                  "_dict", "_maj")
 
     def __init__(self, grading, r, s, terms=None, trunc_loss=0.0, _raw=False):
@@ -256,7 +281,7 @@ class FTSeries:
         self.grading, self.r, self.s = grading, float(r), float(s)
         self.trunc_loss = float(trunc_loss)
         if not terms:
-            return self._set(_NONE, _NONE, _NONE, _EMPTY)
+            return self._set(_NONE, _EMPTY)
         plan = _plan(grading)
         idx, values = [], []
         for (j, k, a), c in terms.items():
@@ -268,26 +293,38 @@ class FTSeries:
                             and _l1(a) <= grading.D):
                     raise GradingError("term outside the grading: %s"
                                        % ((j, k, a),)) from None
-                n, m = _l1(j) + _l1(k), _l1(a)   # _Plan.weight's rule
+                n, m = _l1(j) + _l1(k), _l1(a)   # _Plan.weigh's rule
                 exp_r, pow_s = _powers(n, m, self.r, self.s)
                 weight = exp_r[n] * pow_s[m]
                 self.trunc_loss += float(np.max(np.abs(c)) * weight)
                 continue
             values.append(c)
-        ij, ik, it = np.array(idx, dtype=np.intp).reshape(-1, 3).T
-        order = np.argsort(plan.code(ij, ik, it)).tolist()
+        slot = plan.code(*np.array(idx, dtype=np.intp).reshape(-1, 3).T)
+        order = np.argsort(slot).tolist()
         width = next(((len(c),) for c in values if np.ndim(c)), ())
         coef = np.empty((len(values),) + width, dtype=complex)
         for row, i in enumerate(order):  # a scalar fills a batched row
             coef[row] = values[i]
-        self._set(ij[order], ik[order], it[order], coef)
+        self._set(slot[order], coef)
         if not _raw:
             self._prune()
 
-    def _set(self, ij, ik, it, coef):
-        self.ij, self.ik, self.it = ij, ik, it
+    def _set(self, slot, coef, idx=None):
+        """New terms: slots, coefficients and, if known, read-only indices."""
+        self.slot, self._idx = slot, idx
         self.coef = coef if len(coef) else _EMPTY
         self._dict = self._maj = None
+
+    def _indices(self):
+        """(ij, ik, it), split from the slots on first call and kept."""
+        if self._idx is None:
+            idx = _plan(self.grading).split(self.slot)
+            for a in idx:
+                a.flags.writeable = False
+            self._idx = idx
+        return self._idx
+
+    ij, ik, it = (property(lambda f, n=n: f._indices()[n]) for n in range(3))
 
     @property
     def terms(self):
@@ -333,7 +370,7 @@ class FTSeries:
 
     def copy(self):
         """The same series, sharing its arrays and kept majorants."""
-        new = _like(self, self.ij, self.ik, self.it, self.coef, self.trunc_loss)
+        new = _like(self, self.slot, self.coef, self.trunc_loss, self._idx)
         new._maj = self._maj
         return new
 
@@ -357,14 +394,14 @@ class FTSeries:
         kept dict or majorant of the entries before the prune survives."""
         if not len(self.coef):
             return
-        keep, coef, loss = _prune_arrays(_plan(self.grading), self.ij, self.ik,
-                                         self.it, self.coef, self.r, self.s,
-                                         floor, shared)
+        keep, coef, loss = _prune_arrays(_plan(self.grading), self.slot,
+                                         self.coef, self.r, self.s, floor,
+                                         shared)
         self.trunc_loss += loss
         if keep is not None:
-            self._set(self.ij[keep], self.ik[keep], self.it[keep], coef[keep])
+            self._set(self.slot[keep], coef[keep])
         else:
-            self._set(self.ij, self.ik, self.it, coef)
+            self._set(self.slot, coef, self._idx)
 
     def _check_compat(self, other):
         if self.grading != other.grading:
@@ -385,7 +422,7 @@ class FTSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return _like(self, self.ij, self.ik, self.it, -self.coef, self.trunc_loss)
+        return _like(self, self.slot, -self.coef, self.trunc_loss, self._idx)
 
     def __sub__(self, other):
         return self + (-other)
@@ -394,10 +431,10 @@ class FTSeries:
         """Multiply by a number, or entry-wise by a length-B array."""
         mag = float(np.abs(c).max()) if isinstance(c, np.ndarray) else abs(c)
         if not mag:  # the loss of a series scaled to zero is kept, not scaled
-            return _like(self, _NONE, _NONE, _NONE, _EMPTY, self.trunc_loss)
+            return _like(self, _NONE, _EMPTY, self.trunc_loss)
         coef = self.coef[:, None] * c if np.ndim(c) and self.coef.ndim == 1 \
             else self.coef * c
-        return _like(self, self.ij, self.ik, self.it, coef, self.trunc_loss * mag)
+        return _like(self, self.slot, coef, self.trunc_loss * mag, self._idx)
 
     def __mul__(self, other):
         number = isinstance(other, (int, float, complex))
@@ -417,12 +454,9 @@ class FTSeries:
     def reality_defect(self):
         """Max |c(j,k,a) - conj(c(-j,-k,a))| over stored terms, a missing
         mirror counting as 0 (per entry, an array, for a batched series).
-        The mirror of the term at ball indices (i, m, t) sits at (N_J - 1 -
-        i, N_K - 1 - m, t), as in _conjugate."""
-        plan = _plan(self.grading)
-        slot = plan.code(self.ij, self.ik, self.it)
-        mirror = plan.code(len(plan.J.keys) - 1 - self.ij,
-                           plan.NK - 1 - self.ik, self.it)
+        The mirror of a term sits at _Plan.mirror of its slot."""
+        slot = self.slot
+        mirror = _plan(self.grading).mirror(slot)
         at = np.searchsorted(slot, mirror).clip(max=len(slot) - 1)
         found = slot[at] == mirror
         if self.coef.ndim == 2:
@@ -483,55 +517,50 @@ def coordinate(gr, r, s, kind, i):
 # -- operations ------------------------------------------------------------------
 
 
-def _like(f, ij, ik, it, coef, trunc_loss):
-    """A series on f's grading and radii from slot-ordered arrays."""
+def _like(f, slot, coef, trunc_loss, idx=None):
+    """A series on f's grading and radii from slot-ordered arrays (_set)."""
     new = object.__new__(FTSeries)
     new.grading, new.r, new.s, new.trunc_loss = f.grading, f.r, f.s, trunc_loss
-    new._set(ij, ik, it, coef)
+    new._set(slot, coef, idx)
     return new
 
 
 def _conjugate(f):
     """The series of the complex conjugate of f on the real domain: the term
-    c at (j, k, a) moves to (-j, -k, a) as conj(c).  A mode ball is symmetric
-    and in lexicographic order, so -v sits at index N - 1 - i for v at index
-    i; the moved terms are sorted back into slot order."""
-    plan = _plan(f.grading)
-    ij, ik = len(plan.J.keys) - 1 - f.ij, plan.NK - 1 - f.ik
-    order = np.argsort(plan.code(ij, ik, f.it), kind="stable")
-    return _like(f, ij[order], ik[order], f.it[order], f.coef[order].conj(),
-                 f.trunc_loss)
+    c at (j, k, a) moves to (-j, -k, a) as conj(c) (``_Plan.mirror``); the
+    moved terms are sorted back into slot order."""
+    slot = _plan(f.grading).mirror(f.slot)
+    order = np.argsort(slot, kind="stable")
+    return _like(f, slot[order], f.coef[order].conj(), f.trunc_loss)
 
 
 def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR, signs=None):
-    """The sum of parts, each a series or an (ij, ik, it, coef) tuple, as
-    one pruned series: each part is added at its slots' positions in the
+    """The sum of parts, each a series or a kernel part (slots, coef, ...),
+    as one pruned series: each part is added at its slots' positions in the
     sorted union of their slots, so a slot sums its terms in part order.
     signs holds each part's sign, 1 or -1 (all 1 by default): a part of
     sign -1 is subtracted.  The sum accumulates in place in one array; a
     lone part of sign 1 is handed through, its arrays shared with the
     caller, and copied only if the prune zeroes an entry."""
-    plan = _plan(gr)
-    parts = [(p if isinstance(p, tuple) else (p.ij, p.ik, p.it, p.coef), sign)
+    parts = [(p[:2] if isinstance(p, tuple) else (p.slot, p.coef), sign)
              for p, sign in zip(parts, itertools.repeat(1) if signs is None
                                 else signs)]
-    parts = [(p, sign) for p, sign in parts if len(p[3])]
-    ij, ik, it, coef = _NONE, _NONE, _NONE, _EMPTY
+    parts = [(p, sign) for p, sign in parts if len(p[1])]
+    slot, coef = _NONE, _EMPTY
     shared = False
     if len(parts) == 1:
-        (ij, ik, it, coef), sign = parts[0]
+        (slot, coef), sign = parts[0]
         shared = sign > 0
         if not shared:
             coef = -coef
     elif parts:
-        codes = [plan.code(*p[:3]) for p, _ in parts]
-        slot = np.sort(np.concatenate(codes), kind="stable")
+        slot = np.sort(np.concatenate([p[0] for p, _ in parts]), kind="stable")
         slot = slot[np.concatenate(([True], slot[1:] != slot[:-1]))]
-        width = max(p[3].shape[1] if p[3].ndim == 2 else 0 for p, _ in parts)
+        width = max(p[1].shape[1] if p[1].ndim == 2 else 0 for p, _ in parts)
         coef = np.zeros((len(slot), width) if width else len(slot), complex)
-        for n, (code, (p, sign)) in enumerate(zip(codes, parts)):
+        for n, ((code, c), sign) in enumerate(parts):
             # a scalar part of a batched sum broadcasts over the entries
-            c = p[3] if p[3].ndim == coef.ndim else p[3][:, None]
+            c = c if c.ndim == coef.ndim else c[:, None]
             at = np.searchsorted(slot, code)
             if not n:
                 coef[at] = c if sign > 0 else -c
@@ -539,9 +568,8 @@ def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR, signs=None):
                 coef[at] += c
             else:
                 coef[at] -= c
-        ij, ik, it = plan.split(slot)
     new = FTSeries(gr, r, s, trunc_loss=trunc_loss)
-    new._set(ij, ik, it, coef)
+    new._set(slot, coef)
     new._prune(floor, shared)
     return new
 
@@ -552,18 +580,18 @@ def _merge(gr, r, s, parts, trunc_loss, floor=PRUNE_FLOOR, signs=None):
 _NEG_ZERO = complex(-0.0, -0.0)
 
 
-def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
-                  shared=False, zero=0j):
-    """The prune floors on a series' arrays: an entry at or below
-    max(floor, REL_PRUNE x its largest) is dropped (each entry of a batched
-    series against its own floor, set to zero in a row that keeps others,
-    once an entry with a nonzero modulus is dropped).  Returns (rows kept,
-    coefficients, loss): the rows are None when no row is dropped, and the
-    loss is the majorant of the dropped terms of an unbatched series (0.0
-    for a batched one).  The coefficients are coef itself, its entries
-    zeroed in place, unless coef is shared (an array that a series or the
-    caller still reads), which is copied only if an entry is zeroed.  A NaN
-    entry is never dropped."""
+def _prune_arrays(plan, slot, coef, r, s, floor=PRUNE_FLOOR, shared=False,
+                  zero=0j):
+    """The prune floors on a series' slots and coefficients: an entry at or
+    below max(floor, REL_PRUNE x its largest) is dropped (each entry of a
+    batched series against its own floor, set to zero in a row that keeps
+    others, once an entry with a nonzero modulus is dropped).  Returns
+    (rows kept, coefficients, loss): the rows are None when no row is
+    dropped, and the loss is the majorant of the dropped terms of an
+    unbatched series (0.0 for a batched one).  The coefficients are coef
+    itself, its entries zeroed in place, unless coef is shared (an array
+    that a series or the caller still reads), which is copied only if an
+    entry is zeroed.  A NaN entry is never dropped."""
     mag = np.abs(coef)
     dead = mag <= np.maximum(floor, REL_PRUNE * mag.max(axis=0, initial=0.0))
     if not dead.any():
@@ -578,8 +606,8 @@ def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
         gone = dead.all(axis=1)
         return ~gone if gone.any() else None, coef, 0.0
     rows = np.flatnonzero(lost)
-    loss = float((mag[rows] * plan.weight(ij[rows], ik[rows], it[rows], r, s))
-                 .sum()) if len(rows) else 0.0
+    loss = float((mag[rows] * plan.weigh(slot[rows], r, s)).sum()) \
+        if len(rows) else 0.0
     return ~dead, coef, loss
 
 
@@ -738,17 +766,15 @@ def _bracket(f, g, fields=None):
     # through _merge
     parts = _products(f, g, _bracket_pairs(gr),
                       _bracket_halves(f, g, True, keep), signs)
-    return _merge(gr, f.r, f.s, [p[:4] for p in parts],
-                  sum(p[4] for p in parts), signs=signs)
+    return _merge(gr, f.r, f.s, parts, sum(p[2] for p in parts), signs=signs)
 
 
 def _product(f, g, layout=None):
     """f g by the block kernel on a _block_layout of f and g, or by the pair
     kernel without one."""
     halves = [(_UNIT, _UNIT)]
-    (ij, ik, it, coef, loss), = _products(f, g, halves,
-                                          _kernel(f, g, halves, layout))
-    return _like(f, ij, ik, it, coef, loss)
+    (slot, coef, loss), = _products(f, g, halves, _kernel(f, g, halves, layout))
+    return _like(f, slot, coef, loss)
 
 
 def _majorants(plan, f, ds):
@@ -760,10 +786,10 @@ def _majorants(plan, f, ds):
     kept = f._maj[1]
     new = [d for d in ds if d not in kept]
     if new:
-        w = plan.weight(f.ij, f.ik, f.it, f.r, f.s)
+        w = plan.weigh(f.slot, f.r, f.s)
         for d in dict.fromkeys(new):
             m = _weighted(f.coef, w if d.name is None
-                          else w * d.magnitude(plan, f.ij, f.ik, f.it, f.s))
+                          else w * d.magnitude(plan, *f._indices(), f.s))
             if isinstance(m, np.ndarray):
                 m.flags.writeable = False
             kept[d] = m
@@ -787,7 +813,7 @@ def _kernel(f, g, halves, layout, losses=True, keep=None):
 
 def _products(f, g, halves, parts, signs=None):
     """The kernel's parts of f and g for halves (``_kernel``), each as
-    (ij, ik, it, coef, trunc_loss) of a series pruned against its own
+    (slots, coef, trunc_loss) of a series pruned against its own
     largest entries, with the operands' trunc_loss carried through its
     scale (a part of batched operands carries none: ``_prune_arrays``).
     Each part is pruned in the kernel's own array; the pruned entries of a
@@ -806,31 +832,35 @@ def _products(f, g, halves, parts, signs=None):
     for (slot, acc, dropped), loss, sign in zip(
             parts, losses, itertools.repeat(1) if signs is None else signs):
         if not len(acc):
-            out.append((_NONE, _NONE, _NONE, _EMPTY, loss + dropped))
+            out.append((_NONE, _EMPTY, loss + dropped))
             continue
         # each half is pruned against its own floors
-        ij, ik, it = plan.split(slot)
-        keep, acc, pruned = _prune_arrays(plan, ij, ik, it, acc, f.r, f.s,
+        keep, acc, pruned = _prune_arrays(plan, slot, acc, f.r, f.s,
                                           zero=_NEG_ZERO if sign < 0 else 0j)
         if keep is not None:
-            ij, ik, it, acc = ij[keep], ik[keep], it[keep], acc[keep]
-        out.append((ij, ik, it, acc, loss + dropped + pruned))
+            slot, acc = slot[keep], acc[keep]
+        out.append((slot, acc, loss + dropped + pruned))
     return out
 
 
 def _kept(plan, f, d):
-    """The terms of d f as arrays (ij, ik, it, coef): the terms of f that
-    the _Partial d keeps, times their factors, each exponent lowered by
+    """The terms of d f as arrays (ij, ik, it, coef, slot): the terms of f
+    that the _Partial d keeps, times their factors, each exponent lowered by
     d's shift (in slot order, as differentiate returns them)."""
-    factor = d.factor(plan, f.ij, f.ik, f.it)
+    ij, ik, it = f._indices()
+    factor = d.factor(plan, ij, ik, it)
     if factor is None:
-        return f.ij, f.ik, f.it, f.coef
+        return ij, ik, it, f.coef, f.slot
     r = np.flatnonzero(factor)
     coef = f.coef[r]
     coef *= factor[r, None] if coef.ndim == 2 else factor[r]
-    # a -> a - e_pos keeps the slot order of the surviving terms
-    it = f.it[r] if not d.shift else plan.lower[d.axis][f.it[r]]
-    return f.ij[r], f.ik[r], it, coef
+    it, slot = it[r], f.slot[r]
+    if d.shift:
+        # a -> a - e_pos keeps the slot order of the surviving terms
+        low = plan.lower[d.axis][it]
+        slot += low - it
+        it = low
+    return ij[r], ik[r], it, coef, slot
 
 
 def _pair_product(plan, f, g, halves, losses=True, keep=None):
@@ -852,7 +882,7 @@ def _pair_product(plan, f, g, halves, losses=True, keep=None):
     out = []
     for a, b in halves:
         fd, gd = (_kept(plan, u, d) for u, d in ((f, a), (g, b)))
-        (fj, fk, ft, fc), (gj, gk, gt, gc) = fd, gd
+        (fj, fk, ft, fc, _), (gj, gk, gt, gc, _) = fd, gd
         if not len(fc) or not len(gc):
             out.append((_NONE, _EMPTY, 0.0))
             continue
@@ -920,7 +950,7 @@ def _pair_loss(plan, r, s, fd, gd, outside):
     """The pair kernel's majorant of the out-of-grading pairs of the
     unbatched terms fd and gd (``_kept`` arrays): the sum over the pairs
     marked outside of |c_a| |c_b| e^{(|j|+|k|) r} s^deg."""
-    (fj, fk, ft, fc), (gj, gk, gt, gc) = fd, gd
+    (fj, fk, ft, fc, _), (gj, gk, gt, gc, _) = fd, gd
     J, K, T = plan.J, plan.K, plan.T
     exp_r, pow_s = plan.powers(r, s)
     w = exp_r[J.sums[1]][fj].take(gj, axis=1)
@@ -953,11 +983,12 @@ class _Block:
     Taylor indices are found at once, the dense block filled on first use."""
 
     def __init__(self, plan, f, r, s):
-        mode = f.ij * plan.NK + f.ik    # nondecreasing: the terms are in slot order
+        ij, ik, it = f._indices()
+        mode = ij * plan.NK + ik    # nondecreasing: the terms are in slot order
         new = np.concatenate(([True], mode[1:] != mode[:-1]))
         self.row = np.cumsum(new) - 1
-        self.ij, self.ik = f.ij[new], f.ik[new]
-        self.taylor, self.col = _distinct(f.it, plan.NT)
+        self.ij, self.ik = ij[new], ik[new]
+        self.taylor, self.col = _distinct(it, plan.NT)
         self._plan, self._f, self._radii = plan, f, (r, s)
 
     @functools.cached_property
@@ -1144,20 +1175,22 @@ def ft_sum(grading, r, s, parts):
 
 def differentiate(f, var):
     """Exact term-wise derivative.  var is ('phi'|'q'|'x'|'p'|'y', index)."""
-    return _like(f, *_kept(_plan(f.grading), f, _partial(f.grading, tuple(var))),
-                 f.trunc_loss)
+    *idx, coef, slot = _kept(_plan(f.grading), f, _partial(f.grading, tuple(var)))
+    for a in idx:
+        a.flags.writeable = False
+    return _like(f, slot, coef, f.trunc_loss, tuple(idx))
 
 
 def degrees(f):
     """The l1 degrees |j|, |k| and |a| of f's terms, as arrays in slot order."""
     plan = _plan(f.grading)
-    return plan.J.norm[f.ij], plan.K.norm[f.ik], plan.T.norm[f.it]
+    ij, ik, it = f._indices()
+    return plan.J.norm[ij], plan.K.norm[ik], plan.T.norm[it]
 
 
 def select(f, keep):
     """The terms of f where keep, a mask over them in slot order, holds."""
-    return _like(f, f.ij[keep], f.ik[keep], f.it[keep], f.coef[keep],
-                 f.trunc_loss)
+    return _like(f, f.slot[keep], f.coef[keep], f.trunc_loss)
 
 
 def restrict_z0(f):
@@ -1176,7 +1209,7 @@ def partial_omega(f, omega):
     live = dot != 0.0
     factor = 1j * dot[live]
     coef = f.coef[live] * (factor[:, None] if f.coef.ndim == 2 else factor)
-    return _like(f, f.ij[live], f.ik[live], f.it[live], coef, f.trunc_loss)
+    return _like(f, f.slot[live], coef, f.trunc_loss)
 
 
 def divide_q_modes(f, divisor):
@@ -1184,12 +1217,13 @@ def divide_q_modes(f, divisor):
     mode): partial_omega's inverse on zero-mean series for divisor <omega, k>.
     Each part is divided exactly, as Python divides by a pure imaginary."""
     K = _plan(f.grading).K
-    f = select(f, K.norm[f.ik] > 0)
-    modes, at = np.unique(f.ik, return_inverse=True)
+    live = K.norm[f.ik] > 0
+    modes, at = np.unique(f.ik[live], return_inverse=True)
+    f = select(f, live)
     dot = np.array([divisor(K.keys[m]) for m in modes.tolist()])[at]
     u, c = np.empty_like(f.coef), f.coef.T  # transposed: the terms last
     u.T.real, u.T.imag = c.imag / dot, -c.real / dot
-    return _like(f, f.ij, f.ik, f.it, u, f.trunc_loss)
+    return _like(f, f.slot, u, f.trunc_loss, f._idx)
 
 
 def truncate_fourier(f, K, sigma):
@@ -1227,11 +1261,14 @@ FTSeries.majorant_norm = majorant_norm
 def _truncated_product(F):
     """Per row, sum over n (|n| <= order) of prod_v F[:, v, n_v], with
     order = F.shape[2] - 1: the coefficients of t^0 ... t^order in
-    prod_v sum_e F[:, v, e] t^e, summed."""
+    prod_v sum_e F[:, v, e] t^e, summed.  Order o sums 0 + p_o F_0 +
+    p_(o-1) F_1 + ... left to right, by one array update per e."""
     poly = F[:, 0]
     for v in range(1, F.shape[1]):
-        poly = np.stack([sum(poly[:, o - e] * F[:, v, e] for e in range(o + 1))
-                         for o in range(F.shape[2])], axis=1)
+        new = 0 + poly * F[:, v, :1]
+        for e in range(1, F.shape[2]):
+            new[:, e:] += poly[:, :-e] * F[:, v, e:e + 1]
+        poly = new
     return poly.sum(axis=1)
 
 
@@ -1251,13 +1288,14 @@ def ck_norm_estimate(f, k1, k2):
     if k2 and s == 0:
         raise ValueError("ck_norm_estimate: no C^k bound with k2 = %d >= 1 "
                          "at s = 0" % k2)
-    a = plan.T.pts[f.it, :, None] - np.arange(k2)
+    ij, ik, it = f._indices()
+    a = plan.T.pts[it, :, None] - np.arange(k2)
     falling = np.cumprod(np.concatenate([np.ones(a.shape[:2] + (1,)), a / s],
                                         axis=2), axis=2)
-    phi = _truncated_product(np.abs(plan.J.pts[f.ij, :, None]) ** np.arange(k1 + 1))
+    phi = _truncated_product(np.abs(plan.J.pts[ij, :, None]) ** np.arange(k1 + 1))
     z = _truncated_product(np.concatenate(
-        [np.abs(plan.K.pts[f.ik, :, None]) ** np.arange(k2 + 1), falling], axis=1))
-    return _weighted(f.coef, phi * z * plan.weight(f.ij, f.ik, f.it, f.r, s))
+        [np.abs(plan.K.pts[ik, :, None]) ** np.arange(k2 + 1), falling], axis=1))
+    return _weighted(f.coef, phi * z * plan.weigh(f.slot, f.r, s))
 
 
 def evaluate(f, phi=None, q=None, x=None, p=None, y=None):
@@ -1288,10 +1326,9 @@ def evaluate_all(fs, phi=None, q=None, x=None, p=None, y=None):
     plan = _plan(g)
     # sum_{mode, monomial} e^{i mode} C[mode, monomial] z^monomial over the
     # modes and monomials each series uses
-    modes, mode_at = np.unique(np.concatenate([f.ij * plan.NK + f.ik for f in fs]),
-                               return_inverse=True)
-    monos, mono_at = np.unique(np.concatenate([f.it for f in fs]),
-                               return_inverse=True)
+    modes, monos = np.divmod(np.concatenate([f.slot for f in fs]), plan.NT)
+    modes, mode_at = np.unique(modes, return_inverse=True)
+    monos, mono_at = np.unique(monos, return_inverse=True)
     phase = np.exp(1j * (phi @ plan.J.pts[modes // plan.NK].T
                          + q @ plan.K.pts[modes % plan.NK].T))
     z = np.concatenate([x, p, y], axis=1)
@@ -1333,12 +1370,14 @@ def _mode_sums(plan, ij, row, coef, n, grid):
 
 def _phi_sums(f, grid):
     """The parameter modes of an unbatched f summed at every point of grid:
-    (the (k, a) codes k NT + t of f's distinct slots in order, their (n, B)
+    (the slots at j = 0 of f's distinct (k, a) in order, their (n, B)
     sums)."""
     plan = _plan(f.grading)
-    codes, row = _distinct(f.ik * plan.NT + f.it, plan.NK * plan.NT)
-    # the terms are in slot order: sorted by j
-    return codes, _mode_sums(plan, f.ij, row, f.coef, len(codes), grid)
+    # a slot is j NK NT + (k NT + t); in slot order the terms are sorted by j
+    ij, kt = np.divmod(f.slot, plan.NK * plan.NT)
+    codes, row = _distinct(kt, plan.NK * plan.NT)
+    zero = plan.J.index[(0,) * f.grading.l] * plan.NK * plan.NT
+    return zero + codes, _mode_sums(plan, ij, row, f.coef, len(codes), grid)
 
 
 def _phi_values(fs, grid):
@@ -1363,11 +1402,8 @@ def freeze_phi(f, phi):
     With a (B, l) array of parameter values the result is batched: every
     coefficient holds its value at each of the B points."""
     phi = np.asarray(phi, dtype=float)
-    codes, sums = _phi_sums(f, phi.reshape(-1, f.grading.l))
-    plan = _plan(f.grading)
-    ik, it = np.divmod(codes, plan.NT)
-    ij = np.full(len(codes), plan.J.index[(0,) * f.grading.l])
-    new = _like(f, ij, ik, it, sums[:, 0] if phi.ndim == 1 else sums, 0.0)
+    slot, sums = _phi_sums(f, phi.reshape(-1, f.grading.l))
+    new = _like(f, slot, sums[:, 0] if phi.ndim == 1 else sums, 0.0)
     new._prune()
     return new
 
@@ -1406,14 +1442,15 @@ class TaylorSplit:
         while isinstance(some, list):
             some = some[0]
         g = some.grading
-        index, pow_s = _plan(g).T.index, _plan(g).powers(some.r, some.s)[1]
+        plan, pow_s = _plan(g), _plan(g).powers(some.r, some.s)[1]
         parts = [] if self.a is None else [self.a]
         loss = 0.0 if self.a is None else self.a.trunc_loss
         for field, i, jj, alpha, weight in _split_plan(g)[0]:
             block = getattr(self, field)
             if block is not None:
                 e = block[i][jj] if field[0] == "d" else block[i]
-                parts.append((e.ij, e.ik, np.full(len(e.it), index[alpha]),
+                # e's slots with their Taylor index set to alpha's
+                parts.append((e.slot - e.slot % plan.NT + plan.T.index[alpha],
                               e.coef * weight))
                 if e.trunc_loss:
                     loss += e.trunc_loss * (weight * pow_s[sum(alpha)])
@@ -1478,18 +1515,18 @@ def taylor_split(f, fields=None):
     fills = _split_plan(g)[1]
     named = lambda field: fields is None or field in fields
     parts = {}   # parts[(field, i, j)]: the series of one entry
-    low = T.norm[f.it] <= 2   # exactly the exponents fills covers
-    for t in np.flatnonzero(np.bincount(f.it[low])).tolist():
+    it = f.it
+    low = T.norm[it] <= 2   # exactly the exponents fills covers
+    for t in np.flatnonzero(np.bincount(it[low])).tolist():
         entries = [e for e in fills[T.keys[t]] if named(e[0])]
-        at = np.flatnonzero(f.it == t) if entries else None
+        at = np.flatnonzero(it == t) if entries else None
         for field, i, jj, factor in entries:
             coef = f.coef[at] if factor == 1.0 else factor * f.coef[at]
-            parts[(field, i, jj)] = _like(f, f.ij[at], f.ik[at],
-                                          np.zeros_like(at), coef, 0.0)
+            # the entry's terms at Taylor index 0: their slots less t
+            parts[(field, i, jj)] = _like(f, f.slot[at] - t, coef, 0.0)
 
     def new(field, i=0, jj=0):
-        e = parts.get((field, i, jj)) \
-            or _like(f, _NONE, _NONE, _NONE, _EMPTY, 0.0)
+        e = parts.get((field, i, jj)) or _like(f, _NONE, _EMPTY, 0.0)
         if field[0] != "d":
             e._prune(0.0)
         return e

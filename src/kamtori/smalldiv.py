@@ -233,8 +233,7 @@ def _check_beta(beta, witness, K):
 def _gather(series, batch):
     """The coefficients of several series on the sorted union of their slots:
     (slots, b) with b of shape (len(slots),) + batch + (len(series),)."""
-    plan = _plan(series[0].grading)
-    codes = [plan.code(f.ij, f.ik, f.it) for f in series]
+    codes = [f.slot for f in series]
     slots, at = np.unique(np.concatenate(codes), return_inverse=True)
     b = np.zeros((len(slots),) + batch + (len(series),), dtype=complex)
     ends = np.cumsum([len(c) for c in codes])[:-1]
@@ -249,11 +248,10 @@ def _assemble(like, slots, u):
     """One series per column of u, shape (len(slots),) + batch + (n,), on the
     grading and radii of its entry of like; a row that is zero at every
     entry is left out."""
-    plan = _plan(like[0].grading)
     out = []
     for f, col in zip(like, np.moveaxis(u, -1, 0)):
         live = col.any(axis=tuple(range(1, col.ndim)))
-        out.append(_like(f, *plan.split(slots[live]), col[live], 0.0))
+        out.append(_like(f, slots[live], col[live], 0.0))
     return out
 
 

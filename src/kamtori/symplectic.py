@@ -270,7 +270,7 @@ def _relation_defects(Phi):
     out = {}
     for a, b in itertools.combinations(range(len(comps)), 2):
         (sa, da), (sb, db) = bases[a], bases[b]
-        parts = [(plan.code(*t[:3]), sign * t[3], 1) for sign, t in
+        parts = [(t[4], sign * t[3], 1) for sign, t in
                  ((sa, _kept(plan, comps[b], da)),
                   (-sb, _kept(plan, comps[a], db)))]
         parts += [(slot, coef, sign) for (slot, coef, _), sign in
@@ -283,8 +283,7 @@ def _relation_defects(Phi):
                 acc[slot] -= coef
             touched[slot] = True
         slots = np.flatnonzero(touched)
-        out[a, b] = float(np.abs(acc[slots])
-                          @ plan.weight(*plan.split(slots), r, s))
+        out[a, b] = float(np.abs(acc[slots]) @ plan.weigh(slots, r, s))
         acc[slots] = 0.0
         touched[slots] = False
     return out

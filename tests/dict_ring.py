@@ -129,10 +129,12 @@ class _Plan:
         return [np.where(b.sums[0] >= 0, b.sums[0] * scale, out) for b, scale
                 in ((self.J, self.NK * self.NT), (self.K, self.NT), (self.T, 1))]
 
-    def weight(self, ij, ik, it, r, s):
-        """Majorant weights e^{(|j|+|k|) r} s^|a| of terms."""
-        return np.exp((self.J.norm[ij] + self.K.norm[ik]) * r) \
-            * s ** self.T.norm[it].astype(float)
+
+def _weight(plan, ij, ik, it, r, s):
+    """Majorant weights e^{(|j|+|k|) r} s^|a| of terms, in closed form from
+    their ball indices in plan (this module's or kamtori.series's)."""
+    return np.exp((plan.J.norm[ij] + plan.K.norm[ik]) * r) \
+        * s ** plan.T.norm[it].astype(float)
 
 
 _plan = functools.lru_cache(maxsize=None)(_Plan)
@@ -345,8 +347,8 @@ def _prune_arrays(plan, ij, ik, it, coef, r, s, floor=PRUNE_FLOOR,
     if len(rows) and coef.ndim == 2:
         coef = np.where(dead, 0.0, coef)
     elif len(rows):
-        loss = float((mag[rows] * plan.weight(ij[rows], ik[rows], it[rows],
-                                              r, s)).sum())
+        loss = float((mag[rows] * _weight(plan, ij[rows], ik[rows], it[rows],
+                                          r, s)).sum())
     return ~(dead.all(axis=1) if coef.ndim == 2 else dead), coef, loss
 
 
@@ -501,7 +503,7 @@ def majorant_norm(f, r=None, s=None):
     if r > f.r * (1 + 1e-12) or s > f.s * (1 + 1e-12):
         raise ValueError("majorant radii exceed stored domain")
     ij, ik, it, coef = _arrays(f)
-    weight = _plan(f.grading).weight(ij, ik, it, r, s)
+    weight = _weight(_plan(f.grading), ij, ik, it, r, s)
     if coef.ndim == 2:
         return (np.abs(coef) * weight[:, None]).sum(axis=0)
     return float(np.sum(np.abs(coef) * weight))

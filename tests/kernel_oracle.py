@@ -72,7 +72,7 @@ def pair_product(plan, f, g, halves, losses=True):
     js, ks, ts = plan.slots
     out = []
     for a, b in halves:
-        fd, gd = (_kept(plan, u, d) for u, d in ((f, a), (g, b)))
+        fd, gd = (_kept(plan, u, d)[:4] for u, d in ((f, a), (g, b)))
         (fj, fk, ft, fc), (gj, gk, gt, gc) = fd, gd
         if not len(fc) or not len(gc):
             out.append((_NONE, _EMPTY, 0.0))

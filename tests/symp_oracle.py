@@ -66,5 +66,13 @@ def relation_sums(Phi):
         coef = np.concatenate([p[1] for p in parts])
         acc = np.abs(np.bincount(at, coef.real, len(slots))
                      + 1j * np.bincount(at, coef.imag, len(slots)))
-        out[a, b] = float(acc @ plan.weight(*plan.split(slots), r, s))
+        out[a, b] = float(acc @ weight(plan, slots, r, s))
     return out
+
+
+def weight(plan, slots, r, s):
+    """Majorant weights e^{(|j|+|k|) r} s^|a| of the terms at slots, in
+    closed form from their ball indices."""
+    ij, ik, it = plan.split(slots)
+    return np.exp((plan.J.norm[ij] + plan.K.norm[ik]) * r) \
+        * s ** plan.T.norm[it].astype(float)

@@ -223,6 +223,7 @@ def test_bracket_makes_no_products_or_derivatives(monkeypatch):
 
 
 def test_plan_weight_is_the_closed_formula():
+    # the slot lookup _Plan.weigh against the closed form on ball indices
     rng = np.random.default_rng(17)
     for _ in range(300):
         gr = Grading(d=int(rng.integers(1, 3)), l=int(rng.integers(1, 3)),
@@ -236,7 +237,7 @@ def test_plan_weight_is_the_closed_formula():
         r, s = rng.uniform(0.05, 2.0, 2)
         want = np.exp((plan.J.norm[ij] + plan.K.norm[ik]) * r) \
             * s ** plan.T.norm[it].astype(float)
-        assert np.array_equal(plan.weight(ij, ik, it, r, s), want)
+        assert np.array_equal(plan.weigh(plan.code(ij, ik, it), r, s), want)
 
 
 def test_evaluate_all_matches_each_series():

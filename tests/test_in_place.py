@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kamtori.series import (FTSeries, Grading, _bracket, _bracket_halves,
-                            _bracket_pairs, _like, _merge, _plan, _products,
+                            _bracket_pairs, _like, _merge, _products,
                             ft_sum, majorant_norm, multiply)
 from kamtori.symplectic import GeneratingFunction, poisson_bracket
 
@@ -129,13 +129,13 @@ def test_a_prune_in_place_leaves_no_stale_cache():
                                 KEYS[5]: np.array([1, 2, 0.25, 1j])},
                  _raw=True)
     coef = f.coef.copy()
-    h = _like(f, f.ij, f.ik, f.it, coef, 0.0)
+    h = _like(f, f.slot, coef, 0.0)
     stale_terms, stale_maj = dict(h.terms), majorant_norm(h)
     assert h._dict is not None and h._maj is not None
     h._prune(0.3)
     assert h.coef is coef and coef[1, 2] == 0.0
     assert h._dict is None and h._maj is None
-    fresh = _like(f, h.ij, h.ik, h.it, coef.copy(), h.trunc_loss)
+    fresh = _like(f, h.slot, coef.copy(), h.trunc_loss)
     assert np.array_equal(majorant_norm(h), majorant_norm(fresh))
     assert not np.array_equal(majorant_norm(h), stale_maj)
     assert all(np.array_equal(c, fresh.terms[key])
@@ -149,8 +149,7 @@ def negated_bracket(f, g):
     halves = [(slot, -coef if n % 2 else coef, dropped) for n, (slot, coef,
               dropped) in enumerate(_bracket_halves(f, g))]
     parts = _products(f, g, _bracket_pairs(GR), halves)
-    return _merge(GR, f.r, f.s, [p[:4] for p in parts],
-                  sum(p[4] for p in parts))
+    return _merge(GR, f.r, f.s, parts, sum(p[2] for p in parts))
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["plain", "batched"])
@@ -170,7 +169,7 @@ def test_a_pruned_entry_of_a_subtracted_part_subtracts_as_zero_adds():
     # 0.5 + 0j there, as it did when the negated part was pruned to 0j
     f = FTSeries.zero(GR, 1.0, 1.0)
     g = FTSeries(GR, 1.0, 1.0, {KEYS[0]: 1.0, KEYS[1]: 1.0}, _raw=True)
-    slot = _plan(GR).code(g.ij, g.ik, g.it)
+    slot = g.slot
     halves = _bracket_pairs(GR)[:2]
 
     def parts(negate):
@@ -179,7 +178,7 @@ def test_a_pruned_entry_of_a_subtracted_part_subtracts_as_zero_adds():
                 (slot, -second if negate else second, 0.0)]
     signed = _products(f, f, halves, parts(False), (1, -1))
     negated = _products(f, f, halves, parts(True))
-    got = _merge(GR, 1.0, 1.0, [p[:4] for p in signed], 0.0, signs=(1, -1))
-    want = _merge(GR, 1.0, 1.0, [p[:4] for p in negated], 0.0)
+    got = _merge(GR, 1.0, 1.0, signed, 0.0, signs=(1, -1))
+    want = _merge(GR, 1.0, 1.0, negated, 0.0)
     assert snapshot([got]) == snapshot([want])
     assert got.coef[1, 0] == 0.5 and not np.signbit(got.coef[1, 0].imag)

@@ -29,7 +29,9 @@ def fresh(f, d, r=None, s=None):
     without reading anything f keeps."""
     r, s = (f.r if r is None else r), (f.s if s is None else s)
     plan = _plan(f.grading)
-    w = plan.weight(f.ij, f.ik, f.it, r, s)
+    # the weights e^{(|j|+|k|) r} s^|a| in closed form
+    w = np.exp((plan.J.norm[f.ij] + plan.K.norm[f.ik]) * r) \
+        * s ** plan.T.norm[f.it].astype(float)
     if d.name is not None:
         w = w * d.magnitude(plan, f.ij, f.ik, f.it, s)
     return _weighted(f.coef, w)
@@ -87,7 +89,7 @@ class TestKept:
         assert_bits(majorant_norm(f), fresh(f, _UNIT))
         # new terms by _set
         h = f.copy()
-        h._set(h.ij, h.ik, h.it, 2.0 * h.coef)
+        h._set(h.slot, 2.0 * h.coef)
         for got, d in zip(_majorants(plan, h, ds), ds):
             assert_bits(got, fresh(h, d))
             assert np.all(got == 2.0 * fresh(f, d))
@@ -119,7 +121,7 @@ def test_scale_estimate_of_a_batched_generator():
 
 def test_one_weight_per_series_in_a_lie_step(monkeypatch):
     """Across bound(term) and step(term) of a lie_transform, each series is
-    weighed (plan.weight on its own arrays) once per radii: the step reads
+    weighed (plan.weigh on its own slots) once per radii: the step reads
     the term's majorants the bound formed, and the generator's from
     _bound_factors."""
     gr = Grading(d=1, l=1, K_q=4, K_phi=3, D=4)
@@ -135,13 +137,13 @@ def test_one_weight_per_series_in_a_lie_step(monkeypatch):
     F.trunc_loss = g.trunc_loss = 1e-18
     gen = GeneratingFunction(F, v)
     inside, weighed, terms = [False], [], []
-    weight = ring._Plan.weight
+    weigh = ring._Plan.weigh
 
-    def spy_weight(self, ij, ik, it, r, s):
+    def spy_weigh(self, slot, r, s):
         if inside[0]:
-            weighed.append((ij, r, s))   # kept alive: ids are not reused
-        return weight(self, ij, ik, it, r, s)
-    monkeypatch.setattr(ring._Plan, "weight", spy_weight)
+            weighed.append((slot, r, s))   # kept alive: ids are not reused
+        return weigh(self, slot, r, s)
+    monkeypatch.setattr(ring._Plan, "weigh", spy_weigh)
     for name in ("bracket_bound", "bracket_with"):
         def spy(self, term, _real=getattr(GeneratingFunction, name)):
             terms.append(term)
@@ -153,11 +155,11 @@ def test_one_weight_per_series_in_a_lie_step(monkeypatch):
         monkeypatch.setattr(GeneratingFunction, name, spy)
     _, _, order = lie_transform(g, gen)
     assert order >= 3
-    counts = collections.Counter((id(ij), r, s) for ij, r, s in weighed)
+    counts = collections.Counter((id(slot), r, s) for slot, r, s in weighed)
     assert max(counts.values()) == 1
     # the generator and every bounded or bracketed term with a loss were
     # weighed
-    seen = {id(ij) for ij, _, _ in weighed}
-    assert id(F.ij) in seen
-    assert all(id(t.ij) in seen for t in terms if t.trunc_loss)
+    seen = {id(slot) for slot, _, _ in weighed}
+    assert id(F.slot) in seen
+    assert all(id(t.slot) in seen for t in terms if t.trunc_loss)
     assert sum(1 for t in terms if t.trunc_loss) >= 2

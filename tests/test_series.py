@@ -239,16 +239,16 @@ class TestMajorant:
            st.tuples(*[st.integers(0, 6)] * 3), st.floats(0.01, 3.0),
            st.floats(0.01, 3.0))
     def test_dropped_term_weighed_by_the_plan(self, j, k, a, r, s):
-        # a term outside the grading goes to trunc_loss at _Plan.weight's
+        # a term outside the grading goes to trunc_loss at _Plan.weigh's
         # weight, bit for bit: the weight read in a grading that holds it
         small = Grading(d=1, l=1, K_q=2, K_phi=2, D=3)
         assume(abs(j) > 2 or abs(k) > 2 or sum(a) > 3)
         f = FTSeries(small, r, s, {((j,), (k,), a): 0.75})
         assert f.is_zero()
         plan = fts._plan(Grading(d=1, l=1, K_q=6, K_phi=6, D=18))
-        weight = plan.weight(np.array([plan.J.index[(j,)]]),
-                             np.array([plan.K.index[(k,)]]),
-                             np.array([plan.T.index[a]]), r, s)
+        weight = plan.weigh(np.array([plan.code(plan.J.index[(j,)],
+                                                plan.K.index[(k,)],
+                                                plan.T.index[a])]), r, s)
         assert f.trunc_loss == 0.75 * weight[0]
 
     def test_submultiplicative_without_loss(self, g11, rng):

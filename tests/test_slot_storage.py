@@ -369,18 +369,17 @@ def assert_prune_matches(f, nan_row, floor):
             coef[nan_row, 0] = np.nan
         else:
             coef[nan_row] = np.nan
-    f._set(f.ij, f.ik, f.it, coef)
+    f._set(f.slot, coef)
     coef = f.coef   # an empty series holds the shared empty array
     plan = new._plan(f.grading)
-    args = (plan, f.ij, f.ik, f.it)
     old_in = coef.copy()
-    keep_old, kept_old, loss_old = old._prune_arrays(*args, old_in, f.r,
-                                                     f.s, floor)
+    keep_old, kept_old, loss_old = old._prune_arrays(
+        plan, f.ij, f.ik, f.it, old_in, f.r, f.s, floor)
     before = coef.tobytes()
     for shared in (True, False):
         given = coef if shared else coef.copy()
-        keep, kept, loss = new._prune_arrays(*args, given, f.r, f.s, floor,
-                                             shared)
+        keep, kept, loss = new._prune_arrays(plan, f.slot, given, f.r, f.s,
+                                             floor, shared)
         assert loss == loss_old
         assert np.array_equal(kept, kept_old, equal_nan=True)
         assert coef.tobytes() == before

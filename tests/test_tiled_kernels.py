@@ -344,7 +344,7 @@ def reality_defect_oracle(f):
 
 def entries(f):
     """The unbatched series of each entry of a batched f, same key set."""
-    return [ring._like(f, f.ij, f.ik, f.it, f.coef[:, b], f.trunc_loss)
+    return [ring._like(f, f.slot, f.coef[:, b], f.trunc_loss)
             for b in range(f.coef.shape[1])]
 
 
